@@ -65,7 +65,6 @@ from .rewriting import (
     one_step_rewrites,
     primary_rewrite_steps,
     r_over_e_one_step,
-    rename_rule,
     verify_rewrite_step,
 )
 from .terms import (

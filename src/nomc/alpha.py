@@ -173,11 +173,6 @@ def freshness_context_nf(
     return frozenset(out)
 
 
-def context_entails(ctx: FreshnessContext, other: FreshnessContext) -> bool:
-    """Whether every primitive constraint of `other` is a hypothesis of ctx."""
-    return other <= ctx
-
-
 def satisfies_with(
     constrained: FreshnessContext, theta: Substitution, ctx: FreshnessContext
 ) -> bool:
@@ -185,7 +180,7 @@ def satisfies_with(
     reduced = freshness_context_nf(constrained, theta)
     if reduced is INCONSISTENT:
         return False
-    return context_entails(ctx, reduced)
+    return reduced <= ctx
 
 
 def check_problem(ctx: FreshnessContext, problem: ConstraintProblem, sig: Signature) -> bool:

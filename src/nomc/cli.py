@@ -2,7 +2,9 @@
 rewriting, narrowing, and the lifting correspondence checks.
 
 Exit codes: 0 for any definitive answer (including "not derivable" and
-"no match"), 1 for user errors, 2 when a search or step bound was exhausted.
+"no match"), 1 for user errors (including input nested too deeply for the
+recursive parser and term walkers), 2 when a search or step bound was
+exhausted.
 """
 
 from __future__ import annotations
@@ -412,6 +414,11 @@ def run_command(argv: list[str]) -> int:
     except (StepLimitExceeded, SearchSpaceExceeded) as exc:
         payload, text = {"error": str(exc), "bound_exhausted": True}, f"bound exhausted: {exc}"
         code = 2
+    except RecursionError:
+        # Parser and term walkers recurse once per nesting level.
+        message = "term is nested too deeply"
+        payload, text = {"error": message}, f"error: {message}"
+        code = 1
     elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     if args.json:
         report = {

@@ -31,7 +31,6 @@ from .rewriting import (
     heads_compatible,
     permute_rule,
     primary_rewrite_steps,
-    rename_rule,
     rename_rule_with_map,
     verify_rewrite_step,
 )
@@ -174,7 +173,7 @@ def _expand_node(
         for rule in system.rules:
             if not heads_compatible(rule.lhs, sub):
                 continue
-            renamed = rename_rule(rule, avoid)
+            renamed = rename_rule_with_map(rule, avoid)[0]
             avoid = avoid | renamed.variables()
             solutions = solve(
                 node.context,

@@ -64,13 +64,15 @@ class RewriteRule:
         if loose:
             names = ", ".join(sorted(v.name for v in loose))
             raise ValueError(f"rule {self.name}: variables not bound by the left-hand side: {names}")
+        # Not a field: equality and hashing stay on the four fields above.
+        atoms = term_atoms(self.lhs) | term_atoms(self.rhs) | frozenset(c.atom for c in self.context)
+        object.__setattr__(self, "_atoms", atoms)
 
     def variables(self) -> frozenset[Var]:
         return term_vars(self.lhs) | term_vars(self.rhs) | frozenset(c.var for c in self.context)
 
     def atoms(self) -> frozenset[Atom]:
-        out = term_atoms(self.lhs) | term_atoms(self.rhs)
-        return out | frozenset(c.atom for c in self.context)
+        return self._atoms
 
     def __str__(self) -> str:
         ctx = ", ".join(sorted(str(c) for c in self.context))
@@ -79,16 +81,31 @@ class RewriteRule:
 
 
 class RewriteSystem:
-    """A sequence of rules plus the signature declaring commutative symbols."""
+    """A sequence of rules plus the signature declaring commutative symbols.
+
+    The system remembers its rules renamed apart from the most recent avoid
+    set (one entry, so memory stays bounded). Renaming is a deterministic
+    function of the rule and the avoid set, so a reused copy is exactly what
+    a fresh renaming would give. Ground terms all share the empty avoid set,
+    which makes the memo hit on every source the class oracle scans.
+    """
 
     def __init__(self, rules: tuple[RewriteRule, ...] | list[RewriteRule], signature: Signature):
         self.rules = tuple(rules)
         self.signature = signature
+        self._renamed: tuple[frozenset[Var], tuple[RewriteRule, ...]] | None = None
         seen: set[str] = set()
         for rule in self.rules:
             if rule.name in seen:
                 raise ValueError(f"duplicate rule name {rule.name}")
             seen.add(rule.name)
+
+    def renamed_rules(self, avoid: frozenset[Var]) -> tuple[RewriteRule, ...]:
+        """The rules, in order, with variables renamed apart from `avoid`."""
+        if self._renamed is None or self._renamed[0] != avoid:
+            renamed = tuple(rename_rule_with_map(rule, avoid)[0] for rule in self.rules)
+            self._renamed = (avoid, renamed)
+        return self._renamed[1]
 
     def atoms(self) -> frozenset[Atom]:
         out: frozenset[Atom] = frozenset()
@@ -154,11 +171,6 @@ def rename_rule_with_map(
         apply_subst(subst, rule.rhs),
     )
     return renamed, renaming
-
-
-def rename_rule(rule: RewriteRule, avoid: frozenset[Var] | set[Var]) -> RewriteRule:
-    """Copy of the rule with variables renamed apart from `avoid`."""
-    return rename_rule_with_map(rule, avoid)[0]
 
 
 def rename_atoms(term: Term, perm: Permutation) -> Term:
@@ -315,15 +327,25 @@ def _candidate_steps(
     When identity-permutation matching fails and the rule's atoms clash with
     the subterm's, the match is retried once with the clashing atoms moved to
     fresh ones; the permutation is recorded on the step.
+
+    Rule preparation is hoisted out of the position loop. The renamed rules
+    come from the system's memo (see `RewriteSystem`). The clash shift picks
+    atoms fresh for the ambient, subject and rule atoms; the subject's atoms
+    lie inside the ambient ones, so within one scan the shift and the
+    shifted rule depend only on the rule and its clashing atoms, and are
+    computed once per such pair.
     """
     sig = system.signature
     avoid = term_vars(term) | {c.var for c in delta}
     ambient_atoms = term_atoms(term) | frozenset(c.atom for c in delta)
-    renamed_rules = [rename_rule(rule, avoid) for rule in system.rules]
+    renamed_rules = system.renamed_rules(avoid)
+    # Keyed by rule name (unique in a system) and the clashing atoms.
+    shifts: dict[tuple[str, frozenset[Atom]], tuple[Permutation, RewriteRule] | None] = {}
     steps: list[RewriteStep] = []
     for pos, sub in subterms_with_positions(term):
         if isinstance(sub, Suspension):
             continue
+        sub_atoms = None
         for rule, renamed in zip(system.rules, renamed_rules):
             if not heads_compatible(renamed.lhs, sub):
                 continue
@@ -331,9 +353,14 @@ def _candidate_steps(
             used = renamed
             thetas = _verified_matchers(delta, sub, renamed, sig, max_states)
             if not thetas:
-                shift = clash_permutation(renamed, term_atoms(sub), ambient_atoms)
-                if shift is not None:
-                    shifted = permute_rule(renamed, shift)
+                if sub_atoms is None:
+                    sub_atoms = term_atoms(sub)
+                key = (rule.name, renamed.atoms() & sub_atoms)
+                if key not in shifts:
+                    shift = clash_permutation(renamed, sub_atoms, ambient_atoms)
+                    shifts[key] = None if shift is None else (shift, permute_rule(renamed, shift))
+                if shifts[key] is not None:
+                    shift, shifted = shifts[key]
                     thetas = _verified_matchers(delta, sub, shifted, sig, max_states)
                     if thetas:
                         perm, used = shift, shifted
@@ -472,8 +499,10 @@ def r_over_e_one_step(
     return tuple(results)
 
 
-def _r_over_e_first(term: Term, system: RewriteSystem, max_states: int) -> Term | None:
-    plain = system.without_commutativity()
+def _r_over_e_first(term: Term, system: RewriteSystem, plain: RewriteSystem, max_states: int) -> Term | None:
+    """First plain rewrite found in the term's class; `plain` is the system
+    without commutativity, built once by the caller so its renamed rules are
+    reused across every source and every step."""
     for source in _ground_oracle_sources(term, system):
         steps = primary_rewrite_steps(EMPTY_CONTEXT, source, plain, max_states=max_states)
         if steps:
@@ -494,9 +523,10 @@ def normal_form_equal_check(
     if not is_ground(term):
         raise ValueError("normal form comparison is only defined on ground terms")
     nf_matching, _ = normalize(delta, term, system, max_steps, max_states=max_states)
+    plain = system.without_commutativity()
     current = term
     for _ in range(max_steps + 1):
-        nxt = _r_over_e_first(current, system, max_states)
+        nxt = _r_over_e_first(current, system, plain, max_states)
         if nxt is None:
             return derive_alpha_c(delta, nf_matching, current, system.signature)
         current = nxt

@@ -381,14 +381,6 @@ def is_ground(term: Term) -> bool:
     return not term_vars(term)
 
 
-def term_size(term: Term) -> int:
-    if isinstance(term, (Atom, Suspension)):
-        return 1
-    if isinstance(term, Abstraction):
-        return 1 + term_size(term.body)
-    return 1 + sum(term_size(a) for a in term.args)
-
-
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 

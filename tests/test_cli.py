@@ -195,6 +195,21 @@ class TestErrorsAndJson:
         code, out = run(capsys, "normalize", "forall(a, b)", "--system", "prenex")
         assert code == 1 and "forall" in out
 
+    def test_too_deep_for_the_parser_exit_one(self, capsys):
+        deep = "h(" * 3000 + "a" + ")" * 3000
+        code, out = run(capsys, "check", "--system", "ex22", "--json", f"{deep} =ac {deep}")
+        assert code == 1
+        assert json.loads(out)["result"] == {"error": "term is nested too deeply"}
+
+    def test_too_deep_for_the_judgement_exit_one(self, capsys):
+        from nomc import parse_term
+        from nomc.cli import load_system_file
+
+        deep = "h(" * 400 + "a" + ")" * 400
+        parse_term(deep, load_system_file("ex22").system.signature)  # parses; derive_alpha_c overflows
+        code, out = run(capsys, "check", "--system", "ex22", f"{deep} =ac {deep}")
+        assert code == 1 and out.strip() == "error: term is nested too deeply"
+
     def test_json_report_shape(self, capsys):
         code, out = run(capsys, "check", "--json", "a # b")
         assert code == 0

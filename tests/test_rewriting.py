@@ -30,9 +30,15 @@ from nomc import (
     parse_context,
     parse_term,
     permute_term,
+    position_at_path,
+    primary_rewrite_steps,
     r_over_e_one_step,
+    term_atoms,
     verify_rewrite_step,
 )
+from nomc import rewriting
+from nomc.cli import load_system_file
+from nomc.rewriting import clash_permutation
 from conftest import equivalent_variant, random_prenex_formula
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -238,3 +244,82 @@ class TestCoherence:
     def test_unrelated_sample_rejected(self, prenex_system):
         (verdict,) = coherence_check(prenex_system, [(frozenset(), a, b)], 3)
         assert verdict.status == REJECTED
+
+
+def _step_fields(steps):
+    return [(s.rule, s.position, s.perm, s.subst, s.result, s.rule_instance) for s in steps]
+
+
+def _normalize_outcome(ctx, term, system):
+    try:
+        nf, trace = normalize(ctx, term, system, 6)
+    except StepLimitExceeded as exc:
+        return "limit", exc.term, _step_fields(exc.trace)
+    return "nf", nf, _step_fields(trace)
+
+
+class TestPreparedRules:
+    """Rules are renamed once per avoid set and clash shifts once per scan;
+    neither may change a step."""
+
+    # Ground, then non-ground (variables named like the rules' own), then
+    # ground again, so a reused system's memo must follow the avoid set.
+    TERMS = {
+        "prenex": (
+            "or(not(forall([a]b)), and(a, exists([b]c)))",
+            "or(P, exists([a]and(Q, not(forall([b]P0)))))",
+            "and(c, forall([a]or(b, exists([b]a))))",
+            "not(forall([a]and(Q1, exists([b]Q))))",
+            "or(and(a, forall([b]c)), and(a, forall([c]d)))",
+        ),
+        "ex22": (
+            "h(fC([a][b]c, c))",
+            "h(fC([b][a]X, X))",
+            "fC([a][b]h(a), h(a))",
+            "h(fC([a][b]Z, Z))",
+            "h(h(b))",
+        ),
+        "lambda": ("lam([a]app(a, b))", "lam([a]app(a, X))", "app(a, b)"),
+    }
+
+    def test_reused_system_gives_the_same_steps(self):
+        for name, texts in self.TERMS.items():
+            reused = load_system_file(name).system
+            sig = reused.signature
+            ctx = parse_context("a#P, c#Q1")
+            for text in texts + texts:
+                term = parse_term(text, sig)
+                for enumerate_steps in (primary_rewrite_steps, one_step_rewrites):
+                    for delta in (frozenset(), ctx):
+                        fresh = RewriteSystem(reused.rules, sig)
+                        expected = _step_fields(enumerate_steps(delta, term, fresh))
+                        assert _step_fields(enumerate_steps(delta, term, reused)) == expected, (name, text)
+                fresh = RewriteSystem(reused.rules, sig)
+                assert _normalize_outcome(ctx, term, reused) == _normalize_outcome(ctx, term, fresh)
+
+    def test_clash_shift_matches_a_direct_computation(self, prenex_system):
+        # The binder atom a of and_forall occurs free in both redexes, so
+        # each step needs the clash shift and the second reuses the first's.
+        # and(b, c) is scanned first and clashes on no atom.
+        term = parse_term("or(and(b, c), or(and(a, forall([b]c)), and(a, forall([c]d))))", prenex_system.signature)
+        steps = primary_rewrite_steps(frozenset(), term, prenex_system)
+        assert len(steps) >= 2
+        for step in steps:
+            _, sub = position_at_path(term, step.position.path())
+            direct = clash_permutation(step.rule_instance, term_atoms(sub), term_atoms(term))
+            assert direct is not None and step.perm == direct
+
+    def test_oracle_renames_each_rule_at_most_twice(self, monkeypatch):
+        renamed = []
+        original = rewriting.rename_rule_with_map
+
+        def counting(rule, avoid):
+            renamed.append(rule.name)
+            return original(rule, avoid)
+
+        monkeypatch.setattr(rewriting, "rename_rule_with_map", counting)
+        system = load_system_file("prenex").system
+        term = parse_term("and(a, not(or(b, forall([a]and(c, exists([b]a))))))", system.signature)
+        assert normal_form_equal_check(frozenset(), term, system, 10)
+        assert renamed
+        assert max(renamed.count(rule.name) for rule in system.rules) <= 2
