@@ -71,7 +71,6 @@ from .terms import (
     Abstraction,
     App,
     Atom,
-    HOLE,
     IDENTITY,
     IDENTITY_SUBST,
     Permutation,
@@ -87,9 +86,9 @@ from .terms import (
     fresh_variable,
     free_atoms,
     is_ground,
-    permute_atom,
     permute_term,
-    position_at_path,
+    replace_at,
+    subterm_at,
     subterms_with_positions,
     term_atoms,
     term_vars,
@@ -109,5 +108,4 @@ from .unify import (
     solve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

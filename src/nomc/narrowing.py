@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .alpha import (
     EqualityGoal,
@@ -27,10 +28,9 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
-    clash_permutation,
-    heads_compatible,
     permute_rule,
     primary_rewrite_steps,
+    redexes,
     rename_rule_with_map,
     verify_rewrite_step,
 )
@@ -43,9 +43,8 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    position_at_path,
-    subterms_with_positions,
-    term_atoms,
+    replace_at,
+    subterm_at,
     term_vars,
 )
 from .unify import (
@@ -122,36 +121,59 @@ def _gather_vars(node: NarrowingNode) -> frozenset[Var]:
 
 
 def _expanded_solutions(
-    sol: CSolution,
+    solutions: tuple[CSolution, ...],
     sig: Signature,
     fixpoint_depth: int,
-) -> list[tuple[FreshnessContext, Substitution, bool]]:
-    """Close a solver answer into usable (context, substitution) pairs.
+) -> Iterator[tuple[FreshnessContext, Substitution, bool]]:
+    """Close solver answers into usable (context, substitution, flag) triples.
 
     Residual fixed-point equations are expanded through the bounded
     enumerator; answers without residuals pass through unchanged.
     """
-    if not sol.residual_fixpoints:
-        return [(sol.context, sol.subst, sol.protected_fixpoint_discharged)]
-    option_lists = [
-        enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
-        for perm, var in sol.residual_fixpoints
-    ]
-    out: list[tuple[FreshnessContext, Substitution, bool]] = []
-    for combo in itertools.product(*option_lists):
-        context = sol.context
-        theta = sol.subst
-        consistent = True
-        for extra_ctx, rho in combo:
-            reduced = freshness_context_nf(context, rho)
-            if reduced is INCONSISTENT:
-                consistent = False
-                break
-            context = reduced | extra_ctx
-            theta = theta.compose(rho)
-        if consistent:
-            out.append((context, theta, True))
-    return out
+    for sol in solutions:
+        if not sol.residual_fixpoints:
+            yield sol.context, sol.subst, sol.protected_fixpoint_discharged
+            continue
+        option_lists = [
+            enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
+            for perm, var in sol.residual_fixpoints
+        ]
+        for combo in itertools.product(*option_lists):
+            context = sol.context
+            theta = sol.subst
+            for extra_ctx, rho in combo:
+                reduced = freshness_context_nf(context, rho)
+                if reduced is INCONSISTENT:
+                    break
+                context = reduced | extra_ctx
+                theta = theta.compose(rho)
+            else:
+                yield context, theta, True
+
+
+def _children(
+    node: NarrowingNode,
+    pos: Position,
+    sub: Term,
+    rule: RewriteRule,
+    candidates: Iterable[tuple[FreshnessContext, Substitution, bool]],
+    sig: Signature,
+) -> Iterator[tuple[Substitution, bool, NarrowingNode]]:
+    """Children of a node for `rule` at `pos`, from candidate (context,
+    substitution, flag) answers that pass a re-check against the
+    unification problem. Yields (step substitution, flag, child)."""
+    problem = UnificationState(
+        node.context | rule.context,
+        IDENTITY_SUBST,
+        (EqualityGoal(rule.lhs, sub),),
+    )
+    rewritten = replace_at(node.term, pos.path, rule.rhs)
+    for context, theta, flagged in candidates:
+        if check_solution((context, theta), problem, sig):
+            child = NarrowingNode(
+                context, apply_subst(theta, rewritten), node.accumulated.compose(theta), node.depth + 1
+            )
+            yield theta, flagged, child
 
 
 def _expand_node(
@@ -162,71 +184,29 @@ def _expand_node(
     avoid: frozenset[Var],
     max_states: int,
 ) -> tuple[list[NarrowingStep], bool, frozenset[Var]]:
+    """Narrowing steps from a node, renaming each rule apart at each site
+    from every variable seen so far (the avoid set grows as steps are made)."""
     sig = system.signature
     steps: list[NarrowingStep] = []
-    truncated = False
     avoid = avoid | _gather_vars(node)
-    ambient_atoms = term_atoms(node.term) | frozenset(c.atom for c in node.context)
-    for pos, sub in subterms_with_positions(node.term):
-        if isinstance(sub, Suspension):
-            continue  # narrowing acts at non-variable positions only
-        for rule in system.rules:
-            if not heads_compatible(rule.lhs, sub):
-                continue
-            renamed = rename_rule_with_map(rule, avoid)[0]
-            avoid = avoid | renamed.variables()
-            solutions = solve(
-                node.context,
-                sub,
-                renamed.context,
-                renamed.lhs,
-                sig=sig,
-                max_states=max_states,
-            )
-            if not solutions:
-                shift = clash_permutation(renamed, term_atoms(sub), ambient_atoms)
-                if shift is not None:
-                    shifted = permute_rule(renamed, shift)
-                    solutions = solve(
-                        node.context,
-                        sub,
-                        shifted.context,
-                        shifted.lhs,
-                        sig=sig,
-                        max_states=max_states,
-                    )
-                    if solutions:
-                        renamed = shifted
-            problem = UnificationState(
-                node.context | renamed.context,
-                IDENTITY_SUBST,
-                (EqualityGoal(renamed.lhs, sub),),
-            )
-            for sol in solutions:
-                for context, theta, flagged in _expanded_solutions(sol, sig, fixpoint_depth):
-                    if not check_solution((context, theta), problem, sig):
-                        continue
-                    child_term = apply_subst(theta, pos.plug(renamed.rhs))
-                    child = NarrowingNode(
-                        context,
-                        child_term,
-                        node.accumulated.compose(theta),
-                        node.depth + 1,
-                    )
-                    if len(steps) >= max_unifiers:
-                        truncated = True
-                        break
-                    steps.append(
-                        NarrowingStep(rule.name, pos, theta, flagged, child, node, renamed)
-                    )
-                    avoid = avoid | _gather_vars(child)
-                if truncated:
-                    break
-            if truncated:
-                break
-        if truncated:
-            break
-    return steps, truncated, avoid
+
+    def prepare(rule: RewriteRule) -> RewriteRule:
+        nonlocal avoid
+        renamed = rename_rule_with_map(rule, avoid)[0]
+        avoid = avoid | renamed.variables()
+        return renamed
+
+    def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
+        return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
+
+    for pos, sub, _, _, used, solutions in redexes(node.context, node.term, system.rules, prepare, attempt):
+        candidates = _expanded_solutions(solutions, sig, fixpoint_depth)
+        for theta, flagged, child in _children(node, pos, sub, used, candidates, sig):
+            if len(steps) >= max_unifiers:
+                return steps, True, avoid
+            steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
+            avoid = avoid | _gather_vars(child)
+    return steps, False, avoid
 
 
 def one_step_narrowings(
@@ -285,21 +265,21 @@ def narrowing_to_rewriting(step: NarrowingStep, parent: NarrowingNode, *, sig: S
     """Soundness oracle: instantiating the parent by the step substitution
     must rewrite, with the same rule at the same position, to the child."""
     theta = step.step_subst
+    path = step.position.path
+    instance = apply_subst(theta, parent.term)
     try:
-        pos, sub = position_at_path(parent.term, step.position.path())
+        inst_sub = apply_subst(theta, subterm_at(parent.term, path))
+        if subterm_at(instance, path) != inst_sub:
+            return False
     except ValueError:
         return False
     context = step.child.context
-    inst_pos = Position(apply_subst(theta, pos.context))
-    inst_sub = apply_subst(theta, sub)
-    if inst_pos.plug(inst_sub) != apply_subst(theta, parent.term):
-        return False
     renamed = step.rule_instance
     if not all(derive_freshness(context, c.atom, theta.get(c.var)) for c in renamed.context):
         return False
     if not derive_alpha_c(context, inst_sub, apply_subst(theta, renamed.lhs), sig):
         return False
-    rewritten = inst_pos.plug(apply_subst(theta, renamed.rhs))
+    rewritten = replace_at(instance, path, apply_subst(theta, renamed.rhs))
     return derive_alpha(context, rewritten, step.child.term)
 
 
@@ -349,8 +329,9 @@ def lifting_forward_check(
         parent, child = step.parent, step.child
         if not satisfies_with(parent.context, rho_i, delta):
             return False
+        path = step.position.path
         try:
-            pos, sub = position_at_path(parent.term, step.position.path())
+            sub = subterm_at(parent.term, path)
         except ValueError:
             return False
         renamed = step.rule_instance
@@ -360,9 +341,7 @@ def lifting_forward_check(
             delta, apply_subst(rho_i, sub), apply_subst(rho_i, renamed.lhs), sig
         ):
             return False
-        rewritten = Position(apply_subst(rho_i, pos.context)).plug(
-            apply_subst(rho_i, renamed.rhs)
-        )
+        rewritten = replace_at(apply_subst(rho_i, parent.term), path, apply_subst(rho_i, renamed.rhs))
         if not derive_alpha(delta, rewritten, apply_subst(rho_next, child.term)):
             return False
     return True
@@ -443,9 +422,9 @@ def _lift_one(
     max_states: int,
 ) -> tuple[NarrowingStep, Substitution] | None:
     sig = system.signature
-    path = recorded.position.path()
+    pos = recorded.position
     try:
-        pos, sub = position_at_path(node.term, path)
+        sub = subterm_at(node.term, pos.path)
     except ValueError:
         return None
     if isinstance(sub, Suspension):
@@ -455,56 +434,38 @@ def _lift_one(
     sigma = Substitution(
         {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
     )
-    problem = UnificationState(
-        node.context | renamed.context,
-        IDENTITY_SUBST,
-        (EqualityGoal(renamed.lhs, sub),),
-    )
-    # Direct construction: the narrowing unifier is the current instantiation
-    # composed with the recorded matcher, leaving an identity residue.
-    theta = rho_cur.compose(sigma)
-    if check_solution((delta, theta), problem, sig):
-        child_term = apply_subst(theta, pos.plug(renamed.rhs))
-        if derive_alpha_c(delta, child_term, recorded.result, sig):
-            variables = term_vars(node.term) | {c.var for c in node.context}
-            if all(
-                derive_alpha_c(delta, rho_cur.get(v), theta.get(v), sig) for v in variables
-            ):
-                child = NarrowingNode(delta, child_term, node.accumulated.compose(theta), node.depth + 1)
-                step = NarrowingStep(recorded.rule, pos, theta, False, child, node, renamed)
-                return step, IDENTITY_SUBST
-    # Fallback: search solver answers at the recorded position.
-    solutions = solve(
-        node.context, sub, renamed.context, renamed.lhs, sig=sig, max_states=max_states
-    )
-    for sol in solutions:
-        for context, theta_c, flagged in _expanded_solutions(sol, sig, fixpoint_depth):
-            if not check_solution((context, theta_c), problem, sig):
-                continue
-            child_term = apply_subst(theta_c, pos.plug(renamed.rhs))
-            variables = term_vars(node.term) | {c.var for c in node.context}
-            for residue in (IDENTITY_SUBST, rho_cur):
-                if not satisfies_with(context, residue, delta):
+    variables = term_vars(node.term) | {c.var for c in node.context}
+
+    def lifted(candidates, residues):
+        for theta, flagged, child in _children(node, pos, sub, renamed, candidates, sig):
+            for residue in residues:
+                if not satisfies_with(child.context, residue, delta):
                     continue
                 if not derive_alpha_c(
-                    delta, apply_subst(residue, child_term), recorded.result, sig
+                    delta, apply_subst(residue, child.term), recorded.result, sig
                 ):
                     continue
                 if not all(
                     derive_alpha_c(
                         delta,
                         rho_cur.get(v),
-                        apply_subst(residue, theta_c.get(v)),
+                        apply_subst(residue, theta.get(v)),
                         sig,
                     )
                     for v in variables
                 ):
                     continue
-                child = NarrowingNode(
-                    context, child_term, node.accumulated.compose(theta_c), node.depth + 1
-                )
-                step = NarrowingStep(
-                    recorded.rule, pos, theta_c, flagged, child, node, renamed
-                )
-                return step, residue
-    return None
+                return NarrowingStep(recorded.rule, pos, theta, flagged, child, node, renamed), residue
+        return None
+
+    # Direct construction: the narrowing unifier is the current instantiation
+    # composed with the recorded matcher, leaving an identity residue (its
+    # context is delta itself, which the identity residue always satisfies).
+    direct = lifted([(delta, rho_cur.compose(sigma), False)], (IDENTITY_SUBST,))
+    if direct is not None:
+        return direct
+    # Fallback: search solver answers at the recorded position.
+    solutions = solve(
+        node.context, sub, renamed.context, renamed.lhs, sig=sig, max_states=max_states
+    )
+    return lifted(_expanded_solutions(solutions, sig, fixpoint_depth), (IDENTITY_SUBST, rho_cur))

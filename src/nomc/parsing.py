@@ -391,10 +391,6 @@ def format_term(term: Term) -> str:
     return str(term)
 
 
-def format_substitution(subst: Substitution) -> str:
-    return str(subst)
-
-
 def format_rule(rule: RewriteRule) -> str:
     return f"{rule.name}: {rule}"
 

@@ -10,8 +10,10 @@ strategy only ever follows the first (plain) result.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import (
     EMPTY_CONTEXT,
@@ -39,7 +41,8 @@ from .terms import (
     free_atoms,
     is_ground,
     permute_term,
-    position_at_path,
+    replace_at,
+    subterm_at,
     subterms_with_positions,
     term_atoms,
     term_vars,
@@ -316,61 +319,84 @@ def _verified_matchers(
     return out
 
 
+def redexes(
+    context: FreshnessContext,
+    term: Term,
+    rules: tuple[RewriteRule, ...],
+    prepare: Callable[[RewriteRule], RewriteRule],
+    attempt: Callable[[Term, RewriteRule], Sequence],
+) -> Iterator[tuple[Position, Term, RewriteRule, Permutation, RewriteRule, Sequence]]:
+    """Lazily solve or match every rule at every non-variable position.
+
+    Positions come leftmost-outermost and rules in declaration order; a rule
+    is tried only where its left-hand side's head fits the subterm.
+    `prepare(rule)` gives the rule renamed apart and is called only at such
+    sites; `attempt(subterm, rule)` gives the answers, empty on failure.
+    When the prepared rule fails and its atoms clash with the subterm's, it
+    is retried once with the clashing atoms moved to fresh ones. Each
+    success yields `(position, subterm, prepared, perm, used, answers)`,
+    where `used` is `prepared` after the shift `perm` (IDENTITY if none).
+
+    The shift picks atoms fresh for the ambient, subject and rule atoms; the
+    subject's atoms lie inside the ambient ones, so within one scan the
+    shift depends only on the rule and its clashing atoms, and is computed
+    once per such pair. The shifted rule is reused while `prepare` returns
+    the same object.
+    """
+    ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
+    # (rule name, clashing atoms) -> (shift, prepared rule, shifted rule);
+    # rule names are unique in a system.
+    shifts: dict[tuple[str, frozenset[Atom]], tuple] = {}
+    for pos, sub in subterms_with_positions(term):
+        if isinstance(sub, Suspension):
+            continue
+        sub_atoms = None
+        for rule in rules:
+            if not heads_compatible(rule.lhs, sub):
+                continue
+            prepared = prepare(rule)
+            answers = attempt(sub, prepared)
+            if answers:
+                yield pos, sub, prepared, IDENTITY, prepared, answers
+                continue
+            if sub_atoms is None:
+                sub_atoms = term_atoms(sub)
+            key = (rule.name, prepared.atoms() & sub_atoms)
+            if key not in shifts:
+                shifts[key] = (clash_permutation(prepared, sub_atoms, ambient_atoms), None, None)
+            shift, base, shifted = shifts[key]
+            if shift is None:
+                continue
+            if base is not prepared:
+                shifted = permute_rule(prepared, shift)
+                shifts[key] = (shift, prepared, shifted)
+            answers = attempt(sub, shifted)
+            if answers:
+                yield pos, sub, prepared, shift, shifted, answers
+
+
 def _candidate_steps(
     delta: FreshnessContext,
     term: Term,
     system: RewriteSystem,
     max_states: int,
-) -> list[RewriteStep]:
-    """Matching steps at every non-variable position, premises verified.
-
-    When identity-permutation matching fails and the rule's atoms clash with
-    the subterm's, the match is retried once with the clashing atoms moved to
-    fresh ones; the permutation is recorded on the step.
-
-    Rule preparation is hoisted out of the position loop. The renamed rules
-    come from the system's memo (see `RewriteSystem`). The clash shift picks
-    atoms fresh for the ambient, subject and rule atoms; the subject's atoms
-    lie inside the ambient ones, so within one scan the shift and the
-    shifted rule depend only on the rule and its clashing atoms, and are
-    computed once per such pair.
-    """
+) -> Iterator[RewriteStep]:
+    """Matching steps in redex order with premises verified; the rules come
+    renamed from the system's memo (see `RewriteSystem`). A clash shift is
+    recorded on the step as its permutation."""
     sig = system.signature
     avoid = term_vars(term) | {c.var for c in delta}
-    ambient_atoms = term_atoms(term) | frozenset(c.atom for c in delta)
-    renamed_rules = system.renamed_rules(avoid)
-    # Keyed by rule name (unique in a system) and the clashing atoms.
-    shifts: dict[tuple[str, frozenset[Atom]], tuple[Permutation, RewriteRule] | None] = {}
-    steps: list[RewriteStep] = []
-    for pos, sub in subterms_with_positions(term):
-        if isinstance(sub, Suspension):
-            continue
-        sub_atoms = None
-        for rule, renamed in zip(system.rules, renamed_rules):
-            if not heads_compatible(renamed.lhs, sub):
-                continue
-            perm = IDENTITY
-            used = renamed
-            thetas = _verified_matchers(delta, sub, renamed, sig, max_states)
-            if not thetas:
-                if sub_atoms is None:
-                    sub_atoms = term_atoms(sub)
-                key = (rule.name, renamed.atoms() & sub_atoms)
-                if key not in shifts:
-                    shift = clash_permutation(renamed, sub_atoms, ambient_atoms)
-                    shifts[key] = None if shift is None else (shift, permute_rule(renamed, shift))
-                if shifts[key] is not None:
-                    shift, shifted = shifts[key]
-                    thetas = _verified_matchers(delta, sub, shifted, sig, max_states)
-                    if thetas:
-                        perm, used = shift, shifted
-            for theta in thetas:
-                result = pos.plug(apply_subst(theta, used.rhs))
-                steps.append(RewriteStep(rule.name, pos, perm, theta, result, renamed))
-    return steps
+    renamed = {rule.name: rule for rule in system.renamed_rules(avoid)}
+    attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
+    for pos, _, prepared, perm, used, thetas in redexes(
+        delta, term, system.rules, lambda rule: renamed[rule.name], attempt
+    ):
+        for theta in thetas:
+            result = replace_at(term, pos.path, apply_subst(theta, used.rhs))
+            yield RewriteStep(prepared.name, pos, perm, theta, result, prepared)
 
 
-def _dedup_steps(delta: FreshnessContext, steps: list[RewriteStep]) -> tuple[RewriteStep, ...]:
+def _dedup_steps(delta: FreshnessContext, steps: Iterable[RewriteStep]) -> tuple[RewriteStep, ...]:
     kept: list[RewriteStep] = []
     for step in steps:
         if not any(derive_alpha(delta, step.result, k.result) for k in kept):
@@ -427,8 +453,9 @@ def verify_rewrite_step(
     The step's permutation (externally supplied or the engine's clash shift)
     is applied to the rule instance before the checks.
     """
+    path = step.position.path
     try:
-        pos, sub = position_at_path(source, step.position.path())
+        sub = subterm_at(source, path)
     except ValueError:
         return False
     theta = step.subst
@@ -437,7 +464,7 @@ def verify_rewrite_step(
         return False
     if not derive_alpha_c(delta, sub, apply_subst(theta, used.lhs), sig):
         return False
-    return derive_alpha_c(delta, pos.plug(apply_subst(theta, used.rhs)), step.result, sig)
+    return derive_alpha_c(delta, replace_at(source, path, apply_subst(theta, used.rhs)), step.result, sig)
 
 
 def normalize(
@@ -451,32 +478,32 @@ def normalize(
     """Repeatedly apply the first available step until none applies.
 
     Deterministic strategy: leftmost-outermost position, rule declaration
-    order, first matching solution. Raises StepLimitExceeded past the bound.
+    order, first matching solution; the scan stops at the first redex.
+    Raises StepLimitExceeded past the bound.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     current = term
     trace: list[RewriteStep] = []
     while True:
-        steps = primary_rewrite_steps(delta, current, system, max_states=max_states)
-        if not steps:
+        chosen = next(_candidate_steps(delta, current, system, max_states), None)
+        if chosen is None:
             return current, tuple(trace)
         if len(trace) >= max_steps:
             raise StepLimitExceeded(current, tuple(trace))
-        chosen = steps[0]
         trace.append(chosen)
         current = chosen.result
 
 
-def _ground_oracle_sources(term: Term, system: RewriteSystem) -> list[Term]:
+def _ground_oracle_sources(term: Term, system: RewriteSystem) -> Iterator[Term]:
     pool = term_atoms(term) | system.atoms()
     pool = pool | {fresh_atom(pool)}
-    sources: list[Term] = []
+    seen: set[Term] = set()
     for member in c_class_enumerate(term, system.signature):
         for variant in alpha_variants(member, pool):
-            if variant not in sources:
-                sources.append(variant)
-    return sources
+            if variant not in seen:
+                seen.add(variant)
+                yield variant
 
 
 def r_over_e_one_step(
@@ -500,13 +527,14 @@ def r_over_e_one_step(
 
 
 def _r_over_e_first(term: Term, system: RewriteSystem, plain: RewriteSystem, max_states: int) -> Term | None:
-    """First plain rewrite found in the term's class; `plain` is the system
-    without commutativity, built once by the caller so its renamed rules are
-    reused across every source and every step."""
+    """First plain rewrite found in the term's class; sources are generated
+    and scanned only up to the first redex. `plain` is the system without
+    commutativity, built once by the caller so its renamed rules are reused
+    across every source and every step."""
     for source in _ground_oracle_sources(term, system):
-        steps = primary_rewrite_steps(EMPTY_CONTEXT, source, plain, max_states=max_states)
-        if steps:
-            return steps[0].result
+        step = next(_candidate_steps(EMPTY_CONTEXT, source, plain, max_states), None)
+        if step is not None:
+            return step.result
     return None
 
 
@@ -553,19 +581,19 @@ def _reachable(
     max_states: int,
 ) -> list[Term]:
     """Every term reachable in at most max_steps rewrite steps (term included)."""
-    seen: list[Term] = [term]
+    seen: dict[Term, None] = {term: None}  # insertion-ordered set
     frontier = [term]
     for _ in range(max_steps):
         nxt: list[Term] = []
         for t in frontier:
             for step in primary_rewrite_steps(delta, t, system, max_states=max_states):
                 if step.result not in seen:
-                    seen.append(step.result)
+                    seen[step.result] = None
                     nxt.append(step.result)
         if not nxt:
             break
         frontier = nxt
-    return seen
+    return list(seen)
 
 
 def coherence_check(

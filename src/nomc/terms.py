@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,6 @@ def suspension(var: Var, perm: Permutation = IDENTITY) -> Suspension:
     return Suspension(perm, var)
 
 
-def permute_atom(perm: Permutation, atom: Atom) -> Atom:
-    """Image of an atom; atoms outside the moved set map to themselves."""
-    return perm.act(atom)
-
-
 def permute_term(perm: Permutation, term: Term) -> Term:
     """Structural permutation action; suspensions compose, binders move too."""
     if isinstance(term, Atom):
@@ -169,10 +164,6 @@ class Substitution:
         for v, t in other._map.items():
             mapping.setdefault(v, t)
         return Substitution(mapping)
-
-    def restrict(self, variables: Iterable[Var]) -> "Substitution":
-        keep = set(variables)
-        return Substitution({v: t for v, t in self._map.items() if v in keep})
 
     @property
     def domain(self) -> frozenset[Var]:
@@ -259,80 +250,52 @@ class Signature:
         return f"Signature({self._entries!r})"
 
 
-EMPTY_SIGNATURE = Signature()
-
-# Distinguished hole of position contexts; not a legal source-level variable.
-HOLE = Var("_")
-HOLE_TERM = Suspension(IDENTITY, HOLE)
-
-
 @dataclass(frozen=True)
 class Position:
-    """A term context with exactly one occurrence of the hole variable."""
+    """A child-index path from the root; an abstraction's body is child 0."""
 
-    context: Term
-
-    def plug(self, term: Term) -> Term:
-        return apply_subst(Substitution({HOLE: term}), self.context)
-
-    def is_root(self) -> bool:
-        return self.context == HOLE_TERM
-
-    def path(self) -> tuple[int, ...]:
-        """Child-index path from the root to the hole (abstraction body is 0)."""
-        path = _hole_path(self.context)
-        if path is None:
-            raise ValueError("position context does not contain the hole")
-        return path
+    path: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        path = self.path()
-        return "root" if not path else ".".join(str(i) for i in path)
+        return ".".join(str(i) for i in self.path) or "root"
 
 
-ROOT_POSITION = Position(HOLE_TERM)
+def subterms_with_positions(term: Term) -> Iterator[tuple[Position, Term]]:
+    """Every subterm with its position, leftmost-outermost, root first."""
+    stack: list[tuple[tuple[int, ...], Term]] = [((), term)]
+    while stack:
+        path, sub = stack.pop()
+        yield Position(path), sub
+        if isinstance(sub, Abstraction):
+            stack.append((path + (0,), sub.body))
+        elif isinstance(sub, App):
+            stack.extend((path + (i,), sub.args[i]) for i in reversed(range(len(sub.args))))
 
 
-def _hole_path(context: Term) -> tuple[int, ...] | None:
-    if context == HOLE_TERM:
-        return ()
-    if isinstance(context, Abstraction):
-        inner = _hole_path(context.body)
-        return None if inner is None else (0,) + inner
-    if isinstance(context, App):
-        for i, arg in enumerate(context.args):
-            inner = _hole_path(arg)
-            if inner is not None:
-                return (i,) + inner
-    return None
+def subterm_at(term: Term, path: tuple[int, ...]) -> Term:
+    """The subterm at a child-index path; ValueError if there is none."""
+    sub = term
+    for i in path:
+        if isinstance(sub, Abstraction) and i == 0:
+            sub = sub.body
+        elif isinstance(sub, App) and 0 <= i < len(sub.args):
+            sub = sub.args[i]
+        else:
+            raise ValueError(f"no position at path {path} in {term}")
+    return sub
 
 
-def subterms_with_positions(term: Term) -> tuple[tuple[Position, Term], ...]:
-    """All context/subterm decompositions, leftmost-outermost, root first."""
-    entries: list[tuple[Term, Term]] = [(HOLE_TERM, term)]
-    if isinstance(term, Abstraction):
-        for pos, sub in subterms_with_positions(term.body):
-            entries.append((Abstraction(term.atom, pos.context), sub))
-    elif isinstance(term, App):
-        for i, arg in enumerate(term.args):
-            for pos, sub in subterms_with_positions(arg):
-                wrapped = App(term.sym, term.args[:i] + (pos.context,) + term.args[i + 1 :])
-                entries.append((wrapped, sub))
-    return tuple((Position(ctx), sub) for ctx, sub in entries)
-
-
-def position_at_path(term: Term, path: tuple[int, ...]) -> tuple[Position, Term]:
-    """Rebuild the context/subterm decomposition at a child-index path."""
+def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
+    """The term with its subterm at a child-index path replaced by `new`
+    (no renaming under binders); ValueError if there is no such path."""
     if not path:
-        return ROOT_POSITION, term
+        return new
     head, rest = path[0], path[1:]
     if isinstance(term, Abstraction) and head == 0:
-        pos, sub = position_at_path(term.body, rest)
-        return Position(Abstraction(term.atom, pos.context)), sub
+        return Abstraction(term.atom, replace_at(term.body, rest, new))
     if isinstance(term, App) and 0 <= head < len(term.args):
-        pos, sub = position_at_path(term.args[head], rest)
-        wrapped = App(term.sym, term.args[:head] + (pos.context,) + term.args[head + 1 :])
-        return Position(wrapped), sub
+        args = term.args[:head] + (replace_at(term.args[head], rest, new),) + term.args[head + 1 :]
+        return App(term.sym, args)
     raise ValueError(f"no position at path {path} in {term}")
 
 

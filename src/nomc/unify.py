@@ -428,11 +428,12 @@ def match(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[CSolution, ...]:
     """One-sided unification: instantiate l only, protecting the subject side."""
-    shared = term_vars(l) & term_vars(s)
+    subject_vars = term_vars(s)
+    shared = term_vars(l) & subject_vars
     if shared:
         names = ", ".join(sorted(v.name for v in shared))
         raise ValueError(f"matching requires disjoint variables; shared: {names}")
-    protected = term_vars(s) | frozenset(c.var for c in delta)
+    protected = subject_vars | frozenset(c.var for c in delta)
     return solve(delta, s, nabla, l, protected, sig=sig, max_states=max_states)
 
 

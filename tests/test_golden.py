@@ -1,0 +1,140 @@
+"""Golden outputs: CLI reports, narrowing edges and normalisation exit codes.
+
+`tests/data/golden.json` pins answers that refactors of the redex
+enumeration must not change: every bundled `problems:` line and README
+command run through `run_command --json` (minus `timing_ms`), narrowing
+edges with the renamed rule instances they used, and `normalize` exit codes
+under small `--max-states` caps. Regenerate only when an answer is meant to
+change:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/data/golden.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+from nomc import narrow_search, parse_context, parse_term
+from nomc.cli import load_system_file, run_command
+
+DATA = Path(__file__).resolve().parent / "data" / "golden.json"
+
+BUNDLED = ("prenex", "ex22", "lambda")
+
+README_COMMANDS = (
+    ["check", "--context", "a#X, b#X, c#X", "lam([a]app(a, X)) =ac lam([b]app(b, (a c).X))"],
+    ["unify", "h(Y)", "h(fC([b][a]X, X))", "--system", "ex22"],
+    ["unify", "fC([a][b]Z, Z)", "fC([b][a]X, X)", "--system", "ex22"],
+    ["match", "or(P, exists([a]Q))", "or(exists([a]Q1), P1)", "--system", "prenex", "--context", "a#P, a#P1"],
+    ["rewrite", "or(S1, or(exists([a]Q1), P1))", "--system", "prenex", "--context", "a#P1"],
+    ["normalize", "and(R, not(forall([b]forall([a]R))))", "--system", "prenex", "--context", "a#R"],
+    ["coherence", "or(not(forall([a]Q1)), P1)", "or(P1, not(forall([a]Q1)))", "--system", "prenex"],
+    ["narrow", "h(fC([b][a]X, X))", "--system", "ex22", "--depth", "2", "--fixpoint-depth", "2"],
+    [
+        "lift-forward", "and(P1, not(forall([b]Q1)))", "--system", "prenex",
+        "--rho", "Q1 -> forall([a]R), P1 -> R", "--target-context", "a#R", "--depth", "2", "--path", "2,1",
+    ],
+    ["lift-backward", "not(forall([a]Q))", "--system", "prenex", "--rho", "Q -> b"],
+)
+
+# (system, context, term, depth, fixpoint depth, unifiers per node)
+NARROW_CASES = (
+    ("ex22", "", "h(fC([b][a]X, X))", 2, 2, 50),
+    ("ex22", "", "h(fC([b][a]X, X))", 2, 1, 3),
+    ("ex22", "", "fC([a][b]Z, Z)", 2, 1, 50),
+    ("ex22", "", "h(h(fC(X, Y)))", 2, 1, 50),
+    ("prenex", "a#P1", "and(P1, not(forall([b]Q1)))", 2, 1, 50),
+)
+
+# Ground prenex formulas whose first redex comes before a commutative
+# subterm, so a scan that stops at the first redex skips matches the full
+# scan makes.
+NORMALIZE_TERMS = (
+    "or(not(forall([a]a)), and(b, or(c, exists([b]b))))",
+    "and(forall([a]not(a)), or(and(b, c), or(c, b)))",
+    "not(exists([a]and(or(a, b), and(c, forall([b]b)))))",
+)
+MAX_STATES = range(1, 30)
+
+
+def _run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(argv)
+    report = json.loads(out.getvalue())
+    del report["timing_ms"]
+    return {"argv": argv, "exit": code, "report": report}
+
+
+def collect_commands() -> list[dict]:
+    out = []
+    for name in BUNDLED:
+        for line in load_system_file(name).problems.values():
+            argv = shlex.split(line)
+            out.append(_run(argv[:1] + ["--system", name] + argv[1:] + ["--json"]))
+    out.extend(_run(argv + ["--json"]) for argv in README_COMMANDS)
+    return out
+
+
+def collect_narrowing() -> list[dict]:
+    out = []
+    for name, context, text, depth, fixpoint_depth, max_unifiers in NARROW_CASES:
+        system = load_system_file(name).system
+        sig = system.signature
+        tree = narrow_search(
+            parse_context(context, sig), parse_term(text, sig), system, depth, fixpoint_depth, max_unifiers
+        )
+        edges = [
+            [e.rule, str(e.position), str(e.step_subst), str(e.child), str(e.rule_instance), e.used_fixpoint_enumeration]
+            for e in tree.edges
+        ]
+        out.append({"case": [name, context, text, depth, fixpoint_depth, max_unifiers], "edges": edges,
+                    "nodes_truncated": tree.truncation.nodes_truncated})
+    return out
+
+
+def collect_normalize_exit_codes() -> list[dict]:
+    out = []
+    for text in NORMALIZE_TERMS:
+        codes = []
+        for cap in MAX_STATES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(run_command(["normalize", text, "--system", "prenex", "--max-states", str(cap)]))
+        out.append({"term": text, "exit_codes": codes})
+    return out
+
+
+def collect() -> dict:
+    return {
+        "commands": collect_commands(),
+        "narrowing": collect_narrowing(),
+        "normalize_exit_codes": collect_normalize_exit_codes(),
+    }
+
+
+def _golden(section: str):
+    return json.loads(DATA.read_text(encoding="utf-8"))[section]
+
+
+def _plain(value):
+    return json.loads(json.dumps(value))
+
+
+def test_commands_match_golden():
+    assert _plain(collect_commands()) == _golden("commands")
+
+
+def test_narrowing_edges_match_golden():
+    assert _plain(collect_narrowing()) == _golden("narrowing")
+
+
+def test_normalize_exit_codes_match_golden():
+    assert collect_normalize_exit_codes() == _golden("normalize_exit_codes")
+
+
+if __name__ == "__main__":
+    print(json.dumps(collect(), indent=1, sort_keys=True))

@@ -56,6 +56,19 @@ class TestOneStepNarrowing:
         assert parse_term("oplus(oplus(a, b), oplus(a, b))", sig) in images
         assert any(format_context(s.child.context) == "a#X, b#X" for s in flagged)
 
+    def test_clash_shifted_rules_renamed_at_each_site(self, prenex_system):
+        # The binder atom a of and_forall occurs free in both redexes, so
+        # both steps need the same clash shift, each on its own renaming.
+        sig = prenex_system.signature
+        term = parse_term("or(and(a, forall([a]X)), and(a, forall([a]Y)))", sig)
+        root = NarrowingNode(frozenset(), term, IDENTITY_SUBST, 0)
+        first, second = one_step_narrowings(root, prenex_system, 1, 50)
+        assert (str(first.position), str(second.position)) == ("0", "1")
+        assert a not in first.rule_instance.atoms() and a not in second.rule_instance.atoms()
+        assert not first.rule_instance.variables() & second.rule_instance.variables()
+        assert narrowing_to_rewriting(first, root, sig=sig)
+        assert narrowing_to_rewriting(second, root, sig=sig)
+
     def test_no_rule_applies(self, ex22_system):
         root = NarrowingNode(frozenset(), a, IDENTITY_SUBST, 0)
         assert one_step_narrowings(root, ex22_system, 1, 10) == ()
@@ -65,7 +78,7 @@ class TestOneStepNarrowing:
         root = NarrowingNode(frozenset(), parse_term("h(Y)", sig), IDENTITY_SUBST, 0)
         steps = one_step_narrowings(root, ex22_system, 0, 50)
         # the collapse rule narrows at the root; nothing acts at the bare Y
-        assert all(s.position.path() == () for s in steps)
+        assert all(s.position.path == () for s in steps)
 
 
 class TestNarrowSearch:
@@ -178,7 +191,7 @@ class TestStepSolutions:
             EqualityGoal,
             UnificationState,
             check_solution,
-            position_at_path,
+            subterm_at,
         )
 
         cases = (
@@ -192,7 +205,7 @@ class TestStepSolutions:
             )
             assert tree.edges
             for edge in tree.edges:
-                _, sub = position_at_path(edge.parent.term, edge.position.path())
+                sub = subterm_at(edge.parent.term, edge.position.path)
                 problem = UnificationState(
                     edge.parent.context | edge.rule_instance.context,
                     IDENTITY_SUBST,

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomc import (
     Abstraction,
@@ -30,16 +31,22 @@ from nomc import (
     parse_context,
     parse_term,
     permute_term,
-    position_at_path,
     primary_rewrite_steps,
     r_over_e_one_step,
+    subterm_at,
     term_atoms,
     verify_rewrite_step,
 )
 from nomc import rewriting
 from nomc.cli import load_system_file
 from nomc.rewriting import clash_permutation
-from conftest import equivalent_variant, random_prenex_formula
+from conftest import (
+    equivalent_variant,
+    random_context,
+    random_prenex_formula,
+    random_prenex_pattern,
+    random_term,
+)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X = Var("X")
@@ -305,7 +312,7 @@ class TestPreparedRules:
         steps = primary_rewrite_steps(frozenset(), term, prenex_system)
         assert len(steps) >= 2
         for step in steps:
-            _, sub = position_at_path(term, step.position.path())
+            sub = subterm_at(term, step.position.path)
             direct = clash_permutation(step.rule_instance, term_atoms(sub), term_atoms(term))
             assert direct is not None and step.perm == direct
 
@@ -323,3 +330,53 @@ class TestPreparedRules:
         assert normal_form_equal_check(frozenset(), term, system, 10)
         assert renamed
         assert max(renamed.count(rule.name) for rule in system.rules) <= 2
+
+
+SYSTEMS = {name: load_system_file(name).system for name in ("prenex", "ex22")}
+
+
+def _random_subject(rng, name):
+    if name == "prenex":
+        return random_prenex_pattern(rng, 4)
+    return random_term(rng, SYSTEMS[name].signature, 3)
+
+
+class TestFirstRedexScans:
+    """normalize and the class oracle stop their scan at the first redex;
+    they must agree with the eager enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_normalize_follows_the_first_primary_step(self, name, seed):
+        rng = random.Random(seed)
+        system = SYSTEMS[name]
+        term, ctx = _random_subject(rng, name), random_context(rng)
+        current, trace = term, []
+        for _ in range(6):
+            steps = primary_rewrite_steps(ctx, current, system)
+            if not steps:
+                break
+            trace.append(steps[0])
+            current = steps[0].result
+        else:
+            if primary_rewrite_steps(ctx, current, system):
+                expected = "limit", current, _step_fields(trace)
+                assert _normalize_outcome(ctx, term, system) == expected
+                return
+        assert _normalize_outcome(ctx, term, system) == ("nf", current, _step_fields(trace))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_class_oracle_takes_the_eager_first_result(self, seed):
+        rng = random.Random(seed)
+        system = SYSTEMS["prenex"]
+        plain = system.without_commutativity()
+        # Two quantifier paths, so the first source often has several redexes.
+        term = App("or", (random_prenex_formula(rng, 3), random_prenex_formula(rng, 3)))
+        expected = None
+        for source in rewriting._ground_oracle_sources(term, system):
+            steps = primary_rewrite_steps(frozenset(), source, plain)
+            if steps:
+                expected = steps[0].result
+                break
+        assert rewriting._r_over_e_first(term, system, plain, 100_000) == expected

@@ -19,9 +19,9 @@ from nomc import (
     difference_set,
     fresh_variable,
     parse_term,
-    permute_atom,
     permute_term,
-    position_at_path,
+    replace_at,
+    subterm_at,
     subterms_with_positions,
     term_vars,
 )
@@ -37,14 +37,14 @@ perm_st = st.lists(st.tuples(atoms_st, atoms_st), max_size=4).map(
 
 class TestPermutations:
     def test_single_swapping(self):
-        assert permute_atom(Permutation(((a, b),)), a) == b
+        assert Permutation(((a, b),)).act(a) == b
 
     def test_identity(self):
-        assert permute_atom(IDENTITY, c) == c
+        assert IDENTITY.act(c) == c
 
     def test_right_to_left_evaluation(self):
         # (a b)(c d) sends c first to d, which (a b) leaves alone.
-        assert permute_atom(Permutation(((a, b), (c, d))), c) == d
+        assert Permutation(((a, b), (c, d))).act(c) == d
 
     @given(perm_st, atoms_st)
     def test_inverse_cancels(self, perm, atom):
@@ -139,22 +139,23 @@ class TestSubstitution:
 
 class TestPositions:
     def test_atom_has_only_root(self):
-        entries = subterms_with_positions(a)
+        entries = list(subterms_with_positions(a))
         assert len(entries) == 1
         pos, sub = entries[0]
-        assert pos.is_root() and sub == a
+        assert pos.path == () and str(pos) == "root" and sub == a
 
     def test_leftmost_outermost_order(self):
         t = App("f", (a, b))
-        entries = subterms_with_positions(t)
+        entries = list(subterms_with_positions(t))
         assert [sub for _, sub in entries] == [t, a, b]
-        assert str(entries[1][0].context) == "f(_, b)"
-        assert str(entries[2][0].context) == "f(a, _)"
+        assert entries[1][0].path == (0,)
+        assert entries[2][0].path == (1,)
 
     def test_abstraction_body_is_a_position(self):
         t = Abstraction(a, Suspension(IDENTITY, X))
-        entries = subterms_with_positions(t)
+        entries = list(subterms_with_positions(t))
         assert [sub for _, sub in entries] == [t, Suspension(IDENTITY, X)]
+        assert str(entries[1][0]) == "0"
 
     def test_plug_round_trip(self):
         rng = random.Random(3)
@@ -164,17 +165,24 @@ class TestPositions:
         for _ in range(60):
             t = random_term(rng, sig, 3)
             for pos, sub in subterms_with_positions(t):
-                assert pos.plug(sub) == t
+                assert subterm_at(t, pos.path) == sub
+                assert replace_at(t, pos.path, subterm_at(t, pos.path)) == t
 
     def test_path_round_trip(self):
         t = parse_term("f(g(a), [b]h(X))")
-        for pos, sub in subterms_with_positions(t):
-            pos2, sub2 = position_at_path(t, pos.path())
-            assert pos2 == pos and sub2 == sub
+        entries = list(subterms_with_positions(t))
+        assert [pos.path for pos, _ in entries] == [(), (0,), (0, 0), (1,), (1, 0), (1, 0, 0)]
+        assert [str(pos) for pos, _ in entries] == ["root", "0", "0.0", "1", "1.0", "1.0.0"]
+        for pos, sub in entries:
+            assert subterm_at(t, pos.path) == sub
 
     def test_bad_path_rejected(self):
         with pytest.raises(ValueError):
-            position_at_path(a, (0,))
+            subterm_at(a, (0,))
+        with pytest.raises(ValueError):
+            replace_at(a, (0,), b)
+        with pytest.raises(ValueError):
+            replace_at(parse_term("f(a, b)"), (2,), b)
 
 
 class TestFreshNames:
