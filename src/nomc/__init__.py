@@ -14,6 +14,7 @@ from .alpha import (
     FreshnessContext,
     FreshnessGoal,
     INCONSISTENT,
+    Sentinel,
     check_problem,
     context_of,
     derive_alpha,

@@ -78,17 +78,23 @@ Goal = Union[FreshnessGoal, EqualityGoal]
 ConstraintProblem = tuple[Goal, ...]
 
 
-class _Inconsistent:
-    """Result of normalising a freshness context that demands a#a."""
+class Sentinel:
+    """A named non-answer: falsy, and compared with `is`."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self) -> str:
-        return "INCONSISTENT"
+        return self.name
 
     def __bool__(self) -> bool:
         return False
 
 
-INCONSISTENT = _Inconsistent()
+# Result of normalising a freshness context that demands a#a.
+INCONSISTENT = Sentinel("INCONSISTENT")
 
 
 def derive_freshness(ctx: FreshnessContext, atom: Atom, term: Term) -> bool:
@@ -151,7 +157,7 @@ _NO_COMMUTATIVITY = Signature()
 
 def freshness_context_nf(
     ctx: FreshnessContext, theta: Substitution
-) -> FreshnessContext | _Inconsistent:
+) -> FreshnessContext | Sentinel:
     """Instantiate ctx by theta and reduce to primitive constraints.
 
     Returns INCONSISTENT when some constraint reduces to a#a.

@@ -18,6 +18,7 @@ from .alpha import (
     EqualityGoal,
     FreshnessContext,
     INCONSISTENT,
+    Sentinel,
     derive_alpha,
     derive_alpha_c,
     derive_freshness,
@@ -269,8 +270,6 @@ def narrowing_to_rewriting(step: NarrowingStep, parent: NarrowingNode, *, sig: S
     instance = apply_subst(theta, parent.term)
     try:
         inst_sub = apply_subst(theta, subterm_at(parent.term, path))
-        if subterm_at(instance, path) != inst_sub:
-            return False
     except ValueError:
         return False
     context = step.child.context
@@ -283,15 +282,7 @@ def narrowing_to_rewriting(step: NarrowingStep, parent: NarrowingNode, *, sig: S
     return derive_alpha(context, rewritten, step.child.term)
 
 
-class _PreconditionFail:
-    def __repr__(self) -> str:
-        return "PRECONDITION_FAIL"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-PRECONDITION_FAIL = _PreconditionFail()
+PRECONDITION_FAIL = Sentinel("PRECONDITION_FAIL")
 
 
 def _chain_or_raise(derivation: tuple[NarrowingStep, ...] | list[NarrowingStep]) -> None:
@@ -305,7 +296,7 @@ def lifting_forward_check(
     rho: Substitution,
     delta: FreshnessContext,
     sig: Signature,
-) -> bool | _PreconditionFail:
+) -> bool | Sentinel:
     """Verify that instantiating a narrowing derivation by rho yields a
     rewriting derivation under delta.
 
@@ -394,10 +385,7 @@ def lifting_backward_construct(
     node = NarrowingNode(delta0, s0, IDENTITY_SUBST, 0)
     rho_cur = rho0
     steps: list[NarrowingStep] = []
-    avoid = term_vars(s0) | {c.var for c in delta0} | {c.var for c in delta}
-    avoid |= rho0.domain
-    for _, image in rho0.items():
-        avoid |= term_vars(image)
+    avoid = _gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta}
     for index, recorded in enumerate(trace):
         built = _lift_one(
             node, rho_cur, recorded, delta, system, fixpoint_depth, avoid, max_states

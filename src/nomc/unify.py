@@ -18,6 +18,7 @@ from .alpha import (
     FreshnessContext,
     FreshnessGoal,
     Goal,
+    Sentinel,
     derive_alpha_c,
     derive_freshness,
 )
@@ -50,27 +51,9 @@ class SearchSpaceExceeded(Exception):
     """The branch tree outgrew the state cap; never silently truncated."""
 
 
-class _Fail:
-    def __repr__(self) -> str:
-        return "FAIL"
-
-
-class _Stuck:
-    def __repr__(self) -> str:
-        return "STUCK"
-
-
-class _Unknown:
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-FAIL = _Fail()
-STUCK = _Stuck()
-UNKNOWN = _Unknown()
+FAIL = Sentinel("FAIL")
+STUCK = Sentinel("STUCK")
+UNKNOWN = Sentinel("UNKNOWN")
 
 
 @dataclass(frozen=True)
@@ -125,22 +108,42 @@ def _fixpoint_form(goal: Goal) -> tuple[Permutation, Var] | None:
     return None
 
 
-def _stable_clash(goal: Goal, protected: ProtectedVars) -> bool:
-    """Goals no rule can ever reduce and no substitution can repair."""
+# Rule priorities, highest first: freshness first; instantiation last so
+# substitutions grow as late as possible.
+_FRESH, _REFL, _APP, _COMM, _ABS_SAME, _ABS_DIFF, _INV, _INST = range(8)
+
+
+def _rule_for(goal: Goal, protected: ProtectedVars, sig: Signature) -> int | Sentinel | None:
+    """The highest-priority rule the goal's shape admits, FAIL for a clash
+    (no rule can ever reduce the goal and no substitution can repair it),
+    or None.
+
+    _INST only marks a candidate: the occurs check is left to the caller,
+    which runs it only when no goal admits a higher-priority rule.
+    """
     if isinstance(goal, FreshnessGoal):
-        return isinstance(goal.term, Atom) and goal.term == goal.atom
+        return FAIL if isinstance(goal.term, Atom) and goal.term == goal.atom else _FRESH
     lhs, rhs = goal.lhs, goal.rhs
     lsusp, rsusp = isinstance(lhs, Suspension), isinstance(rhs, Suspension)
-    if not lsusp and not rsusp:
-        if type(lhs) is not type(rhs):
-            return True
-        if isinstance(lhs, App) and isinstance(rhs, App):
-            return lhs.sym != rhs.sym or len(lhs.args) != len(rhs.args)
-        return False
-    if lsusp and rsusp:
-        return lhs.var != rhs.var and lhs.var in protected and rhs.var in protected
-    susp = lhs if lsusp else rhs
-    return susp.var in protected
+    if lsusp and rsusp and lhs.var == rhs.var:
+        if not difference_set(lhs.perm, rhs.perm):
+            return _REFL
+        return _INV if rhs.perm.swappings else None
+    if lsusp or rsusp:
+        if (not lsusp or lhs.var in protected) and (not rsusp or rhs.var in protected):
+            return FAIL
+        return _INST
+    if type(lhs) is not type(rhs):
+        return FAIL
+    if lhs == rhs:
+        return _REFL
+    if isinstance(lhs, App):
+        if lhs.sym != rhs.sym or len(lhs.args) != len(rhs.args):
+            return FAIL
+        return _COMM if sig.is_commutative(lhs.sym) else _APP
+    if isinstance(lhs, Abstraction):
+        return _ABS_SAME if lhs.atom == rhs.atom else _ABS_DIFF
+    return None  # distinct atoms: no rule, but failure waits until nothing else reduces
 
 
 def _without(goals: tuple[Goal, ...], idx: int, appended: list[Goal]) -> tuple[Goal, ...]:
@@ -151,113 +154,44 @@ def _without(goals: tuple[Goal, ...], idx: int, appended: list[Goal]) -> tuple[G
     return tuple(remaining)
 
 
-def _rule_freshness(
-    state: UnificationState, idx: int, goal: Goal, protected: ProtectedVars, sig: Signature
-) -> list[UnificationState] | None:
-    if not isinstance(goal, FreshnessGoal):
-        return None
-    atom, term = goal.atom, goal.term
-    if isinstance(term, Atom):
-        if term == atom:
-            return None  # a#a: unsatisfiable, left for the clash check
-        goals = _without(state.goals, idx, [])
-    elif isinstance(term, App):
-        goals = _without(state.goals, idx, [FreshnessGoal(atom, a) for a in term.args])
-    elif isinstance(term, Abstraction):
-        if term.atom == atom:
-            goals = _without(state.goals, idx, [])
-        else:
-            goals = _without(state.goals, idx, [FreshnessGoal(atom, term.body)])
-    else:
-        moved = term.perm.inverse().act(atom)
-        constraint = FreshnessConstraint(moved, term.var)
-        return [
-            UnificationState(state.context | {constraint}, state.subst, _without(state.goals, idx, []))
-        ]
-    return [UnificationState(state.context, state.subst, goals)]
-
-
-def _rule_refl(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    trivially_equal = lhs == rhs or (
-        isinstance(lhs, Suspension)
-        and isinstance(rhs, Suspension)
-        and lhs.var == rhs.var
-        and not difference_set(lhs.perm, rhs.perm)
-    )
-    if not trivially_equal:
-        return None
-    return [UnificationState(state.context, state.subst, _without(state.goals, idx, []))]
-
-
-def _rule_app(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    if not (isinstance(lhs, App) and isinstance(rhs, App)):
-        return None
-    if lhs.sym != rhs.sym or len(lhs.args) != len(rhs.args) or sig.is_commutative(lhs.sym):
-        return None
-    appended = [EqualityGoal(a, b) for a, b in zip(lhs.args, rhs.args)]
-    return [UnificationState(state.context, state.subst, _without(state.goals, idx, appended))]
-
-
-def _rule_commutative(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    if not (isinstance(lhs, App) and isinstance(rhs, App)):
-        return None
-    if lhs.sym != rhs.sym or not sig.is_commutative(lhs.sym):
-        return None
-    s0, s1 = lhs.args
-    t0, t1 = rhs.args
-    aligned = _without(state.goals, idx, [EqualityGoal(s0, t0), EqualityGoal(s1, t1)])
-    crossed = _without(state.goals, idx, [EqualityGoal(s0, t1), EqualityGoal(s1, t0)])
-    states = [UnificationState(state.context, state.subst, aligned)]
-    if crossed != aligned:
-        states.append(UnificationState(state.context, state.subst, crossed))
-    return states
-
-
-def _rule_abs_same(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    if not (isinstance(lhs, Abstraction) and isinstance(rhs, Abstraction)):
-        return None
-    if lhs.atom != rhs.atom:
-        return None
-    appended = [EqualityGoal(lhs.body, rhs.body)]
-    return [UnificationState(state.context, state.subst, _without(state.goals, idx, appended))]
-
-
-def _rule_abs_diff(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    if not (isinstance(lhs, Abstraction) and isinstance(rhs, Abstraction)):
-        return None
-    if lhs.atom == rhs.atom:
-        return None
-    swapped = permute_term(Permutation(((lhs.atom, rhs.atom),)), rhs.body)
-    appended = [EqualityGoal(lhs.body, swapped), FreshnessGoal(lhs.atom, rhs.body)]
-    return [UnificationState(state.context, state.subst, _without(state.goals, idx, appended))]
-
-
-def _rule_inv(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    if not (isinstance(lhs, Suspension) and isinstance(rhs, Suspension)):
-        return None
-    if lhs.var != rhs.var or not rhs.perm.swappings:
-        return None
-    combined = rhs.perm.inverse().compose(lhs.perm)
-    appended = [EqualityGoal(Suspension(combined, lhs.var), Suspension(IDENTITY, lhs.var))]
-    return [UnificationState(state.context, state.subst, _without(state.goals, idx, appended))]
+def _apply(state: UnificationState, idx: int, rule: int) -> tuple[UnificationState, ...]:
+    """Successors of a rule other than instantiation on goal idx: one state,
+    or two for a commutative application whose pairings differ."""
+    goal = state.goals[idx]
+    context = state.context
+    alternatives: list[list[Goal]] = [[]]  # drop the goal: refl, a#b, a#[a]t
+    if rule == _FRESH:
+        atom, term = goal.atom, goal.term
+        if isinstance(term, App):
+            alternatives = [[FreshnessGoal(atom, arg) for arg in term.args]]
+        elif isinstance(term, Abstraction) and term.atom != atom:
+            alternatives = [[FreshnessGoal(atom, term.body)]]
+        elif isinstance(term, Suspension):
+            context = context | {FreshnessConstraint(term.perm.inverse().act(atom), term.var)}
+    elif rule != _REFL:
+        lhs, rhs = goal.lhs, goal.rhs
+        if rule == _APP:
+            alternatives = [[EqualityGoal(l, r) for l, r in zip(lhs.args, rhs.args)]]
+        elif rule == _COMM:
+            (s0, s1), (t0, t1) = lhs.args, rhs.args
+            alternatives = [
+                [EqualityGoal(s0, t0), EqualityGoal(s1, t1)],
+                [EqualityGoal(s0, t1), EqualityGoal(s1, t0)],
+            ]
+        elif rule == _ABS_SAME:
+            alternatives = [[EqualityGoal(lhs.body, rhs.body)]]
+        elif rule == _ABS_DIFF:
+            swapped = permute_term(Permutation(((lhs.atom, rhs.atom),)), rhs.body)
+            alternatives = [[EqualityGoal(lhs.body, swapped), FreshnessGoal(lhs.atom, rhs.body)]]
+        else:  # _INV
+            combined = rhs.perm.inverse().compose(lhs.perm)
+            alternatives = [[EqualityGoal(Suspension(combined, lhs.var), Suspension(IDENTITY, lhs.var))]]
+    successors: list[UnificationState] = []
+    for appended in alternatives:
+        goals = _without(state.goals, idx, appended)
+        if all(goals != s.goals for s in successors):
+            successors.append(UnificationState(context, state.subst, goals))
+    return tuple(successors)
 
 
 def _instantiable(side: Term, other: Term, protected: ProtectedVars) -> Suspension | None:
@@ -270,9 +204,9 @@ def _instantiable(side: Term, other: Term, protected: ProtectedVars) -> Suspensi
     return side
 
 
-def _rule_inst(state, idx, goal, protected, sig):
-    if not isinstance(goal, EqualityGoal):
-        return None
+def _instantiate(state: UnificationState, idx: int, protected: ProtectedVars) -> UnificationState | None:
+    """Bind a variable of goal idx, or None when the occurs check rules out both sides."""
+    goal = state.goals[idx]
     picked = _instantiable(goal.lhs, goal.rhs, protected)
     other = goal.rhs
     if picked is None:
@@ -297,20 +231,7 @@ def _rule_inst(state, idx, goal, protected, sig):
             regenerated = FreshnessGoal(constraint.atom, new_subst.get(constraint.var))
             if regenerated not in transformed:
                 transformed.append(regenerated)
-    return [UnificationState(state.context, new_subst, tuple(transformed))]
-
-
-# Freshness first; instantiation last so substitutions grow as late as possible.
-_RULES = (
-    _rule_freshness,
-    _rule_refl,
-    _rule_app,
-    _rule_commutative,
-    _rule_abs_same,
-    _rule_abs_diff,
-    _rule_inv,
-    _rule_inst,
-)
+    return UnificationState(state.context, new_subst, tuple(transformed))
 
 
 def simplify_step(
@@ -318,20 +239,29 @@ def simplify_step(
     protected: ProtectedVars = NO_PROTECTION,
     *,
     sig: Signature,
-) -> tuple[UnificationState, ...] | _Fail | _Stuck:
-    """Apply the first applicable simplification rule under the fixed priority.
+) -> tuple[UnificationState, ...] | Sentinel:
+    """Apply the highest-priority applicable rule, to the first goal admitting it.
 
     Returns the successor states (two of them for a commutative application),
     FAIL when some goal is irreducibly unsatisfiable, or STUCK when only
     fixed-point equations remain.
     """
-    if any(_stable_clash(g, protected) for g in state.goals):
-        return FAIL
-    for rule in _RULES:
-        for idx, goal in enumerate(state.goals):
-            successors = rule(state, idx, goal, protected, sig)
-            if successors is not None:
-                return tuple(successors)
+    ranked: list[tuple[int, int]] = []
+    for idx, goal in enumerate(state.goals):
+        rule = _rule_for(goal, protected, sig)
+        if rule is FAIL:
+            return FAIL
+        if rule is not None:
+            ranked.append((rule, idx))
+    if ranked:
+        rule, idx = min(ranked)
+        if rule != _INST:
+            return _apply(state, idx, rule)
+    # Only instantiation candidates are left; the first to pass the occurs check fires.
+    for _, idx in ranked:
+        successor = _instantiate(state, idx, protected)
+        if successor is not None:
+            return (successor,)
     if all(_fixpoint_form(g) is not None for g in state.goals):
         return STUCK
     return FAIL
@@ -467,7 +397,7 @@ def instance_of(
     *,
     sig: Signature,
     max_states: int = DEFAULT_MAX_STATES,
-) -> bool | _Unknown:
+) -> bool | Sentinel:
     """Search for a witness composing `general` into `specific` over `variables`.
 
     The witness is sought by simultaneous matching with the specific side

@@ -176,6 +176,18 @@ class TestPositions:
         for pos, sub in entries:
             assert subterm_at(t, pos.path) == sub
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_substitution_commutes_with_subterm_at(self, seed):
+        rng = random.Random(seed)
+        sig = Signature({"f": (2, False), "g": (1, False), "c": (2, True)})
+        from conftest import VARS, random_term
+
+        t = random_term(rng, sig, 3)
+        theta = Substitution({v: random_term(rng, sig, 2) for v in VARS if rng.random() < 0.6})
+        instance = apply_subst(theta, t)
+        for pos, sub in subterms_with_positions(t):
+            assert subterm_at(instance, pos.path) == apply_subst(theta, sub)
+
     def test_bad_path_rejected(self):
         with pytest.raises(ValueError):
             subterm_at(a, (0,))

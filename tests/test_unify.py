@@ -12,6 +12,7 @@ from nomc import (
     FreshnessGoal,
     IDENTITY_SUBST,
     Permutation,
+    STUCK,
     Signature,
     Substitution,
     Suspension,
@@ -78,6 +79,32 @@ class TestSimplifyStep:
     def test_atom_clash_fails(self):
         state = UnificationState(frozenset(), IDENTITY_SUBST, (EqualityGoal(a, b),))
         assert simplify_step(state, sig=SIG) is FAIL
+
+    @staticmethod
+    def _state(sig, *equations):
+        goals = tuple(EqualityGoal(parse_term(l, sig), parse_term(r, sig)) for l, r in equations)
+        return UnificationState(frozenset(), IDENTITY_SUBST, goals)
+
+    def test_lone_fixpoint_equation_is_stuck(self, ex22_system):
+        sig = ex22_system.signature
+        assert simplify_step(self._state(sig, ("(a b).Z", "Z")), sig=sig) is STUCK
+
+    def test_occurs_failure_beside_fixpoint_fails(self, ex22_system):
+        sig = ex22_system.signature
+        state = self._state(sig, ("X", "h(X)"), ("(a b).Z", "Z"))
+        assert simplify_step(state, sig=sig) is FAIL
+
+    def test_occurs_check_skips_to_next_candidate(self, ex22_system):
+        sig = ex22_system.signature
+        state = self._state(sig, ("X", "h(X)"), ("Y", "a"))
+        (successor,) = simplify_step(state, sig=sig)
+        assert successor.subst == Substitution({Y: a})
+        assert successor.goals == (EqualityGoal(Suspension(Permutation(), X), parse_term("h(X)", sig)),)
+
+    def test_protected_variables_clash(self, ex22_system):
+        sig = ex22_system.signature
+        state = self._state(sig, ("X", "Y"))
+        assert simplify_step(state, frozenset({X, Y}), sig=sig) is FAIL
 
 
 class TestSolve:
