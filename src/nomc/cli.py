@@ -10,6 +10,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -27,7 +28,6 @@ from .narrowing import (
     NotFound,
 )
 from .parsing import (
-    ParseError,
     SystemFile,
     parse_context,
     parse_judgement,
@@ -43,7 +43,7 @@ from .rewriting import (
     one_step_rewrites,
 )
 from .terms import Signature, Suspension, term_vars
-from .unify import CSolution, SearchSpaceExceeded, match, solve
+from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
 
 _BUNDLED = ("prenex.nrs", "ex22.nrs", "lambda.nrs")
 
@@ -55,13 +55,20 @@ class UserError(Exception):
 def load_system_file(spec: str) -> SystemFile:
     """Load a system from a path or from the bundled examples by name."""
     path = Path(spec)
-    if path.exists():
-        return parse_system(path.read_text(encoding="utf-8"))
+    try:
+        if path.exists():
+            return parse_system(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UserError(f"cannot read system file: {spec} ({exc.strerror})") from exc
     name = spec if spec.endswith(".nrs") else f"{spec}.nrs"
     if name in _BUNDLED:
         text = resources.files("nomc.systems").joinpath(name).read_text(encoding="utf-8")
         return parse_system(text)
     raise UserError(f"no such system file: {spec} (bundled: {', '.join(_BUNDLED)})")
+
+
+def _listing(heading: str, items) -> str:
+    return "\n".join([f"{len(items)} {heading}"] + [f"  {item}" for item in items])
 
 
 def _steps_payload(steps: tuple[RewriteStep, ...]) -> list[dict]:
@@ -74,6 +81,10 @@ def _steps_payload(steps: tuple[RewriteStep, ...]) -> list[dict]:
         }
         for s in steps
     ]
+
+
+def _derivation_payload(steps: list[NarrowingStep]) -> list[dict]:
+    return [{"rule": s.rule, "position": str(s.position), "subst": str(s.step_subst)} for s in steps]
 
 
 def _solutions_payload(solutions: tuple[CSolution, ...]) -> list[dict]:
@@ -126,86 +137,68 @@ def _tree_payload(tree: NarrowingTree) -> dict:
     }
 
 
-def _require_system(args) -> SystemFile:
-    if not args.system:
-        raise UserError("this command needs --system FILE")
-    return load_system_file(args.system)
+def _narrow(args, system, ctx, term) -> NarrowingTree:
+    return narrow_search(
+        ctx, term, system, args.depth, args.fixpoint_depth, args.max_unifiers,
+        max_states=args.max_states,
+    )
 
 
-def _signature(args) -> Signature:
-    if args.system:
-        return load_system_file(args.system).system.signature
-    return Signature()
+def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
+    """Follow 0-based child indices level by level; empty spec means leftmost path."""
+    indices = [int(p) for p in spec.split(",")] if spec else itertools.repeat(0)
+    derivation: list[NarrowingStep] = []
+    node = tree.root
+    for level, index in enumerate(indices):
+        children = tree.children(node)
+        if not children:
+            break
+        if not 0 <= index < len(children):
+            raise UserError(f"path index {index} out of range at level {level}")
+        derivation.append(children[index])
+        node = children[index].child
+    return derivation
 
 
-def _split_match_context(ctx, pattern_vars):
-    nabla = frozenset(c for c in ctx if c.var in pattern_vars)
-    delta = frozenset(c for c in ctx if c.var not in pattern_vars)
-    return nabla, delta
-
-
-def _cmd_check(args) -> tuple[dict, str]:
-    sig = _signature(args)
-    ctx = parse_context(args.context, sig)
+def _cmd_check(args, system, sig, ctx) -> tuple[dict, str]:
     goal = parse_judgement(args.judgement, sig)
     derivable = check_problem(ctx, (goal,), sig)
     verdict = "derivable" if derivable else "not derivable"
     return {"judgement": str(goal), "derivable": derivable}, verdict
 
 
-def _cmd_unify(args) -> tuple[dict, str]:
-    sig = _signature(args)
-    ctx = parse_context(args.context, sig)
+def _cmd_unify(args, system, sig, ctx) -> tuple[dict, str]:
     left = parse_term(args.left, sig)
     right = parse_term(args.right, sig)
     solutions = solve(ctx, right, frozenset(), left, sig=sig, max_states=args.max_states)
-    payload = {"solutions": _solutions_payload(solutions)}
-    lines = [f"{len(solutions)} solution(s)"]
-    lines += [f"  {sol}" for sol in solutions]
-    return payload, "\n".join(lines)
+    return {"solutions": _solutions_payload(solutions)}, _listing("solution(s)", solutions)
 
 
-def _cmd_match(args) -> tuple[dict, str]:
-    sig = _signature(args)
-    ctx = parse_context(args.context, sig)
+def _cmd_match(args, system, sig, ctx) -> tuple[dict, str]:
     pattern = parse_term(args.pattern, sig)
     subject = parse_term(args.subject, sig)
-    nabla, delta = _split_match_context(ctx, term_vars(pattern))
-    solutions = match(nabla, pattern, delta, subject, sig=sig, max_states=args.max_states)
-    payload = {"solutions": _solutions_payload(solutions)}
-    lines = [f"{len(solutions)} match(es)"]
-    lines += [f"  {sol}" for sol in solutions]
-    return payload, "\n".join(lines)
+    pattern_vars = term_vars(pattern)
+    nabla = frozenset(c for c in ctx if c.var in pattern_vars)
+    solutions = match(nabla, pattern, ctx - nabla, subject, sig=sig, max_states=args.max_states)
+    return {"solutions": _solutions_payload(solutions)}, _listing("match(es)", solutions)
 
 
-def _cmd_rewrite(args) -> tuple[dict, str]:
-    loaded = _require_system(args)
-    system = loaded.system
-    ctx = parse_context(args.context, system.signature)
-    term = parse_term(args.term, system.signature)
+def _cmd_rewrite(args, system, sig, ctx) -> tuple[dict, str]:
+    term = parse_term(args.term, sig)
     steps = one_step_rewrites(ctx, term, system, max_states=args.max_states)
-    payload = {"steps": _steps_payload(steps)}
-    lines = [f"{len(steps)} step(s)"]
-    lines += [f"  {s}" for s in steps]
-    return payload, "\n".join(lines)
+    return {"steps": _steps_payload(steps)}, _listing("step(s)", steps)
 
 
-def _cmd_normalize(args) -> tuple[dict, str]:
-    loaded = _require_system(args)
-    system = loaded.system
-    ctx = parse_context(args.context, system.signature)
-    term = parse_term(args.term, system.signature)
+def _cmd_normalize(args, system, sig, ctx) -> tuple[dict, str]:
+    term = parse_term(args.term, sig)
     nf, trace = normalize(ctx, term, system, args.max_steps, max_states=args.max_states)
     payload = {"normal_form": str(nf), "steps": _steps_payload(trace), "count": len(trace)}
     return payload, f"{nf}\n{len(trace)} step(s)"
 
 
-def _cmd_coherence(args) -> tuple[dict, str]:
-    loaded = _require_system(args)
-    system = loaded.system
-    ctx = parse_context(args.context, system.signature)
-    t1 = parse_term(args.left, system.signature)
-    t2 = parse_term(args.right, system.signature)
+def _cmd_coherence(args, system, sig, ctx) -> tuple[dict, str]:
+    t1 = parse_term(args.left, sig)
+    t2 = parse_term(args.right, sig)
     verdicts = coherence_check(system, [(ctx, t1, t2)], args.max_steps, max_states=args.max_states)
     payload = {
         "verdicts": [
@@ -215,105 +208,42 @@ def _cmd_coherence(args) -> tuple[dict, str]:
     return payload, verdicts[0].status
 
 
-def _cmd_narrow(args) -> tuple[dict, str]:
-    loaded = _require_system(args)
-    system = loaded.system
-    ctx = parse_context(args.context, system.signature)
-    term = parse_term(args.term, system.signature)
-    tree = narrow_search(
-        ctx, term, system, args.depth, args.fixpoint_depth, args.max_unifiers,
-        max_states=args.max_states,
-    )
-    payload = _tree_payload(tree)
+def _cmd_narrow(args, system, sig, ctx) -> tuple[dict, str]:
+    tree = _narrow(args, system, ctx, parse_term(args.term, sig))
     lines = [f"{len(tree.edges)} narrowing step(s) to depth {args.depth}"]
     for edge in tree.edges:
         flag = " [fixpoint]" if edge.used_fixpoint_enumeration else ""
         lines.append(f"  {edge.rule} @ {edge.position} with {edge.step_subst}{flag}")
         lines.append(f"    ~> {edge.child}")
-    return payload, "\n".join(lines)
+    return _tree_payload(tree), "\n".join(lines)
 
 
-def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
-    """Follow child indices level by level; empty spec means leftmost path."""
-    derivation: list[NarrowingStep] = []
-    node = tree.root
-    indices = [int(p) for p in spec.split(",")] if spec else None
-    level = 0
-    while True:
-        children = tree.children(node)
-        if not children:
-            break
-        if indices is None:
-            chosen = children[0]
-        else:
-            if level >= len(indices):
-                break
-            if indices[level] >= len(children):
-                raise UserError(f"path index {indices[level]} out of range at level {level}")
-            chosen = children[indices[level]]
-        derivation.append(chosen)
-        node = chosen.child
-        level += 1
-    return derivation
-
-
-def _cmd_lift_forward(args) -> tuple[dict, str]:
-    loaded = _require_system(args)
-    system = loaded.system
-    sig = system.signature
-    ctx = parse_context(args.context, sig)
+def _cmd_lift_forward(args, system, sig, ctx) -> tuple[dict, str]:
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
-    tree = narrow_search(
-        ctx, term, system, args.depth, args.fixpoint_depth, args.max_unifiers,
-        max_states=args.max_states,
-    )
-    derivation = _select_path(tree, args.path)
+    derivation = _select_path(_narrow(args, system, ctx, term), args.path)
     outcome = lifting_forward_check(derivation, rho, target, sig)
     if outcome is PRECONDITION_FAIL:
         status = "precondition_fail"
     else:
         status = "ok" if outcome else "failed"
-    payload = {
-        "status": status,
-        "derivation": [
-            {"rule": s.rule, "position": str(s.position), "subst": str(s.step_subst)}
-            for s in derivation
-        ],
-    }
-    return payload, status
+    return {"status": status, "derivation": _derivation_payload(derivation)}, status
 
 
-def _cmd_lift_backward(args) -> tuple[dict, str]:
-    loaded = _require_system(args)
-    system = loaded.system
-    sig = system.signature
-    ctx = parse_context(args.context, sig)
+def _cmd_lift_backward(args, system, sig, ctx) -> tuple[dict, str]:
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
-    try:
-        start = rho.apply(term)
-        _, trace = normalize(target, start, system, args.max_steps, max_states=args.max_states)
-        outcome = lifting_backward_construct(
-            ctx, term, rho, target, trace, args.fixpoint_depth, system,
-            max_states=args.max_states,
-        )
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
+    _, trace = normalize(target, rho.apply(term), system, args.max_steps, max_states=args.max_states)
+    outcome = lifting_backward_construct(
+        ctx, term, rho, target, trace, args.fixpoint_depth, system, max_states=args.max_states
+    )
     if isinstance(outcome, NotFound):
         payload = {"status": "not_found", "step_index": outcome.step_index}
         return payload, f"not found at step {outcome.step_index}"
     steps, rho_n = outcome
-    payload = {
-        "status": "ok",
-        "steps": [
-            {"rule": s.rule, "position": str(s.position), "subst": str(s.step_subst)}
-            for s in steps
-        ],
-        "rho_n": str(rho_n),
-    }
+    payload = {"status": "ok", "steps": _derivation_payload(steps), "rho_n": str(rho_n)}
     return payload, f"ok: {len(steps)} narrowing step(s), residue {rho_n}"
 
 
@@ -328,13 +258,21 @@ _COMMANDS = {
     "lift-forward": _cmd_lift_forward,
     "lift-backward": _cmd_lift_backward,
 }
+# check, unify and match run over the empty signature without a system.
+_NEEDS_SYSTEM = frozenset(_COMMANDS) - {"check", "unify", "match"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", help="system file path or bundled name")
     sub.add_argument("--context", default="", help='freshness context, e.g. "a#X, b#Y"')
     sub.add_argument("--json", action="store_true", help="machine-readable report")
-    sub.add_argument("--max-states", type=int, default=100_000, help="unification state cap")
+    sub.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, help="unification state cap")
+
+
+def _add_narrowing(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--depth", type=int, default=2)
+    sub.add_argument("--fixpoint-depth", type=int, default=1)
+    sub.add_argument("--max-unifiers", type=int, default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,18 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("narrow", help="bounded narrowing tree")
     _add_common(p)
     p.add_argument("term")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--fixpoint-depth", type=int, default=1)
-    p.add_argument("--max-unifiers", type=int, default=50)
+    _add_narrowing(p)
 
     p = sub.add_parser("lift-forward", help="instantiate a narrowing path into rewriting")
     _add_common(p)
     p.add_argument("term")
     p.add_argument("--rho", default="", help='substitution, e.g. "X -> a, Y -> f(b)"')
     p.add_argument("--target-context", default="", help="context the instance lives under")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--fixpoint-depth", type=int, default=1)
-    p.add_argument("--max-unifiers", type=int, default=50)
+    _add_narrowing(p)
     p.add_argument("--path", default="", help='child indices per level, e.g. "0,1"')
 
     p = sub.add_parser("lift-backward", help="rebuild narrowing above a rewrite trace")
@@ -406,9 +340,16 @@ def run_command(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        payload, text = _COMMANDS[args.command](args)
+        system = None
+        if args.system:
+            system = load_system_file(args.system).system
+        elif args.command in _NEEDS_SYSTEM:
+            raise UserError("this command needs --system FILE")
+        sig = system.signature if system is not None else Signature()
+        ctx = parse_context(args.context, sig)
+        payload, text = _COMMANDS[args.command](args, system, sig, ctx)
         code = 0
-    except (ParseError, UserError, ValueError) as exc:
+    except (UserError, ValueError) as exc:  # ParseError is a ValueError
         payload, text = {"error": str(exc)}, f"error: {exc}"
         code = 1
     except (StepLimitExceeded, SearchSpaceExceeded) as exc:

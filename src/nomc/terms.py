@@ -114,10 +114,6 @@ class App:
 Term = Union[Atom, Suspension, Abstraction, App]
 
 
-def suspension(var: Var, perm: Permutation = IDENTITY) -> Suspension:
-    return Suspension(perm, var)
-
-
 def permute_term(perm: Permutation, term: Term) -> Term:
     """Structural permutation action; suspensions compose, binders move too."""
     if isinstance(term, Atom):

@@ -191,6 +191,34 @@ class TestErrorsAndJson:
         code, out = run(capsys, "normalize", "a", "--system", "nowhere.nrs")
         assert code == 1
 
+    def test_unreadable_system_path_exit_one(self, capsys, tmp_path):
+        code, out = run(capsys, "check", "a # b", "--system", str(tmp_path), "--json")
+        assert code == 1
+        assert json.loads(out)["result"] == {
+            "error": f"cannot read system file: {tmp_path} (Is a directory)"
+        }
+
+    def test_negative_path_index_exit_one(self, capsys):
+        code, out = run(
+            capsys,
+            "lift-forward",
+            "and(P1, not(forall([b]Q1)))",
+            "--system",
+            "prenex",
+            "--rho",
+            "Q1 -> forall([a]R), P1 -> R",
+            "--target-context",
+            "a#R",
+            "--path",
+            "-1",
+        )
+        assert code == 1 and out.strip() == "error: path index -1 out of range at level 0"
+
+    def test_bundled_systems_are_a_regular_package(self):
+        import nomc.systems
+
+        assert nomc.systems.__file__ is not None
+
     def test_arity_error_exit_one(self, capsys):
         code, out = run(capsys, "normalize", "forall(a, b)", "--system", "prenex")
         assert code == 1 and "forall" in out
