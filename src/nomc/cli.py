@@ -53,17 +53,19 @@ class UserError(Exception):
 
 
 def load_system_file(spec: str) -> SystemFile:
-    """Load a system from a path or from the bundled examples by name."""
+    """Load a bundled system by bare name (`prenex` or `prenex.nrs`), or else
+    a system file by path. A bare bundled name always means the bundled
+    system; a local file of that name loads as `./prenex.nrs`."""
+    name = spec if spec.endswith(".nrs") else f"{spec}.nrs"
+    if name in _BUNDLED:
+        text = resources.files("nomc.systems").joinpath(name).read_text(encoding="utf-8")
+        return parse_system(text)
     path = Path(spec)
     try:
         if path.exists():
             return parse_system(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise UserError(f"cannot read system file: {spec} ({exc.strerror})") from exc
-    name = spec if spec.endswith(".nrs") else f"{spec}.nrs"
-    if name in _BUNDLED:
-        text = resources.files("nomc.systems").joinpath(name).read_text(encoding="utf-8")
-        return parse_system(text)
     raise UserError(f"no such system file: {spec} (bundled: {', '.join(_BUNDLED)})")
 
 

@@ -200,7 +200,9 @@ def _expand_node(
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, sub, _, _, used, solutions in redexes(node.context, node.term, system.rules, prepare, attempt):
+    for pos, sub, _, _, used, solutions in redexes(
+        node.context, node.term, system, prepare, attempt, unify=True
+    ):
         candidates = _expanded_solutions(solutions, sig, fixpoint_depth)
         for theta, flagged, child in _children(node, pos, sub, used, candidates, sig):
             if len(steps) >= max_unifiers:

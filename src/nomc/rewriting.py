@@ -97,11 +97,17 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.signature = signature
         self._renamed: tuple[frozenset[Var], tuple[RewriteRule, ...]] | None = None
+        # head_key -> the rules whose left-hand side has that head, in order.
+        self.by_head: dict[object, tuple[RewriteRule, ...]] = {}
+        self._atoms: frozenset[Atom] = frozenset()
         seen: set[str] = set()
         for rule in self.rules:
             if rule.name in seen:
                 raise ValueError(f"duplicate rule name {rule.name}")
             seen.add(rule.name)
+            key = head_key(rule.lhs)
+            self.by_head[key] = self.by_head.get(key, ()) + (rule,)
+            self._atoms |= rule.atoms()
 
     def renamed_rules(self, avoid: frozenset[Var]) -> tuple[RewriteRule, ...]:
         """The rules, in order, with variables renamed apart from `avoid`."""
@@ -111,10 +117,7 @@ class RewriteSystem:
         return self._renamed[1]
 
     def atoms(self) -> frozenset[Atom]:
-        out: frozenset[Atom] = frozenset()
-        for rule in self.rules:
-            out |= rule.atoms()
-        return out
+        return self._atoms
 
     def without_commutativity(self) -> "RewriteSystem":
         return RewriteSystem(self.rules, self.signature.without_commutativity())
@@ -226,15 +229,11 @@ def commutative_variants(term: Term, sig: Signature) -> tuple[Term, ...]:
     if isinstance(term, Abstraction):
         return tuple(Abstraction(term.atom, b) for b in commutative_variants(term.body, sig))
     arg_variants = [commutative_variants(a, sig) for a in term.args]
-    out: list[Term] = []
+    out: dict[Term, None] = {}  # insertion-ordered set
     for combo in itertools.product(*arg_variants):
-        candidate = App(term.sym, combo)
-        if candidate not in out:
-            out.append(candidate)
+        out[App(term.sym, combo)] = None
         if sig.is_commutative(term.sym):
-            swapped = App(term.sym, (combo[1], combo[0]))
-            if swapped not in out:
-                out.append(swapped)
+            out[App(term.sym, (combo[1], combo[0]))] = None
     return tuple(out)
 
 
@@ -269,35 +268,58 @@ def alpha_variants(term: Term, pool: frozenset[Atom] | set[Atom]) -> tuple[Term,
         return (term,)
     if isinstance(term, Suspension):
         raise ValueError("alpha variants are only defined on ground terms")
+    out: dict[Term, None] = {}  # insertion-ordered set
     if isinstance(term, Abstraction):
-        out: list[Term] = []
         for body in alpha_variants(term.body, pool):
-            out.append(Abstraction(term.atom, body))
+            out[Abstraction(term.atom, body)] = None
+            free = free_atoms(body)
             for atom in sorted(pool, key=lambda a: a.name):
-                if atom != term.atom and atom not in free_atoms(body):
+                if atom != term.atom and atom not in free:
                     swapped = permute_term(Permutation(((term.atom, atom),)), body)
-                    candidate = Abstraction(atom, swapped)
-                    if candidate not in out:
-                        out.append(candidate)
+                    out[Abstraction(atom, swapped)] = None
         return tuple(out)
     arg_variants = [alpha_variants(a, pool) for a in term.args]
-    seen: list[Term] = []
     for combo in itertools.product(*arg_variants):
-        candidate = App(term.sym, combo)
-        if candidate not in seen:
-            seen.append(candidate)
-    return tuple(seen)
+        out[App(term.sym, combo)] = None
+    return tuple(out)
 
 
-def heads_compatible(lhs: Term, sub: Term) -> bool:
-    """Cheap pre-filter: can the pattern's outer constructor possibly match?"""
+def head_key(term: Term) -> object:
+    """The key `RewriteSystem.by_head` files a left-hand side under: symbol
+    and arity for an application, one key for every abstraction, and the
+    atom itself for an atom."""
+    if isinstance(term, App):
+        return (term.sym, len(term.args))
+    if isinstance(term, Abstraction):
+        return Abstraction
+    return term
+
+
+def skeleton_fits(lhs: Term, sub: Term, sig: Signature, unify: bool) -> bool:
+    """Can `sub` be an instance of `lhs` as far as symbols, binders and atoms
+    go? False only when no matcher (or, with `unify`, no unifier) exists.
+
+    The lhs's suspensions are wildcards; so are the subject's when unifying,
+    and they fit nothing else when matching protects them. Atom names and
+    binder names are ignored, so a clash shift of the rule's atoms cannot
+    change the verdict. A commutative symbol's arguments fit in either order.
+    """
     if isinstance(lhs, Suspension):
         return True
-    if isinstance(lhs, App):
-        return isinstance(sub, App) and sub.sym == lhs.sym and len(sub.args) == len(lhs.args)
+    if isinstance(sub, Suspension):
+        return unify
+    if isinstance(lhs, Atom):
+        return isinstance(sub, Atom)
     if isinstance(lhs, Abstraction):
-        return isinstance(sub, Abstraction)
-    return lhs == sub
+        return isinstance(sub, Abstraction) and skeleton_fits(lhs.body, sub.body, sig, unify)
+    if not isinstance(sub, App) or sub.sym != lhs.sym or len(sub.args) != len(lhs.args):
+        return False
+    if all(skeleton_fits(l, s, sig, unify) for l, s in zip(lhs.args, sub.args)):
+        return True
+    if not sig.is_commutative(lhs.sym):
+        return False
+    (l0, l1), (s0, s1) = lhs.args, sub.args
+    return skeleton_fits(l0, s1, sig, unify) and skeleton_fits(l1, s0, sig, unify)
 
 
 def _verified_matchers(
@@ -322,20 +344,24 @@ def _verified_matchers(
 def redexes(
     context: FreshnessContext,
     term: Term,
-    rules: tuple[RewriteRule, ...],
+    system: RewriteSystem,
     prepare: Callable[[RewriteRule], RewriteRule],
     attempt: Callable[[Term, RewriteRule], Sequence],
+    unify: bool,
 ) -> Iterator[tuple[Position, Term, RewriteRule, Permutation, RewriteRule, Sequence]]:
     """Lazily solve or match every rule at every non-variable position.
 
     Positions come leftmost-outermost and rules in declaration order; a rule
-    is tried only where its left-hand side's head fits the subterm.
-    `prepare(rule)` gives the rule renamed apart and is called only at such
-    sites; `attempt(subterm, rule)` gives the answers, empty on failure.
-    When the prepared rule fails and its atoms clash with the subterm's, it
-    is retried once with the clashing atoms moved to fresh ones. Each
-    success yields `(position, subterm, prepared, perm, used, answers)`,
-    where `used` is `prepared` after the shift `perm` (IDENTITY if none).
+    is tried only where its left-hand side's head fits the subterm (the
+    system's `by_head` index). `prepare(rule)` gives the rule renamed apart
+    and is called at every such site; the attempt is then skipped when the
+    whole skeleton cannot fit (`skeleton_fits`, with subject variables as
+    wildcards if `unify`). `attempt(subterm, rule)` gives the answers, empty
+    on failure. When the prepared rule fails and its atoms clash with the
+    subterm's, it is retried once with the clashing atoms moved to fresh
+    ones. Each success yields `(position, subterm, prepared, perm, used,
+    answers)`, where `used` is `prepared` after the shift `perm` (IDENTITY
+    if none).
 
     The shift picks atoms fresh for the ambient, subject and rule atoms; the
     subject's atoms lie inside the ambient ones, so within one scan the
@@ -343,6 +369,7 @@ def redexes(
     once per such pair. The shifted rule is reused while `prepare` returns
     the same object.
     """
+    sig = system.signature
     ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
     # (rule name, clashing atoms) -> (shift, prepared rule, shifted rule);
     # rule names are unique in a system.
@@ -351,10 +378,12 @@ def redexes(
         if isinstance(sub, Suspension):
             continue
         sub_atoms = None
-        for rule in rules:
-            if not heads_compatible(rule.lhs, sub):
-                continue
+        for rule in system.by_head.get(head_key(sub), ()):
+            # Prepare before filtering: narrowing's renaming grows its avoid
+            # set at each call, and the names it picks are part of the answer.
             prepared = prepare(rule)
+            if not skeleton_fits(rule.lhs, sub, sig, unify):
+                continue
             answers = attempt(sub, prepared)
             if answers:
                 yield pos, sub, prepared, IDENTITY, prepared, answers
@@ -389,7 +418,7 @@ def _candidate_steps(
     renamed = {rule.name: rule for rule in system.renamed_rules(avoid)}
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
     for pos, _, prepared, perm, used, thetas in redexes(
-        delta, term, system.rules, lambda rule: renamed[rule.name], attempt
+        delta, term, system, lambda rule: renamed[rule.name], attempt, unify=False
     ):
         for theta in thetas:
             result = replace_at(term, pos.path, apply_subst(theta, used.rhs))

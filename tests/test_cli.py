@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nomc.cli import run_command
 
 
@@ -197,6 +199,26 @@ class TestErrorsAndJson:
         assert json.loads(out)["result"] == {
             "error": f"cannot read system file: {tmp_path} (Is a directory)"
         }
+
+    @pytest.mark.parametrize("entry", ["prenex", "prenex.nrs"])
+    def test_local_directory_does_not_shadow_bundled_name(self, capsys, tmp_path, monkeypatch, entry):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / entry).mkdir()
+        for spec in ("prenex", "prenex.nrs"):
+            code, out = run(capsys, "check", "a # b", "--system", spec)
+            assert code == 0 and out.strip() == "derivable"
+
+    def test_local_file_loads_only_with_a_directory_part(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        local = "sig:\n  g: 1\n\nrules:\n  drop: |- g(X) -> X\n"
+        (tmp_path / "prenex").write_text(local)
+        (tmp_path / "prenex.nrs").write_text(local)
+        code, out = run(capsys, "normalize", "not(exists([a]b))", "--system", "prenex")
+        assert code == 0 and out.splitlines()[0] == "forall([a]not(b))"
+        code, out = run(capsys, "normalize", "g(a)", "--system", "./prenex.nrs")
+        assert code == 0 and out.splitlines()[0] == "a"
+        code, out = run(capsys, "normalize", "g(a)", "--system", "prenex.nrs")
+        assert code == 0 and out.splitlines()[0] == "g(a)"  # the bundled rules
 
     def test_negative_path_index_exit_one(self, capsys):
         code, out = run(

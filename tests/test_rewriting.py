@@ -29,18 +29,27 @@ from nomc import (
     normalize,
     one_step_rewrites,
     parse_context,
+    parse_system,
     parse_term,
     permute_term,
     primary_rewrite_steps,
     r_over_e_one_step,
+    solve,
     subterm_at,
     term_atoms,
+    term_vars,
     verify_rewrite_step,
 )
 from nomc import rewriting
 from nomc.cli import load_system_file
-from nomc.rewriting import clash_permutation
+from nomc.rewriting import (
+    clash_permutation,
+    permute_rule,
+    rename_rule_with_map,
+    skeleton_fits,
+)
 from conftest import (
+    ATOMS,
     equivalent_variant,
     random_context,
     random_prenex_formula,
@@ -380,3 +389,100 @@ class TestFirstRedexScans:
                 expected = steps[0].result
                 break
         assert rewriting._r_over_e_first(term, system, plain, 100_000) == expected
+
+
+# The bundled lambda system has no rules. These rules extend its signature
+# with a commutative symbol and add left-hand sides prenex and ex22 lack: a
+# free atom, an abstraction at the root, an atom at the root, and atoms
+# under a commutative symbol.
+LAMBDA_RULES = parse_system(
+    "sig:\n  lam: 1\n  app: 2\n  plus: 2 commutative\n\nrules:\n"
+    "  eta: a#X |- lam([a]app(X, a)) -> X\n"
+    "  beta_id: |- app(lam([a]a), Y) -> Y\n"
+    "  comm_atom: |- plus(a, lam([b]plus(b, Y))) -> Y\n"
+    "  bind_root: |- [a]plus(a, X) -> X\n"
+    "  atom_root: |- a -> b\n"
+).system
+SKELETON_SYSTEMS = {**SYSTEMS, "lambda+rules": LAMBDA_RULES}
+
+
+def _near_miss(rng, lhs, sig):
+    """The lhs with random parts redrawn: its variables mostly instantiated
+    and, now and then, a node replaced by a random term (suspensions,
+    binders and the atoms a, b, c, d included)."""
+    if rng.random() < 0.15:
+        return random_term(rng, sig, 2)
+    if isinstance(lhs, Suspension):
+        return lhs if rng.random() < 0.2 else random_term(rng, sig, 2)
+    if isinstance(lhs, Abstraction):
+        return Abstraction(rng.choice(ATOMS), _near_miss(rng, lhs.body, sig))
+    if isinstance(lhs, App):
+        return App(lhs.sym, tuple(_near_miss(rng, arg, sig) for arg in lhs.args))
+    return rng.choice(ATOMS)
+
+
+class TestSkeletonFilter:
+    """`skeleton_fits` may only reject a rule that has no matcher (or, in
+    unify mode, no unifier) at the subterm, with or without the clash shift."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(SKELETON_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_rejection_implies_no_answer(self, name, seed):
+        rng = random.Random(seed)
+        system = SKELETON_SYSTEMS[name]
+        sig = system.signature
+        delta = random_context(rng)
+        for rule in system.rules:
+            if rng.random() < 0.7:
+                sub = _near_miss(rng, rule.lhs, sig)
+            else:
+                sub = random_term(rng, sig, 3)
+            avoid = term_vars(sub) | {c.var for c in delta}
+            prepared = rename_rule_with_map(rule, avoid)[0]
+            sub_atoms = term_atoms(sub)
+            shift = clash_permutation(prepared, sub_atoms, sub_atoms | {c.atom for c in delta})
+            candidates = [prepared] + ([permute_rule(prepared, shift)] if shift else [])
+            if not skeleton_fits(rule.lhs, sub, sig, unify=False):
+                for used in candidates:
+                    assert rewriting._verified_matchers(delta, sub, used, sig, 100_000) == [], (rule, sub)
+            if not skeleton_fits(rule.lhs, sub, sig, unify=True):
+                for used in candidates:
+                    assert solve(delta, sub, used.context, used.lhs, sig=sig) == (), (rule, sub)
+
+    def test_subject_variables_fit_only_when_unifying(self, prenex_system):
+        sig = prenex_system.signature
+        lhs = parse_term("not(exists([a]Q))", sig)
+        sub = parse_term("not(X)", sig)
+        assert not skeleton_fits(lhs, sub, sig, unify=False)
+        assert skeleton_fits(lhs, sub, sig, unify=True)
+        assert skeleton_fits(lhs, parse_term("not(exists([b]c))", sig), sig, unify=False)
+
+    def test_commutative_arguments_fit_in_either_order(self, prenex_system):
+        sig = prenex_system.signature
+        lhs = parse_term("and(P, forall([a]Q))", sig)
+        assert skeleton_fits(lhs, parse_term("and(forall([b]c), not(a))", sig), sig, unify=False)
+        assert not skeleton_fits(lhs, parse_term("and(not(a), exists([b]c))", sig), sig, unify=False)
+        plain = sig.without_commutativity()
+        assert not skeleton_fits(lhs, parse_term("and(forall([b]c), not(a))", sig), plain, unify=False)
+
+    def test_normal_form_scan_makes_no_match_call(self, monkeypatch, prenex_system):
+        calls = []
+        original = rewriting.match
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rewriting, "match", counting)
+        term = parse_term("and(not(X), or(Y, Z))", prenex_system.signature)
+        assert normalize(frozenset(), term, prenex_system, 10) == (term, ())
+        assert calls == []
+
+    def test_head_index_keeps_declaration_order(self):
+        for system in SKELETON_SYSTEMS.values():
+            assert sum(len(bucket) for bucket in system.by_head.values()) == len(system.rules)
+            for key, bucket in system.by_head.items():
+                assert bucket == tuple(rule for rule in system.rules if rewriting.head_key(rule.lhs) == key)
+        prenex = SKELETON_SYSTEMS["prenex"]
+        assert [rule.name for rule in prenex.by_head[("and", 2)]] == ["and_forall", "and_exists"]
+        assert [rule.name for rule in prenex.by_head[("not", 1)]] == ["not_exists", "not_forall"]
