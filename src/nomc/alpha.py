@@ -183,10 +183,7 @@ def satisfies_with(
     constrained: FreshnessContext, theta: Substitution, ctx: FreshnessContext
 ) -> bool:
     """Whether theta satisfies `constrained`, judged under ctx."""
-    reduced = freshness_context_nf(constrained, theta)
-    if reduced is INCONSISTENT:
-        return False
-    return reduced <= ctx
+    return all(derive_freshness(ctx, c.atom, theta.get(c.var)) for c in constrained)
 
 
 def check_problem(ctx: FreshnessContext, problem: ConstraintProblem, sig: Signature) -> bool:

@@ -2,9 +2,9 @@
 rewriting, narrowing, and the lifting correspondence checks.
 
 Exit codes: 0 for any definitive answer (including "not derivable" and
-"no match"), 1 for user errors (including input nested too deeply for the
-recursive parser and term walkers), 2 when a search or step bound was
-exhausted.
+"no match") and for --help, 1 for user errors (including usage errors and
+input nested too deeply for the recursive parser and term walkers), 2 when
+a search or step bound was exhausted.
 """
 
 from __future__ import annotations
@@ -338,8 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, with its
+        # usage message already on stderr; here 2 means a bound was hit.
+        return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
         system = None

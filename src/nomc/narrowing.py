@@ -21,7 +21,6 @@ from .alpha import (
     Sentinel,
     derive_alpha,
     derive_alpha_c,
-    derive_freshness,
     freshness_context_nf,
     satisfies_with,
 )
@@ -30,6 +29,7 @@ from .rewriting import (
     RewriteStep,
     RewriteSystem,
     permute_rule,
+    premises_hold,
     primary_rewrite_steps,
     redexes,
     rename_rule_with_map,
@@ -264,24 +264,35 @@ def narrow_search(
     return NarrowingTree(root, tuple(edges), record)
 
 
+def _rewrites_to(
+    context: FreshnessContext,
+    sigma: Substitution,
+    parent: Term,
+    step: NarrowingStep,
+    target: Term,
+    sig: Signature,
+) -> bool:
+    """Whether sigma(parent) rewrites under context, by the step's rule
+    instance at the step's position, to a term alpha-equal to target. The
+    position must exist in the parent itself, not only in its instance; the
+    result is compared by plain alpha, without commutativity."""
+    path = step.position.path
+    try:
+        sub = subterm_at(parent, path)
+    except ValueError:
+        return False
+    rule = step.rule_instance
+    if not premises_hold(context, apply_subst(sigma, sub), rule, sigma, sig):
+        return False
+    rewritten = replace_at(apply_subst(sigma, parent), path, apply_subst(sigma, rule.rhs))
+    return derive_alpha(context, rewritten, target)
+
+
 def narrowing_to_rewriting(step: NarrowingStep, parent: NarrowingNode, *, sig: Signature) -> bool:
     """Soundness oracle: instantiating the parent by the step substitution
     must rewrite, with the same rule at the same position, to the child."""
-    theta = step.step_subst
-    path = step.position.path
-    instance = apply_subst(theta, parent.term)
-    try:
-        inst_sub = apply_subst(theta, subterm_at(parent.term, path))
-    except ValueError:
-        return False
-    context = step.child.context
-    renamed = step.rule_instance
-    if not all(derive_freshness(context, c.atom, theta.get(c.var)) for c in renamed.context):
-        return False
-    if not derive_alpha_c(context, inst_sub, apply_subst(theta, renamed.lhs), sig):
-        return False
-    rewritten = replace_at(instance, path, apply_subst(theta, renamed.rhs))
-    return derive_alpha(context, rewritten, step.child.term)
+    child = step.child
+    return _rewrites_to(child.context, step.step_subst, parent.term, step, child.term, sig)
 
 
 PRECONDITION_FAIL = Sentinel("PRECONDITION_FAIL")
@@ -317,25 +328,11 @@ def lifting_forward_check(
     rhos: list[Substitution] = [rho]
     for step in reversed(derivation):
         rhos.insert(0, step.step_subst.compose(rhos[0]))
-    for i, step in enumerate(derivation):
-        rho_i, rho_next = rhos[i], rhos[i + 1]
-        parent, child = step.parent, step.child
-        if not satisfies_with(parent.context, rho_i, delta):
+    for step, rho_i, rho_next in zip(derivation, rhos, rhos[1:]):
+        if not satisfies_with(step.parent.context, rho_i, delta):
             return False
-        path = step.position.path
-        try:
-            sub = subterm_at(parent.term, path)
-        except ValueError:
-            return False
-        renamed = step.rule_instance
-        if not all(derive_freshness(delta, c.atom, rho_i.get(c.var)) for c in renamed.context):
-            return False
-        if not derive_alpha_c(
-            delta, apply_subst(rho_i, sub), apply_subst(rho_i, renamed.lhs), sig
-        ):
-            return False
-        rewritten = replace_at(apply_subst(rho_i, parent.term), path, apply_subst(rho_i, renamed.rhs))
-        if not derive_alpha(delta, rewritten, apply_subst(rho_next, child.term)):
+        target = apply_subst(rho_next, step.child.term)
+        if not _rewrites_to(delta, rho_i, step.parent.term, step, target, sig):
             return False
     return True
 

@@ -21,7 +21,7 @@ from .alpha import (
     FreshnessContext,
     derive_alpha,
     derive_alpha_c,
-    derive_freshness,
+    satisfies_with,
 )
 from .terms import (
     Abstraction,
@@ -322,6 +322,16 @@ def skeleton_fits(lhs: Term, sub: Term, sig: Signature, unify: bool) -> bool:
     return skeleton_fits(l0, s1, sig, unify) and skeleton_fits(l1, s0, sig, unify)
 
 
+def premises_hold(
+    delta: FreshnessContext, sub: Term, rule: RewriteRule, theta: Substitution, sig: Signature
+) -> bool:
+    """The premises of rewriting `sub` by `rule` with `theta` under delta:
+    theta satisfies the rule's freshness context, and sub =ac theta(lhs)."""
+    return satisfies_with(rule.context, theta, delta) and derive_alpha_c(
+        delta, sub, apply_subst(theta, rule.lhs), sig
+    )
+
+
 def _verified_matchers(
     delta: FreshnessContext,
     sub: Term,
@@ -330,15 +340,8 @@ def _verified_matchers(
     max_states: int,
 ) -> list[Substitution]:
     """Match substitutions whose instantiated premises hold under delta."""
-    out: list[Substitution] = []
-    for sol in match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states):
-        theta = sol.subst
-        if not all(derive_freshness(delta, c.atom, theta.get(c.var)) for c in rule.context):
-            continue
-        if not derive_alpha_c(delta, sub, apply_subst(theta, rule.lhs), sig):
-            continue
-        out.append(theta)
-    return out
+    solutions = match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)
+    return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
 
 
 def redexes(
@@ -487,13 +490,10 @@ def verify_rewrite_step(
         sub = subterm_at(source, path)
     except ValueError:
         return False
-    theta = step.subst
     used = permute_rule(step.rule_instance, step.perm)
-    if not all(derive_freshness(delta, c.atom, theta.get(c.var)) for c in used.context):
+    if not premises_hold(delta, sub, used, step.subst, sig):
         return False
-    if not derive_alpha_c(delta, sub, apply_subst(theta, used.lhs), sig):
-        return False
-    return derive_alpha_c(delta, replace_at(source, path, apply_subst(theta, used.rhs)), step.result, sig)
+    return derive_alpha_c(delta, replace_at(source, path, apply_subst(step.subst, used.rhs)), step.result, sig)
 
 
 def normalize(

@@ -21,6 +21,7 @@ from .alpha import (
     Sentinel,
     derive_alpha_c,
     derive_freshness,
+    satisfies_with,
 )
 from .terms import (
     Abstraction,
@@ -375,9 +376,8 @@ def check_solution(
     """Verify a candidate against a triple: instantiated hypotheses and goals
     must all be derivable under the candidate context."""
     ctx, theta = candidate
-    for constraint in problem.context:
-        if not derive_freshness(ctx, constraint.atom, theta.get(constraint.var)):
-            return False
+    if not satisfies_with(problem.context, theta, ctx):
+        return False
     for goal in problem.goals:
         if isinstance(goal, FreshnessGoal):
             if not derive_freshness(ctx, goal.atom, apply_subst(theta, goal.term)):
@@ -424,7 +424,7 @@ def instance_of(
         ok = all(
             derive_alpha_c(ctx2, apply_subst(witness, theta1.get(v)), theta2.get(v), sig)
             for v in ordered
-        ) and all(derive_freshness(ctx2, c.atom, witness.get(c.var)) for c in ctx1)
+        ) and satisfies_with(ctx1, witness, ctx2)
         if ok:
             return True
         if solution.protected_fixpoint_discharged:

@@ -2,11 +2,14 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from nomc import (
     Abstraction,
     App,
     Atom,
     EqualityGoal,
+    FreshnessConstraint,
     FreshnessGoal,
     INCONSISTENT,
     Permutation,
@@ -24,6 +27,7 @@ from nomc import (
     parse_term,
     permute_term,
 )
+from nomc.alpha import satisfies_with
 from conftest import (
     ATOMS,
     equivalent_variant,
@@ -158,6 +162,36 @@ class TestContextNormalisation:
                 continue
             checked += 1
             assert derive_freshness(reduced, atom, apply_subst(theta, t))
+
+
+# `a` is a prefix of `ab`, so a check that compared atom names by prefix would show.
+HYP_ATOMS = st.sampled_from((a, b, Atom("ab")))
+HYP_VARS = st.sampled_from((X, Y, Var("Z")))
+HYP_PERMS = st.lists(st.tuples(HYP_ATOMS, HYP_ATOMS), max_size=2).map(
+    lambda swaps: Permutation(tuple(swaps))
+)
+HYP_TERMS = st.recursive(
+    HYP_ATOMS | st.builds(Suspension, HYP_PERMS, HYP_VARS),
+    lambda inner: st.builds(Abstraction, HYP_ATOMS, inner)
+    | st.builds(lambda s, t: App("c", (s, t)), inner, inner)
+    | st.builds(lambda t: App("g", (t,)), inner),
+    max_leaves=6,
+)
+HYP_CONTEXTS = st.frozensets(st.builds(FreshnessConstraint, HYP_ATOMS, HYP_VARS), max_size=5)
+
+
+def _satisfies_by_normal_form(constrained, theta, ctx):
+    """The earlier formulation of `satisfies_with`, kept as its oracle."""
+    reduced = freshness_context_nf(constrained, theta)
+    return reduced is not INCONSISTENT and reduced <= ctx
+
+
+class TestSatisfaction:
+    @settings(max_examples=400, deadline=None)
+    @given(HYP_CONTEXTS, st.dictionaries(HYP_VARS, HYP_TERMS, max_size=3), HYP_CONTEXTS)
+    def test_agrees_with_the_normal_form(self, constrained, images, ctx):
+        theta = Substitution(images)
+        assert satisfies_with(constrained, theta, ctx) == _satisfies_by_normal_form(constrained, theta, ctx)
 
 
 class TestOracleAgreement:

@@ -184,6 +184,31 @@ class TestBounds:
         assert code == 2 and "bound exhausted" in out
 
 
+class TestUsageErrors:
+    # Exit 2 means a bound was exhausted, so argparse's own exit 2 for a
+    # usage error must not reach the caller.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["narrow", "h(X)", "--system", "ex22", "--depth", "x"],
+            ["solve", "a"],
+            ["check", "a # b", "--no-such-option"],
+            [],
+        ],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: nomc")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["narrow", "--help"]])
+    def test_help_exit_zero(self, capsys, argv):
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: nomc")
+
+
 class TestErrorsAndJson:
     def test_parse_error_exit_one(self, capsys):
         code, out = run(capsys, "check", "lam([a]")

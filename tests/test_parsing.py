@@ -19,6 +19,7 @@ from nomc import (
     Suspension,
     Var,
     context_of,
+    format_context,
     format_system,
     format_term,
     parse_context,
@@ -28,7 +29,7 @@ from nomc import (
     parse_term,
 )
 from nomc.cli import load_system_file
-from conftest import random_term
+from conftest import VARS, random_context, random_term
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X = Var("X")
@@ -83,6 +84,10 @@ class TestTerms:
         for _ in range(200):
             term = random_term(rng, SIG, 3)
             assert parse_term(format_term(term), SIG) == term
+            ctx = random_context(rng)
+            assert parse_context(format_context(ctx), SIG) == ctx
+            theta = Substitution({v: random_term(rng, SIG, 2) for v in VARS if rng.random() < 0.6})
+            assert parse_substitution(str(theta), SIG) == theta
 
     @given(st.text(alphabet="abXY()[].,# ", max_size=12))
     def test_never_crashes_unexpectedly(self, text):
