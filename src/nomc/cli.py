@@ -264,17 +264,28 @@ _COMMANDS = {
 _NEEDS_SYSTEM = frozenset(_COMMANDS) - {"check", "unify", "match"}
 
 
+def _bound(text: str) -> int:
+    """A search or step bound: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", help="system file path or bundled name")
     sub.add_argument("--context", default="", help='freshness context, e.g. "a#X, b#Y"')
     sub.add_argument("--json", action="store_true", help="machine-readable report")
-    sub.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, help="unification state cap")
+    sub.add_argument("--max-states", type=_bound, default=DEFAULT_MAX_STATES, help="unification state cap")
 
 
 def _add_narrowing(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--depth", type=int, default=2)
-    sub.add_argument("--fixpoint-depth", type=int, default=1)
-    sub.add_argument("--max-unifiers", type=int, default=50)
+    sub.add_argument("--depth", type=_bound, default=2)
+    sub.add_argument("--fixpoint-depth", type=_bound, default=1)
+    sub.add_argument("--max-unifiers", type=_bound, default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="rewrite to normal form")
     _add_common(p)
     p.add_argument("term")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_bound, default=1000)
 
     p = sub.add_parser("coherence", help="probe the coherence diagram on a sample pair")
     _add_common(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-steps", type=int, default=10)
+    p.add_argument("--max-steps", type=_bound, default=10)
 
     p = sub.add_parser("narrow", help="bounded narrowing tree")
     _add_common(p)
@@ -331,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
     p.add_argument("--rho", default="", help="normalised instantiation of the term")
     p.add_argument("--target-context", default="", help="context the instance lives under")
-    p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--fixpoint-depth", type=int, default=1)
+    p.add_argument("--max-steps", type=_bound, default=1000)
+    p.add_argument("--fixpoint-depth", type=_bound, default=1)
 
     return parser
 

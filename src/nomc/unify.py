@@ -9,6 +9,7 @@ as residual data (or discharged by freshness when X is protected).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .alpha import (
@@ -19,8 +20,7 @@ from .alpha import (
     FreshnessGoal,
     Goal,
     Sentinel,
-    derive_alpha_c,
-    derive_freshness,
+    check_problem,
     satisfies_with,
 )
 from .terms import (
@@ -205,6 +205,12 @@ def _instantiable(side: Term, other: Term, protected: ProtectedVars) -> Suspensi
     return side
 
 
+def _goal_image(theta: Substitution, goal: Goal) -> Goal:
+    if isinstance(goal, FreshnessGoal):
+        return FreshnessGoal(goal.atom, apply_subst(theta, goal.term))
+    return EqualityGoal(apply_subst(theta, goal.lhs), apply_subst(theta, goal.rhs))
+
+
 def _instantiate(state: UnificationState, idx: int, protected: ProtectedVars) -> UnificationState | None:
     """Bind a variable of goal idx, or None when the occurs check rules out both sides."""
     goal = state.goals[idx]
@@ -221,10 +227,7 @@ def _instantiate(state: UnificationState, idx: int, protected: ProtectedVars) ->
     for i, g in enumerate(state.goals):
         if i == idx:
             continue
-        if isinstance(g, FreshnessGoal):
-            updated: Goal = FreshnessGoal(g.atom, apply_subst(binding, g.term))
-        else:
-            updated = EqualityGoal(apply_subst(binding, g.lhs), apply_subst(binding, g.rhs))
+        updated = _goal_image(binding, g)
         if updated not in transformed:
             transformed.append(updated)
     for constraint in sorted(state.context, key=lambda c: (c.atom.name, c.var.name)):
@@ -376,18 +379,9 @@ def check_solution(
     """Verify a candidate against a triple: instantiated hypotheses and goals
     must all be derivable under the candidate context."""
     ctx, theta = candidate
-    if not satisfies_with(problem.context, theta, ctx):
-        return False
-    for goal in problem.goals:
-        if isinstance(goal, FreshnessGoal):
-            if not derive_freshness(ctx, goal.atom, apply_subst(theta, goal.term)):
-                return False
-        else:
-            lhs = apply_subst(theta, goal.lhs)
-            rhs = apply_subst(theta, goal.rhs)
-            if not derive_alpha_c(ctx, lhs, rhs, sig):
-                return False
-    return True
+    return satisfies_with(problem.context, theta, ctx) and check_problem(
+        ctx, tuple(_goal_image(theta, g) for g in problem.goals), sig
+    )
 
 
 def instance_of(
@@ -414,18 +408,15 @@ def instance_of(
     for v in ordered:
         protected |= term_vars(theta2.get(v))
     initial = UnificationState(ctx2, IDENTITY_SUBST, goals)
+    # The witness binds no protected variable, so it leaves theta2's side as is.
+    problem = UnificationState(ctx1, IDENTITY_SUBST, goals)
     inconclusive = False
     for leaf in _terminal_states(initial, frozenset(protected), sig, max_states):
         solution = _leaf_solution(leaf, frozenset(protected))
         if solution.residual_fixpoints:
             inconclusive = True
             continue
-        witness = solution.subst
-        ok = all(
-            derive_alpha_c(ctx2, apply_subst(witness, theta1.get(v)), theta2.get(v), sig)
-            for v in ordered
-        ) and satisfies_with(ctx1, witness, ctx2)
-        if ok:
+        if check_solution((ctx2, solution.subst), problem, sig):
             return True
         if solution.protected_fixpoint_discharged:
             # The freshness discharge of a fixed-point equation is only one
@@ -442,9 +433,11 @@ def enumerate_fixpoint_solutions(
 ) -> tuple[tuple[FreshnessContext, Substitution], ...]:
     """Bounded generator of solutions for the fixed-point equation pi.X =ac X.
 
-    Emits the freshness solution first, then substitutions built from
-    commutative combinations of the moved atoms, by increasing term depth.
-    Every emitted pair passes check_solution for the equation.
+    Emits the freshness solution first, then one ground substitution per
+    commutative class over the moved atoms, by term depth and then by `str`.
+    A class is tried once, as its least member by `str`: its children's least
+    members in `str` order, since ", " and ")" sort below atom names'
+    characters. Every emitted pair passes check_solution for the equation.
     """
     moved = difference_set(perm, IDENTITY)
     if not moved:
@@ -456,23 +449,17 @@ def enumerate_fixpoint_solutions(
     )
     freshness = frozenset(FreshnessConstraint(a, var) for a in moved)
     out: list[tuple[FreshnessContext, Substitution]] = [(freshness, IDENTITY_SUBST)]
-    kept_terms: list[Term] = []
-    pool: list[Term] = sorted(moved, key=lambda a: a.name)
+    pool: list[Term] = sorted(moved, key=lambda a: a.name)  # least members, all depths so far
     for _ in range(depth):
-        grown = list(pool)
-        for sym in sig.commutative_symbols:
-            for left in pool:
-                for right in pool:
-                    candidate = App(sym, (left, right))
-                    if candidate not in grown:
-                        grown.append(candidate)
-        for candidate in sorted(set(grown) - set(pool), key=str):
+        grown = {
+            App(sym, tuple(sorted(pair, key=str)))
+            for sym in sig.commutative_symbols
+            for pair in itertools.combinations_with_replacement(pool, 2)
+        }
+        level = sorted(grown.difference(pool), key=str)
+        for candidate in level:
             theta = Substitution({var: candidate})
-            if not check_solution((EMPTY_CONTEXT, theta), problem, sig):
-                continue
-            if any(derive_alpha_c(EMPTY_CONTEXT, candidate, t, sig) for t in kept_terms):
-                continue
-            kept_terms.append(candidate)
-            out.append((EMPTY_CONTEXT, theta))
-        pool = grown
+            if check_solution((EMPTY_CONTEXT, theta), problem, sig):
+                out.append((EMPTY_CONTEXT, theta))
+        pool += level
     return tuple(out)

@@ -103,6 +103,12 @@ class TestRewriteAndNormalize:
 
 
 class TestNarrowAndLift:
+    def test_fixpoint_depth_three_finishes(self, capsys):
+        code, out = run(capsys, "narrow", "h(fC([b][a]X, X))", "--system", "ex22",
+                        "--depth", "2", "--fixpoint-depth", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["truncation"]["fixpoint_depth"] == 3
+
     def test_narrow_tree_report(self, capsys):
         code, out = run(
             capsys,
@@ -202,6 +208,22 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: nomc")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["narrow", "h(X)", "--system", "ex22", "--depth", "-1"],
+            ["narrow", "h(X)", "--system", "ex22", "--fixpoint-depth", "-1"],
+            ["narrow", "h(X)", "--system", "ex22", "--max-unifiers", "-1"],
+            ["unify", "X", "a", "--max-states", "-3"],
+            ["normalize", "a", "--system", "prenex", "--max-steps", "-1"],
+        ],
+    )
+    def test_negative_bound_exit_one(self, capsys, argv):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be 0 or more, got {argv[-1]}" in captured.err
 
     @pytest.mark.parametrize("argv", [["--help"], ["narrow", "--help"]])
     def test_help_exit_zero(self, capsys, argv):

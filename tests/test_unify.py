@@ -3,25 +3,32 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomc import (
     App,
     Atom,
+    EMPTY_CONTEXT,
     EqualityGoal,
     FAIL,
+    FreshnessConstraint,
+    FreshnessContext,
     FreshnessGoal,
+    IDENTITY,
     IDENTITY_SUBST,
     Permutation,
     STUCK,
     Signature,
     Substitution,
     Suspension,
+    Term,
     UNKNOWN,
     UnificationState,
     Var,
     check_solution,
     context_of,
     derive_alpha_c,
+    difference_set,
     enumerate_fixpoint_solutions,
     instance_of,
     match,
@@ -307,6 +314,12 @@ class TestInstanceOf:
             sig=SIG,
         ) is False
 
+    def test_general_context_must_hold_under_the_specific_one(self):
+        general = (context_of((a, Y)), Substitution({X: Suspension(Permutation(), Y)}))
+        assert instance_of(general, (frozenset(), Substitution({X: a})), {X}, sig=SIG) is False
+        fresh = (context_of((a, Z)), Substitution({X: Suspension(Permutation(), Z)}))
+        assert instance_of(general, fresh, {X}, sig=SIG) is True
+
     def test_commutative_witness(self):
         general = (frozenset(), Substitution({X: parse_term("fC(Y, b)", SIG)}))
         specific = (frozenset(), Substitution({X: parse_term("fC(b, a)", SIG)}))
@@ -351,3 +364,92 @@ class TestFixpointEnumeration:
         plain = Signature({"g": (1, False)})
         sols = enumerate_fixpoint_solutions(Permutation(((a, b),)), X, plain, 3)
         assert len(sols) == 1
+
+
+def _pairwise_enumerator(
+    perm: Permutation,
+    var: Var,
+    sig: Signature,
+    depth: int,
+) -> tuple[tuple[FreshnessContext, Substitution], ...]:
+    """The enumerator as it was before it kept one term per commutative class:
+    every ordered pair at each level, deduplicated by derive_alpha_c."""
+    moved = difference_set(perm, IDENTITY)
+    if not moved:
+        raise ValueError("fixed-point enumeration requires a non-identity permutation")
+    problem = UnificationState(
+        EMPTY_CONTEXT,
+        IDENTITY_SUBST,
+        (EqualityGoal(Suspension(perm, var), Suspension(IDENTITY, var)),),
+    )
+    freshness = frozenset(FreshnessConstraint(a, var) for a in moved)
+    out: list[tuple[FreshnessContext, Substitution]] = [(freshness, IDENTITY_SUBST)]
+    kept_terms: list[Term] = []
+    pool: list[Term] = sorted(moved, key=lambda a: a.name)
+    for _ in range(depth):
+        grown = list(pool)
+        for sym in sig.commutative_symbols:
+            for left in pool:
+                for right in pool:
+                    candidate = App(sym, (left, right))
+                    if candidate not in grown:
+                        grown.append(candidate)
+        for candidate in sorted(set(grown) - set(pool), key=str):
+            theta = Substitution({var: candidate})
+            if not check_solution((EMPTY_CONTEXT, theta), problem, sig):
+                continue
+            if any(derive_alpha_c(EMPTY_CONTEXT, candidate, t, sig) for t in kept_terms):
+                continue
+            kept_terms.append(candidate)
+            out.append((EMPTY_CONTEXT, theta))
+        pool = grown
+    return tuple(out)
+
+
+# Atom and symbol names that are prefixes of one another, so a least member
+# by str cannot be read off a shorter name alone.
+HYP_ATOMS = st.sampled_from([Atom(n) for n in ("a", "ab", "fa", "z")])
+HYP_PERMS = (
+    st.lists(st.tuples(HYP_ATOMS, HYP_ATOMS), min_size=1, max_size=2)
+    .map(lambda swaps: Permutation(tuple(swaps)))
+    .filter(lambda p: not p.is_identity())
+)
+HYP_SIGS = st.lists(st.sampled_from(("f", "fC", "g")), max_size=2, unique=True).map(
+    lambda comm: Signature({"h": (1, False), **{s: (2, True) for s in comm}})
+)
+
+
+class TestFixpointClasses:
+    @settings(max_examples=60, deadline=None)
+    @given(HYP_PERMS, HYP_SIGS, st.integers(0, 2))
+    def test_equals_the_pairwise_enumerator(self, perm, sig, depth):
+        assert enumerate_fixpoint_solutions(perm, X, sig, depth) == _pairwise_enumerator(
+            perm, X, sig, depth
+        )
+
+    # One commutative symbol and one swapping keep the oracle near a second
+    # at depth 3, the first depth where a solution's children differ in depth.
+    @pytest.mark.parametrize("names, sym", [(("z", "zz"), "f"), (("a", "ab"), "fC")])
+    def test_equals_the_pairwise_enumerator_at_depth_three(self, names, sym):
+        perm = Permutation(((Atom(names[0]), Atom(names[1])),))
+        sig = Signature({sym: (2, True)})
+        assert enumerate_fixpoint_solutions(perm, X, sig, 3) == _pairwise_enumerator(perm, X, sig, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(HYP_PERMS, HYP_SIGS, st.integers(0, 2))
+    def test_terms_pairwise_distinct_modulo_commutativity(self, perm, sig, depth):
+        terms = [s.get(X) for _, s in enumerate_fixpoint_solutions(perm, X, sig, depth)[1:]]
+        for i, s in enumerate(terms):
+            assert not any(derive_alpha_c(frozenset(), s, t, sig) for t in terms[i + 1 :])
+
+    def test_depth_three_over_ex22(self, ex22_system):
+        sig = ex22_system.signature
+        perm = Permutation(((a, b),))
+        problem = UnificationState(
+            frozenset(),
+            IDENTITY_SUBST,
+            (EqualityGoal(Suspension(perm, X), Suspension(IDENTITY, X)),),
+        )
+        sols = enumerate_fixpoint_solutions(perm, X, sig, 3)
+        assert len(sols) == 219
+        assert all(check_solution(sol, problem, sig) for sol in sols)
