@@ -97,6 +97,7 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.signature = signature
         self._renamed: tuple[frozenset[Var], tuple[RewriteRule, ...]] | None = None
+        self._plain: RewriteSystem | None = None
         # head_key -> the rules whose left-hand side has that head, in order.
         self.by_head: dict[object, tuple[RewriteRule, ...]] = {}
         self._atoms: frozenset[Atom] = frozenset()
@@ -120,7 +121,10 @@ class RewriteSystem:
         return self._atoms
 
     def without_commutativity(self) -> "RewriteSystem":
-        return RewriteSystem(self.rules, self.signature.without_commutativity())
+        """The same rules with no symbol commutative; built once, then reused."""
+        if self._plain is None:
+            self._plain = RewriteSystem(self.rules, self.signature.without_commutativity())
+        return self._plain
 
     def __repr__(self) -> str:
         return f"RewriteSystem({len(self.rules)} rules, sig={self.signature!r})"
@@ -365,22 +369,12 @@ def redexes(
     ones. Each success yields `(position, subterm, prepared, perm, used,
     answers)`, where `used` is `prepared` after the shift `perm` (IDENTITY
     if none).
-
-    The shift picks atoms fresh for the ambient, subject and rule atoms; the
-    subject's atoms lie inside the ambient ones, so within one scan the
-    shift depends only on the rule and its clashing atoms, and is computed
-    once per such pair. The shifted rule is reused while `prepare` returns
-    the same object.
     """
     sig = system.signature
     ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
-    # (rule name, clashing atoms) -> (shift, prepared rule, shifted rule);
-    # rule names are unique in a system.
-    shifts: dict[tuple[str, frozenset[Atom]], tuple] = {}
     for pos, sub in subterms_with_positions(term):
         if isinstance(sub, Suspension):
             continue
-        sub_atoms = None
         for rule in system.by_head.get(head_key(sub), ()):
             # Prepare before filtering: narrowing's renaming grows its avoid
             # set at each call, and the names it picks are part of the answer.
@@ -391,17 +385,10 @@ def redexes(
             if answers:
                 yield pos, sub, prepared, IDENTITY, prepared, answers
                 continue
-            if sub_atoms is None:
-                sub_atoms = term_atoms(sub)
-            key = (rule.name, prepared.atoms() & sub_atoms)
-            if key not in shifts:
-                shifts[key] = (clash_permutation(prepared, sub_atoms, ambient_atoms), None, None)
-            shift, base, shifted = shifts[key]
+            shift = clash_permutation(prepared, term_atoms(sub), ambient_atoms)
             if shift is None:
                 continue
-            if base is not prepared:
-                shifted = permute_rule(prepared, shift)
-                shifts[key] = (shift, prepared, shifted)
+            shifted = permute_rule(prepared, shift)
             answers = attempt(sub, shifted)
             if answers:
                 yield pos, sub, prepared, shift, shifted, answers
@@ -510,12 +497,20 @@ def normalize(
     order, first matching solution; the scan stops at the first redex.
     Raises StepLimitExceeded past the bound.
     """
+    return _normal_form(lambda t: _candidate_steps(delta, t, system, max_states), term, max_steps)
+
+
+def _normal_form(
+    steps: Callable[[Term], Iterator[RewriteStep]], term: Term, max_steps: int
+) -> tuple[Term, tuple[RewriteStep, ...]]:
+    """Follow the first of `steps(current)` until there is none. Raises
+    StepLimitExceeded, with the steps taken, when one is due after `max_steps`."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     current = term
     trace: list[RewriteStep] = []
     while True:
-        chosen = next(_candidate_steps(delta, current, system, max_states), None)
+        chosen = next(steps(current), None)
         if chosen is None:
             return current, tuple(trace)
         if len(trace) >= max_steps:
@@ -535,6 +530,15 @@ def _ground_oracle_sources(term: Term, system: RewriteSystem) -> Iterator[Term]:
                 yield variant
 
 
+def _class_steps(term: Term, system: RewriteSystem, max_states: int) -> Iterator[RewriteStep]:
+    """Plain matching steps from each member of the ground term's
+    commutative-and-alpha class in turn, generated lazily. A step's position
+    refers to the member it rewrites, not to `term`."""
+    plain = system.without_commutativity()
+    for source in _ground_oracle_sources(term, system):
+        yield from _candidate_steps(EMPTY_CONTEXT, source, plain, max_states)
+
+
 def r_over_e_one_step(
     term: Term,
     system: RewriteSystem,
@@ -545,26 +549,12 @@ def r_over_e_one_step(
     commutative-and-alpha class, deduplicated modulo =ac."""
     if not is_ground(term):
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
-    plain = system.without_commutativity()
     sig = system.signature
     results: list[Term] = []
-    for source in _ground_oracle_sources(term, system):
-        for step in primary_rewrite_steps(EMPTY_CONTEXT, source, plain, max_states=max_states):
-            if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, r, sig) for r in results):
-                results.append(step.result)
+    for step in _class_steps(term, system, max_states):
+        if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, r, sig) for r in results):
+            results.append(step.result)
     return tuple(results)
-
-
-def _r_over_e_first(term: Term, system: RewriteSystem, plain: RewriteSystem, max_states: int) -> Term | None:
-    """First plain rewrite found in the term's class; sources are generated
-    and scanned only up to the first redex. `plain` is the system without
-    commutativity, built once by the caller so its renamed rules are reused
-    across every source and every step."""
-    for source in _ground_oracle_sources(term, system):
-        step = next(_candidate_steps(EMPTY_CONTEXT, source, plain, max_states), None)
-        if step is not None:
-            return step.result
-    return None
 
 
 def normal_form_equal_check(
@@ -580,14 +570,8 @@ def normal_form_equal_check(
     if not is_ground(term):
         raise ValueError("normal form comparison is only defined on ground terms")
     nf_matching, _ = normalize(delta, term, system, max_steps, max_states=max_states)
-    plain = system.without_commutativity()
-    current = term
-    for _ in range(max_steps + 1):
-        nxt = _r_over_e_first(current, system, plain, max_states)
-        if nxt is None:
-            return derive_alpha_c(delta, nf_matching, current, system.signature)
-        current = nxt
-    raise StepLimitExceeded(current, ())
+    nf_class, _ = _normal_form(lambda t: _class_steps(t, system, max_states), term, max_steps)
+    return derive_alpha_c(delta, nf_matching, nf_class, system.signature)
 
 
 WITNESSED = "WITNESSED"
@@ -644,27 +628,18 @@ def coherence_check(
         if not derive_alpha_c(delta, t1, t2, sig):
             verdicts.append(CoherenceVerdict(index, REJECTED, "sample terms are not =ac-related"))
             continue
-        t1_steps = primary_rewrite_steps(delta, t1, system, max_states=max_states)
-        status = WITNESSED
-        detail = ""
-        t2_steps = None
-        for step in t1_steps:
-            reach_left = _reachable(delta, step.result, system, max_steps, max_states)
-            if t2_steps is None:
-                t2_steps = primary_rewrite_steps(delta, t2, system, max_states=max_states)
-            witnessed = False
-            for right in t2_steps:
-                reach_right = _reachable(delta, right.result, system, max_steps, max_states)
-                if any(
-                    derive_alpha_c(delta, u, v, sig)
-                    for u in reach_left
-                    for v in reach_right
-                ):
-                    witnessed = True
-                    break
-            if not witnessed:
-                status = NOT_WITNESSED
-                detail = f"no closing reduct for {step.result}"
+        # Per-sample memos; t2's steps are due only once t1 has a step.
+        steps = functools.cache(lambda t: primary_rewrite_steps(delta, t, system, max_states=max_states))
+        reach = functools.cache(lambda t: _reachable(delta, t, system, max_steps, max_states))
+        verdict = CoherenceVerdict(index, WITNESSED)
+        for step in steps(t1):
+            reach_left = reach(step.result)
+            if not any(
+                derive_alpha_c(delta, u, v, sig)
+                for right in steps(t2)
+                for u, v in itertools.product(reach_left, reach(right.result))
+            ):
+                verdict = CoherenceVerdict(index, NOT_WITNESSED, f"no closing reduct for {step.result}")
                 break
-        verdicts.append(CoherenceVerdict(index, status, detail))
+        verdicts.append(verdict)
     return tuple(verdicts)

@@ -25,6 +25,7 @@ from nomc import (
     coherence_check,
     derive_alpha,
     derive_alpha_c,
+    is_ground,
     normal_form_equal_check,
     normalize,
     one_step_rewrites,
@@ -41,6 +42,7 @@ from nomc import (
     verify_rewrite_step,
 )
 from nomc import rewriting
+from nomc.alpha import EMPTY_CONTEXT
 from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
@@ -48,10 +50,12 @@ from nomc.rewriting import (
     rename_rule_with_map,
     skeleton_fits,
 )
+from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
     equivalent_variant,
     random_context,
+    random_ground_term,
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
@@ -275,8 +279,8 @@ def _normalize_outcome(ctx, term, system):
 
 
 class TestPreparedRules:
-    """Rules are renamed once per avoid set and clash shifts once per scan;
-    neither may change a step."""
+    """Rules are renamed once per avoid set; reusing them may not change a
+    step."""
 
     # Ground, then non-ground (variables named like the rules' own), then
     # ground again, so a reused system's memo must follow the avoid set.
@@ -315,8 +319,7 @@ class TestPreparedRules:
 
     def test_clash_shift_matches_a_direct_computation(self, prenex_system):
         # The binder atom a of and_forall occurs free in both redexes, so
-        # each step needs the clash shift and the second reuses the first's.
-        # and(b, c) is scanned first and clashes on no atom.
+        # each step needs the clash shift; and(b, c) clashes on no atom.
         term = parse_term("or(and(b, c), or(and(a, forall([b]c)), and(a, forall([c]d))))", prenex_system.signature)
         steps = primary_rewrite_steps(frozenset(), term, prenex_system)
         assert len(steps) >= 2
@@ -388,7 +391,8 @@ class TestFirstRedexScans:
             if steps:
                 expected = steps[0].result
                 break
-        assert rewriting._r_over_e_first(term, system, plain, 100_000) == expected
+        first = next(rewriting._class_steps(term, system, 100_000), None)
+        assert (first and first.result) == expected
 
 
 # The bundled lambda system has no rules. These rules extend its signature
@@ -486,3 +490,144 @@ class TestSkeletonFilter:
         prenex = SKELETON_SYSTEMS["prenex"]
         assert [rule.name for rule in prenex.by_head[("and", 2)]] == ["and_forall", "and_exists"]
         assert [rule.name for rule in prenex.by_head[("not", 1)]] == ["not_exists", "not_forall"]
+
+
+def _eager_r_over_e_one_step(term, system, *, max_states=DEFAULT_MAX_STATES):
+    """`r_over_e_one_step` as it was before the class scan became lazy: every
+    source's primary steps, deduplicated there by alpha, then modulo =ac."""
+    if not is_ground(term):
+        raise ValueError("the class-rewriting oracle is only defined on ground terms")
+    plain = system.without_commutativity()
+    sig = system.signature
+    results = []
+    for source in rewriting._ground_oracle_sources(term, system):
+        for step in primary_rewrite_steps(EMPTY_CONTEXT, source, plain, max_states=max_states):
+            if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, r, sig) for r in results):
+                results.append(step.result)
+    return tuple(results)
+
+
+class TestClassOracle:
+    """One lazy class scan serves the one-step oracle and the class normal
+    form; one normalisation loop serves both normal forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_one_step_oracle_equals_the_eager_scan(self, name, seed):
+        rng = random.Random(seed)
+        system = SYSTEMS[name]
+        if name == "prenex":
+            term = App("or", (random_prenex_formula(rng, 3), random_prenex_formula(rng, 2)))
+        else:
+            term = random_ground_term(rng, system.signature, 3)
+        assert r_over_e_one_step(term, system) == _eager_r_over_e_one_step(term, system)
+
+    def test_class_step_limit_keeps_its_trace(self):
+        # `b` is in normal form, but its alpha-variant `a` rewrites to itself.
+        system = parse_system("sig:\n  lam: 1\n\nrules:\n  spin: |- a -> a\n").system
+        term = parse_term("lam([b]b)", system.signature)
+        assert normalize(frozenset(), term, system, 3) == (term, ())
+        with pytest.raises(StepLimitExceeded) as info:
+            normal_form_equal_check(frozenset(), term, system, 3)
+        assert len(info.value.trace) == 3
+        assert info.value.term == info.value.trace[-1].result
+        assert all(step.rule == "spin" for step in info.value.trace)
+
+    def test_plain_system_is_built_once(self, prenex_system):
+        plain = prenex_system.without_commutativity()
+        assert prenex_system.without_commutativity() is plain
+        assert plain.rules == prenex_system.rules
+        assert plain.signature == prenex_system.signature.without_commutativity()
+
+
+def _pairwise_coherence_check(system, samples, max_steps, *, max_states=DEFAULT_MAX_STATES):
+    """`coherence_check` as it was before its reach sets were memoised: each
+    `t2` reduct's reach set is recomputed for every `t1` step."""
+    sig = system.signature
+    verdicts = []
+    for index, (delta, t1, t2) in enumerate(samples):
+        if not derive_alpha_c(delta, t1, t2, sig):
+            verdicts.append(rewriting.CoherenceVerdict(index, REJECTED, "sample terms are not =ac-related"))
+            continue
+        t1_steps = primary_rewrite_steps(delta, t1, system, max_states=max_states)
+        status = WITNESSED
+        detail = ""
+        t2_steps = None
+        for step in t1_steps:
+            reach_left = rewriting._reachable(delta, step.result, system, max_steps, max_states)
+            if t2_steps is None:
+                t2_steps = primary_rewrite_steps(delta, t2, system, max_states=max_states)
+            witnessed = False
+            for right in t2_steps:
+                reach_right = rewriting._reachable(delta, right.result, system, max_steps, max_states)
+                if any(
+                    derive_alpha_c(delta, u, v, sig)
+                    for u in reach_left
+                    for v in reach_right
+                ):
+                    witnessed = True
+                    break
+            if not witnessed:
+                status = rewriting.NOT_WITNESSED
+                detail = f"no closing reduct for {step.result}"
+                break
+        verdicts.append(rewriting.CoherenceVerdict(index, status, detail))
+    return tuple(verdicts)
+
+
+class TestCoherenceReach:
+    """Each reach set is computed once per sample, with the same verdicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SKELETON_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_verdicts_equal_the_pairwise_formulation(self, name, seed):
+        # lambda+rules is not coherent (`atom_root` rewrites the bound `a` of
+        # [a]a but not of [b]b), so NOT-WITNESSED verdicts occur as well.
+        rng = random.Random(seed)
+        system = SKELETON_SYSTEMS[name]
+        sig = system.signature
+        samples = []
+        for _ in range(3):
+            delta = random_context(rng)
+            if name == "prenex":
+                term = App("or", (random_prenex_pattern(rng, 3), random_prenex_pattern(rng, 3)))
+            else:
+                term = random_term(rng, sig, 3)
+            samples.append((delta, term, equivalent_variant(rng, delta, term, sig)))
+        assert coherence_check(system, samples, 2) == _pairwise_coherence_check(system, samples, 2)
+
+    def test_not_witnessed_on_the_non_coherent_system(self):
+        sig = LAMBDA_RULES.signature
+        t1, t2 = parse_term("lam([a]a)", sig), parse_term("lam([b]b)", sig)
+        (verdict,) = coherence_check(LAMBDA_RULES, [(frozenset(), t1, t2)], 2)
+        assert verdict.status == rewriting.NOT_WITNESSED
+        assert verdict == _pairwise_coherence_check(LAMBDA_RULES, [(frozenset(), t1, t2)], 2)[0]
+
+    def test_closing_needs_a_further_step(self):
+        # t1's reduct lam([a]c) meets t2's reduct d only after one more step.
+        system = parse_system(
+            "sig:\n  lam: 1\n\nrules:\n"
+            "  atom_a: |- a -> c\n  join_c: |- lam([a]c) -> d\n  join_id: |- lam([b]b) -> d\n"
+        ).system
+        sample = (frozenset(), parse_term("lam([a]a)", system.signature), parse_term("lam([b]b)", system.signature))
+        for max_steps, status in ((0, rewriting.NOT_WITNESSED), (1, WITNESSED)):
+            (verdict,) = coherence_check(system, [sample], max_steps)
+            assert verdict.status == status
+            assert (verdict,) == _pairwise_coherence_check(system, [sample], max_steps)
+
+    def test_no_reach_set_is_computed_twice(self, monkeypatch, prenex_system):
+        seen = []
+        original = rewriting._reachable
+
+        def recording(delta, term, system, max_steps, max_states):
+            seen.append(term)
+            return original(delta, term, system, max_steps, max_states)
+
+        monkeypatch.setattr(rewriting, "_reachable", recording)
+        sig = prenex_system.signature
+        t1 = parse_term("or(not(forall([a]b)), not(forall([c]d)))", sig)
+        t2 = parse_term("or(not(forall([c]d)), not(forall([a]b)))", sig)
+        (verdict,) = coherence_check(prenex_system, [(frozenset(), t1, t2)], 3)
+        assert verdict.status == WITNESSED
+        assert len(seen) > 2
+        assert len(set(seen)) == len(seen)
