@@ -10,6 +10,7 @@ a search or step bound was exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -52,14 +53,22 @@ class UserError(Exception):
     pass
 
 
+@functools.cache
+def _bundled(name: str) -> SystemFile:
+    return parse_system(resources.files("nomc.systems").joinpath(name).read_text(encoding="utf-8"))
+
+
 def load_system_file(spec: str) -> SystemFile:
     """Load a bundled system by bare name (`prenex` or `prenex.nrs`), or else
     a system file by path. A bare bundled name always means the bundled
-    system; a local file of that name loads as `./prenex.nrs`."""
+    system; a local file of that name loads as `./prenex.nrs`.
+
+    Each bundled system is read and parsed once per process, and every load
+    returns that same read-only object. A path is re-read on every call,
+    since the file can change between calls."""
     name = spec if spec.endswith(".nrs") else f"{spec}.nrs"
     if name in _BUNDLED:
-        text = resources.files("nomc.systems").joinpath(name).read_text(encoding="utf-8")
-        return parse_system(text)
+        return _bundled(name)
     path = Path(spec)
     try:
         if path.exists():
@@ -288,7 +297,10 @@ def _add_narrowing(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-unifiers", type=_bound, default=50)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nomc` parser, built on first use and then shared: `parse_args`
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="nomc",
         description="Nominal rewriting and narrowing modulo commutativity.",

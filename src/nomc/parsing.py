@@ -14,7 +14,9 @@ sections; a line whose first non-blank character is `#` is a comment.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .alpha import (
     EqualityGoal,
@@ -302,12 +304,16 @@ def parse_judgement(text: str, sig: Signature | None = None) -> Goal:
     return goal
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemFile:
-    """A parsed system file: the rewrite system plus named problem lines."""
+    """A parsed system file: the rewrite system plus named problem lines.
+    Read-only, so one loaded file can be shared by every caller."""
 
     system: RewriteSystem
-    problems: dict[str, str] = field(default_factory=dict)
+    problems: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "problems", MappingProxyType(dict(self.problems)))
 
 
 def _parse_sig_line(line: str, lineno: int) -> tuple[str, int, bool]:

@@ -1,10 +1,16 @@
 """Command-line interface: reports, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nomc.cli import run_command
+import nomc
+from nomc import cli, parsing
+from nomc.cli import build_parser, run_command
 
 
 def run(capsys, *argv):
@@ -349,3 +355,54 @@ class TestErrorsAndJson:
                 argv.insert(2, name)
                 code, _ = run(capsys, *argv)
                 assert code == 0, (name, problem)
+
+
+class TestSharedPerProcessState:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import nomc.cli\n"
+            "assert built == [], built\n"
+            "nomc.cli.build_parser()\n"
+            "assert built, 'the spy saw no parser'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_bundled_system_is_parsed_once(self, capsys, monkeypatch, tmp_path):
+        assert run(capsys, "check", "a # b", "--system", "prenex") == (0, "derivable\n")
+        calls = []
+        original = parsing.parse_system
+
+        def spy(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(parsing, "parse_system", spy)
+        monkeypatch.setattr(cli, "parse_system", spy)
+        for spec in ("prenex", "prenex.nrs"):
+            assert run(capsys, "check", "a # b", "--system", spec) == (0, "derivable\n")
+        assert calls == []
+        local = tmp_path / "local.nrs"
+        local.write_text("sig:\n  f: 1\n\nrules:\n")
+        assert run(capsys, "check", "a # b", "--system", str(local)) == (0, "derivable\n")
+        assert len(calls) == 1
+
+    def test_system_path_is_reread_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "edit.nrs"
+        path.write_text("sig:\n  f: 1\n  g: 1\n\nrules:\n  step: |- f(X) -> g(X)\n")
+        code, out = run(capsys, "rewrite", "f(a)", "--system", str(path))
+        assert code == 0 and "g(a)" in out
+        path.write_text("sig:\n  f: 1\n  g: 1\n\nrules:\n  step: |- f(X) -> f(g(X))\n")
+        code, out = run(capsys, "rewrite", "f(a)", "--system", str(path))
+        assert code == 0 and "f(g(a))" in out

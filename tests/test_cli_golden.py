@@ -117,5 +117,16 @@ def test_cli_output_matches_golden():
         assert json.loads(json.dumps(record(expected["argv"]))) == expected
 
 
+def test_requests_do_not_depend_on_earlier_requests():
+    # One process serves every request with one parser and one copy of each
+    # bundled system. Replaying forward and then reversed puts bound hits
+    # and errors before the requests that followed them, and a usage error
+    # runs before every request.
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    for expected in golden + golden[::-1]:
+        assert _stdout(expected["argv"][:1] + ["--no-such-option"]) == (1, "")
+        assert json.loads(json.dumps(record(expected["argv"]))) == expected
+
+
 if __name__ == "__main__":
     print(json.dumps(collect(), indent=1, sort_keys=True))

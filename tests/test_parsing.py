@@ -1,5 +1,6 @@
 """Concrete syntax: terms, contexts, judgements, and system files."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from nomc import (
     Signature,
     Substitution,
     Suspension,
+    SystemFile,
     Var,
     context_of,
     format_context,
@@ -131,6 +133,20 @@ class TestSystemFiles:
         assert system.signature.commutative_symbols == ("and", "or")
         assert [r.name for r in system.rules][:2] == ["and_forall", "or_forall"]
         assert loaded.problems
+
+    def test_loaded_system_file_is_read_only(self):
+        loaded = load_system_file("prenex")
+        problems = dict(loaded.problems)
+        with pytest.raises(TypeError):
+            loaded.problems["extra"] = "check a # b"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.system = parse_system("sig:\n  f: 1\n\nrules:\n").system
+        again = load_system_file("prenex.nrs")
+        assert again is loaded and dict(again.problems) == problems
+        given = {"p": "check a # b"}
+        built = SystemFile(loaded.system, given)
+        given["q"] = "check b # a"
+        assert dict(built.problems) == {"p": "check a # b"}
 
     def test_empty_rules_section_valid(self):
         loaded = parse_system("sig:\n  f: 1\n\nrules:\n")
