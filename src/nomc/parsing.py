@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import Callable, TypeVar
 
 from .alpha import (
     EqualityGoal,
@@ -40,6 +41,9 @@ from .terms import (
 )
 
 
+_T = TypeVar("_T")
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -61,63 +65,43 @@ class _Token:
     col: int
 
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
-          ",": "COMMA", ".": "DOT", "#": "HASH", ":": "COLON"}
+# Every fixed lexeme; `_tokenize` tries three characters, then two, then one.
+_LEXEMES = {"|-": "TURNSTILE", "->": "ARROW", "=ac": "EQAC",
+            "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
+            ",": "COMMA", ".": "DOT", "#": "HASH", ":": "COLON"}
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
+    """Tokens with their line and column. A column counts characters from
+    the start of its line, from 1; only `\\n` starts a new line."""
     tokens: list[_Token] = []
-    line, col = line_offset, 1
-    i = 0
+    line, start, i = line_offset, 0, 0  # start: offset of the line's first character
     while i < len(text):
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
+            if ch == "\n":
+                line, start = line + 1, i + 1
             i += 1
-            col += 1
             continue
-        if text.startswith("|-", i):
-            tokens.append(_Token("TURNSTILE", "|-", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("=ac", i):
-            tokens.append(_Token("EQAC", "=ac", line, col))
-            i += 3
-            col += 3
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
+        j = i + 1
         if ch.isalpha():
-            j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
+            kind = "IDENT"
+        elif ch.isdigit():
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+            kind = "INT"
+        else:
+            for lexeme in (text[i:i + 3], text[i:i + 2], ch):
+                if lexeme in _LEXEMES:
+                    break
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, i - start + 1)
+            kind, j = _LEXEMES[lexeme], i + len(lexeme)
+        tokens.append(_Token(kind, text[i:j], line, i - start + 1))
+        i = j
+    tokens.append(_Token("EOF", "", line, i - start + 1))
     return tokens
 
 
@@ -141,9 +125,6 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind}, found {tok.value or 'end of input'}", tok.line, tok.col)
         return tok
-
-    def done(self) -> bool:
-        return self.peek().kind == "EOF"
 
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
@@ -254,54 +235,79 @@ class _Parser:
             self.expect("RBRACK")
         return Substitution(mapping)
 
+    def judgement(self) -> Goal:
+        first = self.term()
+        tok = self.next()
+        if tok.kind == "HASH":
+            if not isinstance(first, Atom):
+                raise ParseError("freshness judgement needs an atom on the left", tok.line, tok.col)
+            return FreshnessGoal(first, self.term())
+        if tok.kind == "EQAC":
+            return EqualityGoal(first, self.term())
+        raise ParseError(f"expected '#' or '=ac', found {tok.value or 'end of input'}", tok.line, tok.col)
+
+    def sig_entry(self) -> tuple[str, int, bool]:
+        name = self.expect("IDENT")
+        self.expect("COLON")
+        arity = self.expect("INT")
+        if not arity.value.isdecimal():  # a digit such as `²` that int() rejects
+            raise ParseError(f"arity {arity.value} is not a decimal number", arity.line, arity.col)
+        commutative = self.peek().kind == "IDENT"
+        if commutative:
+            flag = self.next()
+            if flag.value != "commutative":
+                raise ParseError(f"unknown signature flag {flag.value}", flag.line, flag.col)
+        return name.value, int(arity.value), commutative
+
+    def rule(self) -> tuple[str | None, FreshnessContext, Term, Term]:
+        """`[name:] [context] |- lhs -> rhs`; the name is None when omitted."""
+        name = None
+        if self.peek().kind == "IDENT" and self.peek(1).kind == "COLON":
+            name = self.next().value
+            self.next()
+        context: FreshnessContext = frozenset()
+        if self.peek().kind == "TURNSTILE":
+            self.next()
+        else:
+            context = self.context()
+            self.expect("TURNSTILE")
+        lhs = self.term()
+        self.expect("ARROW")
+        return name, context, lhs, self.term()
+
+
+def _parse_whole(
+    text: str, sig: Signature | None, rule: Callable[[_Parser], _T], trailing: str, line_offset: int = 1
+) -> _T:
+    """Parse all of `text` with one `_Parser` rule; input left after it is
+    a "trailing input {trailing}" error."""
+    parser = _Parser(text, sig, line_offset)
+    result = rule(parser)
+    if parser.peek().kind != "EOF":
+        raise parser.fail(f"trailing input {trailing}")
+    return result
+
 
 def parse_term(text: str, sig: Signature | None = None) -> Term:
     """Parse a single term; with a signature, declared arities are enforced."""
-    parser = _Parser(text, sig)
-    term = parser.term()
-    if not parser.done():
-        raise parser.fail("trailing input after term")
-    return term
+    return _parse_whole(text, sig, _Parser.term, "after term")
 
 
 def parse_context(text: str, sig: Signature | None = None) -> FreshnessContext:
-    text = text.strip()
-    if not text or text == "{}":
+    if text.strip() in ("", "{}"):
         return frozenset()
-    parser = _Parser(text, sig)
-    ctx = parser.context()
-    if not parser.done():
-        raise parser.fail("trailing input after freshness context")
-    return ctx
+    return _parse_whole(text, sig, _Parser.context, "after freshness context")
 
 
 def parse_substitution(text: str, sig: Signature | None = None) -> Substitution:
-    text = text.strip()
-    if not text or text in ("Id", "[]"):
+    if text.strip() in ("", "Id", "[]"):
         return Substitution()
-    parser = _Parser(text, sig)
-    subst = parser.substitution()
-    if not parser.done():
-        raise parser.fail("trailing input after substitution")
-    return subst
+    return _parse_whole(text, sig, _Parser.substitution, "after substitution")
 
 
 def parse_judgement(text: str, sig: Signature | None = None) -> Goal:
     """Parse `a # t` or `s =ac t`."""
-    parser = _Parser(text, sig)
-    first = parser.term()
-    tok = parser.next()
-    if tok.kind == "HASH":
-        if not isinstance(first, Atom):
-            raise ParseError("freshness judgement needs an atom on the left", tok.line, tok.col)
-        goal: Goal = FreshnessGoal(first, parser.term())
-    elif tok.kind == "EQAC":
-        goal = EqualityGoal(first, parser.term())
-    else:
-        raise ParseError(f"expected '#' or '=ac', found {tok.value or 'end of input'}", tok.line, tok.col)
-    if not parser.done():
-        raise parser.fail("trailing input after judgement")
-    return goal
+    return _parse_whole(text, sig, _Parser.judgement, "after judgement")
 
 
 @dataclass(frozen=True)
@@ -314,45 +320,6 @@ class SystemFile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "problems", MappingProxyType(dict(self.problems)))
-
-
-def _parse_sig_line(line: str, lineno: int) -> tuple[str, int, bool]:
-    parser = _Parser(line, None, line_offset=lineno)
-    name = parser.expect("IDENT")
-    parser.expect("COLON")
-    arity = parser.expect("INT")
-    commutative = False
-    if parser.peek().kind == "IDENT":
-        flag = parser.next()
-        if flag.value != "commutative":
-            raise ParseError(f"unknown signature flag {flag.value}", flag.line, flag.col)
-        commutative = True
-    if not parser.done():
-        raise parser.fail("trailing input in signature entry")
-    return name.value, int(arity.value), commutative
-
-
-def _parse_rule_line(line: str, lineno: int, sig: Signature, default_name: str) -> RewriteRule:
-    parser = _Parser(line, sig, line_offset=lineno)
-    name = default_name
-    if parser.peek().kind == "IDENT" and parser.peek(1).kind == "COLON":
-        name = parser.next().value
-        parser.next()
-    context: FreshnessContext = frozenset()
-    if parser.peek().kind == "TURNSTILE":
-        parser.next()
-    else:
-        context = parser.context()
-        parser.expect("TURNSTILE")
-    lhs = parser.term()
-    parser.expect("ARROW")
-    rhs = parser.term()
-    if not parser.done():
-        raise parser.fail("trailing input in rule")
-    try:
-        return RewriteRule(name, context, lhs, rhs)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno, 1) from exc
 
 
 def parse_system(text: str) -> SystemFile:
@@ -369,12 +336,12 @@ def parse_system(text: str) -> SystemFile:
             section = line[:-1]
             continue
         if section == "sig":
-            name, arity, commutative = _parse_sig_line(line, lineno)
+            name, arity, commutative = _parse_whole(raw, None, _Parser.sig_entry, "in signature entry", lineno)
             if name in sig_entries:
                 raise ParseError(f"duplicate signature entry {name}", lineno, 1)
             sig_entries[name] = (arity, commutative)
         elif section == "rules":
-            rule_lines.append((lineno, line))
+            rule_lines.append((lineno, raw))
         elif section == "problems":
             name, _, rest = line.partition(":")
             if not rest:
@@ -386,10 +353,13 @@ def parse_system(text: str) -> SystemFile:
         sig = Signature(sig_entries)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from exc
-    rules = tuple(
-        _parse_rule_line(line, lineno, sig, f"r{i}")
-        for i, (lineno, line) in enumerate(rule_lines, start=1)
-    )
+    rules: list[RewriteRule] = []
+    for index, (lineno, line) in enumerate(rule_lines, start=1):
+        name, context, lhs, rhs = _parse_whole(line, sig, _Parser.rule, "in rule", lineno)
+        try:
+            rules.append(RewriteRule(name or f"r{index}", context, lhs, rhs))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, 1) from exc
     return SystemFile(RewriteSystem(rules, sig), problems)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import (
@@ -72,7 +73,8 @@ class RewriteRule:
         object.__setattr__(self, "_atoms", atoms)
 
     def variables(self) -> frozenset[Var]:
-        return term_vars(self.lhs) | term_vars(self.rhs) | frozenset(c.var for c in self.context)
+        """The rule's variables: those of its left-hand side, which bind the rest."""
+        return term_vars(self.lhs)
 
     def atoms(self) -> frozenset[Atom]:
         return self._atoms
@@ -83,8 +85,13 @@ class RewriteRule:
         return f"{prefix}{self.lhs} -> {self.rhs}"
 
 
+@dataclass(frozen=True, eq=False)
 class RewriteSystem:
     """A sequence of rules plus the signature declaring commutative symbols.
+
+    Read-only, so one system can be shared by every caller: attributes
+    cannot be reassigned and `by_head` (head_key -> the rules whose
+    left-hand side has that head, in order) is a read-only mapping.
 
     The system remembers its rules renamed apart from the most recent avoid
     set (one entry, so memory stays bounded). Renaming is a deterministic
@@ -93,28 +100,31 @@ class RewriteSystem:
     which makes the memo hit on every source the class oracle scans.
     """
 
-    def __init__(self, rules: tuple[RewriteRule, ...] | list[RewriteRule], signature: Signature):
-        self.rules = tuple(rules)
-        self.signature = signature
-        self._renamed: tuple[frozenset[Var], tuple[RewriteRule, ...]] | None = None
-        self._plain: RewriteSystem | None = None
-        # head_key -> the rules whose left-hand side has that head, in order.
-        self.by_head: dict[object, tuple[RewriteRule, ...]] = {}
-        self._atoms: frozenset[Atom] = frozenset()
+    rules: tuple[RewriteRule, ...]
+    signature: Signature
+
+    def __post_init__(self) -> None:
+        by_head: dict[object, tuple[RewriteRule, ...]] = {}
+        atoms: frozenset[Atom] = frozenset()
         seen: set[str] = set()
         for rule in self.rules:
             if rule.name in seen:
                 raise ValueError(f"duplicate rule name {rule.name}")
             seen.add(rule.name)
             key = head_key(rule.lhs)
-            self.by_head[key] = self.by_head.get(key, ()) + (rule,)
-            self._atoms |= rule.atoms()
+            by_head[key] = by_head.get(key, ()) + (rule,)
+            atoms |= rule.atoms()
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "by_head", MappingProxyType(by_head))
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_renamed", None)  # memos, filled on first use
+        object.__setattr__(self, "_plain", None)
 
     def renamed_rules(self, avoid: frozenset[Var]) -> tuple[RewriteRule, ...]:
         """The rules, in order, with variables renamed apart from `avoid`."""
         if self._renamed is None or self._renamed[0] != avoid:
             renamed = tuple(rename_rule_with_map(rule, avoid)[0] for rule in self.rules)
-            self._renamed = (avoid, renamed)
+            object.__setattr__(self, "_renamed", (avoid, renamed))
         return self._renamed[1]
 
     def atoms(self) -> frozenset[Atom]:
@@ -123,7 +133,7 @@ class RewriteSystem:
     def without_commutativity(self) -> "RewriteSystem":
         """The same rules with no symbol commutative; built once, then reused."""
         if self._plain is None:
-            self._plain = RewriteSystem(self.rules, self.signature.without_commutativity())
+            object.__setattr__(self, "_plain", RewriteSystem(self.rules, self.signature.without_commutativity()))
         return self._plain
 
     def __repr__(self) -> str:
@@ -150,28 +160,27 @@ class RewriteStep:
 
 
 class StepLimitExceeded(Exception):
-    """Normalisation ran past its step bound (possible non-termination)."""
+    """Normalisation ran past its step bound (possible non-termination).
 
-    def __init__(self, term: Term, trace: tuple[RewriteStep, ...]):
+    `sources[i]` is the term `trace[i]` rewrote: the previous result (the
+    input term for the first step) or, for the class oracle, the member of
+    its class that the step matched.
+    """
+
+    def __init__(self, term: Term, trace: tuple[RewriteStep, ...], sources: tuple[Term, ...]):
         super().__init__(f"step limit exceeded at {term}")
         self.term = term
         self.trace = trace
+        self.sources = sources
 
 
 def rename_rule_with_map(
     rule: RewriteRule, avoid: frozenset[Var] | set[Var]
 ) -> tuple[RewriteRule, dict[Var, Var]]:
     """Copy of the rule with variables renamed apart from `avoid`, plus the
-    renaming that was applied."""
-    ordered: list[Var] = []
-    for term in (rule.lhs, rule.rhs):
-        for var in sorted(term_vars(term), key=lambda v: v.name):
-            if var not in ordered:
-                ordered.append(var)
-    for constraint in sorted(rule.context, key=lambda c: (c.atom.name, c.var.name)):
-        if constraint.var not in ordered:
-            ordered.append(constraint.var)
-    renaming = fresh_variables(avoid, ordered)
+    renaming that was applied. The left-hand side holds every variable of
+    the rule, and they are renamed in name order."""
+    renaming = fresh_variables(avoid, sorted(rule.variables(), key=lambda v: v.name))
     subst = Substitution({v: Suspension(IDENTITY, w) for v, w in renaming.items()})
     context = frozenset(FreshnessConstraint(c.atom, renaming[c.var]) for c in rule.context)
     renamed = RewriteRule(
@@ -497,24 +506,29 @@ def normalize(
     order, first matching solution; the scan stops at the first redex.
     Raises StepLimitExceeded past the bound.
     """
-    return _normal_form(lambda t: _candidate_steps(delta, t, system, max_states), term, max_steps)
+    return _normal_form(
+        lambda t: ((t, step) for step in _candidate_steps(delta, t, system, max_states)), term, max_steps
+    )
 
 
 def _normal_form(
-    steps: Callable[[Term], Iterator[RewriteStep]], term: Term, max_steps: int
+    steps: Callable[[Term], Iterator[tuple[Term, RewriteStep]]], term: Term, max_steps: int
 ) -> tuple[Term, tuple[RewriteStep, ...]]:
-    """Follow the first of `steps(current)` until there is none. Raises
-    StepLimitExceeded, with the steps taken, when one is due after `max_steps`."""
+    """Follow the first of `steps(current)`, pairs of a source and a step
+    that rewrites it, until there is none. Raises StepLimitExceeded, with the
+    steps taken and their sources, when one is due after `max_steps`."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     current = term
     trace: list[RewriteStep] = []
+    sources: list[Term] = []
     while True:
-        chosen = next(steps(current), None)
+        source, chosen = next(steps(current), (None, None))
         if chosen is None:
             return current, tuple(trace)
         if len(trace) >= max_steps:
-            raise StepLimitExceeded(current, tuple(trace))
+            raise StepLimitExceeded(current, tuple(trace), tuple(sources))
+        sources.append(source)
         trace.append(chosen)
         current = chosen.result
 
@@ -530,13 +544,14 @@ def _ground_oracle_sources(term: Term, system: RewriteSystem) -> Iterator[Term]:
                 yield variant
 
 
-def _class_steps(term: Term, system: RewriteSystem, max_states: int) -> Iterator[RewriteStep]:
+def _class_steps(term: Term, system: RewriteSystem, max_states: int) -> Iterator[tuple[Term, RewriteStep]]:
     """Plain matching steps from each member of the ground term's
-    commutative-and-alpha class in turn, generated lazily. A step's position
-    refers to the member it rewrites, not to `term`."""
+    commutative-and-alpha class in turn, generated lazily, each paired with
+    the member it rewrites; its position refers to that member, not to `term`."""
     plain = system.without_commutativity()
     for source in _ground_oracle_sources(term, system):
-        yield from _candidate_steps(EMPTY_CONTEXT, source, plain, max_states)
+        for step in _candidate_steps(EMPTY_CONTEXT, source, plain, max_states):
+            yield source, step
 
 
 def r_over_e_one_step(
@@ -551,7 +566,7 @@ def r_over_e_one_step(
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
     sig = system.signature
     results: list[Term] = []
-    for step in _class_steps(term, system, max_states):
+    for _, step in _class_steps(term, system, max_states):
         if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, r, sig) for r in results):
             results.append(step.result)
     return tuple(results)

@@ -273,6 +273,18 @@ class TestErrorsAndJson:
         code, out = run(capsys, "normalize", "g(a)", "--system", "prenex.nrs")
         assert code == 0 and out.splitlines()[0] == "g(a)"  # the bundled rules
 
+    def test_shared_system_cannot_be_changed(self, capsys):
+        system = cli.load_system_file("prenex").system
+        with pytest.raises(AttributeError):
+            system.by_head.clear()
+        with pytest.raises(TypeError):
+            system.by_head[("not", 1)] = ()
+        for attr in ("rules", "by_head", "signature", "_renamed"):
+            with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+                setattr(system, attr, None)
+        code, out = run(capsys, "normalize", "not(exists([a]b))", "--system", "prenex")
+        assert code == 0 and out.splitlines()[:2] == ["forall([a]not(b))", "1 step(s)"]
+
     def test_negative_path_index_exit_one(self, capsys):
         code, out = run(
             capsys,

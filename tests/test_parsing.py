@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nomc import (
     Abstraction,
@@ -31,6 +31,7 @@ from nomc import (
     parse_term,
 )
 from nomc.cli import load_system_file
+from nomc.parsing import _Token, _tokenize
 from conftest import VARS, random_context, random_term
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -99,6 +100,96 @@ class TestTerms:
             pass
 
 
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
+          ",": "COMMA", ".": "DOT", "#": "HASH", ":": "COLON"}
+
+
+def _reference_tokenize(text: str, line_offset: int = 1) -> list[_Token]:
+    """The tokenizer as it was before the lexeme table: one branch per
+    lexeme and a hand-kept column counter."""
+    tokens: list[_Token] = []
+    line, col = line_offset, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("|-", i):
+            tokens.append(_Token("TURNSTILE", "|-", line, col))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("->", i):
+            tokens.append(_Token("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("=ac", i):
+            tokens.append(_Token("EQAC", "=ac", line, col))
+            i += 3
+            col += 3
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(_Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text, line_offset):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenize(text, line_offset)]
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+# ASCII syntax and near-syntax characters, the multi-character lexemes, line
+# breaks and blanks, and non-ASCII letters and digits (`²` and `Ⅻ` are
+# digits or letters to str methods but not to int()).
+_PIECES = list("abXY_Z09()[],.#:|-=c >!{}") + ["|-", "->", "=ac", "\n", "\t", "\r", "é", "²", "١", "Ⅻ"]
+
+
+class TestTokenizer:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join), st.integers(1, 5))
+    def test_same_tokens_as_the_reference(self, text, line_offset):
+        assert _tokens_or_error(_tokenize, text, line_offset) == _tokens_or_error(
+            _reference_tokenize, text, line_offset
+        )
+
+    def test_columns_count_from_the_line_start(self):
+        tokens = _tokenize("f(a)\n\t [b]X =ac é²", 3)
+        assert [(t.value, t.line, t.col) for t in tokens][4:] == [
+            ("[", 4, 3), ("b", 4, 4), ("]", 4, 5), ("X", 4, 6), ("=ac", 4, 8), ("é²", 4, 12), ("", 4, 14),
+        ]
+
+
 class TestContextsAndJudgements:
     def test_context_list(self):
         assert parse_context("a#X, b#Y") == context_of((a, X), (b, Var("Y")))
@@ -117,6 +208,14 @@ class TestContextsAndJudgements:
     def test_equality_judgement(self):
         goal = parse_judgement("fC(a, b) =ac fC(b, a)", SIG)
         assert isinstance(goal, EqualityGoal)
+
+    @pytest.mark.parametrize(
+        "parse, text, col", [(parse_context, "   a#", 6), (parse_substitution, "  X -> ", 8), (parse_judgement, "  a # (b", 9)]
+    )
+    def test_error_columns_count_leading_blanks(self, parse, text, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
 
     def test_substitution(self):
         theta = parse_substitution("X -> fC(a, b), Y -> a", SIG)
@@ -175,6 +274,19 @@ class TestSystemFiles:
             assert [(r.name, r.context, r.lhs, r.rhs) for r in reparsed.system.rules] == [
                 (r.name, r.context, r.lhs, r.rhs) for r in loaded.system.rules
             ]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sig:\n    f: 3 weird\n", "2:10: unknown signature flag weird"),
+            ("sig:\n  f: 1\nrules:\n    r: |- f(X) -> f(X) junk\n", "4:24: trailing input in rule"),
+            ("sig:\n  f: \u00b2\n", "2:6: arity \u00b2 is not a decimal number"),
+        ],
+    )
+    def test_errors_name_their_column_on_the_raw_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == message
 
     def test_unnamed_rules_get_indices(self):
         loaded = parse_system("sig:\n  f: 1\n\nrules:\n  |- f(X) -> X\n")

@@ -392,7 +392,7 @@ class TestFirstRedexScans:
             if steps:
                 expected = steps[0].result
                 break
-        first = next(rewriting._class_steps(term, system, 100_000), None)
+        _, first = next(rewriting._class_steps(term, system, 100_000), (None, None))
         assert (first and first.result) == expected
 
 
@@ -533,6 +533,31 @@ class TestClassOracle:
         assert len(info.value.trace) == 3
         assert info.value.term == info.value.trace[-1].result
         assert all(step.rule == "spin" for step in info.value.trace)
+        # The trace replays: each step verifies against its recorded source,
+        # a member of the class of the previous result.
+        sources, trace = info.value.sources, info.value.trace
+        assert len(sources) == 3 and sources[0] != term
+        for previous, source, step in zip((term,) + tuple(s.result for s in trace), sources, trace):
+            assert derive_alpha_c(frozenset(), source, previous, system.signature)
+            assert verify_rewrite_step(frozenset(), source, step, system.signature)
+
+    def test_normalize_step_limit_sources_are_the_previous_terms(self):
+        system = parse_system("sig:\n  f: 1\n\nrules:\n  spin: |- f(X) -> f(X)\n").system
+        term = parse_term("f(a)", system.signature)
+        with pytest.raises(StepLimitExceeded) as info:
+            normalize(frozenset(), term, system, 2)
+        trace = info.value.trace
+        assert info.value.sources == (term, trace[0].result)
+        assert all(verify_rewrite_step(frozenset(), s, step, system.signature) for s, step in zip(info.value.sources, trace))
+
+    def test_binders_are_renamed_to_atoms_no_rule_mentions(self):
+        # The rule's right-hand side brings in a free `a`. Under the binder
+        # `[a]` it is captured; only the variant `[n0]`, whose binder no rule
+        # mentions, keeps it free. A pool of rule atoms alone loses the second.
+        system = parse_system("sig:\n  lam: 1\n  g: 1\n  f: 2\n\nrules:\n  intro: |- g(X) -> f(X, a)\n").system
+        results = r_over_e_one_step(parse_term("lam([a]g(b))", system.signature), system)
+        assert [str(t) for t in results] == ["lam([a]f(b, a))", "lam([n0]f(b, a))"]
+        assert not derive_alpha_c(frozenset(), results[0], results[1], system.signature)
 
     def test_plain_system_is_built_once(self, prenex_system):
         plain = prenex_system.without_commutativity()
