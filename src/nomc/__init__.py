@@ -56,6 +56,7 @@ from .rewriting import (
     RewriteSystem,
     StepLimitExceeded,
     WITNESSED,
+    ac_key,
     alpha_variants,
     c_class_enumerate,
     canonical_alpha,

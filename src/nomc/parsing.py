@@ -339,6 +339,10 @@ def parse_system(text: str) -> SystemFile:
             name, arity, commutative = _parse_whole(raw, None, _Parser.sig_entry, "in signature entry", lineno)
             if name in sig_entries:
                 raise ParseError(f"duplicate signature entry {name}", lineno, 1)
+            try:
+                Signature({name: (arity, commutative)})  # the per-entry checks
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, 1) from exc
             sig_entries[name] = (arity, commutative)
         elif section == "rules":
             rule_lines.append((lineno, raw))
@@ -349,10 +353,7 @@ def parse_system(text: str) -> SystemFile:
             problems[name.strip()] = rest.strip()
         else:
             raise ParseError("content before any section header", lineno, 1)
-    try:
-        sig = Signature(sig_entries)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
+    sig = Signature(sig_entries)
     rules: list[RewriteRule] = []
     for index, (lineno, line) in enumerate(rule_lines, start=1):
         name, context, lhs, rhs = _parse_whole(line, sig, _Parser.rule, "in rule", lineno)

@@ -48,7 +48,7 @@ from .terms import (
     term_atoms,
     term_vars,
 )
-from .unify import DEFAULT_MAX_STATES, match
+from .unify import DEFAULT_MAX_STATES, SearchSpaceExceeded, match
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,9 @@ class RewriteSystem:
     set (one entry, so memory stays bounded). Renaming is a deterministic
     function of the rule and the avoid set, so a reused copy is exactly what
     a fresh renaming would give. Ground terms all share the empty avoid set,
-    which makes the memo hit on every source the class oracle scans.
+    which makes the memo hit on every source the class oracle scans. The
+    system also records, once, whether some rule tells binders named by
+    atoms it does not mention apart from its own (`_ground_oracle_sources`).
     """
 
     rules: tuple[RewriteRule, ...]
@@ -117,6 +119,7 @@ class RewriteSystem:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "by_head", MappingProxyType(by_head))
         object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
         object.__setattr__(self, "_renamed", None)  # memos, filled on first use
         object.__setattr__(self, "_plain", None)
 
@@ -172,6 +175,49 @@ class StepLimitExceeded(Exception):
         self.term = term
         self.trace = trace
         self.sources = sources
+
+
+def _schema_leaves(term: Term, bound: frozenset[Atom] = frozenset()) -> Iterator[tuple[Term, frozenset[Atom]]]:
+    """Each atom and suspension of a term schema, with the binders above it."""
+    if isinstance(term, (Atom, Suspension)):
+        yield term, bound
+    elif isinstance(term, Abstraction):
+        yield from _schema_leaves(term.body, bound | {term.atom})
+    else:
+        for arg in term.args:
+            yield from _schema_leaves(arg, bound)
+
+
+def _tells_unnamed_binders_apart(rule: RewriteRule) -> bool:
+    """Can the rule act differently on a binder named by an atom it does not
+    mention than on every binder named by its own atoms? True when either:
+
+    - an instance of its right-hand side can bind or free an atom that the
+      left-hand side's instance has free: the right-hand side has a free
+      atom the left-hand side lacks, or an occurrence of a variable whose
+      permutation or enclosing binders differ from those of every
+      left-hand-side occurrence by more than atoms the context makes fresh
+      for it (`g(X) -> f(X, a)`, `g([a]X) -> k(X)`, `f(X) -> g([b]X)`);
+    - its left-hand side holds an atom literally (free, or in a
+      suspension's permutation) and it mentions another atom on the
+      matching side: the clash shift moves all of a rule's clashing atoms
+      at once, so it cannot keep the literal one while moving the other off
+      a binder (`a#X |- h(b, X) -> k(X)`).
+    """
+    lhs, rhs = list(_schema_leaves(rule.lhs)), list(_schema_leaves(rule.rhs))
+    lhs_free = {t for t, bound in lhs if isinstance(t, Atom) and t not in bound}
+    if any(isinstance(t, Atom) and t not in bound and t not in lhs_free for t, bound in rhs):
+        return True
+    for t, bound in rhs:
+        if isinstance(t, Suspension):
+            fresh = {t.perm.act(c.atom) for c in rule.context if c.var == t.var}
+            if not any(
+                isinstance(u, Suspension) and u.var == t.var and u.perm == t.perm and bound ^ lhs_bound <= fresh
+                for u, lhs_bound in lhs
+            ):
+                return True
+    literal = lhs_free | {a for t, _ in lhs if isinstance(t, Suspension) for pair in t.perm.swappings for a in pair}
+    return bool(literal) and not term_atoms(rule.lhs) | {c.atom for c in rule.context} <= literal
 
 
 def rename_rule_with_map(
@@ -235,19 +281,62 @@ def clash_permutation(rule: RewriteRule, subject_atoms: frozenset[Atom], avoid: 
     return Permutation(tuple(swappings))
 
 
+class _Replay:
+    """A lazily generated sequence that several loops can read from the
+    start; each item is generated once, when the first loop reaches it."""
+
+    def __init__(self, items: Iterator[Term]):
+        self._source = items
+        self._items: list[Term] = []
+
+    def __iter__(self) -> Iterator[Term]:
+        index = 0
+        while True:
+            if index == len(self._items):
+                item = next(self._source, None)
+                if item is None:
+                    return
+                self._items.append(item)
+            yield self._items[index]
+            index += 1
+
+
+def _product(parts: Sequence[Sequence[Term] | _Replay]) -> Iterator[tuple[Term, ...]]:
+    """`itertools.product` over lazily generated sequences, in its order."""
+    if len(parts) == 1:
+        for head in parts[0]:
+            yield (head,)
+        return
+    for head in parts[0]:
+        for rest in _product(parts[1:]):
+            yield (head,) + rest
+
+
+def _commutative_variants(term: Term, sig: Signature) -> Iterator[Term]:
+    if isinstance(term, (Atom, Suspension)):
+        yield term
+    elif isinstance(term, Abstraction):
+        for body in _commutative_variants(term.body, sig):
+            yield Abstraction(term.atom, body)
+    elif term.args:
+        parts = [(a,) if isinstance(a, (Atom, Suspension)) else _Replay(_commutative_variants(a, sig)) for a in term.args]
+        if not sig.is_commutative(term.sym):
+            for combo in _product(parts):  # distinct combinations, distinct terms
+                yield App(term.sym, combo)
+            return
+        seen: set[Term] = set()
+        for left, right in _product(parts):
+            for variant in (App(term.sym, (left, right)), App(term.sym, (right, left))):
+                if variant not in seen:
+                    seen.add(variant)
+                    yield variant
+    else:
+        yield term
+
+
 def commutative_variants(term: Term, sig: Signature) -> tuple[Term, ...]:
     """All rearrangements of the term's commutative applications, term first."""
-    if isinstance(term, (Atom, Suspension)):
-        return (term,)
-    if isinstance(term, Abstraction):
-        return tuple(Abstraction(term.atom, b) for b in commutative_variants(term.body, sig))
-    arg_variants = [commutative_variants(a, sig) for a in term.args]
-    out: dict[Term, None] = {}  # insertion-ordered set
-    for combo in itertools.product(*arg_variants):
-        out[App(term.sym, combo)] = None
-        if sig.is_commutative(term.sym):
-            out[App(term.sym, (combo[1], combo[0]))] = None
-    return tuple(out)
+    return tuple(_commutative_variants(term, sig))
 
 
 def c_class_enumerate(term: Term, sig: Signature) -> tuple[Term, ...]:
@@ -275,26 +364,34 @@ def canonical_alpha(term: Term, depth: int = 0) -> Term:
     return App(term.sym, tuple(canonical_alpha(a, depth) for a in term.args))
 
 
+def _alpha_variants(term: Term, atoms: Sequence[Atom]) -> Iterator[Term]:
+    if isinstance(term, Atom):
+        yield term
+    elif isinstance(term, Suspension):
+        raise ValueError("alpha variants are only defined on ground terms")
+    elif isinstance(term, Abstraction):
+        seen: set[Term] = set()
+        for body in _alpha_variants(term.body, atoms):
+            free = free_atoms(body)
+            variants = (Abstraction(term.atom, body),) + tuple(
+                Abstraction(atom, permute_term(Permutation(((term.atom, atom),)), body))
+                for atom in atoms
+                if atom != term.atom and atom not in free
+            )
+            for variant in variants:
+                if variant not in seen:
+                    seen.add(variant)
+                    yield variant
+    elif term.args:
+        for combo in _product([(a,) if isinstance(a, Atom) else _Replay(_alpha_variants(a, atoms)) for a in term.args]):
+            yield App(term.sym, combo)
+    else:
+        yield term
+
+
 def alpha_variants(term: Term, pool: frozenset[Atom] | set[Atom]) -> tuple[Term, ...]:
     """All alpha-renamings of a ground term with binders drawn from `pool`."""
-    if isinstance(term, Atom):
-        return (term,)
-    if isinstance(term, Suspension):
-        raise ValueError("alpha variants are only defined on ground terms")
-    out: dict[Term, None] = {}  # insertion-ordered set
-    if isinstance(term, Abstraction):
-        for body in alpha_variants(term.body, pool):
-            out[Abstraction(term.atom, body)] = None
-            free = free_atoms(body)
-            for atom in sorted(pool, key=lambda a: a.name):
-                if atom != term.atom and atom not in free:
-                    swapped = permute_term(Permutation(((term.atom, atom),)), body)
-                    out[Abstraction(atom, swapped)] = None
-        return tuple(out)
-    arg_variants = [alpha_variants(a, pool) for a in term.args]
-    for combo in itertools.product(*arg_variants):
-        out[App(term.sym, combo)] = None
-    return tuple(out)
+    return tuple(_alpha_variants(term, sorted(pool, key=lambda a: a.name)))
 
 
 def head_key(term: Term) -> object:
@@ -533,25 +630,77 @@ def _normal_form(
         current = chosen.result
 
 
-def _ground_oracle_sources(term: Term, system: RewriteSystem) -> Iterator[Term]:
-    pool = term_atoms(term) | system.atoms()
-    pool = pool | {fresh_atom(pool)}
+DEFAULT_MAX_SOURCES = 10_000
+
+
+def _ground_oracle_sources(
+    term: Term, system: RewriteSystem, max_sources: int = DEFAULT_MAX_SOURCES
+) -> Iterator[Term]:
+    """The members of a ground term's commutative-and-alpha class that the
+    class oracle rewrites, lazily: each commutative rearrangement, with its
+    binders renamed to the atoms the rules mention. Raises
+    SearchSpaceExceeded when there are more than `max_sources` to scan.
+
+    Other names are not needed. A binder named by an atom that no rule
+    mentions cannot give a step that the names the pool keeps do not give
+    too, up to =ac: rules act equivariantly under permutations that fix
+    their atoms (Fernandez and Gabbay, "Nominal rewriting", Inf. Comput.
+    2007), and where a binder carries one of a rule's atoms, the clash shift
+    in `redexes` moves the rule's atoms off it. Two kinds of rule break this
+    (`_tells_unnamed_binders_apart`): one whose right-hand side can make an
+    atom free or bind one, so that the binder's name shows in the result,
+    and one that must keep an atom literally while the clash shift moves
+    them all. For a system with such a rule the binders are also renamed to
+    one fresh atom, which gives those results, and to the term's own atoms,
+    which keep them in the order the full pool found them.
+    """
+    pool = system.atoms()
+    if system._unnamed_binders:
+        pool = pool | term_atoms(term)
+        pool = pool | {fresh_atom(pool)}
+    atoms = sorted(pool, key=lambda a: a.name)
     seen: set[Term] = set()
-    for member in c_class_enumerate(term, system.signature):
-        for variant in alpha_variants(member, pool):
+    for member in _commutative_variants(term, system.signature):
+        for variant in _alpha_variants(member, atoms):
             if variant not in seen:
+                if len(seen) == max_sources:
+                    raise SearchSpaceExceeded(
+                        f"class oracle exceeded max_sources={max_sources}: scanned {len(seen)} sources"
+                    )
                 seen.add(variant)
                 yield variant
 
 
-def _class_steps(term: Term, system: RewriteSystem, max_states: int) -> Iterator[tuple[Term, RewriteStep]]:
+def _class_steps(
+    term: Term, system: RewriteSystem, max_states: int, max_sources: int = DEFAULT_MAX_SOURCES
+) -> Iterator[tuple[Term, RewriteStep]]:
     """Plain matching steps from each member of the ground term's
     commutative-and-alpha class in turn, generated lazily, each paired with
     the member it rewrites; its position refers to that member, not to `term`."""
     plain = system.without_commutativity()
-    for source in _ground_oracle_sources(term, system):
+    for source in _ground_oracle_sources(term, system, max_sources):
         for step in _candidate_steps(EMPTY_CONTEXT, source, plain, max_states):
             yield source, step
+
+
+def ac_key(term: Term, sig: Signature) -> Term:
+    """A ground term's representative modulo =ac: binders renamed as by
+    `canonical_alpha`, then each commutative application's arguments sorted
+    by `str`, bottom-up. Two ground terms are =ac exactly when their keys
+    are equal."""
+    return _sorted_commutative(canonical_alpha(term), sig)
+
+
+def _sorted_commutative(term: Term, sig: Signature) -> Term:
+    if isinstance(term, Abstraction):
+        return Abstraction(term.atom, _sorted_commutative(term.body, sig))
+    if not isinstance(term, App):
+        return term
+    args = tuple(_sorted_commutative(a, sig) for a in term.args)
+    if sig.is_commutative(term.sym):
+        # An atom and a constant may print alike; the type breaks the tie.
+        args = tuple(sorted(args, key=lambda t: (str(t), isinstance(t, Atom))))
+    return App(term.sym, args)
 
 
 def r_over_e_one_step(
@@ -559,17 +708,21 @@ def r_over_e_one_step(
     system: RewriteSystem,
     *,
     max_states: int = DEFAULT_MAX_STATES,
+    max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> tuple[Term, ...]:
     """Ground brute-force oracle: plain rewrites anywhere in the term's
-    commutative-and-alpha class, deduplicated modulo =ac."""
+    commutative-and-alpha class, one per =ac class in order of discovery.
+
+    At most `max_sources` class members (default 10,000) are scanned;
+    past that, SearchSpaceExceeded names the bound.
+    """
     if not is_ground(term):
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
     sig = system.signature
-    results: list[Term] = []
-    for _, step in _class_steps(term, system, max_states):
-        if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, r, sig) for r in results):
-            results.append(step.result)
-    return tuple(results)
+    results: dict[Term, Term] = {}
+    for _, step in _class_steps(term, system, max_states, max_sources):
+        results.setdefault(ac_key(step.result, sig), step.result)
+    return tuple(results.values())
 
 
 def normal_form_equal_check(
@@ -579,13 +732,17 @@ def normal_form_equal_check(
     max_steps: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
+    max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> bool:
     """Compare the matching-based normal form with a class-rewriting normal
-    form of a ground term; they agree modulo =ac exactly on coherent systems."""
+    form of a ground term; they agree modulo =ac exactly on coherent systems.
+
+    Each class scan is bounded by `max_sources` as in `r_over_e_one_step`.
+    """
     if not is_ground(term):
         raise ValueError("normal form comparison is only defined on ground terms")
     nf_matching, _ = normalize(delta, term, system, max_steps, max_states=max_states)
-    nf_class, _ = _normal_form(lambda t: _class_steps(t, system, max_states), term, max_steps)
+    nf_class, _ = _normal_form(lambda t: _class_steps(t, system, max_states, max_sources), term, max_steps)
     return derive_alpha_c(delta, nf_matching, nf_class, system.signature)
 
 

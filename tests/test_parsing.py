@@ -288,6 +288,19 @@ class TestSystemFiles:
             parse_system(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sig:\n  f: 1\n  g: 1 commutative\n", "3:1: commutative symbol g must have arity 2"),
+            ("sig:\n  f: 1\n  g: \u0661 commutative\n", "3:1: commutative symbol g must have arity 2"),
+            ("# header\n\nsig:\n  f: 2 commutative\n  g: 3 commutative\n", "5:1: commutative symbol g must have arity 2"),
+        ],
+    )
+    def test_signature_errors_name_the_entry_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == message
+
     def test_unnamed_rules_get_indices(self):
         loaded = parse_system("sig:\n  f: 1\n\nrules:\n  |- f(X) -> X\n")
         assert loaded.system.rules[0].name == "r1"

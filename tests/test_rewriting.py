@@ -1,9 +1,10 @@
 """Rewriting steps, normalisation, the ground class oracle, and coherence."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from nomc import (
     Abstraction,
@@ -14,17 +15,24 @@ from nomc import (
     REJECTED,
     RewriteRule,
     RewriteSystem,
+    SearchSpaceExceeded,
     Signature,
     StepLimitExceeded,
+    Substitution,
     Suspension,
     Var,
     WITNESSED,
+    ac_key,
     alpha_variants,
+    apply_subst,
     c_class_enumerate,
     canonical_alpha,
     coherence_check,
+    commutative_variants,
     derive_alpha,
     derive_alpha_c,
+    free_atoms,
+    fresh_atom,
     is_ground,
     normal_form_equal_check,
     normalize,
@@ -493,19 +501,301 @@ class TestSkeletonFilter:
         assert [rule.name for rule in prenex.by_head[("not", 1)]] == ["not_exists", "not_forall"]
 
 
-def _eager_r_over_e_one_step(term, system, *, max_states=DEFAULT_MAX_STATES):
-    """`r_over_e_one_step` as it was before the class scan became lazy: every
-    source's primary steps, deduplicated there by alpha, then modulo =ac."""
+def _reference_commutative_variants(term, sig):
+    """`commutative_variants` as it was before it became lazy."""
+    if isinstance(term, (Atom, Suspension)):
+        return (term,)
+    if isinstance(term, Abstraction):
+        return tuple(Abstraction(term.atom, b) for b in _reference_commutative_variants(term.body, sig))
+    arg_variants = [_reference_commutative_variants(a, sig) for a in term.args]
+    out = {}
+    for combo in itertools.product(*arg_variants):
+        out[App(term.sym, combo)] = None
+        if sig.is_commutative(term.sym):
+            out[App(term.sym, (combo[1], combo[0]))] = None
+    return tuple(out)
+
+
+def _reference_alpha_variants(term, pool):
+    """`alpha_variants` on ground terms as it was before it became lazy."""
+    if isinstance(term, Atom):
+        return (term,)
+    out = {}
+    if isinstance(term, Abstraction):
+        for body in _reference_alpha_variants(term.body, pool):
+            out[Abstraction(term.atom, body)] = None
+            free = free_atoms(body)
+            for atom in sorted(pool, key=lambda a: a.name):
+                if atom != term.atom and atom not in free:
+                    swapped = permute_term(Permutation(((term.atom, atom),)), body)
+                    out[Abstraction(atom, swapped)] = None
+        return tuple(out)
+    arg_variants = [_reference_alpha_variants(a, pool) for a in term.args]
+    for combo in itertools.product(*arg_variants):
+        out[App(term.sym, combo)] = None
+    return tuple(out)
+
+
+class TestLazyVariants:
+    """The class oracle reads commutative and alpha variants lazily; they
+    come in the order the eager enumeration gave them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SKELETON_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_same_order_as_the_eager_enumeration(self, name, seed):
+        rng = random.Random(seed)
+        sig = SKELETON_SYSTEMS[name].signature
+        term = random_term(rng, sig, 4)
+        assert commutative_variants(term, sig) == _reference_commutative_variants(term, sig)
+        ground = random_ground_term(rng, sig, 4)
+        pool = set(rng.sample(ATOMS + (Atom("n0"),), rng.randint(0, 5)))
+        assert alpha_variants(ground, pool) == _reference_alpha_variants(ground, pool)
+
+
+class _ReferenceTooCostly(Exception):
+    """The old pool's class outgrew the reference's budget."""
+
+
+def _old_pool_sources(term, system, budget=None):
+    """The class oracle's sources with the binder pool it had before it was
+    cut to the rules' atoms: every atom of the term and of the rules, plus
+    one fresh atom. The reference for the smaller pool; past `budget`
+    sources it gives up (the old pool's classes grow as its size to the
+    number of binders)."""
+    pool = term_atoms(term) | system.atoms()
+    atoms = sorted(pool | {fresh_atom(pool)}, key=lambda a: a.name)
+    seen = set()
+    for member in rewriting._commutative_variants(term, system.signature):
+        for variant in rewriting._alpha_variants(member, atoms):
+            if variant not in seen:
+                if len(seen) == budget:
+                    raise _ReferenceTooCostly
+                seen.add(variant)
+                yield variant
+
+
+def _eager_r_over_e_one_step(term, system, *, max_states=DEFAULT_MAX_STATES, budget=None):
+    """`r_over_e_one_step` as it was before the class scan became lazy and its
+    binder pool shrank: every old-pool source's primary steps, deduplicated
+    there by alpha, then modulo =ac by `derive_alpha_c`."""
     if not is_ground(term):
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
     plain = system.without_commutativity()
     sig = system.signature
     results = []
-    for source in rewriting._ground_oracle_sources(term, system):
+    for source in _old_pool_sources(term, system, budget):
         for step in primary_rewrite_steps(EMPTY_CONTEXT, source, plain, max_states=max_states):
             if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, r, sig) for r in results):
                 results.append(step.result)
     return tuple(results)
+
+
+def _old_pool_verdict(term, system, max_steps, budget=None):
+    """`normal_form_equal_check` on the empty context with the old pool's
+    class normal form; "limit" where a normal form runs past `max_steps`."""
+    plain = system.without_commutativity()
+
+    def steps(t):
+        for source in _old_pool_sources(t, system, budget):
+            for step in primary_rewrite_steps(EMPTY_CONTEXT, source, plain):
+                yield source, step
+
+    try:
+        nf_matching, _ = normalize(EMPTY_CONTEXT, term, system, max_steps)
+        nf_class, _ = rewriting._normal_form(steps, term, max_steps)
+    except StepLimitExceeded:
+        return "limit"
+    return derive_alpha_c(EMPTY_CONTEXT, nf_matching, nf_class, system.signature)
+
+
+def _verdict(term, system, max_steps):
+    try:
+        return normal_form_equal_check(EMPTY_CONTEXT, term, system, max_steps)
+    except StepLimitExceeded:
+        return "limit"
+
+
+_POOL_SIG = "sig:\n  lam: 1\n  app: 2\n  pair: 2 commutative\n  g: 1\n  h: 2\n  f: 2\n  k: 2\n\nrules:\n"
+# Ground systems for the pool property. The bundled three, then rules that
+# are not closed: free atoms on the left, atoms that a right-hand side makes
+# free or binds, a literal atom next to a freshness condition, and rules
+# whose binder atoms the clash shift alone must move.
+POOL_SYSTEMS = {
+    "prenex": SYSTEMS["prenex"],
+    "ex22": SYSTEMS["ex22"],
+    "lambda": load_system_file("lambda").system,
+    "lambda+rules": LAMBDA_RULES,
+    "non-closed": parse_system(
+        _POOL_SIG + "  spin: |- a -> a\n  beta: |- app(lam([a]X), a) -> X\n"
+        "  eta: |- lam([b]app(a, X)) -> X\n  proj: |- pair(a, b) -> b\n"
+    ).system,
+    "intro": parse_system(_POOL_SIG + "  intro: |- g(X) -> f(X, a)\n  keep: a#X |- g(X) -> k(X, X)\n").system,
+    "unbind": parse_system(_POOL_SIG + "  unbind: |- g([a]X) -> k(a, X)\n  keep: a#X |- g(X) -> k(X, X)\n").system,
+    "literal": parse_system(_POOL_SIG + "  lit: a#X |- h(b, X) -> g(X)\n  proj: |- pair(a, b) -> b\n").system,
+    "capture": parse_system(
+        _POOL_SIG + "  capture: |- g(X) -> f(X, lam([b]X))\n  free: |- app(lam([a]X), Y) -> f(X, Y)\n"
+    ).system,
+    "shift": parse_system(
+        _POOL_SIG + "  keep: a#X |- g(X) -> k(X, X)\n  drop: a#X |- g(lam([a]X)) -> X\n"
+        "  swap: a#X, b#Y |- h(X, lam([a]lam([b]Y))) -> h(lam([b]lam([a]Y)), X)\n  proj: |- pair(a, b) -> b\n"
+    ).system,
+}
+
+
+def _same_answers(new, old, sig):
+    """The same length, and element-wise =ac."""
+    return len(new) == len(old) and all(derive_alpha_c(EMPTY_CONTEXT, u, v, sig) for u, v in zip(new, old))
+
+
+def _pool_subject(rng, name):
+    """A random ground term; half the time a rule's left-hand side instance
+    under binders named by the atoms a, b, c, d, so a binder often carries an
+    atom of the rule or of the redex."""
+    system = POOL_SYSTEMS[name]
+    sig = system.signature
+    if not system.rules or rng.random() < 0.5:
+        if name == "prenex":
+            return App("or", (random_prenex_formula(rng, 3), random_prenex_formula(rng, 2)))
+        return random_ground_term(rng, sig, 3)
+    rule = rng.choice(system.rules)
+    theta = Substitution({v: random_ground_term(rng, sig, 1) for v in rule.variables()})
+    term = apply_subst(theta, rule.lhs)
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.7:
+            term = Abstraction(rng.choice(ATOMS), term)
+        else:
+            sym = rng.choice([s for s in sig.symbols if sig.arity(s)])
+            args = [random_ground_term(rng, sig, 1) for _ in range(sig.arity(sym))]
+            args[rng.randrange(len(args))] = term
+            term = App(sym, tuple(args))
+    return term
+
+
+class TestClassPool:
+    """The class oracle renames binders to the rules' atoms, plus one fresh
+    atom only where a rule tells such binders apart; it answers as the old
+    pool of every atom of the term and the rules plus a fresh one did."""
+
+    def test_which_systems_keep_the_fresh_atom(self):
+        keeps = {name: system._unnamed_binders for name, system in POOL_SYSTEMS.items()}
+        assert keeps == {
+            "prenex": False,
+            "ex22": False,
+            "lambda": False,
+            "lambda+rules": True,
+            "non-closed": True,
+            "intro": True,
+            "unbind": True,
+            "literal": True,
+            "capture": True,
+            "shift": False,
+        }
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(POOL_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_same_answers_as_the_old_pool(self, name, seed):
+        system = POOL_SYSTEMS[name]
+        term = _pool_subject(random.Random(seed), name)
+        try:
+            old = _eager_r_over_e_one_step(term, system, budget=5_000)
+            old_verdict = _old_pool_verdict(term, system, 6, budget=5_000)
+        except _ReferenceTooCostly:
+            reject()
+        new = r_over_e_one_step(term, system)
+        assert _same_answers(new, old, system.signature), (str(term), [str(t) for t in new], [str(t) for t in old])
+        assert _verdict(term, system, 6) == old_verdict, str(term)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("intro", "lam([a]g(b))"),
+            ("unbind", "lam([a]g([b]a))"),
+            ("literal", "lam([a]h(b, a))"),
+            ("capture", "lam([a]lam([b]g(f(a, b))))"),
+            ("capture", "lam([a]app(lam([c]c), b))"),
+            ("non-closed", "[b]lam([b]app(a, pair(b, c)))"),
+        ],
+    )
+    def test_rules_that_need_the_fresh_atom(self, name, text):
+        # Each term loses a result unless its binder can also be renamed to
+        # an atom no rule mentions.
+        system = POOL_SYSTEMS[name]
+        term = parse_term(text, system.signature)
+        old = _eager_r_over_e_one_step(term, system)
+        assert _same_answers(r_over_e_one_step(term, system), old, system.signature)
+        no_fresh = RewriteSystem(system.rules, system.signature)
+        object.__setattr__(no_fresh, "_unnamed_binders", False)
+        assert not _same_answers(r_over_e_one_step(term, no_fresh), old, system.signature)
+
+    def test_six_nested_binders_scan_few_sources(self, prenex_system):
+        term = parse_term(
+            "forall([a]forall([b]forall([c]forall([d]forall([e]forall([f]"
+            "or(a, or(b, or(c, or(d, or(e, f)))))))))))",
+            prenex_system.signature,
+        )
+        assert len(list(rewriting._ground_oracle_sources(term, prenex_system))) == 32
+        assert r_over_e_one_step(term, prenex_system) == ()
+
+
+def _or_chain(n):
+    text = f"c{n - 1}"
+    for i in reversed(range(n - 1)):
+        text = f"or(c{i}, {text})"
+    return text
+
+
+class TestSourcesCap:
+    def test_cap_fires_on_a_long_or_chain(self, prenex_system):
+        # 2^19 rearrangements; the scan stops at the bound instead.
+        term = parse_term(_or_chain(20), prenex_system.signature)
+        for check in (
+            lambda: r_over_e_one_step(term, prenex_system, max_sources=500),
+            lambda: normal_form_equal_check(frozenset(), term, prenex_system, 10, max_sources=500),
+        ):
+            with pytest.raises(SearchSpaceExceeded, match=r"max_sources=500: scanned 500 sources"):
+                check()
+
+    def test_results_below_the_cap_are_unchanged(self, prenex_system):
+        sig = prenex_system.signature
+        for text in ("or(not(forall([a]b)), and(c, exists([b]a)))", "or(a, or(b, or(c, forall([a]not(a)))))"):
+            term = parse_term(text, sig)
+            size = len(list(rewriting._ground_oracle_sources(term, prenex_system)))
+            expected = r_over_e_one_step(term, prenex_system)
+            assert expected and r_over_e_one_step(term, prenex_system, max_sources=size) == expected
+            with pytest.raises(SearchSpaceExceeded):
+                r_over_e_one_step(term, prenex_system, max_sources=size - 1)
+            assert normal_form_equal_check(frozenset(), term, prenex_system, 10, max_sources=size)
+
+
+class TestAcKey:
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(("prenex", "ex22", "lambda")), st.integers(0, 2**32 - 1))
+    def test_keys_are_equal_exactly_when_ac_equal(self, name, seed):
+        rng = random.Random(seed)
+        sig = POOL_SYSTEMS[name].signature
+
+        def draw(depth):
+            if name == "prenex":
+                return random_prenex_formula(rng, depth)
+            return random_ground_term(rng, sig, depth)
+
+        s = draw(4)
+        roll = rng.random()
+        if roll < 0.5:
+            t = equivalent_variant(rng, frozenset(), s, sig)
+        elif roll < 0.75:
+            # A variant with two atoms swapped: sometimes =ac, mostly not.
+            x, y = rng.sample(ATOMS, 2)
+            t = permute_term(Permutation(((x, y),)), equivalent_variant(rng, frozenset(), s, sig))
+        else:
+            t = draw(2)
+        assert (ac_key(s, sig) == ac_key(t, sig)) == derive_alpha_c(frozenset(), s, t, sig), (str(s), str(t))
+
+    def test_atom_and_constant_that_print_alike(self):
+        sig = Signature({"pair": (2, True), "c": (0, False)})
+        s, t = App("pair", (Atom("c"), App("c", ()))), App("pair", (App("c", ()), Atom("c")))
+        assert derive_alpha_c(frozenset(), s, t, sig)
+        assert ac_key(s, sig) == ac_key(t, sig)
 
 
 class TestClassOracle:
