@@ -247,9 +247,7 @@ def _cmd_lift_backward(args, system, sig, ctx) -> tuple[dict, str]:
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
     _, trace = normalize(target, rho.apply(term), system, args.max_steps, max_states=args.max_states)
-    outcome = lifting_backward_construct(
-        ctx, term, rho, target, trace, args.fixpoint_depth, system, max_states=args.max_states
-    )
+    outcome = lifting_backward_construct(ctx, term, rho, target, trace, 0, system, max_states=args.max_states)
     if isinstance(outcome, NotFound):
         payload = {"status": "not_found", "step_index": outcome.step_index}
         return payload, f"not found at step {outcome.step_index}"
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="", help="normalised instantiation of the term")
     p.add_argument("--target-context", default="", help="context the instance lives under")
     p.add_argument("--max-steps", type=_bound, default=1000)
-    p.add_argument("--fixpoint-depth", type=_bound, default=1)
 
     return parser
 

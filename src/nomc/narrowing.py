@@ -339,7 +339,7 @@ def lifting_forward_check(
 
 @dataclass(frozen=True)
 class NotFound:
-    """Backward lifting failed to rebuild a narrowing step within bounds."""
+    """Backward lifting found no narrowing step above trace step step_index."""
 
     step_index: int
 
@@ -362,10 +362,11 @@ def lifting_backward_construct(
 
     rho0 must be normalised under delta and satisfy delta0 with delta, and
     the trace must start at s0 rho0. Each trace step is lifted at its
-    recorded position, preferring the direct construction (narrowing unifier
-    = instantiation composed with the recorded matcher, residual identity);
-    when that fails, unifier candidates at the position are searched with
-    fixed-point expansion up to fixpoint_depth.
+    recorded position by one construction: the narrowing unifier is the
+    current instantiation composed with the recorded matcher. The first step
+    takes all of rho0, so every later step's instantiation, and the residue
+    of any non-empty trace, is the identity. fixpoint_depth is unused; it
+    keeps its place for positional callers.
     """
     sig = system.signature
     trace = tuple(trace)
@@ -386,14 +387,12 @@ def lifting_backward_construct(
     steps: list[NarrowingStep] = []
     avoid = _gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta}
     for index, recorded in enumerate(trace):
-        built = _lift_one(
-            node, rho_cur, recorded, delta, system, fixpoint_depth, avoid, max_states
-        )
-        if built is None:
+        step = _lift_one(node, rho_cur, recorded, delta, sig, avoid)
+        if step is None:
             return NotFound(index)
-        step, rho_cur = built
         steps.append(step)
         node = step.child
+        rho_cur = IDENTITY_SUBST
         avoid = avoid | _gather_vars(node) | step.rule_instance.variables()
     return tuple(steps), rho_cur
 
@@ -403,12 +402,14 @@ def _lift_one(
     rho_cur: Substitution,
     recorded: RewriteStep,
     delta: FreshnessContext,
-    system: RewriteSystem,
-    fixpoint_depth: int,
+    sig: Signature,
     avoid: frozenset[Var],
-    max_states: int,
-) -> tuple[NarrowingStep, Substitution] | None:
-    sig = system.signature
+) -> NarrowingStep | None:
+    """The narrowing step above `recorded` whose unifier is rho_cur composed
+    with the recorded matcher, or None. The unifier must solve the step's
+    unification problem (`check_solution`), the child must be =ac to the
+    recorded result under delta, and the unifier must agree with rho_cur on
+    the node's variables, so the residue is the identity."""
     pos = recorded.position
     try:
         sub = subterm_at(node.term, pos.path)
@@ -416,43 +417,15 @@ def _lift_one(
         return None
     if isinstance(sub, Suspension):
         return None
-    recorded_rule = permute_rule(recorded.rule_instance, recorded.perm)
-    renamed, var_map = rename_rule_with_map(recorded_rule, avoid)
+    renamed, var_map = rename_rule_with_map(permute_rule(recorded.rule_instance, recorded.perm), avoid)
     sigma = Substitution(
         {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
     )
+    theta = rho_cur.compose(sigma)
     variables = term_vars(node.term) | {c.var for c in node.context}
-
-    def lifted(candidates, residues):
-        for theta, flagged, child in _children(node, pos, sub, renamed, candidates, sig):
-            for residue in residues:
-                if not satisfies_with(child.context, residue, delta):
-                    continue
-                if not derive_alpha_c(
-                    delta, apply_subst(residue, child.term), recorded.result, sig
-                ):
-                    continue
-                if not all(
-                    derive_alpha_c(
-                        delta,
-                        rho_cur.get(v),
-                        apply_subst(residue, theta.get(v)),
-                        sig,
-                    )
-                    for v in variables
-                ):
-                    continue
-                return NarrowingStep(recorded.rule, pos, theta, flagged, child, node, renamed), residue
-        return None
-
-    # Direct construction: the narrowing unifier is the current instantiation
-    # composed with the recorded matcher, leaving an identity residue (its
-    # context is delta itself, which the identity residue always satisfies).
-    direct = lifted([(delta, rho_cur.compose(sigma), False)], (IDENTITY_SUBST,))
-    if direct is not None:
-        return direct
-    # Fallback: search solver answers at the recorded position.
-    solutions = solve(
-        node.context, sub, renamed.context, renamed.lhs, sig=sig, max_states=max_states
-    )
-    return lifted(_expanded_solutions(solutions, sig, fixpoint_depth), (IDENTITY_SUBST, rho_cur))
+    for _, _, child in _children(node, pos, sub, renamed, [(delta, theta, False)], sig):
+        if derive_alpha_c(delta, child.term, recorded.result, sig) and all(
+            derive_alpha_c(delta, rho_cur.get(v), theta.get(v), sig) for v in variables
+        ):
+            return NarrowingStep(recorded.rule, pos, theta, False, child, node, renamed)
+    return None

@@ -477,7 +477,7 @@ def redexes(
     if none).
     """
     sig = system.signature
-    ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
+    ambient_atoms = None  # the shift's avoid set, built when a shift is first due
     for pos, sub in subterms_with_positions(term):
         if isinstance(sub, Suspension):
             continue
@@ -491,9 +491,12 @@ def redexes(
             if answers:
                 yield pos, sub, prepared, IDENTITY, prepared, answers
                 continue
-            shift = clash_permutation(prepared, term_atoms(sub), ambient_atoms)
-            if shift is None:
+            sub_atoms = term_atoms(sub)
+            if prepared.atoms().isdisjoint(sub_atoms):
                 continue
+            if ambient_atoms is None:
+                ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
+            shift = clash_permutation(prepared, sub_atoms, ambient_atoms)
             shifted = permute_rule(prepared, shift)
             answers = attempt(sub, shifted)
             if answers:

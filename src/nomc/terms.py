@@ -194,9 +194,8 @@ def apply_subst(theta: Substitution, term: Term) -> Term:
     if isinstance(term, Atom):
         return term
     if isinstance(term, Suspension):
-        if term.var in theta.domain:
-            return permute_term(term.perm, theta.get(term.var))
-        return term
+        image = theta._map.get(term.var)
+        return term if image is None else permute_term(term.perm, image)
     if isinstance(term, Abstraction):
         return Abstraction(term.atom, apply_subst(theta, term.body))
     return App(term.sym, tuple(apply_subst(theta, a) for a in term.args))

@@ -180,6 +180,18 @@ class TestNarrowAndLift:
         )
         assert code == 0 and "ok: 1 narrowing step(s)" in out
 
+    def test_lift_backward_not_found(self, capsys, tmp_path):
+        # `flip` rewrites the instance (a c).c = a at the root, where the
+        # term itself is a suspension, so no narrowing step lies above it.
+        path = tmp_path / "flip.nrs"
+        path.write_text("sig:\n  g: 1\nrules:\n  flip: |- a -> b\n")
+        argv = ("lift-backward", "(a c).X", "--system", str(path), "--rho", "X -> c")
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == "not found at step 0\n"
+        code, out = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == {"status": "not_found", "step_index": 0}
+
 
 class TestBounds:
     def test_state_cap_exit_two(self, capsys):
@@ -206,6 +218,8 @@ class TestUsageErrors:
             ["narrow", "h(X)", "--system", "ex22", "--depth", "x"],
             ["solve", "a"],
             ["check", "a # b", "--no-such-option"],
+            # lifting backward builds each step one way, with no fixed-point search
+            ["lift-backward", "not(forall([a]Q))", "--system", "prenex", "--rho", "Q -> b", "--fixpoint-depth", "1"],
             [],
         ],
     )

@@ -1,16 +1,22 @@
 """Narrowing trees, their bounds, and the lifting correspondence."""
 
+import collections
+import dataclasses
 import random
 
 import pytest
 
 from nomc import (
+    Abstraction,
+    App,
     Atom,
     IDENTITY_SUBST,
     NarrowingNode,
+    NarrowingStep,
     NotFound,
     PRECONDITION_FAIL,
     Substitution,
+    Suspension,
     Var,
     derive_alpha_c,
     format_context,
@@ -22,9 +28,21 @@ from nomc import (
     one_step_narrowings,
     parse_context,
     parse_substitution,
+    parse_system,
     parse_term,
+    apply_subst,
+    commutative_variants,
+    primary_rewrite_steps,
+    solve,
+    subterm_at,
+    term_vars,
+    verify_rewrite_step,
 )
-from conftest import random_prenex_formula, random_prenex_pattern
+from nomc import narrowing
+from nomc.alpha import satisfies_with
+from nomc.rewriting import permute_rule, rename_rule_with_map
+from nomc.unify import DEFAULT_MAX_STATES
+from conftest import ATOMS, random_context, random_prenex_formula, random_prenex_pattern, random_term
 
 a, b = Atom("a"), Atom("b")
 X, Z = Var("X"), Var("Z")
@@ -309,8 +327,6 @@ class TestLiftingBackward:
         done = 0
         while done < 25:
             pattern = random_prenex_pattern(rng, 3)
-            from nomc import term_vars
-
             mapping = {}
             for var in term_vars(pattern):
                 image = random_prenex_formula(rng, 2)
@@ -326,3 +342,234 @@ class TestLiftingBackward:
             steps, residue = out
             assert lifting_forward_check(steps, residue, frozenset(), sig) is True
             done += 1
+
+
+# -- backward lifting against the construction it replaced -------------------
+#
+# Backward lifting once tried the direct unifier and, when that failed, a
+# solver search at the recorded position with fixed-point expansion and two
+# candidate residues. The search never returned a step, so it was dropped;
+# the old construction stays here as the reference, counting in `fallback`
+# how often it searched ("entered") and how often that found a step
+# ("returned").
+
+
+def _reference_lifting_backward_construct(
+    delta0, s0, rho0, delta, trace, fixpoint_depth, system, *, fallback, max_states=DEFAULT_MAX_STATES
+):
+    sig = system.signature
+    trace = tuple(trace)
+    for var in sorted(rho0.domain, key=lambda v: v.name):
+        if primary_rewrite_steps(delta, rho0.get(var), system, max_states=max_states):
+            raise ValueError(f"rho0 is not normalised: {var} maps to a reducible term")
+    if not satisfies_with(delta0, rho0, delta):
+        raise ValueError("rho0 does not satisfy the root context under delta")
+    source = apply_subst(rho0, s0)
+    for recorded in trace:
+        if not verify_rewrite_step(delta, source, recorded, sig):
+            raise ValueError("trace does not replay from s0 rho0 under delta")
+        source = recorded.result
+    if not trace:
+        return (), rho0
+    node = NarrowingNode(delta0, s0, IDENTITY_SUBST, 0)
+    rho_cur = rho0
+    steps = []
+    avoid = narrowing._gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta}
+    for index, recorded in enumerate(trace):
+        built = _reference_lift_one(
+            node, rho_cur, recorded, delta, system, fixpoint_depth, avoid, max_states, fallback
+        )
+        if built is None:
+            return NotFound(index)
+        step, rho_cur = built
+        steps.append(step)
+        node = step.child
+        avoid = avoid | narrowing._gather_vars(node) | step.rule_instance.variables()
+    return tuple(steps), rho_cur
+
+
+def _reference_lift_one(node, rho_cur, recorded, delta, system, fixpoint_depth, avoid, max_states, fallback):
+    sig = system.signature
+    pos = recorded.position
+    try:
+        sub = subterm_at(node.term, pos.path)
+    except ValueError:
+        return None
+    if isinstance(sub, Suspension):
+        return None
+    recorded_rule = permute_rule(recorded.rule_instance, recorded.perm)
+    renamed, var_map = rename_rule_with_map(recorded_rule, avoid)
+    sigma = Substitution(
+        {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
+    )
+    variables = term_vars(node.term) | {c.var for c in node.context}
+
+    def lifted(candidates, residues):
+        for theta, flagged, child in narrowing._children(node, pos, sub, renamed, candidates, sig):
+            for residue in residues:
+                if not satisfies_with(child.context, residue, delta):
+                    continue
+                if not derive_alpha_c(
+                    delta, apply_subst(residue, child.term), recorded.result, sig
+                ):
+                    continue
+                if not all(
+                    derive_alpha_c(
+                        delta,
+                        rho_cur.get(v),
+                        apply_subst(residue, theta.get(v)),
+                        sig,
+                    )
+                    for v in variables
+                ):
+                    continue
+                return NarrowingStep(recorded.rule, pos, theta, flagged, child, node, renamed), residue
+        return None
+
+    direct = lifted([(delta, rho_cur.compose(sigma), False)], (IDENTITY_SUBST,))
+    if direct is not None:
+        return direct
+    fallback["entered"] += 1
+    solutions = solve(
+        node.context, sub, renamed.context, renamed.lhs, sig=sig, max_states=max_states
+    )
+    found = lifted(narrowing._expanded_solutions(solutions, sig, fixpoint_depth), (IDENTITY_SUBST, rho_cur))
+    fallback["returned"] += found is not None
+    return found
+
+
+def _lifting_outcome(construct, problem, **kwargs):
+    """What a backward lifting answers, in comparable form: the NotFound,
+    the refusal's message, or each step's rule, position, unifier, child
+    term and child context, with the residue."""
+    try:
+        out = construct(*problem, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, NotFound):
+        return out
+    steps, residue = out
+    return [(s.rule, s.position, s.step_subst, s.child.term, s.child.context) for s in steps], residue
+
+
+def _round_trip_problems(rng, system, count):
+    """Criterion 11's inputs: a random pattern, normal random images, and
+    the trace that normalises the instance."""
+    for _ in range(count):
+        pattern = random_prenex_pattern(rng, 3)
+        rho0 = Substitution(
+            {v: normalize(frozenset(), random_prenex_formula(rng, 2), system, 20)[0] for v in term_vars(pattern)}
+        )
+        _, trace = normalize(frozenset(), rho0.apply(pattern), system, 30)
+        yield frozenset(), pattern, rho0, frozenset(), trace, 1, system
+
+
+def _tier1_lifting_problems(prenex_system, flip_system):
+    """Every backward lifting input of the other tests and of the CLI tests."""
+    sig = prenex_system.signature
+
+    def problem(term, rho, context="", target="", fixpoint_depth=0, system=prenex_system, trace=None):
+        s0 = parse_term(term, system.signature)
+        rho0 = parse_substitution(rho, system.signature)
+        delta = parse_context(target)
+        if trace is None:
+            _, trace = normalize(delta, rho0.apply(s0), system, 30)
+        return parse_context(context), s0, rho0, delta, trace, fixpoint_depth, system
+
+    yield problem("not(forall([a]Q))", "Q -> b")
+    yield problem("not(forall([a]Q))", "Q -> b", fixpoint_depth=1)
+    yield problem("not(forall([a]Q))", "Q -> b", trace=())
+    yield problem("and(P1, not(forall([b]Q1)))", "Q1 -> forall([a]R), P1 -> R", target="a#R")
+    yield problem("not(forall([a]Q))", "Q -> not(forall([a]b))", trace=())
+    yield problem("not(Q)", "Q -> not(exists([a]a))", fixpoint_depth=1)
+    yield problem("not(forall([b]Q))", "Q -> a", context="a#Q", fixpoint_depth=1)
+    yield problem("(a c).X", "X -> c", fixpoint_depth=1, system=flip_system)
+    yield from _round_trip_problems(random.Random(32), prenex_system, 25)
+    yield from _round_trip_problems(random.Random(111), prenex_system, 100)
+
+
+def _rearranged_trace(rng, delta, start, system, length):
+    """Up to `length` steps from `start`, each a random primary step whose
+    result is, half the time, one of its commutative rearrangements."""
+    sig = system.signature
+    trace = []
+    term = start
+    for _ in range(length):
+        steps = primary_rewrite_steps(delta, term, system)
+        if not steps:
+            break
+        step = rng.choice(steps)
+        if rng.random() < 0.5:
+            step = dataclasses.replace(step, result=rng.choice(commutative_variants(step.result, sig)))
+        trace.append(step)
+        term = step.result
+    return tuple(trace)
+
+
+def _rearranged_problems(rng, prenex_system, ex22_system, count):
+    """Seeded prenex and ex22 lifting problems over rearranged traces; the
+    images are random terms brought to normal form."""
+    for index in range(count):
+        delta = frozenset()
+        if index % 2:
+            system = ex22_system
+            sig = system.signature
+            if rng.random() < 0.5:
+                pattern = random_term(rng, sig, 3)
+            else:  # an instance of swap_abs's left-hand side, under h
+                x, y = rng.sample(ATOMS, 2)
+                arg = random_term(rng, sig, 1)
+                pattern = App("h", (App("fC", (Abstraction(x, Abstraction(y, arg)), arg)),))
+            if rng.random() < 0.5:
+                delta = random_context(rng)
+            images = [random_term(rng, sig, 2) for _ in term_vars(pattern)]
+        else:
+            system = prenex_system
+            pattern = random_prenex_pattern(rng, 3)
+            images = [random_prenex_formula(rng, 2) for _ in term_vars(pattern)]
+        variables = sorted(term_vars(pattern), key=lambda v: v.name)
+        rho0 = Substitution(
+            {v: normalize(delta, image, system, 20)[0] for v, image in zip(variables, images)}
+        )
+        trace = _rearranged_trace(rng, delta, rho0.apply(pattern), system, 4)
+        yield frozenset(), pattern, rho0, delta, trace, 1, system
+
+
+class TestLiftingBackwardReference:
+    FLIP = "sig:\n  g: 1\nrules:\n  flip: |- a -> b\n"
+    # Step 0's result is swapped under `and` before not_forall fires at 0,
+    # where the direct unifier cannot reach the swapped-in conjunct.
+    SWAPPED = ("and(not(forall([a]P)), not(forall([a]Q)))", "P -> b, Q -> c", "and(not(forall([a]c)), exists([a]not(b)))")
+
+    def _swapped_problem(self, system):
+        sig = system.signature
+        term, rho, swapped = self.SWAPPED
+        s0, rho0 = parse_term(term, sig), parse_substitution(rho, sig)
+        first = primary_rewrite_steps(frozenset(), rho0.apply(s0), system)[0]
+        first = dataclasses.replace(first, result=parse_term(swapped, sig))
+        second = next(s for s in primary_rewrite_steps(frozenset(), first.result, system) if s.position.path == (0,))
+        return frozenset(), s0, rho0, frozenset(), (first, second), 1, system
+
+    def test_swapped_conjunct_is_not_found_at_step_one(self, prenex_system):
+        problem = self._swapped_problem(prenex_system)
+        assert [(s.rule, str(s.position)) for s in problem[4]] == [("not_forall", "0"), ("not_forall", "0")]
+        fallback = collections.Counter()
+        assert _lifting_outcome(_reference_lifting_backward_construct, problem, fallback=fallback) == NotFound(1)
+        assert fallback == {"entered": 1, "returned": 0}
+        assert lifting_backward_construct(*problem) == NotFound(1)
+
+    def test_same_answers_as_the_solver_fallback(self, prenex_system, ex22_system):
+        flip_system = parse_system(self.FLIP).system
+        problems = list(_tier1_lifting_problems(prenex_system, flip_system))
+        problems.append(self._swapped_problem(prenex_system))
+        problems.extend(_rearranged_problems(random.Random(13), prenex_system, ex22_system, 240))
+        fallback = collections.Counter()
+        outcomes = collections.Counter()
+        for problem in problems:
+            old = _lifting_outcome(_reference_lifting_backward_construct, problem, fallback=fallback)
+            new = _lifting_outcome(lifting_backward_construct, problem)
+            assert new == old, (str(problem[1]), str(problem[2]), [str(s.result) for s in problem[4]])
+            outcomes[type(old).__name__] += 1
+        assert fallback["entered"] >= 1 and fallback["returned"] == 0, fallback
+        # steps, NotFound and refused inputs all occur
+        assert outcomes.keys() == {"tuple", "NotFound", "str"}, outcomes
