@@ -229,13 +229,20 @@ def rename_rule_with_map(
     renaming = fresh_variables(avoid, sorted(rule.variables(), key=lambda v: v.name))
     subst = Substitution({v: Suspension(IDENTITY, w) for v, w in renaming.items()})
     context = frozenset(FreshnessConstraint(c.atom, renaming[c.var]) for c in rule.context)
-    renamed = RewriteRule(
-        rule.name,
-        context,
-        apply_subst(subst, rule.lhs),
-        apply_subst(subst, rule.rhs),
-    )
+    renamed = _rule_copy(rule, context, apply_subst(subst, rule.lhs), apply_subst(subst, rule.rhs), rule.atoms())
     return renamed, renaming
+
+
+def _rule_copy(
+    rule: RewriteRule, context: FreshnessContext, lhs: Term, rhs: Term, atoms: frozenset[Atom]
+) -> RewriteRule:
+    """A copy of `rule` under its name with the given parts and atoms, built
+    without `RewriteRule.__post_init__`: renaming a valid rule's variables
+    or atoms apart keeps it valid, so its checks need not run again."""
+    copy = object.__new__(RewriteRule)
+    for attr, value in (("name", rule.name), ("context", context), ("lhs", lhs), ("rhs", rhs), ("_atoms", atoms)):
+        object.__setattr__(copy, attr, value)
+    return copy
 
 
 def rename_atoms(term: Term, perm: Permutation) -> Term:
@@ -258,7 +265,8 @@ def rename_atoms(term: Term, perm: Permutation) -> Term:
 def permute_rule(rule: RewriteRule, perm: Permutation) -> RewriteRule:
     """Rename a rule's atoms; its schematic variables are untouched."""
     context = frozenset(FreshnessConstraint(perm.act(c.atom), c.var) for c in rule.context)
-    return RewriteRule(rule.name, context, rename_atoms(rule.lhs, perm), rename_atoms(rule.rhs, perm))
+    atoms = frozenset(perm.act(a) for a in rule.atoms())
+    return _rule_copy(rule, context, rename_atoms(rule.lhs, perm), rename_atoms(rule.rhs, perm), atoms)
 
 
 def clash_permutation(rule: RewriteRule, subject_atoms: frozenset[Atom], avoid: frozenset[Atom]) -> Permutation | None:
@@ -508,12 +516,15 @@ def _candidate_steps(
     term: Term,
     system: RewriteSystem,
     max_states: int,
+    avoid: frozenset[Var] | None = None,
 ) -> Iterator[RewriteStep]:
     """Matching steps in redex order with premises verified; the rules come
-    renamed from the system's memo (see `RewriteSystem`). A clash shift is
+    renamed from the system's memo (see `RewriteSystem`), apart from `avoid`
+    (by default the term's and the context's variables). A clash shift is
     recorded on the step as its permutation."""
     sig = system.signature
-    avoid = term_vars(term) | {c.var for c in delta}
+    if avoid is None:
+        avoid = term_vars(term) | {c.var for c in delta}
     renamed = {rule.name: rule for rule in system.renamed_rules(avoid)}
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
     for pos, _, prepared, perm, used, thetas in redexes(
@@ -682,7 +693,8 @@ def _class_steps(
     the member it rewrites; its position refers to that member, not to `term`."""
     plain = system.without_commutativity()
     for source in _ground_oracle_sources(term, system, max_sources):
-        for step in _candidate_steps(EMPTY_CONTEXT, source, plain, max_states):
+        # A ground source under the empty context has no variables to avoid.
+        for step in _candidate_steps(EMPTY_CONTEXT, source, plain, max_states, frozenset()):
             yield source, step
 
 

@@ -115,7 +115,10 @@ Term = Union[Atom, Suspension, Abstraction, App]
 
 
 def permute_term(perm: Permutation, term: Term) -> Term:
-    """Structural permutation action; suspensions compose, binders move too."""
+    """Structural permutation action; suspensions compose, binders move too.
+    The identity permutation gives back `term` itself."""
+    if not perm.swappings:
+        return term
     if isinstance(term, Atom):
         return perm.act(term)
     if isinstance(term, Suspension):
@@ -342,32 +345,32 @@ def is_ground(term: Term) -> bool:
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 
-def fresh_variable(avoid: Iterable[Var], base: str = "X") -> Var:
-    """First variable `<base><n>` not in avoid, counting from 0."""
-    taken = {v.name for v in avoid}
-    stem = _TRAILING_DIGITS.sub("", base) or "X"
+def _fresh_name(taken: set[str], base: str, default: str) -> str:
+    """First `<stem><n>` not in taken, counting from 0, where the stem is
+    `base` without trailing digits (or `default` if nothing is left)."""
+    stem = _TRAILING_DIGITS.sub("", base) or default
     n = 0
     while f"{stem}{n}" in taken:
         n += 1
-    return Var(f"{stem}{n}")
+    return f"{stem}{n}"
+
+
+def fresh_variable(avoid: Iterable[Var], base: str = "X") -> Var:
+    """First variable `<base><n>` not in avoid, counting from 0."""
+    return Var(_fresh_name({v.name for v in avoid}, base, "X"))
 
 
 def fresh_atom(avoid: Iterable[Atom], base: str = "n") -> Atom:
     """First atom `<base><n>` not in avoid, counting from 0."""
-    taken = {a.name for a in avoid}
-    stem = _TRAILING_DIGITS.sub("", base) or "n"
-    n = 0
-    while f"{stem}{n}" in taken:
-        n += 1
-    return Atom(f"{stem}{n}")
+    return Atom(_fresh_name({a.name for a in avoid}, base, "n"))
 
 
 def fresh_variables(avoid: Iterable[Var], bases: Iterable[Var]) -> dict[Var, Var]:
     """Rename each base variable to one fresh for avoid and the earlier picks."""
-    taken = set(avoid)
+    taken = {v.name for v in avoid}
     renaming: dict[Var, Var] = {}
     for var in bases:
-        fresh = fresh_variable(taken, base=var.name)
-        renaming[var] = fresh
-        taken.add(fresh)
+        name = _fresh_name(taken, var.name, "X")
+        renaming[var] = Var(name)
+        taken.add(name)
     return renaming

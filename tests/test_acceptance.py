@@ -321,7 +321,7 @@ def test_criterion_11_lifting_round_trip(prenex_system):
     while done < 100:
         pattern = random_prenex_pattern(rng, 3)
         mapping = {}
-        for var in term_vars(pattern):
+        for var in sorted(term_vars(pattern), key=lambda v: v.name):
             image, _ = normalize(
                 frozenset(), random_prenex_formula(rng, 2), prenex_system, 20
             )

@@ -328,7 +328,7 @@ class TestLiftingBackward:
         while done < 25:
             pattern = random_prenex_pattern(rng, 3)
             mapping = {}
-            for var in term_vars(pattern):
+            for var in sorted(term_vars(pattern), key=lambda v: v.name):
                 image = random_prenex_formula(rng, 2)
                 image, _ = normalize(frozenset(), image, prenex_system, 20)
                 mapping[var] = image
@@ -458,7 +458,10 @@ def _round_trip_problems(rng, system, count):
     for _ in range(count):
         pattern = random_prenex_pattern(rng, 3)
         rho0 = Substitution(
-            {v: normalize(frozenset(), random_prenex_formula(rng, 2), system, 20)[0] for v in term_vars(pattern)}
+            {
+                v: normalize(frozenset(), random_prenex_formula(rng, 2), system, 20)[0]
+                for v in sorted(term_vars(pattern), key=lambda v: v.name)
+            }
         )
         _, trace = normalize(frozenset(), rho0.apply(pattern), system, 30)
         yield frozenset(), pattern, rho0, frozenset(), trace, 1, system

@@ -64,6 +64,7 @@ from conftest import (
     equivalent_variant,
     random_context,
     random_ground_term,
+    random_permutation,
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
@@ -82,6 +83,25 @@ class TestRuleValidation:
     def test_bare_variable_lhs_rejected(self):
         with pytest.raises(ValueError):
             RewriteRule("bad", frozenset(), Suspension(IDENTITY, X), a)
+
+    def test_loose_context_variable_rejected(self):
+        with pytest.raises(ValueError, match="not bound by the left-hand side: Y"):
+            RewriteRule("bad", parse_context("a#Y"), parse_term("g(X)"), Suspension(IDENTITY, X))
+
+    def test_renamed_and_shifted_copies_equal_checked_rules(self):
+        # The copies skip the constructor's checks; each must be the rule
+        # that RewriteRule(...) builds from the same parts.
+        rng = random.Random(14)
+        rules = [rule for name in ("prenex", "ex22", "lambda") for rule in load_system_file(name).system.rules]
+        for rule, _ in itertools.product(rules, range(5)):
+            avoid = frozenset(rng.sample([Var(n) for n in ("X", "X0", "Y", "Z1", "P1", "Q")], rng.randint(0, 4)))
+            renamed, _ = rename_rule_with_map(rule, avoid)
+            subject_atoms = frozenset(rng.sample([Atom(n) for n in ("a", "b", "c", "n0")], rng.randint(1, 3)))
+            shift = clash_permutation(renamed, subject_atoms, subject_atoms) or random_permutation(rng)
+            for copy in (renamed, permute_rule(renamed, shift)):
+                checked = RewriteRule(copy.name, copy.context, copy.lhs, copy.rhs)
+                assert copy == checked and hash(copy) == hash(checked)
+                assert copy.atoms() == checked.atoms()
 
 
 class TestOneStep:

@@ -25,6 +25,7 @@ from nomc import (
     subterms_with_positions,
     term_vars,
 )
+from nomc.terms import fresh_variables
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 X, Y = Var("X"), Var("Y")
@@ -88,6 +89,10 @@ class TestPermutationAction:
     def test_identity_on_application(self):
         t = App("f", (a, Suspension(IDENTITY, X)))
         assert permute_term(IDENTITY, t) == t
+
+    def test_identity_gives_back_the_term_itself(self):
+        for t in (a, Suspension(Permutation(((a, b),)), X), Abstraction(a, App("f", (b, Suspension(IDENTITY, Y))))):
+            assert permute_term(Permutation(), t) is t
 
 
 class TestSubstitution:
@@ -213,6 +218,16 @@ class TestFreshNames:
 
     def test_strips_numeric_suffix_of_base(self):
         assert fresh_variable({Var("Q0")}, base="Q0") == Var("Q1")
+
+    def test_batch_renaming_matches_one_at_a_time(self):
+        avoid = {Var("X0"), Var("Q"), Var("Q0"), Var("Q2")}
+        bases = [Var("Q"), Var("Q1"), Var("X"), Var("7")]
+        taken, expected = set(avoid), {}
+        for var in bases:
+            expected[var] = fresh_variable(taken, base=var.name)
+            taken.add(expected[var])
+        assert fresh_variables(avoid, bases) == expected
+        assert list(expected.values()) == [Var("Q1"), Var("Q3"), Var("X1"), Var("X2")]
 
     def test_vars_of_term(self):
         assert term_vars(parse_term("f((a b).X, [c]Y)")) == {X, Y}

@@ -1,5 +1,6 @@
 """Rule-based unification and matching modulo commutativity."""
 
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from nomc import (
     UNKNOWN,
     UnificationState,
     Var,
+    ac_key,
     check_solution,
     context_of,
     derive_alpha_c,
@@ -34,6 +36,7 @@ from nomc import (
     match,
     parse_context,
     parse_term,
+    permute_term,
     simplify_step,
     solve,
 )
@@ -406,11 +409,48 @@ def _pairwise_enumerator(
     return tuple(out)
 
 
+def _filtering_enumerator(
+    perm: Permutation,
+    var: Var,
+    sig: Signature,
+    depth: int,
+) -> tuple[tuple[FreshnessContext, Substitution], ...]:
+    """The enumerator as it was before it built the fixed classes: every
+    commutative class over the moved atoms, as its least member by `str`,
+    kept when check_solution accepts it."""
+    moved = difference_set(perm, IDENTITY)
+    if not moved:
+        raise ValueError("fixed-point enumeration requires a non-identity permutation")
+    problem = UnificationState(
+        EMPTY_CONTEXT,
+        IDENTITY_SUBST,
+        (EqualityGoal(Suspension(perm, var), Suspension(IDENTITY, var)),),
+    )
+    freshness = frozenset(FreshnessConstraint(a, var) for a in moved)
+    out: list[tuple[FreshnessContext, Substitution]] = [(freshness, IDENTITY_SUBST)]
+    pool: list[Term] = sorted(moved, key=lambda a: a.name)
+    for _ in range(depth):
+        grown = {
+            App(sym, tuple(sorted(pair, key=str)))
+            for sym in sig.commutative_symbols
+            for pair in itertools.combinations_with_replacement(pool, 2)
+        }
+        level = sorted(grown.difference(pool), key=str)
+        for candidate in level:
+            theta = Substitution({var: candidate})
+            if check_solution((EMPTY_CONTEXT, theta), problem, sig):
+                out.append((EMPTY_CONTEXT, theta))
+        pool += level
+    return tuple(out)
+
+
 # Atom and symbol names that are prefixes of one another, so a least member
-# by str cannot be read off a shorter name alone.
+# by str cannot be read off a shorter name alone. Three swappings give
+# 3-cycles, 4-cycles and products of two swappings, whose squares still move
+# atoms, so the construction recurses through pi^2 and pi^4.
 HYP_ATOMS = st.sampled_from([Atom(n) for n in ("a", "ab", "fa", "z")])
 HYP_PERMS = (
-    st.lists(st.tuples(HYP_ATOMS, HYP_ATOMS), min_size=1, max_size=2)
+    st.lists(st.tuples(HYP_ATOMS, HYP_ATOMS), min_size=1, max_size=3)
     .map(lambda swaps: Permutation(tuple(swaps)))
     .filter(lambda p: not p.is_identity())
 )
@@ -420,6 +460,21 @@ HYP_SIGS = st.lists(st.sampled_from(("f", "fC", "g")), max_size=2, unique=True).
 
 
 class TestFixpointClasses:
+    @settings(max_examples=150, deadline=None)
+    @given(HYP_PERMS, HYP_SIGS, st.integers(0, 2))
+    def test_equals_the_filtering_enumerator(self, perm, sig, depth):
+        assert enumerate_fixpoint_solutions(perm, X, sig, depth) == _filtering_enumerator(perm, X, sig, depth)
+
+    @pytest.mark.parametrize("names", ["abc", "abcd"])
+    def test_equals_the_filtering_enumerator_through_squares(self, names):
+        # The cycle (a b)(b c)...: a 4-cycle's square is a product of two
+        # swappings and its fourth power the identity; no power of a 3-cycle
+        # fixes an atom.
+        cycle = [Atom(n) for n in names]
+        perm = Permutation(tuple(zip(cycle, cycle[1:])))
+        sig = Signature({"fC": (2, True)})
+        assert enumerate_fixpoint_solutions(perm, X, sig, 3) == _filtering_enumerator(perm, X, sig, 3)
+
     @settings(max_examples=60, deadline=None)
     @given(HYP_PERMS, HYP_SIGS, st.integers(0, 2))
     def test_equals_the_pairwise_enumerator(self, perm, sig, depth):
@@ -444,12 +499,11 @@ class TestFixpointClasses:
 
     def test_depth_three_over_ex22(self, ex22_system):
         sig = ex22_system.signature
-        perm = Permutation(((a, b),))
-        problem = UnificationState(
-            frozenset(),
-            IDENTITY_SUBST,
-            (EqualityGoal(Suspension(perm, X), Suspension(IDENTITY, X)),),
-        )
-        sols = enumerate_fixpoint_solutions(perm, X, sig, 3)
-        assert len(sols) == 219
-        assert all(check_solution(sol, problem, sig) for sol in sols)
+        c, d = Atom("c"), Atom("d")
+        for swappings, count in ((((a, b),), 219), (((a, b), (c, d)), 2205), (((a, b), (b, c)), 1)):
+            perm = Permutation(swappings)
+            sols = enumerate_fixpoint_solutions(perm, X, sig, 3)
+            assert len(sols) == count
+            terms = [s.get(X) for _, s in sols[1:]]
+            assert len({ac_key(t, sig) for t in terms}) == len(terms)
+            assert all(derive_alpha_c(EMPTY_CONTEXT, permute_term(perm, t), t, sig) for t in terms)
