@@ -155,9 +155,16 @@ def _narrow(args, system, ctx, term) -> NarrowingTree:
     )
 
 
+def _path_index(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise UserError(f"--path entry {entry!r} is not an integer") from None
+
+
 def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
     """Follow 0-based child indices level by level; empty spec means leftmost path."""
-    indices = [int(p) for p in spec.split(",")] if spec else itertools.repeat(0)
+    indices = [_path_index(p) for p in spec.split(",")] if spec else itertools.repeat(0)
     derivation: list[NarrowingStep] = []
     node = tree.root
     for level, index in enumerate(indices):

@@ -654,6 +654,8 @@ def _ground_oracle_sources(
     class oracle rewrites, lazily: each commutative rearrangement, with its
     binders renamed to the atoms the rules mention. Raises
     SearchSpaceExceeded when there are more than `max_sources` to scan.
+    `_class_steps` calls it only for a class with a fitting site
+    (`_class_fits`), so the cap bounds only the classes that need a scan.
 
     Other names are not needed. A binder named by an atom that no rule
     mentions cannot give a step that the names the pool keeps do not give
@@ -685,12 +687,30 @@ def _ground_oracle_sources(
                 yield variant
 
 
+def _class_fits(term: Term, system: RewriteSystem) -> bool:
+    """Does some rule's skeleton fit some subterm of the ground term modulo
+    commutativity? Only then can a member of its commutative-and-alpha class
+    have a plain step: every subterm of a member is a rearranged,
+    alpha-renamed copy of one of the term's, and `skeleton_fits` ignores
+    atom and binder names and tries both orders of a commutative node.
+    Every rule is tried at every subterm, not only where `by_head` files it:
+    renaming a binder can give a bound leaf the atom a rule rewrites."""
+    sig = system.signature
+    return any(
+        skeleton_fits(rule.lhs, sub, sig, False) for _, sub in subterms_with_positions(term) for rule in system.rules
+    )
+
+
 def _class_steps(
     term: Term, system: RewriteSystem, max_states: int, max_sources: int = DEFAULT_MAX_SOURCES
 ) -> Iterator[tuple[Term, RewriteStep]]:
     """Plain matching steps from each member of the ground term's
     commutative-and-alpha class in turn, generated lazily, each paired with
-    the member it rewrites; its position refers to that member, not to `term`."""
+    the member it rewrites; its position refers to that member, not to `term`.
+    A class with no fitting site (`_class_fits`) has none, and no member is
+    generated."""
+    if not _class_fits(term, system):
+        return
     plain = system.without_commutativity()
     for source in _ground_oracle_sources(term, system, max_sources):
         # A ground source under the empty context has no variables to avoid.
@@ -728,8 +748,9 @@ def r_over_e_one_step(
     """Ground brute-force oracle: plain rewrites anywhere in the term's
     commutative-and-alpha class, one per =ac class in order of discovery.
 
-    At most `max_sources` class members (default 10,000) are scanned;
-    past that, SearchSpaceExceeded names the bound.
+    A class with no fitting site (`_class_fits`) is answered, with (),
+    without a scan. Otherwise at most `max_sources` class members (default
+    10,000) are scanned; past that, SearchSpaceExceeded names the bound.
     """
     if not is_ground(term):
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
@@ -752,7 +773,8 @@ def normal_form_equal_check(
     """Compare the matching-based normal form with a class-rewriting normal
     form of a ground term; they agree modulo =ac exactly on coherent systems.
 
-    Each class scan is bounded by `max_sources` as in `r_over_e_one_step`.
+    Each class scan is bounded by `max_sources` as in `r_over_e_one_step`;
+    a class with no fitting site, such as that of a normal form, needs none.
     """
     if not is_ground(term):
         raise ValueError("normal form comparison is only defined on ground terms")

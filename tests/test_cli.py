@@ -245,6 +245,11 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"argument {argv[-2]}: must be 0 or more, got {argv[-1]}" in captured.err
 
+    @pytest.mark.parametrize("spec, entry", [("a,b", "'a'"), ("0,,1", "''"), ("0,x", "'x'")])
+    def test_bad_path_entry_exit_one(self, capsys, spec, entry):
+        code, out = run(capsys, "lift-forward", "h(X)", "--system", "ex22", "--path", spec)
+        assert code == 1 and out.strip() == f"error: --path entry {entry} is not an integer"
+
     @pytest.mark.parametrize("argv", [["--help"], ["narrow", "--help"]])
     def test_help_exit_zero(self, capsys, argv):
         assert run_command(argv) == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -747,33 +748,71 @@ class TestClassPool:
         object.__setattr__(no_fresh, "_unnamed_binders", False)
         assert not _same_answers(r_over_e_one_step(term, no_fresh), old, system.signature)
 
-    def test_six_nested_binders_scan_few_sources(self, prenex_system):
+    def test_six_nested_binders_scan_few_sources(self, prenex_system, monkeypatch):
         term = parse_term(
             "forall([a]forall([b]forall([c]forall([d]forall([e]forall([f]"
             "or(a, or(b, or(c, or(d, or(e, f)))))))))))",
             prenex_system.signature,
         )
         assert len(list(rewriting._ground_oracle_sources(term, prenex_system))) == 32
+        # No prenex rule fits any of its subterms, so the oracle answers
+        # without generating one of those 32 sources.
+        generated = _record_sources(monkeypatch)
         assert r_over_e_one_step(term, prenex_system) == ()
+        assert normal_form_equal_check(frozenset(), term, prenex_system, 10)
+        assert generated == []
 
 
-def _or_chain(n):
-    text = f"c{n - 1}"
+def _record_sources(monkeypatch):
+    """Make the class oracle log every source it generates; returns the log."""
+    generated = []
+    original = rewriting._ground_oracle_sources
+
+    def recording(*args, **kwargs):
+        for source in original(*args, **kwargs):
+            generated.append(source)
+            yield source
+
+    monkeypatch.setattr(rewriting, "_ground_oracle_sources", recording)
+    return generated
+
+
+def _or_chain(n, last=None):
+    """`or(c0, or(c1, ... or(c{n-2}, last)))`; `last` is `c{n-1}` by default."""
+    text = last or f"c{n - 1}"
     for i in reversed(range(n - 1)):
         text = f"or(c{i}, {text})"
     return text
 
 
+# `gg` fits `g(g(b))` but never matches it: `b` is free, so no member of its
+# class renames it to `a`.
+GG_SYSTEM = parse_system("sig:\n  or: 2 commutative\n  g: 1\n\nrules:\n  gg: |- g(g(a)) -> a\n").system
+
+
 class TestSourcesCap:
-    def test_cap_fires_on_a_long_or_chain(self, prenex_system):
-        # 2^19 rearrangements; the scan stops at the bound instead.
-        term = parse_term(_or_chain(20), prenex_system.signature)
+    def test_cap_fires_on_a_long_or_chain(self):
+        # 2^19 rearrangements, each with a fitting site; the scan stops at
+        # the bound instead.
+        term = parse_term(_or_chain(20, "g(g(b))"), GG_SYSTEM.signature)
         for check in (
-            lambda: r_over_e_one_step(term, prenex_system, max_sources=500),
-            lambda: normal_form_equal_check(frozenset(), term, prenex_system, 10, max_sources=500),
+            lambda: r_over_e_one_step(term, GG_SYSTEM, max_sources=500),
+            lambda: normal_form_equal_check(frozenset(), term, GG_SYSTEM, 10, max_sources=500),
         ):
             with pytest.raises(SearchSpaceExceeded, match=r"max_sources=500: scanned 500 sources"):
                 check()
+
+    def test_chain_with_no_fitting_site_needs_no_scan(self, prenex_system, monkeypatch):
+        # No prenex rule fits the bare chain anywhere, so its 2^19 members
+        # are never generated and the cap cannot fire.
+        generated = _record_sources(monkeypatch)
+        for n in (15, 20):
+            term = parse_term(_or_chain(n), prenex_system.signature)
+            start = time.perf_counter()
+            assert r_over_e_one_step(term, prenex_system, max_sources=500) == ()
+            assert normal_form_equal_check(frozenset(), term, prenex_system, 10, max_sources=500)
+            assert time.perf_counter() - start < 1.0
+        assert generated == []
 
     def test_results_below_the_cap_are_unchanged(self, prenex_system):
         sig = prenex_system.signature
@@ -874,6 +913,90 @@ class TestClassOracle:
         assert prenex_system.without_commutativity() is plain
         assert plain.rules == prenex_system.rules
         assert plain.signature == prenex_system.signature.without_commutativity()
+
+
+def _unfiltered_class_steps(term, system):
+    """`_class_steps` as it was before it skipped classes with no fitting
+    site: every source is scanned."""
+    plain = system.without_commutativity()
+    for source in rewriting._ground_oracle_sources(term, system):
+        for step in rewriting._candidate_steps(EMPTY_CONTEXT, source, plain, DEFAULT_MAX_STATES, frozenset()):
+            yield source, step
+
+
+def _class_outcome(class_steps, term, system, max_steps=6):
+    """The one-step oracle's results, then the class normal form with its
+    trace and sources (or the step limit's), under the scan `class_steps`."""
+    sig = system.signature
+    results = {}
+    for _, step in class_steps(term, system):
+        results.setdefault(ac_key(step.result, sig), step.result)
+    sources = []
+
+    def steps(t):
+        for source, step in class_steps(t, system):
+            sources.append(source)
+            yield source, step
+
+    try:
+        nf, trace = rewriting._normal_form(steps, term, max_steps)
+    except StepLimitExceeded as exc:
+        return tuple(results.values()), "limit", exc.term, exc.trace, exc.sources
+    return tuple(results.values()), nf, trace, tuple(sources)
+
+
+def _filtered_class_steps(term, system):
+    return rewriting._class_steps(term, system, DEFAULT_MAX_STATES)
+
+
+class TestClassFilter:
+    """The class oracle generates no source of a class where no rule's
+    skeleton fits any subterm of the term modulo commutativity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(POOL_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_same_answers_as_the_unfiltered_scan(self, name, seed):
+        system = POOL_SYSTEMS[name]
+        term = _pool_subject(random.Random(seed), name)
+        try:
+            old = _class_outcome(_unfiltered_class_steps, term, system)
+            new = _class_outcome(_filtered_class_steps, term, system)
+        except SearchSpaceExceeded:
+            reject()
+        assert new == old, str(term)
+        assert r_over_e_one_step(term, system) == old[0]
+        if old[1] != "limit":
+            # The class normal form: where the filter saves the most.
+            nf = old[1]
+            assert r_over_e_one_step(nf, system) == () == tuple(_unfiltered_class_steps(nf, system))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(POOL_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_no_fitting_site_in_any_member(self, name, seed):
+        system = POOL_SYSTEMS[name]
+        plain = system.without_commutativity()
+        term = _pool_subject(random.Random(seed), name)
+        try:
+            term = rewriting._normal_form(lambda t: _filtered_class_steps(t, system), term, 6)[0]
+        except (StepLimitExceeded, SearchSpaceExceeded):
+            pass
+        if rewriting._class_fits(term, system):
+            return
+        assert tuple(_filtered_class_steps(term, system)) == ()
+        for source in itertools.islice(rewriting._ground_oracle_sources(term, system), 2_000):
+            for _, sub in rewriting.subterms_with_positions(source):
+                for rule in system.rules:
+                    assert not skeleton_fits(rule.lhs, sub, plain.signature, False), (str(source), rule.name)
+            assert primary_rewrite_steps(EMPTY_CONTEXT, source, plain) == ()
+
+    def test_a_renamed_binder_can_carry_a_rules_atom(self):
+        # `b` is no rule's head, but its class holds `lam([a]a)`, where `spin`
+        # rewrites the bound `a`.
+        system = parse_system("sig:\n  lam: 1\n\nrules:\n  spin: |- a -> a\n").system
+        term = parse_term("lam([b]b)", system.signature)
+        assert rewriting.head_key(Atom("b")) not in system.by_head
+        assert rewriting._class_fits(term, system)
+        assert r_over_e_one_step(term, system) == (parse_term("lam([a]a)", system.signature),)
 
 
 def _pairwise_coherence_check(system, samples, max_steps, *, max_states=DEFAULT_MAX_STATES):
