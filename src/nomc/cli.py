@@ -10,6 +10,7 @@ a search or step bound was exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -139,12 +140,7 @@ def _tree_payload(tree: NarrowingTree) -> dict:
             }
             for e in tree.edges
         ],
-        "truncation": {
-            "depth": tree.truncation.depth,
-            "max_unifiers": tree.truncation.max_unifiers,
-            "fixpoint_depth": tree.truncation.fixpoint_depth,
-            "nodes_truncated": tree.truncation.nodes_truncated,
-        },
+        "truncation": dataclasses.asdict(tree.truncation),
     }
 
 
@@ -156,10 +152,10 @@ def _narrow(args, system, ctx, term) -> NarrowingTree:
 
 
 def _path_index(entry: str) -> int:
-    try:
-        return int(entry)
-    except ValueError:
-        raise UserError(f"--path entry {entry!r} is not an integer") from None
+    # int() would also take "1_0", "+1", " 1" and non-ASCII digits.
+    if not (entry.isascii() and entry.isdigit()):
+        raise UserError(f"--path entry {entry!r} is not an integer")
+    return int(entry)
 
 
 def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:

@@ -6,13 +6,19 @@ fixed-point equations are expanded through the bounded fixed-point
 enumerator, so the (potentially infinitely branching) tree is explored up to
 three caller-set bounds: tree depth, unifiers per node, and enumeration
 depth. Every truncation is recorded in the result.
+
+Children are built straight from solver and fixed-point answers, which are
+trusted: narrowing is sound because C-unification is. Backward lifting
+constructs its unifier rather than solving for it, so `_lift_one` checks
+that one with `check_solution`. `narrowing_to_rewriting` is the soundness
+oracle for the steps this module builds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .alpha import (
     EqualityGoal,
@@ -129,11 +135,13 @@ def _expanded_solutions(
     """Close solver answers into usable (context, substitution, flag) triples.
 
     Residual fixed-point equations are expanded through the bounded
-    enumerator; answers without residuals pass through unchanged.
+    enumerator and flagged True; answers without residuals pass through
+    flagged False. Narrowing solves with no protected variables, so no
+    answer has a fixed-point equation discharged by protection.
     """
     for sol in solutions:
         if not sol.residual_fixpoints:
-            yield sol.context, sol.subst, sol.protected_fixpoint_discharged
+            yield sol.context, sol.subst, False
             continue
         option_lists = [
             enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
@@ -152,29 +160,12 @@ def _expanded_solutions(
                 yield context, theta, True
 
 
-def _children(
-    node: NarrowingNode,
-    pos: Position,
-    sub: Term,
-    rule: RewriteRule,
-    candidates: Iterable[tuple[FreshnessContext, Substitution, bool]],
-    sig: Signature,
-) -> Iterator[tuple[Substitution, bool, NarrowingNode]]:
-    """Children of a node for `rule` at `pos`, from candidate (context,
-    substitution, flag) answers that pass a re-check against the
-    unification problem. Yields (step substitution, flag, child)."""
-    problem = UnificationState(
-        node.context | rule.context,
-        IDENTITY_SUBST,
-        (EqualityGoal(rule.lhs, sub),),
-    )
-    rewritten = replace_at(node.term, pos.path, rule.rhs)
-    for context, theta, flagged in candidates:
-        if check_solution((context, theta), problem, sig):
-            child = NarrowingNode(
-                context, apply_subst(theta, rewritten), node.accumulated.compose(theta), node.depth + 1
-            )
-            yield theta, flagged, child
+def _child(
+    node: NarrowingNode, pos: Position, rule: RewriteRule, context: FreshnessContext, theta: Substitution
+) -> NarrowingNode:
+    """The child of a node for `rule` at `pos` under the answer (context, theta)."""
+    rewritten = apply_subst(theta, replace_at(node.term, pos.path, rule.rhs))
+    return NarrowingNode(context, rewritten, node.accumulated.compose(theta), node.depth + 1)
 
 
 def _expand_node(
@@ -200,13 +191,13 @@ def _expand_node(
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, sub, _, _, used, solutions in redexes(
+    for pos, _, _, _, used, solutions in redexes(
         node.context, node.term, system, prepare, attempt, unify=True
     ):
-        candidates = _expanded_solutions(solutions, sig, fixpoint_depth)
-        for theta, flagged, child in _children(node, pos, sub, used, candidates, sig):
+        for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth):
             if len(steps) >= max_unifiers:
                 return steps, True, avoid
+            child = _child(node, pos, used, context, theta)
             steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
             avoid = avoid | _gather_vars(child)
     return steps, False, avoid
@@ -218,11 +209,10 @@ def one_step_narrowings(
     fixpoint_depth: int,
     max_unifiers: int,
     *,
-    avoid: frozenset[Var] = frozenset(),
     max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[NarrowingStep, ...]:
     """All narrowing steps from a node, capped at max_unifiers children."""
-    steps, _, _ = _expand_node(node, system, fixpoint_depth, max_unifiers, avoid, max_states)
+    steps, _, _ = _expand_node(node, system, fixpoint_depth, max_unifiers, frozenset(), max_states)
     return tuple(steps)
 
 
@@ -423,9 +413,14 @@ def _lift_one(
     )
     theta = rho_cur.compose(sigma)
     variables = term_vars(node.term) | {c.var for c in node.context}
-    for _, _, child in _children(node, pos, sub, renamed, [(delta, theta, False)], sig):
-        if derive_alpha_c(delta, child.term, recorded.result, sig) and all(
-            derive_alpha_c(delta, rho_cur.get(v), theta.get(v), sig) for v in variables
-        ):
-            return NarrowingStep(recorded.rule, pos, theta, False, child, node, renamed)
+    problem = UnificationState(
+        node.context | renamed.context, IDENTITY_SUBST, (EqualityGoal(renamed.lhs, sub),)
+    )
+    if not check_solution((delta, theta), problem, sig):
+        return None
+    child = _child(node, pos, renamed, delta, theta)
+    if derive_alpha_c(delta, child.term, recorded.result, sig) and all(
+        derive_alpha_c(delta, rho_cur.get(v), theta.get(v), sig) for v in variables
+    ):
+        return NarrowingStep(recorded.rule, pos, theta, False, child, node, renamed)
     return None

@@ -245,7 +245,11 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"argument {argv[-2]}: must be 0 or more, got {argv[-1]}" in captured.err
 
-    @pytest.mark.parametrize("spec, entry", [("a,b", "'a'"), ("0,,1", "''"), ("0,x", "'x'")])
+    @pytest.mark.parametrize(
+        "spec, entry",
+        # int() would read "1_0" as 10 and take signs, blanks and non-ASCII digits
+        [("a,b", "'a'"), ("0,,1", "''"), ("0,x", "'x'"), ("1_0", "'1_0'"), ("+1", "'+1'"), (" 1", "' 1'"), ("١", "'١'")],
+    )
     def test_bad_path_entry_exit_one(self, capsys, spec, entry):
         code, out = run(capsys, "lift-forward", "h(X)", "--system", "ex22", "--path", spec)
         assert code == 1 and out.strip() == f"error: --path entry {entry} is not an integer"
@@ -318,7 +322,8 @@ class TestErrorsAndJson:
             "--path",
             "-1",
         )
-        assert code == 1 and out.strip() == "error: path index -1 out of range at level 0"
+        # an entry is ASCII digits only, so a sign is rejected before any lookup
+        assert code == 1 and out.strip() == "error: --path entry '-1' is not an integer"
 
     def test_bundled_systems_are_a_regular_package(self):
         import nomc.systems

@@ -10,6 +10,7 @@ from nomc import (
     Abstraction,
     App,
     Atom,
+    EqualityGoal,
     IDENTITY_SUBST,
     NarrowingNode,
     NarrowingStep,
@@ -17,7 +18,9 @@ from nomc import (
     PRECONDITION_FAIL,
     Substitution,
     Suspension,
+    UnificationState,
     Var,
+    check_solution,
     derive_alpha_c,
     format_context,
     lifting_backward_construct,
@@ -42,7 +45,15 @@ from nomc import narrowing
 from nomc.alpha import satisfies_with
 from nomc.rewriting import permute_rule, rename_rule_with_map
 from nomc.unify import DEFAULT_MAX_STATES
-from conftest import ATOMS, random_context, random_prenex_formula, random_prenex_pattern, random_term
+from conftest import (
+    ATOMS,
+    VARS,
+    random_context,
+    random_permutation,
+    random_prenex_formula,
+    random_prenex_pattern,
+    random_term,
+)
 
 a, b = Atom("a"), Atom("b")
 X, Z = Var("X"), Var("Z")
@@ -204,24 +215,35 @@ class TestNarrowingToRewriting:
 
 
 class TestStepSolutions:
-    def test_steps_solve_their_premise_problems(self, ex22_system, prenex_system):
-        from nomc import (
-            EqualityGoal,
-            UnificationState,
-            check_solution,
-            subterm_at,
-        )
+    """Narrowing builds children from solver and fixed-point answers without
+    re-checking them; every edge must still solve its step's problem."""
 
-        cases = (
-            (ex22_system, "h(fC([b][a]X, X))", 2, 2),
-            (prenex_system, "and(P1, not(forall([b]Q1)))", 2, 0),
-        )
-        for system, text, depth, fixpoint_depth in cases:
+    @staticmethod
+    def _ex22_terms(rng, sig):
+        for _ in range(20):
+            x, y = rng.sample(ATOMS, 2)
+            body = Suspension(random_permutation(rng), rng.choice(VARS))
+            pair = (Abstraction(x, Abstraction(y, body)), body)
+            yield App("h", (App("fC", pair if rng.random() < 0.5 else pair[::-1]),))
+        for _ in range(20):
+            yield random_term(rng, sig, 3)
+
+    def test_steps_solve_their_premise_problems(self, ex22_system, prenex_system):
+        rng = random.Random(16)
+        fixed = [
+            (ex22_system, parse_term("h(fC([b][a]X, X))", ex22_system.signature), 2, 2),
+            (prenex_system, parse_term("and(P1, not(forall([b]Q1)))", prenex_system.signature), 2, 0),
+        ]
+        cases = fixed + [(prenex_system, random_prenex_pattern(rng, 3), 2, 1) for _ in range(60)]
+        cases += [
+            (ex22_system, term, 2, 1 + i % 2)
+            for i, term in enumerate(self._ex22_terms(rng, ex22_system.signature))
+        ]
+        kinds = collections.Counter()
+        for index, (system, term, depth, fixpoint_depth) in enumerate(cases):
             sig = system.signature
-            tree = narrow_search(
-                frozenset(), parse_term(text, sig), system, depth, fixpoint_depth, 20
-            )
-            assert tree.edges
+            tree = narrow_search(frozenset(), term, system, depth, fixpoint_depth, 20)
+            assert tree.edges or index >= len(fixed)
             for edge in tree.edges:
                 sub = subterm_at(edge.parent.term, edge.position.path)
                 problem = UnificationState(
@@ -229,9 +251,11 @@ class TestStepSolutions:
                     IDENTITY_SUBST,
                     (EqualityGoal(edge.rule_instance.lhs, sub),),
                 )
-                assert check_solution(
-                    (edge.child.context, edge.step_subst), problem, sig
-                )
+                solution = (edge.child.context, edge.step_subst)
+                assert check_solution(solution, problem, sig), (str(term), str(edge))
+                kinds[system is ex22_system, edge.used_fixpoint_enumeration] += 1
+        # plain and fixed-point edges on ex22, plain edges on prenex
+        assert kinds[True, True] and kinds[True, False] and kinds[False, False], kinds
 
 
 class TestLiftingForward:
@@ -403,9 +427,16 @@ def _reference_lift_one(node, rho_cur, recorded, delta, system, fixpoint_depth, 
         {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
     )
     variables = term_vars(node.term) | {c.var for c in node.context}
+    problem = UnificationState(
+        node.context | renamed.context, IDENTITY_SUBST, (EqualityGoal(renamed.lhs, sub),)
+    )
 
     def lifted(candidates, residues):
-        for theta, flagged, child in narrowing._children(node, pos, sub, renamed, candidates, sig):
+        for context, theta, flagged in candidates:
+            # narrowing trusts solver answers; this reference re-checks its own
+            if not check_solution((context, theta), problem, sig):
+                continue
+            child = narrowing._child(node, pos, renamed, context, theta)
             for residue in residues:
                 if not satisfies_with(child.context, residue, delta):
                     continue
