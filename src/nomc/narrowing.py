@@ -7,11 +7,11 @@ enumerator, so the (potentially infinitely branching) tree is explored up to
 three caller-set bounds: tree depth, unifiers per node, and enumeration
 depth. Every truncation is recorded in the result.
 
-Children are built straight from solver and fixed-point answers, which are
-trusted: narrowing is sound because C-unification is. Backward lifting
-constructs its unifier rather than solving for it, so `_lift_one` checks
-that one with `check_solution`. `narrowing_to_rewriting` is the soundness
-oracle for the steps this module builds.
+Children are built straight from solver and fixed-point answers, with no
+re-check (see `_expanded_solutions`). Backward lifting constructs its
+unifier rather than solving for it, so `_lift_one` checks that one with
+`check_solution`. `narrowing_to_rewriting` is the soundness oracle for the
+steps this module builds.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .terms import (
     Term,
     Var,
     apply_subst,
+    permute_term,
     replace_at,
     subterm_at,
     term_vars,
@@ -136,8 +137,10 @@ def _expanded_solutions(
 
     Residual fixed-point equations are expanded through the bounded
     enumerator and flagged True; answers without residuals pass through
-    flagged False. Narrowing solves with no protected variables, so no
-    answer has a fixed-point equation discharged by protection.
+    flagged False (narrowing protects no variable, so none is discharged).
+    Each option solves its own equation, but `compose` drops its binding if
+    an earlier option bound the same variable; the equation must then hold
+    of the earlier binding, or the combination is dropped.
     """
     for sol in solutions:
         if not sol.residual_fixpoints:
@@ -150,7 +153,11 @@ def _expanded_solutions(
         for combo in itertools.product(*option_lists):
             context = sol.context
             theta = sol.subst
-            for extra_ctx, rho in combo:
+            for (perm, var), (extra_ctx, rho) in zip(sol.residual_fixpoints, combo):
+                if var in theta.domain:
+                    bound = theta.get(var)
+                    if not derive_alpha_c(context, permute_term(perm, bound), bound, sig):
+                        break
                 reduced = freshness_context_nf(context, rho)
                 if reduced is INCONSISTENT:
                     break

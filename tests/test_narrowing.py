@@ -11,6 +11,7 @@ from nomc import (
     App,
     Atom,
     EqualityGoal,
+    IDENTITY,
     IDENTITY_SUBST,
     NarrowingNode,
     NarrowingStep,
@@ -227,6 +228,13 @@ class TestStepSolutions:
             yield App("h", (App("fC", pair if rng.random() < 0.5 else pair[::-1]),))
         for _ in range(20):
             yield random_term(rng, sig, 3)
+        # two residual fixed-point equations on one variable
+        for _ in range(20):
+            x, y = rng.sample(ATOMS, 2)
+            var = Suspension(IDENTITY, rng.choice(VARS))
+            left = App("fC", (var, Suspension(random_permutation(rng), var.var)))
+            right = App("fC", (Suspension(random_permutation(rng), var.var), var))
+            yield App("fC", (Abstraction(x, Abstraction(y, left)), right))
 
     def test_steps_solve_their_premise_problems(self, ex22_system, prenex_system):
         rng = random.Random(16)
@@ -234,6 +242,11 @@ class TestStepSolutions:
             (ex22_system, parse_term("h(fC([b][a]X, X))", ex22_system.signature), 2, 2),
             (prenex_system, parse_term("and(P1, not(forall([b]Q1)))", prenex_system.signature), 2, 0),
         ]
+        # (a b).V = V and (a c).V = V, then (a b).V = V twice: the second
+        # equation holds of no binding of the first, then of every one
+        for perm in ("(a c)", "(a b)"):
+            shared = f"fC([a][b]fC(V, {perm}.V), fC((a b).V, V))"
+            fixed += [(ex22_system, parse_term(shared, ex22_system.signature), 1, d) for d in (1, 2)]
         cases = fixed + [(prenex_system, random_prenex_pattern(rng, 3), 2, 1) for _ in range(60)]
         cases += [
             (ex22_system, term, 2, 1 + i % 2)
