@@ -7,6 +7,15 @@ enumerator, so the (potentially infinitely branching) tree is explored up to
 three caller-set bounds: tree depth, unifiers per node, and enumeration
 depth. Every truncation is recorded in the result.
 
+Each rule is renamed apart before it is unified with a subterm. One name
+supply per search (`NameSupply`), seeded with the root's variables, gives
+the names: at every site where a rule's head fits, the rule's variables
+draw the next fresh names in name order, whether or not its skeleton fits
+there, but the renamed copy is built only where a unifier is attempted.
+The solver introduces no variable and fixed-point images are ground, so a
+child's variables are its parent's or its rule instance's, all taken from
+the supply already.
+
 Children are built straight from solver and fixed-point answers, with no
 re-check (see `_expanded_solutions`). Backward lifting constructs its
 unifier rather than solving for it, so `_lift_one` checks that one with
@@ -39,10 +48,13 @@ from .rewriting import (
     primary_rewrite_steps,
     redexes,
     rename_rule_with_map,
+    renamed_rule,
+    renaming_bases,
     verify_rewrite_step,
 )
 from .terms import (
     IDENTITY_SUBST,
+    NameSupply,
     Position,
     Signature,
     Substitution,
@@ -180,20 +192,18 @@ def _expand_node(
     system: RewriteSystem,
     fixpoint_depth: int,
     max_unifiers: int,
-    avoid: frozenset[Var],
+    names: NameSupply,
     max_states: int,
-) -> tuple[list[NarrowingStep], bool, frozenset[Var]]:
-    """Narrowing steps from a node, renaming each rule apart at each site
-    from every variable seen so far (the avoid set grows as steps are made)."""
+) -> tuple[list[NarrowingStep], bool]:
+    """Narrowing steps from a node, and whether max_unifiers cut them off.
+    Each rule is renamed apart with names drawn from `names` at every site
+    `redexes` offers it, and built only where its skeleton fits."""
     sig = system.signature
     steps: list[NarrowingStep] = []
-    avoid = avoid | _gather_vars(node)
 
-    def prepare(rule: RewriteRule) -> RewriteRule:
-        nonlocal avoid
-        renamed = rename_rule_with_map(rule, avoid)[0]
-        avoid = avoid | renamed.variables()
-        return renamed
+    def prepare(rule: RewriteRule, fits: bool) -> RewriteRule | None:
+        renaming = names.draw(renaming_bases(rule))
+        return renamed_rule(rule, renaming) if fits else None
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
@@ -203,11 +213,10 @@ def _expand_node(
     ):
         for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth):
             if len(steps) >= max_unifiers:
-                return steps, True, avoid
+                return steps, True
             child = _child(node, pos, used, context, theta)
             steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
-            avoid = avoid | _gather_vars(child)
-    return steps, False, avoid
+    return steps, False
 
 
 def one_step_narrowings(
@@ -219,7 +228,8 @@ def one_step_narrowings(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[NarrowingStep, ...]:
     """All narrowing steps from a node, capped at max_unifiers children."""
-    steps, _, _ = _expand_node(node, system, fixpoint_depth, max_unifiers, frozenset(), max_states)
+    names = NameSupply(_gather_vars(node))
+    steps, _ = _expand_node(node, system, fixpoint_depth, max_unifiers, names, max_states)
     return tuple(steps)
 
 
@@ -242,14 +252,12 @@ def narrow_search(
     root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
     edges: list[NarrowingStep] = []
     frontier = [root]
-    avoid = _gather_vars(root)
+    names = NameSupply(_gather_vars(root))
     nodes_truncated = 0
     for _ in range(depth):
         next_frontier: list[NarrowingNode] = []
         for node in frontier:
-            steps, truncated, avoid = _expand_node(
-                node, system, fixpoint_depth, max_unifiers, avoid, max_states
-            )
+            steps, truncated = _expand_node(node, system, fixpoint_depth, max_unifiers, names, max_states)
             if truncated:
                 nodes_truncated += 1
             edges.extend(steps)

@@ -224,13 +224,24 @@ def rename_rule_with_map(
     rule: RewriteRule, avoid: frozenset[Var] | set[Var]
 ) -> tuple[RewriteRule, dict[Var, Var]]:
     """Copy of the rule with variables renamed apart from `avoid`, plus the
-    renaming that was applied. The left-hand side holds every variable of
-    the rule, and they are renamed in name order."""
-    renaming = fresh_variables(avoid, sorted(rule.variables(), key=lambda v: v.name))
+    renaming that was applied: the names are picked as `renaming_bases`
+    orders them, then the copy is built by `renamed_rule`."""
+    renaming = fresh_variables(avoid, renaming_bases(rule))
+    return renamed_rule(rule, renaming), renaming
+
+
+def renaming_bases(rule: RewriteRule) -> list[Var]:
+    """The rule's variables in the order fresh names are picked for them:
+    those of its left-hand side, which holds them all, by name."""
+    return sorted(rule.variables(), key=lambda v: v.name)
+
+
+def renamed_rule(rule: RewriteRule, renaming: dict[Var, Var]) -> RewriteRule:
+    """Copy of the rule with each variable replaced by its image under
+    `renaming`, which must map every one of them."""
     subst = Substitution({v: Suspension(IDENTITY, w) for v, w in renaming.items()})
     context = frozenset(FreshnessConstraint(c.atom, renaming[c.var]) for c in rule.context)
-    renamed = _rule_copy(rule, context, apply_subst(subst, rule.lhs), apply_subst(subst, rule.rhs), rule.atoms())
-    return renamed, renaming
+    return _rule_copy(rule, context, apply_subst(subst, rule.lhs), apply_subst(subst, rule.rhs), rule.atoms())
 
 
 def _rule_copy(
@@ -466,7 +477,7 @@ def redexes(
     context: FreshnessContext,
     term: Term,
     system: RewriteSystem,
-    prepare: Callable[[RewriteRule], RewriteRule],
+    prepare: Callable[[RewriteRule, bool], RewriteRule | None],
     attempt: Callable[[Term, RewriteRule], Sequence],
     unify: bool,
 ) -> Iterator[tuple[Position, Term, RewriteRule, Permutation, RewriteRule, Sequence]]:
@@ -474,11 +485,12 @@ def redexes(
 
     Positions come leftmost-outermost and rules in declaration order; a rule
     is tried only where its left-hand side's head fits the subterm (the
-    system's `by_head` index). `prepare(rule)` gives the rule renamed apart
-    and is called at every such site; the attempt is then skipped when the
-    whole skeleton cannot fit (`skeleton_fits`, with subject variables as
-    wildcards if `unify`). `attempt(subterm, rule)` gives the answers, empty
-    on failure. When the prepared rule fails and its atoms clash with the
+    system's `by_head` index) and its whole skeleton can fit there
+    (`skeleton_fits`, with subject variables as wildcards if `unify`).
+    `prepare(rule, fits)` is called at every head-indexed site, after the
+    skeleton test, with its verdict; where the skeleton fits, it gives the
+    rule renamed apart. `attempt(subterm, rule)` gives the answers, empty on
+    failure. When the prepared rule fails and its atoms clash with the
     subterm's, it is retried once with the clashing atoms moved to fresh
     ones. Each success yields `(position, subterm, prepared, perm, used,
     answers)`, where `used` is `prepared` after the shift `perm` (IDENTITY
@@ -490,10 +502,12 @@ def redexes(
         if isinstance(sub, Suspension):
             continue
         for rule in system.by_head.get(head_key(sub), ()):
-            # Prepare before filtering: narrowing's renaming grows its avoid
-            # set at each call, and the names it picks are part of the answer.
-            prepared = prepare(rule)
-            if not skeleton_fits(rule.lhs, sub, sig, unify):
+            # Narrowing draws fresh names at every head-indexed site, fitting
+            # or not, since the names it picks are part of the answer; it
+            # builds a renamed copy only where the skeleton fits.
+            fits = skeleton_fits(rule.lhs, sub, sig, unify)
+            prepared = prepare(rule, fits)
+            if not fits:
                 continue
             answers = attempt(sub, prepared)
             if answers:
@@ -528,7 +542,7 @@ def _candidate_steps(
     renamed = {rule.name: rule for rule in system.renamed_rules(avoid)}
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
     for pos, _, prepared, perm, used, thetas in redexes(
-        delta, term, system, lambda rule: renamed[rule.name], attempt, unify=False
+        delta, term, system, lambda rule, fits: renamed[rule.name], attempt, unify=False
     ):
         for theta in thetas:
             result = replace_at(term, pos.path, apply_subst(theta, used.rhs))

@@ -345,10 +345,15 @@ def is_ground(term: Term) -> bool:
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 
+def _stem(base: str, default: str) -> str:
+    """`base` without trailing digits, or `default` if nothing is left."""
+    return _TRAILING_DIGITS.sub("", base) or default
+
+
 def _fresh_name(taken: set[str], base: str, default: str) -> str:
     """First `<stem><n>` not in taken, counting from 0, where the stem is
     `base` without trailing digits (or `default` if nothing is left)."""
-    stem = _TRAILING_DIGITS.sub("", base) or default
+    stem = _stem(base, default)
     n = 0
     while f"{stem}{n}" in taken:
         n += 1
@@ -367,10 +372,32 @@ def fresh_atom(avoid: Iterable[Atom], base: str = "n") -> Atom:
 
 def fresh_variables(avoid: Iterable[Var], bases: Iterable[Var]) -> dict[Var, Var]:
     """Rename each base variable to one fresh for avoid and the earlier picks."""
-    taken = {v.name for v in avoid}
-    renaming: dict[Var, Var] = {}
-    for var in bases:
-        name = _fresh_name(taken, var.name, "X")
-        renaming[var] = Var(name)
-        taken.add(name)
-    return renaming
+    return NameSupply(avoid).draw(bases)
+
+
+class NameSupply:
+    """A growing set of taken variable names that fresh variables are drawn
+    from, batch after batch.
+
+    `draw(bases)` gives exactly what `fresh_variables(taken, bases)` gives
+    for the names taken so far, then takes the new names. Names are never
+    given back, so every name below a stem's cursor stays taken, and the
+    search for the stem's next free name starts there instead of at 0.
+    """
+
+    def __init__(self, taken: Iterable[Var]):
+        self._taken = {v.name for v in taken}
+        self._cursor: dict[str, int] = {}
+
+    def draw(self, bases: Iterable[Var]) -> dict[Var, Var]:
+        renaming: dict[Var, Var] = {}
+        for var in bases:
+            stem = _stem(var.name, "X")
+            n = self._cursor.get(stem, 0)
+            while f"{stem}{n}" in self._taken:
+                n += 1
+            name = f"{stem}{n}"
+            self._taken.add(name)
+            self._cursor[stem] = n + 1
+            renaming[var] = Var(name)
+        return renaming

@@ -15,6 +15,7 @@ from nomc import (
     IDENTITY_SUBST,
     NarrowingNode,
     NarrowingStep,
+    NarrowingTree,
     NotFound,
     PRECONDITION_FAIL,
     Substitution,
@@ -39,12 +40,14 @@ from nomc import (
     primary_rewrite_steps,
     solve,
     subterm_at,
+    subterms_with_positions,
     term_vars,
+    TruncationRecord,
     verify_rewrite_step,
 )
-from nomc import narrowing
+from nomc import narrowing, rewriting
 from nomc.alpha import satisfies_with
-from nomc.rewriting import permute_rule, rename_rule_with_map
+from nomc.rewriting import head_key, permute_rule, redexes, rename_rule_with_map, skeleton_fits
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
@@ -620,3 +623,191 @@ class TestLiftingBackwardReference:
         assert fallback["entered"] >= 1 and fallback["returned"] == 0, fallback
         # steps, NotFound and refused inputs all occur
         assert outcomes.keys() == {"tuple", "NotFound", "str"}, outcomes
+
+
+# -- narrowing against eager renaming -----------------------------------------
+#
+# Narrowing once renamed every rule apart at every head-indexed site, before
+# the skeleton test, from an avoid set it grew by each renamed rule and
+# re-gathered from each node and each child. It now draws the same names
+# from one name supply and builds a renamed copy only where a unifier is
+# attempted; the eager construction stays here as the reference.
+
+
+def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, max_states):
+    sig = system.signature
+    steps = []
+    avoid = avoid | narrowing._gather_vars(node)
+
+    def prepare(rule, fits):
+        nonlocal avoid
+        renamed = rename_rule_with_map(rule, avoid)[0]
+        avoid = avoid | renamed.variables()
+        return renamed
+
+    def attempt(sub, rule):
+        return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
+
+    for pos, _, _, _, used, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+        for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth):
+            if len(steps) >= max_unifiers:
+                return steps, True, avoid
+            child = narrowing._child(node, pos, used, context, theta)
+            steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
+            avoid = avoid | narrowing._gather_vars(child)
+    return steps, False, avoid
+
+
+def _reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers):
+    root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
+    edges, frontier = [], [root]
+    avoid = narrowing._gather_vars(root)
+    nodes_truncated = 0
+    for _ in range(depth):
+        next_frontier = []
+        for node in frontier:
+            steps, truncated, avoid = _reference_expand_node(
+                node, system, fixpoint_depth, max_unifiers, avoid, DEFAULT_MAX_STATES
+            )
+            nodes_truncated += truncated
+            edges.extend(steps)
+            next_frontier.extend(s.child for s in steps)
+        frontier = next_frontier
+        if not frontier:
+            break
+    record = TruncationRecord(depth, max_unifiers, fixpoint_depth, nodes_truncated)
+    return NarrowingTree(root, tuple(edges), record)
+
+
+def _tree_outline(tree):
+    """Everything a tree answers, edge by edge, with each parent given as
+    its index among the nodes."""
+    index = {id(node): i for i, node in enumerate(tree.nodes())}
+    edges = [
+        (
+            index[id(e.parent)],
+            e.rule,
+            e.position,
+            e.step_subst,
+            e.rule_instance,
+            e.child.context,
+            e.child.term,
+            e.child.accumulated,
+            e.child.depth,
+            e.used_fixpoint_enumeration,
+        )
+        for e in tree.edges
+    ]
+    return edges, tree.truncation
+
+
+def _swap_family_term(rng):
+    """h(fC([x][y]pi.V, pi.V)) in either argument order."""
+    x, y = rng.sample(ATOMS, 2)
+    body = Suspension(random_permutation(rng), rng.choice(VARS))
+    pair = (Abstraction(x, Abstraction(y, body)), body)
+    return App("h", (App("fC", pair if rng.random() < 0.5 else pair[::-1]),))
+
+
+def _seeded_narrowing_cases(rng, prenex_system, ex22_system, count):
+    """(context, term, system, depth, fixpoint_depth, max_unifiers): seeded
+    prenex patterns, ex22 random terms and the swap_abs family in turn, half
+    of them under a random context, at depths 2-3 with few unifiers."""
+    for index in range(count):
+        kind = index % 3
+        if kind == 0:
+            system, term, fixpoint_depth = prenex_system, random_prenex_pattern(rng, 3), 0
+        elif kind == 1:
+            system, term, fixpoint_depth = ex22_system, random_term(rng, ex22_system.signature, 3), 1
+        else:
+            system, term, fixpoint_depth = ex22_system, _swap_family_term(rng), 1
+        delta = random_context(rng) if rng.random() < 0.5 else frozenset()
+        yield delta, term, system, rng.choice((2, 3)), fixpoint_depth, rng.randint(2, 5)
+
+
+class TestNameSupply:
+    def test_same_trees_as_eager_renaming(self, prenex_system, ex22_system):
+        kinds = collections.Counter()
+        for delta, term, system, depth, fixpoint_depth, max_unifiers in _seeded_narrowing_cases(
+            random.Random(17), prenex_system, ex22_system, 300
+        ):
+            tree = narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            reference = _reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            assert _tree_outline(tree) == _tree_outline(reference), (format_context(delta), str(term))
+            kinds["edges"] += len(tree.edges)
+            kinds["fixpoint"] += sum(e.used_fixpoint_enumeration for e in tree.edges)
+            kinds["truncated"] += tree.truncation.nodes_truncated
+            kinds["context"] += bool(delta) and bool(tree.edges)
+            kinds["deep"] += any(e.child.depth == 3 for e in tree.edges)
+        assert all(kinds[k] for k in ("fixpoint", "truncated", "context", "deep")), kinds
+        assert kinds["edges"] >= 1000, kinds
+
+    def test_one_step_narrowings_match_eager_renaming(self, prenex_system, ex22_system):
+        for delta, term, system, _, fixpoint_depth, max_unifiers in _seeded_narrowing_cases(
+            random.Random(18), prenex_system, ex22_system, 60
+        ):
+            root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
+            steps = one_step_narrowings(root, system, fixpoint_depth, max_unifiers)
+            reference, _, _ = _reference_expand_node(
+                root, system, fixpoint_depth, max_unifiers, frozenset(), DEFAULT_MAX_STATES
+            )
+            tree = NarrowingTree(root, steps, None)
+            assert _tree_outline(tree) == _tree_outline(NarrowingTree(root, tuple(reference), None))
+
+    def test_rule_instances_renamed_apart(self, prenex_system, ex22_system):
+        # Why the supply need not re-gather a child's variables: every
+        # node's variables are the root's or those of an instance above it.
+        for delta, term, system, depth, fixpoint_depth, max_unifiers in _seeded_narrowing_cases(
+            random.Random(19), prenex_system, ex22_system, 90
+        ):
+            tree = narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            root_vars = narrowing._gather_vars(tree.root)
+            instances = {id(e.rule_instance): e.rule_instance.variables() for e in tree.edges}
+            seen = set(root_vars)
+            for variables in instances.values():
+                assert seen.isdisjoint(variables), str(term)
+                seen |= variables
+            above = {id(tree.root): root_vars}
+            for edge in tree.edges:  # breadth first: a parent comes before its children
+                above[id(edge.child)] = above[id(edge.parent)] | edge.rule_instance.variables()
+                assert narrowing._gather_vars(edge.child) <= above[id(edge.child)], (str(term), str(edge))
+
+    def test_copies_built_only_where_attempted(self, prenex_system, ex22_system, monkeypatch):
+        built = collections.Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(narrowing, "renamed_rule", counting("renamed", narrowing.renamed_rule))
+        monkeypatch.setattr(rewriting, "permute_rule", counting("shifted", rewriting.permute_rule))
+        monkeypatch.setattr(narrowing, "solve", counting("attempts", narrowing.solve))
+        # and(a, forall([a]X)) needs and_forall's atom a shifted off
+        clash = parse_term("or(and(a, forall([a]X)), and(a, forall([a]Y)))", prenex_system.signature)
+        cases = [(frozenset(), clash, prenex_system, 2, 0, 0)]
+        cases += _seeded_narrowing_cases(random.Random(20), prenex_system, ex22_system, 60)
+        totals = collections.Counter()
+        for delta, term, system, _, fixpoint_depth, _ in cases:
+            sig = system.signature
+            built.clear()
+            tree = narrow_search(delta, term, system, 2, fixpoint_depth, 1000)
+            assert tree.truncation.nodes_truncated == 0
+            sites = collections.Counter()
+            for node in tree.nodes():
+                if node.depth == 2:
+                    continue
+                for _, sub in subterms_with_positions(node.term):
+                    if not isinstance(sub, Suspension):
+                        for rule in system.by_head.get(head_key(sub), ()):
+                            sites[skeleton_fits(rule.lhs, sub, sig, True)] += 1
+            # one renamed copy per fitting (site, rule) pair, one shifted
+            # copy per retry, and one attempt on each copy
+            assert built["renamed"] == sites[True], str(term)
+            assert built["renamed"] + built["shifted"] == built["attempts"], str(term)
+            totals.update(built)
+            totals.update({"rejected": sites[False]})
+        # an eager renaming at the rejected sites would fail the count
+        assert totals["rejected"] and totals["shifted"], totals

@@ -25,7 +25,7 @@ from nomc import (
     subterms_with_positions,
     term_vars,
 )
-from nomc.terms import fresh_variables
+from nomc.terms import NameSupply, fresh_variables
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 X, Y = Var("X"), Var("Y")
@@ -228,6 +228,17 @@ class TestFreshNames:
             taken.add(expected[var])
         assert fresh_variables(avoid, bases) == expected
         assert list(expected.values()) == [Var("Q1"), Var("Q3"), Var("X1"), Var("X2")]
+
+    @given(st.lists(st.lists(st.sampled_from(["X", "X0", "X2", "Q", "Q1", "Y3", "7"]), max_size=4), max_size=6))
+    def test_supply_draws_what_fresh_variables_picks(self, batches):
+        # Each draw must match fresh_variables over every name taken so far.
+        seed = {Var("X1"), Var("Q0"), Var("Q3"), Var("Y")}
+        supply, taken = NameSupply(seed), set(seed)
+        for names in batches:
+            bases = sorted({Var(n) for n in names}, key=lambda v: v.name)
+            expected = fresh_variables(taken, bases)
+            assert supply.draw(bases) == expected
+            taken |= set(expected.values())
 
     def test_vars_of_term(self):
         assert term_vars(parse_term("f((a b).X, [c]Y)")) == {X, Y}
