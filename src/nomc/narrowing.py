@@ -14,7 +14,8 @@ draw the next fresh names in name order, whether or not its skeleton fits
 there, but the renamed copy is built only where a unifier is attempted.
 The solver introduces no variable and fixed-point images are ground, so a
 child's variables are its parent's or its rule instance's, all taken from
-the supply already.
+the supply already. Backward lifting draws the same way, from one supply
+per derivation, once per lifted step.
 
 Children are built straight from solver and fixed-point answers, with no
 re-check (see `_expanded_solutions`). Backward lifting constructs its
@@ -47,9 +48,7 @@ from .rewriting import (
     premises_hold,
     primary_rewrite_steps,
     redexes,
-    rename_rule_with_map,
     renamed_rule,
-    renaming_bases,
     verify_rewrite_step,
 )
 from .terms import (
@@ -202,7 +201,7 @@ def _expand_node(
     steps: list[NarrowingStep] = []
 
     def prepare(rule: RewriteRule, fits: bool) -> RewriteRule | None:
-        renaming = names.draw(renaming_bases(rule))
+        renaming = names.draw(rule.renaming_bases)
         return renamed_rule(rule, renaming) if fits else None
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
@@ -370,8 +369,10 @@ def lifting_backward_construct(
     recorded position by one construction: the narrowing unifier is the
     current instantiation composed with the recorded matcher. The first step
     takes all of rho0, so every later step's instantiation, and the residue
-    of any non-empty trace, is the identity. fixpoint_depth is unused; it
-    keeps its place for positional callers.
+    of any non-empty trace, is the identity. Each step's rule is renamed
+    apart with names drawn from one supply, seeded with the variables of s0,
+    rho0, delta0 and delta. fixpoint_depth is unused; it keeps its place for
+    positional callers.
     """
     sig = system.signature
     trace = tuple(trace)
@@ -390,15 +391,14 @@ def lifting_backward_construct(
     node = NarrowingNode(delta0, s0, IDENTITY_SUBST, 0)
     rho_cur = rho0
     steps: list[NarrowingStep] = []
-    avoid = _gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta}
+    names = NameSupply(_gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta})
     for index, recorded in enumerate(trace):
-        step = _lift_one(node, rho_cur, recorded, delta, sig, avoid)
+        step = _lift_one(node, rho_cur, recorded, delta, sig, names)
         if step is None:
             return NotFound(index)
         steps.append(step)
         node = step.child
         rho_cur = IDENTITY_SUBST
-        avoid = avoid | _gather_vars(node) | step.rule_instance.variables()
     return tuple(steps), rho_cur
 
 
@@ -408,13 +408,14 @@ def _lift_one(
     recorded: RewriteStep,
     delta: FreshnessContext,
     sig: Signature,
-    avoid: frozenset[Var],
+    names: NameSupply,
 ) -> NarrowingStep | None:
     """The narrowing step above `recorded` whose unifier is rho_cur composed
-    with the recorded matcher, or None. The unifier must solve the step's
-    unification problem (`check_solution`), the child must be =ac to the
-    recorded result under delta, and the unifier must agree with rho_cur on
-    the node's variables, so the residue is the identity."""
+    with the recorded matcher, or None. The recorded rule instance is
+    renamed apart with names drawn from `names`. The unifier must solve the
+    step's unification problem (`check_solution`), the child must be =ac to
+    the recorded result under delta, and the unifier must agree with rho_cur
+    on the node's variables, so the residue is the identity."""
     pos = recorded.position
     try:
         sub = subterm_at(node.term, pos.path)
@@ -422,7 +423,9 @@ def _lift_one(
         return None
     if isinstance(sub, Suspension):
         return None
-    renamed, var_map = rename_rule_with_map(permute_rule(recorded.rule_instance, recorded.perm), avoid)
+    rule = permute_rule(recorded.rule_instance, recorded.perm)
+    var_map = names.draw(rule.renaming_bases)
+    renamed = renamed_rule(rule, var_map)
     sigma = Substitution(
         {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
     )

@@ -29,6 +29,7 @@ from .terms import (
     App,
     Atom,
     IDENTITY,
+    NameSupply,
     Permutation,
     Position,
     Signature,
@@ -76,6 +77,12 @@ class RewriteRule:
         """The rule's variables: those of its left-hand side, which bind the rest."""
         return term_vars(self.lhs)
 
+    @functools.cached_property
+    def renaming_bases(self) -> tuple[Var, ...]:
+        """The rule's variables in the order fresh names are picked for them,
+        by name; computed on first use. Not a field, like `_atoms`."""
+        return tuple(sorted(self.variables(), key=lambda v: v.name))
+
     def atoms(self) -> frozenset[Atom]:
         return self._atoms
 
@@ -89,17 +96,19 @@ class RewriteRule:
 class RewriteSystem:
     """A sequence of rules plus the signature declaring commutative symbols.
 
-    Read-only, so one system can be shared by every caller: attributes
-    cannot be reassigned and `by_head` (head_key -> the rules whose
-    left-hand side has that head, in order) is a read-only mapping.
+    Read-only, so one system can be shared by every caller: everything is
+    built in the constructor, attributes cannot be reassigned, and `by_head`
+    (head_key -> the rules whose left-hand side has that head, in order) is
+    a read-only mapping.
 
-    The system remembers its rules renamed apart from the most recent avoid
-    set (one entry, so memory stays bounded). Renaming is a deterministic
-    function of the rule and the avoid set, so a reused copy is exactly what
-    a fresh renaming would give. Ground terms all share the empty avoid set,
-    which makes the memo hit on every source the class oracle scans. The
-    system also records, once, whether some rule tells binders named by
-    atoms it does not mention apart from its own (`_ground_oracle_sources`).
+    The constructor also builds, once:
+    - `_fresh_rules` (rule name -> the rule renamed apart from no variable,
+      `P` to `P0`), read-only: the copies `_candidate_steps` uses when there
+      is no variable to avoid, as for every source the class oracle scans;
+    - the plain system `without_commutativity()` returns (`self` when no
+      symbol is commutative);
+    - whether some rule tells binders named by atoms it does not mention
+      apart from its own (`_ground_oracle_sources`).
     """
 
     rules: tuple[RewriteRule, ...]
@@ -120,23 +129,18 @@ class RewriteSystem:
         object.__setattr__(self, "by_head", MappingProxyType(by_head))
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
-        object.__setattr__(self, "_renamed", None)  # memos, filled on first use
-        object.__setattr__(self, "_plain", None)
-
-    def renamed_rules(self, avoid: frozenset[Var]) -> tuple[RewriteRule, ...]:
-        """The rules, in order, with variables renamed apart from `avoid`."""
-        if self._renamed is None or self._renamed[0] != avoid:
-            renamed = tuple(rename_rule_with_map(rule, avoid)[0] for rule in self.rules)
-            object.__setattr__(self, "_renamed", (avoid, renamed))
-        return self._renamed[1]
+        fresh = {rule.name: renamed_rule(rule, fresh_variables((), rule.renaming_bases)) for rule in self.rules}
+        object.__setattr__(self, "_fresh_rules", MappingProxyType(fresh))
+        plain = self
+        if self.signature.commutative_symbols:
+            plain = RewriteSystem(self.rules, self.signature.without_commutativity())
+        object.__setattr__(self, "_plain", plain)
 
     def atoms(self) -> frozenset[Atom]:
         return self._atoms
 
     def without_commutativity(self) -> "RewriteSystem":
-        """The same rules with no symbol commutative; built once, then reused."""
-        if self._plain is None:
-            object.__setattr__(self, "_plain", RewriteSystem(self.rules, self.signature.without_commutativity()))
+        """The same rules with no symbol commutative, built with the system."""
         return self._plain
 
     def __repr__(self) -> str:
@@ -220,22 +224,6 @@ def _tells_unnamed_binders_apart(rule: RewriteRule) -> bool:
     return bool(literal) and not term_atoms(rule.lhs) | {c.atom for c in rule.context} <= literal
 
 
-def rename_rule_with_map(
-    rule: RewriteRule, avoid: frozenset[Var] | set[Var]
-) -> tuple[RewriteRule, dict[Var, Var]]:
-    """Copy of the rule with variables renamed apart from `avoid`, plus the
-    renaming that was applied: the names are picked as `renaming_bases`
-    orders them, then the copy is built by `renamed_rule`."""
-    renaming = fresh_variables(avoid, renaming_bases(rule))
-    return renamed_rule(rule, renaming), renaming
-
-
-def renaming_bases(rule: RewriteRule) -> list[Var]:
-    """The rule's variables in the order fresh names are picked for them:
-    those of its left-hand side, which holds them all, by name."""
-    return sorted(rule.variables(), key=lambda v: v.name)
-
-
 def renamed_rule(rule: RewriteRule, renaming: dict[Var, Var]) -> RewriteRule:
     """Copy of the rule with each variable replaced by its image under
     `renaming`, which must map every one of them."""
@@ -291,13 +279,8 @@ def clash_permutation(rule: RewriteRule, subject_atoms: frozenset[Atom], avoid: 
     clash = sorted(rule.atoms() & subject_atoms, key=lambda a: a.name)
     if not clash:
         return None
-    taken = set(avoid) | set(subject_atoms) | set(rule.atoms())
-    swappings = []
-    for atom in clash:
-        replacement = fresh_atom(taken)
-        taken.add(replacement)
-        swappings.append((atom, replacement))
-    return Permutation(tuple(swappings))
+    names = NameSupply(avoid | subject_atoms | rule.atoms())
+    return Permutation(tuple((atom, Atom(names.name("n", "n"))) for atom in clash))
 
 
 class _Replay:
@@ -532,18 +515,24 @@ def _candidate_steps(
     max_states: int,
     avoid: frozenset[Var] | None = None,
 ) -> Iterator[RewriteStep]:
-    """Matching steps in redex order with premises verified; the rules come
-    renamed from the system's memo (see `RewriteSystem`), apart from `avoid`
-    (by default the term's and the context's variables). A clash shift is
-    recorded on the step as its permutation."""
+    """Matching steps in redex order with premises verified; each rule is
+    renamed apart from `avoid` (by default the term's and the context's
+    variables). With nothing to avoid, the copy comes from the system's
+    `_fresh_rules`; otherwise it is built at each site where the rule's
+    skeleton fits, with the names `fresh_variables` picks, which are those
+    of `_fresh_rules` when nothing is avoided. A clash shift is recorded on
+    the step as its permutation."""
     sig = system.signature
     if avoid is None:
         avoid = term_vars(term) | {c.var for c in delta}
-    renamed = {rule.name: rule for rule in system.renamed_rules(avoid)}
+
+    def prepare(rule: RewriteRule, fits: bool) -> RewriteRule | None:
+        if not avoid:
+            return system._fresh_rules[rule.name]
+        return renamed_rule(rule, fresh_variables(avoid, rule.renaming_bases)) if fits else None
+
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
-    for pos, _, prepared, perm, used, thetas in redexes(
-        delta, term, system, lambda rule, fits: renamed[rule.name], attempt, unify=False
-    ):
+    for pos, _, prepared, perm, used, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:
             result = replace_at(term, pos.path, apply_subst(theta, used.rhs))
             yield RewriteStep(prepared.name, pos, perm, theta, result, prepared)

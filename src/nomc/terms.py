@@ -345,29 +345,14 @@ def is_ground(term: Term) -> bool:
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 
-def _stem(base: str, default: str) -> str:
-    """`base` without trailing digits, or `default` if nothing is left."""
-    return _TRAILING_DIGITS.sub("", base) or default
-
-
-def _fresh_name(taken: set[str], base: str, default: str) -> str:
-    """First `<stem><n>` not in taken, counting from 0, where the stem is
-    `base` without trailing digits (or `default` if nothing is left)."""
-    stem = _stem(base, default)
-    n = 0
-    while f"{stem}{n}" in taken:
-        n += 1
-    return f"{stem}{n}"
-
-
 def fresh_variable(avoid: Iterable[Var], base: str = "X") -> Var:
     """First variable `<base><n>` not in avoid, counting from 0."""
-    return Var(_fresh_name({v.name for v in avoid}, base, "X"))
+    return Var(NameSupply(avoid).name(base, "X"))
 
 
 def fresh_atom(avoid: Iterable[Atom], base: str = "n") -> Atom:
     """First atom `<base><n>` not in avoid, counting from 0."""
-    return Atom(_fresh_name({a.name for a in avoid}, base, "n"))
+    return Atom(NameSupply(avoid).name(base, "n"))
 
 
 def fresh_variables(avoid: Iterable[Var], bases: Iterable[Var]) -> dict[Var, Var]:
@@ -376,28 +361,31 @@ def fresh_variables(avoid: Iterable[Var], bases: Iterable[Var]) -> dict[Var, Var
 
 
 class NameSupply:
-    """A growing set of taken variable names that fresh variables are drawn
-    from, batch after batch.
+    """A growing set of taken names that fresh names are drawn from, one
+    after another: the names of the variables or atoms it is seeded with,
+    and every name it has given out.
 
-    `draw(bases)` gives exactly what `fresh_variables(taken, bases)` gives
-    for the names taken so far, then takes the new names. Names are never
-    given back, so every name below a stem's cursor stays taken, and the
-    search for the stem's next free name starts there instead of at 0.
+    `name(base, default)` gives the first `<stem><n>` not taken, counting
+    from 0, where the stem is `base` without trailing digits (or `default`
+    if nothing is left), then takes it. Names are never given back, so
+    every name below a stem's cursor stays taken, and the search for the
+    stem's next free name starts there instead of at 0.
     """
 
-    def __init__(self, taken: Iterable[Var]):
+    def __init__(self, taken: Iterable[Var | Atom]):
         self._taken = {v.name for v in taken}
         self._cursor: dict[str, int] = {}
 
+    def name(self, base: str, default: str) -> str:
+        stem = _TRAILING_DIGITS.sub("", base) or default
+        n = self._cursor.get(stem, 0)
+        while f"{stem}{n}" in self._taken:
+            n += 1
+        name = f"{stem}{n}"
+        self._taken.add(name)
+        self._cursor[stem] = n + 1
+        return name
+
     def draw(self, bases: Iterable[Var]) -> dict[Var, Var]:
-        renaming: dict[Var, Var] = {}
-        for var in bases:
-            stem = _stem(var.name, "X")
-            n = self._cursor.get(stem, 0)
-            while f"{stem}{n}" in self._taken:
-                n += 1
-            name = f"{stem}{n}"
-            self._taken.add(name)
-            self._cursor[stem] = n + 1
-            renaming[var] = Var(name)
-        return renaming
+        """A fresh variable for each base variable in turn, named after it."""
+        return {var: Var(self.name(var.name, "X")) for var in bases}

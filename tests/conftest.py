@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from nomc import (
     permute_term,
 )
 from nomc.cli import load_system_file
+from nomc.rewriting import renamed_rule
 
 ATOMS = tuple(Atom(n) for n in "abcd")
 VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
@@ -164,3 +166,32 @@ def random_substitution(rng: random.Random, sig: Signature, variables=VARS, dept
         if rng.random() < 0.6:
             mapping[var] = random_ground_term(rng, sig, depth)
     return Substitution(mapping)
+
+
+# -- fresh names, the old way ---------------------------------------------------
+#
+# Fresh names once came from a search loop of their own, and rules were
+# renamed apart from an avoid set that every caller grew itself. Both stay
+# here as references for the name supply (`nomc.terms.NameSupply`).
+
+
+def reference_fresh_name(taken, base, default):
+    """First `<stem><n>` not in taken, counting from 0, where the stem is
+    `base` without trailing digits (or `default` if nothing is left)."""
+    stem = re.sub(r"\d+$", "", base) or default
+    n = 0
+    while f"{stem}{n}" in taken:
+        n += 1
+    return f"{stem}{n}"
+
+
+def rename_rule_with_map(rule, avoid):
+    """Copy of the rule with variables renamed apart from `avoid`, plus the
+    renaming: each of its variables, by name, takes the first fresh name
+    for avoid and the earlier picks."""
+    taken = {v.name for v in avoid}
+    renaming = {}
+    for var in sorted(rule.variables(), key=lambda v: v.name):
+        renaming[var] = Var(reference_fresh_name(taken, var.name, "X"))
+        taken.add(renaming[var].name)
+    return renamed_rule(rule, renaming), renaming

@@ -302,7 +302,7 @@ class TestErrorsAndJson:
             system.by_head.clear()
         with pytest.raises(TypeError):
             system.by_head[("not", 1)] = ()
-        for attr in ("rules", "by_head", "signature", "_renamed"):
+        for attr in ("rules", "by_head", "signature", "_fresh_rules", "_plain"):
             with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
                 setattr(system, attr, None)
         code, out = run(capsys, "normalize", "not(exists([a]b))", "--system", "prenex")

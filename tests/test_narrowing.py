@@ -47,7 +47,7 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.alpha import satisfies_with
-from nomc.rewriting import head_key, permute_rule, redexes, rename_rule_with_map, skeleton_fits
+from nomc.rewriting import head_key, permute_rule, redexes, skeleton_fits
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
@@ -57,6 +57,7 @@ from conftest import (
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
+    rename_rule_with_map,
 )
 
 a, b = Atom("a"), Atom("b")

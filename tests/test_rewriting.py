@@ -1,5 +1,8 @@
 """Rewriting steps, normalisation, the ground class oracle, and coherence."""
 
+import collections
+import dataclasses
+import functools
 import itertools
 import random
 import time
@@ -15,6 +18,7 @@ from nomc import (
     Permutation,
     REJECTED,
     RewriteRule,
+    RewriteStep,
     RewriteSystem,
     SearchSpaceExceeded,
     Signature,
@@ -35,15 +39,19 @@ from nomc import (
     free_atoms,
     fresh_atom,
     is_ground,
+    lifting_backward_construct,
+    narrow_search,
     normal_form_equal_check,
     normalize,
     one_step_rewrites,
     parse_context,
+    parse_substitution,
     parse_system,
     parse_term,
     permute_term,
     primary_rewrite_steps,
     r_over_e_one_step,
+    replace_at,
     solve,
     subterm_at,
     term_atoms,
@@ -56,7 +64,6 @@ from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
     permute_rule,
-    rename_rule_with_map,
     skeleton_fits,
 )
 from nomc.unify import DEFAULT_MAX_STATES
@@ -69,6 +76,7 @@ from conftest import (
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
+    rename_rule_with_map,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -308,11 +316,11 @@ def _normalize_outcome(ctx, term, system):
 
 
 class TestPreparedRules:
-    """Rules are renamed once per avoid set; reusing them may not change a
-    step."""
+    """A shared system's renamed rules, from its table or built at a site,
+    may not change a step."""
 
     # Ground, then non-ground (variables named like the rules' own), then
-    # ground again, so a reused system's memo must follow the avoid set.
+    # ground again, so a reused system must follow the avoid set.
     TERMS = {
         "prenex": (
             "or(not(forall([a]b)), and(a, exists([b]c)))",
@@ -357,21 +365,50 @@ class TestPreparedRules:
             direct = clash_permutation(step.rule_instance, term_atoms(sub), term_atoms(term))
             assert direct is not None and step.perm == direct
 
-    def test_oracle_renames_each_rule_at_most_twice(self, monkeypatch):
-        renamed = []
-        original = rewriting.rename_rule_with_map
+    @staticmethod
+    def _count_copies(monkeypatch):
+        built = []
+        original = rewriting.renamed_rule
 
-        def counting(rule, avoid):
-            renamed.append(rule.name)
-            return original(rule, avoid)
+        def counting(rule, renaming):
+            built.append(rule.name)
+            return original(rule, renaming)
 
-        monkeypatch.setattr(rewriting, "rename_rule_with_map", counting)
+        monkeypatch.setattr(rewriting, "renamed_rule", counting)
+        return built
+
+    def test_class_scan_builds_no_renamed_copy(self, monkeypatch):
         loaded = load_system_file("prenex").system
-        system = RewriteSystem(loaded.rules, loaded.signature)  # a cold renaming memo
+        system = RewriteSystem(loaded.rules, loaded.signature)
+        built = self._count_copies(monkeypatch)
         term = parse_term("and(a, not(or(b, forall([a]and(c, exists([b]a))))))", system.signature)
         assert normal_form_equal_check(frozenset(), term, system, 10)
-        assert renamed
-        assert max(renamed.count(rule.name) for rule in system.rules) <= 2
+        assert r_over_e_one_step(term, system)
+        assert built == []
+
+    def test_non_ground_scan_builds_one_copy_per_fitting_site(self, monkeypatch):
+        built = self._count_copies(monkeypatch)
+        total = 0
+        for name, texts in self.TERMS.items():
+            system = load_system_file(name).system
+            sig = system.signature
+            for text in texts:
+                term = parse_term(text, sig)
+                for delta in (frozenset(), parse_context("a#P, c#Q1")):
+                    if not term_vars(term) | {c.var for c in delta}:
+                        continue
+                    fitting = [
+                        (pos, rule.name)
+                        for pos, sub in rewriting.subterms_with_positions(term)
+                        if not isinstance(sub, Suspension)
+                        for rule in system.by_head.get(rewriting.head_key(sub), ())
+                        if skeleton_fits(rule.lhs, sub, sig, False)
+                    ]
+                    built.clear()
+                    primary_rewrite_steps(delta, term, system)
+                    assert sorted(built) == sorted(rule for _, rule in fitting), (name, text)
+                    total += len(fitting)
+        assert total >= 10
 
 
 SYSTEMS = {name: load_system_file(name).system for name in ("prenex", "ex22")}
@@ -423,6 +460,100 @@ class TestFirstRedexScans:
                 break
         _, first = next(rewriting._class_steps(term, system, 100_000), (None, None))
         assert (first and first.result) == expected
+
+
+def _eager_candidate_steps(delta, term, system, max_states=DEFAULT_MAX_STATES):
+    """`_candidate_steps` as it was with the renaming memo: every rule is
+    renamed apart from the term's and the context's variables before the
+    scan, by the old search loop."""
+    avoid = term_vars(term) | {c.var for c in delta}
+    renamed = {rule.name: rename_rule_with_map(rule, avoid)[0] for rule in system.rules}
+    attempt = functools.partial(rewriting._verified_matchers, delta, sig=system.signature, max_states=max_states)
+    for pos, _, prepared, perm, used, thetas in rewriting.redexes(
+        delta, term, system, lambda rule, fits: renamed[rule.name], attempt, unify=False
+    ):
+        for theta in thetas:
+            result = replace_at(term, pos.path, apply_subst(theta, used.rhs))
+            yield RewriteStep(prepared.name, pos, perm, theta, result, prepared)
+
+
+def _eager_outcomes(delta, term, system):
+    """primary_rewrite_steps, one_step_rewrites and normalize's outcome over
+    the eager renaming."""
+    primary = rewriting._dedup_steps(delta, _eager_candidate_steps(delta, term, system))
+    expanded = [
+        dataclasses.replace(step, result=variant)
+        for step in _eager_candidate_steps(delta, term, system)
+        for variant in commutative_variants(step.result, system.signature)
+    ]
+    steps = lambda t: ((t, step) for step in _eager_candidate_steps(delta, t, system))
+    try:
+        nf, trace = rewriting._normal_form(steps, term, 6)
+        outcome = "nf", nf, _step_fields(trace)
+    except StepLimitExceeded as exc:
+        outcome = "limit", exc.term, _step_fields(exc.trace)
+    return _step_fields(primary), _step_fields(rewriting._dedup_steps(delta, expanded)), outcome
+
+
+class TestSameStepsAsEagerRenaming:
+    def test_non_ground_steps(self):
+        rng = random.Random(21)
+        seen = collections.Counter()
+        for index in range(400):
+            name = ("prenex", "ex22")[index % 2]
+            system = SYSTEMS[name]
+            term, delta = _random_subject(rng, name), random_context(rng)
+            if is_ground(term):
+                continue
+            primary = primary_rewrite_steps(delta, term, system)
+            new = (
+                _step_fields(primary),
+                _step_fields(one_step_rewrites(delta, term, system)),
+                _normalize_outcome(delta, term, system),
+            )
+            assert new == _eager_outcomes(delta, term, system), (name, str(term))
+            seen[name] += bool(primary)
+            seen["shifted"] += any(step.perm != IDENTITY for step in primary)
+            seen["context"] += bool(delta) and bool(primary)
+        assert all(seen[k] >= 3 for k in ("prenex", "ex22", "shifted", "context")), seen
+
+
+# Every operation on a system, on ground and non-ground input.
+READ_ONLY_CASES = {
+    # ground term, non-ground term, a normalised substitution for it
+    "prenex": ("and(a, not(or(b, forall([a]and(c, exists([b]a))))))", "or(P, not(forall([b]Q)))", "P -> a, Q -> c"),
+    "ex22": ("h(fC([a][b]c, c))", "h(fC([b][a]X, X))", "X -> c"),
+    "lambda": ("lam([a]app(a, b))", "lam([a]app(a, X))", "X -> b"),
+}
+
+
+class TestReadOnlySystem:
+    def test_operations_leave_every_attribute_in_place(self):
+        systems = {name: load_system_file(name).system for name in READ_ONLY_CASES}
+        watched = [s for system in systems.values() for s in (system, system.without_commutativity())]
+        before = [dict(vars(s)) for s in watched]
+        lifted = 0
+        for name, (ground_text, open_text, rho_text) in READ_ONLY_CASES.items():
+            system = systems[name]
+            sig = system.signature
+            ground, open_term = parse_term(ground_text, sig), parse_term(open_text, sig)
+            rho = parse_substitution(rho_text, sig)
+            delta = parse_context("c#P, a#X")
+            for ctx, term in ((frozenset(), ground), (delta, open_term)):
+                normalize(ctx, term, system, 10)
+                one_step_rewrites(ctx, term, system)
+                coherence_check(system, [(ctx, term, term)], 2)
+                narrow_search(ctx, term, system, 2, 1, 5)
+            r_over_e_one_step(ground, system)
+            assert normal_form_equal_check(frozenset(), ground, system, 10)
+            for s0, rho0 in ((ground, Substitution()), (open_term, rho)):
+                _, trace = normalize(frozenset(), rho0.apply(s0), system, 10)
+                out = lifting_backward_construct(frozenset(), s0, rho0, frozenset(), trace, 1, system)
+                lifted += bool(out) and len(out[0])
+        assert lifted >= 3
+        for system, snapshot in zip(watched, before):
+            assert vars(system).keys() == snapshot.keys()
+            assert all(vars(system)[key] is value for key, value in snapshot.items()), system
 
 
 # The bundled lambda system has no rules. These rules extend its signature

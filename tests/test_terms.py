@@ -16,7 +16,9 @@ from nomc import (
     Suspension,
     Var,
     apply_subst,
+    RewriteRule,
     difference_set,
+    fresh_atom,
     fresh_variable,
     parse_term,
     permute_term,
@@ -25,7 +27,9 @@ from nomc import (
     subterms_with_positions,
     term_vars,
 )
+from nomc.rewriting import clash_permutation
 from nomc.terms import NameSupply, fresh_variables
+from conftest import reference_fresh_name
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 X, Y = Var("X"), Var("Y")
@@ -202,6 +206,10 @@ class TestPositions:
             replace_at(parse_term("f(a, b)"), (2,), b)
 
 
+# Names shaped like fresh names, a stem alone, and digits alone.
+NAMES = ["n", "n0", "n1", "n2", "n10", "x2", "0", "X", "X0", "X2", "a"]
+
+
 class TestFreshNames:
     def test_avoids_given_names(self):
         assert fresh_variable({Var("X0")}, base="X") == Var("X1")
@@ -239,6 +247,27 @@ class TestFreshNames:
             expected = fresh_variables(taken, bases)
             assert supply.draw(bases) == expected
             taken |= set(expected.values())
+
+    @given(st.sets(st.sampled_from(NAMES)), st.sampled_from(NAMES + ["", "X", "Q1"]))
+    def test_fresh_variable_and_atom_match_the_old_loop(self, taken, base):
+        assert fresh_variable({Var(n) for n in taken}, base) == Var(reference_fresh_name(taken, base, "X"))
+        assert fresh_atom({Atom(n) for n in taken}, base) == Atom(reference_fresh_name(taken, base, "n"))
+        assert fresh_atom({Atom(n) for n in taken}) == Atom(reference_fresh_name(taken, "n", "n"))
+
+    @given(*(st.sets(st.sampled_from(NAMES), min_size=size) for size in (1, 0, 0)))
+    def test_clash_permutation_matches_the_old_loop(self, rule_names, subject_names, avoid_names):
+        lhs = App("f", tuple(Atom(n) for n in sorted(rule_names)))
+        rule = RewriteRule("r", frozenset(), lhs, lhs)
+        subject, avoid = frozenset(map(Atom, subject_names)), frozenset(map(Atom, avoid_names))
+        clash = sorted(rule.atoms() & subject, key=lambda atom: atom.name)
+        expected = None
+        if clash:
+            taken, swappings = {atom.name for atom in avoid | subject | rule.atoms()}, []
+            for atom in clash:
+                swappings.append((atom, Atom(reference_fresh_name(taken, "n", "n"))))
+                taken.add(swappings[-1][1].name)
+            expected = Permutation(tuple(swappings))
+        assert clash_permutation(rule, subject, avoid) == expected
 
     def test_vars_of_term(self):
         assert term_vars(parse_term("f((a b).X, [c]Y)")) == {X, Y}
