@@ -155,6 +155,33 @@ def derive_alpha(ctx: FreshnessContext, s: Term, t: Term) -> bool:
 _NO_COMMUTATIVITY = Signature()
 
 
+def alpha_key(term: Term, binders: tuple[Atom, ...] = ()) -> object:
+    """A key shared by plain alpha-equal terms: `ctx |- s =a t` (`derive_alpha`)
+    implies `alpha_key(s) == alpha_key(t)`, under any context.
+
+    An atom bound by an enclosing abstraction becomes its de Bruijn index
+    (its first occurrence in `binders`, innermost first), a free atom keeps
+    its name, a suspension keeps only its variable, and an application keeps
+    its symbol. The implication holds by induction on the judgement. Atoms
+    are alpha-equal only to themselves, suspensions only with the same
+    variable, applications argument by argument. For `[a]s =a [b]t` with
+    `a != b` the judgement needs `s =a (a b).t`, so `s` under `a, binders`
+    has the key of `(a b).t` under `a, binders`, and it needs `a#t`. That
+    key is also the key of `t` under `b, binders`: an atom `x` of `t`
+    becomes `(a b)x`, whose lookup meets the swapped inner binders first,
+    then `a` where `t` has `b`, then `binders`. It finds the same index or
+    name for every `x` except an `a` free in `t` outside a suspension, which
+    `a#t` excludes; a suspension's key drops its permutation.
+    """
+    if isinstance(term, Atom):
+        return binders.index(term) if term in binders else term
+    if isinstance(term, Suspension):
+        return term.var
+    if isinstance(term, Abstraction):
+        return (None, alpha_key(term.body, (term.atom,) + binders))
+    return (term.sym,) + tuple(alpha_key(arg, binders) for arg in term.args)
+
+
 def freshness_context_nf(
     ctx: FreshnessContext, theta: Substitution
 ) -> FreshnessContext | Sentinel:

@@ -11,7 +11,6 @@ strategy only ever follows the first (plain) result.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -20,6 +19,7 @@ from .alpha import (
     EMPTY_CONTEXT,
     FreshnessConstraint,
     FreshnessContext,
+    alpha_key,
     derive_alpha,
     derive_alpha_c,
     satisfies_with,
@@ -283,6 +283,9 @@ def clash_permutation(rule: RewriteRule, subject_atoms: frozenset[Atom], avoid: 
     return Permutation(tuple((atom, Atom(names.name("n", "n"))) for atom in clash))
 
 
+_END = object()  # `_Replay`'s end marker, distinct from any item
+
+
 class _Replay:
     """A lazily generated sequence that several loops can read from the
     start; each item is generated once, when the first loop reaches it."""
@@ -295,8 +298,8 @@ class _Replay:
         index = 0
         while True:
             if index == len(self._items):
-                item = next(self._source, None)
-                if item is None:
+                item = next(self._source, _END)
+                if item is _END:
                     return
                 self._items.append(item)
             yield self._items[index]
@@ -539,9 +542,15 @@ def _candidate_steps(
 
 
 def _dedup_steps(delta: FreshnessContext, steps: Iterable[RewriteStep]) -> tuple[RewriteStep, ...]:
+    """The steps whose results are not alpha-equal to an earlier kept
+    result, in order. Alpha-equal terms share their `alpha_key`, so a step is
+    compared only with the kept results in its key's bucket."""
     kept: list[RewriteStep] = []
+    buckets: dict[object, list[Term]] = {}
     for step in steps:
-        if not any(derive_alpha(delta, step.result, k.result) for k in kept):
+        bucket = buckets.setdefault(alpha_key(step.result), [])
+        if not any(derive_alpha(delta, step.result, other) for other in bucket):
+            bucket.append(step.result)
             kept.append(step)
     return tuple(kept)
 
@@ -804,21 +813,24 @@ def _reachable(
     system: RewriteSystem,
     max_steps: int,
     max_states: int,
-) -> list[Term]:
-    """Every term reachable in at most max_steps rewrite steps (term included)."""
-    seen: dict[Term, None] = {term: None}  # insertion-ordered set
+) -> Iterator[Term]:
+    """Every term reachable in at most max_steps rewrite steps, the term
+    first, then each in breadth-first order of discovery. Each term's steps
+    are enumerated only once the reader asks past what is already found."""
+    seen = {term}
+    yield term
     frontier = [term]
     for _ in range(max_steps):
         nxt: list[Term] = []
         for t in frontier:
             for step in primary_rewrite_steps(delta, t, system, max_states=max_states):
                 if step.result not in seen:
-                    seen[step.result] = None
+                    seen.add(step.result)
                     nxt.append(step.result)
+                    yield step.result
         if not nxt:
             break
         frontier = nxt
-    return list(seen)
 
 
 def coherence_check(
@@ -833,6 +845,13 @@ def coherence_check(
     For every one-step reduct of the first term, search within the bound for
     reducts closing the diagram with the second term. NOT-WITNESSED is
     evidence of trouble, not a proof of incoherence.
+
+    Both terms' one-step reducts are enumerated in full. A reduct of `t1`
+    is first compared with each reduct of `t2`; only if none is =ac to it
+    are their reach sets walked, pair by pair, each generated only as far
+    as the walk reads and memoised per sample. So `max_states` can be hit
+    only in a reach set that the verdict reads: where the walk closes
+    before it, the answer is WITNESSED, not SearchSpaceExceeded.
     """
     sig = system.signature
     verdicts: list[CoherenceVerdict] = []
@@ -842,15 +861,17 @@ def coherence_check(
             continue
         # Per-sample memos; t2's steps are due only once t1 has a step.
         steps = functools.cache(lambda t: primary_rewrite_steps(delta, t, system, max_states=max_states))
-        reach = functools.cache(lambda t: _reachable(delta, t, system, max_steps, max_states))
+        reach = functools.cache(lambda t: _Replay(_reachable(delta, t, system, max_steps, max_states)))
         verdict = CoherenceVerdict(index, WITNESSED)
         for step in steps(t1):
-            reach_left = reach(step.result)
-            if not any(
+            rights = steps(t2)
+            closed = any(derive_alpha_c(delta, step.result, right.result, sig) for right in rights) or any(
                 derive_alpha_c(delta, u, v, sig)
-                for right in steps(t2)
-                for u, v in itertools.product(reach_left, reach(right.result))
-            ):
+                for right in rights
+                for u in reach(step.result)
+                for v in reach(right.result)
+            )
+            if not closed:
                 verdict = CoherenceVerdict(index, NOT_WITNESSED, f"no closing reduct for {step.result}")
                 break
         verdicts.append(verdict)

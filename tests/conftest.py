@@ -17,6 +17,7 @@ from nomc import (
     Substitution,
     Suspension,
     Var,
+    derive_alpha,
     derive_freshness,
     permute_term,
 )
@@ -195,3 +196,18 @@ def rename_rule_with_map(rule, avoid):
         renaming[var] = Var(reference_fresh_name(taken, var.name, "X"))
         taken.add(renaming[var].name)
     return renamed_rule(rule, renaming), renaming
+
+
+# -- step dedup, the old way ------------------------------------------------------
+#
+# Steps were once deduplicated by comparing each with every kept step. The
+# loop stays here as the reference for the bucketed dedup.
+
+
+def reference_dedup_steps(delta, steps):
+    """The steps whose results are not alpha-equal to any kept result, in order."""
+    kept = []
+    for step in steps:
+        if not any(derive_alpha(delta, step.result, k.result) for k in kept):
+            kept.append(step)
+    return tuple(kept)

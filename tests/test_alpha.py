@@ -20,6 +20,7 @@ from nomc import (
     apply_subst,
     check_problem,
     context_of,
+    derive_alpha,
     derive_alpha_c,
     derive_freshness,
     freshness_context_nf,
@@ -27,7 +28,7 @@ from nomc import (
     parse_term,
     permute_term,
 )
-from nomc.alpha import satisfies_with
+from nomc.alpha import alpha_key, satisfies_with
 from conftest import (
     ATOMS,
     equivalent_variant,
@@ -210,6 +211,35 @@ class TestOracleAgreement:
             derived = derive_alpha_c(frozenset(), s, t, sig)
             by_class = canonical_alpha(t) in c_class_enumerate(canonical_alpha(s), sig)
             assert derived == by_class, (str(s), str(t))
+
+
+class TestAlphaKey:
+    """Plain alpha-equal terms share their `alpha_key`, so step dedup may
+    compare only terms with equal keys."""
+
+    def test_bound_atoms_become_indices(self):
+        assert alpha_key(parse_term("[a]a", LAMBDA_SIG)) == alpha_key(parse_term("[b]b", LAMBDA_SIG))
+        assert alpha_key(parse_term("[a][b]app(a, b)", LAMBDA_SIG)) == alpha_key(parse_term("[b][a]app(b, a)", LAMBDA_SIG))
+        assert alpha_key(parse_term("[a][a]a", LAMBDA_SIG)) != alpha_key(parse_term("[a][b]a", LAMBDA_SIG))
+        assert alpha_key(parse_term("[a]b", LAMBDA_SIG)) != alpha_key(parse_term("[b]a", LAMBDA_SIG))
+        # A bound atom and a free one never share a key.
+        assert alpha_key(parse_term("lam([a]a)", LAMBDA_SIG)) != alpha_key(parse_term("lam([a]b)", LAMBDA_SIG))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_alpha_equal_terms_share_the_key(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            ctx = random_context(rng, size=8)
+            s = random_term(rng, LAMBDA_SIG, 4)
+            # Binders renamed under freshness, suspensions twisted within ctx.
+            t = equivalent_variant(rng, ctx, s, LAMBDA_SIG)
+            assert derive_alpha(ctx, s, t), (str(s), str(t))
+            assert alpha_key(s) == alpha_key(t), (str(s), str(t))
+            # Over two atoms, unrelated terms are alpha-equal now and then.
+            u, v = (random_term(rng, LAMBDA_SIG, 2, atoms=ATOMS[:2]) for _ in range(2))
+            if derive_alpha(ctx, u, v):
+                assert alpha_key(u) == alpha_key(v), (str(u), str(v))
 
 
 class TestProblems:

@@ -207,6 +207,18 @@ class TestBounds:
         )
         assert code == 2 and "bound exhausted" in out
 
+    def test_coherence_spends_the_state_cap_only_where_the_verdict_reads(self, capsys):
+        # t1's one reduct, or(exists([a]not(a)), not(Z)), is t2's too, so the
+        # diagram closes without a reach set. Rewriting that reduct again
+        # needs more than 12 states, so a cap from 6 to 12 must not fire;
+        # the one-step reducts themselves need 6.
+        argv = ("coherence", "or(not(forall([b]b)), not(Z))", "or(not(forall([a]a)), not(Z))")
+        argv += ("--system", "prenex", "--max-steps", "1", "--max-states")
+        code, out = run(capsys, *argv, "6")
+        assert (code, out) == (0, "WITNESSED\n")
+        code, out = run(capsys, *argv, "5")
+        assert code == 2 and "exceeded 5 states" in out
+
 
 class TestUsageErrors:
     # Exit 2 means a bound was exhausted, so argparse's own exit 2 for a

@@ -76,6 +76,7 @@ from conftest import (
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
+    reference_dedup_steps,
     rename_rule_with_map,
 )
 
@@ -480,7 +481,7 @@ def _eager_candidate_steps(delta, term, system, max_states=DEFAULT_MAX_STATES):
 def _eager_outcomes(delta, term, system):
     """primary_rewrite_steps, one_step_rewrites and normalize's outcome over
     the eager renaming."""
-    primary = rewriting._dedup_steps(delta, _eager_candidate_steps(delta, term, system))
+    primary = reference_dedup_steps(delta, _eager_candidate_steps(delta, term, system))
     expanded = [
         dataclasses.replace(step, result=variant)
         for step in _eager_candidate_steps(delta, term, system)
@@ -492,7 +493,7 @@ def _eager_outcomes(delta, term, system):
         outcome = "nf", nf, _step_fields(trace)
     except StepLimitExceeded as exc:
         outcome = "limit", exc.term, _step_fields(exc.trace)
-    return _step_fields(primary), _step_fields(rewriting._dedup_steps(delta, expanded)), outcome
+    return _step_fields(primary), _step_fields(reference_dedup_steps(delta, expanded)), outcome
 
 
 class TestSameStepsAsEagerRenaming:
@@ -516,6 +517,40 @@ class TestSameStepsAsEagerRenaming:
             seen["shifted"] += any(step.perm != IDENTITY for step in primary)
             seen["context"] += bool(delta) and bool(primary)
         assert all(seen[k] >= 3 for k in ("prenex", "ex22", "shifted", "context")), seen
+
+
+PAIRING = {"prenex": "or", "ex22": "fC", "lambda+rules": "plus"}  # a commutative symbol of each
+
+
+class TestBucketedDedup:
+    def test_steps_equal_the_pairwise_dedup(self):
+        # `_dedup_steps` compares a step only with kept steps of equal
+        # `alpha_key`; the pairwise loop must keep the very same steps.
+        rng = random.Random(19)
+        dropped = collections.Counter()
+        for index in range(240):
+            name = ("prenex", "ex22", "lambda+rules")[index % 3]
+            system = SKELETON_SYSTEMS[name]
+            sig = system.signature
+            term = _random_subject(rng, name) if name in SYSTEMS else random_term(rng, sig, 3)
+            delta = random_context(rng)
+            if rng.random() < 0.5:
+                # Rewriting either side of a commutative pair gives results
+                # alpha-equal up to rearrangement.
+                term = App(PAIRING[name], (term, equivalent_variant(rng, delta, term, sig)))
+            candidates = list(rewriting._candidate_steps(delta, term, system, DEFAULT_MAX_STATES))
+            expanded = [
+                dataclasses.replace(step, result=variant)
+                for step in candidates
+                for variant in commutative_variants(step.result, sig)
+            ]
+            primary = reference_dedup_steps(delta, candidates)
+            one_step = reference_dedup_steps(delta, expanded)
+            assert _step_fields(primary_rewrite_steps(delta, term, system)) == _step_fields(primary), str(term)
+            assert _step_fields(one_step_rewrites(delta, term, system)) == _step_fields(one_step), str(term)
+            dropped[name] += len(expanded) - len(one_step)
+        # Each system's subjects have alpha-equal results to drop.
+        assert all(dropped[name] >= 3 for name in SKELETON_SYSTEMS), dropped
 
 
 # Every operation on a system, on ground and non-ground input.
@@ -1130,9 +1165,28 @@ class TestClassFilter:
         assert r_over_e_one_step(term, system) == (parse_term("lam([a]a)", system.signature),)
 
 
+def _eager_reachable(delta, term, system, max_steps, max_states):
+    """`rewriting._reachable` as it was before it became a generator: the
+    whole breadth-first reach set, as a list."""
+    seen = {term: None}  # insertion-ordered set
+    frontier = [term]
+    for _ in range(max_steps):
+        nxt = []
+        for t in frontier:
+            for step in primary_rewrite_steps(delta, t, system, max_states=max_states):
+                if step.result not in seen:
+                    seen[step.result] = None
+                    nxt.append(step.result)
+        if not nxt:
+            break
+        frontier = nxt
+    return list(seen)
+
+
 def _pairwise_coherence_check(system, samples, max_steps, *, max_states=DEFAULT_MAX_STATES):
-    """`coherence_check` as it was before its reach sets were memoised: each
-    `t2` reduct's reach set is recomputed for every `t1` step."""
+    """`coherence_check` as it was before its reach sets were memoised and
+    read lazily: every reach set is built in full, and each `t2` reduct's
+    reach set is recomputed for every `t1` step."""
     sig = system.signature
     verdicts = []
     for index, (delta, t1, t2) in enumerate(samples):
@@ -1144,12 +1198,12 @@ def _pairwise_coherence_check(system, samples, max_steps, *, max_states=DEFAULT_
         detail = ""
         t2_steps = None
         for step in t1_steps:
-            reach_left = rewriting._reachable(delta, step.result, system, max_steps, max_states)
+            reach_left = _eager_reachable(delta, step.result, system, max_steps, max_states)
             if t2_steps is None:
                 t2_steps = primary_rewrite_steps(delta, t2, system, max_states=max_states)
             witnessed = False
             for right in t2_steps:
-                reach_right = rewriting._reachable(delta, right.result, system, max_steps, max_states)
+                reach_right = _eager_reachable(delta, right.result, system, max_steps, max_states)
                 if any(
                     derive_alpha_c(delta, u, v, sig)
                     for u in reach_left
@@ -1205,7 +1259,24 @@ class TestCoherenceReach:
             assert verdict.status == status
             assert (verdict,) == _pairwise_coherence_check(system, [sample], max_steps)
 
-    def test_no_reach_set_is_computed_twice(self, monkeypatch, prenex_system):
+    def test_the_walk_reads_reach_sets_only_as_far_as_it_closes(self):
+        # t1's reduct L = lam([a]f(f(e, e), f(e, e))) meets t2's reduct d at
+        # d's first reduct, L itself. Rewriting L needs more than 5 states,
+        # but the walk never reads past L in its own reach set.
+        system = parse_system(
+            "sig:\n  lam: 1\n  f: 2 commutative\n\nrules:\n"
+            "  atom_a: |- a -> f(f(e, e), f(e, e))\n  join_id: |- lam([b]b) -> d\n"
+            "  back: |- d -> lam([a]f(f(e, e), f(e, e)))\n  flat: |- f(f(X1, X2), f(X3, X4)) -> e\n"
+        ).system
+        sig = system.signature
+        sample = (frozenset(), parse_term("lam([a]a)", sig), parse_term("lam([b]b)", sig))
+        with pytest.raises(SearchSpaceExceeded):
+            primary_rewrite_steps(frozenset(), parse_term("lam([a]f(f(e, e), f(e, e)))", sig), system, max_states=5)
+        assert coherence_check(system, [sample], 1, max_states=5) == (rewriting.CoherenceVerdict(0, WITNESSED),)
+
+    def test_no_reach_set_is_computed_twice(self, monkeypatch):
+        # Two reducts of t1, lam([a]c) and lam([a]e), close with t2's reduct
+        # d only after a further step; both walks read d's reach set.
         seen = []
         original = rewriting._reachable
 
@@ -1214,10 +1285,31 @@ class TestCoherenceReach:
             return original(delta, term, system, max_steps, max_states)
 
         monkeypatch.setattr(rewriting, "_reachable", recording)
-        sig = prenex_system.signature
-        t1 = parse_term("or(not(forall([a]b)), not(forall([c]d)))", sig)
-        t2 = parse_term("or(not(forall([c]d)), not(forall([a]b)))", sig)
-        (verdict,) = coherence_check(prenex_system, [(frozenset(), t1, t2)], 3)
+        system = parse_system(
+            "sig:\n  lam: 1\n\nrules:\n  atom_c: |- a -> c\n  atom_e: |- a -> e\n"
+            "  join_c: |- lam([a]c) -> d\n  join_e: |- lam([a]e) -> d\n  join_id: |- lam([b]b) -> d\n"
+        ).system
+        sig = system.signature
+        sample = (frozenset(), parse_term("lam([a]a)", sig), parse_term("lam([b]b)", sig))
+        (verdict,) = coherence_check(system, [sample], 1)
         assert verdict.status == WITNESSED
-        assert len(seen) > 2
-        assert len(set(seen)) == len(seen)
+        assert verdict == _pairwise_coherence_check(system, [sample], 1)[0]
+        assert [str(t) for t in seen] == ["lam([a]c)", "d", "lam([a]e)"]
+
+    def test_a_reduct_closed_at_once_needs_no_reach_set(self, monkeypatch, prenex_system):
+        # README's sample: every reduct of t1 is =ac to a reduct of t2, so
+        # only t1 and t2 are rewritten.
+        rewritten = []
+        original = rewriting.primary_rewrite_steps
+
+        def recording(delta, term, system, **kwargs):
+            rewritten.append(term)
+            return original(delta, term, system, **kwargs)
+
+        monkeypatch.setattr(rewriting, "primary_rewrite_steps", recording)
+        sig = prenex_system.signature
+        t1 = parse_term("or(not(forall([a]Q1)), P1)", sig)
+        t2 = parse_term("or(P1, not(forall([a]Q1)))", sig)
+        (verdict,) = coherence_check(prenex_system, [(frozenset(), t1, t2)], 10)
+        assert verdict == rewriting.CoherenceVerdict(0, WITNESSED)
+        assert rewritten == [t1, t2]
