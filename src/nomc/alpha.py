@@ -26,16 +26,26 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+# Slotted frozen dataclasses with their own __init__, like the term nodes
+# (see terms.py).
+
+
+@dataclass(frozen=True, slots=True)
 class FreshnessConstraint:
     """Primitive constraint a#X: atom a cannot occur free in instances of X."""
 
     atom: Atom
     var: Var
 
+    def __init__(self, atom: Atom, var: Var) -> None:
+        _set_constraint_atom(self, atom)
+        _set_constraint_var(self, var)
+
     def __str__(self) -> str:
         return f"{self.atom}#{self.var}"
 
+
+_set_constraint_atom, _set_constraint_var = FreshnessConstraint.atom.__set__, FreshnessConstraint.var.__set__
 
 FreshnessContext = frozenset[FreshnessConstraint]
 
@@ -52,27 +62,40 @@ def format_context(ctx: FreshnessContext) -> str:
     return ", ".join(str(c) for c in sorted(ctx, key=lambda c: (c.atom.name, c.var.name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreshnessGoal:
     """Goal a#t for an arbitrary term t."""
 
     atom: Atom
     term: Term
 
+    def __init__(self, atom: Atom, term: Term) -> None:
+        _set_goal_atom(self, atom)
+        _set_goal_term(self, term)
+
     def __str__(self) -> str:
         return f"{self.atom}#{self.term}"
 
 
-@dataclass(frozen=True)
+_set_goal_atom, _set_goal_term = FreshnessGoal.atom.__set__, FreshnessGoal.term.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class EqualityGoal:
     """Goal s =ac t."""
 
     lhs: Term
     rhs: Term
 
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+
     def __str__(self) -> str:
         return f"{self.lhs} =ac {self.rhs}"
 
+
+_set_lhs, _set_rhs = EqualityGoal.lhs.__set__, EqualityGoal.rhs.__set__
 
 Goal = Union[FreshnessGoal, EqualityGoal]
 ConstraintProblem = tuple[Goal, ...]

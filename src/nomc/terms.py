@@ -9,34 +9,76 @@ rename the binder.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import ClassVar, Iterable, Iterator, Mapping, Union
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Name:
+    """An interned name: one instance per name and class, so equality is
+    identity (inherited from object) while the hash follows the name.
+
+    The hash is the one a frozen dataclass with the single field `name`
+    would have, so sets of names iterate as they always did. Each class's
+    table keeps every name it has made; `dict.setdefault` fills it, so two
+    threads asking for a new name at once still get one instance.
+    """
+
+    __slots__ = ("name", "_hash")
+    _table: ClassVar[dict[str, "_Name"]]
+
+    def __init_subclass__(cls) -> None:
+        cls._table = {}
+
+    def __new__(cls, name: str):
+        self = cls._table.get(name)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+            object.__setattr__(self, "_hash", hash((name,)))
+            self = cls._table.setdefault(name, self)
+        return self
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Atom(_Name):
     """A concrete name. Distinct names denote distinct atoms."""
 
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Name):
     """A meta-variable (unknown), instantiable by substitution."""
 
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
 Swapping = tuple[Atom, Atom]
 
 
-@dataclass(frozen=True)
+# Permutation, the term nodes and Position are slotted frozen dataclasses
+# with their own __init__: each field is stored through its slot's
+# descriptor, which costs less than the generated __init__'s
+# object.__setattr__. Equality, hash and repr are the generated ones.
+
+
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A finite atom bijection, stored as swappings applied right-to-left.
 
@@ -44,6 +86,9 @@ class Permutation:
     """
 
     swappings: tuple[Swapping, ...] = ()
+
+    def __init__(self, swappings: tuple[Swapping, ...] = ()) -> None:
+        _set_swappings(self, swappings)
 
     def act(self, atom: Atom) -> Atom:
         for left, right in reversed(self.swappings):
@@ -71,15 +116,20 @@ class Permutation:
         return "".join(f"({l} {r})" for l, r in self.swappings) or "id"
 
 
+_set_swappings = Permutation.swappings.__set__
 IDENTITY = Permutation()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Suspension:
     """A permutation pending on a variable, resolved at instantiation."""
 
     perm: Permutation
     var: Var
+
+    def __init__(self, perm: Permutation, var: Var) -> None:
+        _set_perm(self, perm)
+        _set_var(self, var)
 
     def __str__(self) -> str:
         if self.perm.swappings:
@@ -87,29 +137,45 @@ class Suspension:
         return str(self.var)
 
 
-@dataclass(frozen=True)
+_set_perm, _set_var = Suspension.perm.__set__, Suspension.var.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class Abstraction:
     """Binder [a]t; equality of abstractions is alpha-equivalence."""
 
     atom: Atom
     body: "Term"
 
+    def __init__(self, atom: Atom, body: "Term") -> None:
+        _set_atom(self, atom)
+        _set_body(self, body)
+
     def __str__(self) -> str:
         return f"[{self.atom}]{self.body}"
 
 
-@dataclass(frozen=True)
+_set_atom, _set_body = Abstraction.atom.__set__, Abstraction.body.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class App:
     """Function application f(t1, ..., tn)."""
 
     sym: str
     args: tuple["Term", ...] = ()
 
+    def __init__(self, sym: str, args: tuple["Term", ...] = ()) -> None:
+        _set_sym(self, sym)
+        _set_args(self, args)
+
     def __str__(self) -> str:
         if not self.args:
             return self.sym
         return f"{self.sym}({', '.join(str(a) for a in self.args)})"
 
+
+_set_sym, _set_args = App.sym.__set__, App.args.__set__
 
 Term = Union[Atom, Suspension, Abstraction, App]
 
@@ -147,7 +213,7 @@ class Substitution:
     def __init__(self, mapping: Mapping[Var, Term] | None = None):
         cleaned: dict[Var, Term] = {}
         for var, term in (mapping or {}).items():
-            if term != Suspension(IDENTITY, var):
+            if not (type(term) is Suspension and term.var is var and not term.perm.swappings):
                 cleaned[var] = term
         self._map = cleaned
 
@@ -248,14 +314,20 @@ class Signature:
         return f"Signature({self._entries!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """A child-index path from the root; an abstraction's body is child 0."""
 
     path: tuple[int, ...] = ()
 
+    def __init__(self, path: tuple[int, ...] = ()) -> None:
+        _set_path(self, path)
+
     def __str__(self) -> str:
         return ".".join(str(i) for i in self.path) or "root"
+
+
+_set_path = Position.path.__set__
 
 
 def subterms_with_positions(term: Term) -> Iterator[tuple[Position, Term]]:

@@ -211,3 +211,27 @@ def reference_dedup_steps(delta, steps):
         if not any(derive_alpha(delta, step.result, k.result) for k in kept):
             kept.append(step)
     return tuple(kept)
+
+
+# -- term equality, the slow way ------------------------------------------------
+#
+# Atoms and variables are interned and compared by identity, and nodes are
+# slotted dataclasses. This walk compares by type and field instead, with
+# names as strings, and stays here as the reference for `==`.
+
+
+def reference_same_term(s, t) -> bool:
+    """Whether two terms have the same type, fields and names throughout."""
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, (Atom, Var)):
+        return s.name == t.name
+    if isinstance(s, Permutation):
+        return len(s.swappings) == len(t.swappings) and all(
+            reference_same_term(x, y) for p, q in zip(s.swappings, t.swappings) for x, y in zip(p, q)
+        )
+    if isinstance(s, Suspension):
+        return reference_same_term(s.perm, t.perm) and reference_same_term(s.var, t.var)
+    if isinstance(s, Abstraction):
+        return reference_same_term(s.atom, t.atom) and reference_same_term(s.body, t.body)
+    return s.sym == t.sym and len(s.args) == len(t.args) and all(map(reference_same_term, s.args, t.args))

@@ -1,16 +1,23 @@
 """Core term machinery: permutations, substitutions, positions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nomc import (
     Abstraction,
     App,
     Atom,
+    EqualityGoal,
+    FreshnessConstraint,
+    FreshnessGoal,
     IDENTITY,
     Permutation,
+    Position,
     Signature,
     Substitution,
     Suspension,
@@ -29,15 +36,122 @@ from nomc import (
 )
 from nomc.rewriting import clash_permutation
 from nomc.terms import NameSupply, fresh_variables
-from conftest import reference_fresh_name
+from conftest import random_term, reference_fresh_name, reference_same_term
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 X, Y = Var("X"), Var("Y")
+
+SIG = Signature({"f": (2, False), "fC": (2, True), "g": (1, False), "k": (0, False)})
 
 atoms_st = st.sampled_from([a, b, c, d, Atom("e"), Atom("f")])
 perm_st = st.lists(st.tuples(atoms_st, atoms_st), max_size=4).map(
     lambda sw: Permutation(tuple(sw))
 )
+
+
+NODES = (
+    Permutation(((a, b),)),
+    Suspension(Permutation(((a, b),)), X),
+    Abstraction(a, b),
+    App("f", (a, Suspension(IDENTITY, X))),
+    Position((0, 1)),
+    FreshnessConstraint(a, X),
+    FreshnessGoal(a, App("g", (b,))),
+    EqualityGoal(a, Abstraction(b, b)),
+)
+
+
+class TestPrimitives:
+    """Atoms and variables are interned; nodes are slotted frozen dataclasses."""
+
+    @given(st.text(max_size=4))
+    def test_one_instance_per_name(self, name):
+        assert Atom(name) is Atom(name) is Atom(name=name)
+        assert Var(name) is Var(name) is Var(name=name)
+        assert Atom(name) is not Var(name)
+        assert hash(Atom(name)) == hash(Var(name)) == hash((name,))
+
+    def test_atoms_equal_nothing_else(self):
+        assert Atom("a") != Var("a")
+        assert Atom("a") != App("a")
+        assert Atom("a") != "a"
+        assert Var("X") != Suspension(IDENTITY, Var("X"))
+
+    @pytest.mark.parametrize("obj", (a, X) + NODES, ids=lambda o: type(o).__name__)
+    def test_no_field_can_be_assigned(self, obj):
+        fields = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else ["name"]
+        for field in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, a)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+
+    @pytest.mark.parametrize("obj", (a, X) + NODES, ids=lambda o: type(o).__name__)
+    def test_copies_are_equal_and_share_the_names(self, obj):
+        for duplicate in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert duplicate == obj and hash(duplicate) == hash(obj)
+            assert repr(duplicate) == repr(obj)
+        assert copy.copy(a) is a and copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+        assert copy.deepcopy(X) is X and pickle.loads(pickle.dumps(X)) is X
+        assert copy.deepcopy(NODES[3]).args[0] is a
+
+    def test_repr_and_str(self):
+        expected = [
+            ("Atom(name='a')", "a"),
+            ("Var(name='X')", "X"),
+            ("Permutation(swappings=((Atom(name='a'), Atom(name='b')),))", "(a b)"),
+            (
+                "Suspension(perm=Permutation(swappings=((Atom(name='a'), Atom(name='b')),)), var=Var(name='X'))",
+                "(a b).X",
+            ),
+            ("Abstraction(atom=Atom(name='a'), body=Atom(name='b'))", "[a]b"),
+            (
+                "App(sym='f', args=(Atom(name='a'), Suspension(perm=Permutation(swappings=()), var=Var(name='X'))))",
+                "f(a, X)",
+            ),
+            ("Position(path=(0, 1))", "0.1"),
+            ("FreshnessConstraint(atom=Atom(name='a'), var=Var(name='X'))", "a#X"),
+            ("FreshnessGoal(atom=Atom(name='a'), term=App(sym='g', args=(Atom(name='b'),)))", "a#g(b)"),
+            (
+                "EqualityGoal(lhs=Atom(name='a'), rhs=Abstraction(atom=Atom(name='b'), body=Atom(name='b')))",
+                "a =ac [b]b",
+            ),
+        ]
+        assert [(repr(o), str(o)) for o in (a, X) + NODES] == expected
+
+    def test_keyword_construction_and_replace(self):
+        assert Permutation() == Permutation(swappings=()) == IDENTITY
+        assert App("c") == App(sym="c", args=())
+        assert Position() == Position(path=())
+        assert Suspension(var=X, perm=IDENTITY) == Suspension(IDENTITY, X)
+        assert Abstraction(body=b, atom=a) == Abstraction(a, b)
+        assert FreshnessConstraint(var=X, atom=a) == FreshnessConstraint(a, X)
+        assert FreshnessGoal(term=b, atom=a) == FreshnessGoal(a, b)
+        assert EqualityGoal(rhs=b, lhs=a) == EqualityGoal(a, b)
+        for node in NODES:
+            assert dataclasses.replace(node) == node
+        assert dataclasses.replace(FreshnessConstraint(a, X), var=Y) == FreshnessConstraint(a, Y)
+        assert dataclasses.replace(App("f", (a,)), sym="g") == App("g", (a,))
+        assert dataclasses.replace(Abstraction(a, b), body=c) == Abstraction(a, c)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_equality_agrees_with_a_field_walk(self, seed, reparse):
+        """Half of the pairs are one text parsed twice; the others are drawn
+        independently over a few names, atoms and variables alike."""
+        rng = random.Random(seed)
+        if reparse:
+            text = str(random_term(rng, SIG, 3))
+            s, t = parse_term(text, SIG), parse_term(text, SIG)
+            assert str(s) == text
+        else:
+            names = ("a", "b")
+            atoms, variables = tuple(map(Atom, names)), tuple(map(Var, names))
+            s, t = (random_term(rng, SIG, rng.randint(0, 2), atoms, variables) for _ in range(2))
+        assert (s == t) == reference_same_term(s, t)
+        assert (s != t) != reference_same_term(s, t)
+        if s == t:
+            assert hash(s) == hash(t)
 
 
 class TestPermutations:
@@ -115,6 +229,13 @@ class TestSubstitution:
 
     def test_identity_bindings_dropped(self):
         assert Substitution({X: Suspension(IDENTITY, X)}).is_identity()
+        assert Substitution({X: Suspension(Permutation(), X)}).is_identity()
+
+    def test_only_identity_bindings_dropped(self):
+        # (a a) acts as the identity, but only an empty permutation is dropped.
+        for image in (Suspension(Permutation(((a, a),)), X), Suspension(IDENTITY, Y), Atom("X")):
+            theta = Substitution({X: image, Y: Suspension(IDENTITY, Y)})
+            assert theta.items() == ((X, image),)
 
     @given(perm_st, st.sampled_from([X, Y]))
     def test_commutes_with_permutation_at_variables(self, perm, var):
