@@ -8,7 +8,6 @@ constraints a#X used as hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .terms import (
@@ -22,6 +21,7 @@ from .terms import (
     Term,
     Var,
     difference_set,
+    frozen_node,
     permute_term,
 )
 
@@ -30,7 +30,7 @@ from .terms import (
 # (see terms.py).
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class FreshnessConstraint:
     """Primitive constraint a#X: atom a cannot occur free in instances of X."""
 
@@ -62,7 +62,7 @@ def format_context(ctx: FreshnessContext) -> str:
     return ", ".join(str(c) for c in sorted(ctx, key=lambda c: (c.atom.name, c.var.name)))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class FreshnessGoal:
     """Goal a#t for an arbitrary term t."""
 
@@ -80,7 +80,7 @@ class FreshnessGoal:
 _set_goal_atom, _set_goal_term = FreshnessGoal.atom.__set__, FreshnessGoal.term.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class EqualityGoal:
     """Goal s =ac t."""
 
@@ -122,40 +122,35 @@ INCONSISTENT = Sentinel("INCONSISTENT")
 
 def derive_freshness(ctx: FreshnessContext, atom: Atom, term: Term) -> bool:
     """Decide ctx |- atom # term."""
-    if isinstance(term, Atom):
-        return atom != term
-    if isinstance(term, Suspension):
+    kind = type(term)
+    if kind is App:
+        for arg in term.args:
+            if not derive_freshness(ctx, atom, arg):
+                return False
+        return True
+    if kind is Atom:
+        return atom is not term
+    if kind is Suspension:
         wanted = term.perm.inverse().act(atom)
         return FreshnessConstraint(wanted, term.var) in ctx
-    if isinstance(term, Abstraction):
-        if term.atom == atom:
-            return True
-        return derive_freshness(ctx, atom, term.body)
-    return all(derive_freshness(ctx, atom, arg) for arg in term.args)
+    return term.atom is atom or derive_freshness(ctx, atom, term.body)
 
 
 def derive_alpha_c(ctx: FreshnessContext, s: Term, t: Term, sig: Signature) -> bool:
     """Decide ctx |- s =ac t over the given signature.
 
-    Suspensions of the same variable compare via the difference set of their
-    permutations; abstractions with distinct binders compare after swapping,
-    under a freshness side condition on the right body.
+    One object is equal to itself under any context (reflexivity), so
+    `s is t` answers at once; shared subterms cost nothing. Suspensions of
+    the same variable compare via the difference set of their permutations;
+    abstractions with distinct binders compare after swapping, under a
+    freshness side condition on the right body.
     """
-    if isinstance(s, Atom) and isinstance(t, Atom):
-        return s == t
-    if isinstance(s, Suspension) and isinstance(t, Suspension):
-        if s.var != t.var:
-            return False
-        needed = difference_set(s.perm, t.perm)
-        return all(FreshnessConstraint(a, s.var) in ctx for a in needed)
-    if isinstance(s, Abstraction) and isinstance(t, Abstraction):
-        if s.atom == t.atom:
-            return derive_alpha_c(ctx, s.body, t.body, sig)
-        swapped = permute_term(Permutation(((s.atom, t.atom),)), t.body)
-        return derive_alpha_c(ctx, s.body, swapped, sig) and derive_freshness(
-            ctx, s.atom, t.body
-        )
-    if isinstance(s, App) and isinstance(t, App):
+    if s is t:
+        return True
+    kind = type(s)
+    if kind is not type(t):
+        return False
+    if kind is App:
         if s.sym != t.sym or len(s.args) != len(t.args):
             return False
         if sig.is_commutative(s.sym):
@@ -164,9 +159,25 @@ def derive_alpha_c(ctx: FreshnessContext, s: Term, t: Term, sig: Signature) -> b
             if derive_alpha_c(ctx, s0, t0, sig) and derive_alpha_c(ctx, s1, t1, sig):
                 return True
             return derive_alpha_c(ctx, s0, t1, sig) and derive_alpha_c(ctx, s1, t0, sig)
-        return all(
-            derive_alpha_c(ctx, sa, ta, sig) for sa, ta in zip(s.args, t.args)
+        for sa, ta in zip(s.args, t.args):
+            if not derive_alpha_c(ctx, sa, ta, sig):
+                return False
+        return True
+    if kind is Suspension:
+        if s.var is not t.var:
+            return False
+        for a in difference_set(s.perm, t.perm):
+            if FreshnessConstraint(a, s.var) not in ctx:
+                return False
+        return True
+    if kind is Abstraction:
+        if s.atom is t.atom:
+            return derive_alpha_c(ctx, s.body, t.body, sig)
+        swapped = permute_term(Permutation(((s.atom, t.atom),)), t.body)
+        return derive_alpha_c(ctx, s.body, swapped, sig) and derive_freshness(
+            ctx, s.atom, t.body
         )
+    # Two distinct atoms: interned, so not equal.
     return False
 
 

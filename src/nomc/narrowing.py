@@ -279,16 +279,19 @@ def _rewrites_to(
     """Whether sigma(parent) rewrites under context, by the step's rule
     instance at the step's position, to a term alpha-equal to target. The
     position must exist in the parent itself, not only in its instance; the
-    result is compared by plain alpha, without commutativity."""
+    result is compared by plain alpha, without commutativity. sigma(parent)
+    is built once: its subterm at the position is sigma of the parent's, and
+    it shares every subterm sigma leaves alone with the parent."""
     path = step.position.path
     try:
-        sub = subterm_at(parent, path)
+        subterm_at(parent, path)
     except ValueError:
         return False
+    instance = apply_subst(sigma, parent)
     rule = step.rule_instance
-    if not premises_hold(context, apply_subst(sigma, sub), rule, sigma, sig):
+    if not premises_hold(context, subterm_at(instance, path), rule, sigma, sig):
         return False
-    rewritten = replace_at(apply_subst(sigma, parent), path, apply_subst(sigma, rule.rhs))
+    rewritten = replace_at(instance, path, apply_subst(sigma, rule.rhs))
     return derive_alpha(context, rewritten, target)
 
 

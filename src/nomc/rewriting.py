@@ -419,17 +419,24 @@ def skeleton_fits(lhs: Term, sub: Term, sig: Signature, unify: bool) -> bool:
     binder names are ignored, so a clash shift of the rule's atoms cannot
     change the verdict. A commutative symbol's arguments fit in either order.
     """
-    if isinstance(lhs, Suspension):
+    kind = type(lhs)
+    if kind is Suspension:
         return True
-    if isinstance(sub, Suspension):
+    sub_kind = type(sub)
+    if sub_kind is Suspension:
         return unify
-    if isinstance(lhs, Atom):
-        return isinstance(sub, Atom)
-    if isinstance(lhs, Abstraction):
-        return isinstance(sub, Abstraction) and skeleton_fits(lhs.body, sub.body, sig, unify)
-    if not isinstance(sub, App) or sub.sym != lhs.sym or len(sub.args) != len(lhs.args):
+    if kind is not sub_kind:
         return False
-    if all(skeleton_fits(l, s, sig, unify) for l, s in zip(lhs.args, sub.args)):
+    if kind is Atom:
+        return True
+    if kind is Abstraction:
+        return skeleton_fits(lhs.body, sub.body, sig, unify)
+    if sub.sym != lhs.sym or len(sub.args) != len(lhs.args):
+        return False
+    for l, s in zip(lhs.args, sub.args):
+        if not skeleton_fits(l, s, sig, unify):
+            break
+    else:
         return True
     if not sig.is_commutative(lhs.sym):
         return False

@@ -78,7 +78,19 @@ Swapping = tuple[Atom, Atom]
 # object.__setattr__. Equality, hash and repr are the generated ones.
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_node(cls):
+    """`dataclass(frozen=True, slots=True)`, with the `__setattr__` and
+    `__delattr__` of `_Name`: every attribute, field or not, raises
+    FrozenInstanceError. The pair the dataclass generates calls `super()`
+    with the class that `slots=True` replaced, so it raises TypeError for a
+    name that is not a field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _Name.__setattr__
+    cls.__delattr__ = _Name.__delattr__
+    return cls
+
+
+@frozen_node
 class Permutation:
     """A finite atom bijection, stored as swappings applied right-to-left.
 
@@ -120,7 +132,7 @@ _set_swappings = Permutation.swappings.__set__
 IDENTITY = Permutation()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class Suspension:
     """A permutation pending on a variable, resolved at instantiation."""
 
@@ -140,7 +152,7 @@ class Suspension:
 _set_perm, _set_var = Suspension.perm.__set__, Suspension.var.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class Abstraction:
     """Binder [a]t; equality of abstractions is alpha-equivalence."""
 
@@ -158,7 +170,7 @@ class Abstraction:
 _set_atom, _set_body = Abstraction.atom.__set__, Abstraction.body.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class App:
     """Function application f(t1, ..., tn)."""
 
@@ -180,18 +192,41 @@ _set_sym, _set_args = App.sym.__set__, App.args.__set__
 Term = Union[Atom, Suspension, Abstraction, App]
 
 
+# The term walkers below dispatch once on `type(node)`, loop over arguments
+# without generator frames, and give back a node itself wherever nothing
+# below it changed. A result may therefore share any of its subterms with
+# the input; `is not` never means "changed".
+
+
 def permute_term(perm: Permutation, term: Term) -> Term:
     """Structural permutation action; suspensions compose, binders move too.
-    The identity permutation gives back `term` itself."""
+    The identity permutation gives back `term` itself, and so does any
+    permutation on a subterm without suspensions whose atoms it fixes."""
     if not perm.swappings:
         return term
-    if isinstance(term, Atom):
+    return _permute(perm, term)
+
+
+def _permute(perm: Permutation, term: Term) -> Term:
+    kind = type(term)
+    if kind is App:
+        images = []
+        same = True
+        for arg in term.args:
+            image = _permute(perm, arg)
+            images.append(image)
+            if image is not arg:
+                same = False
+        return term if same else App(term.sym, tuple(images))
+    if kind is Atom:
         return perm.act(term)
-    if isinstance(term, Suspension):
+    if kind is Suspension:
         return Suspension(perm.compose(term.perm), term.var)
-    if isinstance(term, Abstraction):
-        return Abstraction(perm.act(term.atom), permute_term(perm, term.body))
-    return App(term.sym, tuple(permute_term(perm, a) for a in term.args))
+    atom = perm.act(term.atom)
+    body = _permute(perm, term.body)
+    if atom is term.atom and body is term.body:
+        return term
+    return Abstraction(atom, body)
 
 
 def difference_set(perm: Permutation, other: Permutation) -> frozenset[Atom]:
@@ -260,14 +295,33 @@ IDENTITY_SUBST = Substitution()
 
 
 def apply_subst(theta: Substitution, term: Term) -> Term:
-    if isinstance(term, Atom):
+    """theta(term); a subterm none of whose variables theta binds comes back
+    as the same object."""
+    if not theta._map:
         return term
-    if isinstance(term, Suspension):
-        image = theta._map.get(term.var)
-        return term if image is None else permute_term(term.perm, image)
-    if isinstance(term, Abstraction):
-        return Abstraction(term.atom, apply_subst(theta, term.body))
-    return App(term.sym, tuple(apply_subst(theta, a) for a in term.args))
+    return _apply(theta._map, term)
+
+
+def _apply(mapping: dict[Var, Term], term: Term) -> Term:
+    kind = type(term)
+    if kind is App:
+        images = []
+        same = True
+        for arg in term.args:
+            image = _apply(mapping, arg)
+            images.append(image)
+            if image is not arg:
+                same = False
+        return term if same else App(term.sym, tuple(images))
+    if kind is Suspension:
+        image = mapping.get(term.var)
+        if image is None:
+            return term
+        return _permute(term.perm, image) if term.perm.swappings else image
+    if kind is Atom:
+        return term
+    body = _apply(mapping, term.body)
+    return term if body is term.body else Abstraction(term.atom, body)
 
 
 class Signature:
@@ -314,7 +368,7 @@ class Signature:
         return f"Signature({self._entries!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_node
 class Position:
     """A child-index path from the root; an abstraction's body is child 0."""
 
@@ -370,30 +424,38 @@ def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 def term_vars(term: Term) -> frozenset[Var]:
-    if isinstance(term, Atom):
-        return frozenset()
-    if isinstance(term, Suspension):
-        return frozenset({term.var})
-    if isinstance(term, Abstraction):
-        return term_vars(term.body)
-    out: frozenset[Var] = frozenset()
-    for arg in term.args:
-        out |= term_vars(arg)
-    return out
+    out: set[Var] = set()
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        kind = type(sub)
+        if kind is App:
+            stack.extend(sub.args)
+        elif kind is Suspension:
+            out.add(sub.var)
+        elif kind is Abstraction:
+            stack.append(sub.body)
+    return frozenset(out)
 
 
 def term_atoms(term: Term) -> frozenset[Atom]:
     """Every atom mentioned anywhere: free, bound, or inside a suspension."""
-    if isinstance(term, Atom):
-        return frozenset({term})
-    if isinstance(term, Suspension):
-        return frozenset(a for pair in term.perm.swappings for a in pair)
-    if isinstance(term, Abstraction):
-        return term_atoms(term.body) | {term.atom}
-    out: frozenset[Atom] = frozenset()
-    for arg in term.args:
-        out |= term_atoms(arg)
-    return out
+    out: set[Atom] = set()
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        kind = type(sub)
+        if kind is App:
+            stack.extend(sub.args)
+        elif kind is Atom:
+            out.add(sub)
+        elif kind is Abstraction:
+            out.add(sub.atom)
+            stack.append(sub.body)
+        else:
+            for pair in sub.perm.swappings:
+                out.update(pair)
+    return frozenset(out)
 
 
 def free_atoms(term: Term) -> frozenset[Atom]:

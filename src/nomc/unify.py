@@ -230,8 +230,9 @@ def _instantiate(state: UnificationState, idx: int, protected: ProtectedVars) ->
         updated = _goal_image(binding, g)
         if updated not in transformed:
             transformed.append(updated)
+    bound = new_subst.domain
     for constraint in sorted(state.context, key=lambda c: (c.atom.name, c.var.name)):
-        if constraint.var in new_subst.domain:
+        if constraint.var in bound:
             regenerated = FreshnessGoal(constraint.atom, new_subst.get(constraint.var))
             if regenerated not in transformed:
                 transformed.append(regenerated)

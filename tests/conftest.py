@@ -19,6 +19,7 @@ from nomc import (
     Var,
     derive_alpha,
     derive_freshness,
+    difference_set,
     permute_term,
 )
 from nomc.cli import load_system_file
@@ -235,3 +236,118 @@ def reference_same_term(s, t) -> bool:
     if isinstance(s, Abstraction):
         return reference_same_term(s.atom, t.atom) and reference_same_term(s.body, t.body)
     return s.sym == t.sym and len(s.args) == len(t.args) and all(map(reference_same_term, s.args, t.args))
+
+
+# -- term walkers, the old way ----------------------------------------------------
+#
+# The term walkers once tested each node with an isinstance chain, recursed
+# through generator expressions and rebuilt every node they passed. These
+# copies stay here as the references for the walkers in nomc, which dispatch
+# on the node's type, loop, and share unchanged subterms.
+
+
+def reference_permute_term(perm, term):
+    if not perm.swappings:
+        return term
+    if isinstance(term, Atom):
+        return perm.act(term)
+    if isinstance(term, Suspension):
+        return Suspension(perm.compose(term.perm), term.var)
+    if isinstance(term, Abstraction):
+        return Abstraction(perm.act(term.atom), reference_permute_term(perm, term.body))
+    return App(term.sym, tuple(reference_permute_term(perm, a) for a in term.args))
+
+
+def reference_apply_subst(theta, term):
+    if isinstance(term, Atom):
+        return term
+    if isinstance(term, Suspension):
+        return reference_permute_term(term.perm, theta.get(term.var))
+    if isinstance(term, Abstraction):
+        return Abstraction(term.atom, reference_apply_subst(theta, term.body))
+    return App(term.sym, tuple(reference_apply_subst(theta, a) for a in term.args))
+
+
+def reference_term_vars(term):
+    if isinstance(term, Atom):
+        return frozenset()
+    if isinstance(term, Suspension):
+        return frozenset({term.var})
+    if isinstance(term, Abstraction):
+        return reference_term_vars(term.body)
+    out = frozenset()
+    for arg in term.args:
+        out |= reference_term_vars(arg)
+    return out
+
+
+def reference_term_atoms(term):
+    if isinstance(term, Atom):
+        return frozenset({term})
+    if isinstance(term, Suspension):
+        return frozenset(a for pair in term.perm.swappings for a in pair)
+    if isinstance(term, Abstraction):
+        return reference_term_atoms(term.body) | {term.atom}
+    out = frozenset()
+    for arg in term.args:
+        out |= reference_term_atoms(arg)
+    return out
+
+
+def reference_derive_freshness(ctx, atom, term):
+    if isinstance(term, Atom):
+        return atom != term
+    if isinstance(term, Suspension):
+        wanted = term.perm.inverse().act(atom)
+        return FreshnessConstraint(wanted, term.var) in ctx
+    if isinstance(term, Abstraction):
+        if term.atom == atom:
+            return True
+        return reference_derive_freshness(ctx, atom, term.body)
+    return all(reference_derive_freshness(ctx, atom, arg) for arg in term.args)
+
+
+def reference_derive_alpha_c(ctx, s, t, sig):
+    if isinstance(s, Atom) and isinstance(t, Atom):
+        return s == t
+    if isinstance(s, Suspension) and isinstance(t, Suspension):
+        if s.var != t.var:
+            return False
+        return all(FreshnessConstraint(a, s.var) in ctx for a in difference_set(s.perm, t.perm))
+    if isinstance(s, Abstraction) and isinstance(t, Abstraction):
+        if s.atom == t.atom:
+            return reference_derive_alpha_c(ctx, s.body, t.body, sig)
+        swapped = reference_permute_term(Permutation(((s.atom, t.atom),)), t.body)
+        return reference_derive_alpha_c(ctx, s.body, swapped, sig) and reference_derive_freshness(
+            ctx, s.atom, t.body
+        )
+    if isinstance(s, App) and isinstance(t, App):
+        if s.sym != t.sym or len(s.args) != len(t.args):
+            return False
+        if sig.is_commutative(s.sym):
+            s0, s1 = s.args
+            t0, t1 = t.args
+            if reference_derive_alpha_c(ctx, s0, t0, sig) and reference_derive_alpha_c(ctx, s1, t1, sig):
+                return True
+            return reference_derive_alpha_c(ctx, s0, t1, sig) and reference_derive_alpha_c(ctx, s1, t0, sig)
+        return all(reference_derive_alpha_c(ctx, sa, ta, sig) for sa, ta in zip(s.args, t.args))
+    return False
+
+
+def reference_skeleton_fits(lhs, sub, sig, unify):
+    if isinstance(lhs, Suspension):
+        return True
+    if isinstance(sub, Suspension):
+        return unify
+    if isinstance(lhs, Atom):
+        return isinstance(sub, Atom)
+    if isinstance(lhs, Abstraction):
+        return isinstance(sub, Abstraction) and reference_skeleton_fits(lhs.body, sub.body, sig, unify)
+    if not isinstance(sub, App) or sub.sym != lhs.sym or len(sub.args) != len(lhs.args):
+        return False
+    if all(reference_skeleton_fits(l, s, sig, unify) for l, s in zip(lhs.args, sub.args)):
+        return True
+    if not sig.is_commutative(lhs.sym):
+        return False
+    (l0, l1), (s0, s1) = lhs.args, sub.args
+    return reference_skeleton_fits(l0, s1, sig, unify) and reference_skeleton_fits(l1, s0, sig, unify)

@@ -294,6 +294,30 @@ class TestNarrowingToRewriting:
             assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
         assert dropped
 
+    def test_child_changed_off_the_path(self):
+        # The oracle builds sigma(parent) once, and the child shares with it
+        # every subterm sigma leaves alone, which the alpha check passes by
+        # identity. One fresh atom off the rewritten path, in place of an
+        # atom or of one variable's image, must still be noticed.
+        atoms = images = 0
+        for system, edge in NARROWING_EDGES:
+            path = edge.position.path
+            child_term = edge.child.term
+            off_path = [
+                (pos, sub) for pos, sub in subterms_with_positions(edge.parent.term)
+                if pos.path[: len(path)] != path
+            ]
+            for pos, sub in off_path:
+                if isinstance(sub, Suspension):
+                    images += 1
+                elif isinstance(sub, Atom):
+                    atoms += 1
+                else:
+                    continue
+                tampered = _with_child_term(edge, replace_at(child_term, pos.path, FRESH))
+                assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
+        assert atoms and images
+
     def test_commuted_child_rejected(self):
         # Narrowing compares its result by plain alpha, not modulo C.
         commuted = 0

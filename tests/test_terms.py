@@ -80,7 +80,8 @@ class TestPrimitives:
     @pytest.mark.parametrize("obj", (a, X) + NODES, ids=lambda o: type(o).__name__)
     def test_no_field_can_be_assigned(self, obj):
         fields = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else ["name"]
-        for field in fields:
+        # Names that are not fields are refused the same way.
+        for field in fields + ["extra"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, field, a)
             with pytest.raises(AttributeError):
