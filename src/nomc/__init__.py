@@ -56,10 +56,8 @@ from .rewriting import (
     RewriteSystem,
     StepLimitExceeded,
     WITNESSED,
-    ac_key,
     alpha_variants,
     c_class_enumerate,
-    canonical_alpha,
     coherence_check,
     commutative_variants,
     normal_form_equal_check,

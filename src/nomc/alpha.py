@@ -189,31 +189,45 @@ def derive_alpha(ctx: FreshnessContext, s: Term, t: Term) -> bool:
 _NO_COMMUTATIVITY = Signature()
 
 
-def alpha_key(term: Term, binders: tuple[Atom, ...] = ()) -> object:
-    """A key shared by plain alpha-equal terms: `ctx |- s =a t` (`derive_alpha`)
-    implies `alpha_key(s) == alpha_key(t)`, under any context.
+def alpha_key(term: Term, sig: Signature = _NO_COMMUTATIVITY, binders: tuple[Atom, ...] = ()) -> object:
+    """A key shared by =ac terms over `sig` (plain alpha-equal terms by
+    default): `ctx |- s =ac t` (`derive_alpha_c`) implies
+    `alpha_key(s, sig) == alpha_key(t, sig)`, under any context.
 
     An atom bound by an enclosing abstraction becomes its de Bruijn index
     (its first occurrence in `binders`, innermost first), a free atom keeps
     its name, a suspension keeps only its variable, and an application keeps
-    its symbol. The implication holds by induction on the judgement. Atoms
-    are alpha-equal only to themselves, suspensions only with the same
-    variable, applications argument by argument. For `[a]s =a [b]t` with
-    `a != b` the judgement needs `s =a (a b).t`, so `s` under `a, binders`
-    has the key of `(a b).t` under `a, binders`, and it needs `a#t`. That
-    key is also the key of `t` under `b, binders`: an atom `x` of `t`
-    becomes `(a b)x`, whose lookup meets the swapped inner binders first,
-    then `a` where `t` has `b`, then `binders`. It finds the same index or
-    name for every `x` except an `a` free in `t` outside a suspension, which
-    `a#t` excludes; a suspension's key drops its permutation.
+    its symbol. A commutative application's argument keys are sorted by
+    `repr`, which tells distinct keys apart and does not follow the hash
+    seed. The implication holds by induction on the judgement. Atoms are
+    equal only to themselves, suspensions only with the same variable,
+    applications argument by argument, and a commutative one also with its
+    arguments crossed, which sorting maps to the same key. For
+    `[a]s =ac [b]t` with `a != b` the judgement needs `s =ac (a b).t`, so `s`
+    under `a, binders` has the key of `(a b).t` under `a, binders`, and it
+    needs `a#t`. That key is also the key of `t` under `b, binders`: an atom
+    `x` of `t` becomes `(a b)x`, whose lookup meets the swapped inner
+    binders first, then `a` where `t` has `b`, then `binders`. It finds the
+    same index or name for every `x` except an `a` free in `t` outside a
+    suspension, which `a#t` excludes; a suspension's key drops its
+    permutation, and each commutative node sorts the same argument keys.
+
+    On ground terms the key is exact: equal keys mean =ac. Sorting only
+    rearranges arguments, so the key of `t` is the plain key of a
+    rearrangement of `t`, and the plain key, a de Bruijn form, tells apart
+    ground terms that are not alpha-equal.
     """
-    if isinstance(term, Atom):
+    kind = type(term)
+    if kind is Atom:
         return binders.index(term) if term in binders else term
-    if isinstance(term, Suspension):
+    if kind is Suspension:
         return term.var
-    if isinstance(term, Abstraction):
-        return (None, alpha_key(term.body, (term.atom,) + binders))
-    return (term.sym,) + tuple(alpha_key(arg, binders) for arg in term.args)
+    if kind is Abstraction:
+        return (None, alpha_key(term.body, sig, (term.atom,) + binders))
+    args = [alpha_key(arg, sig, binders) for arg in term.args]
+    if sig.is_commutative(term.sym):
+        args.sort(key=repr)
+    return (term.sym, *args)
 
 
 def freshness_context_nf(

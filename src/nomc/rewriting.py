@@ -352,23 +352,6 @@ def c_class_enumerate(term: Term, sig: Signature) -> tuple[Term, ...]:
     return commutative_variants(term, sig)
 
 
-def canonical_alpha(term: Term, depth: int = 0) -> Term:
-    """Canonical representative of a ground term's alpha-class.
-
-    Binders are renamed to a reserved sequence indexed by nesting depth, so
-    two ground terms are alpha-equivalent iff their canonical forms are equal.
-    """
-    if isinstance(term, Atom):
-        return term
-    if isinstance(term, Suspension):
-        raise ValueError("canonical form is only defined on ground terms")
-    if isinstance(term, Abstraction):
-        marker = Atom(f"~{depth}")
-        renamed = permute_term(Permutation(((term.atom, marker),)), term.body)
-        return Abstraction(marker, canonical_alpha(renamed, depth + 1))
-    return App(term.sym, tuple(canonical_alpha(a, depth) for a in term.args))
-
-
 def _alpha_variants(term: Term, atoms: Sequence[Atom]) -> Iterator[Term]:
     if isinstance(term, Atom):
         yield term
@@ -737,26 +720,6 @@ def _class_steps(
             yield source, step
 
 
-def ac_key(term: Term, sig: Signature) -> Term:
-    """A ground term's representative modulo =ac: binders renamed as by
-    `canonical_alpha`, then each commutative application's arguments sorted
-    by `str`, bottom-up. Two ground terms are =ac exactly when their keys
-    are equal."""
-    return _sorted_commutative(canonical_alpha(term), sig)
-
-
-def _sorted_commutative(term: Term, sig: Signature) -> Term:
-    if isinstance(term, Abstraction):
-        return Abstraction(term.atom, _sorted_commutative(term.body, sig))
-    if not isinstance(term, App):
-        return term
-    args = tuple(_sorted_commutative(a, sig) for a in term.args)
-    if sig.is_commutative(term.sym):
-        # An atom and a constant may print alike; the type breaks the tie.
-        args = tuple(sorted(args, key=lambda t: (str(t), isinstance(t, Atom))))
-    return App(term.sym, args)
-
-
 def r_over_e_one_step(
     term: Term,
     system: RewriteSystem,
@@ -766,6 +729,8 @@ def r_over_e_one_step(
 ) -> tuple[Term, ...]:
     """Ground brute-force oracle: plain rewrites anywhere in the term's
     commutative-and-alpha class, one per =ac class in order of discovery.
+    The results are ground, so their `alpha_key` over the signature tells
+    the =ac classes apart.
 
     A class with no fitting site (`_class_fits`) is answered, with (),
     without a scan. Otherwise at most `max_sources` class members (default
@@ -773,10 +738,9 @@ def r_over_e_one_step(
     """
     if not is_ground(term):
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
-    sig = system.signature
-    results: dict[Term, Term] = {}
+    results: dict[object, Term] = {}
     for _, step in _class_steps(term, system, max_states, max_sources):
-        results.setdefault(ac_key(step.result, sig), step.result)
+        results.setdefault(alpha_key(step.result, system.signature), step.result)
     return tuple(results.values())
 
 

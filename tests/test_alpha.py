@@ -197,7 +197,7 @@ class TestSatisfaction:
 
 class TestOracleAgreement:
     def test_sampled_ground_pairs_depth_four(self):
-        from nomc import c_class_enumerate, canonical_alpha
+        from nomc import c_class_enumerate
 
         sig = Signature({"f": (2, False), "g": (1, False), "c": (2, True)})
         rng = random.Random(7)
@@ -209,13 +209,13 @@ class TestOracleAgreement:
                 else random_ground_term(rng, sig, 4, atoms=ATOMS[:3])
             )
             derived = derive_alpha_c(frozenset(), s, t, sig)
-            by_class = canonical_alpha(t) in c_class_enumerate(canonical_alpha(s), sig)
+            by_class = alpha_key(t) in {alpha_key(m) for m in c_class_enumerate(s, sig)}
             assert derived == by_class, (str(s), str(t))
 
 
 class TestAlphaKey:
     """Plain alpha-equal terms share their `alpha_key`, so step dedup may
-    compare only terms with equal keys."""
+    compare only terms with equal keys; over a signature, =ac terms do."""
 
     def test_bound_atoms_become_indices(self):
         assert alpha_key(parse_term("[a]a", LAMBDA_SIG)) == alpha_key(parse_term("[b]b", LAMBDA_SIG))
@@ -240,6 +240,47 @@ class TestAlphaKey:
             u, v = (random_term(rng, LAMBDA_SIG, 2, atoms=ATOMS[:2]) for _ in range(2))
             if derive_alpha(ctx, u, v):
                 assert alpha_key(u) == alpha_key(v), (str(u), str(v))
+
+    def test_swapped_arguments_share_the_key_over_the_signature(self):
+        s, t = parse_term("c(g(a), [b]X)", C_SIG), parse_term("c([a]X, g(a))", C_SIG)
+        assert derive_alpha_c(context_of((a, X), (b, X)), s, t, C_SIG)
+        assert alpha_key(s, C_SIG) == alpha_key(t, C_SIG)
+        assert alpha_key(s) != alpha_key(t)
+        assert alpha_key(parse_term("f(a, b)", C_SIG), C_SIG) != alpha_key(parse_term("f(b, a)", C_SIG), C_SIG)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_ac_equal_terms_share_the_key(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            ctx = random_context(rng, size=8)
+            s = random_term(rng, C_SIG, 4)
+            # Commutative arguments swapped too.
+            t = equivalent_variant(rng, ctx, s, C_SIG)
+            assert derive_alpha_c(ctx, s, t, C_SIG), (str(s), str(t))
+            assert alpha_key(s, C_SIG) == alpha_key(t, C_SIG), (str(s), str(t))
+            u, v = (random_term(rng, C_SIG, 2, atoms=ATOMS[:2]) for _ in range(2))
+            if derive_alpha_c(ctx, u, v, C_SIG):
+                assert alpha_key(u, C_SIG) == alpha_key(v, C_SIG), (str(u), str(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_exact_on_ground_terms(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            roll = rng.random()
+            if roll < 0.3:
+                # Over two atoms, unrelated terms are =ac now and then.
+                s, t = (random_ground_term(rng, C_SIG, 2, atoms=ATOMS[:2]) for _ in range(2))
+            else:
+                s = random_ground_term(rng, C_SIG, 4, atoms=ATOMS[:3])
+                t = equivalent_variant(rng, frozenset(), s, C_SIG)
+                if roll < 0.65:
+                    # Two atoms swapped: sometimes =ac, mostly not.
+                    x, y = rng.sample(ATOMS[:3], 2)
+                    t = permute_term(Permutation(((x, y),)), t)
+            same = alpha_key(s, C_SIG) == alpha_key(t, C_SIG)
+            assert same == derive_alpha_c(frozenset(), s, t, C_SIG), (str(s), str(t))
 
 
 class TestProblems:

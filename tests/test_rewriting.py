@@ -4,8 +4,12 @@ import collections
 import dataclasses
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -27,11 +31,9 @@ from nomc import (
     Suspension,
     Var,
     WITNESSED,
-    ac_key,
     alpha_variants,
     apply_subst,
     c_class_enumerate,
-    canonical_alpha,
     coherence_check,
     commutative_variants,
     derive_alpha,
@@ -58,8 +60,9 @@ from nomc import (
     term_vars,
     verify_rewrite_step,
 )
+import nomc
 from nomc import rewriting
-from nomc.alpha import EMPTY_CONTEXT
+from nomc.alpha import EMPTY_CONTEXT, alpha_key
 from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
@@ -218,6 +221,9 @@ class TestClassEnumeration:
 
 
 class TestCanonicalAlpha:
+    """The plain `alpha_key` is exact on ground terms: equal keys mean
+    alpha-equal."""
+
     def test_equal_iff_alpha_equal(self):
         rng = random.Random(23)
         from conftest import random_ground_term
@@ -225,14 +231,12 @@ class TestCanonicalAlpha:
         for _ in range(150):
             s = random_ground_term(rng, CSIG, 3)
             t = random_ground_term(rng, CSIG, 3)
-            assert (canonical_alpha(s) == canonical_alpha(t)) == derive_alpha(
-                frozenset(), s, t
-            )
+            assert (alpha_key(s) == alpha_key(t)) == derive_alpha(frozenset(), s, t)
 
     def test_variants_share_canonical_form(self):
         s = Abstraction(a, App("oplus", (a, b)))
         t = Abstraction(c, App("oplus", (c, b)))
-        assert canonical_alpha(s) == canonical_alpha(t)
+        assert alpha_key(s) == alpha_key(t)
 
 
 class TestGroundOracle:
@@ -993,6 +997,8 @@ class TestSourcesCap:
 
 
 class TestAcKey:
+    """`alpha_key` over the signature is exact for =ac on ground terms."""
+
     @settings(max_examples=600, deadline=None)
     @given(st.sampled_from(("prenex", "ex22", "lambda")), st.integers(0, 2**32 - 1))
     def test_keys_are_equal_exactly_when_ac_equal(self, name, seed):
@@ -1014,13 +1020,14 @@ class TestAcKey:
             t = permute_term(Permutation(((x, y),)), equivalent_variant(rng, frozenset(), s, sig))
         else:
             t = draw(2)
-        assert (ac_key(s, sig) == ac_key(t, sig)) == derive_alpha_c(frozenset(), s, t, sig), (str(s), str(t))
+        assert (alpha_key(s, sig) == alpha_key(t, sig)) == derive_alpha_c(frozenset(), s, t, sig), (str(s), str(t))
 
     def test_atom_and_constant_that_print_alike(self):
         sig = Signature({"pair": (2, True), "c": (0, False)})
         s, t = App("pair", (Atom("c"), App("c", ()))), App("pair", (App("c", ()), Atom("c")))
         assert derive_alpha_c(frozenset(), s, t, sig)
-        assert ac_key(s, sig) == ac_key(t, sig)
+        assert alpha_key(s, sig) == alpha_key(t, sig)
+        assert alpha_key(Atom("c"), sig) != alpha_key(App("c", ()), sig)
 
 
 class TestClassOracle:
@@ -1037,6 +1044,54 @@ class TestClassOracle:
         else:
             term = random_ground_term(rng, system.signature, 3)
         assert r_over_e_one_step(term, system) == _eager_r_over_e_one_step(term, system)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("prenex", "ex22", "lambda")), st.integers(0, 2**32 - 1))
+    def test_first_result_of_each_ac_class_in_order(self, name, seed):
+        # The reference judges the classes pairwise by `derive_alpha_c`. Half
+        # the terms carry a free atom named `~0`, like a marker of the old key.
+        rng = random.Random(seed)
+        system = POOL_SYSTEMS[name]
+        sig = system.signature
+        if name == "prenex":
+            term = App("or", (random_prenex_formula(rng, 3), random_prenex_formula(rng, 2)))
+        else:
+            term = random_ground_term(rng, sig, 3)
+        if rng.random() < 0.5:
+            term = permute_term(Permutation(((c, Atom("~0")),)), term)
+        expected = []
+        for _, step in rewriting._class_steps(term, system, DEFAULT_MAX_STATES):
+            if not any(derive_alpha_c(EMPTY_CONTEXT, step.result, kept, sig) for kept in expected):
+                expected.append(step.result)
+        assert r_over_e_one_step(term, system) == tuple(expected), str(term)
+
+    def test_free_atom_named_like_a_binder_marker(self):
+        # Binders renamed to atoms `~0`, `~1`, ... once made the =ac key, so
+        # a free `~0` split one class into `k([a]f(a, ~0))` and `k([b]f(b, ~0))`.
+        system = parse_system(
+            "sig:\n  g: 1\n  k: 1\n  f: 2\n  q: 2 commutative\n\n"
+            "rules:\n  wrap: |- g(X) -> k(X)\n  pick: |- q(a, b) -> a\n"
+        ).system
+        marker = Atom("~0")
+        results = r_over_e_one_step(App("g", (Abstraction(a, App("f", (a, marker))),)), system)
+        assert len(results) == 1
+        expected = App("k", (Abstraction(b, App("f", (b, marker))),))
+        assert derive_alpha_c(EMPTY_CONTEXT, results[0], expected, system.signature)
+
+    def test_class_scan_interns_no_marker_atom(self):
+        # A fresh process, since other tests make `~0` on purpose.
+        code = (
+            "from nomc import Atom, parse_term, r_over_e_one_step\n"
+            "from nomc.cli import load_system_file\n"
+            "system = load_system_file('prenex').system\n"
+            "term = parse_term('not(forall([a]forall([b]forall([c]or(a, or(b, c))))))', system.signature)\n"
+            "assert r_over_e_one_step(term, system)\n"
+            "markers = sorted(name for name in Atom._table if name.startswith('~'))\n"
+            "assert not markers, markers\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_class_step_limit_keeps_its_trace(self):
         # `b` is in normal form, but its alpha-variant `a` rewrites to itself.
@@ -1096,7 +1151,7 @@ def _class_outcome(class_steps, term, system, max_steps=6):
     sig = system.signature
     results = {}
     for _, step in class_steps(term, system):
-        results.setdefault(ac_key(step.result, sig), step.result)
+        results.setdefault(alpha_key(step.result, sig), step.result)
     sources = []
 
     def steps(t):

@@ -26,7 +26,6 @@ from nomc import (
     UNKNOWN,
     UnificationState,
     Var,
-    ac_key,
     check_solution,
     context_of,
     derive_alpha_c,
@@ -40,6 +39,7 @@ from nomc import (
     simplify_step,
     solve,
 )
+from nomc.alpha import alpha_key
 from conftest import equivalent_variant, random_ground_term
 
 a, b, e = Atom("a"), Atom("b"), Atom("e")
@@ -505,5 +505,5 @@ class TestFixpointClasses:
             sols = enumerate_fixpoint_solutions(perm, X, sig, 3)
             assert len(sols) == count
             terms = [s.get(X) for _, s in sols[1:]]
-            assert len({ac_key(t, sig) for t in terms}) == len(terms)
+            assert len({alpha_key(t, sig) for t in terms}) == len(terms)
             assert all(derive_alpha_c(EMPTY_CONTEXT, permute_term(perm, t), t, sig) for t in terms)
