@@ -5,6 +5,13 @@ under a fixed rule priority. Commutative applications branch into the two
 argument pairings. Equations pi.X =ac X with pi not the identity are
 fixed-point equations: they have infinitely many solutions and are returned
 as residual data (or discharged by freshness when X is protected).
+
+The search advances each branch in place: its context, its substitution,
+its goals and each goal's cached rule rank. A commutative split whose
+pairings differ copies the branch; a `UnificationState` is built only for
+a leaf, or by `simplify_step`, which applies the same step to a state.
+`max_states` counts one state per step and one per goal-less leaf, as a
+search that built every successor state would.
 """
 
 from __future__ import annotations
@@ -109,90 +116,136 @@ def _fixpoint_form(goal: Goal) -> tuple[Permutation, Var] | None:
     return None
 
 
-# Rule priorities, highest first: freshness first; instantiation last so
-# substitutions grow as late as possible.
-_FRESH, _REFL, _APP, _COMM, _ABS_SAME, _ABS_DIFF, _INV, _INST = range(8)
+# Rule ranks, highest priority first: freshness first; instantiation last so
+# substitutions grow as late as possible. A clash ranks below every rule and
+# a goal no rule reduces above them, so a branch's least rank says what its
+# next step does.
+_CLASH, _FRESH, _REFL, _APP, _COMM, _ABS_SAME, _ABS_DIFF, _INV, _INST, _NO_RULE = range(-1, 9)
 
 
-def _rule_for(goal: Goal, protected: ProtectedVars, sig: Signature) -> int | Sentinel | None:
-    """The highest-priority rule the goal's shape admits, FAIL for a clash
-    (no rule can ever reduce the goal and no substitution can repair it),
-    or None.
+def _rule_for(goal: Goal, protected: ProtectedVars, sig: Signature) -> int:
+    """The highest-priority rule the goal's shape admits, _CLASH when no rule
+    can ever reduce the goal and no substitution can repair it, or _NO_RULE.
 
     _INST only marks a candidate: the occurs check is left to the caller,
     which runs it only when no goal admits a higher-priority rule.
     """
-    if isinstance(goal, FreshnessGoal):
-        return FAIL if isinstance(goal.term, Atom) and goal.term == goal.atom else _FRESH
+    if type(goal) is FreshnessGoal:
+        return _CLASH if goal.term is goal.atom else _FRESH
     lhs, rhs = goal.lhs, goal.rhs
-    lsusp, rsusp = isinstance(lhs, Suspension), isinstance(rhs, Suspension)
-    if lsusp and rsusp and lhs.var == rhs.var:
+    kind = type(lhs)
+    lsusp, rsusp = kind is Suspension, type(rhs) is Suspension
+    if lsusp and rsusp and lhs.var is rhs.var:
         if not difference_set(lhs.perm, rhs.perm):
             return _REFL
-        return _INV if rhs.perm.swappings else None
+        return _INV if rhs.perm.swappings else _NO_RULE
     if lsusp or rsusp:
         if (not lsusp or lhs.var in protected) and (not rsusp or rhs.var in protected):
-            return FAIL
+            return _CLASH
         return _INST
-    if type(lhs) is not type(rhs):
-        return FAIL
+    if kind is not type(rhs):
+        return _CLASH
     if lhs == rhs:
         return _REFL
-    if isinstance(lhs, App):
+    if kind is App:
         if lhs.sym != rhs.sym or len(lhs.args) != len(rhs.args):
-            return FAIL
+            return _CLASH
         return _COMM if sig.is_commutative(lhs.sym) else _APP
-    if isinstance(lhs, Abstraction):
-        return _ABS_SAME if lhs.atom == rhs.atom else _ABS_DIFF
-    return None  # distinct atoms: no rule, but failure waits until nothing else reduces
+    if kind is Abstraction:
+        return _ABS_SAME if lhs.atom is rhs.atom else _ABS_DIFF
+    return _NO_RULE  # distinct atoms: failure waits until nothing else reduces
 
 
-def _without(goals: tuple[Goal, ...], idx: int, appended: list[Goal]) -> tuple[Goal, ...]:
-    remaining = list(goals[:idx]) + list(goals[idx + 1 :])
-    for goal in appended:
-        if goal not in remaining:
-            remaining.append(goal)
-    return tuple(remaining)
+@dataclass(slots=True)
+class _Branch:
+    """One branch of the search, advanced in place by `_step`: hypotheses,
+    accumulated substitution, open goals, and each goal's `_rule_for` rank."""
+
+    context: FreshnessContext
+    subst: Substitution
+    goals: list[Goal]
+    ranks: list[int]
+
+    def state(self) -> UnificationState:
+        return UnificationState(self.context, self.subst, tuple(self.goals))
 
 
-def _apply(state: UnificationState, idx: int, rule: int) -> tuple[UnificationState, ...]:
-    """Successors of a rule other than instantiation on goal idx: one state,
-    or two for a commutative application whose pairings differ."""
-    goal = state.goals[idx]
-    context = state.context
-    alternatives: list[list[Goal]] = [[]]  # drop the goal: refl, a#b, a#[a]t
+def _branch(state: UnificationState, protected: ProtectedVars, sig: Signature) -> _Branch:
+    goals = list(state.goals)
+    return _Branch(state.context, state.subst, goals, [_rule_for(g, protected, sig) for g in goals])
+
+
+def _novel(goals: list[Goal], new: list[Goal]) -> list[Goal]:
+    """The goals of `new` that are neither in `goals` nor earlier in `new`."""
+    out: list[Goal] = []
+    for goal in new:
+        if goal not in goals and goal not in out:
+            out.append(goal)
+    return out
+
+
+def _step(branch: _Branch, protected: ProtectedVars, sig: Signature) -> _Branch | Sentinel | None:
+    """Apply the highest-priority rule any goal admits, to the first goal
+    admitting it, in place.
+
+    Returns None once `branch` holds the successor; the second branch of a
+    commutative application whose pairings differ (`branch` holds the
+    first); FAIL when some goal is irreducibly unsatisfiable; or STUCK when
+    only fixed-point equations remain. FAIL and STUCK leave `branch` as is.
+    """
+    goals, ranks = branch.goals, branch.ranks
+    rule = min(ranks, default=_NO_RULE)
+    if rule == _CLASH:
+        return FAIL
+    if rule == _INST:
+        # Only instantiation candidates are left; the first to pass the occurs check fires.
+        for idx in range(len(goals)):
+            if ranks[idx] == _INST and _instantiate(branch, idx, protected, sig):
+                return None
+    if rule >= _INST:
+        return STUCK if all(_fixpoint_form(g) is not None for g in goals) else FAIL
+    idx = ranks.index(rule)
+    goal = goals.pop(idx)
+    del ranks[idx]
+    new: list[Goal] = []  # drop the goal: refl, a#b, a#[a]t
+    crossed: list[Goal] | None = None
     if rule == _FRESH:
         atom, term = goal.atom, goal.term
-        if isinstance(term, App):
-            alternatives = [[FreshnessGoal(atom, arg) for arg in term.args]]
-        elif isinstance(term, Abstraction) and term.atom != atom:
-            alternatives = [[FreshnessGoal(atom, term.body)]]
-        elif isinstance(term, Suspension):
-            context = context | {FreshnessConstraint(term.perm.inverse().act(atom), term.var)}
+        kind = type(term)
+        if kind is App:
+            new = [FreshnessGoal(atom, arg) for arg in term.args]
+        elif kind is Abstraction and term.atom is not atom:
+            new = [FreshnessGoal(atom, term.body)]
+        elif kind is Suspension:
+            branch.context = branch.context | {FreshnessConstraint(term.perm.inverse().act(atom), term.var)}
     elif rule != _REFL:
         lhs, rhs = goal.lhs, goal.rhs
         if rule == _APP:
-            alternatives = [[EqualityGoal(l, r) for l, r in zip(lhs.args, rhs.args)]]
+            new = [EqualityGoal(l, r) for l, r in zip(lhs.args, rhs.args)]
         elif rule == _COMM:
             (s0, s1), (t0, t1) = lhs.args, rhs.args
-            alternatives = [
-                [EqualityGoal(s0, t0), EqualityGoal(s1, t1)],
-                [EqualityGoal(s0, t1), EqualityGoal(s1, t0)],
-            ]
+            new = [EqualityGoal(s0, t0), EqualityGoal(s1, t1)]
+            crossed = [EqualityGoal(s0, t1), EqualityGoal(s1, t0)]
         elif rule == _ABS_SAME:
-            alternatives = [[EqualityGoal(lhs.body, rhs.body)]]
+            new = [EqualityGoal(lhs.body, rhs.body)]
         elif rule == _ABS_DIFF:
             swapped = permute_term(Permutation(((lhs.atom, rhs.atom),)), rhs.body)
-            alternatives = [[EqualityGoal(lhs.body, swapped), FreshnessGoal(lhs.atom, rhs.body)]]
+            new = [EqualityGoal(lhs.body, swapped), FreshnessGoal(lhs.atom, rhs.body)]
         else:  # _INV
             combined = rhs.perm.inverse().compose(lhs.perm)
-            alternatives = [[EqualityGoal(Suspension(combined, lhs.var), Suspension(IDENTITY, lhs.var))]]
-    successors: list[UnificationState] = []
-    for appended in alternatives:
-        goals = _without(state.goals, idx, appended)
-        if all(goals != s.goals for s in successors):
-            successors.append(UnificationState(context, state.subst, goals))
-    return tuple(successors)
+            new = [EqualityGoal(Suspension(combined, lhs.var), Suspension(IDENTITY, lhs.var))]
+    split = None
+    if crossed is not None:
+        new, crossed = _novel(goals, new), _novel(goals, crossed)
+        if crossed != new:
+            split = _Branch(
+                branch.context, branch.subst, goals + crossed, ranks + [_rule_for(g, protected, sig) for g in crossed]
+            )
+    for added in new:
+        if added not in goals:
+            goals.append(added)
+            ranks.append(_rule_for(added, protected, sig))
+    return split
 
 
 def _instantiable(side: Term, other: Term, protected: ProtectedVars) -> Suspension | None:
@@ -206,37 +259,46 @@ def _instantiable(side: Term, other: Term, protected: ProtectedVars) -> Suspensi
 
 
 def _goal_image(theta: Substitution, goal: Goal) -> Goal:
+    """theta(goal); a goal none of whose variables theta binds comes back as is."""
     if isinstance(goal, FreshnessGoal):
-        return FreshnessGoal(goal.atom, apply_subst(theta, goal.term))
-    return EqualityGoal(apply_subst(theta, goal.lhs), apply_subst(theta, goal.rhs))
+        term = apply_subst(theta, goal.term)
+        return goal if term is goal.term else FreshnessGoal(goal.atom, term)
+    lhs, rhs = apply_subst(theta, goal.lhs), apply_subst(theta, goal.rhs)
+    return goal if lhs is goal.lhs and rhs is goal.rhs else EqualityGoal(lhs, rhs)
 
 
-def _instantiate(state: UnificationState, idx: int, protected: ProtectedVars) -> UnificationState | None:
-    """Bind a variable of goal idx, or None when the occurs check rules out both sides."""
-    goal = state.goals[idx]
+def _instantiate(branch: _Branch, idx: int, protected: ProtectedVars, sig: Signature) -> bool:
+    """Bind a variable of goal idx in place; False, with `branch` as is, when
+    the occurs check rules out both sides. Goals the binding rewrites and the
+    freshness goals regenerated from the context are ranked anew."""
+    goal = branch.goals[idx]
     picked = _instantiable(goal.lhs, goal.rhs, protected)
     other = goal.rhs
     if picked is None:
         picked = _instantiable(goal.rhs, goal.lhs, protected)
         other = goal.lhs
     if picked is None:
-        return None
+        return False
     binding = Substitution({picked.var: permute_term(picked.perm.inverse(), other)})
-    new_subst = state.subst.compose(binding)
+    new_subst = branch.subst.compose(binding)
     transformed: list[Goal] = []
-    for i, g in enumerate(state.goals):
+    ranks: list[int] = []
+    for i, g in enumerate(branch.goals):
         if i == idx:
             continue
         updated = _goal_image(binding, g)
         if updated not in transformed:
             transformed.append(updated)
+            ranks.append(branch.ranks[i] if updated is g else _rule_for(updated, protected, sig))
     bound = new_subst.domain
-    for constraint in sorted(state.context, key=lambda c: (c.atom.name, c.var.name)):
-        if constraint.var in bound:
-            regenerated = FreshnessGoal(constraint.atom, new_subst.get(constraint.var))
-            if regenerated not in transformed:
-                transformed.append(regenerated)
-    return UnificationState(state.context, new_subst, tuple(transformed))
+    stale = [c for c in branch.context if c.var in bound]
+    for constraint in sorted(stale, key=lambda c: (c.atom.name, c.var.name)):
+        regenerated = FreshnessGoal(constraint.atom, new_subst.get(constraint.var))
+        if regenerated not in transformed:
+            transformed.append(regenerated)
+            ranks.append(_rule_for(regenerated, protected, sig))
+    branch.subst, branch.goals, branch.ranks = new_subst, transformed, ranks
+    return True
 
 
 def simplify_step(
@@ -247,29 +309,18 @@ def simplify_step(
 ) -> tuple[UnificationState, ...] | Sentinel:
     """Apply the highest-priority applicable rule, to the first goal admitting it.
 
-    Returns the successor states (two of them for a commutative application),
-    FAIL when some goal is irreducibly unsatisfiable, or STUCK when only
-    fixed-point equations remain.
+    Returns the successor states (two of them for a commutative application
+    whose pairings differ), FAIL when some goal is irreducibly unsatisfiable,
+    or STUCK when only fixed-point equations remain. This is `_step` on a
+    branch built from `state`; the solver itself never builds these states.
     """
-    ranked: list[tuple[int, int]] = []
-    for idx, goal in enumerate(state.goals):
-        rule = _rule_for(goal, protected, sig)
-        if rule is FAIL:
-            return FAIL
-        if rule is not None:
-            ranked.append((rule, idx))
-    if ranked:
-        rule, idx = min(ranked)
-        if rule != _INST:
-            return _apply(state, idx, rule)
-    # Only instantiation candidates are left; the first to pass the occurs check fires.
-    for _, idx in ranked:
-        successor = _instantiate(state, idx, protected)
-        if successor is not None:
-            return (successor,)
-    if all(_fixpoint_form(g) is not None for g in state.goals):
-        return STUCK
-    return FAIL
+    branch = _branch(state, protected, sig)
+    outcome = _step(branch, protected, sig)
+    if outcome is FAIL or outcome is STUCK:
+        return outcome
+    if outcome is None:
+        return (branch.state(),)
+    return (branch.state(), outcome.state())
 
 
 def _terminal_states(
@@ -278,25 +329,33 @@ def _terminal_states(
     sig: Signature,
     max_states: int,
 ) -> list[UnificationState]:
-    """Depth-first exhaustion of the branch tree; leaves keep residual goals."""
-    stack = [initial]
+    """Depth-first exhaustion of the branch tree; leaves keep residual goals.
+
+    A branch advances in place until it fails or ends in a leaf; the second
+    branch of a commutative split waits on the stack. Each step and each
+    goal-less leaf counts as one state towards `max_states`.
+    """
+    stack = [_branch(initial, protected, sig)]
     leaves: list[UnificationState] = []
     visited = 0
     while stack:
-        state = stack.pop()
-        visited += 1
-        if visited > max_states:
-            raise SearchSpaceExceeded(f"unification search exceeded {max_states} states")
-        if not state.goals:
-            leaves.append(state)
-            continue
-        outcome = simplify_step(state, protected, sig=sig)
-        if outcome is FAIL:
-            continue
-        if outcome is STUCK:
-            leaves.append(state)
-            continue
-        stack.extend(reversed(outcome))
+        branch = stack.pop()
+        while True:
+            visited += 1
+            if visited > max_states:
+                raise SearchSpaceExceeded(f"unification search exceeded {max_states} states")
+            if not branch.goals:
+                leaves.append(branch.state())
+                break
+            outcome = _step(branch, protected, sig)
+            if outcome is None:
+                continue
+            if outcome is FAIL:
+                break
+            if outcome is STUCK:
+                leaves.append(branch.state())
+                break
+            stack.append(outcome)
     return leaves
 
 

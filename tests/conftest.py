@@ -11,8 +11,11 @@ from nomc import (
     Abstraction,
     App,
     Atom,
+    FAIL,
     FreshnessConstraint,
     Permutation,
+    STUCK,
+    SearchSpaceExceeded,
     Signature,
     Substitution,
     Suspension,
@@ -21,6 +24,7 @@ from nomc import (
     derive_freshness,
     difference_set,
     permute_term,
+    simplify_step,
 )
 from nomc.cli import load_system_file
 from nomc.rewriting import renamed_rule
@@ -351,3 +355,34 @@ def reference_skeleton_fits(lhs, sub, sig, unify):
         return False
     (l0, l1), (s0, s1) = lhs.args, sub.args
     return reference_skeleton_fits(l0, s1, sig, unify) and reference_skeleton_fits(l1, s0, sig, unify)
+
+
+# -- the solver's search, the old way ----------------------------------------------
+#
+# The solver once built a state for every successor of every step and ran
+# `simplify_step` on each. This loop stays here as the reference for the
+# search that advances each branch in place (`nomc.unify._terminal_states`).
+
+
+def reference_search(initial, protected, sig, max_states):
+    """(leaves in depth-first order, states visited), or SearchSpaceExceeded
+    once more than max_states states are visited."""
+    stack = [initial]
+    leaves = []
+    visited = 0
+    while stack:
+        state = stack.pop()
+        visited += 1
+        if visited > max_states:
+            raise SearchSpaceExceeded(f"unification search exceeded {max_states} states")
+        if not state.goals:
+            leaves.append(state)
+            continue
+        outcome = simplify_step(state, protected, sig=sig)
+        if outcome is FAIL:
+            continue
+        if outcome is STUCK:
+            leaves.append(state)
+            continue
+        stack.extend(reversed(outcome))
+    return leaves, visited

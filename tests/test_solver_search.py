@@ -1,0 +1,125 @@
+"""The solver's search against the reference loop that builds every state.
+
+`reference_search` (conftest) runs `simplify_step` on a state per step;
+`_terminal_states` advances each branch in place. Both must give the same
+leaves in the same order and visit the same number of states, so that
+`max_states` fires at the same step.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from nomc import (
+    EqualityGoal,
+    IDENTITY_SUBST,
+    SearchSpaceExceeded,
+    UnificationState,
+    instance_of,
+    parse_context,
+    parse_term,
+    solve,
+    term_vars,
+)
+from nomc import unify
+from nomc.unify import _leaf_solution, _terminal_states
+from conftest import reference_search
+from test_solver_golden import MAX_STATES, _problem, _signatures
+
+SEEDS = range(500)
+
+# A commutative split where only one pairing leads to a freshness step on a
+# suspension, so the two branches' leaves carry different contexts.
+SPLIT_THEN_FRESH = (
+    ("fC([a]X, Z)", "fC([b]Y, W)", ""),
+    ("fC(W, [a]X)", "fC([b]Y, Z)", ""),
+    ("fC(h([a]X), Z)", "fC(h([b]Y), W)", "c#Y"),
+    ("fC(fC([a]X, Z), c)", "fC(c, fC(W, [b]Y))", ""),
+    ("oplus(fC([a]X, b), Z)", "oplus(W, fC(b, [b]Y))", "a#W"),
+)
+
+
+def _check_search(initial, protected, sig):
+    """The new search against the reference at its own state count N."""
+    try:
+        leaves, visited = reference_search(initial, protected, sig, MAX_STATES)
+    except SearchSpaceExceeded as exc:
+        with pytest.raises(SearchSpaceExceeded, match=str(exc)):
+            _terminal_states(initial, protected, sig, MAX_STATES)
+        return None
+    assert _terminal_states(initial, protected, sig, visited) == leaves
+    with pytest.raises(SearchSpaceExceeded):
+        _terminal_states(initial, protected, sig, visited - 1)
+    return leaves, visited
+
+
+def _expected_solutions(leaves, protected):
+    solutions = []
+    for leaf in leaves:
+        solution = _leaf_solution(leaf, protected)
+        if solution not in solutions:
+            solutions.append(solution)
+    return tuple(solutions)
+
+
+def _verdicts(solutions, variables, sig):
+    out = []
+    for general in solutions[:3]:
+        for specific in solutions[:3]:
+            try:
+                verdict = instance_of(
+                    (general.context, general.subst),
+                    (specific.context, specific.subst),
+                    variables,
+                    sig=sig,
+                    max_states=MAX_STATES,
+                )
+            except SearchSpaceExceeded as exc:
+                verdict = f"exceeded: {exc}"
+            out.append(verdict)
+    return out
+
+
+def _reference_verdicts(monkeypatch, solutions, variables, sig):
+    with monkeypatch.context() as patched:
+        patched.setattr(unify, "_terminal_states", lambda *args: reference_search(*args)[0])
+        return _verdicts(solutions, variables, sig)
+
+
+def test_search_matches_reference_on_golden_problems(monkeypatch):
+    signatures = _signatures()
+    compared = 0
+    for seed in SEEDS:
+        sig, delta, s, nabla, l, protected = _problem(seed, signatures)
+        initial = UnificationState(nabla | delta, IDENTITY_SUBST, (EqualityGoal(l, s),))
+        checked = _check_search(initial, protected, sig)
+        if checked is None:
+            continue
+        leaves, visited = checked
+        expected = _expected_solutions(leaves, protected)
+        assert solve(delta, s, nabla, l, protected, sig=sig, max_states=visited) == expected, seed
+        with pytest.raises(SearchSpaceExceeded):
+            solve(delta, s, nabla, l, protected, sig=sig, max_states=visited - 1)
+        variables = term_vars(l) | term_vars(s)
+        verdicts = _verdicts(expected, variables, sig)
+        assert verdicts == _reference_verdicts(monkeypatch, expected, variables, sig), seed
+        compared += 1
+    assert compared > len(SEEDS) * 9 // 10
+
+
+@pytest.mark.parametrize("lhs, rhs, ctx", SPLIT_THEN_FRESH)
+def test_freshness_after_split_stays_in_its_branch(ex22_system, lhs, rhs, ctx):
+    sig = ex22_system.signature
+    initial = UnificationState(
+        parse_context(ctx), IDENTITY_SUBST, (EqualityGoal(parse_term(lhs, sig), parse_term(rhs, sig)),)
+    )
+    leaves, _ = _check_search(initial, frozenset(), sig)
+    assert len({leaf.context for leaf in leaves}) > 1
+
+
+def test_nested_commutative_splits_count_47_states(ex22_system):
+    sig = ex22_system.signature
+    lhs, rhs = (parse_term(t, sig) for t in ("fC(fC(X1, X2), fC(X3, X4))", "fC(fC(Y1, Y2), fC(Y3, Y4))"))
+    initial = UnificationState(frozenset(), IDENTITY_SUBST, (EqualityGoal(lhs, rhs),))
+    leaves, visited = _check_search(initial, frozenset(), sig)
+    assert visited == 47 and len(leaves) == 8

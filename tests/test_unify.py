@@ -79,6 +79,25 @@ class TestSimplifyStep:
         successors = simplify_step(state, sig=SIG)
         assert len(successors) == 2
 
+    def test_commutative_with_coinciding_pairings_yields_one_state(self):
+        state = UnificationState(
+            frozenset(),
+            IDENTITY_SUBST,
+            (EqualityGoal(parse_term("fC(X, X)", SIG), parse_term("fC(a, a)", SIG)),),
+        )
+        (successor,) = simplify_step(state, sig=SIG)
+        assert successor.goals == (EqualityGoal(Suspension(Permutation(), X), a),)
+
+    def test_freshness_on_suspension_extends_context(self):
+        hypothesis = FreshnessConstraint(e, Y)
+        state = UnificationState(
+            frozenset({hypothesis}), IDENTITY_SUBST, (FreshnessGoal(a, parse_term("(a b).X", SIG)),)
+        )
+        (successor,) = simplify_step(state, sig=SIG)
+        assert successor.goals == ()
+        assert successor.context == frozenset({hypothesis, FreshnessConstraint(b, X)})
+        assert state.context == frozenset({hypothesis})
+
     def test_freshness_under_other_binder(self):
         state = UnificationState(
             frozenset(), IDENTITY_SUBST, (FreshnessGoal(a, parse_term("[b]h(X)", SIG)),)
