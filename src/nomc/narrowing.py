@@ -207,9 +207,7 @@ def _expand_node(
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, _, _, _, used, solutions in redexes(
-        node.context, node.term, system, prepare, attempt, unify=True
-    ):
+    for pos, _, _, used, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth):
             if len(steps) >= max_unifiers:
                 return steps, True

@@ -456,7 +456,7 @@ def redexes(
     prepare: Callable[[RewriteRule, bool], RewriteRule | None],
     attempt: Callable[[Term, RewriteRule], Sequence],
     unify: bool,
-) -> Iterator[tuple[Position, Term, RewriteRule, Permutation, RewriteRule, Sequence]]:
+) -> Iterator[tuple[Position, RewriteRule, Permutation, RewriteRule, Sequence]]:
     """Lazily solve or match every rule at every non-variable position.
 
     Positions come leftmost-outermost and rules in declaration order; a rule
@@ -468,9 +468,8 @@ def redexes(
     rule renamed apart. `attempt(subterm, rule)` gives the answers, empty on
     failure. When the prepared rule fails and its atoms clash with the
     subterm's, it is retried once with the clashing atoms moved to fresh
-    ones. Each success yields `(position, subterm, prepared, perm, used,
-    answers)`, where `used` is `prepared` after the shift `perm` (IDENTITY
-    if none).
+    ones. Each success yields `(position, prepared, perm, used, answers)`,
+    where `used` is `prepared` after the shift `perm` (IDENTITY if none).
     """
     sig = system.signature
     ambient_atoms = None  # the shift's avoid set, built when a shift is first due
@@ -487,7 +486,7 @@ def redexes(
                 continue
             answers = attempt(sub, prepared)
             if answers:
-                yield pos, sub, prepared, IDENTITY, prepared, answers
+                yield pos, prepared, IDENTITY, prepared, answers
                 continue
             sub_atoms = term_atoms(sub)
             if prepared.atoms().isdisjoint(sub_atoms):
@@ -498,7 +497,7 @@ def redexes(
             shifted = permute_rule(prepared, shift)
             answers = attempt(sub, shifted)
             if answers:
-                yield pos, sub, prepared, shift, shifted, answers
+                yield pos, prepared, shift, shifted, answers
 
 
 def _candidate_steps(
@@ -525,7 +524,7 @@ def _candidate_steps(
         return renamed_rule(rule, fresh_variables(avoid, rule.renaming_bases)) if fits else None
 
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
-    for pos, _, prepared, perm, used, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
+    for pos, prepared, perm, used, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:
             result = replace_at(term, pos.path, apply_subst(theta, used.rhs))
             yield RewriteStep(prepared.name, pos, perm, theta, result, prepared)

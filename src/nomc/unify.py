@@ -4,14 +4,16 @@ The solver simplifies triples (context, accumulated substitution, goals)
 under a fixed rule priority. Commutative applications branch into the two
 argument pairings. Equations pi.X =ac X with pi not the identity are
 fixed-point equations: they have infinitely many solutions and are returned
-as residual data (or discharged by freshness when X is protected).
+as residual data (or discharged by freshness when X is protected). Their
+shape is recognised once, by the rule rank `_FIXPOINT`.
 
 The search advances each branch in place: its context, its substitution,
 its goals and each goal's cached rule rank. A commutative split whose
-pairings differ copies the branch; a `UnificationState` is built only for
-a leaf, or by `simplify_step`, which applies the same step to a state.
-`max_states` counts one state per step and one per goal-less leaf, as a
-search that built every successor state would.
+pairings differ copies the branch, and a leaf is turned into its
+`CSolution` where the search finds it. Only `simplify_step`, which applies
+the same step to a given state, builds a `UnificationState`. `max_states`
+counts one state per step and one per goal-less leaf, as a search that
+built every successor state would.
 """
 
 from __future__ import annotations
@@ -100,32 +102,19 @@ class CSolution:
         return "; ".join(parts)
 
 
-def _fixpoint_form(goal: Goal) -> tuple[Permutation, Var] | None:
-    """pi.X =ac rho.X with rho acting as the identity and pi not."""
-    if not isinstance(goal, EqualityGoal):
-        return None
-    lhs, rhs = goal.lhs, goal.rhs
-    if (
-        isinstance(lhs, Suspension)
-        and isinstance(rhs, Suspension)
-        and lhs.var == rhs.var
-        and rhs.perm.is_identity()
-        and difference_set(lhs.perm, rhs.perm)
-    ):
-        return lhs.perm, lhs.var
-    return None
-
-
 # Rule ranks, highest priority first: freshness first; instantiation last so
-# substitutions grow as late as possible. A clash ranks below every rule and
-# a goal no rule reduces above them, so a branch's least rank says what its
-# next step does.
-_CLASH, _FRESH, _REFL, _APP, _COMM, _ABS_SAME, _ABS_DIFF, _INV, _INST, _NO_RULE = range(-1, 9)
+# substitutions grow as late as possible. A clash ranks below every rule. A
+# fixed-point equation, which no rule reduces, ranks above them, and above it
+# a goal that fails once nothing else reduces. So a branch's least rank says
+# what its next step does: from _INST up, the branch is stuck if every goal
+# is a fixed-point equation, and fails otherwise.
+_CLASH, _FRESH, _REFL, _APP, _COMM, _ABS_SAME, _ABS_DIFF, _INV, _INST, _FIXPOINT, _NO_RULE = range(-1, 10)
 
 
 def _rule_for(goal: Goal, protected: ProtectedVars, sig: Signature) -> int:
     """The highest-priority rule the goal's shape admits, _CLASH when no rule
-    can ever reduce the goal and no substitution can repair it, or _NO_RULE.
+    can ever reduce the goal and no substitution can repair it, _FIXPOINT for
+    a fixed-point equation, or _NO_RULE.
 
     _INST only marks a candidate: the occurs check is left to the caller,
     which runs it only when no goal admits a higher-priority rule.
@@ -138,7 +127,7 @@ def _rule_for(goal: Goal, protected: ProtectedVars, sig: Signature) -> int:
     if lsusp and rsusp and lhs.var is rhs.var:
         if not difference_set(lhs.perm, rhs.perm):
             return _REFL
-        return _INV if rhs.perm.swappings else _NO_RULE
+        return _INV if rhs.perm.swappings else _FIXPOINT
     if lsusp or rsusp:
         if (not lsusp or lhs.var in protected) and (not rsusp or rhs.var in protected):
             return _CLASH
@@ -170,9 +159,10 @@ class _Branch:
         return UnificationState(self.context, self.subst, tuple(self.goals))
 
 
-def _branch(state: UnificationState, protected: ProtectedVars, sig: Signature) -> _Branch:
-    goals = list(state.goals)
-    return _Branch(state.context, state.subst, goals, [_rule_for(g, protected, sig) for g in goals])
+def _branch(
+    context: FreshnessContext, subst: Substitution, goals: tuple[Goal, ...], protected: ProtectedVars, sig: Signature
+) -> _Branch:
+    return _Branch(context, subst, list(goals), [_rule_for(g, protected, sig) for g in goals])
 
 
 def _novel(goals: list[Goal], new: list[Goal]) -> list[Goal]:
@@ -191,7 +181,8 @@ def _step(branch: _Branch, protected: ProtectedVars, sig: Signature) -> _Branch 
     Returns None once `branch` holds the successor; the second branch of a
     commutative application whose pairings differ (`branch` holds the
     first); FAIL when some goal is irreducibly unsatisfiable; or STUCK when
-    only fixed-point equations remain. FAIL and STUCK leave `branch` as is.
+    only fixed-point equations remain, or none at all. FAIL and STUCK leave
+    `branch` as is.
     """
     goals, ranks = branch.goals, branch.ranks
     rule = min(ranks, default=_NO_RULE)
@@ -203,7 +194,7 @@ def _step(branch: _Branch, protected: ProtectedVars, sig: Signature) -> _Branch 
             if ranks[idx] == _INST and _instantiate(branch, idx, protected, sig):
                 return None
     if rule >= _INST:
-        return STUCK if all(_fixpoint_form(g) is not None for g in goals) else FAIL
+        return STUCK if all(r == _FIXPOINT for r in ranks) else FAIL
     idx = ranks.index(rule)
     goal = goals.pop(idx)
     del ranks[idx]
@@ -314,7 +305,7 @@ def simplify_step(
     or STUCK when only fixed-point equations remain. This is `_step` on a
     branch built from `state`; the solver itself never builds these states.
     """
-    branch = _branch(state, protected, sig)
+    branch = _branch(state.context, state.subst, state.goals, protected, sig)
     outcome = _step(branch, protected, sig)
     if outcome is FAIL or outcome is STUCK:
         return outcome
@@ -323,20 +314,23 @@ def simplify_step(
     return (branch.state(), outcome.state())
 
 
-def _terminal_states(
-    initial: UnificationState,
+def _leaf_solutions(
+    context: FreshnessContext,
+    goals: tuple[Goal, ...],
     protected: ProtectedVars,
     sig: Signature,
     max_states: int,
-) -> list[UnificationState]:
-    """Depth-first exhaustion of the branch tree; leaves keep residual goals.
+) -> list[CSolution]:
+    """Depth-first exhaustion of the branch tree from (context, identity,
+    goals): the solution of every leaf, in the order the leaves are found.
 
-    A branch advances in place until it fails or ends in a leaf; the second
-    branch of a commutative split waits on the stack. Each step and each
-    goal-less leaf counts as one state towards `max_states`.
+    A branch advances in place until it fails or gets stuck, which it does
+    with no goals left or only fixed-point equations; the second branch of
+    a commutative split waits on the stack. Each step and each goal-less
+    leaf counts as one state towards `max_states`.
     """
-    stack = [_branch(initial, protected, sig)]
-    leaves: list[UnificationState] = []
+    stack = [_branch(context, IDENTITY_SUBST, goals, protected, sig)]
+    solutions: list[CSolution] = []
     visited = 0
     while stack:
         branch = stack.pop()
@@ -344,46 +338,35 @@ def _terminal_states(
             visited += 1
             if visited > max_states:
                 raise SearchSpaceExceeded(f"unification search exceeded {max_states} states")
-            if not branch.goals:
-                leaves.append(branch.state())
-                break
             outcome = _step(branch, protected, sig)
             if outcome is None:
                 continue
             if outcome is FAIL:
                 break
             if outcome is STUCK:
-                leaves.append(branch.state())
+                solutions.append(_leaf_solution(branch, protected))
                 break
             stack.append(outcome)
-    return leaves
+    return solutions
 
 
-def _prune_context(ctx: FreshnessContext, subst: Substitution) -> FreshnessContext:
-    # Constraints on instantiated variables were regenerated at instantiation
-    # time; the stale literals would otherwise leak renamed rule variables.
-    return frozenset(c for c in ctx if c.var not in subst.domain)
-
-
-def _leaf_solution(state: UnificationState, protected: ProtectedVars) -> CSolution:
-    context = state.context
+def _leaf_solution(branch: _Branch, protected: ProtectedVars) -> CSolution:
+    """A stuck branch's solution: its fixed-point equations on protected
+    variables are discharged by freshness, the others kept as residuals."""
+    context = branch.context
     kept: list[tuple[Permutation, Var]] = []
     discharged = False
-    for goal in state.goals:
-        perm, var = _fixpoint_form(goal)  # type: ignore[misc]
+    for goal in branch.goals:
+        perm, var = goal.lhs.perm, goal.lhs.var
         if var in protected:
-            context = context | {
-                FreshnessConstraint(a, var) for a in difference_set(perm, IDENTITY)
-            }
+            context = context | {FreshnessConstraint(a, var) for a in perm.moved_atoms()}
             discharged = True
         else:
             kept.append((perm, var))
-    return CSolution(
-        _prune_context(context, state.subst),
-        state.subst,
-        tuple(kept),
-        discharged,
-    )
+    # Constraints on instantiated variables were regenerated at instantiation
+    # time; the stale literals would otherwise leak renamed rule variables.
+    bound = branch.subst.domain
+    return CSolution(frozenset(c for c in context if c.var not in bound), branch.subst, tuple(kept), discharged)
 
 
 def solve(
@@ -403,10 +386,8 @@ def solve(
     data, residuals on protected variables are discharged by freshness.
     An empty result means the problem is unsolvable.
     """
-    initial = UnificationState(nabla | delta, IDENTITY_SUBST, (EqualityGoal(l, s),))
     solutions: list[CSolution] = []
-    for leaf in _terminal_states(initial, protected, sig, max_states):
-        solution = _leaf_solution(leaf, protected)
+    for solution in _leaf_solutions(nabla | delta, (EqualityGoal(l, s),), protected, sig, max_states):
         if solution not in solutions:
             solutions.append(solution)
     return tuple(solutions)
@@ -467,12 +448,10 @@ def instance_of(
     protected: set[Var] = {c.var for c in ctx2}
     for v in ordered:
         protected |= term_vars(theta2.get(v))
-    initial = UnificationState(ctx2, IDENTITY_SUBST, goals)
     # The witness binds no protected variable, so it leaves theta2's side as is.
     problem = UnificationState(ctx1, IDENTITY_SUBST, goals)
     inconclusive = False
-    for leaf in _terminal_states(initial, frozenset(protected), sig, max_states):
-        solution = _leaf_solution(leaf, frozenset(protected))
+    for solution in _leaf_solutions(ctx2, goals, frozenset(protected), sig, max_states):
         if solution.residual_fixpoints:
             inconclusive = True
             continue
@@ -499,7 +478,7 @@ def enumerate_fixpoint_solutions(
     classes are built, not searched for (`_fixed_classes`), so every
     emitted pair solves the equation by construction.
     """
-    moved = difference_set(perm, IDENTITY)
+    moved = perm.moved_atoms()
     if not moved:
         raise ValueError("fixed-point enumeration requires a non-identity permutation")
     freshness = frozenset(FreshnessConstraint(a, var) for a in moved)

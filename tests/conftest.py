@@ -11,8 +11,11 @@ from nomc import (
     Abstraction,
     App,
     Atom,
+    CSolution,
+    EqualityGoal,
     FAIL,
     FreshnessConstraint,
+    IDENTITY,
     Permutation,
     STUCK,
     SearchSpaceExceeded,
@@ -360,8 +363,10 @@ def reference_skeleton_fits(lhs, sub, sig, unify):
 # -- the solver's search, the old way ----------------------------------------------
 #
 # The solver once built a state for every successor of every step and ran
-# `simplify_step` on each. This loop stays here as the reference for the
-# search that advances each branch in place (`nomc.unify._terminal_states`).
+# `simplify_step` on each, and turned each leaf state into a solution
+# afterwards, recognising its fixed-point equations anew. This loop and that
+# conversion stay here as the reference for the search that advances each
+# branch in place and hands back solutions (`nomc.unify._leaf_solutions`).
 
 
 def reference_search(initial, protected, sig, max_states):
@@ -386,3 +391,38 @@ def reference_search(initial, protected, sig, max_states):
             continue
         stack.extend(reversed(outcome))
     return leaves, visited
+
+
+def reference_fixpoint_form(goal):
+    """pi.X =ac rho.X with rho acting as the identity and pi not."""
+    if not isinstance(goal, EqualityGoal):
+        return None
+    lhs, rhs = goal.lhs, goal.rhs
+    if (
+        isinstance(lhs, Suspension)
+        and isinstance(rhs, Suspension)
+        and lhs.var == rhs.var
+        and rhs.perm.is_identity()
+        and difference_set(lhs.perm, rhs.perm)
+    ):
+        return lhs.perm, lhs.var
+    return None
+
+
+def reference_prune_context(ctx, subst):
+    return frozenset(c for c in ctx if c.var not in subst.domain)
+
+
+def reference_leaf_solution(state, protected):
+    """The solution of a leaf state of `reference_search`."""
+    context = state.context
+    kept = []
+    discharged = False
+    for goal in state.goals:
+        perm, var = reference_fixpoint_form(goal)
+        if var in protected:
+            context = context | {FreshnessConstraint(a, var) for a in difference_set(perm, IDENTITY)}
+            discharged = True
+        else:
+            kept.append((perm, var))
+    return CSolution(reference_prune_context(context, state.subst), state.subst, tuple(kept), discharged)

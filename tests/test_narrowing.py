@@ -649,7 +649,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
     def attempt(sub, rule):
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, _, _, _, used, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+    for pos, _, _, used, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth):
             if len(steps) >= max_unifiers:
                 return steps, True, avoid

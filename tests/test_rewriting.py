@@ -150,6 +150,23 @@ class TestOneStep:
                 assert verify_rewrite_step(frozenset(), term, step, sig)
 
 
+class TestVerifiedMatchers:
+    def test_answer_outside_delta_whose_premises_hold_is_kept(self):
+        # The second answer carries a#X, which delta lacks, yet the other
+        # pairing of fC proves the premises under delta: filtering answers
+        # by `sol.context <= delta` would drop a valid step.
+        sig = Signature({"fC": (2, True)})
+        lhs = parse_term("[a]fC([c](d c)(d a).Q, [a](d c).Q)", sig)
+        rule = RewriteRule("r", frozenset(), lhs, lhs)
+        sub = parse_term("[a]fC([c](d c)(d a)(d a).X, [a](d c)(d a).X)", sig)
+        delta = parse_context("a#Z, d#Y")
+        answers = nomc.match(rule.context, rule.lhs, delta, sub, sig=sig)
+        assert [sol.context <= delta for sol in answers] == [True, False]
+        assert str(answers[1].subst) == "[Q -> (d a)(d c)(c a)(d c)(d a).X]"
+        kept = rewriting._verified_matchers(delta, sub, rule, sig, DEFAULT_MAX_STATES)
+        assert kept == [sol.subst for sol in answers]
+
+
 class TestNormalize:
     def test_negation_push(self, prenex_system):
         sig = prenex_system.signature
@@ -474,7 +491,7 @@ def _eager_candidate_steps(delta, term, system, max_states=DEFAULT_MAX_STATES):
     avoid = term_vars(term) | {c.var for c in delta}
     renamed = {rule.name: rename_rule_with_map(rule, avoid)[0] for rule in system.rules}
     attempt = functools.partial(rewriting._verified_matchers, delta, sig=system.signature, max_states=max_states)
-    for pos, _, prepared, perm, used, thetas in rewriting.redexes(
+    for pos, prepared, perm, used, thetas in rewriting.redexes(
         delta, term, system, lambda rule, fits: renamed[rule.name], attempt, unify=False
     ):
         for theta in thetas:

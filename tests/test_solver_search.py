@@ -1,9 +1,10 @@
 """The solver's search against the reference loop that builds every state.
 
-`reference_search` (conftest) runs `simplify_step` on a state per step;
-`_terminal_states` advances each branch in place. Both must give the same
-leaves in the same order and visit the same number of states, so that
-`max_states` fires at the same step.
+`reference_search` (conftest) runs `simplify_step` on a state per step, and
+`reference_leaf_solution` turns each leaf state into its solution;
+`_leaf_solutions` advances each branch in place and hands back solutions.
+Both must give the same solutions in the same order and visit the same
+number of states, so that `max_states` fires at the same step.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from nomc import (
     term_vars,
 )
 from nomc import unify
-from nomc.unify import _leaf_solution, _terminal_states
-from conftest import reference_search
+from nomc.unify import _leaf_solutions
+from conftest import reference_leaf_solution, reference_search
 from test_solver_golden import MAX_STATES, _problem, _signatures
 
 SEEDS = range(500)
@@ -39,24 +40,35 @@ SPLIT_THEN_FRESH = (
 )
 
 
+def _search(initial, protected, sig, max_states):
+    return _leaf_solutions(initial.context, initial.goals, protected, sig, max_states)
+
+
+def _reference_leaf_solutions(context, goals, protected, sig, max_states):
+    """`_leaf_solutions` by the reference search and leaf conversion."""
+    leaves, _ = reference_search(UnificationState(context, IDENTITY_SUBST, goals), protected, sig, max_states)
+    return [reference_leaf_solution(leaf, protected) for leaf in leaves]
+
+
 def _check_search(initial, protected, sig):
-    """The new search against the reference at its own state count N."""
+    """The new search against the reference at the reference's state count
+    N; returns the reference's leaf states and N."""
     try:
         leaves, visited = reference_search(initial, protected, sig, MAX_STATES)
     except SearchSpaceExceeded as exc:
         with pytest.raises(SearchSpaceExceeded, match=str(exc)):
-            _terminal_states(initial, protected, sig, MAX_STATES)
+            _search(initial, protected, sig, MAX_STATES)
         return None
-    assert _terminal_states(initial, protected, sig, visited) == leaves
+    assert _search(initial, protected, sig, visited) == [reference_leaf_solution(leaf, protected) for leaf in leaves]
     with pytest.raises(SearchSpaceExceeded):
-        _terminal_states(initial, protected, sig, visited - 1)
+        _search(initial, protected, sig, visited - 1)
     return leaves, visited
 
 
 def _expected_solutions(leaves, protected):
     solutions = []
     for leaf in leaves:
-        solution = _leaf_solution(leaf, protected)
+        solution = reference_leaf_solution(leaf, protected)
         if solution not in solutions:
             solutions.append(solution)
     return tuple(solutions)
@@ -82,7 +94,7 @@ def _verdicts(solutions, variables, sig):
 
 def _reference_verdicts(monkeypatch, solutions, variables, sig):
     with monkeypatch.context() as patched:
-        patched.setattr(unify, "_terminal_states", lambda *args: reference_search(*args)[0])
+        patched.setattr(unify, "_leaf_solutions", _reference_leaf_solutions)
         return _verdicts(solutions, variables, sig)
 
 

@@ -122,6 +122,8 @@ class TestSimplifyStep:
         sig = ex22_system.signature
         state = self._state(sig, ("X", "h(X)"), ("(a b).Z", "Z"))
         assert simplify_step(state, sig=sig) is FAIL
+        state = self._state(sig, ("(a b).Z", "Z"), ("X", "h(X)"))
+        assert simplify_step(state, sig=sig) is FAIL
 
     def test_occurs_check_skips_to_next_candidate(self, ex22_system):
         sig = ex22_system.signature
@@ -134,6 +136,27 @@ class TestSimplifyStep:
         sig = ex22_system.signature
         state = self._state(sig, ("X", "Y"))
         assert simplify_step(state, frozenset({X, Y}), sig=sig) is FAIL
+
+    def test_cancelling_swappings_on_the_right_invert_then_stick(self):
+        state = self._state(SIG, ("(a b).X", "(c d)(c d).X"))
+        (inverted,) = simplify_step(state, sig=SIG)
+        (goal,) = inverted.goals
+        assert goal.rhs == Suspension(IDENTITY, X)
+        assert simplify_step(inverted, sig=SIG) is STUCK
+        (sol,) = _solve("(a b).X", "(c d)(c d).X")
+        ((perm, var),) = sol.residual_fixpoints
+        assert var == X and perm.moved_atoms() == {a, b}
+
+    def test_cancelling_swappings_on_the_left_are_refl(self):
+        (successor,) = simplify_step(self._state(SIG, ("(a b)(a b).X", "X")), sig=SIG)
+        assert successor.goals == ()
+
+    def test_protected_fixpoint_is_discharged_by_freshness(self):
+        state = self._state(SIG, ("(a b).X", "X"))
+        assert simplify_step(state, frozenset({X}), sig=SIG) is STUCK
+        (sol,) = _solve("(a b).X", "X", protected=frozenset({X}))
+        assert sol.context == frozenset({FreshnessConstraint(a, X), FreshnessConstraint(b, X)})
+        assert sol.residual_fixpoints == () and sol.protected_fixpoint_discharged
 
 
 class TestSolve:
