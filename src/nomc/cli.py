@@ -3,8 +3,12 @@ rewriting, narrowing, and the lifting correspondence checks.
 
 Exit codes: 0 for any definitive answer (including "not derivable" and
 "no match") and for --help, 1 for user errors (including usage errors and
-input nested too deeply for the recursive parser and term walkers), 2 when
-a search or step bound was exhausted.
+input nested too deeply for the recursive parser, judgements and printer),
+2 when a search or step bound was exhausted.
+
+A command computes its answer and hands back two renderers, one for the
+`--json` payload and one for the plain text; a request runs only the one it
+prints.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .alpha import check_problem, format_context
 from .narrowing import (
@@ -52,6 +57,11 @@ _BUNDLED = ("prenex.nrs", "ex22.nrs", "lambda.nrs")
 
 class UserError(Exception):
     pass
+
+
+# A command's answer, unrendered: one callable builds its JSON payload, the
+# other its plain-text report. A request calls only the one it prints.
+Report = tuple[Callable[[], dict], Callable[[], str]]
 
 
 @functools.cache
@@ -174,65 +184,77 @@ def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
     return derivation
 
 
-def _cmd_check(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_check(args, system, sig, ctx) -> Report:
     goal = parse_judgement(args.judgement, sig)
     derivable = check_problem(ctx, (goal,), sig)
-    verdict = "derivable" if derivable else "not derivable"
-    return {"judgement": str(goal), "derivable": derivable}, verdict
+    return (
+        lambda: {"judgement": str(goal), "derivable": derivable},
+        lambda: "derivable" if derivable else "not derivable",
+    )
 
 
-def _cmd_unify(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_unify(args, system, sig, ctx) -> Report:
     left = parse_term(args.left, sig)
     right = parse_term(args.right, sig)
     solutions = solve(ctx, right, frozenset(), left, sig=sig, max_states=args.max_states)
-    return {"solutions": _solutions_payload(solutions)}, _listing("solution(s)", solutions)
+    return (
+        lambda: {"solutions": _solutions_payload(solutions)},
+        lambda: _listing("solution(s)", solutions),
+    )
 
 
-def _cmd_match(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_match(args, system, sig, ctx) -> Report:
     pattern = parse_term(args.pattern, sig)
     subject = parse_term(args.subject, sig)
     pattern_vars = term_vars(pattern)
     nabla = frozenset(c for c in ctx if c.var in pattern_vars)
     solutions = match(nabla, pattern, ctx - nabla, subject, sig=sig, max_states=args.max_states)
-    return {"solutions": _solutions_payload(solutions)}, _listing("match(es)", solutions)
+    return (
+        lambda: {"solutions": _solutions_payload(solutions)},
+        lambda: _listing("match(es)", solutions),
+    )
 
 
-def _cmd_rewrite(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_rewrite(args, system, sig, ctx) -> Report:
     term = parse_term(args.term, sig)
     steps = one_step_rewrites(ctx, term, system, max_states=args.max_states)
-    return {"steps": _steps_payload(steps)}, _listing("step(s)", steps)
+    return lambda: {"steps": _steps_payload(steps)}, lambda: _listing("step(s)", steps)
 
 
-def _cmd_normalize(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_normalize(args, system, sig, ctx) -> Report:
     term = parse_term(args.term, sig)
     nf, trace = normalize(ctx, term, system, args.max_steps, max_states=args.max_states)
-    payload = {"normal_form": str(nf), "steps": _steps_payload(trace), "count": len(trace)}
-    return payload, f"{nf}\n{len(trace)} step(s)"
+    return (
+        lambda: {"normal_form": str(nf), "steps": _steps_payload(trace), "count": len(trace)},
+        lambda: f"{nf}\n{len(trace)} step(s)",
+    )
 
 
-def _cmd_coherence(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_coherence(args, system, sig, ctx) -> Report:
     t1 = parse_term(args.left, sig)
     t2 = parse_term(args.right, sig)
     verdicts = coherence_check(system, [(ctx, t1, t2)], args.max_steps, max_states=args.max_states)
-    payload = {
-        "verdicts": [
-            {"index": v.index, "status": v.status, "detail": v.detail} for v in verdicts
-        ]
-    }
-    return payload, verdicts[0].status
+    return (
+        lambda: {"verdicts": [{"index": v.index, "status": v.status, "detail": v.detail} for v in verdicts]},
+        lambda: verdicts[0].status,
+    )
 
 
-def _cmd_narrow(args, system, sig, ctx) -> tuple[dict, str]:
-    tree = _narrow(args, system, ctx, parse_term(args.term, sig))
-    lines = [f"{len(tree.edges)} narrowing step(s) to depth {args.depth}"]
+def _narrow_listing(tree: NarrowingTree, depth: int) -> str:
+    lines = [f"{len(tree.edges)} narrowing step(s) to depth {depth}"]
     for edge in tree.edges:
         flag = " [fixpoint]" if edge.used_fixpoint_enumeration else ""
         lines.append(f"  {edge.rule} @ {edge.position} with {edge.step_subst}{flag}")
         lines.append(f"    ~> {edge.child}")
-    return _tree_payload(tree), "\n".join(lines)
+    return "\n".join(lines)
 
 
-def _cmd_lift_forward(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_narrow(args, system, sig, ctx) -> Report:
+    tree = _narrow(args, system, ctx, parse_term(args.term, sig))
+    return lambda: _tree_payload(tree), lambda: _narrow_listing(tree, args.depth)
+
+
+def _cmd_lift_forward(args, system, sig, ctx) -> Report:
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
@@ -242,21 +264,25 @@ def _cmd_lift_forward(args, system, sig, ctx) -> tuple[dict, str]:
         status = "precondition_fail"
     else:
         status = "ok" if outcome else "failed"
-    return {"status": status, "derivation": _derivation_payload(derivation)}, status
+    return lambda: {"status": status, "derivation": _derivation_payload(derivation)}, lambda: status
 
 
-def _cmd_lift_backward(args, system, sig, ctx) -> tuple[dict, str]:
+def _cmd_lift_backward(args, system, sig, ctx) -> Report:
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
     _, trace = normalize(target, rho.apply(term), system, args.max_steps, max_states=args.max_states)
     outcome = lifting_backward_construct(ctx, term, rho, target, trace, 0, system, max_states=args.max_states)
     if isinstance(outcome, NotFound):
-        payload = {"status": "not_found", "step_index": outcome.step_index}
-        return payload, f"not found at step {outcome.step_index}"
+        return (
+            lambda: {"status": "not_found", "step_index": outcome.step_index},
+            lambda: f"not found at step {outcome.step_index}",
+        )
     steps, rho_n = outcome
-    payload = {"status": "ok", "steps": _derivation_payload(steps), "rho_n": str(rho_n)}
-    return payload, f"ok: {len(steps)} narrowing step(s), residue {rho_n}"
+    return (
+        lambda: {"status": "ok", "steps": _derivation_payload(steps), "rho_n": str(rho_n)},
+        lambda: f"ok: {len(steps)} narrowing step(s), residue {rho_n}",
+    )
 
 
 _COMMANDS = {
@@ -377,29 +403,31 @@ def run_command(argv: list[str]) -> int:
         sig = system.signature if system is not None else Signature()
         ctx = parse_context(args.context, sig)
         payload, text = _COMMANDS[args.command](args, system, sig, ctx)
+        result = payload() if args.json else text()
         code = 0
     except (UserError, ValueError) as exc:  # ParseError is a ValueError
-        payload, text = {"error": str(exc)}, f"error: {exc}"
+        result = {"error": str(exc)} if args.json else f"error: {exc}"
         code = 1
     except (StepLimitExceeded, SearchSpaceExceeded) as exc:
-        payload, text = {"error": str(exc), "bound_exhausted": True}, f"bound exhausted: {exc}"
+        result = {"error": str(exc), "bound_exhausted": True} if args.json else f"bound exhausted: {exc}"
         code = 2
     except RecursionError:
-        # Parser and term walkers recurse once per nesting level.
+        # The parser, the printer and the judgements recurse once per
+        # nesting level.
         message = "term is nested too deeply"
-        payload, text = {"error": message}, f"error: {message}"
+        result = {"error": message} if args.json else f"error: {message}"
         code = 1
     elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     if args.json:
         report = {
             "command": args.command,
-            "result": payload,
-            "truncation": payload.get("truncation"),
+            "result": result,
+            "truncation": result.get("truncation"),
             "timing_ms": elapsed_ms,
         }
         print(json.dumps(report, sort_keys=True))
     else:
-        print(text)
+        print(result)
     return code
 
 

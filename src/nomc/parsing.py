@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .alpha import (
     EqualityGoal,
@@ -57,8 +57,7 @@ class ArityError(ParseError):
         self.sym = sym
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int

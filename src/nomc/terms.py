@@ -144,9 +144,7 @@ class Suspension:
         _set_var(self, var)
 
     def __str__(self) -> str:
-        if self.perm.swappings:
-            return f"{self.perm}.{self.var}"
-        return str(self.var)
+        return _show(self)
 
 
 _set_perm, _set_var = Suspension.perm.__set__, Suspension.var.__set__
@@ -164,7 +162,7 @@ class Abstraction:
         _set_body(self, body)
 
     def __str__(self) -> str:
-        return f"[{self.atom}]{self.body}"
+        return _show(self)
 
 
 _set_atom, _set_body = Abstraction.atom.__set__, Abstraction.body.__set__
@@ -182,14 +180,44 @@ class App:
         _set_args(self, args)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.sym
-        return f"{self.sym}({', '.join(str(a) for a in self.args)})"
+        return _show(self)
 
 
 _set_sym, _set_args = App.sym.__set__, App.args.__set__
 
 Term = Union[Atom, Suspension, Abstraction, App]
+
+
+def _show(term: Term) -> str:
+    """The concrete syntax of a term, which `parse_term` reads back."""
+    out: list[str] = []
+    _write(term, out)
+    return "".join(out)
+
+
+def _write(term: Term, out: list[str]) -> None:
+    """Append the pieces of `term`'s text to `out`. The stack grows by one
+    frame per nested application; a chain of binders is walked in a loop."""
+    kind = type(term)
+    while kind is Abstraction:
+        out.append(f"[{term.atom.name}]")
+        term = term.body
+        kind = type(term)
+    if kind is App:
+        if not term.args:
+            out.append(term.sym)
+            return
+        out.append(f"{term.sym}(")
+        for arg in term.args:
+            _write(arg, out)
+            out.append(", ")
+        out[-1] = ")"
+    elif kind is Atom:
+        out.append(term.name)
+    elif term.perm.swappings:
+        out.append(f"{term.perm}.{term.var.name}")
+    else:
+        out.append(term.var.name)
 
 
 # The term walkers below dispatch once on `type(node)`, loop over arguments
@@ -284,8 +312,13 @@ class Substitution:
     def __str__(self) -> str:
         if not self._map:
             return "Id"
-        inner = ", ".join(f"{v} -> {t}" for v, t in self.items())
-        return f"[{inner}]"
+        out = ["["]
+        for var, image in self.items():
+            out.append(f"{var.name} -> ")
+            _write(image, out)
+            out.append(", ")
+        out[-1] = "]"
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"Substitution({dict(self.items())!r})"

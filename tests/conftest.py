@@ -245,6 +245,35 @@ def reference_same_term(s, t) -> bool:
     return s.sym == t.sym and len(s.args) == len(t.args) and all(map(reference_same_term, s.args, t.args))
 
 
+# -- the term printer, the old way ------------------------------------------------
+#
+# Applications, abstractions and suspensions once printed themselves with
+# f-strings, an application's arguments through a generator and `str.join`,
+# each level in a string of its own. These copies stay here as the reference
+# for the printer that writes a whole term into one list (`nomc.terms._write`).
+
+
+def reference_str(term) -> str:
+    if isinstance(term, Atom):
+        return term.name
+    if isinstance(term, Suspension):
+        if term.perm.swappings:
+            return f"{term.perm}.{term.var}"
+        return str(term.var)
+    if isinstance(term, Abstraction):
+        return f"[{term.atom}]{reference_str(term.body)}"
+    if not term.args:
+        return term.sym
+    return f"{term.sym}({', '.join(reference_str(a) for a in term.args)})"
+
+
+def reference_subst_str(theta) -> str:
+    if theta.is_identity():
+        return "Id"
+    inner = ", ".join(f"{v} -> {reference_str(t)}" for v, t in theta.items())
+    return f"[{inner}]"
+
+
 # -- term walkers, the old way ----------------------------------------------------
 #
 # The term walkers once tested each node with an isinstance chain, recursed

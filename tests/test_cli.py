@@ -11,6 +11,7 @@ import pytest
 import nomc
 from nomc import cli, parsing
 from nomc.cli import build_parser, run_command
+from nomc.narrowing import NarrowingNode
 
 
 def run(capsys, *argv):
@@ -352,14 +353,15 @@ class TestErrorsAndJson:
         assert code == 1
         assert json.loads(out)["result"] == {"error": "term is nested too deeply"}
 
-    def test_too_deep_for_the_judgement_exit_one(self, capsys):
-        from nomc import parse_term
-        from nomc.cli import load_system_file
-
+    def test_deep_judgement_is_answered(self, capsys):
+        # The judgement and the one-frame printer take 400 levels; the
+        # parser's limit is near 1,000 (the test above).
         deep = "h(" * 400 + "a" + ")" * 400
-        parse_term(deep, load_system_file("ex22").system.signature)  # parses; derive_alpha_c overflows
         code, out = run(capsys, "check", "--system", "ex22", f"{deep} =ac {deep}")
-        assert code == 1 and out.strip() == "error: term is nested too deeply"
+        assert code == 0 and out.strip() == "derivable"
+        code, out = run(capsys, "check", "--system", "ex22", "--json", f"{deep} =ac {deep}")
+        assert code == 0
+        assert json.loads(out)["result"] == {"judgement": f"{deep} =ac {deep}", "derivable": True}
 
     def test_json_report_shape(self, capsys):
         code, out = run(capsys, "check", "--json", "a # b")
@@ -403,6 +405,49 @@ class TestErrorsAndJson:
                 argv.insert(2, name)
                 code, _ = run(capsys, *argv)
                 assert code == 0, (name, problem)
+
+
+class TestLazyRendering:
+    """A request renders only the report it prints: the JSON payload under
+    --json, the plain text otherwise."""
+
+    @staticmethod
+    def _pinned(command):
+        from test_cli_golden import DATA
+
+        golden = json.loads(DATA.read_text(encoding="utf-8"))
+        pinned = [g for g in golden if g["argv"][0] == command and g["plain"]["exit"] == 0]
+        assert pinned
+        return pinned
+
+    @staticmethod
+    def _refuse(*_):
+        raise AssertionError("built a report that is not printed")
+
+    @pytest.mark.parametrize("command", ["narrow", "rewrite"])
+    def test_json_builds_no_text(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(NarrowingNode, "__str__", self._refuse)
+        monkeypatch.setattr(cli, "_listing", self._refuse)
+        for expected in self._pinned(command):
+            code, out = run(capsys, *expected["argv"], "--json")
+            report = json.loads(out)
+            del report["timing_ms"]
+            assert (code, report) == (0, expected["json"]["report"])
+
+    @pytest.mark.parametrize("command", ["narrow", "rewrite"])
+    def test_plain_builds_no_payload(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_tree_payload", self._refuse)
+        monkeypatch.setattr(cli, "_steps_payload", self._refuse)
+        for expected in self._pinned(command):
+            assert run(capsys, *expected["argv"]) == (0, expected["plain"]["stdout"])
+
+    def test_renderer_too_deep_exit_one(self, capsys, monkeypatch):
+        def overflow(*_):
+            raise RecursionError
+
+        monkeypatch.setattr(cli, "_listing", overflow)
+        code, out = run(capsys, "rewrite", "h(fC(a, b))", "--system", "ex22")
+        assert code == 1 and out.strip() == "error: term is nested too deeply"
 
 
 class TestSharedPerProcessState:

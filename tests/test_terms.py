@@ -36,7 +36,13 @@ from nomc import (
 )
 from nomc.rewriting import clash_permutation
 from nomc.terms import NameSupply, fresh_variables
-from conftest import random_term, reference_fresh_name, reference_same_term
+from conftest import (
+    random_term,
+    reference_fresh_name,
+    reference_same_term,
+    reference_str,
+    reference_subst_str,
+)
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 X, Y = Var("X"), Var("Y")
@@ -153,6 +159,58 @@ class TestPrimitives:
         assert (s != t) != reference_same_term(s, t)
         if s == t:
             assert hash(s) == hash(t)
+
+
+# Atoms named like the nullary symbols print as they do; multi-swap
+# suspensions, nested binders and every arity from 0 to 3 come up.
+PRINT_SIG = Signature({"k": (0, False), "e": (0, False), "g": (1, False), "fC": (2, True), "t": (3, False)})
+PRINT_ATOMS = st.sampled_from([Atom(n) for n in ("a", "b", "k", "e", "n0")])
+PRINT_TERMS = st.recursive(
+    st.one_of(
+        PRINT_ATOMS,
+        st.builds(App, st.sampled_from(["k", "e"])),
+        st.builds(
+            Suspension,
+            st.builds(Permutation, st.lists(st.tuples(PRINT_ATOMS, PRINT_ATOMS), max_size=4).map(tuple)),
+            st.sampled_from([Var(n) for n in ("X", "Y1")]),
+        ),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Abstraction, PRINT_ATOMS, sub),
+        st.builds(App, st.just("g"), st.tuples(sub)),
+        st.builds(App, st.just("fC"), st.tuples(sub, sub)),
+        st.builds(App, st.just("t"), st.tuples(sub, sub, sub)),
+    ),
+    max_leaves=20,
+)
+
+
+class TestPrinter:
+    @settings(max_examples=300, deadline=None)
+    @given(PRINT_TERMS)
+    def test_prints_as_the_reference(self, term):
+        assert str(term) == reference_str(term)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from([Var(n) for n in ("X", "Y", "Z0")]), PRINT_TERMS, max_size=3))
+    def test_substitution_prints_as_the_reference(self, mapping):
+        theta = Substitution(mapping)
+        assert str(theta) == reference_subst_str(theta)
+
+    def test_deep_term_prints_and_parses_back(self):
+        # 900 nesting levels, one node each. `==` on terms this deep would
+        # overflow the stack itself; the text determines the term here, as
+        # no atom is named like a symbol.
+        term, text = Atom("a"), "a"
+        for depth in range(900):
+            if depth % 3 == 0:
+                term, text = App("g", (term,)), f"g({text})"
+            elif depth % 3 == 1:
+                term, text = App("fC", (term, App("k"))), f"fC({text}, k)"
+            else:
+                term, text = Abstraction(Atom("b"), term), f"[b]{text}"
+        assert str(term) == text
+        assert str(parse_term(text, PRINT_SIG)) == text
 
 
 class TestPermutations:
