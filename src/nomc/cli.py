@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -425,9 +426,17 @@ def run_command(argv: list[str]) -> int:
             "truncation": result.get("truncation"),
             "timing_ms": elapsed_ms,
         }
-        print(json.dumps(report, sort_keys=True))
-    else:
+        result = json.dumps(report, sort_keys=True)
+    try:
         print(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`nomc ... | head`). Point stdout
+        # at devnull so that the interpreter's flush at exit does not raise
+        # again, and keep the command's own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

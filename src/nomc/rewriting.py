@@ -45,7 +45,6 @@ from .terms import (
     permute_term,
     replace_at,
     subterm_at,
-    subterms_with_positions,
     term_atoms,
     term_vars,
 )
@@ -472,11 +471,27 @@ def redexes(
     where `used` is `prepared` after the shift `perm` (IDENTITY if none).
     """
     sig = system.signature
+    by_head = system.by_head
     ambient_atoms = None  # the shift's avoid set, built when a shift is first due
-    for pos, sub in subterms_with_positions(term):
-        if isinstance(sub, Suspension):
+    # (path, subterm) pairs, the next one on top. The node's type gives its
+    # children and its `head_key`; a Position is built only for a site that
+    # yields.
+    stack: list[tuple[tuple[int, ...], Term]] = [((), term)]
+    while stack:
+        path, sub = stack.pop()
+        kind = type(sub)
+        if kind is App:
+            args = sub.args
+            stack.extend([(path + (i,), args[i]) for i in range(len(args) - 1, -1, -1)])
+            key: object = (sub.sym, len(args))
+        elif kind is Abstraction:
+            stack.append((path + (0,), sub.body))
+            key = Abstraction
+        elif kind is Atom:
+            key = sub
+        else:  # a suspension
             continue
-        for rule in system.by_head.get(head_key(sub), ()):
+        for rule in by_head.get(key, ()):
             # Narrowing draws fresh names at every head-indexed site, fitting
             # or not, since the names it picks are part of the answer; it
             # builds a renamed copy only where the skeleton fits.
@@ -486,7 +501,7 @@ def redexes(
                 continue
             answers = attempt(sub, prepared)
             if answers:
-                yield pos, prepared, IDENTITY, prepared, answers
+                yield Position(path), prepared, IDENTITY, prepared, answers
                 continue
             sub_atoms = term_atoms(sub)
             if prepared.atoms().isdisjoint(sub_atoms):
@@ -497,7 +512,7 @@ def redexes(
             shifted = permute_rule(prepared, shift)
             answers = attempt(sub, shifted)
             if answers:
-                yield pos, prepared, shift, shifted, answers
+                yield Position(path), prepared, shift, shifted, answers
 
 
 def _candidate_steps(
@@ -694,12 +709,32 @@ def _class_fits(term: Term, system: RewriteSystem) -> bool:
     have a plain step: every subterm of a member is a rearranged,
     alpha-renamed copy of one of the term's, and `skeleton_fits` ignores
     atom and binder names and tries both orders of a commutative node.
-    Every rule is tried at every subterm, not only where `by_head` files it:
-    renaming a binder can give a bound leaf the atom a rule rewrites."""
+    `skeleton_fits` is False across node kinds, symbols and arities, so an
+    application or abstraction can fit only the rules `by_head` files under
+    its head. An atom leaf fits exactly when some rule's left-hand side is an
+    atom, whichever atom: renaming a binder can give a bound leaf the atom a
+    rule rewrites."""
     sig = system.signature
-    return any(
-        skeleton_fits(rule.lhs, sub, sig, False) for _, sub in subterms_with_positions(term) for rule in system.rules
-    )
+    by_head = system.by_head
+    atom_lhs = any(type(rule.lhs) is Atom for rule in system.rules)
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        kind = type(sub)
+        if kind is App:
+            stack.extend(sub.args)
+            rules = by_head.get((sub.sym, len(sub.args)), ())
+        elif kind is Abstraction:
+            stack.append(sub.body)
+            rules = by_head.get(Abstraction, ())
+        elif kind is Atom and atom_lhs:
+            return True
+        else:
+            continue
+        for rule in rules:
+            if skeleton_fits(rule.lhs, sub, sig, False):
+                return True
+    return False
 
 
 def _class_steps(

@@ -30,7 +30,8 @@ from nomc import (
     simplify_step,
 )
 from nomc.cli import load_system_file
-from nomc.rewriting import renamed_rule
+from nomc.rewriting import clash_permutation, head_key, permute_rule, renamed_rule, skeleton_fits
+from nomc.terms import subterms_with_positions, term_atoms
 
 ATOMS = tuple(Atom(n) for n in "abcd")
 VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
@@ -387,6 +388,35 @@ def reference_skeleton_fits(lhs, sub, sig, unify):
         return False
     (l0, l1), (s0, s1) = lhs.args, sub.args
     return reference_skeleton_fits(l0, s1, sig, unify) and reference_skeleton_fits(l1, s0, sig, unify)
+
+
+def reference_redexes(context, term, system, prepare, attempt, unify):
+    """`nomc.rewriting.redexes` as it was when it built a Position for every
+    subterm through `subterms_with_positions` and asked `head_key` at each."""
+    sig = system.signature
+    ambient_atoms = None
+    for pos, sub in subterms_with_positions(term):
+        if isinstance(sub, Suspension):
+            continue
+        for rule in system.by_head.get(head_key(sub), ()):
+            fits = skeleton_fits(rule.lhs, sub, sig, unify)
+            prepared = prepare(rule, fits)
+            if not fits:
+                continue
+            answers = attempt(sub, prepared)
+            if answers:
+                yield pos, prepared, IDENTITY, prepared, answers
+                continue
+            sub_atoms = term_atoms(sub)
+            if prepared.atoms().isdisjoint(sub_atoms):
+                continue
+            if ambient_atoms is None:
+                ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
+            shift = clash_permutation(prepared, sub_atoms, ambient_atoms)
+            shifted = permute_rule(prepared, shift)
+            answers = attempt(sub, shifted)
+            if answers:
+                yield pos, prepared, shift, shifted, answers
 
 
 # -- the solver's search, the old way ----------------------------------------------

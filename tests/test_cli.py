@@ -499,3 +499,27 @@ class TestSharedPerProcessState:
         path.write_text("sig:\n  f: 1\n  g: 1\n\nrules:\n  step: |- f(X) -> f(g(X))\n")
         code, out = run(capsys, "rewrite", "f(a)", "--system", str(path))
         assert code == 0 and "f(g(a))" in out
+
+
+class TestClosedPipe:
+    """A reader that closes standard output early (`nomc ... | head`) gets
+    no traceback, and the command keeps its own exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["narrow", "h(fC([b][a]X, X))", "--system", "ex22", "--depth", "2", "--fixpoint-depth", "3", "--json"], 0),
+            (["normalize", "and(R, not(forall([b]forall([a]R))))", "--system", "prenex", "--context", "a#R",
+              "--max-steps", "1"], 2),
+        ],
+    )
+    def test_no_traceback_and_own_exit_code(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nomc", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        # Closed before the child writes: its first write meets no reader.
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == code
+        assert stderr == ""

@@ -69,6 +69,7 @@ from nomc.rewriting import (
     permute_rule,
     skeleton_fits,
 )
+from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
@@ -80,6 +81,7 @@ from conftest import (
     random_prenex_pattern,
     random_term,
     reference_dedup_steps,
+    reference_redexes,
     rename_rule_with_map,
 )
 
@@ -421,7 +423,7 @@ class TestPreparedRules:
                         continue
                     fitting = [
                         (pos, rule.name)
-                        for pos, sub in rewriting.subterms_with_positions(term)
+                        for pos, sub in subterms_with_positions(term)
                         if not isinstance(sub, Suspension)
                         for rule in system.by_head.get(rewriting.head_key(sub), ())
                         if skeleton_fits(rule.lhs, sub, sig, False)
@@ -849,31 +851,37 @@ POOL_SYSTEMS = {
     ).system,
 }
 
+# The pool systems plus one whose only left-hand side is an abstraction, so
+# that an abstraction head alone can decide whether a class has a fitting site.
+SCAN_SYSTEMS = {**POOL_SYSTEMS, "binder-head": parse_system(_POOL_SIG + "  bind: a#X |- [a]k(a, X) -> X\n").system}
 
 def _same_answers(new, old, sig):
     """The same length, and element-wise =ac."""
     return len(new) == len(old) and all(derive_alpha_c(EMPTY_CONTEXT, u, v, sig) for u, v in zip(new, old))
 
 
-def _pool_subject(rng, name):
-    """A random ground term; half the time a rule's left-hand side instance
-    under binders named by the atoms a, b, c, d, so a binder often carries an
-    atom of the rule or of the redex."""
-    system = POOL_SYSTEMS[name]
+def _pool_subject(rng, name, ground=True):
+    """A random term, ground unless `ground` is False; half the time a rule's
+    left-hand side instance under binders named by the atoms a, b, c, d, so a
+    binder often carries an atom of the rule or of the redex."""
+    system = SCAN_SYSTEMS[name]
     sig = system.signature
+    make = random_ground_term if ground else random_term
     if not system.rules or rng.random() < 0.5:
         if name == "prenex":
+            if not ground:
+                return random_prenex_pattern(rng, 4)
             return App("or", (random_prenex_formula(rng, 3), random_prenex_formula(rng, 2)))
-        return random_ground_term(rng, sig, 3)
+        return make(rng, sig, 3)
     rule = rng.choice(system.rules)
-    theta = Substitution({v: random_ground_term(rng, sig, 1) for v in rule.variables()})
+    theta = Substitution({v: make(rng, sig, 1) for v in rule.variables()})
     term = apply_subst(theta, rule.lhs)
     for _ in range(rng.randint(1, 2)):
         if rng.random() < 0.7:
             term = Abstraction(rng.choice(ATOMS), term)
         else:
             sym = rng.choice([s for s in sig.symbols if sig.arity(s)])
-            args = [random_ground_term(rng, sig, 1) for _ in range(sig.arity(sym))]
+            args = [make(rng, sig, 1) for _ in range(sig.arity(sym))]
             args[rng.randrange(len(args))] = term
             term = App(sym, tuple(args))
     return term
@@ -1222,7 +1230,7 @@ class TestClassFilter:
             return
         assert tuple(_filtered_class_steps(term, system)) == ()
         for source in itertools.islice(rewriting._ground_oracle_sources(term, system), 2_000):
-            for _, sub in rewriting.subterms_with_positions(source):
+            for _, sub in subterms_with_positions(source):
                 for rule in system.rules:
                     assert not skeleton_fits(rule.lhs, sub, plain.signature, False), (str(source), rule.name)
             assert primary_rewrite_steps(EMPTY_CONTEXT, source, plain) == ()
@@ -1235,6 +1243,94 @@ class TestClassFilter:
         assert rewriting.head_key(Atom("b")) not in system.by_head
         assert rewriting._class_fits(term, system)
         assert r_over_e_one_step(term, system) == (parse_term("lam([a]a)", system.signature),)
+
+
+def _scan_record(scan, ctx, term, system, unify):
+    """Every item a redex scan yields and every `prepare(rule, fits)` call it
+    makes, in order. Rules are renamed as narrowing renames them, with names
+    drawn at every head-indexed site, so a changed call order shows in the
+    names."""
+    sig = system.signature
+    names = NameSupply(term_vars(term) | {c.var for c in ctx})
+    calls = []
+
+    def prepare(rule, fits):
+        calls.append((rule.name, fits))
+        renaming = names.draw(rule.renaming_bases)
+        return rewriting.renamed_rule(rule, renaming) if fits else None
+
+    if unify:
+        attempt = lambda sub, rule: solve(ctx, sub, rule.context, rule.lhs, sig=sig, max_states=2_000)
+    else:
+        attempt = functools.partial(rewriting._verified_matchers, ctx, sig=sig, max_states=2_000)
+    yielded = []
+    try:
+        for pos, prepared, perm, used, answers in scan(ctx, term, system, prepare, attempt, unify):
+            yielded.append((pos, prepared, perm, used, tuple(answers)))
+    except SearchSpaceExceeded:
+        yielded.append("exceeded")
+    return yielded, calls
+
+
+def _all_rules_class_fits(term, system):
+    """`_class_fits` as it was: every rule tried at every subterm."""
+    sig = system.signature
+    return any(
+        skeleton_fits(rule.lhs, sub, sig, False) for _, sub in subterms_with_positions(term) for rule in system.rules
+    )
+
+
+class TestRedexScan:
+    """The scan walks (path, subterm) pairs and builds a Position only for a
+    site it yields; it yields and prepares as the scan over
+    `subterms_with_positions` did, and the class-fit test asks only the rules
+    `by_head` files under a subterm's head."""
+
+    def test_systems_cover_abstraction_and_atom_heads(self):
+        assert list(SCAN_SYSTEMS["binder-head"].by_head) == [Abstraction]
+        assert any(isinstance(key, Atom) for key in SCAN_SYSTEMS["lambda+rules"].by_head)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(SCAN_SYSTEMS)), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_same_items_and_prepare_calls_as_the_reference(self, name, unify, seed):
+        rng = random.Random(seed)
+        system = SCAN_SYSTEMS[name]
+        term, ctx = _pool_subject(rng, name, ground=False), random_context(rng)
+        new = _scan_record(rewriting.redexes, ctx, term, system, unify)
+        assert new == _scan_record(reference_redexes, ctx, term, system, unify), str(term)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SCAN_SYSTEMS)), st.integers(0, 2**32 - 1))
+    def test_class_fits_as_every_rule_at_every_subterm(self, name, seed):
+        system = SCAN_SYSTEMS[name]
+        term = _pool_subject(random.Random(seed), name)
+        assert rewriting._class_fits(term, system) == _all_rules_class_fits(term, system), str(term)
+
+    def test_class_fits_asks_only_the_rules_under_each_head(self, monkeypatch, prenex_system):
+        term = parse_term("forall([a]exists([b]and(a, or(not(b), c))))", prenex_system.signature)
+        assert r_over_e_one_step(term, prenex_system) == ()
+        asked = []
+        depth = 0
+        original = rewriting.skeleton_fits
+
+        def counting(lhs, sub, sig, unify):
+            nonlocal depth
+            if depth == 0:
+                asked.append((lhs, sub))
+            depth += 1
+            try:
+                return original(lhs, sub, sig, unify)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(rewriting, "skeleton_fits", counting)
+        assert not rewriting._class_fits(term, prenex_system)
+        subterms = [sub for _, sub in subterms_with_positions(term)]
+        filed = [
+            (rule.lhs, sub) for sub in subterms for rule in prenex_system.by_head.get(rewriting.head_key(sub), ())
+        ]
+        assert sorted(map(str, asked)) == sorted(map(str, filed))
+        assert 0 < len(asked) < len(subterms) * len(prenex_system.rules)
 
 
 def _eager_reachable(delta, term, system, max_steps, max_states):
