@@ -18,7 +18,8 @@ the supply already. Backward lifting draws the same way, from one supply
 per derivation, once per lifted step.
 
 Children are built straight from solver and fixed-point answers, with no
-re-check (see `_expanded_solutions`). Backward lifting constructs its
+re-check, and no node constrains a variable its accumulated substitution
+binds (see `_expanded_solutions`). Backward lifting constructs its
 unifier rather than solving for it, so `_lift_one` checks that one with
 `check_solution`. `narrowing_to_rewriting` is the soundness oracle for the
 steps this module builds.
@@ -26,7 +27,6 @@ steps this module builds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -54,6 +54,7 @@ from .rewriting import (
 from .terms import (
     IDENTITY_SUBST,
     NameSupply,
+    Permutation,
     Position,
     Signature,
     Substitution,
@@ -146,36 +147,38 @@ def _expanded_solutions(
 ) -> Iterator[tuple[FreshnessContext, Substitution, bool]]:
     """Close solver answers into usable (context, substitution, flag) triples.
 
-    Residual fixed-point equations are expanded through the bounded
-    enumerator and flagged True; answers without residuals pass through
-    flagged False (narrowing protects no variable, so none is discharged).
-    Each option solves its own equation, but `compose` drops its binding if
-    an earlier option bound the same variable; the equation must then hold
-    of the earlier binding, or the combination is dropped.
+    Answers without residuals pass through flagged False (narrowing protects
+    no variable, so none is discharged). Residual equations are closed one at
+    a time, lazily, and flagged True: one on an unbound variable branches over
+    its enumerated options (built once per call), whose bindings settle the
+    context's constraints on it; one on a variable bound before is checked.
     """
+    options: dict[tuple[Permutation, Var], tuple[tuple[FreshnessContext, Substitution], ...]] = {}
+
+    def close(
+        context: FreshnessContext, theta: Substitution, residuals: tuple[tuple[Permutation, Var], ...]
+    ) -> Iterator[tuple[FreshnessContext, Substitution, bool]]:
+        if not residuals:
+            yield context, theta, True
+            return
+        (perm, var), rest = residuals[0], residuals[1:]
+        if var in theta.domain:
+            bound = theta.get(var)
+            if derive_alpha_c(context, permute_term(perm, bound), bound, sig):
+                yield from close(context, theta, rest)
+            return
+        if (perm, var) not in options:
+            options[perm, var] = enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
+        for extra_ctx, rho in options[perm, var]:
+            reduced = freshness_context_nf(context, rho)
+            if reduced is not INCONSISTENT:
+                yield from close(reduced | extra_ctx, theta.compose(rho), rest)
+
     for sol in solutions:
-        if not sol.residual_fixpoints:
+        if sol.residual_fixpoints:
+            yield from close(sol.context, sol.subst, sol.residual_fixpoints)
+        else:
             yield sol.context, sol.subst, False
-            continue
-        option_lists = [
-            enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
-            for perm, var in sol.residual_fixpoints
-        ]
-        for combo in itertools.product(*option_lists):
-            context = sol.context
-            theta = sol.subst
-            for (perm, var), (extra_ctx, rho) in zip(sol.residual_fixpoints, combo):
-                if var in theta.domain:
-                    bound = theta.get(var)
-                    if not derive_alpha_c(context, permute_term(perm, bound), bound, sig):
-                        break
-                reduced = freshness_context_nf(context, rho)
-                if reduced is INCONSISTENT:
-                    break
-                context = reduced | extra_ctx
-                theta = theta.compose(rho)
-            else:
-                yield context, theta, True
 
 
 def _child(

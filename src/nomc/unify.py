@@ -5,7 +5,8 @@ under a fixed rule priority. Commutative applications branch into the two
 argument pairings. Equations pi.X =ac X with pi not the identity are
 fixed-point equations: they have infinitely many solutions and are returned
 as residual data (or discharged by freshness when X is protected). Their
-shape is recognised once, by the rule rank `_FIXPOINT`.
+shape is recognised once, by the rule rank `_FIXPOINT`. No answer's context
+constrains a variable its substitution binds (see `_instantiate`).
 
 The search advances each branch in place: its context, its substitution,
 its goals and each goal's cached rule rank. A commutative split whose
@@ -259,9 +260,9 @@ def _goal_image(theta: Substitution, goal: Goal) -> Goal:
 
 
 def _instantiate(branch: _Branch, idx: int, protected: ProtectedVars, sig: Signature) -> bool:
-    """Bind a variable of goal idx in place; False, with `branch` as is, when
-    the occurs check rules out both sides. Goals the binding rewrites and the
-    freshness goals regenerated from the context are ranked anew."""
+    """Bind a variable X of goal idx in place; False, with `branch` as is, when
+    the occurs check rules out both sides. Constraints a#X leave the context as
+    goals a#theta(X); these and the goals the binding rewrites are ranked anew."""
     goal = branch.goals[idx]
     picked = _instantiable(goal.lhs, goal.rhs, protected)
     other = goal.rhs
@@ -271,7 +272,6 @@ def _instantiate(branch: _Branch, idx: int, protected: ProtectedVars, sig: Signa
     if picked is None:
         return False
     binding = Substitution({picked.var: permute_term(picked.perm.inverse(), other)})
-    new_subst = branch.subst.compose(binding)
     transformed: list[Goal] = []
     ranks: list[int] = []
     for i, g in enumerate(branch.goals):
@@ -281,14 +281,14 @@ def _instantiate(branch: _Branch, idx: int, protected: ProtectedVars, sig: Signa
         if updated not in transformed:
             transformed.append(updated)
             ranks.append(branch.ranks[i] if updated is g else _rule_for(updated, protected, sig))
-    bound = new_subst.domain
-    stale = [c for c in branch.context if c.var in bound]
-    for constraint in sorted(stale, key=lambda c: (c.atom.name, c.var.name)):
-        regenerated = FreshnessGoal(constraint.atom, new_subst.get(constraint.var))
+    settled = [c for c in branch.context if c.var is picked.var]
+    for constraint in sorted(settled, key=lambda c: c.atom.name):
+        regenerated = FreshnessGoal(constraint.atom, binding.get(picked.var))
         if regenerated not in transformed:
             transformed.append(regenerated)
             ranks.append(_rule_for(regenerated, protected, sig))
-    branch.subst, branch.goals, branch.ranks = new_subst, transformed, ranks
+    branch.context = branch.context.difference(settled)
+    branch.subst, branch.goals, branch.ranks = branch.subst.compose(binding), transformed, ranks
     return True
 
 
@@ -363,10 +363,7 @@ def _leaf_solution(branch: _Branch, protected: ProtectedVars) -> CSolution:
             discharged = True
         else:
             kept.append((perm, var))
-    # Constraints on instantiated variables were regenerated at instantiation
-    # time; the stale literals would otherwise leak renamed rule variables.
-    bound = branch.subst.domain
-    return CSolution(frozenset(c for c in context if c.var not in bound), branch.subst, tuple(kept), discharged)
+    return CSolution(context, branch.subst, tuple(kept), discharged)
 
 
 def solve(

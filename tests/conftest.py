@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -16,6 +17,7 @@ from nomc import (
     FAIL,
     FreshnessConstraint,
     IDENTITY,
+    INCONSISTENT,
     Permutation,
     STUCK,
     SearchSpaceExceeded,
@@ -24,8 +26,11 @@ from nomc import (
     Suspension,
     Var,
     derive_alpha,
+    derive_alpha_c,
     derive_freshness,
     difference_set,
+    enumerate_fixpoint_solutions,
+    freshness_context_nf,
     permute_term,
     simplify_step,
 )
@@ -485,3 +490,39 @@ def reference_leaf_solution(state, protected):
         else:
             kept.append((perm, var))
     return CSolution(reference_prune_context(context, state.subst), state.subst, tuple(kept), discharged)
+
+
+# -- residual fixed-point equations, the old way ------------------------------------
+#
+# Narrowing once closed an answer's residual equations by the full product of
+# their enumerated options, and relied on `compose` dropping an option's
+# binding when an earlier option had bound the same variable. A second
+# equation on one variable then repeated the answer once per option, and its
+# freshness option added constraints on the bound variable. This stays here as
+# the reference for the lazy closure (`nomc.narrowing._expanded_solutions`).
+
+
+def reference_expanded_solutions(solutions, sig, fixpoint_depth):
+    for sol in solutions:
+        if not sol.residual_fixpoints:
+            yield sol.context, sol.subst, False
+            continue
+        option_lists = [
+            enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
+            for perm, var in sol.residual_fixpoints
+        ]
+        for combo in itertools.product(*option_lists):
+            context = sol.context
+            theta = sol.subst
+            for (perm, var), (extra_ctx, rho) in zip(sol.residual_fixpoints, combo):
+                if var in theta.domain:
+                    bound = theta.get(var)
+                    if not derive_alpha_c(context, permute_term(perm, bound), bound, sig):
+                        break
+                reduced = freshness_context_nf(context, rho)
+                if reduced is INCONSISTENT:
+                    break
+                context = reduced | extra_ctx
+                theta = theta.compose(rho)
+            else:
+                yield context, theta, True

@@ -48,6 +48,9 @@ NARROW_CASES = (
     ("ex22", "", "fC([a][b]Z, Z)", 2, 1, 50),
     ("ex22", "", "h(h(fC(X, Y)))", 2, 1, 50),
     ("prenex", "a#P1", "and(P1, not(forall([b]Q1)))", 2, 1, 50),
+    # two residual equations on one variable: the second is checked against
+    # the first's binding, not enumerated again
+    ("ex22", "", "fC([a][b]fC(V, (a b).V), fC((d c)(b a).V, V))", 1, 2, 1000),
 )
 
 # Ground prenex formulas whose first redex comes before a commutative

@@ -10,6 +10,7 @@ from nomc import (
     Abstraction,
     App,
     Atom,
+    CSolution,
     EqualityGoal,
     IDENTITY,
     IDENTITY_SUBST,
@@ -18,6 +19,7 @@ from nomc import (
     NarrowingTree,
     NotFound,
     PRECONDITION_FAIL,
+    SearchSpaceExceeded,
     Substitution,
     Suspension,
     UnificationState,
@@ -27,6 +29,7 @@ from nomc import (
     format_context,
     lifting_backward_construct,
     lifting_forward_check,
+    match,
     narrow_search,
     narrowing_to_rewriting,
     normalize,
@@ -57,6 +60,7 @@ from conftest import (
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
+    reference_expanded_solutions,
     rename_rule_with_map,
 )
 
@@ -812,3 +816,111 @@ class TestNameSupply:
             totals.update({"rejected": sites[False]})
         # an eager renaming at the rejected sites would fail the count
         assert totals["rejected"] and totals["shifted"], totals
+
+
+#
+# A residual fixed-point equation whose variable an earlier option bound is
+# checked against that binding, not enumerated again, and a binding settles
+# the context's constraints on its variable. The product expansion that
+# enumerated every equation stays in conftest as the reference.
+
+
+def _shared_variable_term(rng):
+    """fC([x][y]fC(V, pi1.V), fC(pi2.V, V)): two residual equations on V."""
+    x, y = rng.sample(ATOMS, 2)
+    var = Suspension(IDENTITY, rng.choice(VARS))
+    left = App("fC", (var, Suspension(random_permutation(rng), var.var)))
+    right = App("fC", (Suspension(random_permutation(rng), var.var), var))
+    return App("fC", (Abstraction(x, Abstraction(y, left)), right))
+
+
+def _unique(items):
+    return list(dict.fromkeys(items))
+
+
+def _constrains_bound(context, theta):
+    return any(c.var in theta.domain for c in context)
+
+
+class TestSharedResiduals:
+    def test_root_edges_equal_the_deduplicated_product(self, ex22_system, monkeypatch):
+        rng = random.Random(27)
+        totals = collections.Counter()
+        for index in range(150):
+            term, fixpoint_depth = _shared_variable_term(rng), 1 + index % 2
+            root = NarrowingNode(frozenset(), term, IDENTITY_SUBST, 0)
+            steps = one_step_narrowings(root, ex22_system, fixpoint_depth, 10_000)
+            with monkeypatch.context() as patched:
+                patched.setattr(narrowing, "_expanded_solutions", reference_expanded_solutions)
+                reference = one_step_narrowings(root, ex22_system, fixpoint_depth, 10_000)
+            got = _unique(
+                (e.rule, e.position, e.step_subst, e.child.context, e.child.term, e.used_fixpoint_enumeration)
+                for e in steps
+            )
+            want = _unique(
+                (
+                    e.rule,
+                    e.position,
+                    e.step_subst,
+                    frozenset(c for c in e.child.context if c.var not in e.step_subst.domain),
+                    e.child.term,
+                    e.used_fixpoint_enumeration,
+                )
+                for e in reference
+            )
+            assert got == want, str(term)
+            totals["edges"] += len(steps)
+            totals["reference"] += len(reference)
+            totals["stale"] += sum(_constrains_bound(e.child.context, e.step_subst) for e in reference)
+        # the product repeated edges and left constraints on bound variables
+        assert totals["reference"] > totals["edges"] and totals["stale"], totals
+
+    def test_distinct_variables_close_as_the_product(self, ex22_system):
+        # With no variable shared, closing one equation at a time gives the
+        # product's answers in its order.
+        sig = ex22_system.signature
+        rng = random.Random(30)
+        for index in range(30):
+            perms = [random_permutation(rng) for _ in range(2)]
+            residuals = tuple((perm, var) for perm, var in zip(perms, rng.sample(VARS, 2)) if perm.moved_atoms())
+            answer = CSolution(random_context(rng), IDENTITY_SUBST, residuals)
+            got = list(narrowing._expanded_solutions((answer, answer), sig, 1 + index % 2))
+            assert got == list(reference_expanded_solutions((answer, answer), sig, 1 + index % 2))
+
+
+class TestNoConstraintOnBoundVariable:
+    """No answer of the solver and no narrowing node has a context
+    constraint on a variable its substitution binds."""
+
+    def test_solver_answers(self, prenex_system, ex22_system, lambda_signature):
+        rng = random.Random(28)
+        subject_vars = (Var("S1"), Var("S2"))
+        settled = 0
+        for index in range(600):
+            sig = (prenex_system.signature, ex22_system.signature, lambda_signature)[index % 3]
+            variables = subject_vars if index % 2 else VARS
+            nabla, l = random_context(rng), random_term(rng, sig, 3)
+            delta, s = random_context(rng, variables=variables), random_term(rng, sig, 3, variables=variables)
+            try:
+                if index % 2:
+                    answers = match(nabla, l, delta, s, sig=sig, max_states=2000)
+                else:
+                    answers = solve(delta, s, nabla, l, sig=sig, max_states=2000)
+            except SearchSpaceExceeded:
+                continue
+            for answer in answers:
+                assert not _constrains_bound(answer.context, answer.subst), (str(l), str(s), str(answer))
+                settled += _constrains_bound(nabla | delta, answer.subst)
+        assert settled, "no answer bound a constrained variable"
+
+    def test_narrowing_nodes(self, prenex_system, ex22_system):
+        rng = random.Random(29)
+        cases = list(_seeded_narrowing_cases(rng, prenex_system, ex22_system, 60))
+        cases += [(frozenset(), _shared_variable_term(rng), ex22_system, 1, 1 + i % 2, 1000) for i in range(40)]
+        nodes = 0
+        for delta, term, system, depth, fixpoint_depth, max_unifiers in cases:
+            tree = narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            for edge in tree.edges:  # accumulated binds every variable step_subst binds
+                assert not _constrains_bound(edge.child.context, edge.child.accumulated), (str(term), str(edge))
+                nodes += 1
+        assert nodes >= 500, nodes

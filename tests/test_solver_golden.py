@@ -1,19 +1,22 @@
 """Golden solver traces: every simplification step on random problems.
 
-`tests/data/solver_golden.json` pins one digest per seed. Each seed draws a
-unification problem over one of the bundled signatures (conftest's
+`tests/data/solver_golden.json` pins two digests per seed. Each seed draws
+a unification problem over one of the bundled signatures (conftest's
 `random_context` and `random_term` at depth 3) and a random protected
-subset of X, Y, Z. The digest covers `solve`'s solutions (or its
-`SearchSpaceExceeded` message) and the printed outcome of every
-`simplify_step` along the depth-first search. Changes to the solver's rule
-dispatch must keep them all. Regenerate only when an answer is meant to
-change:
+subset of X, Y, Z. The `solutions` digest covers `solve`'s solutions (or
+its `SearchSpaceExceeded` message); the `traces` digest covers the printed
+outcome of every `simplify_step` along the depth-first search. Changes to
+the solver's rule dispatch must keep them all. A change that is meant to
+alter the steps but not the answers re-pins `traces` alone, and the
+`solutions` list stays byte-identical. Regenerate only when an answer or a
+step is meant to change:
 
     PYTHONPATH=src python tests/test_solver_golden.py > tests/data/solver_golden.json
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -86,7 +89,12 @@ def _trace(sig, delta, s, nabla, l, protected) -> list[str]:
     return lines
 
 
-def digest(seed: int, signatures) -> str:
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+def digests(seed: int, signatures) -> tuple[str, str]:
+    """The seed's (solutions digest, traces digest)."""
     problem = _problem(seed, signatures)
     sig, delta, s, nabla, l, protected = problem
     try:
@@ -96,26 +104,36 @@ def digest(seed: int, signatures) -> str:
         ]
     except SearchSpaceExceeded as exc:
         solutions = [f"exceeded: {exc}"]
-    text = "\n".join(solutions + ["--"] + _trace(*problem))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return _digest(solutions), _digest(_trace(*problem))
 
 
 def _signatures():
     return tuple(load_system_file(name).system.signature for name in BUNDLED)
 
 
-def collect() -> list[str]:
+@functools.cache
+def collect() -> dict[str, list[str]]:
     signatures = _signatures()
-    return [digest(seed, signatures) for seed in SEEDS]
+    pairs = [digests(seed, signatures) for seed in SEEDS]
+    return {"solutions": [p[0] for p in pairs], "traces": [p[1] for p in pairs]}
+
+
+def _differing(section: str) -> list[int]:
+    expected = json.loads(DATA.read_text(encoding="utf-8"))[section]
+    actual = collect()[section]
+    assert len(actual) == len(expected)
+    return [seed for seed, (got, want) in enumerate(zip(actual, expected)) if got != want]
+
+
+def test_solver_solutions_match_golden():
+    differing = _differing("solutions")
+    assert not differing, f"solver solutions differ on seeds {differing[:20]} ({len(differing)} in all)"
 
 
 def test_solver_traces_match_golden():
-    expected = json.loads(DATA.read_text(encoding="utf-8"))["digests"]
-    actual = collect()
-    assert len(actual) == len(expected)
-    differing = [seed for seed, (got, want) in enumerate(zip(actual, expected)) if got != want]
+    differing = _differing("traces")
     assert not differing, f"solver traces differ on seeds {differing[:20]} ({len(differing)} in all)"
 
 
 if __name__ == "__main__":
-    print(json.dumps({"signatures": list(BUNDLED), "digests": collect()}, indent=0))
+    print(json.dumps({"signatures": list(BUNDLED), **collect()}, indent=0))

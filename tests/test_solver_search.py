@@ -9,23 +9,36 @@ number of states, so that `max_states` fires at the same step.
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomc import (
     EqualityGoal,
     IDENTITY_SUBST,
     SearchSpaceExceeded,
+    StepLimitExceeded,
     UnificationState,
     instance_of,
+    normalize,
     parse_context,
     parse_term,
     solve,
     term_vars,
 )
 from nomc import unify
+from nomc.cli import load_system_file
 from nomc.unify import _leaf_solutions
-from conftest import reference_leaf_solution, reference_search
-from test_solver_golden import MAX_STATES, _problem, _signatures
+from conftest import (
+    equivalent_variant,
+    random_context,
+    random_prenex_formula,
+    random_prenex_pattern,
+    reference_leaf_solution,
+    reference_search,
+)
+from test_solver_golden import MAX_STATES, _perturb, _problem, _signatures
 
 SEEDS = range(500)
 
@@ -135,3 +148,34 @@ def test_nested_commutative_splits_count_47_states(ex22_system):
     initial = UnificationState(frozenset(), IDENTITY_SUBST, (EqualityGoal(lhs, rhs),))
     leaves, visited = _check_search(initial, frozenset(), sig)
     assert visited == 47 and len(leaves) == 8
+
+
+def _capped(run, max_states):
+    """run(max_states)'s answer, or the exception class that ended it."""
+    try:
+        return run(max_states)
+    except (SearchSpaceExceeded, StepLimitExceeded) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_a_state_cap_only_cuts_off(seed, cap):
+    # Under any cap, normalize and solve either raise SearchSpaceExceeded or
+    # give exactly the uncapped answer: a cap never changes what is found.
+    system = load_system_file("prenex").system
+    sig = system.signature
+    rng = random.Random(seed)
+    formula = random_prenex_formula(rng, 4) if seed % 2 else random_prenex_pattern(rng, 4)
+    delta, term = random_context(rng), random_prenex_pattern(rng, 4)
+    # a commutative variant of the term with some subterms generalised, so
+    # that most problems branch and many are solvable
+    nabla, pattern = random_context(rng), _perturb(rng, sig, equivalent_variant(rng, delta, term, sig), 0.3)
+    runs = (
+        lambda max_states: normalize(delta, formula, system, 20, max_states=max_states),
+        lambda max_states: solve(delta, term, nabla, pattern, sig=sig, max_states=max_states),
+    )
+    for run in runs:
+        uncapped = _capped(run, unify.DEFAULT_MAX_STATES)
+        assert uncapped is not SearchSpaceExceeded
+        assert _capped(run, cap) in (uncapped, SearchSpaceExceeded)
