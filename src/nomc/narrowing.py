@@ -9,13 +9,12 @@ depth. Every truncation is recorded in the result.
 
 Each rule is renamed apart before it is unified with a subterm. One name
 supply per search (`NameSupply`), seeded with the root's variables, gives
-the names: at every site where a rule's head fits, the rule's variables
-draw the next fresh names in name order, whether or not its skeleton fits
-there, but the renamed copy is built only where a unifier is attempted.
-The solver introduces no variable and fixed-point images are ground, so a
-child's variables are its parent's or its rule instance's, all taken from
-the supply already. Backward lifting draws the same way, from one supply
-per derivation, once per lifted step.
+the names: at each site where a rule fits (`redexes`), the rule's
+variables draw the next fresh names in name order. The solver introduces
+no variable and fixed-point images are ground, so a child's variables are
+its parent's or its rule instance's, all taken from the supply already.
+Backward lifting draws the same way, from one supply per derivation, once
+per lifted step.
 
 Children are built straight from solver and fixed-point answers, with no
 re-check, and no node constrains a variable its accumulated substitution
@@ -198,14 +197,13 @@ def _expand_node(
     max_states: int,
 ) -> tuple[list[NarrowingStep], bool]:
     """Narrowing steps from a node, and whether max_unifiers cut them off.
-    Each rule is renamed apart with names drawn from `names` at every site
-    `redexes` offers it, and built only where its skeleton fits."""
+    Each rule is renamed apart, with names drawn from `names`, at each site
+    where `redexes` tries it."""
     sig = system.signature
     steps: list[NarrowingStep] = []
 
-    def prepare(rule: RewriteRule, fits: bool) -> RewriteRule | None:
-        renaming = names.draw(rule.renaming_bases)
-        return renamed_rule(rule, renaming) if fits else None
+    def prepare(rule: RewriteRule) -> RewriteRule:
+        return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)

@@ -383,13 +383,12 @@ def alpha_variants(term: Term, pool: frozenset[Atom] | set[Atom]) -> tuple[Term,
 
 def head_key(term: Term) -> object:
     """The key `RewriteSystem.by_head` files a left-hand side under: symbol
-    and arity for an application, one key for every abstraction, and the
-    atom itself for an atom."""
+    and arity for an application, and the node type for an abstraction or an
+    atom. `skeleton_fits` ignores binder and atom names, so one key serves
+    every abstraction and one every atom."""
     if isinstance(term, App):
         return (term.sym, len(term.args))
-    if isinstance(term, Abstraction):
-        return Abstraction
-    return term
+    return type(term)
 
 
 def skeleton_fits(lhs: Term, sub: Term, sig: Signature, unify: bool) -> bool:
@@ -448,71 +447,72 @@ def _verified_matchers(
     return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
 
 
-def redexes(
-    context: FreshnessContext,
-    term: Term,
-    system: RewriteSystem,
-    prepare: Callable[[RewriteRule, bool], RewriteRule | None],
-    attempt: Callable[[Term, RewriteRule], Sequence],
-    unify: bool,
-) -> Iterator[tuple[Position, RewriteRule, Permutation, RewriteRule, Sequence]]:
-    """Lazily solve or match every rule at every non-variable position.
-
-    Positions come leftmost-outermost and rules in declaration order; a rule
-    is tried only where its left-hand side's head fits the subterm (the
-    system's `by_head` index) and its whole skeleton can fit there
-    (`skeleton_fits`, with subject variables as wildcards if `unify`).
-    `prepare(rule, fits)` is called at every head-indexed site, after the
-    skeleton test, with its verdict; where the skeleton fits, it gives the
-    rule renamed apart. `attempt(subterm, rule)` gives the answers, empty on
-    failure. When the prepared rule fails and its atoms clash with the
-    subterm's, it is retried once with the clashing atoms moved to fresh
-    ones. Each success yields `(position, prepared, perm, used, answers)`,
-    where `used` is `prepared` after the shift `perm` (IDENTITY if none).
-    """
+def _fitting_sites(
+    term: Term, system: RewriteSystem, unify: bool
+) -> Iterator[tuple[tuple[int, ...], Term, RewriteRule]]:
+    """Lazily, `(path, subterm, rule)` for each rule that can apply at each
+    non-variable subterm: `by_head` files it under the subterm's head, and
+    its whole skeleton fits there (`skeleton_fits`, with subject variables
+    as wildcards if `unify`). Subterms come leftmost-outermost, suspensions
+    skipped, and a subterm's rules in declaration order."""
     sig = system.signature
     by_head = system.by_head
-    ambient_atoms = None  # the shift's avoid set, built when a shift is first due
     # (path, subterm) pairs, the next one on top. The node's type gives its
-    # children and its `head_key`; a Position is built only for a site that
-    # yields.
+    # children and its `head_key`.
     stack: list[tuple[tuple[int, ...], Term]] = [((), term)]
     while stack:
         path, sub = stack.pop()
         kind = type(sub)
+        key: object = kind
         if kind is App:
             args = sub.args
             stack.extend([(path + (i,), args[i]) for i in range(len(args) - 1, -1, -1)])
-            key: object = (sub.sym, len(args))
+            key = (sub.sym, len(args))
         elif kind is Abstraction:
             stack.append((path + (0,), sub.body))
-            key = Abstraction
-        elif kind is Atom:
-            key = sub
-        else:  # a suspension
+        elif kind is Suspension:
             continue
         for rule in by_head.get(key, ()):
-            # Narrowing draws fresh names at every head-indexed site, fitting
-            # or not, since the names it picks are part of the answer; it
-            # builds a renamed copy only where the skeleton fits.
-            fits = skeleton_fits(rule.lhs, sub, sig, unify)
-            prepared = prepare(rule, fits)
-            if not fits:
-                continue
-            answers = attempt(sub, prepared)
-            if answers:
-                yield Position(path), prepared, IDENTITY, prepared, answers
-                continue
-            sub_atoms = term_atoms(sub)
-            if prepared.atoms().isdisjoint(sub_atoms):
-                continue
-            if ambient_atoms is None:
-                ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
-            shift = clash_permutation(prepared, sub_atoms, ambient_atoms)
-            shifted = permute_rule(prepared, shift)
-            answers = attempt(sub, shifted)
-            if answers:
-                yield Position(path), prepared, shift, shifted, answers
+            if skeleton_fits(rule.lhs, sub, sig, unify):
+                yield path, sub, rule
+
+
+def redexes(
+    context: FreshnessContext,
+    term: Term,
+    system: RewriteSystem,
+    prepare: Callable[[RewriteRule], RewriteRule],
+    attempt: Callable[[Term, RewriteRule], Sequence],
+    unify: bool,
+) -> Iterator[tuple[Position, RewriteRule, Permutation, RewriteRule, Sequence]]:
+    """Lazily solve or match each rule at each site where it fits
+    (`_fitting_sites`, in its order).
+
+    `prepare(rule)` gives the rule renamed apart, and is called only there;
+    `attempt(subterm, rule)` gives the answers, empty on failure. When the
+    prepared rule fails and its atoms clash with the subterm's, it is
+    retried once with the clashing atoms moved to fresh ones. Each success
+    yields `(position, prepared, perm, used, answers)`, where `used` is
+    `prepared` after the shift `perm` (IDENTITY if none); a Position is
+    built only for a site that yields.
+    """
+    ambient_atoms = None  # the shift's avoid set, built when a shift is first due
+    for path, sub, rule in _fitting_sites(term, system, unify):
+        prepared = prepare(rule)
+        answers = attempt(sub, prepared)
+        if answers:
+            yield Position(path), prepared, IDENTITY, prepared, answers
+            continue
+        sub_atoms = term_atoms(sub)
+        if prepared.atoms().isdisjoint(sub_atoms):
+            continue
+        if ambient_atoms is None:
+            ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
+        shift = clash_permutation(prepared, sub_atoms, ambient_atoms)
+        shifted = permute_rule(prepared, shift)
+        answers = attempt(sub, shifted)
+        if answers:
+            yield Position(path), prepared, shift, shifted, answers
 
 
 def _candidate_steps(
@@ -533,10 +533,10 @@ def _candidate_steps(
     if avoid is None:
         avoid = term_vars(term) | {c.var for c in delta}
 
-    def prepare(rule: RewriteRule, fits: bool) -> RewriteRule | None:
+    def prepare(rule: RewriteRule) -> RewriteRule:
         if not avoid:
             return system._fresh_rules[rule.name]
-        return renamed_rule(rule, fresh_variables(avoid, rule.renaming_bases)) if fits else None
+        return renamed_rule(rule, fresh_variables(avoid, rule.renaming_bases))
 
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
     for pos, prepared, perm, used, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
@@ -705,36 +705,14 @@ def _ground_oracle_sources(
 
 def _class_fits(term: Term, system: RewriteSystem) -> bool:
     """Does some rule's skeleton fit some subterm of the ground term modulo
-    commutativity? Only then can a member of its commutative-and-alpha class
-    have a plain step: every subterm of a member is a rearranged,
-    alpha-renamed copy of one of the term's, and `skeleton_fits` ignores
-    atom and binder names and tries both orders of a commutative node.
-    `skeleton_fits` is False across node kinds, symbols and arities, so an
-    application or abstraction can fit only the rules `by_head` files under
-    its head. An atom leaf fits exactly when some rule's left-hand side is an
-    atom, whichever atom: renaming a binder can give a bound leaf the atom a
-    rule rewrites."""
-    sig = system.signature
-    by_head = system.by_head
-    atom_lhs = any(type(rule.lhs) is Atom for rule in system.rules)
-    stack = [term]
-    while stack:
-        sub = stack.pop()
-        kind = type(sub)
-        if kind is App:
-            stack.extend(sub.args)
-            rules = by_head.get((sub.sym, len(sub.args)), ())
-        elif kind is Abstraction:
-            stack.append(sub.body)
-            rules = by_head.get(Abstraction, ())
-        elif kind is Atom and atom_lhs:
-            return True
-        else:
-            continue
-        for rule in rules:
-            if skeleton_fits(rule.lhs, sub, sig, False):
-                return True
-    return False
+    commutativity (`_fitting_sites`)? Only then can a member of its
+    commutative-and-alpha class have a plain step: every subterm of a member
+    is a rearranged, alpha-renamed copy of one of the term's, and
+    `skeleton_fits` ignores atom and binder names and tries both orders of a
+    commutative node. So an atom leaf fits a rule whose left-hand side is
+    any atom: renaming a binder can give a bound leaf the atom a rule
+    rewrites."""
+    return next(_fitting_sites(term, system, False), None) is not None
 
 
 def _class_steps(

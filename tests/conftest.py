@@ -404,10 +404,9 @@ def reference_redexes(context, term, system, prepare, attempt, unify):
         if isinstance(sub, Suspension):
             continue
         for rule in system.by_head.get(head_key(sub), ()):
-            fits = skeleton_fits(rule.lhs, sub, sig, unify)
-            prepared = prepare(rule, fits)
-            if not fits:
+            if not skeleton_fits(rule.lhs, sub, sig, unify):
                 continue
+            prepared = prepare(rule)
             answers = attempt(sub, prepared)
             if answers:
                 yield pos, prepared, IDENTITY, prepared, answers

@@ -12,6 +12,7 @@ from nomc import (
     Atom,
     CSolution,
     EqualityGoal,
+    FreshnessConstraint,
     IDENTITY,
     IDENTITY_SUBST,
     NarrowingNode,
@@ -51,6 +52,7 @@ from nomc import (
 from nomc import narrowing, rewriting
 from nomc.alpha import satisfies_with
 from nomc.rewriting import head_key, permute_rule, redexes, skeleton_fits
+from nomc.terms import NameSupply
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
@@ -634,21 +636,40 @@ class TestLiftingBackwardReference:
 #
 # Narrowing once renamed every rule apart at every head-indexed site, before
 # the skeleton test, from an avoid set it grew by each renamed rule and
-# re-gathered from each node and each child. It now draws the same names
-# from one name supply and builds a renamed copy only where a unifier is
-# attempted; the eager construction stays here as the reference.
+# re-gathered from each node and each child. It now draws names from one
+# name supply, and only where a rule fits; the eager construction stays here
+# as the reference, and trees are compared up to the names rules drew.
 
 
 def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, max_states):
     sig = system.signature
     steps = []
     avoid = avoid | narrowing._gather_vars(node)
+    # Every head-indexed site in scan order, and whether the rule fits there.
+    # `redexes` calls `prepare` only where a rule fits, so the renamings for
+    # the sites passed over since its last call are made first, and those
+    # after the last one when the scan ends.
+    sites = iter(
+        [
+            (rule, skeleton_fits(rule.lhs, sub, sig, True))
+            for _, sub in subterms_with_positions(node.term)
+            if not isinstance(sub, Suspension)
+            for rule in system.by_head.get(head_key(sub), ())
+        ]
+    )
 
-    def prepare(rule, fits):
+    def rename(rule):
         nonlocal avoid
         renamed = rename_rule_with_map(rule, avoid)[0]
         avoid = avoid | renamed.variables()
         return renamed
+
+    def prepare(rule):
+        for passed, fits in sites:
+            renamed = rename(passed)
+            if fits:
+                assert passed is rule
+                return renamed
 
     def attempt(sub, rule):
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
@@ -660,6 +681,8 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
             child = narrowing._child(node, pos, used, context, theta)
             steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
             avoid = avoid | narrowing._gather_vars(child)
+    for passed, _ in sites:
+        rename(passed)
     return steps, False, avoid
 
 
@@ -684,25 +707,51 @@ def _reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_uni
     return NarrowingTree(root, tuple(edges), record)
 
 
+def _vars_in_order(term, out):
+    """The variables of a term by first occurrence, added to the dict `out`."""
+    if isinstance(term, Suspension):
+        out.setdefault(term.var)
+    elif isinstance(term, Abstraction):
+        _vars_in_order(term.body, out)
+    elif isinstance(term, App):
+        for arg in term.args:
+            _vars_in_order(arg, out)
+    return out
+
+
 def _tree_outline(tree):
     """Everything a tree answers, edge by edge, with each parent given as
-    its index among the nodes."""
+    its index among the nodes, up to the names its rules drew: each edge's
+    rule-instance variables are named by their first occurrence in its
+    left-hand side, and that renaming holds below the edge too."""
     index = {id(node): i for i, node in enumerate(tree.nodes())}
-    edges = [
-        (
-            index[id(e.parent)],
-            e.rule,
-            e.position,
-            e.step_subst,
-            e.rule_instance,
-            e.child.context,
-            e.child.term,
-            e.child.accumulated,
-            e.child.depth,
-            e.used_fixpoint_enumeration,
+    renamings = {id(tree.root): {}}
+    edges = []
+    for e in tree.edges:  # breadth first: a parent comes before its children
+        renaming = dict(renamings[id(e.parent)])
+        for k, var in enumerate(_vars_in_order(e.rule_instance.lhs, {})):
+            renaming[var] = Var(f"~{e.child.depth}.{k}")
+        renamings[id(e.child)] = renaming
+        images = Substitution({v: Suspension(IDENTITY, w) for v, w in renaming.items()})
+
+        def subst(theta):
+            return Substitution({renaming.get(v, v): apply_subst(images, t) for v, t in theta.items()})
+
+        context = frozenset(FreshnessConstraint(c.atom, renaming.get(c.var, c.var)) for c in e.child.context)
+        edges.append(
+            (
+                index[id(e.parent)],
+                e.rule,
+                e.position,
+                subst(e.step_subst),
+                rewriting.renamed_rule(e.rule_instance, renaming),
+                context,
+                apply_subst(images, e.child.term),
+                subst(e.child.accumulated),
+                e.child.depth,
+                e.used_fixpoint_enumeration,
+            )
         )
-        for e in tree.edges
-    ]
     return edges, tree.truncation
 
 
@@ -790,9 +839,15 @@ class TestNameSupply:
         monkeypatch.setattr(narrowing, "renamed_rule", counting("renamed", narrowing.renamed_rule))
         monkeypatch.setattr(rewriting, "permute_rule", counting("shifted", rewriting.permute_rule))
         monkeypatch.setattr(narrowing, "solve", counting("attempts", narrowing.solve))
-        # and(a, forall([a]X)) needs and_forall's atom a shifted off
-        clash = parse_term("or(and(a, forall([a]X)), and(a, forall([a]Y)))", prenex_system.signature)
-        cases = [(frozenset(), clash, prenex_system, 2, 0, 0)]
+        monkeypatch.setattr(NameSupply, "draw", counting("drawn", NameSupply.draw))
+        # and(a, forall([a]X)) needs and_forall's atom a shifted off; in all
+        # three, some rule is filed under a head its skeleton does not fit
+        texts = (
+            "or(and(a, forall([a]X)), and(a, forall([a]Y)))",
+            "and(P1, not(forall([b]Q1)))",
+            "not(and(P, or(Q, forall([a]R))))",
+        )
+        cases = [(frozenset(), parse_term(text, prenex_system.signature), prenex_system, 2, 0, 0) for text in texts]
         cases += _seeded_narrowing_cases(random.Random(20), prenex_system, ex22_system, 60)
         totals = collections.Counter()
         for delta, term, system, _, fixpoint_depth, _ in cases:
@@ -808,13 +863,13 @@ class TestNameSupply:
                     if not isinstance(sub, Suspension):
                         for rule in system.by_head.get(head_key(sub), ()):
                             sites[skeleton_fits(rule.lhs, sub, sig, True)] += 1
-            # one renamed copy per fitting (site, rule) pair, one shifted
-            # copy per retry, and one attempt on each copy
-            assert built["renamed"] == sites[True], str(term)
+            # one draw of names and one renamed copy per fitting (site, rule)
+            # pair, one shifted copy per retry, and one attempt on each copy
+            assert built["drawn"] == built["renamed"] == sites[True], str(term)
             assert built["renamed"] + built["shifted"] == built["attempts"], str(term)
             totals.update(built)
             totals.update({"rejected": sites[False]})
-        # an eager renaming at the rejected sites would fail the count
+        # a renaming or a draw at the rejected sites would fail the count
         assert totals["rejected"] and totals["shifted"], totals
 
 
