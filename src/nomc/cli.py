@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -326,9 +327,9 @@ def _add_narrowing(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `nomc` parser, built on first use and then shared: `parse_args`
-    keeps no state between calls."""
+def _parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The `nomc` parser and its command parsers by name, built on first use
+    and then shared: `parse_args` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="nomc",
         description="Nominal rewriting and narrowing modulo commutativity.",
@@ -384,12 +385,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-context", default="", help="context the instance lives under")
     p.add_argument("--max-steps", type=_bound, default=1000)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The `nomc` parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with a request that starts with a
+    command handed straight to that command's parser, which is what the full
+    parser would delegate to. Anything the command's parser leaves over goes
+    back to the full parser, which reports it as before."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def run_command(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, with its
         # usage message already on stderr; here 2 means a bound was hit.

@@ -14,6 +14,7 @@ sections; a line whose first non-blank character is `#` is a comment.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -64,42 +65,49 @@ class _Token(NamedTuple):
     col: int
 
 
-# Every fixed lexeme; `_tokenize` tries three characters, then two, then one.
 _LEXEMES = {"|-": "TURNSTILE", "->": "ARROW", "=ac": "EQAC",
             "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
             ",": "COMMA", ".": "DOT", "#": "HASH", ":": "COLON"}
+# One pass over the text: a blank run, a fixed lexeme, a word run, or any
+# other character. `\s` is exactly `str.isspace` and `\w` exactly
+# `str.isalnum() or "_"` on every code point (tests/test_parsing.py checks).
+_SCAN = re.compile(r"(\s+)|(=ac|\|-|->|[()\[\],.#:])|(\w+)|(.)", re.DOTALL)
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
     """Tokens with their line and column. A column counts characters from
-    the start of its line, from 1; only `\\n` starts a new line."""
+    the start of its line, from 1; only `\\n` starts a new line.
+
+    A word run is an identifier when it starts with an `isalpha()`
+    character. One that starts with an `isdigit()` character gives an
+    integer of its `isdigit()` prefix and then an identifier of the rest,
+    which must start with a letter. Runs are classified by these `str`
+    methods and never by `\\d`, which differs from `isdigit` on 128 code
+    points (`²` is a digit to `isdigit` but not to `\\d`)."""
     tokens: list[_Token] = []
     line, start, i = line_offset, 0, 0  # start: offset of the line's first character
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            if ch == "\n":
-                line, start = line + 1, i + 1
-            i += 1
-            continue
-        j = i + 1
-        if ch.isalpha():
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            kind = "IDENT"
-        elif ch.isdigit():
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            kind = "INT"
+    for blank, lexeme, word, other in _SCAN.findall(text):
+        if blank:
+            if "\n" in blank:
+                line, start = line + blank.count("\n"), i + blank.rindex("\n") + 1
+            i += len(blank)
+        elif lexeme:
+            tokens.append(_Token(_LEXEMES[lexeme], lexeme, line, i - start + 1))
+            i += len(lexeme)
+        elif word:
+            if word[0].isdigit():
+                j = 1
+                while j < len(word) and word[j].isdigit():
+                    j += 1
+                tokens.append(_Token("INT", word[:j], line, i - start + 1))
+                i, word = i + j, word[j:]
+            if word:
+                if not word[0].isalpha():
+                    raise ParseError(f"unexpected character {word[0]!r}", line, i - start + 1)
+                tokens.append(_Token("IDENT", word, line, i - start + 1))
+                i += len(word)
         else:
-            for lexeme in (text[i:i + 3], text[i:i + 2], ch):
-                if lexeme in _LEXEMES:
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, i - start + 1)
-            kind, j = _LEXEMES[lexeme], i + len(lexeme)
-        tokens.append(_Token(kind, text[i:j], line, i - start + 1))
-        i = j
+            raise ParseError(f"unexpected character {other!r}", line, i - start + 1)
     tokens.append(_Token("EOF", "", line, i - start + 1))
     return tokens
 
@@ -111,7 +119,10 @@ class _Parser:
         self.sig = sig
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # `next` never passes EOF, the last token; only look-ahead can.
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -144,26 +155,29 @@ class _Parser:
         return Var(tok.value)
 
     def term(self) -> Term:
-        tok = self.peek()
+        # Reads `tokens[self.pos]` directly, and steps past a token only
+        # after seeing that it is not EOF. One frame per nesting level.
+        tokens = self.tokens
+        tok = tokens[self.pos]
         if tok.kind == "LPAREN":
             perm = self.permutation()
             self.expect("DOT")
             return Suspension(perm, self.variable())
         if tok.kind == "LBRACK":
-            self.next()
+            self.pos += 1
             bound = self.atom()
             self.expect("RBRACK")
             return Abstraction(bound, self.term())
         if tok.kind == "IDENT":
-            self.next()
+            self.pos += 1
             name = tok.value
-            if self.peek().kind == "LPAREN":
-                self.next()
+            if tokens[self.pos].kind == "LPAREN":
+                self.pos += 1
                 args: list[Term] = []
-                if self.peek().kind != "RPAREN":
+                if tokens[self.pos].kind != "RPAREN":
                     args.append(self.term())
-                    while self.peek().kind == "COMMA":
-                        self.next()
+                    while tokens[self.pos].kind == "COMMA":
+                        self.pos += 1
                         args.append(self.term())
                 self.expect("RPAREN")
                 if self.sig is not None and self.sig.declares(name):

@@ -1,7 +1,10 @@
 """Command-line interface: reports, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -499,6 +502,62 @@ class TestSharedPerProcessState:
         path.write_text("sig:\n  f: 1\n  g: 1\n\nrules:\n  step: |- f(X) -> f(g(X))\n")
         code, out = run(capsys, "rewrite", "f(a)", "--system", str(path))
         assert code == 0 and "f(g(a))" in out
+
+
+def _parametrized(test) -> list:
+    """The argvs a test above is parametrized with."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return list(mark.args[1])
+
+
+def _parse_outcome(parse, argv):
+    """`vars` of the namespace `parse(argv)` returns, or the exit code and
+    the stdout and stderr it leaves when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestArgvDispatch:
+    """A request that starts with a command goes straight to that command's
+    parser; it must read exactly as the full parser reads it."""
+
+    @staticmethod
+    def _argvs() -> list[list[str]]:
+        from test_cli_fuzz import COMMANDS, SYSTEMS, _request
+        from test_cli_golden import argvs as golden_argvs
+
+        rng = random.Random(7)
+        return (
+            golden_argvs()
+            + _parametrized(TestUsageErrors.test_usage_error_exit_one)
+            + _parametrized(TestUsageErrors.test_negative_bound_exit_one)
+            + _parametrized(TestUsageErrors.test_help_exit_zero)
+            + [
+                ["check", "a # b", "--bogus"],
+                ["check", "a # b", "extra"],
+                ["narrow", "h(X)", "--system", "ex22", "--max-s", "5"],  # an abbreviation
+                ["check", "--", "a # b"],
+                ["check", "-h"],
+            ]
+            + [
+                _request(rng.choice(COMMANDS), rng.choice(SYSTEMS), rng.randrange(2**32))
+                for _ in range(200)
+            ]
+        )
+
+    def test_same_reading_as_the_full_parser(self):
+        for argv in self._argvs():
+            assert _parse_outcome(cli._parse_argv, argv) == _parse_outcome(build_parser().parse_args, argv), argv
+
+    def test_left_over_arguments_get_the_top_level_usage(self):
+        code, out, err = _parse_outcome(cli._parse_argv, ["check", "a # b", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: nomc [-h]")
+        assert "nomc: error: unrecognized arguments: --bogus" in err
 
 
 class TestClosedPipe:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,8 +173,11 @@ def _tokens_or_error(tokenize, text, line_offset):
 
 # ASCII syntax and near-syntax characters, the multi-character lexemes, line
 # breaks and blanks, and non-ASCII letters and digits (`²` and `Ⅻ` are
-# digits or letters to str methods but not to int()).
-_PIECES = list("abXY_Z09()[],.#:|-=c >!{}") + ["|-", "->", "=ac", "\n", "\t", "\r", "é", "²", "١", "Ⅻ"]
+# digits or letters to str methods but not to int()), non-ASCII blanks that
+# do not break the line, and word runs that start with a digit.
+_PIECES = list("abXY_Z09()[],.#:|-=c >!{}") + ["|-", "->", "=ac", "\n", "\t", "\r", "é", "²", "١", "Ⅻ"] + [
+    "\x0b", "\x0c", "\x1c", "\u00a0", "\u2028", "\u3000", "1a", "١b", "²_",
+]
 
 
 class TestTokenizer:
@@ -182,6 +187,14 @@ class TestTokenizer:
         assert _tokens_or_error(_tokenize, text, line_offset) == _tokens_or_error(
             _reference_tokenize, text, line_offset
         )
+
+    def test_scan_classes_are_the_str_methods(self):
+        # `_tokenize` scans blanks with `\s` and word runs with `\w`, and
+        # classifies characters with str methods; the two must agree on
+        # every code point.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+        assert re.findall(r"\w", every) == [ch for ch in every if ch.isalnum() or ch == "_"]
 
     def test_columns_count_from_the_line_start(self):
         tokens = _tokenize("f(a)\n\t [b]X =ac é²", 3)
