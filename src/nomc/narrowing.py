@@ -43,7 +43,6 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
-    permute_rule,
     premises_hold,
     primary_rewrite_steps,
     redexes,
@@ -208,12 +207,12 @@ def _expand_node(
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, _, _, used, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth):
             if len(steps) >= max_unifiers:
                 return steps, True
-            child = _child(node, pos, used, context, theta)
-            steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
+            child = _child(node, pos, rule, context, theta)
+            steps.append(NarrowingStep(rule.name, pos, theta, flagged, child, node, rule))
     return steps, False
 
 
@@ -425,7 +424,7 @@ def _lift_one(
         return None
     if isinstance(sub, Suspension):
         return None
-    rule = permute_rule(recorded.rule_instance, recorded.perm)
+    rule = recorded.rule_instance
     var_map = names.draw(rule.renaming_bases)
     renamed = renamed_rule(rule, var_map)
     sigma = Substitution(

@@ -150,13 +150,14 @@ class RewriteSystem:
 class RewriteStep:
     """One rewrite: rule applied at a position with a matching substitution.
 
-    `rule_instance` is the renamed copy of the rule the matcher actually
-    used; replaying the step re-derives the premises from it.
+    `rule_instance` is the instance of the rule that was applied: the copy
+    renamed apart and, where a clash shift was needed, with its atoms
+    shifted (`redexes`), as for a narrowing edge. Replaying the step
+    re-derives the premises from it as it is.
     """
 
     rule: str
     position: Position
-    perm: Permutation
     subst: Substitution
     result: Term
     rule_instance: RewriteRule
@@ -484,7 +485,7 @@ def redexes(
     prepare: Callable[[RewriteRule], RewriteRule],
     attempt: Callable[[Term, RewriteRule], Sequence],
     unify: bool,
-) -> Iterator[tuple[Position, RewriteRule, Permutation, RewriteRule, Sequence]]:
+) -> Iterator[tuple[Position, RewriteRule, Sequence]]:
     """Lazily solve or match each rule at each site where it fits
     (`_fitting_sites`, in its order).
 
@@ -492,27 +493,25 @@ def redexes(
     `attempt(subterm, rule)` gives the answers, empty on failure. When the
     prepared rule fails and its atoms clash with the subterm's, it is
     retried once with the clashing atoms moved to fresh ones. Each success
-    yields `(position, prepared, perm, used, answers)`, where `used` is
-    `prepared` after the shift `perm` (IDENTITY if none); a Position is
-    built only for a site that yields.
+    yields `(position, rule, answers)`, where `rule` is the copy that gave
+    the answers; a Position is built only for a site that yields.
     """
     ambient_atoms = None  # the shift's avoid set, built when a shift is first due
     for path, sub, rule in _fitting_sites(term, system, unify):
         prepared = prepare(rule)
         answers = attempt(sub, prepared)
         if answers:
-            yield Position(path), prepared, IDENTITY, prepared, answers
+            yield Position(path), prepared, answers
             continue
         sub_atoms = term_atoms(sub)
         if prepared.atoms().isdisjoint(sub_atoms):
             continue
         if ambient_atoms is None:
             ambient_atoms = term_atoms(term) | frozenset(c.atom for c in context)
-        shift = clash_permutation(prepared, sub_atoms, ambient_atoms)
-        shifted = permute_rule(prepared, shift)
+        shifted = permute_rule(prepared, clash_permutation(prepared, sub_atoms, ambient_atoms))
         answers = attempt(sub, shifted)
         if answers:
-            yield Position(path), prepared, shift, shifted, answers
+            yield Position(path), shifted, answers
 
 
 def _candidate_steps(
@@ -527,8 +526,8 @@ def _candidate_steps(
     variables). With nothing to avoid, the copy comes from the system's
     `_fresh_rules`; otherwise it is built at each site where the rule's
     skeleton fits, with the names `fresh_variables` picks, which are those
-    of `_fresh_rules` when nothing is avoided. A clash shift is recorded on
-    the step as its permutation."""
+    of `_fresh_rules` when nothing is avoided. Each step records the copy
+    `redexes` applied, clash shift included."""
     sig = system.signature
     if avoid is None:
         avoid = term_vars(term) | {c.var for c in delta}
@@ -539,10 +538,10 @@ def _candidate_steps(
         return renamed_rule(rule, fresh_variables(avoid, rule.renaming_bases))
 
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
-    for pos, prepared, perm, used, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
+    for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:
-            result = replace_at(term, pos.path, apply_subst(theta, used.rhs))
-            yield RewriteStep(prepared.name, pos, perm, theta, result, prepared)
+            result = replace_at(term, pos.path, apply_subst(theta, rule.rhs))
+            yield RewriteStep(rule.name, pos, theta, result, rule)
 
 
 def _dedup_steps(delta: FreshnessContext, steps: Iterable[RewriteStep]) -> tuple[RewriteStep, ...]:
@@ -591,9 +590,7 @@ def one_step_rewrites(
     expanded: list[RewriteStep] = []
     for step in _candidate_steps(delta, term, system, max_states):
         for variant in commutative_variants(step.result, sig):
-            expanded.append(
-                RewriteStep(step.rule, step.position, step.perm, step.subst, variant, step.rule_instance)
-            )
+            expanded.append(RewriteStep(step.rule, step.position, step.subst, variant, step.rule_instance))
     return _dedup_steps(delta, expanded)
 
 
@@ -603,20 +600,17 @@ def verify_rewrite_step(
     step: RewriteStep,
     sig: Signature,
 ) -> bool:
-    """Re-derive the premises of a recorded step against its source term.
-
-    The step's permutation (externally supplied or the engine's clash shift)
-    is applied to the rule instance before the checks.
-    """
+    """Re-derive the premises of a recorded step against its source term,
+    from the rule instance the step records."""
     path = step.position.path
     try:
         sub = subterm_at(source, path)
     except ValueError:
         return False
-    used = permute_rule(step.rule_instance, step.perm)
-    if not premises_hold(delta, sub, used, step.subst, sig):
+    rule = step.rule_instance
+    if not premises_hold(delta, sub, rule, step.subst, sig):
         return False
-    return derive_alpha_c(delta, replace_at(source, path, apply_subst(step.subst, used.rhs)), step.result, sig)
+    return derive_alpha_c(delta, replace_at(source, path, apply_subst(step.subst, rule.rhs)), step.result, sig)
 
 
 def normalize(

@@ -409,7 +409,7 @@ def reference_redexes(context, term, system, prepare, attempt, unify):
             prepared = prepare(rule)
             answers = attempt(sub, prepared)
             if answers:
-                yield pos, prepared, IDENTITY, prepared, answers
+                yield pos, prepared, answers
                 continue
             sub_atoms = term_atoms(sub)
             if prepared.atoms().isdisjoint(sub_atoms):
@@ -420,7 +420,7 @@ def reference_redexes(context, term, system, prepare, attempt, unify):
             shifted = permute_rule(prepared, shift)
             answers = attempt(sub, shifted)
             if answers:
-                yield pos, prepared, shift, shifted, answers
+                yield pos, shifted, answers
 
 
 # -- the solver's search, the old way ----------------------------------------------

@@ -6,9 +6,15 @@ steps the engine produced, which they accept. Here each genuine step gets one
 field changed so that the step is wrong by construction, and the checker must
 reject it. The sources are the rewrites and normalisations among the bundled
 `problems:` lines and the edges of two bundled narrowing trees.
+
+Conversely, every rewrite step must replay from the rule instance it
+records, as it is, clash-shifted steps included.
 """
 
+import collections
 import dataclasses
+import itertools
+import random
 import shlex
 
 import pytest
@@ -21,6 +27,7 @@ from nomc import (
     IDENTITY_SUBST,
     PRECONDITION_FAIL,
     Position,
+    StepLimitExceeded,
     Substitution,
     Suspension,
     UnificationState,
@@ -38,14 +45,23 @@ from nomc import (
     parse_context,
     parse_substitution,
     parse_term,
+    primary_rewrite_steps,
     replace_at,
     subterm_at,
     subterms_with_positions,
     term_vars,
     verify_rewrite_step,
 )
+from nomc import rewriting
 from nomc.cli import build_parser, load_system_file
 from nomc.terms import IDENTITY
+from conftest import (
+    random_context,
+    random_ground_term,
+    random_prenex_formula,
+    random_prenex_pattern,
+    random_term,
+)
 
 FRESH = Atom("zz")
 
@@ -400,3 +416,65 @@ class TestCheckSolution:
             assert check_solution((edge.child.context, edge.step_subst), problem, system.signature)
             assert not check_solution((EMPTY_CONTEXT, edge.step_subst), problem, system.signature)
         assert checked
+
+
+# and_forall's atom a occurs free in each of these, so its steps need the
+# clash shift; in the last two both forall binders clash with it too.
+CLASH_TERMS = (
+    "or(and(b, c), or(and(a, forall([b]c)), and(a, forall([c]d))))",
+    "or(and(b, c), or(and(a, forall([a]c)), and(a, forall([a]d))))",
+    "or(and(a, forall([a]b)), and(b, forall([a]a)))",
+)
+
+
+def _replay_subjects(prenex, ex22):
+    """(system, delta, term, ground): the clash terms, then seeded prenex and
+    ex22 subjects, with and without variables."""
+    rng = random.Random(30)
+    subjects = [(prenex, EMPTY_CONTEXT, parse_term(text, prenex.signature), True) for text in CLASH_TERMS]
+    for index in range(120):
+        system = (prenex, ex22)[index % 2]
+        if index % 4 < 2:
+            term = random_prenex_pattern(rng, 4) if system is prenex else random_term(rng, system.signature, 3)
+            subjects.append((system, random_context(rng), term, False))
+        elif system is prenex:
+            term = App("or", (random_prenex_formula(rng, 2), random_prenex_formula(rng, 2)))
+            subjects.append((system, EMPTY_CONTEXT, term, True))
+        else:
+            subjects.append((system, EMPTY_CONTEXT, random_ground_term(rng, system.signature, 3), True))
+    return subjects
+
+
+def test_steps_replay_from_their_rule_instance(prenex_system, ex22_system):
+    """`primary_rewrite_steps`, `one_step_rewrites`, each `normalize` trace
+    and the class oracle's steps against their sources: `verify_rewrite_step`
+    accepts each, and contracting with the recorded `rule_instance` gives
+    the recorded result itself, not only an =ac one (except for
+    `one_step_rewrites`, which lists commutative rearrangements of it)."""
+    shifted = collections.Counter()
+
+    def replay(kind, system, delta, source, step, sig):
+        # Renaming variables keeps a rule's atoms; only a clash shift moves them.
+        shifted[kind] += step.rule_instance.atoms() != system._fresh_rules[step.rule].atoms()
+        assert verify_rewrite_step(delta, source, step, sig), (str(source), str(step))
+        return replace_at(source, step.position.path, apply_subst(step.subst, step.rule_instance.rhs))
+
+    for system, delta, term, ground in _replay_subjects(prenex_system, ex22_system):
+        sig = system.signature
+        for step in primary_rewrite_steps(delta, term, system):
+            assert replay("primary", system, delta, term, step, sig) == step.result
+        for step in one_step_rewrites(delta, term, system):
+            replay("one_step", system, delta, term, step, sig)
+        try:
+            trace = normalize(delta, term, system, 8)[1]
+        except StepLimitExceeded as exc:
+            trace = exc.trace
+        source = term
+        for step in trace:
+            assert replay("normalize", system, delta, source, step, sig) == step.result
+            source = step.result
+        if ground:
+            plain = system.without_commutativity()
+            for source, step in itertools.islice(rewriting._class_steps(term, system, 100_000), 200):
+                assert replay("class", system, EMPTY_CONTEXT, source, step, plain.signature) == step.result
+    assert all(shifted[kind] >= 2 for kind in ("primary", "one_step", "normalize", "class")), shifted

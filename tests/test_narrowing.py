@@ -51,7 +51,7 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.alpha import satisfies_with
-from nomc.rewriting import head_key, permute_rule, redexes, skeleton_fits
+from nomc.rewriting import head_key, redexes, skeleton_fits
 from nomc.terms import NameSupply
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
@@ -444,8 +444,7 @@ def _reference_lift_one(node, rho_cur, recorded, delta, system, fixpoint_depth, 
         return None
     if isinstance(sub, Suspension):
         return None
-    recorded_rule = permute_rule(recorded.rule_instance, recorded.perm)
-    renamed, var_map = rename_rule_with_map(recorded_rule, avoid)
+    renamed, var_map = rename_rule_with_map(recorded.rule_instance, avoid)
     sigma = Substitution(
         {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
     )
@@ -674,12 +673,12 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
     def attempt(sub, rule):
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, _, _, used, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth):
             if len(steps) >= max_unifiers:
                 return steps, True, avoid
-            child = narrowing._child(node, pos, used, context, theta)
-            steps.append(NarrowingStep(used.name, pos, theta, flagged, child, node, used))
+            child = narrowing._child(node, pos, rule, context, theta)
+            steps.append(NarrowingStep(rule.name, pos, theta, flagged, child, node, rule))
             avoid = avoid | narrowing._gather_vars(child)
     for passed, _ in sites:
         rename(passed)

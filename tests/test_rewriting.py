@@ -328,7 +328,7 @@ class TestCoherence:
 
 
 def _step_fields(steps):
-    return [(s.rule, s.position, s.perm, s.subst, s.result, s.rule_instance) for s in steps]
+    return [(s.rule, s.position, s.subst, s.result, s.rule_instance) for s in steps]
 
 
 def _normalize_outcome(ctx, term, system):
@@ -386,8 +386,9 @@ class TestPreparedRules:
         assert len(steps) >= 2
         for step in steps:
             sub = subterm_at(term, step.position.path)
-            direct = clash_permutation(step.rule_instance, term_atoms(sub), term_atoms(term))
-            assert direct is not None and step.perm == direct
+            fresh = prenex_system._fresh_rules[step.rule]
+            direct = clash_permutation(fresh, term_atoms(sub), term_atoms(term))
+            assert direct is not None and step.rule_instance == permute_rule(fresh, direct)
 
     @staticmethod
     def _count_copies(monkeypatch):
@@ -493,12 +494,11 @@ def _eager_candidate_steps(delta, term, system, max_states=DEFAULT_MAX_STATES):
     avoid = term_vars(term) | {c.var for c in delta}
     renamed = {rule.name: rename_rule_with_map(rule, avoid)[0] for rule in system.rules}
     attempt = functools.partial(rewriting._verified_matchers, delta, sig=system.signature, max_states=max_states)
-    for pos, prepared, perm, used, thetas in rewriting.redexes(
-        delta, term, system, lambda rule: renamed[rule.name], attempt, unify=False
-    ):
+    prepare = lambda rule: renamed[rule.name]
+    for pos, rule, thetas in rewriting.redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:
-            result = replace_at(term, pos.path, apply_subst(theta, used.rhs))
-            yield RewriteStep(prepared.name, pos, perm, theta, result, prepared)
+            result = replace_at(term, pos.path, apply_subst(theta, rule.rhs))
+            yield RewriteStep(rule.name, pos, theta, result, rule)
 
 
 def _eager_outcomes(delta, term, system):
@@ -537,7 +537,8 @@ class TestSameStepsAsEagerRenaming:
             )
             assert new == _eager_outcomes(delta, term, system), (name, str(term))
             seen[name] += bool(primary)
-            seen["shifted"] += any(step.perm != IDENTITY for step in primary)
+            unshifted = system._fresh_rules
+            seen["shifted"] += any(step.rule_instance.atoms() != unshifted[step.rule].atoms() for step in primary)
             seen["context"] += bool(delta) and bool(primary)
         assert all(seen[k] >= 3 for k in ("prenex", "ex22", "shifted", "context")), seen
 
@@ -1265,8 +1266,8 @@ def _scan_record(scan, ctx, term, system, unify):
         attempt = functools.partial(rewriting._verified_matchers, ctx, sig=sig, max_states=2_000)
     yielded = []
     try:
-        for pos, prepared, perm, used, answers in scan(ctx, term, system, prepare, attempt, unify):
-            yielded.append((pos, prepared, perm, used, tuple(answers)))
+        for pos, rule, answers in scan(ctx, term, system, prepare, attempt, unify):
+            yielded.append((pos, rule, tuple(answers)))
     except SearchSpaceExceeded:
         yielded.append("exceeded")
     return yielded, calls
