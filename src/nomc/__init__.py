@@ -16,7 +16,6 @@ from .alpha import (
     INCONSISTENT,
     Sentinel,
     check_problem,
-    context_of,
     derive_alpha,
     derive_alpha_c,
     derive_freshness,
@@ -34,13 +33,11 @@ from .narrowing import (
     lifting_forward_check,
     narrow_search,
     narrowing_to_rewriting,
-    one_step_narrowings,
 )
 from .parsing import (
     ParseError,
     SystemFile,
     format_system,
-    format_term,
     parse_context,
     parse_judgement,
     parse_substitution,
@@ -83,7 +80,6 @@ from .terms import (
     apply_subst,
     difference_set,
     fresh_atom,
-    fresh_variable,
     free_atoms,
     is_ground,
     permute_term,

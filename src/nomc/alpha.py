@@ -52,10 +52,6 @@ FreshnessContext = frozenset[FreshnessConstraint]
 EMPTY_CONTEXT: FreshnessContext = frozenset()
 
 
-def context_of(*pairs: tuple[Atom, Var]) -> FreshnessContext:
-    return frozenset(FreshnessConstraint(a, v) for a, v in pairs)
-
-
 def format_context(ctx: FreshnessContext) -> str:
     if not ctx:
         return "{}"
@@ -98,7 +94,6 @@ class EqualityGoal:
 _set_lhs, _set_rhs = EqualityGoal.lhs.__set__, EqualityGoal.rhs.__set__
 
 Goal = Union[FreshnessGoal, EqualityGoal]
-ConstraintProblem = tuple[Goal, ...]
 
 
 class Sentinel:
@@ -261,7 +256,7 @@ def satisfies_with(
     return all(derive_freshness(ctx, c.atom, theta.get(c.var)) for c in constrained)
 
 
-def check_problem(ctx: FreshnessContext, problem: ConstraintProblem, sig: Signature) -> bool:
+def check_problem(ctx: FreshnessContext, problem: tuple[Goal, ...], sig: Signature) -> bool:
     """Conjunction of the freshness and equality judgements in the problem."""
     for goal in problem:
         if isinstance(goal, FreshnessGoal):

@@ -51,7 +51,7 @@ from .rewriting import (
     normalize,
     one_step_rewrites,
 )
-from .terms import Signature, Suspension, term_vars
+from .terms import Signature, Suspension, apply_subst, term_vars
 from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
 
 _BUNDLED = ("prenex.nrs", "ex22.nrs", "lambda.nrs")
@@ -273,7 +273,7 @@ def _cmd_lift_backward(args, system, sig, ctx) -> Report:
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
-    _, trace = normalize(target, rho.apply(term), system, args.max_steps, max_states=args.max_states)
+    _, trace = normalize(target, apply_subst(rho, term), system, args.max_steps, max_states=args.max_states)
     outcome = lifting_backward_construct(ctx, term, rho, target, trace, 0, system, max_states=args.max_states)
     if isinstance(outcome, NotFound):
         return (

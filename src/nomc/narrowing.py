@@ -43,10 +43,10 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
-    premises_hold,
     primary_rewrite_steps,
     redexes,
     renamed_rule,
+    rewrite_at,
     verify_rewrite_step,
 )
 from .terms import (
@@ -216,20 +216,6 @@ def _expand_node(
     return steps, False
 
 
-def one_step_narrowings(
-    node: NarrowingNode,
-    system: RewriteSystem,
-    fixpoint_depth: int,
-    max_unifiers: int,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> tuple[NarrowingStep, ...]:
-    """All narrowing steps from a node, capped at max_unifiers children."""
-    names = NameSupply(_gather_vars(node))
-    steps, _ = _expand_node(node, system, fixpoint_depth, max_unifiers, names, max_states)
-    return tuple(steps)
-
-
 def narrow_search(
     delta: FreshnessContext,
     term: Term,
@@ -275,22 +261,17 @@ def _rewrites_to(
     sig: Signature,
 ) -> bool:
     """Whether sigma(parent) rewrites under context, by the step's rule
-    instance at the step's position, to a term alpha-equal to target. The
-    position must exist in the parent itself, not only in its instance; the
-    result is compared by plain alpha, without commutativity. sigma(parent)
-    is built once: its subterm at the position is sigma of the parent's, and
-    it shares every subterm sigma leaves alone with the parent."""
+    instance at the step's position (`rewrite_at`), to a term alpha-equal
+    to target. The position must exist in the parent itself, not only in
+    its instance; the result is compared by plain alpha, without
+    commutativity."""
     path = step.position.path
     try:
         subterm_at(parent, path)
     except ValueError:
         return False
-    instance = apply_subst(sigma, parent)
-    rule = step.rule_instance
-    if not premises_hold(context, subterm_at(instance, path), rule, sigma, sig):
-        return False
-    rewritten = replace_at(instance, path, apply_subst(sigma, rule.rhs))
-    return derive_alpha(context, rewritten, target)
+    rewritten = rewrite_at(context, apply_subst(sigma, parent), path, step.rule_instance, sigma, sig)
+    return rewritten is not None and derive_alpha(context, rewritten, target)
 
 
 def narrowing_to_rewriting(step: NarrowingStep, parent: NarrowingNode, *, sig: Signature) -> bool:

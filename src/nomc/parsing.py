@@ -195,6 +195,7 @@ class _Parser:
         raise self.fail(f"expected a term, found {tok.value or 'end of input'}")
 
     def permutation(self) -> Permutation:
+        """One or more swappings; `term` calls it only at a `(`."""
         swappings: list[tuple[Atom, Atom]] = []
         while self.peek().kind == "LPAREN":
             self.next()
@@ -202,8 +203,6 @@ class _Parser:
             right = self.atom()
             self.expect("RPAREN")
             swappings.append((left, right))
-        if not swappings:
-            raise self.fail("expected a swapping")
         return Permutation(tuple(swappings))
 
     def freshness_group(self) -> list[FreshnessConstraint]:
@@ -377,14 +376,6 @@ def parse_system(text: str) -> SystemFile:
     return SystemFile(RewriteSystem(rules, sig), problems)
 
 
-def format_term(term: Term) -> str:
-    return str(term)
-
-
-def format_rule(rule: RewriteRule) -> str:
-    return f"{rule.name}: {rule}"
-
-
 def format_system(system_file: SystemFile) -> str:
     """Canonical text of a system file; parsing it back is the identity."""
     system = system_file.system
@@ -395,7 +386,7 @@ def format_system(system_file: SystemFile) -> str:
     lines.append("")
     lines.append("rules:")
     for rule in system.rules:
-        lines.append(f"  {format_rule(rule)}")
+        lines.append(f"  {rule.name}: {rule}")
     if system_file.problems:
         lines.append("")
         lines.append("problems:")

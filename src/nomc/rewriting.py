@@ -39,7 +39,6 @@ from .terms import (
     Var,
     apply_subst,
     fresh_atom,
-    fresh_variables,
     free_atoms,
     is_ground,
     permute_term,
@@ -128,7 +127,7 @@ class RewriteSystem:
         object.__setattr__(self, "by_head", MappingProxyType(by_head))
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
-        fresh = {rule.name: renamed_rule(rule, fresh_variables((), rule.renaming_bases)) for rule in self.rules}
+        fresh = {rule.name: renamed_rule(rule, NameSupply(()).draw(rule.renaming_bases)) for rule in self.rules}
         object.__setattr__(self, "_fresh_rules", MappingProxyType(fresh))
         plain = self
         if self.signature.commutative_symbols:
@@ -525,9 +524,9 @@ def _candidate_steps(
     renamed apart from `avoid` (by default the term's and the context's
     variables). With nothing to avoid, the copy comes from the system's
     `_fresh_rules`; otherwise it is built at each site where the rule's
-    skeleton fits, with the names `fresh_variables` picks, which are those
-    of `_fresh_rules` when nothing is avoided. Each step records the copy
-    `redexes` applied, clash shift included."""
+    skeleton fits, with the names a `NameSupply` seeded with `avoid` draws,
+    which are those of `_fresh_rules` when nothing is avoided. Each step
+    records the copy `redexes` applied, clash shift included."""
     sig = system.signature
     if avoid is None:
         avoid = term_vars(term) | {c.var for c in delta}
@@ -535,7 +534,7 @@ def _candidate_steps(
     def prepare(rule: RewriteRule) -> RewriteRule:
         if not avoid:
             return system._fresh_rules[rule.name]
-        return renamed_rule(rule, fresh_variables(avoid, rule.renaming_bases))
+        return renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
 
     attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
     for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
@@ -594,6 +593,26 @@ def one_step_rewrites(
     return _dedup_steps(delta, expanded)
 
 
+def rewrite_at(
+    delta: FreshnessContext,
+    source: Term,
+    path: tuple[int, ...],
+    rule: RewriteRule,
+    theta: Substitution,
+    sig: Signature,
+) -> Term | None:
+    """`source` rewritten at `path` by `rule` under `theta`: the subterm
+    there replaced by theta(rhs). None when `source` has no such path or
+    the premises (`premises_hold`) fail under delta."""
+    try:
+        sub = subterm_at(source, path)
+    except ValueError:
+        return None
+    if not premises_hold(delta, sub, rule, theta, sig):
+        return None
+    return replace_at(source, path, apply_subst(theta, rule.rhs))
+
+
 def verify_rewrite_step(
     delta: FreshnessContext,
     source: Term,
@@ -602,15 +621,8 @@ def verify_rewrite_step(
 ) -> bool:
     """Re-derive the premises of a recorded step against its source term,
     from the rule instance the step records."""
-    path = step.position.path
-    try:
-        sub = subterm_at(source, path)
-    except ValueError:
-        return False
-    rule = step.rule_instance
-    if not premises_hold(delta, sub, rule, step.subst, sig):
-        return False
-    return derive_alpha_c(delta, replace_at(source, path, apply_subst(step.subst, rule.rhs)), step.result, sig)
+    rewritten = rewrite_at(delta, source, step.position.path, step.rule_instance, step.subst, sig)
+    return rewritten is not None and derive_alpha_c(delta, rewritten, step.result, sig)
 
 
 def normalize(

@@ -121,9 +121,6 @@ class Permutation:
         mentioned = {a for pair in self.swappings for a in pair}
         return frozenset(a for a in mentioned if self.act(a) != a)
 
-    def is_identity(self) -> bool:
-        return not self.moved_atoms()
-
     def __str__(self) -> str:
         return "".join(f"({l} {r})" for l, r in self.swappings) or "id"
 
@@ -280,15 +277,12 @@ class Substitution:
                 cleaned[var] = term
         self._map = cleaned
 
-    def apply(self, term: Term) -> Term:
-        return apply_subst(self, term)
-
     def get(self, var: Var) -> Term:
         return self._map.get(var, Suspension(IDENTITY, var))
 
     def compose(self, other: "Substitution") -> "Substitution":
         """Substitution acting as self first, then other."""
-        mapping = {v: other.apply(t) for v, t in self._map.items()}
+        mapping = {v: apply_subst(other, t) for v, t in self._map.items()}
         for v, t in other._map.items():
             mapping.setdefault(v, t)
         return Substitution(mapping)
@@ -299,9 +293,6 @@ class Substitution:
 
     def items(self) -> tuple[tuple[Var, Term], ...]:
         return tuple(sorted(self._map.items(), key=lambda it: it[0].name))
-
-    def is_identity(self) -> bool:
-        return not self._map
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._map == other._map
@@ -512,19 +503,9 @@ def is_ground(term: Term) -> bool:
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 
-def fresh_variable(avoid: Iterable[Var], base: str = "X") -> Var:
-    """First variable `<base><n>` not in avoid, counting from 0."""
-    return Var(NameSupply(avoid).name(base, "X"))
-
-
 def fresh_atom(avoid: Iterable[Atom], base: str = "n") -> Atom:
     """First atom `<base><n>` not in avoid, counting from 0."""
     return Atom(NameSupply(avoid).name(base, "n"))
-
-
-def fresh_variables(avoid: Iterable[Var], bases: Iterable[Var]) -> dict[Var, Var]:
-    """Rename each base variable to one fresh for avoid and the earlier picks."""
-    return NameSupply(avoid).draw(bases)
 
 
 class NameSupply:

@@ -243,8 +243,6 @@ def _step(branch: _Branch, protected: ProtectedVars, sig: Signature) -> _Branch 
 def _instantiable(side: Term, other: Term, protected: ProtectedVars) -> Suspension | None:
     if not isinstance(side, Suspension) or side.var in protected:
         return None
-    if isinstance(other, Suspension) and other.var == side.var:
-        return None
     if side.var in term_vars(other):
         return None
     return side

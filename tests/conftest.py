@@ -274,7 +274,7 @@ def reference_str(term) -> str:
 
 
 def reference_subst_str(theta) -> str:
-    if theta.is_identity():
+    if not theta.domain:
         return "Id"
     inner = ", ".join(f"{v} -> {reference_str(t)}" for v, t in theta.items())
     return f"[{inner}]"
@@ -465,7 +465,7 @@ def reference_fixpoint_form(goal):
         isinstance(lhs, Suspension)
         and isinstance(rhs, Suspension)
         and lhs.var == rhs.var
-        and rhs.perm.is_identity()
+        and not rhs.perm.moved_atoms()
         and difference_set(lhs.perm, rhs.perm)
     ):
         return lhs.perm, lhs.var

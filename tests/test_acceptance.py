@@ -21,10 +21,10 @@ from nomc import (
     Suspension,
     UnificationState,
     Var,
+    apply_subst,
     c_class_enumerate,
     check_solution,
     coherence_check,
-    context_of,
     derive_alpha_c,
     format_context,
     lifting_backward_construct,
@@ -115,7 +115,7 @@ def test_criterion_03_fixpoint_solutions(ex22_system):
         IDENTITY_SUBST,
         (EqualityGoal(Suspension(perm, X), Suspension(Permutation(), X)),),
     )
-    rho1 = (context_of((a, X), (b, X)), Substitution({X: parse_term("g(e)", sig)}))
+    rho1 = (parse_context("a#X, b#X"), Substitution({X: parse_term("g(e)", sig)}))
     rho2 = (frozenset(), Substitution({X: parse_term("oplus(a, b)", sig)}))
     rho3 = (frozenset(), Substitution({X: parse_term("oplus(oplus(a, b), oplus(a, b))", sig)}))
     assert check_solution(rho1, fixpoint, sig)
@@ -327,7 +327,7 @@ def test_criterion_11_lifting_round_trip(prenex_system):
             )
             mapping[var] = image
         rho0 = Substitution(mapping)
-        start_term = rho0.apply(pattern)
+        start_term = apply_subst(rho0, pattern)
         _, trace = normalize(frozenset(), start_term, prenex_system, 30)
         out = lifting_backward_construct(
             frozenset(), pattern, rho0, frozenset(), trace, 1, prenex_system

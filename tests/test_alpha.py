@@ -19,7 +19,6 @@ from nomc import (
     Var,
     apply_subst,
     check_problem,
-    context_of,
     derive_alpha,
     derive_alpha_c,
     derive_freshness,
@@ -58,7 +57,7 @@ class TestFreshness:
         assert not derive_freshness(frozenset(), a, a)
 
     def test_suspension_consults_context_through_inverse(self):
-        ctx = context_of((c, X))
+        ctx = parse_context("c#X")
         assert derive_freshness(ctx, a, Suspension(Permutation(((a, c),)), X))
         assert not derive_freshness(frozenset(), a, Suspension(Permutation(), X))
 
@@ -82,7 +81,7 @@ class TestAlphaC:
         s = Suspension(Permutation(), X)
         t = Suspension(Permutation(((a, b),)), X)
         assert not derive_alpha_c(frozenset(), s, t, C_SIG)
-        assert derive_alpha_c(context_of((a, X), (b, X)), s, t, C_SIG)
+        assert derive_alpha_c(parse_context("a#X, b#X"), s, t, C_SIG)
 
     def test_reflexive(self):
         rng = random.Random(2)
@@ -115,20 +114,20 @@ class TestAlphaC:
 
 class TestContextNormalisation:
     def test_discharged_entirely(self):
-        assert freshness_context_nf(context_of((a, X)), Substitution({X: b})) == frozenset()
+        assert freshness_context_nf(parse_context("a#X"), Substitution({X: b})) == frozenset()
 
     def test_inconsistent_on_atom_capture(self):
-        out = freshness_context_nf(context_of((a, X)), Substitution({X: a}))
+        out = freshness_context_nf(parse_context("a#X"), Substitution({X: a}))
         assert out is INCONSISTENT
 
     def test_residual_primitive_constraints(self):
         theta = Substitution({X: App("f", (Suspension(Permutation(), Y), b))})
-        out = freshness_context_nf(context_of((a, X)), theta)
-        assert out == context_of((a, Y))
+        out = freshness_context_nf(parse_context("a#X"), theta)
+        assert out == parse_context("a#Y")
 
     def test_abstraction_discharges_own_atom(self):
         theta = Substitution({X: Abstraction(a, a)})
-        assert freshness_context_nf(context_of((a, X)), theta) == frozenset()
+        assert freshness_context_nf(parse_context("a#X"), theta) == frozenset()
 
     def test_substitution_compatibility(self):
         # Derivable judgements survive instantiation when the instantiated
@@ -243,7 +242,7 @@ class TestAlphaKey:
 
     def test_swapped_arguments_share_the_key_over_the_signature(self):
         s, t = parse_term("c(g(a), [b]X)", C_SIG), parse_term("c([a]X, g(a))", C_SIG)
-        assert derive_alpha_c(context_of((a, X), (b, X)), s, t, C_SIG)
+        assert derive_alpha_c(parse_context("a#X, b#X"), s, t, C_SIG)
         assert alpha_key(s, C_SIG) == alpha_key(t, C_SIG)
         assert alpha_key(s) != alpha_key(t)
         assert alpha_key(parse_term("f(a, b)", C_SIG), C_SIG) != alpha_key(parse_term("f(b, a)", C_SIG), C_SIG)
@@ -293,4 +292,4 @@ class TestProblems:
         assert check_problem(frozenset(), goals, C_SIG)
 
     def test_unsatisfiable_goal(self):
-        assert not check_problem(context_of((a, X), (b, Y)), (FreshnessGoal(a, a),), C_SIG)
+        assert not check_problem(parse_context("a#X, b#Y"), (FreshnessGoal(a, a),), C_SIG)

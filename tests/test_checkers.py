@@ -272,6 +272,21 @@ class TestNarrowingToRewriting:
                     assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
         assert hits
 
+    def test_redex_inside_a_binding(self, prenex_system):
+        # The tampered step rewrites a redex that the step substitution put
+        # in X's image. The rewrite itself holds and gives the child, so
+        # only the check that the position exists in the parent rejects it.
+        sig = prenex_system.signature
+        tree = narrow_search(EMPTY_CONTEXT, parse_term("not(X)", sig), prenex_system, 1, 0, 50)
+        (edge,) = [e for e in tree.edges if e.rule == "not_forall"]
+        assert str(edge.rule_instance) == "|- not(forall([a]Q1)) -> exists([a]not(Q1))"
+        theta = parse_substitution("X -> and(c, not(forall([a]b))), Q1 -> b", sig)
+        child = dataclasses.replace(edge.child, term=parse_term("not(and(c, exists([a]not(b))))", sig))
+        tampered = dataclasses.replace(edge, position=Position((0, 1)), step_subst=theta, child=child)
+        instance = apply_subst(theta, edge.parent.term)
+        assert rewriting.rewrite_at(EMPTY_CONTEXT, instance, (0, 1), edge.rule_instance, theta, sig) == child.term
+        assert not narrowing_to_rewriting(tampered, edge.parent, sig=sig)
+
     def test_identity_substitution(self):
         for system, edge in NARROWING_EDGES:
             assert term_vars(edge.rule_instance.lhs)
@@ -381,6 +396,19 @@ class TestLiftingForward:
             changed = list(derivation)
             changed[index] = tampered
             assert self._check(changed, "Q1 -> forall([a]R), P1 -> R", "a#R", sig) is False
+
+    def test_parent_context_violated(self, prenex_system):
+        # rho_0 satisfies the final context, and the step still rewrites
+        # under it; only the parent's added c#X, which c free in
+        # exists([a]c) violates, can reject the edge.
+        sig = prenex_system.signature
+        edge = narrow_search(EMPTY_CONTEXT, parse_term("not(X)", sig), prenex_system, 1, 0, 50).edges[0]
+        assert str(edge.step_subst) == "[X -> exists([a]Q0)]"
+        rho = Substitution({v: Atom("c") for v in term_vars(edge.child.term)})
+        assert lifting_forward_check([edge], rho, EMPTY_CONTEXT, sig) is True
+        parent = dataclasses.replace(edge.parent, context=edge.parent.context | parse_context("c#X"))
+        tampered = dataclasses.replace(edge, parent=parent)
+        assert lifting_forward_check([tampered], rho, EMPTY_CONTEXT, sig) is False
 
 
 class TestCheckSolution:

@@ -34,7 +34,6 @@ from nomc import (
     narrow_search,
     narrowing_to_rewriting,
     normalize,
-    one_step_narrowings,
     parse_context,
     parse_substitution,
     parse_system,
@@ -77,8 +76,7 @@ def _children(tree, node):
 class TestOneStepNarrowing:
     def test_collapsing_rule_first(self, ex22_system):
         sig = ex22_system.signature
-        root = NarrowingNode(frozenset(), parse_term("h(fC([b][a]X, X))", sig), IDENTITY_SUBST, 0)
-        steps = one_step_narrowings(root, ex22_system, 0, 50)
+        steps = narrow_search(frozenset(), parse_term("h(fC([b][a]X, X))", sig), ex22_system, 1, 0, 50).edges
         first = steps[0]
         assert first.rule == "collapse"
         assert first.child.term == parse_term("fC([b][a]X, X)", sig)
@@ -87,8 +85,7 @@ class TestOneStepNarrowing:
 
     def test_fixpoint_branches_flagged(self, ex22_system):
         sig = ex22_system.signature
-        root = NarrowingNode(frozenset(), parse_term("fC([b][a]X, X)", sig), IDENTITY_SUBST, 0)
-        steps = one_step_narrowings(root, ex22_system, 2, 50)
+        steps = narrow_search(frozenset(), parse_term("fC([b][a]X, X)", sig), ex22_system, 1, 2, 50).edges
         flagged = [s for s in steps if s.used_fixpoint_enumeration]
         assert flagged
         images = [s.step_subst.get(X) for s in flagged]
@@ -101,22 +98,20 @@ class TestOneStepNarrowing:
         # both steps need the same clash shift, each on its own renaming.
         sig = prenex_system.signature
         term = parse_term("or(and(a, forall([a]X)), and(a, forall([a]Y)))", sig)
-        root = NarrowingNode(frozenset(), term, IDENTITY_SUBST, 0)
-        first, second = one_step_narrowings(root, prenex_system, 1, 50)
+        tree = narrow_search(frozenset(), term, prenex_system, 1, 1, 50)
+        first, second = tree.edges
         assert (str(first.position), str(second.position)) == ("0", "1")
         assert a not in first.rule_instance.atoms() and a not in second.rule_instance.atoms()
         assert not first.rule_instance.variables() & second.rule_instance.variables()
-        assert narrowing_to_rewriting(first, root, sig=sig)
-        assert narrowing_to_rewriting(second, root, sig=sig)
+        assert narrowing_to_rewriting(first, tree.root, sig=sig)
+        assert narrowing_to_rewriting(second, tree.root, sig=sig)
 
     def test_no_rule_applies(self, ex22_system):
-        root = NarrowingNode(frozenset(), a, IDENTITY_SUBST, 0)
-        assert one_step_narrowings(root, ex22_system, 1, 10) == ()
+        assert narrow_search(frozenset(), a, ex22_system, 1, 1, 10).edges == ()
 
     def test_variable_positions_skipped(self, ex22_system):
         sig = ex22_system.signature
-        root = NarrowingNode(frozenset(), parse_term("h(Y)", sig), IDENTITY_SUBST, 0)
-        steps = one_step_narrowings(root, ex22_system, 0, 50)
+        steps = narrow_search(frozenset(), parse_term("h(Y)", sig), ex22_system, 1, 0, 50).edges
         # the collapse rule narrows at the root; nothing acts at the bare Y
         assert all(s.position.path == () for s in steps)
 
@@ -380,7 +375,7 @@ class TestLiftingBackward:
                 image, _ = normalize(frozenset(), image, prenex_system, 20)
                 mapping[var] = image
             rho0 = Substitution(mapping)
-            start = rho0.apply(pattern)
+            start = apply_subst(rho0, pattern)
             _, trace = normalize(frozenset(), start, prenex_system, 30)
             out = lifting_backward_construct(
                 frozenset(), pattern, rho0, frozenset(), trace, 1, prenex_system
@@ -389,6 +384,33 @@ class TestLiftingBackward:
             steps, residue = out
             assert lifting_forward_check(steps, residue, frozenset(), sig) is True
             done += 1
+
+
+def _unreplayable_trace(system):
+    sig = system.signature
+    _, trace = normalize(frozenset(), parse_term("not(exists([a]b))", sig), system, 10)
+    s0, rho0 = parse_term("not(forall([a]Q))", sig), parse_substitution("Q -> b", sig)
+    return lifting_backward_construct(frozenset(), s0, rho0, frozenset(), trace, 0, system)
+
+
+def _unchained_derivation(system):
+    sig = system.signature
+    tree = narrow_search(frozenset(), parse_term("not(X)", sig), system, 1, 0, 50)
+    return lifting_forward_check(tree.edges[:2], IDENTITY_SUBST, frozenset(), sig)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_unreplayable_trace, "trace does not replay from s0 rho0 under delta"),
+        (_unchained_derivation, "narrowing steps do not form a chain"),
+    ],
+    ids=["backward_trace_elsewhere", "forward_siblings"],
+)
+def test_lifting_input_checks_name_the_fault(prenex_system, call, message):
+    with pytest.raises(ValueError) as err:
+        call(prenex_system)
+    assert str(err.value) == message
 
 
 # -- backward lifting against the construction it replaced -------------------
@@ -516,7 +538,7 @@ def _round_trip_problems(rng, system, count):
                 for v in sorted(term_vars(pattern), key=lambda v: v.name)
             }
         )
-        _, trace = normalize(frozenset(), rho0.apply(pattern), system, 30)
+        _, trace = normalize(frozenset(), apply_subst(rho0, pattern), system, 30)
         yield frozenset(), pattern, rho0, frozenset(), trace, 1, system
 
 
@@ -529,7 +551,7 @@ def _tier1_lifting_problems(prenex_system, flip_system):
         rho0 = parse_substitution(rho, system.signature)
         delta = parse_context(target)
         if trace is None:
-            _, trace = normalize(delta, rho0.apply(s0), system, 30)
+            _, trace = normalize(delta, apply_subst(rho0, s0), system, 30)
         return parse_context(context), s0, rho0, delta, trace, fixpoint_depth, system
 
     yield problem("not(forall([a]Q))", "Q -> b")
@@ -587,7 +609,7 @@ def _rearranged_problems(rng, prenex_system, ex22_system, count):
         rho0 = Substitution(
             {v: normalize(delta, image, system, 20)[0] for v, image in zip(variables, images)}
         )
-        trace = _rearranged_trace(rng, delta, rho0.apply(pattern), system, 4)
+        trace = _rearranged_trace(rng, delta, apply_subst(rho0, pattern), system, 4)
         yield frozenset(), pattern, rho0, delta, trace, 1, system
 
 
@@ -601,7 +623,7 @@ class TestLiftingBackwardReference:
         sig = system.signature
         term, rho, swapped = self.SWAPPED
         s0, rho0 = parse_term(term, sig), parse_substitution(rho, sig)
-        first = primary_rewrite_steps(frozenset(), rho0.apply(s0), system)[0]
+        first = primary_rewrite_steps(frozenset(), apply_subst(rho0, s0), system)[0]
         first = dataclasses.replace(first, result=parse_term(swapped, sig))
         second = next(s for s in primary_rewrite_steps(frozenset(), first.result, system) if s.position.path == (0,))
         return frozenset(), s0, rho0, frozenset(), (first, second), 1, system
@@ -795,17 +817,16 @@ class TestNameSupply:
         assert all(kinds[k] for k in ("fixpoint", "truncated", "context", "deep")), kinds
         assert kinds["edges"] >= 1000, kinds
 
-    def test_one_step_narrowings_match_eager_renaming(self, prenex_system, ex22_system):
+    def test_root_expansion_matches_eager_renaming(self, prenex_system, ex22_system):
         for delta, term, system, _, fixpoint_depth, max_unifiers in _seeded_narrowing_cases(
             random.Random(18), prenex_system, ex22_system, 60
         ):
-            root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
-            steps = one_step_narrowings(root, system, fixpoint_depth, max_unifiers)
-            reference, _, _ = _reference_expand_node(
-                root, system, fixpoint_depth, max_unifiers, frozenset(), DEFAULT_MAX_STATES
+            tree = narrow_search(delta, term, system, 1, fixpoint_depth, max_unifiers)
+            reference, truncated, _ = _reference_expand_node(
+                tree.root, system, fixpoint_depth, max_unifiers, frozenset(), DEFAULT_MAX_STATES
             )
-            tree = NarrowingTree(root, steps, None)
-            assert _tree_outline(tree) == _tree_outline(NarrowingTree(root, tuple(reference), None))
+            record = TruncationRecord(1, max_unifiers, fixpoint_depth, int(truncated))
+            assert _tree_outline(tree) == _tree_outline(NarrowingTree(tree.root, tuple(reference), record))
 
     def test_rule_instances_renamed_apart(self, prenex_system, ex22_system):
         # Why the supply need not re-gather a child's variables: every
@@ -902,11 +923,10 @@ class TestSharedResiduals:
         totals = collections.Counter()
         for index in range(150):
             term, fixpoint_depth = _shared_variable_term(rng), 1 + index % 2
-            root = NarrowingNode(frozenset(), term, IDENTITY_SUBST, 0)
-            steps = one_step_narrowings(root, ex22_system, fixpoint_depth, 10_000)
+            steps = narrow_search(frozenset(), term, ex22_system, 1, fixpoint_depth, 10_000).edges
             with monkeypatch.context() as patched:
                 patched.setattr(narrowing, "_expanded_solutions", reference_expanded_solutions)
-                reference = one_step_narrowings(root, ex22_system, fixpoint_depth, 10_000)
+                reference = narrow_search(frozenset(), term, ex22_system, 1, fixpoint_depth, 10_000).edges
             got = _unique(
                 (e.rule, e.position, e.step_subst, e.child.context, e.child.term, e.used_fixpoint_enumeration)
                 for e in steps

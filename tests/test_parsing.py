@@ -13,6 +13,7 @@ from nomc import (
     App,
     Atom,
     EqualityGoal,
+    FreshnessConstraint,
     FreshnessGoal,
     IDENTITY,
     ParseError,
@@ -22,10 +23,8 @@ from nomc import (
     Suspension,
     SystemFile,
     Var,
-    context_of,
     format_context,
     format_system,
-    format_term,
     parse_context,
     parse_judgement,
     parse_substitution,
@@ -82,13 +81,13 @@ class TestTerms:
             "h(fC(a, b))",
         ):
             term = parse_term(text, SIG)
-            assert parse_term(format_term(term), SIG) == term
+            assert parse_term(str(term), SIG) == term
 
     def test_round_trip_random(self):
         rng = random.Random(41)
         for _ in range(200):
             term = random_term(rng, SIG, 3)
-            assert parse_term(format_term(term), SIG) == term
+            assert parse_term(str(term), SIG) == term
             ctx = random_context(rng)
             assert parse_context(format_context(ctx), SIG) == ctx
             theta = Substitution({v: random_term(rng, SIG, 2) for v in VARS if rng.random() < 0.6})
@@ -205,10 +204,10 @@ class TestTokenizer:
 
 class TestContextsAndJudgements:
     def test_context_list(self):
-        assert parse_context("a#X, b#Y") == context_of((a, X), (b, Var("Y")))
+        assert parse_context("a#X, b#Y") == {FreshnessConstraint(a, X), FreshnessConstraint(b, Var("Y"))}
 
     def test_grouped_atoms(self):
-        assert parse_context("a, b, c#X") == context_of((a, X), (b, X), (c, X))
+        assert parse_context("a, b, c#X") == {FreshnessConstraint(atom, X) for atom in (a, b, c)}
 
     def test_empty_context(self):
         assert parse_context("") == frozenset()
@@ -229,6 +228,20 @@ class TestContextsAndJudgements:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_term, "(a b).x", "1:7: expected a variable (uppercase), found x"),
+            (parse_judgement, "f(a) # b", "1:6: freshness judgement needs an atom on the left"),
+            (parse_judgement, "a b", "1:3: expected '#' or '=ac', found b"),
+            (parse_judgement, "a", "1:2: expected '#' or '=ac', found end of input"),
+        ],
+    )
+    def test_errors_name_message_and_column(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_substitution(self):
         theta = parse_substitution("X -> fC(a, b), Y -> a", SIG)
@@ -294,6 +307,9 @@ class TestSystemFiles:
             ("sig:\n    f: 3 weird\n", "2:10: unknown signature flag weird"),
             ("sig:\n  f: 1\nrules:\n    r: |- f(X) -> f(X) junk\n", "4:24: trailing input in rule"),
             ("sig:\n  f: \u00b2\n", "2:6: arity \u00b2 is not a decimal number"),
+            ("sig:\n  f: 1\n  f: 2\n", "3:1: duplicate signature entry f"),
+            ("sig:\n  f: 1\nproblems:\n  check a # b\n", "4:1: problem lines look like `name: text`"),
+            ("# header\n  f: 1\nsig:\n", "2:1: content before any section header"),
         ],
     )
     def test_errors_name_their_column_on_the_raw_line(self, text, message):

@@ -119,6 +119,27 @@ class TestRuleValidation:
                 assert copy.atoms() == checked.atoms()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: RewriteSystem(s.rules + s.rules[:1], s.signature), "duplicate rule name and_forall"),
+        (
+            lambda s: r_over_e_one_step(parse_term("not(X)", s.signature), s),
+            "the class-rewriting oracle is only defined on ground terms",
+        ),
+        (
+            lambda s: normal_form_equal_check(EMPTY_CONTEXT, parse_term("not(X)", s.signature), s, 10),
+            "normal form comparison is only defined on ground terms",
+        ),
+    ],
+    ids=["duplicate_rule_name", "class_oracle_non_ground", "normal_form_check_non_ground"],
+)
+def test_input_checks_name_the_fault(prenex_system, call, message):
+    with pytest.raises(ValueError) as err:
+        call(prenex_system)
+    assert str(err.value) == message
+
+
 class TestOneStep:
     def test_prenex_example_containment_and_count(self, prenex_system):
         sig = prenex_system.signature
@@ -606,7 +627,7 @@ class TestReadOnlySystem:
             r_over_e_one_step(ground, system)
             assert normal_form_equal_check(frozenset(), ground, system, 10)
             for s0, rho0 in ((ground, Substitution()), (open_term, rho)):
-                _, trace = normalize(frozenset(), rho0.apply(s0), system, 10)
+                _, trace = normalize(frozenset(), apply_subst(rho0, s0), system, 10)
                 out = lifting_backward_construct(frozenset(), s0, rho0, frozenset(), trace, 1, system)
                 lifted += bool(out) and len(out[0])
         assert lifted >= 3

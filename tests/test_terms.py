@@ -26,7 +26,6 @@ from nomc import (
     RewriteRule,
     difference_set,
     fresh_atom,
-    fresh_variable,
     parse_term,
     permute_term,
     replace_at,
@@ -35,7 +34,7 @@ from nomc import (
     term_vars,
 )
 from nomc.rewriting import clash_permutation
-from nomc.terms import NameSupply, fresh_variables
+from nomc.terms import NameSupply
 from conftest import (
     random_term,
     reference_fresh_name,
@@ -287,8 +286,8 @@ class TestSubstitution:
         assert apply_subst(Substitution(), t) == t
 
     def test_identity_bindings_dropped(self):
-        assert Substitution({X: Suspension(IDENTITY, X)}).is_identity()
-        assert Substitution({X: Suspension(Permutation(), X)}).is_identity()
+        assert not Substitution({X: Suspension(IDENTITY, X)}).domain
+        assert not Substitution({X: Suspension(Permutation(), X)}).domain
 
     def test_only_identity_bindings_dropped(self):
         # (a a) acts as the identity, but only an empty permutation is dropped.
@@ -392,45 +391,45 @@ NAMES = ["n", "n0", "n1", "n2", "n10", "x2", "0", "X", "X0", "X2", "a"]
 
 class TestFreshNames:
     def test_avoids_given_names(self):
-        assert fresh_variable({Var("X0")}, base="X") == Var("X1")
+        assert NameSupply({Var("X0")}).draw([X]) == {X: Var("X1")}
 
     def test_first_name_deterministic(self):
-        assert fresh_variable(set()) == Var("X0")
+        assert NameSupply(set()).draw([X]) == {X: Var("X0")}
 
     def test_repeated_calls_distinct(self):
         avoid: set[Var] = set()
-        first = fresh_variable(avoid, base="Q")
-        avoid.add(first)
-        second = fresh_variable(avoid, base="Q")
+        first = NameSupply(avoid).name("Q", "X")
+        avoid.add(Var(first))
+        second = NameSupply(avoid).name("Q", "X")
         assert first != second
 
     def test_strips_numeric_suffix_of_base(self):
-        assert fresh_variable({Var("Q0")}, base="Q0") == Var("Q1")
+        assert NameSupply({Var("Q0")}).name("Q0", "X") == "Q1"
 
     def test_batch_renaming_matches_one_at_a_time(self):
         avoid = {Var("X0"), Var("Q"), Var("Q0"), Var("Q2")}
         bases = [Var("Q"), Var("Q1"), Var("X"), Var("7")]
         taken, expected = set(avoid), {}
         for var in bases:
-            expected[var] = fresh_variable(taken, base=var.name)
+            expected[var] = Var(NameSupply(taken).name(var.name, "X"))
             taken.add(expected[var])
-        assert fresh_variables(avoid, bases) == expected
+        assert NameSupply(avoid).draw(bases) == expected
         assert list(expected.values()) == [Var("Q1"), Var("Q3"), Var("X1"), Var("X2")]
 
     @given(st.lists(st.lists(st.sampled_from(["X", "X0", "X2", "Q", "Q1", "Y3", "7"]), max_size=4), max_size=6))
     def test_supply_draws_what_fresh_variables_picks(self, batches):
-        # Each draw must match fresh_variables over every name taken so far.
+        # Each draw must match a supply seeded with every name taken so far.
         seed = {Var("X1"), Var("Q0"), Var("Q3"), Var("Y")}
         supply, taken = NameSupply(seed), set(seed)
         for names in batches:
             bases = sorted({Var(n) for n in names}, key=lambda v: v.name)
-            expected = fresh_variables(taken, bases)
+            expected = NameSupply(taken).draw(bases)
             assert supply.draw(bases) == expected
             taken |= set(expected.values())
 
     @given(st.sets(st.sampled_from(NAMES)), st.sampled_from(NAMES + ["", "X", "Q1"]))
     def test_fresh_variable_and_atom_match_the_old_loop(self, taken, base):
-        assert fresh_variable({Var(n) for n in taken}, base) == Var(reference_fresh_name(taken, base, "X"))
+        assert NameSupply({Var(n) for n in taken}).name(base, "X") == reference_fresh_name(taken, base, "X")
         assert fresh_atom({Atom(n) for n in taken}, base) == Atom(reference_fresh_name(taken, base, "n"))
         assert fresh_atom({Atom(n) for n in taken}) == Atom(reference_fresh_name(taken, "n", "n"))
 
