@@ -22,6 +22,13 @@ binds (see `_expanded_solutions`). Backward lifting constructs its
 unifier rather than solving for it, so `_lift_one` checks that one with
 `check_solution`. `narrowing_to_rewriting` is the soundness oracle for the
 steps this module builds.
+
+A search pays only for what it returns. It keeps one table of enumerated
+fixed-point options, keyed by (permutation, variable), for all its nodes:
+the options depend on nothing else that varies within a search, and the
+table is dropped when the search returns. A child's accumulated
+substitution is composed from its parent's when it is first read, and then
+kept (`NarrowingNode`); nothing in the search itself reads it.
 """
 
 from __future__ import annotations
@@ -75,14 +82,55 @@ from .unify import (
 )
 
 
+class _Pending:
+    """A child's accumulated substitution before it is first read: its
+    parent's, then the step's."""
+
+    __slots__ = ("parent", "theta")
+
+    def __init__(self, parent: NarrowingNode, theta: Substitution):
+        self.parent = parent
+        self.theta = theta
+
+
+class _ComposedOnRead:
+    """The data descriptor behind `NarrowingNode.accumulated`. A substitution
+    given to the constructor is kept as is; a `_Pending` one is composed on
+    the first read. That read walks up, in a loop, to the nearest node whose
+    substitution is composed, then composes back down and keeps each result,
+    so no later read composes again."""
+
+    def __get__(self, node: NarrowingNode | None, owner: type | None = None) -> Substitution:
+        if node is None:
+            raise AttributeError("accumulated")  # no class-level default: the field stays required
+        chain: list[tuple[NarrowingNode, Substitution]] = []
+        held = vars(node)["_accumulated"]
+        while isinstance(held, _Pending):
+            chain.append((node, held.theta))
+            node = held.parent
+            held = vars(node)["_accumulated"]
+        for below, theta in reversed(chain):
+            held = held.compose(theta)
+            vars(below)["_accumulated"] = held
+        return held
+
+    def __set__(self, node: NarrowingNode, value: Substitution | _Pending) -> None:
+        vars(node)["_accumulated"] = value
+
+
 @dataclass(frozen=True, eq=False)
 class NarrowingNode:
     """A term in context reached by narrowing, with the accumulated
-    substitution from the root."""
+    substitution from the root.
+
+    `NarrowingNode(context, term, accumulated, depth)` keeps the substitution
+    it is given. A child built by a narrowing step (`_child`) holds its parent
+    and the step's substitution instead, and composes them when `accumulated`
+    is first read."""
 
     context: FreshnessContext
     term: Term
-    accumulated: Substitution
+    accumulated: Substitution = _ComposedOnRead()
     depth: int
 
     def __str__(self) -> str:
@@ -138,20 +186,24 @@ def _gather_vars(node: NarrowingNode) -> frozenset[Var]:
     return out
 
 
+_FixpointTable = dict[tuple[Permutation, Var], tuple[tuple[FreshnessContext, Substitution], ...]]
+
+
 def _expanded_solutions(
     solutions: tuple[CSolution, ...],
     sig: Signature,
     fixpoint_depth: int,
+    table: _FixpointTable,
 ) -> Iterator[tuple[FreshnessContext, Substitution, bool]]:
     """Close solver answers into usable (context, substitution, flag) triples.
 
     Answers without residuals pass through flagged False (narrowing protects
     no variable, so none is discharged). Residual equations are closed one at
     a time, lazily, and flagged True: one on an unbound variable branches over
-    its enumerated options (built once per call), whose bindings settle the
-    context's constraints on it; one on a variable bound before is checked.
+    its enumerated options, whose bindings settle the context's constraints
+    on it; one on a variable bound before is checked. Options are looked up
+    in, and added to, the search's `table`.
     """
-    options: dict[tuple[Permutation, Var], tuple[tuple[FreshnessContext, Substitution], ...]] = {}
 
     def close(
         context: FreshnessContext, theta: Substitution, residuals: tuple[tuple[Permutation, Var], ...]
@@ -165,9 +217,9 @@ def _expanded_solutions(
             if derive_alpha_c(context, permute_term(perm, bound), bound, sig):
                 yield from close(context, theta, rest)
             return
-        if (perm, var) not in options:
-            options[perm, var] = enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
-        for extra_ctx, rho in options[perm, var]:
+        if (perm, var) not in table:
+            table[perm, var] = enumerate_fixpoint_solutions(perm, var, sig, fixpoint_depth)
+        for extra_ctx, rho in table[perm, var]:
             reduced = freshness_context_nf(context, rho)
             if reduced is not INCONSISTENT:
                 yield from close(reduced | extra_ctx, theta.compose(rho), rest)
@@ -184,7 +236,7 @@ def _child(
 ) -> NarrowingNode:
     """The child of a node for `rule` at `pos` under the answer (context, theta)."""
     rewritten = apply_subst(theta, replace_at(node.term, pos.path, rule.rhs))
-    return NarrowingNode(context, rewritten, node.accumulated.compose(theta), node.depth + 1)
+    return NarrowingNode(context, rewritten, _Pending(node, theta), node.depth + 1)
 
 
 def _expand_node(
@@ -194,10 +246,11 @@ def _expand_node(
     max_unifiers: int,
     names: NameSupply,
     max_states: int,
+    table: _FixpointTable,
 ) -> tuple[list[NarrowingStep], bool]:
     """Narrowing steps from a node, and whether max_unifiers cut them off.
     Each rule is renamed apart, with names drawn from `names`, at each site
-    where `redexes` tries it."""
+    where `redexes` tries it; residuals are closed from the search's `table`."""
     sig = system.signature
     steps: list[NarrowingStep] = []
 
@@ -208,7 +261,7 @@ def _expand_node(
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
-        for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth):
+        for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth, table):
             if len(steps) >= max_unifiers:
                 return steps, True
             child = _child(node, pos, rule, context, theta)
@@ -230,17 +283,19 @@ def narrow_search(
 
     The tree is an announced finite prefix of the full (possibly infinite)
     tree: every bound that actually cut something off is counted in the
-    truncation record.
+    truncation record. Each residual (permutation, variable) is enumerated
+    once per search, into a table the search drops when it returns.
     """
     root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
     edges: list[NarrowingStep] = []
     frontier = [root]
     names = NameSupply(_gather_vars(root))
+    table: _FixpointTable = {}
     nodes_truncated = 0
     for _ in range(depth):
         next_frontier: list[NarrowingNode] = []
         for node in frontier:
-            steps, truncated = _expand_node(node, system, fixpoint_depth, max_unifiers, names, max_states)
+            steps, truncated = _expand_node(node, system, fixpoint_depth, max_unifiers, names, max_states, table)
             if truncated:
                 nodes_truncated += 1
             edges.extend(steps)

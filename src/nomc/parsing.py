@@ -366,14 +366,17 @@ def parse_system(text: str) -> SystemFile:
         else:
             raise ParseError("content before any section header", lineno, 1)
     sig = Signature(sig_entries)
-    rules: list[RewriteRule] = []
+    rules: dict[str, RewriteRule] = {}
     for index, (lineno, line) in enumerate(rule_lines, start=1):
         name, context, lhs, rhs = _parse_whole(line, sig, _Parser.rule, "in rule", lineno)
+        name = name or f"r{index}"
+        if name in rules:
+            raise ParseError(f"duplicate rule name {name}", lineno, 1)
         try:
-            rules.append(RewriteRule(name or f"r{index}", context, lhs, rhs))
+            rules[name] = RewriteRule(name, context, lhs, rhs)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, 1) from exc
-    return SystemFile(RewriteSystem(rules, sig), problems)
+    return SystemFile(RewriteSystem(tuple(rules.values()), sig), problems)
 
 
 def format_system(system_file: SystemFile) -> str:

@@ -431,8 +431,14 @@ def instance_of(
     """Search for a witness composing `general` into `specific` over `variables`.
 
     The witness is sought by simultaneous matching with the specific side
-    protected; UNKNOWN is reported when the bounded search was inconclusive
-    (residual fixed-point equations blocked a definite answer).
+    protected; UNKNOWN is reported when a failed candidate closed a
+    fixed-point equation by freshness alone.
+
+    No answer carries a residual. Each goal pairs a general-side term with a
+    specific-side one, and every step keeps that orientation: the search
+    binds only unprotected variables, so a right-hand side keeps mentioning
+    protected variables only. A fixed-point equation has one variable on
+    both sides, so it is on a protected variable and is discharged.
     """
     ctx1, theta1 = general
     ctx2, theta2 = specific
@@ -447,9 +453,6 @@ def instance_of(
     problem = UnificationState(ctx1, IDENTITY_SUBST, goals)
     inconclusive = False
     for solution in _leaf_solutions(ctx2, goals, frozenset(protected), sig, max_states):
-        if solution.residual_fixpoints:
-            inconclusive = True
-            continue
         if check_solution((ctx2, solution.subst), problem, sig):
             return True
         if solution.protected_fixpoint_discharged:

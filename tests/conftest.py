@@ -17,14 +17,20 @@ from nomc import (
     FAIL,
     FreshnessConstraint,
     IDENTITY,
+    IDENTITY_SUBST,
     INCONSISTENT,
+    NarrowingNode,
+    NarrowingStep,
+    NarrowingTree,
     Permutation,
     STUCK,
     SearchSpaceExceeded,
     Signature,
     Substitution,
     Suspension,
+    TruncationRecord,
     Var,
+    apply_subst,
     derive_alpha,
     derive_alpha_c,
     derive_freshness,
@@ -33,10 +39,12 @@ from nomc import (
     freshness_context_nf,
     permute_term,
     simplify_step,
+    solve,
 )
+from nomc import narrowing
 from nomc.cli import load_system_file
-from nomc.rewriting import clash_permutation, head_key, permute_rule, renamed_rule, skeleton_fits
-from nomc.terms import subterms_with_positions, term_atoms
+from nomc.rewriting import clash_permutation, head_key, permute_rule, redexes, renamed_rule, skeleton_fits
+from nomc.terms import NameSupply, replace_at, subterms_with_positions, term_atoms
 
 ATOMS = tuple(Atom(n) for n in "abcd")
 VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
@@ -499,9 +507,10 @@ def reference_leaf_solution(state, protected):
 # equation on one variable then repeated the answer once per option, and its
 # freshness option added constraints on the bound variable. This stays here as
 # the reference for the lazy closure (`nomc.narrowing._expanded_solutions`).
+# It enumerates afresh on every call and ignores the search's table.
 
 
-def reference_expanded_solutions(solutions, sig, fixpoint_depth):
+def reference_expanded_solutions(solutions, sig, fixpoint_depth, table=None):
     for sol in solutions:
         if not sol.residual_fixpoints:
             yield sol.context, sol.subst, False
@@ -525,3 +534,50 @@ def reference_expanded_solutions(solutions, sig, fixpoint_depth):
                 theta = theta.compose(rho)
             else:
                 yield context, theta, True
+
+
+# -- narrowing, the eager way -------------------------------------------------------
+#
+# A narrowing search once composed each child's accumulated substitution as
+# it built the child, and enumerated a residual's fixed-point options afresh
+# in every `_expanded_solutions` call. This stays here as the reference for
+# the search's shared table and the composition on first read
+# (`nomc.narrowing.narrow_search`).
+
+
+def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names):
+    sig = system.signature
+    steps = []
+
+    def prepare(rule):
+        return renamed_rule(rule, names.draw(rule.renaming_bases))
+
+    def attempt(sub, rule):
+        return solve(node.context, sub, rule.context, rule.lhs, sig=sig)
+
+    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+        for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth, {}):
+            if len(steps) >= max_unifiers:
+                return steps, True
+            term = apply_subst(theta, replace_at(node.term, pos.path, rule.rhs))
+            child = NarrowingNode(context, term, node.accumulated.compose(theta), node.depth + 1)
+            steps.append(NarrowingStep(rule.name, pos, theta, flagged, child, node, rule))
+    return steps, False
+
+
+def reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers):
+    root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
+    names = NameSupply(narrowing._gather_vars(root))
+    edges, frontier, nodes_truncated = [], [root], 0
+    for _ in range(depth):
+        next_frontier = []
+        for node in frontier:
+            steps, truncated = _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names)
+            nodes_truncated += truncated
+            edges.extend(steps)
+            next_frontier.extend(s.child for s in steps)
+        frontier = next_frontier
+        if not frontier:
+            break
+    record = TruncationRecord(depth, max_unifiers, fixpoint_depth, nodes_truncated)
+    return NarrowingTree(root, tuple(edges), record)

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -62,6 +63,7 @@ from conftest import (
     random_prenex_pattern,
     random_term,
     reference_expanded_solutions,
+    reference_narrow_search,
     rename_rule_with_map,
 )
 
@@ -508,7 +510,7 @@ def _reference_lift_one(node, rho_cur, recorded, delta, system, fixpoint_depth, 
     solutions = solve(
         node.context, sub, renamed.context, renamed.lhs, sig=sig, max_states=max_states
     )
-    found = lifted(narrowing._expanded_solutions(solutions, sig, fixpoint_depth), (IDENTITY_SUBST, rho_cur))
+    found = lifted(narrowing._expanded_solutions(solutions, sig, fixpoint_depth, {}), (IDENTITY_SUBST, rho_cur))
     fallback["returned"] += found is not None
     return found
 
@@ -696,7 +698,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
-        for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth):
+        for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth, {}):
             if len(steps) >= max_unifiers:
                 return steps, True, avoid
             child = narrowing._child(node, pos, rule, context, theta)
@@ -958,7 +960,7 @@ class TestSharedResiduals:
             perms = [random_permutation(rng) for _ in range(2)]
             residuals = tuple((perm, var) for perm, var in zip(perms, rng.sample(VARS, 2)) if perm.moved_atoms())
             answer = CSolution(random_context(rng), IDENTITY_SUBST, residuals)
-            got = list(narrowing._expanded_solutions((answer, answer), sig, 1 + index % 2))
+            got = list(narrowing._expanded_solutions((answer, answer), sig, 1 + index % 2, {}))
             assert got == list(reference_expanded_solutions((answer, answer), sig, 1 + index % 2))
 
 
@@ -998,3 +1000,160 @@ class TestNoConstraintOnBoundVariable:
                 assert not _constrains_bound(edge.child.context, edge.child.accumulated), (str(term), str(edge))
                 nodes += 1
         assert nodes >= 500, nodes
+
+
+#
+# A search keeps one table of fixed-point options for all its nodes, and a
+# child's accumulated substitution is composed when it is first read. The
+# eager build, which composed every child's substitution and enumerated
+# afresh at every site, stays in conftest as the reference.
+
+FIXPOINT_PAIRS = ("ba", "ac", "cb", "bc", "ca")
+FIXPOINT_WRAPPERS = ("{}", "oplus({}, a)", "h({})", "fC(b, {})")
+
+
+def _fixpoint_terms(sig):
+    """h(W(fC([p][q]V, V))) for every atom pair (p, q) of the narrow_lift
+    workload, every wrapper W it uses, and V in X, Y."""
+    for p, q in FIXPOINT_PAIRS:
+        for wrapper in FIXPOINT_WRAPPERS:
+            for var in "XY":
+                yield parse_term(f"h({wrapper.format(f'fC([{p}][{q}]{var}, {var})')})", sig)
+
+
+def _read_once_cases(rng, prenex_system, ex22_system):
+    """The fixed-point terms at the workload's bounds and with a tighter
+    enumeration and unifier bound, seeded prenex patterns as the workload
+    narrows them, and the seeded cases of `TestNameSupply`."""
+    sig = ex22_system.signature
+    for index, term in enumerate(_fixpoint_terms(sig)):
+        yield frozenset(), term, ex22_system, 2, 2, 40
+        yield frozenset(), term, ex22_system, 2, 1, 4 + index % 3
+    for p, q in FIXPOINT_PAIRS:  # one permutation on two variables, and two on one
+        for text in (f"fC([{p}][{q}]X, X), fC([{p}][{q}]Y, Y)", f"fC([{p}][{q}]X, X), fC([{p}][d]X, X)"):
+            yield frozenset(), parse_term(f"oplus({text})", sig), ex22_system, 1, 1, 100
+    for _ in range(40):
+        delta = random_context(rng) if rng.random() < 0.5 else frozenset()
+        yield delta, random_prenex_pattern(rng, 3), prenex_system, 2, 0, rng.choice((3, 50))
+    yield from _seeded_narrowing_cases(rng, prenex_system, ex22_system, 60)
+
+
+def _edge_records(tree):
+    """Each edge of a tree with its parent's index among the nodes, and the
+    truncation record."""
+    index = {id(node): i for i, node in enumerate(tree.nodes())}
+    edges = [
+        (
+            index[id(e.parent)],
+            e.rule,
+            e.position,
+            e.step_subst,
+            e.rule_instance,
+            e.child.term,
+            e.child.context,
+            str(e.child.accumulated),
+            e.child.depth,
+            e.used_fixpoint_enumeration,
+        )
+        for e in tree.edges
+    ]
+    return edges, tree.truncation
+
+
+def _pending(node):
+    return isinstance(vars(node)["_accumulated"], narrowing._Pending)
+
+
+class TestSearchPaysForWhatItReturns:
+    def test_same_trees_as_the_eager_build(self, prenex_system, ex22_system):
+        kinds = collections.Counter()
+        for delta, term, system, depth, fixpoint_depth, max_unifiers in _read_once_cases(
+            random.Random(31), prenex_system, ex22_system
+        ):
+            tree = narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            # the search itself reads no child's accumulated substitution
+            assert all(_pending(e.child) for e in tree.edges), str(term)
+            reference = reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            assert _edge_records(tree) == _edge_records(reference), (format_context(delta), str(term))
+            kinds["edges"] += len(tree.edges)
+            kinds["fixpoint"] += sum(e.used_fixpoint_enumeration for e in tree.edges)
+            kinds["truncated"] += tree.truncation.nodes_truncated
+            # a depth-2 child whose accumulated substitution binds more than its step's
+            kinds["deep"] += sum(
+                e.child.depth == 2 and not e.child.accumulated.domain <= e.step_subst.domain for e in tree.edges
+            )
+        assert all(kinds[k] for k in ("fixpoint", "truncated", "deep")), kinds
+        assert kinds["edges"] >= 1500, kinds
+
+    def test_each_residual_enumerated_once_per_search(self, prenex_system, ex22_system, monkeypatch):
+        calls, residuals = collections.Counter(), set()
+        enumerate_options, solve_for = narrowing.enumerate_fixpoint_solutions, narrowing.solve
+
+        def counting_enumerate(perm, var, sig, depth):
+            calls[perm, var] += 1
+            return enumerate_options(perm, var, sig, depth)
+
+        def recording_solve(*args, **kwargs):
+            answers = solve_for(*args, **kwargs)
+            residuals.update(key for answer in answers for key in answer.residual_fixpoints)
+            return answers
+
+        monkeypatch.setattr(narrowing, "enumerate_fixpoint_solutions", counting_enumerate)
+        monkeypatch.setattr(narrowing, "solve", recording_solve)
+        totals = collections.Counter()
+        for delta, term, system, depth, fixpoint_depth, max_unifiers in _read_once_cases(
+            random.Random(32), prenex_system, ex22_system
+        ):
+            calls.clear()
+            residuals.clear()
+            narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            assert set(calls) <= residuals and all(n == 1 for n in calls.values()), str(term)
+            totals["searches" if residuals else "no_residual"] += 1
+            totals["calls"] += sum(calls.values())
+            calls.clear()
+            reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            totals["reference_calls"] += sum(calls.values())
+        # the eager build enumerated the same residual at several sites
+        assert totals["no_residual"] and totals["searches"], totals
+        assert totals["reference_calls"] > totals["calls"] > 0, totals
+
+    def test_replace_keeps_the_accumulated_substitution(self, ex22_system):
+        sig = ex22_system.signature
+        for term in _fixpoint_terms(sig):
+            tree = narrow_search(frozenset(), term, ex22_system, 2, 2, 40)
+            reference = reference_narrow_search(frozenset(), term, ex22_system, 2, 2, 40)
+            deep = [(e.child, r.child) for e, r in zip(tree.edges, reference.edges) if e.child.depth == 2]
+            assert deep, str(term)
+            for child, want in deep:
+                assert _pending(child)
+                replaced = dataclasses.replace(child, term=want.term)
+                assert not _pending(replaced) and replaced.term is want.term
+                assert str(replaced.accumulated) == str(child.accumulated) == str(want.accumulated)
+
+    def test_a_node_built_with_a_substitution_keeps_it(self, prenex_system):
+        sig = prenex_system.signature
+        s0 = parse_term("and(P, not(forall([a]Q)))", sig)
+        rho0 = parse_substitution("P -> b, Q -> R", sig)
+        root = NarrowingNode(parse_context("a#R"), s0, rho0, 0)
+        assert root.accumulated is rho0
+        assert narrowing._gather_vars(root) == {Var("P"), Var("Q"), Var("R")}
+
+    def test_a_deep_read_composes_in_a_loop(self, monkeypatch):
+        theta = Substitution({X: a})
+        nodes = [NarrowingNode(frozenset(), a, IDENTITY_SUBST, 0)]
+        for depth in range(1, 3 * sys.getrecursionlimit()):
+            nodes.append(NarrowingNode(frozenset(), a, narrowing._Pending(nodes[-1], theta), depth))
+        composed = collections.Counter()
+        compose = Substitution.compose
+
+        def counting(self, other):
+            composed["calls"] += 1
+            return compose(self, other)
+
+        monkeypatch.setattr(Substitution, "compose", counting)
+        assert nodes[-1].accumulated == theta
+        assert composed["calls"] == len(nodes) - 1
+        # every node on the way keeps its result
+        assert not any(_pending(node) for node in nodes)
+        assert nodes[len(nodes) // 2].accumulated == theta and composed["calls"] == len(nodes) - 1
+

@@ -310,6 +310,10 @@ class TestSystemFiles:
             ("sig:\n  f: 1\n  f: 2\n", "3:1: duplicate signature entry f"),
             ("sig:\n  f: 1\nproblems:\n  check a # b\n", "4:1: problem lines look like `name: text`"),
             ("# header\n  f: 1\nsig:\n", "2:1: content before any section header"),
+            ("sig:\n  f: 1\nrules:\n  r: |- f(a) -> a\n  r: |- f(b) -> b\n", "5:1: duplicate rule name r"),
+            # an unnamed rule is named r{index}, by its place in the rules section
+            ("sig:\n  f: 1\nrules:\n  |- f(a) -> a\n  r1: |- f(b) -> b\n", "5:1: duplicate rule name r1"),
+            ("sig:\n  f: 1\nrules:\n  r2: |- f(a) -> a\n\n  |- f(b) -> b\n", "6:1: duplicate rule name r2"),
         ],
     )
     def test_errors_name_their_column_on_the_raw_line(self, text, message):
