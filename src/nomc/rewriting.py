@@ -44,6 +44,7 @@ from .terms import (
     permute_term,
     replace_at,
     subterm_at,
+    subterms_with_positions,
     term_atoms,
     term_vars,
 )
@@ -97,9 +98,11 @@ class RewriteSystem:
     Read-only, so one system can be shared by every caller: everything is
     built in the constructor, attributes cannot be reassigned, and `by_head`
     (head_key -> the rules whose left-hand side has that head, in order) is
-    a read-only mapping.
+    a read-only mapping. The one thing that grows is the fit masks'
+    transition memo, bounded by the rules; an entry depends on nothing else.
 
     The constructor also builds, once:
+    - the skeleton tables the fit masks are read from (`_number_skeletons`);
     - `_fresh_rules` (rule name -> the rule renamed apart from no variable,
       `P` to `P0`), read-only: the copies `_candidate_steps` uses when there
       is no variable to avoid, as for every source the class oracle scans;
@@ -125,6 +128,7 @@ class RewriteSystem:
             atoms |= rule.atoms()
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "by_head", MappingProxyType(by_head))
+        _number_skeletons(self)
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
         fresh = {rule.name: renamed_rule(rule, NameSupply(()).draw(rule.renaming_bases)) for rule in self.rules}
@@ -384,45 +388,129 @@ def alpha_variants(term: Term, pool: frozenset[Atom] | set[Atom]) -> tuple[Term,
 def head_key(term: Term) -> object:
     """The key `RewriteSystem.by_head` files a left-hand side under: symbol
     and arity for an application, and the node type for an abstraction or an
-    atom. `skeleton_fits` ignores binder and atom names, so one key serves
-    every abstraction and one every atom."""
+    atom. Skeletons ignore binder and atom names, so one key serves every
+    abstraction and one every atom."""
     if isinstance(term, App):
         return (term.sym, len(term.args))
     return type(term)
 
 
-def skeleton_fits(lhs: Term, sub: Term, sig: Signature, unify: bool) -> bool:
-    """Can `sub` be an instance of `lhs` as far as symbols, binders and atoms
-    go? False only when no matcher (or, with `unify`, no unifier) exists.
+# A subterm's fit mask holds ANY, SITE when some rule's left-hand side fits
+# at the subterm or below it, and one bit from 4 up for each skeleton it fits.
+ANY = 1  # what a rule variable asks of its subterm: every mask has it
+SITE = 2
 
-    The lhs's suspensions are wildcards; so are the subject's when unifying,
-    and they fit nothing else when matching protects them. Atom names and
-    binder names are ignored, so a clash shift of the rule's atoms cannot
-    change the verdict. A commutative symbol's arguments fit in either order.
+
+def _number_skeletons(system: RewriteSystem) -> None:
+    """Build the tables `_fit_masks` reads, on a system under construction.
+
+    Each distinct skeleton among the non-variable subterms of the rules'
+    left-hand sides gets a bit. A skeleton is a head (an application's
+    symbol, `Abstraction` or `Atom`) and the bits of its children's
+    skeletons, ANY for a rule variable: atom and binder names are no part
+    of it. The tables:
+    - `_skeletons`: (head, children's bits) -> bit;
+    - `_transitions`: for each head with a skeleton, a memo from its
+      children's masks to a node's mask (`_transition`). Masks are sets of
+      the system's bits, so the system, not the input, bounds each memo;
+    - `_atom_mask`, the mask of every atom, and `_variable_mask`, that of a
+      subject suspension when unifying: it fits every skeleton;
+    - `_lhs_bits`, the bits of the left-hand sides, and `_sited`
+      (head_key -> (bit, rule) for each rule `by_head` files there).
     """
-    kind = type(lhs)
-    if kind is Suspension:
-        return True
-    sub_kind = type(sub)
-    if sub_kind is Suspension:
-        return unify
-    if kind is not sub_kind:
-        return False
-    if kind is Atom:
-        return True
-    if kind is Abstraction:
-        return skeleton_fits(lhs.body, sub.body, sig, unify)
-    if sub.sym != lhs.sym or len(sub.args) != len(lhs.args):
-        return False
-    for l, s in zip(lhs.args, sub.args):
-        if not skeleton_fits(l, s, sig, unify):
-            break
-    else:
-        return True
-    if not sig.is_commutative(lhs.sym):
-        return False
-    (l0, l1), (s0, s1) = lhs.args, sub.args
-    return skeleton_fits(l0, s1, sig, unify) and skeleton_fits(l1, s0, sig, unify)
+    skeletons: dict[tuple[object, tuple[int, ...]], int] = {}
+    lhs_bit: dict[str, int] = {}
+    for rule in system.rules:
+        bits: dict[int, int] = {}  # id(node) -> the bit of its skeleton
+        for _, sub in reversed(list(subterms_with_positions(rule.lhs))):
+            kind = type(sub)
+            if kind is Suspension:
+                bits[id(sub)] = ANY
+                continue
+            children = sub.args if kind is App else (sub.body,) if kind is Abstraction else ()
+            key = (sub.sym if kind is App else kind, tuple(bits[id(child)] for child in children))
+            bits[id(sub)] = skeletons.setdefault(key, 4 << len(skeletons))
+        lhs_bit[rule.name] = bits[id(rule.lhs)]
+    sited = {key: tuple((lhs_bit[rule.name], rule) for rule in rules) for key, rules in system.by_head.items()}
+    # Bits are distinct powers of two, so a sum of distinct ones is their union.
+    for attr, value in (
+        ("_skeletons", MappingProxyType(skeletons)),
+        ("_transitions", MappingProxyType({head: {} for head, _ in skeletons if head is not Atom})),
+        ("_variable_mask", sum(skeletons.values(), ANY)),
+        ("_lhs_bits", sum(set(lhs_bit.values()))),
+        ("_sited", MappingProxyType(sited)),
+    ):
+        object.__setattr__(system, attr, value)
+    object.__setattr__(system, "_atom_mask", _transition(system, Atom, ()))
+
+
+def _transition(system: RewriteSystem, head: object, kids: Sequence[int]) -> int:
+    """The mask of a node with this head whose children have the masks
+    `kids`: the bit of each skeleton with this head whose children's bits
+    the kids hold, in either order under a commutative symbol, and SITE
+    when one of those is a left-hand side or a kid has SITE."""
+    mask = ANY
+    swap = len(kids) == 2 and system.signature.is_commutative(head)
+    for (other, children), bit in system._skeletons.items():
+        if other != head or len(children) != len(kids):
+            continue
+        if all(k & c for k, c in zip(kids, children)) or swap and kids[0] & children[1] and kids[1] & children[0]:
+            mask |= bit
+    if mask & system._lhs_bits or any(k & SITE for k in kids):
+        mask |= SITE
+    return mask
+
+
+def _fit_masks(term: Term, system: RewriteSystem, unify: bool) -> tuple[list[Term], list[int], list[int]]:
+    """The fit mask of every subterm, in one pass from the leaves up.
+
+    A subterm has a skeleton's bit exactly when it can be an instance of it
+    as far as symbols, binders and atoms go: rule variables are wildcards,
+    atom and binder names are ignored, and a commutative symbol's arguments
+    fit in either order. A subject suspension fits every skeleton when
+    unifying and none when matching protects it; it is never a site.
+    Returns the subterms breadth-first, root first, the index of each one's
+    first child (its children are consecutive), and their masks. Both
+    loops are flat, so no nesting depth is too deep for them.
+    """
+    nodes = [term]
+    firsts: list[int] = []
+    for sub in nodes:  # grows as it is read
+        firsts.append(len(nodes))
+        kind = type(sub)
+        if kind is App:
+            nodes.extend(sub.args)
+        elif kind is Abstraction:
+            nodes.append(sub.body)
+    transitions = system._transitions
+    variable = system._variable_mask if unify else ANY
+    masks = [0] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        sub = nodes[i]
+        kind = type(sub)
+        if kind is App:
+            head = sub.sym
+            n = len(sub.args)
+        elif kind is Abstraction:
+            head = Abstraction
+            n = 1
+        else:
+            masks[i] = system._atom_mask if kind is Atom else variable
+            continue
+        first = firsts[i]
+        table = transitions.get(head)
+        if table is None:  # no skeleton has this head
+            mask = ANY
+            for kid in masks[first : first + n]:
+                mask |= kid & SITE
+        else:
+            # the children's masks, a lone child's as it is
+            key = masks[first] if n == 1 else tuple(masks[first : first + n])
+            mask = table.get(key)
+            if mask is None:
+                mask = table[key] = _transition(system, head, masks[first : first + n])
+        masks[i] = mask
+    return nodes, firsts, masks
 
 
 def premises_hold(
@@ -450,30 +538,33 @@ def _verified_matchers(
 def _fitting_sites(
     term: Term, system: RewriteSystem, unify: bool
 ) -> Iterator[tuple[tuple[int, ...], Term, RewriteRule]]:
-    """Lazily, `(path, subterm, rule)` for each rule that can apply at each
-    non-variable subterm: `by_head` files it under the subterm's head, and
-    its whole skeleton fits there (`skeleton_fits`, with subject variables
-    as wildcards if `unify`). Subterms come leftmost-outermost, suspensions
-    skipped, and a subterm's rules in declaration order."""
-    sig = system.signature
-    by_head = system.by_head
-    # (path, subterm) pairs, the next one on top. The node's type gives its
-    # children and its `head_key`.
-    stack: list[tuple[tuple[int, ...], Term]] = [((), term)]
+    """Lazily, `(path, subterm, rule)` for each rule whose left-hand side's
+    skeleton fits a subterm (`_fit_masks`, with subject variables as
+    wildcards if `unify`). Subterms come leftmost-outermost, and a
+    subterm's rules in declaration order; the walk does not start when the
+    root has no SITE, and skips every subtree without one."""
+    nodes, firsts, masks = _fit_masks(term, system, unify)
+    if not masks[0] & SITE:
+        return
+    sited = system._sited
+    # (path, index) pairs, the next one on top.
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while stack:
-        path, sub = stack.pop()
+        path, index = stack.pop()
+        mask = masks[index]
+        if not mask & SITE:
+            continue
+        sub = nodes[index]
         kind = type(sub)
         key: object = kind
         if kind is App:
-            args = sub.args
-            stack.extend([(path + (i,), args[i]) for i in range(len(args) - 1, -1, -1)])
-            key = (sub.sym, len(args))
+            first = firsts[index]
+            stack.extend([(path + (i,), first + i) for i in range(len(sub.args) - 1, -1, -1)])
+            key = (sub.sym, len(sub.args))
         elif kind is Abstraction:
-            stack.append((path + (0,), sub.body))
-        elif kind is Suspension:
-            continue
-        for rule in by_head.get(key, ()):
-            if skeleton_fits(rule.lhs, sub, sig, unify):
+            stack.append((path + (0,), firsts[index]))
+        for bit, rule in sited.get(key, ()):
+            if mask & bit:
                 yield path, sub, rule
 
 
@@ -522,16 +613,18 @@ def _candidate_steps(
 ) -> Iterator[RewriteStep]:
     """Matching steps in redex order with premises verified; each rule is
     renamed apart from `avoid` (by default the term's and the context's
-    variables). With nothing to avoid, the copy comes from the system's
-    `_fresh_rules`; otherwise it is built at each site where the rule's
-    skeleton fits, with the names a `NameSupply` seeded with `avoid` draws,
-    which are those of `_fresh_rules` when nothing is avoided. Each step
-    records the copy `redexes` applied, clash shift included."""
+    variables, gathered when a rule is first prepared). With nothing to
+    avoid, the copy comes from the system's `_fresh_rules`; otherwise it is
+    built at each site where the rule's skeleton fits, with the names a
+    `NameSupply` seeded with `avoid` draws, which are those of
+    `_fresh_rules` when nothing is avoided. Each step records the copy
+    `redexes` applied, clash shift included."""
     sig = system.signature
-    if avoid is None:
-        avoid = term_vars(term) | {c.var for c in delta}
 
     def prepare(rule: RewriteRule) -> RewriteRule:
+        nonlocal avoid
+        if avoid is None:
+            avoid = term_vars(term) | {c.var for c in delta}
         if not avoid:
             return system._fresh_rules[rule.name]
         return renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
@@ -711,14 +804,14 @@ def _ground_oracle_sources(
 
 def _class_fits(term: Term, system: RewriteSystem) -> bool:
     """Does some rule's skeleton fit some subterm of the ground term modulo
-    commutativity (`_fitting_sites`)? Only then can a member of its
-    commutative-and-alpha class have a plain step: every subterm of a member
-    is a rearranged, alpha-renamed copy of one of the term's, and
-    `skeleton_fits` ignores atom and binder names and tries both orders of a
-    commutative node. So an atom leaf fits a rule whose left-hand side is
-    any atom: renaming a binder can give a bound leaf the atom a rule
-    rewrites."""
-    return next(_fitting_sites(term, system, False), None) is not None
+    commutativity: does its root have SITE (`_fit_masks`)? Only then can a
+    member of its commutative-and-alpha class have a plain step: every
+    subterm of a member is a rearranged, alpha-renamed copy of one of the
+    term's, and skeletons ignore atom and binder names and fit a
+    commutative node's arguments in either order. So an atom leaf fits a
+    rule whose left-hand side is any atom: renaming a binder can give a
+    bound leaf the atom a rule rewrites."""
+    return bool(_fit_masks(term, system, False)[2][0] & SITE)
 
 
 def _class_steps(
@@ -848,12 +941,15 @@ def coherence_check(
         if not derive_alpha_c(delta, t1, t2, sig):
             verdicts.append(CoherenceVerdict(index, REJECTED, "sample terms are not =ac-related"))
             continue
-        # Per-sample memos; t2's steps are due only once t1 has a step.
-        steps = functools.cache(lambda t: primary_rewrite_steps(delta, t, system, max_states=max_states))
-        reach = functools.cache(lambda t: _Replay(_reachable(delta, t, system, max_steps, max_states)))
         verdict = CoherenceVerdict(index, WITNESSED)
-        for step in steps(t1):
-            rights = steps(t2)
+        lefts = primary_rewrite_steps(delta, t1, system, max_states=max_states)
+        if not lefts:
+            verdicts.append(verdict)
+            continue
+        # t2's steps and the reach memo are due only once t1 has a step.
+        rights = lefts if t2 == t1 else primary_rewrite_steps(delta, t2, system, max_states=max_states)
+        reach = functools.cache(lambda t: _Replay(_reachable(delta, t, system, max_steps, max_states)))
+        for step in lefts:
             closed = any(derive_alpha_c(delta, step.result, right.result, sig) for right in rights) or any(
                 derive_alpha_c(delta, u, v, sig)
                 for right in rights

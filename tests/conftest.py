@@ -41,9 +41,9 @@ from nomc import (
     simplify_step,
     solve,
 )
-from nomc import narrowing
+from nomc import narrowing, rewriting
 from nomc.cli import load_system_file
-from nomc.rewriting import clash_permutation, head_key, permute_rule, redexes, renamed_rule, skeleton_fits
+from nomc.rewriting import clash_permutation, head_key, permute_rule, redexes, renamed_rule
 from nomc.terms import NameSupply, replace_at, subterms_with_positions, term_atoms
 
 ATOMS = tuple(Atom(n) for n in "abcd")
@@ -385,6 +385,11 @@ def reference_derive_alpha_c(ctx, s, t, sig):
 
 
 def reference_skeleton_fits(lhs, sub, sig, unify):
+    """Can `sub` be an instance of `lhs` as far as symbols, binders and atoms
+    go? The lhs's suspensions are wildcards; the subject's fit everything
+    when unifying and only a wildcard when matching. Atom and binder names
+    are ignored, and a commutative symbol's arguments fit in either order.
+    The fit masks (`nomc.rewriting._fit_masks`) compute this verdict."""
     if isinstance(lhs, Suspension):
         return True
     if isinstance(sub, Suspension):
@@ -403,6 +408,12 @@ def reference_skeleton_fits(lhs, sub, sig, unify):
     return reference_skeleton_fits(l0, s1, sig, unify) and reference_skeleton_fits(l1, s0, sig, unify)
 
 
+def lhs_fits(system, rule, sub, unify):
+    """Does `sub`'s fit mask hold the bit of `rule`'s left-hand side?"""
+    (bit,) = [bit for bit, filed in system._sited[head_key(rule.lhs)] if filed.name == rule.name]
+    return bool(rewriting._fit_masks(sub, system, unify)[2][0] & bit)
+
+
 def reference_redexes(context, term, system, prepare, attempt, unify):
     """`nomc.rewriting.redexes` as it was when it built a Position for every
     subterm through `subterms_with_positions` and asked `head_key` at each."""
@@ -412,7 +423,7 @@ def reference_redexes(context, term, system, prepare, attempt, unify):
         if isinstance(sub, Suspension):
             continue
         for rule in system.by_head.get(head_key(sub), ()):
-            if not skeleton_fits(rule.lhs, sub, sig, unify):
+            if not reference_skeleton_fits(rule.lhs, sub, sig, unify):
                 continue
             prepared = prepare(rule)
             answers = attempt(sub, prepared)

@@ -356,6 +356,27 @@ class TestErrorsAndJson:
         assert code == 1
         assert json.loads(out)["result"] == {"error": "term is nested too deeply"}
 
+    @pytest.mark.parametrize("command, steps_line", [("normalize", -1), ("rewrite", 0)])
+    def test_deep_normal_form_is_answered_up_to_the_limit(self, command, steps_line):
+        # Run as the installed `nomc` script runs it, `main` under a module,
+        # so the stack below the command is the script's: 990 levels of
+        # not(...) are answered, 3,000 are too deep. Every pass over the term
+        # that rewriting adds must be iterative to keep the first.
+        env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
+        script = "import sys\nfrom nomc.cli import main\nsys.exit(main())\n"
+
+        def deep(levels):
+            term = "not(" * levels + "a" + ")" * levels
+            argv = [sys.executable, "-c", script, command, term, "--system", "prenex"]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            return done.returncode, done.stdout.strip(), term, done.stderr
+
+        code, out, term, err = deep(990)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[steps_line] == "0 step(s)" and (command == "rewrite" or out.splitlines()[0] == term)
+        code, out, _, err = deep(3000)
+        assert (code, out, err) == (1, "error: term is nested too deeply", "")
+
     def test_deep_judgement_is_answered(self, capsys):
         # The judgement and the one-frame printer take 400 levels; the
         # parser's limit is near 1,000 (the test above).

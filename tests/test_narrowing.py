@@ -51,7 +51,7 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.alpha import satisfies_with
-from nomc.rewriting import head_key, redexes, skeleton_fits
+from nomc.rewriting import head_key, redexes
 from nomc.terms import NameSupply
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
@@ -64,6 +64,7 @@ from conftest import (
     random_term,
     reference_expanded_solutions,
     reference_narrow_search,
+    reference_skeleton_fits,
     rename_rule_with_map,
 )
 
@@ -674,7 +675,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
     # after the last one when the scan ends.
     sites = iter(
         [
-            (rule, skeleton_fits(rule.lhs, sub, sig, True))
+            (rule, reference_skeleton_fits(rule.lhs, sub, sig, True))
             for _, sub in subterms_with_positions(node.term)
             if not isinstance(sub, Suspension)
             for rule in system.by_head.get(head_key(sub), ())
@@ -884,7 +885,7 @@ class TestNameSupply:
                 for _, sub in subterms_with_positions(node.term):
                     if not isinstance(sub, Suspension):
                         for rule in system.by_head.get(head_key(sub), ()):
-                            sites[skeleton_fits(rule.lhs, sub, sig, True)] += 1
+                            sites[reference_skeleton_fits(rule.lhs, sub, sig, True)] += 1
             # one draw of names and one renamed copy per fitting (site, rule)
             # pair, one shifted copy per retry, and one attempt on each copy
             assert built["drawn"] == built["renamed"] == sites[True], str(term)

@@ -67,13 +67,13 @@ from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
     permute_rule,
-    skeleton_fits,
 )
 from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
     equivalent_variant,
+    lhs_fits,
     random_context,
     random_ground_term,
     random_permutation,
@@ -82,6 +82,7 @@ from conftest import (
     random_term,
     reference_dedup_steps,
     reference_redexes,
+    reference_skeleton_fits,
     rename_rule_with_map,
 )
 
@@ -448,7 +449,7 @@ class TestPreparedRules:
                         for pos, sub in subterms_with_positions(term)
                         if not isinstance(sub, Suspension)
                         for rule in system.by_head.get(rewriting.head_key(sub), ())
-                        if skeleton_fits(rule.lhs, sub, sig, False)
+                        if reference_skeleton_fits(rule.lhs, sub, sig, False)
                     ]
                     built.clear()
                     primary_rewrite_steps(delta, term, system)
@@ -667,7 +668,7 @@ def _near_miss(rng, lhs, sig):
 
 
 class TestSkeletonFilter:
-    """`skeleton_fits` may only reject a rule that has no matcher (or, in
+    """The fit masks may only reject a rule that has no matcher (or, in
     unify mode, no unifier) at the subterm, with or without the clash shift."""
 
     @settings(max_examples=150, deadline=None)
@@ -687,28 +688,28 @@ class TestSkeletonFilter:
             sub_atoms = term_atoms(sub)
             shift = clash_permutation(prepared, sub_atoms, sub_atoms | {c.atom for c in delta})
             candidates = [prepared] + ([permute_rule(prepared, shift)] if shift else [])
-            if not skeleton_fits(rule.lhs, sub, sig, unify=False):
+            if not lhs_fits(system, rule, sub, unify=False):
                 for used in candidates:
                     assert rewriting._verified_matchers(delta, sub, used, sig, 100_000) == [], (rule, sub)
-            if not skeleton_fits(rule.lhs, sub, sig, unify=True):
+            if not lhs_fits(system, rule, sub, unify=True):
                 for used in candidates:
                     assert solve(delta, sub, used.context, used.lhs, sig=sig) == (), (rule, sub)
 
     def test_subject_variables_fit_only_when_unifying(self, prenex_system):
         sig = prenex_system.signature
-        lhs = parse_term("not(exists([a]Q))", sig)
+        (rule,) = [rule for rule in prenex_system.rules if rule.name == "not_exists"]  # not(exists([a]Q))
         sub = parse_term("not(X)", sig)
-        assert not skeleton_fits(lhs, sub, sig, unify=False)
-        assert skeleton_fits(lhs, sub, sig, unify=True)
-        assert skeleton_fits(lhs, parse_term("not(exists([b]c))", sig), sig, unify=False)
+        assert not lhs_fits(prenex_system, rule, sub, unify=False)
+        assert lhs_fits(prenex_system, rule, sub, unify=True)
+        assert lhs_fits(prenex_system, rule, parse_term("not(exists([b]c))", sig), unify=False)
 
     def test_commutative_arguments_fit_in_either_order(self, prenex_system):
         sig = prenex_system.signature
-        lhs = parse_term("and(P, forall([a]Q))", sig)
-        assert skeleton_fits(lhs, parse_term("and(forall([b]c), not(a))", sig), sig, unify=False)
-        assert not skeleton_fits(lhs, parse_term("and(not(a), exists([b]c))", sig), sig, unify=False)
-        plain = sig.without_commutativity()
-        assert not skeleton_fits(lhs, parse_term("and(forall([b]c), not(a))", sig), plain, unify=False)
+        (rule,) = [rule for rule in prenex_system.rules if rule.name == "and_forall"]  # and(P, forall([a]Q))
+        assert lhs_fits(prenex_system, rule, parse_term("and(forall([b]c), not(a))", sig), unify=False)
+        assert not lhs_fits(prenex_system, rule, parse_term("and(not(a), exists([b]c))", sig), unify=False)
+        plain = prenex_system.without_commutativity()
+        assert not lhs_fits(plain, rule, parse_term("and(forall([b]c), not(a))", sig), unify=False)
 
     def test_normal_form_scan_makes_no_match_call(self, monkeypatch, prenex_system):
         calls = []
@@ -1254,7 +1255,7 @@ class TestClassFilter:
         for source in itertools.islice(rewriting._ground_oracle_sources(term, system), 2_000):
             for _, sub in subterms_with_positions(source):
                 for rule in system.rules:
-                    assert not skeleton_fits(rule.lhs, sub, plain.signature, False), (str(source), rule.name)
+                    assert not reference_skeleton_fits(rule.lhs, sub, plain.signature, False), (str(source), rule.name)
             assert primary_rewrite_steps(EMPTY_CONTEXT, source, plain) == ()
 
     def test_a_renamed_binder_can_carry_a_rules_atom(self):
@@ -1298,15 +1299,17 @@ def _all_rules_class_fits(term, system):
     """`_class_fits` as it was: every rule tried at every subterm."""
     sig = system.signature
     return any(
-        skeleton_fits(rule.lhs, sub, sig, False) for _, sub in subterms_with_positions(term) for rule in system.rules
+        reference_skeleton_fits(rule.lhs, sub, sig, False)
+        for _, sub in subterms_with_positions(term)
+        for rule in system.rules
     )
 
 
 class TestRedexScan:
     """The scan walks (path, subterm) pairs and builds a Position only for a
     site it yields; it yields and prepares as the scan over
-    `subterms_with_positions` did, and the class-fit test asks only the rules
-    `by_head` files under a subterm's head."""
+    `subterms_with_positions` did, and the class-fit test reads the root's
+    fit mask, with no match."""
 
     def test_systems_cover_abstraction_and_atom_heads(self):
         assert list(SCAN_SYSTEMS["binder-head"].by_head) == [Abstraction]
@@ -1329,31 +1332,71 @@ class TestRedexScan:
         term = _pool_subject(random.Random(seed), name)
         assert rewriting._class_fits(term, system) == _all_rules_class_fits(term, system), str(term)
 
-    def test_class_fits_asks_only_the_rules_under_each_head(self, monkeypatch, prenex_system):
+    def test_class_fits_answers_without_a_match_call(self, monkeypatch, prenex_system):
         term = parse_term("forall([a]exists([b]and(a, or(not(b), c))))", prenex_system.signature)
         assert r_over_e_one_step(term, prenex_system) == ()
-        asked = []
-        depth = 0
-        original = rewriting.skeleton_fits
+        calls = []
+        original = rewriting.match
 
-        def counting(lhs, sub, sig, unify):
-            nonlocal depth
-            if depth == 0:
-                asked.append((lhs, sub))
-            depth += 1
-            try:
-                return original(lhs, sub, sig, unify)
-            finally:
-                depth -= 1
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(rewriting, "skeleton_fits", counting)
+        monkeypatch.setattr(rewriting, "match", counting)
         assert not rewriting._class_fits(term, prenex_system)
-        subterms = [sub for _, sub in subterms_with_positions(term)]
-        filed = [
-            (rule.lhs, sub) for sub in subterms for rule in prenex_system.by_head.get(rewriting.head_key(sub), ())
-        ]
-        assert sorted(map(str, asked)) == sorted(map(str, filed))
-        assert 0 < len(asked) < len(subterms) * len(prenex_system.rules)
+        assert calls == []
+
+
+# Every system of the scan and skeleton properties, with and without
+# commutativity.
+FIT_SYSTEMS = {
+    (name, plain): system.without_commutativity() if plain else system
+    for name, system in {**SKELETON_SYSTEMS, **SCAN_SYSTEMS}.items()
+    for plain in (False, True)
+}
+
+
+class TestFitMasks:
+    """A subterm's fit mask holds the bit of each left-hand side that
+    `reference_skeleton_fits` accepts there and no other, and SITE exactly
+    when some left-hand side fits at a non-variable subterm at or below it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FIT_SYSTEMS)), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bits_equal_the_reference_skeleton_test(self, key, unify, seed):
+        rng = random.Random(seed)
+        system = FIT_SYSTEMS[key]
+        sig = system.signature
+        if system.rules and rng.random() < 0.6:
+            term = _near_miss(rng, rng.choice(system.rules).lhs, sig)
+            if rng.random() < 0.5:
+                # under a random node, next to random siblings
+                sym = rng.choice(sig.symbols)
+                args = [random_term(rng, sig, 2) for _ in range(sig.arity(sym))]
+                if args:
+                    args[rng.randrange(len(args))] = term
+                    term = App(sym, tuple(args))
+        else:
+            term = random_term(rng, sig, 4)
+        bits = {rule.name: bit for filed in system._sited.values() for bit, rule in filed}
+        nodes, firsts, masks = rewriting._fit_masks(term, system, unify)
+        assert len(nodes) == len(firsts) == len(masks) == sum(1 for _ in subterms_with_positions(term))
+        assert nodes[0] is term
+        for sub, first in zip(nodes, firsts):
+            children = sub.args if isinstance(sub, App) else (sub.body,) if isinstance(sub, Abstraction) else ()
+            assert list(map(id, children)) == list(map(id, nodes[first : first + len(children)]))
+        for sub, mask in zip(nodes, masks):
+            for rule in system.rules:
+                assert bool(mask & bits[rule.name]) == reference_skeleton_fits(rule.lhs, sub, sig, unify), (
+                    str(sub),
+                    rule.name,
+                )
+            below = any(
+                not isinstance(part, Suspension) and reference_skeleton_fits(rule.lhs, part, sig, unify)
+                for _, part in subterms_with_positions(sub)
+                for rule in system.rules
+            )
+            assert bool(mask & rewriting.SITE) == below, str(sub)
 
 
 def _eager_reachable(delta, term, system, max_steps, max_states):
