@@ -43,6 +43,7 @@ from .alpha import (
     Sentinel,
     derive_alpha,
     derive_alpha_c,
+    format_context,
     freshness_context_nf,
     satisfies_with,
 )
@@ -134,8 +135,7 @@ class NarrowingNode:
     depth: int
 
     def __str__(self) -> str:
-        ctx = ", ".join(sorted(str(c) for c in self.context)) or "{}"
-        return f"{ctx} |- {self.term}"
+        return f"{format_context(self.context)} |- {self.term}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -237,7 +237,10 @@ class _Parser:
         mapping: dict[Var, Term] = {}
         if not (bracketed and self.peek().kind == "RBRACK"):
             while True:
+                tok = self.peek()
                 var = self.variable()
+                if var in mapping:
+                    raise ParseError(f"variable {var} is bound twice", tok.line, tok.col)
                 self.expect("ARROW")
                 mapping[var] = self.term()
                 if self.peek().kind != "COMMA":
@@ -362,7 +365,10 @@ def parse_system(text: str) -> SystemFile:
             name, _, rest = line.partition(":")
             if not rest:
                 raise ParseError("problem lines look like `name: text`", lineno, 1)
-            problems[name.strip()] = rest.strip()
+            name = name.strip()
+            if name in problems:
+                raise ParseError(f"duplicate problem name {name}", lineno, 1)
+            problems[name] = rest.strip()
         else:
             raise ParseError("content before any section header", lineno, 1)
     sig = Signature(sig_entries)

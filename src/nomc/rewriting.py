@@ -22,6 +22,7 @@ from .alpha import (
     alpha_key,
     derive_alpha,
     derive_alpha_c,
+    format_context,
     satisfies_with,
 )
 from .terms import (
@@ -86,8 +87,7 @@ class RewriteRule:
         return self._atoms
 
     def __str__(self) -> str:
-        ctx = ", ".join(sorted(str(c) for c in self.context))
-        prefix = f"{ctx} |- " if ctx else "|- "
+        prefix = f"{format_context(self.context)} |- " if self.context else "|- "
         return f"{prefix}{self.lhs} -> {self.rhs}"
 
 
@@ -96,13 +96,13 @@ class RewriteSystem:
     """A sequence of rules plus the signature declaring commutative symbols.
 
     Read-only, so one system can be shared by every caller: everything is
-    built in the constructor, attributes cannot be reassigned, and `by_head`
-    (head_key -> the rules whose left-hand side has that head, in order) is
-    a read-only mapping. The one thing that grows is the fit masks'
-    transition memo, bounded by the rules; an entry depends on nothing else.
+    built in the constructor and attributes cannot be reassigned. The one
+    thing that grows is the fit masks' transition memo, bounded by the
+    rules; an entry depends on nothing else.
 
     The constructor also builds, once:
-    - the skeleton tables the fit masks are read from (`_number_skeletons`);
+    - the skeleton tables the fit masks are read from, and `_lhs`, the redex
+      scan's only rule index (`_number_skeletons`);
     - `_fresh_rules` (rule name -> the rule renamed apart from no variable,
       `P` to `P0`), read-only: the copies `_candidate_steps` uses when there
       is no variable to avoid, as for every source the class oracle scans;
@@ -116,18 +116,14 @@ class RewriteSystem:
     signature: Signature
 
     def __post_init__(self) -> None:
-        by_head: dict[object, tuple[RewriteRule, ...]] = {}
         atoms: frozenset[Atom] = frozenset()
         seen: set[str] = set()
         for rule in self.rules:
             if rule.name in seen:
                 raise ValueError(f"duplicate rule name {rule.name}")
             seen.add(rule.name)
-            key = head_key(rule.lhs)
-            by_head[key] = by_head.get(key, ()) + (rule,)
             atoms |= rule.atoms()
         object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "by_head", MappingProxyType(by_head))
         _number_skeletons(self)
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
@@ -385,16 +381,6 @@ def alpha_variants(term: Term, pool: frozenset[Atom] | set[Atom]) -> tuple[Term,
     return tuple(_alpha_variants(term, sorted(pool, key=lambda a: a.name)))
 
 
-def head_key(term: Term) -> object:
-    """The key `RewriteSystem.by_head` files a left-hand side under: symbol
-    and arity for an application, and the node type for an abstraction or an
-    atom. Skeletons ignore binder and atom names, so one key serves every
-    abstraction and one every atom."""
-    if isinstance(term, App):
-        return (term.sym, len(term.args))
-    return type(term)
-
-
 # A subterm's fit mask holds ANY, SITE when some rule's left-hand side fits
 # at the subterm or below it, and one bit from 4 up for each skeleton it fits.
 ANY = 1  # what a rule variable asks of its subterm: every mask has it
@@ -402,7 +388,8 @@ SITE = 2
 
 
 def _number_skeletons(system: RewriteSystem) -> None:
-    """Build the tables `_fit_masks` reads, on a system under construction.
+    """Build the tables `_fit_masks` and `_fitting_sites` read, on a system
+    under construction.
 
     Each distinct skeleton among the non-variable subterms of the rules'
     left-hand sides gets a bit. A skeleton is a head (an application's
@@ -415,11 +402,11 @@ def _number_skeletons(system: RewriteSystem) -> None:
       the system's bits, so the system, not the input, bounds each memo;
     - `_atom_mask`, the mask of every atom, and `_variable_mask`, that of a
       subject suspension when unifying: it fits every skeleton;
-    - `_lhs_bits`, the bits of the left-hand sides, and `_sited`
-      (head_key -> (bit, rule) for each rule `by_head` files there).
+    - `_lhs`: `(bit of the left-hand side's skeleton, rule)` for each rule,
+      in declaration order, and `_lhs_bits`, the union of those bits.
     """
     skeletons: dict[tuple[object, tuple[int, ...]], int] = {}
-    lhs_bit: dict[str, int] = {}
+    lhs: list[tuple[int, RewriteRule]] = []
     for rule in system.rules:
         bits: dict[int, int] = {}  # id(node) -> the bit of its skeleton
         for _, sub in reversed(list(subterms_with_positions(rule.lhs))):
@@ -430,15 +417,14 @@ def _number_skeletons(system: RewriteSystem) -> None:
             children = sub.args if kind is App else (sub.body,) if kind is Abstraction else ()
             key = (sub.sym if kind is App else kind, tuple(bits[id(child)] for child in children))
             bits[id(sub)] = skeletons.setdefault(key, 4 << len(skeletons))
-        lhs_bit[rule.name] = bits[id(rule.lhs)]
-    sited = {key: tuple((lhs_bit[rule.name], rule) for rule in rules) for key, rules in system.by_head.items()}
+        lhs.append((bits[id(rule.lhs)], rule))
     # Bits are distinct powers of two, so a sum of distinct ones is their union.
     for attr, value in (
         ("_skeletons", MappingProxyType(skeletons)),
         ("_transitions", MappingProxyType({head: {} for head, _ in skeletons if head is not Atom})),
         ("_variable_mask", sum(skeletons.values(), ANY)),
-        ("_lhs_bits", sum(set(lhs_bit.values()))),
-        ("_sited", MappingProxyType(sited)),
+        ("_lhs_bits", sum({bit for bit, _ in lhs})),
+        ("_lhs", tuple(lhs)),
     ):
         object.__setattr__(system, attr, value)
     object.__setattr__(system, "_atom_mask", _transition(system, Atom, ()))
@@ -541,12 +527,14 @@ def _fitting_sites(
     """Lazily, `(path, subterm, rule)` for each rule whose left-hand side's
     skeleton fits a subterm (`_fit_masks`, with subject variables as
     wildcards if `unify`). Subterms come leftmost-outermost, and a
-    subterm's rules in declaration order; the walk does not start when the
-    root has no SITE, and skips every subtree without one."""
+    subterm's rules in declaration order: each rule of `_lhs` whose bit its
+    mask holds. A skeleton's bit is set only under its own head, so no rule
+    index by head is needed. The walk does not start when the root has no
+    SITE, and skips every subtree without one."""
     nodes, firsts, masks = _fit_masks(term, system, unify)
     if not masks[0] & SITE:
         return
-    sited = system._sited
+    lhs = system._lhs
     # (path, index) pairs, the next one on top.
     stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while stack:
@@ -556,14 +544,12 @@ def _fitting_sites(
             continue
         sub = nodes[index]
         kind = type(sub)
-        key: object = kind
         if kind is App:
             first = firsts[index]
             stack.extend([(path + (i,), first + i) for i in range(len(sub.args) - 1, -1, -1)])
-            key = (sub.sym, len(sub.args))
         elif kind is Abstraction:
             stack.append((path + (0,), firsts[index]))
-        for bit, rule in sited.get(key, ()):
+        for bit, rule in lhs:
             if mask & bit:
                 yield path, sub, rule
 

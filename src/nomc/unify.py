@@ -31,6 +31,7 @@ from .alpha import (
     Goal,
     Sentinel,
     check_problem,
+    format_context,
     satisfies_with,
 )
 from .terms import (
@@ -95,8 +96,7 @@ class CSolution:
     protected_fixpoint_discharged: bool = False
 
     def __str__(self) -> str:
-        ctx = ", ".join(sorted(str(c) for c in self.context)) or "{}"
-        parts = [f"context: {ctx}", f"subst: {self.subst}"]
+        parts = [f"context: {format_context(self.context)}", f"subst: {self.subst}"]
         if self.residual_fixpoints:
             eqs = ", ".join(f"{Suspension(p, v)} =ac {v}" for p, v in self.residual_fixpoints)
             parts.append(f"residual: {eqs}")

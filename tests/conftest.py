@@ -43,7 +43,7 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.cli import load_system_file
-from nomc.rewriting import clash_permutation, head_key, permute_rule, redexes, renamed_rule
+from nomc.rewriting import clash_permutation, permute_rule, redexes, renamed_rule
 from nomc.terms import NameSupply, replace_at, subterms_with_positions, term_atoms
 
 ATOMS = tuple(Atom(n) for n in "abcd")
@@ -410,19 +410,21 @@ def reference_skeleton_fits(lhs, sub, sig, unify):
 
 def lhs_fits(system, rule, sub, unify):
     """Does `sub`'s fit mask hold the bit of `rule`'s left-hand side?"""
-    (bit,) = [bit for bit, filed in system._sited[head_key(rule.lhs)] if filed.name == rule.name]
+    (bit,) = [bit for bit, filed in system._lhs if filed.name == rule.name]
     return bool(rewriting._fit_masks(sub, system, unify)[2][0] & bit)
 
 
 def reference_redexes(context, term, system, prepare, attempt, unify):
     """`nomc.rewriting.redexes` as it was when it built a Position for every
-    subterm through `subterms_with_positions` and asked `head_key` at each."""
+    subterm through `subterms_with_positions` and tried each rule where
+    `reference_skeleton_fits` accepts it, in declaration order: a
+    specification that leans on no rule index."""
     sig = system.signature
     ambient_atoms = None
     for pos, sub in subterms_with_positions(term):
         if isinstance(sub, Suspension):
             continue
-        for rule in system.by_head.get(head_key(sub), ()):
+        for rule in system.rules:
             if not reference_skeleton_fits(rule.lhs, sub, sig, unify):
                 continue
             prepared = prepare(rule)

@@ -314,11 +314,7 @@ class TestErrorsAndJson:
 
     def test_shared_system_cannot_be_changed(self, capsys):
         system = cli.load_system_file("prenex").system
-        with pytest.raises(AttributeError):
-            system.by_head.clear()
-        with pytest.raises(TypeError):
-            system.by_head[("not", 1)] = ()
-        for attr in ("rules", "by_head", "signature", "_fresh_rules", "_plain"):
+        for attr in ("rules", "_lhs", "signature", "_fresh_rules", "_plain"):
             with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
                 setattr(system, attr, None)
         code, out = run(capsys, "normalize", "not(exists([a]b))", "--system", "prenex")
@@ -345,6 +341,10 @@ class TestErrorsAndJson:
         import nomc.systems
 
         assert nomc.systems.__file__ is not None
+
+    def test_substitution_binding_a_variable_twice_exit_one(self, capsys):
+        code, out = run(capsys, "lift-forward", "not(X)", "--system", "prenex", "--rho", "X -> a, X -> b")
+        assert code == 1 and out.strip() == "error: 1:9: variable X is bound twice"
 
     def test_arity_error_exit_one(self, capsys):
         code, out = run(capsys, "normalize", "forall(a, b)", "--system", "prenex")

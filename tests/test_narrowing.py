@@ -51,7 +51,7 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.alpha import satisfies_with
-from nomc.rewriting import head_key, redexes
+from nomc.rewriting import redexes
 from nomc.terms import NameSupply
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
@@ -658,18 +658,19 @@ class TestLiftingBackwardReference:
 
 # -- narrowing against eager renaming -----------------------------------------
 #
-# Narrowing once renamed every rule apart at every head-indexed site, before
-# the skeleton test, from an avoid set it grew by each renamed rule and
-# re-gathered from each node and each child. It now draws names from one
-# name supply, and only where a rule fits; the eager construction stays here
-# as the reference, and trees are compared up to the names rules drew.
+# Narrowing once renamed rules apart eagerly, before the skeleton test, from
+# an avoid set it grew by each renamed rule and re-gathered from each node and
+# each child. It now draws names from one name supply, and only where a rule
+# fits; the eager construction, every rule at every non-variable subterm,
+# stays here as the reference, and trees are compared up to the names rules
+# drew.
 
 
 def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, max_states):
     sig = system.signature
     steps = []
     avoid = avoid | narrowing._gather_vars(node)
-    # Every head-indexed site in scan order, and whether the rule fits there.
+    # Every (subterm, rule) pair in scan order, and whether the rule fits there.
     # `redexes` calls `prepare` only where a rule fits, so the renamings for
     # the sites passed over since its last call are made first, and those
     # after the last one when the scan ends.
@@ -678,7 +679,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
             (rule, reference_skeleton_fits(rule.lhs, sub, sig, True))
             for _, sub in subterms_with_positions(node.term)
             if not isinstance(sub, Suspension)
-            for rule in system.by_head.get(head_key(sub), ())
+            for rule in system.rules
         ]
     )
 
@@ -884,7 +885,7 @@ class TestNameSupply:
                     continue
                 for _, sub in subterms_with_positions(node.term):
                     if not isinstance(sub, Suspension):
-                        for rule in system.by_head.get(head_key(sub), ()):
+                        for rule in system.rules:
                             sites[reference_skeleton_fits(rule.lhs, sub, sig, True)] += 1
             # one draw of names and one renamed copy per fitting (site, rule)
             # pair, one shifted copy per retry, and one attempt on each copy

@@ -236,6 +236,8 @@ class TestContextsAndJudgements:
             (parse_judgement, "f(a) # b", "1:6: freshness judgement needs an atom on the left"),
             (parse_judgement, "a b", "1:3: expected '#' or '=ac', found b"),
             (parse_judgement, "a", "1:2: expected '#' or '=ac', found end of input"),
+            (parse_substitution, "X -> a, X -> b", "1:9: variable X is bound twice"),
+            (parse_substitution, "[X -> a, Y -> b, X -> c]", "1:18: variable X is bound twice"),
         ],
     )
     def test_errors_name_message_and_column(self, parse, text, message):
@@ -309,6 +311,7 @@ class TestSystemFiles:
             ("sig:\n  f: \u00b2\n", "2:6: arity \u00b2 is not a decimal number"),
             ("sig:\n  f: 1\n  f: 2\n", "3:1: duplicate signature entry f"),
             ("sig:\n  f: 1\nproblems:\n  check a # b\n", "4:1: problem lines look like `name: text`"),
+            ("sig:\n  f: 1\nproblems:\n  p: check a # b\n  p : check a # f(b)\n", "5:1: duplicate problem name p"),
             ("# header\n  f: 1\nsig:\n", "2:1: content before any section header"),
             ("sig:\n  f: 1\nrules:\n  r: |- f(a) -> a\n  r: |- f(b) -> b\n", "5:1: duplicate rule name r"),
             # an unnamed rule is named r{index}, by its place in the rules section

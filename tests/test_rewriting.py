@@ -448,7 +448,7 @@ class TestPreparedRules:
                         (pos, rule.name)
                         for pos, sub in subterms_with_positions(term)
                         if not isinstance(sub, Suspension)
-                        for rule in system.by_head.get(rewriting.head_key(sub), ())
+                        for rule in system.rules
                         if reference_skeleton_fits(rule.lhs, sub, sig, False)
                     ]
                     built.clear()
@@ -724,14 +724,34 @@ class TestSkeletonFilter:
         assert normalize(frozenset(), term, prenex_system, 10) == (term, ())
         assert calls == []
 
-    def test_head_index_keeps_declaration_order(self):
+    def test_fitting_sites_yield_the_fitting_rules_in_declaration_order(self):
+        rng = random.Random(35)
         for system in SKELETON_SYSTEMS.values():
-            assert sum(len(bucket) for bucket in system.by_head.values()) == len(system.rules)
-            for key, bucket in system.by_head.items():
-                assert bucket == tuple(rule for rule in system.rules if rewriting.head_key(rule.lhs) == key)
+            for twin in (system, system.without_commutativity()):
+                sig = twin.signature
+                for unify in (False, True):
+                    for _ in range(40):
+                        if rng.random() < 0.7:
+                            term = _near_miss(rng, rng.choice(twin.rules).lhs, sig)
+                        else:
+                            term = random_term(rng, sig, 3)
+                        sites = [(path, sub, r.name) for path, sub, r in rewriting._fitting_sites(term, twin, unify)]
+                        expected = [
+                            (pos.path, sub, rule.name)
+                            for pos, sub in subterms_with_positions(term)
+                            if not isinstance(sub, Suspension)
+                            for rule in twin.rules
+                            if reference_skeleton_fits(rule.lhs, sub, sig, unify)
+                        ]
+                        assert sites == expected, (str(term), unify)
         prenex = SKELETON_SYSTEMS["prenex"]
-        assert [rule.name for rule in prenex.by_head[("and", 2)]] == ["and_forall", "and_exists"]
-        assert [rule.name for rule in prenex.by_head[("not", 1)]] == ["not_exists", "not_forall"]
+        for text, unify, names in (
+            ("and(forall([a]X), exists([b]Y))", False, ["and_forall", "and_exists"]),
+            ("not(X)", True, ["not_exists", "not_forall"]),
+        ):
+            term = parse_term(text, prenex.signature)
+            sites = rewriting._fitting_sites(term, prenex, unify)
+            assert [rule.name for path, _, rule in sites if path == ()] == names
 
 
 def _reference_commutative_variants(term, sig):
@@ -1259,13 +1279,13 @@ class TestClassFilter:
             assert primary_rewrite_steps(EMPTY_CONTEXT, source, plain) == ()
 
     def test_a_renamed_binder_can_carry_a_rules_atom(self):
-        # `spin` does not rewrite `b`, but `b` shares the head key of every
+        # `spin` does not rewrite `b`, but `b` fits the skeleton of every
         # atom, and its class holds `lam([a]a)`, where `spin` rewrites the
         # bound `a`.
         system = parse_system("sig:\n  lam: 1\n\nrules:\n  spin: |- a -> a\n").system
         term = parse_term("lam([b]b)", system.signature)
-        assert rewriting.head_key(Atom("a")) == rewriting.head_key(Atom("b"))
-        assert Atom in system.by_head
+        (spin,) = system.rules
+        assert lhs_fits(system, spin, Atom("b"), False)
         assert rewriting._class_fits(term, system)
         assert r_over_e_one_step(term, system) == (parse_term("lam([a]a)", system.signature),)
 
@@ -1312,9 +1332,12 @@ class TestRedexScan:
     fit mask, with no match."""
 
     def test_systems_cover_abstraction_and_atom_heads(self):
-        assert list(SCAN_SYSTEMS["binder-head"].by_head) == [Abstraction]
-        assert Atom in SCAN_SYSTEMS["lambda+rules"].by_head
-        assert rewriting.head_key(Atom("a")) == rewriting.head_key(Atom("b"))
+        binder_head = SCAN_SYSTEMS["binder-head"]
+        (bind,) = binder_head.rules
+        assert lhs_fits(binder_head, bind, parse_term("[b]k(b, c)", binder_head.signature), False)
+        lambda_rules = SCAN_SYSTEMS["lambda+rules"]
+        (atom_root,) = [rule for rule in lambda_rules.rules if isinstance(rule.lhs, Atom)]
+        assert all(lhs_fits(lambda_rules, atom_root, atom, False) for atom in ATOMS)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(SCAN_SYSTEMS)), st.booleans(), st.integers(0, 2**32 - 1))
@@ -1378,7 +1401,7 @@ class TestFitMasks:
                     term = App(sym, tuple(args))
         else:
             term = random_term(rng, sig, 4)
-        bits = {rule.name: bit for filed in system._sited.values() for bit, rule in filed}
+        bits = {rule.name: bit for bit, rule in system._lhs}
         nodes, firsts, masks = rewriting._fit_masks(term, system, unify)
         assert len(nodes) == len(firsts) == len(masks) == sum(1 for _ in subterms_with_positions(term))
         assert nodes[0] is term
