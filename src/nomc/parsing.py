@@ -72,6 +72,9 @@ _LEXEMES = {"|-": "TURNSTILE", "->": "ARROW", "=ac": "EQAC",
 # other character. `\s` is exactly `str.isspace` and `\w` exactly
 # `str.isalnum() or "_"` on every code point (tests/test_parsing.py checks).
 _SCAN = re.compile(r"(\s+)|(=ac|\|-|->|[()\[\],.#:])|(\w+)|(.)", re.DOTALL)
+# An identifier, such as a rule or problem name: a word run that starts with
+# an `isalpha()` character, as `_tokenize` reads one.
+_WORD = re.compile(r"\w+")
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
@@ -366,6 +369,8 @@ def parse_system(text: str) -> SystemFile:
             if not rest:
                 raise ParseError("problem lines look like `name: text`", lineno, 1)
             name = name.strip()
+            if not (_WORD.fullmatch(name) and name[0].isalpha()):
+                raise ParseError(f"problem name {name!r} is not an identifier", lineno, 1)
             if name in problems:
                 raise ParseError(f"duplicate problem name {name}", lineno, 1)
             problems[name] = rest.strip()

@@ -22,6 +22,7 @@ from .alpha import (
     alpha_key,
     derive_alpha,
     derive_alpha_c,
+    derive_freshness,
     format_context,
     satisfies_with,
 )
@@ -103,6 +104,9 @@ class RewriteSystem:
     The constructor also builds, once:
     - the skeleton tables the fit masks are read from, and `_lhs`, the redex
       scan's only rule index (`_number_skeletons`);
+    - `_walk_costs` (rule name -> `_walk_cost`), read-only: the rules whose
+      matches against a ground subject `_ground_matchers` may find, with
+      the terms of their bound on the solver's states;
     - `_fresh_rules` (rule name -> the rule renamed apart from no variable,
       `P` to `P0`), read-only: the copies `_candidate_steps` uses when there
       is no variable to avoid, as for every source the class oracle scans;
@@ -125,6 +129,8 @@ class RewriteSystem:
             atoms |= rule.atoms()
         object.__setattr__(self, "rules", tuple(self.rules))
         _number_skeletons(self)
+        costs = {rule.name: cost for rule in self.rules if (cost := _walk_cost(rule, self.signature))}
+        object.__setattr__(self, "_walk_costs", MappingProxyType(costs))
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
         fresh = {rule.name: renamed_rule(rule, NameSupply(()).draw(rule.renaming_bases)) for rule in self.rules}
@@ -509,16 +515,113 @@ def premises_hold(
     )
 
 
+def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int] | None:
+    """`(2^c (n + 1), 2^c (a + f))` for a rule whose left-hand side is linear
+    and has at most one commutative node under `sig`, None for any other:
+    n counts the left-hand side's nodes, c its commutative applications, a
+    its abstractions, and f the constraints of the rule's context.
+
+    U = 2^c (n + (a + f) |T| + 1) bounds the states `match` visits on a
+    ground subject of at most |T| nodes under the empty context. On a
+    branch, each left-hand-side node is decomposed or instantiated at most
+    once, as it is linear; each freshness goal, from an abstraction with
+    another binder or a settled constraint a#X, costs at most one step per
+    node of a subterm of the subject; one state ends the branch; and the
+    branches split only at commutative nodes."""
+    nodes = [sub for _, sub in subterms_with_positions(rule.lhs)]
+    variables = [sub.var for sub in nodes if type(sub) is Suspension]
+    commutative = sum(type(sub) is App and sig.is_commutative(sub.sym) for sub in nodes)
+    if commutative > 1 or len(set(variables)) < len(variables):
+        return None
+    abstractions = sum(type(sub) is Abstraction for sub in nodes)
+    return 2**commutative * (len(nodes) + 1), 2**commutative * (abstractions + len(rule.context))
+
+
+def _node_count(term: Term) -> int:
+    """The number of nodes in a term, counted without recursion."""
+    count = 0
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        count += 1
+        kind = type(sub)
+        if kind is App:
+            stack.extend(sub.args)
+        elif kind is Abstraction:
+            stack.append(sub.body)
+    return count
+
+
+def _ground_matchers(lhs: Term, subject: Term, sig: Signature) -> list[Substitution]:
+    """The substitutions `match` gives for a linear left-hand side with at
+    most one commutative node against a ground subject under the empty
+    context, in its order, and any the rule's freshness context rules out:
+    the walk leaves that context to `premises_hold`.
+
+    One walk over the left-hand side: a suspension pi.X binds X to pi^-1
+    applied to its subterm, an atom must be the same atom, an abstraction
+    with another binder b needs a # body and goes on with (a b) applied to
+    the body, and an application needs the same symbol and arity. At the
+    commutative node the straight pairing is followed first and the crossed
+    one waits, as the solver's split does. With two commutative nodes the
+    solver's agenda would order the answers differently.
+    """
+    found: list[Substitution] = []
+    branches = [([(lhs, subject)], {})]
+    while branches:
+        pairs, binding = branches.pop()
+        while pairs:
+            pattern, sub = pairs.pop()
+            kind = type(pattern)
+            if kind is Suspension:
+                binding[pattern.var] = permute_term(pattern.perm.inverse(), sub)
+            elif kind is not type(sub):
+                break
+            elif kind is App:
+                if pattern.sym != sub.sym or len(pattern.args) != len(sub.args):
+                    break
+                if sig.is_commutative(pattern.sym):
+                    (p0, p1), (s0, s1) = pattern.args, sub.args
+                    branches.append((pairs + [(p0, s1), (p1, s0)], dict(binding)))
+                pairs.extend(zip(pattern.args, sub.args))
+            elif kind is Abstraction:
+                if pattern.atom is sub.atom:
+                    pairs.append((pattern.body, sub.body))
+                elif derive_freshness(EMPTY_CONTEXT, pattern.atom, sub.body):
+                    pairs.append((pattern.body, permute_term(Permutation(((pattern.atom, sub.atom),)), sub.body)))
+                else:
+                    break
+            elif pattern is not sub:
+                break
+        else:
+            theta = Substitution(binding)
+            if theta not in found:
+                found.append(theta)
+    return found
+
+
 def _verified_matchers(
     delta: FreshnessContext,
     sub: Term,
     rule: RewriteRule,
     sig: Signature,
     max_states: int,
+    walk_states: int | None = None,
 ) -> list[Substitution]:
-    """Match substitutions whose instantiated premises hold under delta."""
-    solutions = match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)
-    return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
+    """Match substitutions whose instantiated premises hold under delta, in
+    the order `match` gives them.
+
+    `walk_states` is given only for a ground subject under the empty context
+    and a rule with a `_walk_cost`: it is that cost's bound U on the states
+    `match` would visit. When U <= max_states the cap cannot fire, and
+    `_ground_matchers` gives the same answers in the same order without the
+    solver; otherwise `match` runs, and raises where it always has.
+    """
+    if walk_states is not None and walk_states <= max_states:
+        thetas = _ground_matchers(rule.lhs, sub, sig)
+    else:
+        thetas = [sol.subst for sol in match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)]
+    return [theta for theta in thetas if premises_hold(delta, sub, rule, theta, sig)]
 
 
 def _fitting_sites(
@@ -604,7 +707,12 @@ def _candidate_steps(
     built at each site where the rule's skeleton fits, with the names a
     `NameSupply` seeded with `avoid` draws, which are those of
     `_fresh_rules` when nothing is avoided. Each step records the copy
-    `redexes` applied, clash shift included."""
+    `redexes` applied, clash shift included.
+
+    With nothing to avoid, the term is ground and delta empty, so a rule
+    with a `_walk_cost` is matched with U for a subject of at most the
+    term's size (`_verified_matchers`); a clash-shifted copy has the rule's
+    shape and so its cost."""
     sig = system.signature
 
     def prepare(rule: RewriteRule) -> RewriteRule:
@@ -615,7 +723,18 @@ def _candidate_steps(
             return system._fresh_rules[rule.name]
         return renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
 
-    attempt = functools.partial(_verified_matchers, delta, sig=sig, max_states=max_states)
+    costs = system._walk_costs
+    size = 0  # the term's node count, counted when a walk is first gated
+
+    def attempt(sub: Term, rule: RewriteRule) -> list[Substitution]:
+        nonlocal size
+        cost = None if avoid else costs.get(rule.name)
+        if cost is None:
+            return _verified_matchers(delta, sub, rule, sig, max_states)
+        if not size:
+            size = _node_count(term)
+        return _verified_matchers(delta, sub, rule, sig, max_states, cost[0] + cost[1] * size)
+
     for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:
             result = replace_at(term, pos.path, apply_subst(theta, rule.rhs))

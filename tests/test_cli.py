@@ -314,7 +314,7 @@ class TestErrorsAndJson:
 
     def test_shared_system_cannot_be_changed(self, capsys):
         system = cli.load_system_file("prenex").system
-        for attr in ("rules", "_lhs", "signature", "_fresh_rules", "_plain"):
+        for attr in ("rules", "_lhs", "_walk_costs", "signature", "_fresh_rules", "_plain"):
             with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
                 setattr(system, attr, None)
         code, out = run(capsys, "normalize", "not(exists([a]b))", "--system", "prenex")

@@ -312,6 +312,9 @@ class TestSystemFiles:
             ("sig:\n  f: 1\n  f: 2\n", "3:1: duplicate signature entry f"),
             ("sig:\n  f: 1\nproblems:\n  check a # b\n", "4:1: problem lines look like `name: text`"),
             ("sig:\n  f: 1\nproblems:\n  p: check a # b\n  p : check a # f(b)\n", "5:1: duplicate problem name p"),
+            # a problem is named by an identifier, as a rule is
+            ("sig:\n  f: 1\nproblems:\n  : check a # b\n", "4:1: problem name '' is not an identifier"),
+            ("sig:\n  f: 1\nproblems:\n  two words: check a # b\n", "4:1: problem name 'two words' is not an identifier"),
             ("# header\n  f: 1\nsig:\n", "2:1: content before any section header"),
             ("sig:\n  f: 1\nrules:\n  r: |- f(a) -> a\n  r: |- f(b) -> b\n", "5:1: duplicate rule name r"),
             # an unnamed rule is named r{index}, by its place in the rules section

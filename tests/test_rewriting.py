@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -189,6 +190,158 @@ class TestVerifiedMatchers:
         assert str(answers[1].subst) == "[Q -> (d a)(d c)(c a)(d c)(d a).X]"
         kept = rewriting._verified_matchers(delta, sub, rule, sig, DEFAULT_MAX_STATES)
         assert kept == [sol.subst for sol in answers]
+
+
+# Two commutative symbols, so a generated left-hand side can have none, one
+# or two commutative nodes.
+WALK_SIG = Signature({"f": (2, True), "o": (2, True), "k": (2, False), "g": (1, False), "e": (0, False)})
+
+
+def _random_pattern(rng, depth, next_var):
+    """A random term schema over WALK_SIG: binders, atoms, and suspensions
+    with random permutations of the variables `next_var()` names."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if rng.random() < 0.7:
+            return Suspension(random_permutation(rng), next_var())
+        return rng.choice(ATOMS[:3])
+    if roll < 0.45:
+        return Abstraction(rng.choice(ATOMS[:3]), _random_pattern(rng, depth - 1, next_var))
+    sym = rng.choice(("f", "o", "f", "o", "k", "g", "e"))
+    return App(sym, tuple(_random_pattern(rng, depth - 1, next_var) for _ in range(WALK_SIG.arity(sym))))
+
+
+def _walk_shape(rule):
+    """(linear, n, c, a, f) of a rule, counted here and not by the library:
+    whether no variable occurs twice in its left-hand side, that side's
+    nodes, commutative nodes and abstractions, and its context's size."""
+    nodes = [sub for _, sub in subterms_with_positions(rule.lhs)]
+    names = [sub.var.name for sub in nodes if isinstance(sub, Suspension)]
+    commutative = sum(isinstance(sub, App) and WALK_SIG.is_commutative(sub.sym) for sub in nodes)
+    abstractions = sum(isinstance(sub, Abstraction) for sub in nodes)
+    return len(set(names)) == len(names), len(nodes), commutative, abstractions, len(rule.context)
+
+
+def _walk_bound(rule, size):
+    """U = 2^c (n + (a + f) |T| + 1) for a subject of `size` nodes."""
+    _, n, c, a, f = _walk_shape(rule)
+    return 2**c * (n + (a + f) * size + 1)
+
+
+def _walk_draw(rng):
+    """A rule over WALK_SIG, linear or not, with at most two commutative
+    nodes and a random freshness context; and a ground subject, mostly an
+    instance of its left-hand side, rearranged and alpha-renamed."""
+    linear = rng.random() < 0.6
+    while True:
+        counter = itertools.count()
+        next_var = (lambda: Var(f"X{next(counter)}")) if linear else (lambda: X)
+        lhs = _random_pattern(rng, rng.randint(1, 3), next_var)
+        if isinstance(lhs, Suspension):
+            lhs = App("g", (lhs,))
+        if sum(isinstance(sub, App) and WALK_SIG.is_commutative(sub.sym) for _, sub in subterms_with_positions(lhs)) <= 2:
+            break
+    variables = sorted(term_vars(lhs), key=lambda v: v.name)
+    context = frozenset(
+        nomc.FreshnessConstraint(rng.choice(ATOMS[:3]), rng.choice(variables))
+        for _ in range(rng.randint(0, 2) if variables else 0)
+    )
+    rule = RewriteRule("r", context, lhs, lhs)
+    if rng.random() < 0.75:
+        theta = Substitution({v: random_ground_term(rng, WALK_SIG, 2, ATOMS[:3]) for v in variables})
+        sub = apply_subst(theta, lhs)
+        if rng.random() < 0.6:
+            sub = equivalent_variant(rng, EMPTY_CONTEXT, sub, WALK_SIG)
+    else:
+        sub = random_ground_term(rng, WALK_SIG, 3, ATOMS[:3])
+    return rule, sub
+
+
+def _solver_answers(rule, sub, max_states):
+    """`match` followed by `premises_hold`, or "exceeded"."""
+    try:
+        solutions = nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG, max_states=max_states)
+    except SearchSpaceExceeded:
+        return "exceeded"
+    return [sol.subst for sol in solutions if rewriting.premises_hold(EMPTY_CONTEXT, sub, rule, sol.subst, WALK_SIG)]
+
+
+class TestGroundMatchWalk:
+    """On a ground subject under the empty context, a linear left-hand side
+    with at most one commutative node is matched by one walk over it,
+    wherever the solver's states are bounded by the state cap; the answers
+    are the solver's, in its order."""
+
+    def test_same_answers_in_the_same_order_as_the_solver(self):
+        counts = collections.Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            rule, sub = _walk_draw(rng)
+            linear, _, c, _, _ = _walk_shape(rule)
+            eligible = linear and c <= 1
+            size = sum(1 for _ in subterms_with_positions(sub))
+            cost = RewriteSystem((rule,), WALK_SIG)._walk_costs.get(rule.name)
+            assert (cost is not None) == eligible
+            bound = cost and cost[0] + cost[1] * size
+            if eligible:
+                assert bound == _walk_bound(rule, size)
+            max_states = DEFAULT_MAX_STATES
+            if rng.random() < 0.25:
+                max_states = rng.randint(1, 2 * (bound or 40))
+            with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
+                try:
+                    got = rewriting._verified_matchers(EMPTY_CONTEXT, sub, rule, WALK_SIG, max_states, bound)
+                except SearchSpaceExceeded:
+                    got = "exceeded"
+            walked = not spy.called
+            assert walked == (eligible and bound <= max_states)
+            assert got == _solver_answers(rule, sub, max_states), (str(rule), str(sub))
+            counts["eligible"] += eligible
+            counts["walked"] += walked
+            counts["several"] += walked and len(got) > 1
+            counts["none"] += walked and not got
+
+        check()
+        assert counts["walked"] > counts["eligible"] / 2, counts
+        assert counts["several"] and counts["none"], counts
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_the_solver_stays_within_the_bound(self, seed):
+        rule, sub = _walk_draw(random.Random(seed))
+        linear, _, c, _, _ = _walk_shape(rule)
+        if not (linear and c <= 1):
+            reject()
+        size = sum(1 for _ in subterms_with_positions(sub))
+        nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG, max_states=_walk_bound(rule, size))
+
+    def test_the_walk_is_taken_up_to_the_bound_and_no_further(self):
+        # One commutative node, one binder, one constraint; the redex sits
+        # below the root, so the bound counts the whole term's nodes.
+        rule = RewriteRule("r", parse_context("b#X"), parse_term("k([a]X, f(Y, e))", WALK_SIG), parse_term("g(Y)", WALK_SIG))
+        system = RewriteSystem((rule,), WALK_SIG)
+        term = parse_term("g(k([b]g(c), f(e, c)))", WALK_SIG)
+        bound = 2 * (6 + (1 + 1) * 8 + 1)
+        assert _walk_bound(rule, 8) == bound
+        results = {}
+        for max_states in (bound, bound - 1):
+            with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
+                steps = primary_rewrite_steps(EMPTY_CONTEXT, term, system, max_states=max_states)
+            results[max_states] = [str(step.result) for step in steps], spy.call_count
+        assert results == {bound: (["g(g(c))"], 0), bound - 1: (["g(g(c))"], 1)}
+
+    def test_two_commutative_nodes_keep_the_solver(self):
+        # The walk's order would differ here: the solver splits at o, then f.
+        rule = RewriteRule("r", frozenset(), parse_term("k(o(X0, X1), f(X2, X3))", WALK_SIG), parse_term("e", WALK_SIG))
+        system = RewriteSystem((rule,), WALK_SIG)
+        assert "r" not in system._walk_costs
+        term = parse_term("k(o(a, b), f(c, d))", WALK_SIG)
+        with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
+            assert len(primary_rewrite_steps(EMPTY_CONTEXT, term, system)) == 1
+        assert spy.call_count == 1
 
 
 class TestNormalize:
