@@ -244,6 +244,9 @@ def _cmd_coherence(args, system, sig, ctx) -> Report:
 
 def _narrow_listing(tree: NarrowingTree, depth: int) -> str:
     lines = [f"{len(tree.edges)} narrowing step(s) to depth {depth}"]
+    if tree.truncation.nodes_truncated:
+        cut = tree.truncation
+        lines.append(f"--max-unifiers {cut.max_unifiers} cut off steps at {cut.nodes_truncated} node(s)")
     for edge in tree.edges:
         flag = " [fixpoint]" if edge.used_fixpoint_enumeration else ""
         lines.append(f"  {edge.rule} @ {edge.position} with {edge.step_subst}{flag}")

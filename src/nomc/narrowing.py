@@ -16,9 +16,9 @@ its parent's or its rule instance's, all taken from the supply already.
 Backward lifting draws the same way, from one supply per derivation, once
 per lifted step.
 
-Children are built straight from solver and fixed-point answers, with no
-re-check, and no node constrains a variable its accumulated substitution
-binds (see `_expanded_solutions`). Backward lifting constructs its
+Children are built straight from solver, walk and fixed-point answers,
+with no re-check, and no node constrains a variable its accumulated
+substitution binds (see `_expanded_solutions`). Backward lifting constructs its
 unifier rather than solving for it, so `_lift_one` checks that one with
 `check_solution`. `narrowing_to_rewriting` is the soundness oracle for the
 steps this module builds.
@@ -28,7 +28,11 @@ fixed-point options, keyed by (permutation, variable), for all its nodes:
 the options depend on nothing else that varies within a search, and the
 table is dropped when the search returns. A child's accumulated
 substitution is composed from its parent's when it is first read, and then
-kept (`NarrowingNode`); nothing in the search itself reads it.
+kept (`NarrowingNode`); nothing in the search itself reads it. At a ground
+node under the empty context a step can bind only the rule's variables, so
+unifying is matching: there a rule that allows it is matched by the ground
+walk of `nomc.rewriting`, with the same answers in the same order, wherever
+the solver could not have hit `max_states` (`_expand_node`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .alpha import (
+    EMPTY_CONTEXT,
     EqualityGoal,
     FreshnessContext,
     INCONSISTENT,
@@ -51,6 +56,8 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
+    _ground_size,
+    _verified_matchers,
     primary_rewrite_steps,
     redexes,
     renamed_rule,
@@ -250,15 +257,31 @@ def _expand_node(
 ) -> tuple[list[NarrowingStep], bool]:
     """Narrowing steps from a node, and whether max_unifiers cut them off.
     Each rule is renamed apart, with names drawn from `names`, at each site
-    where `redexes` tries it; residuals are closed from the search's `table`."""
+    where `redexes` tries it; residuals are closed from the search's `table`.
+
+    At a ground node under the empty context, solving a rule's left-hand
+    side against a subterm is the call `match` makes, as no subject variable
+    is left to protect. There a rule with a `_walk_cost` is matched by
+    `_verified_matchers`, with U for a subject of at most the term's size,
+    counted when first needed; each answer has an empty context and no
+    residual. Every other attempt runs the solver."""
     sig = system.signature
     steps: list[NarrowingStep] = []
+    costs = {} if node.context else system._walk_costs
+    size = None  # the term's `_ground_size`, counted when a walk is first gated
 
     def prepare(rule: RewriteRule) -> RewriteRule:
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
-        return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
+        nonlocal size
+        cost = costs.get(rule.name)
+        if cost is not None and size is None:
+            size = _ground_size(node.term)
+        if cost is None or not size:
+            return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
+        thetas = _verified_matchers(EMPTY_CONTEXT, sub, rule, sig, max_states, cost[0] + cost[1] * size)
+        return tuple(CSolution(EMPTY_CONTEXT, theta) for theta in thetas)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth, table):

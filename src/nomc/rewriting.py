@@ -537,8 +537,9 @@ def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int] | None:
     return 2**commutative * (len(nodes) + 1), 2**commutative * (abstractions + len(rule.context))
 
 
-def _node_count(term: Term) -> int:
-    """The number of nodes in a term, counted without recursion."""
+def _ground_size(term: Term) -> int:
+    """The number of nodes in a ground term, counted without recursion; 0
+    for a term that holds a variable."""
     count = 0
     stack = [term]
     while stack:
@@ -549,6 +550,8 @@ def _node_count(term: Term) -> int:
             stack.extend(sub.args)
         elif kind is Abstraction:
             stack.append(sub.body)
+        elif kind is Suspension:
+            return 0
     return count
 
 
@@ -556,7 +559,8 @@ def _ground_matchers(lhs: Term, subject: Term, sig: Signature) -> list[Substitut
     """The substitutions `match` gives for a linear left-hand side with at
     most one commutative node against a ground subject under the empty
     context, in its order, and any the rule's freshness context rules out:
-    the walk leaves that context to `premises_hold`.
+    the walk leaves that context to its caller. Each answer theta has
+    theta(lhs) =ac subject by construction.
 
     One walk over the left-hand side: a suspension pi.X binds X to pi^-1
     applied to its subterm, an atom must be the same atom, an abstraction
@@ -616,12 +620,17 @@ def _verified_matchers(
     `match` would visit. When U <= max_states the cap cannot fire, and
     `_ground_matchers` gives the same answers in the same order without the
     solver; otherwise `match` runs, and raises where it always has.
+
+    A walk answer is kept when it satisfies the rule's freshness context,
+    the only premise it can miss: theta(lhs) =ac sub holds by construction,
+    as it does for the solver's answers, which narrowing never re-checks.
+    A `match` answer is kept when `premises_hold`.
     """
     if walk_states is not None and walk_states <= max_states:
         thetas = _ground_matchers(rule.lhs, sub, sig)
-    else:
-        thetas = [sol.subst for sol in match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)]
-    return [theta for theta in thetas if premises_hold(delta, sub, rule, theta, sig)]
+        return [theta for theta in thetas if satisfies_with(rule.context, theta, delta)]
+    solutions = match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)
+    return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
 
 
 def _fitting_sites(
@@ -732,7 +741,7 @@ def _candidate_steps(
         if cost is None:
             return _verified_matchers(delta, sub, rule, sig, max_states)
         if not size:
-            size = _node_count(term)
+            size = _ground_size(term)
         return _verified_matchers(delta, sub, rule, sig, max_states, cost[0] + cost[1] * size)
 
     for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):

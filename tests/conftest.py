@@ -45,6 +45,7 @@ from nomc import narrowing, rewriting
 from nomc.cli import load_system_file
 from nomc.rewriting import clash_permutation, permute_rule, redexes, renamed_rule
 from nomc.terms import NameSupply, replace_at, subterms_with_positions, term_atoms
+from nomc.unify import DEFAULT_MAX_STATES
 
 ATOMS = tuple(Atom(n) for n in "abcd")
 VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
@@ -552,13 +553,14 @@ def reference_expanded_solutions(solutions, sig, fixpoint_depth, table=None):
 # -- narrowing, the eager way -------------------------------------------------------
 #
 # A narrowing search once composed each child's accumulated substitution as
-# it built the child, and enumerated a residual's fixed-point options afresh
-# in every `_expanded_solutions` call. This stays here as the reference for
-# the search's shared table and the composition on first read
+# it built the child, enumerated a residual's fixed-point options afresh in
+# every `_expanded_solutions` call, and ran the solver on every attempt,
+# ground nodes included. This stays here as the reference for the search's
+# shared table, the composition on first read and the ground match walk
 # (`nomc.narrowing.narrow_search`).
 
 
-def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names):
+def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names, max_states):
     sig = system.signature
     steps = []
 
@@ -566,7 +568,7 @@ def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     def attempt(sub, rule):
-        return solve(node.context, sub, rule.context, rule.lhs, sig=sig)
+        return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth, {}):
@@ -578,14 +580,14 @@ def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names
     return steps, False
 
 
-def reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers):
+def reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers, max_states=DEFAULT_MAX_STATES):
     root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
     names = NameSupply(narrowing._gather_vars(root))
     edges, frontier, nodes_truncated = [], [root], 0
     for _ in range(depth):
         next_frontier = []
         for node in frontier:
-            steps, truncated = _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names)
+            steps, truncated = _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names, max_states)
             nodes_truncated += truncated
             edges.extend(steps)
             next_frontier.extend(s.child for s in steps)

@@ -135,6 +135,18 @@ class TestNarrowAndLift:
         )
         assert code == 0
         assert "collapse" in out and "[fixpoint]" in out
+        assert "cut off" not in out
+
+    def test_listing_names_a_truncation(self, capsys):
+        argv = ["narrow", "h(fC([b][a]X, X))", "--system", "ex22", "--max-unifiers", "2"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "6 narrowing step(s) to depth 2",
+            "--max-unifiers 2 cut off steps at 3 node(s)",
+        ]
+        code, out = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["result"]["truncation"]["nodes_truncated"] == 3
 
     def test_lift_forward_ok(self, capsys):
         code, out = run(

@@ -2,10 +2,12 @@
 
 import collections
 import dataclasses
+import itertools
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomc import (
     Abstraction,
@@ -21,6 +23,8 @@ from nomc import (
     NarrowingTree,
     NotFound,
     PRECONDITION_FAIL,
+    RewriteRule,
+    RewriteSystem,
     SearchSpaceExceeded,
     Substitution,
     Suspension,
@@ -49,7 +53,7 @@ from nomc import (
     TruncationRecord,
     verify_rewrite_step,
 )
-from nomc import narrowing, rewriting
+from nomc import narrowing, rewriting, unify
 from nomc.alpha import satisfies_with
 from nomc.rewriting import redexes
 from nomc.terms import NameSupply
@@ -58,6 +62,7 @@ from conftest import (
     ATOMS,
     VARS,
     random_context,
+    random_ground_term,
     random_permutation,
     random_prenex_formula,
     random_prenex_pattern,
@@ -862,7 +867,9 @@ class TestNameSupply:
 
         monkeypatch.setattr(narrowing, "renamed_rule", counting("renamed", narrowing.renamed_rule))
         monkeypatch.setattr(rewriting, "permute_rule", counting("shifted", rewriting.permute_rule))
-        monkeypatch.setattr(narrowing, "solve", counting("attempts", narrowing.solve))
+        # an attempt runs the solver, or the ground match walk at a ground node
+        monkeypatch.setattr(narrowing, "solve", counting("solved", narrowing.solve))
+        monkeypatch.setattr(narrowing, "_verified_matchers", counting("walked", narrowing._verified_matchers))
         monkeypatch.setattr(NameSupply, "draw", counting("drawn", NameSupply.draw))
         # and(a, forall([a]X)) needs and_forall's atom a shifted off; in all
         # three, some rule is filed under a head its skeleton does not fit
@@ -890,11 +897,12 @@ class TestNameSupply:
             # one draw of names and one renamed copy per fitting (site, rule)
             # pair, one shifted copy per retry, and one attempt on each copy
             assert built["drawn"] == built["renamed"] == sites[True], str(term)
-            assert built["renamed"] + built["shifted"] == built["attempts"], str(term)
+            assert built["renamed"] + built["shifted"] == built["solved"] + built["walked"], str(term)
             totals.update(built)
             totals.update({"rejected": sites[False]})
         # a renaming or a draw at the rejected sites would fail the count
         assert totals["rejected"] and totals["shifted"], totals
+        assert totals["solved"] and totals["walked"], totals
 
 
 #
@@ -1159,3 +1167,151 @@ class TestSearchPaysForWhatItReturns:
         assert not any(_pending(node) for node in nodes)
         assert nodes[len(nodes) // 2].accumulated == theta and composed["calls"] == len(nodes) - 1
 
+
+
+#
+# At a ground node under the empty context, narrowing matches a rule with a
+# walk cost by the ground match walk wherever the state cap cannot fire.
+# `reference_narrow_search` in conftest runs the solver on every attempt.
+
+
+def _generated_rule(rng, name, sig):
+    """A linear rule over ex22's signature with at most one commutative
+    node: nested binders, rule atoms that can clash with a subject's, and
+    a random freshness context on its variables."""
+    counter = itertools.count()
+    commutative = [rng.random() < 0.7]  # whether a commutative node may still be placed
+
+    def pattern(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.25:
+            if rng.random() < 0.6:
+                return Suspension(random_permutation(rng), Var(f"W{next(counter)}"))
+            return rng.choice(ATOMS[:3])
+        if roll < 0.55:
+            return Abstraction(rng.choice(ATOMS[:3]), pattern(depth - 1))
+        if commutative[0]:
+            commutative[0] = False
+            return App(rng.choice(("fC", "oplus")), (pattern(depth - 1), pattern(depth - 1)))
+        return App("h", (pattern(depth - 1),))
+
+    lhs = App("h", (pattern(rng.randint(1, 3)),))
+    variables = sorted(term_vars(lhs), key=lambda v: v.name)
+    rhs = Suspension(random_permutation(rng), rng.choice(variables)) if variables else rng.choice(ATOMS[:3])
+    context = frozenset(
+        FreshnessConstraint(rng.choice(ATOMS[:3]), rng.choice(variables))
+        for _ in range(rng.randint(0, 2) if variables else 0)
+    )
+    return RewriteRule(name, context, lhs, rhs)
+
+
+def _ground_narrowing_case(rng, prenex_system, ex22_system):
+    """(system, term, fixpoint_depth, max_unifiers): prenex formulas and
+    patterns, or ex22 with up to two generated rules added, on fixed-point
+    terms whose children are ground, random terms and ground terms."""
+    if rng.random() < 0.3:
+        term = random_prenex_formula(rng, 3) if rng.random() < 0.7 else random_prenex_pattern(rng, 3)
+        return prenex_system, term, 0, rng.randint(3, 40)
+    sig = ex22_system.signature
+    rules = ex22_system.rules + tuple(_generated_rule(rng, f"g{i}", sig) for i in range(rng.randint(0, 2)))
+    system = RewriteSystem(rules, sig)
+    roll = rng.random()
+    if roll < 0.5:
+        term = rng.choice(list(_fixpoint_terms(sig)))
+    elif roll < 0.7:
+        term = random_term(rng, sig, 3)
+    else:
+        term = random_ground_term(rng, sig, 3)
+    return system, term, rng.choice((1, 2)), rng.randint(3, 60)
+
+
+def _walk_bounds(tree, system):
+    """U for each rule with a walk cost at each expanded ground node under
+    the empty context of a tree."""
+    deepest = max((e.child.depth for e in tree.edges), default=0)
+    bounds = set()
+    for node in tree.nodes():
+        size = rewriting._ground_size(node.term)
+        if node.context or not size or node.depth == deepest:
+            continue
+        bounds.update(first + per_node * size for first, per_node in system._walk_costs.values())
+    return sorted(bounds)
+
+
+def _search_or_none(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except SearchSpaceExceeded:
+        return None
+
+
+class TestGroundNodeWalk:
+    def test_same_trees_and_exceptions_as_the_solver(self, prenex_system, ex22_system, monkeypatch):
+        counts = collections.Counter()
+        walks = []  # the arguments of each walked attempt, U last
+
+        def recording_walk(*args):
+            walks.append(args)
+            return rewriting._verified_matchers(*args)
+
+        monkeypatch.setattr(narrowing, "_verified_matchers", recording_walk)
+
+        @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            system, term, fixpoint_depth, max_unifiers = _ground_narrowing_case(rng, prenex_system, ex22_system)
+            # a root context makes even a ground root a node the walk must skip
+            delta = random_context(rng) if rng.random() < 0.2 else frozenset()
+            args = (delta, term, system, 2, fixpoint_depth, max_unifiers)
+            bounds = _walk_bounds(narrow_search(*args), system)
+            max_states = DEFAULT_MAX_STATES
+            if bounds and rng.random() < 0.8:
+                max_states = max(1, rng.choice(bounds) + rng.choice((-1, 0, 1)))
+            walks.clear()
+            tree = _search_or_none(narrow_search, *args, max_states=max_states)
+            reference = _search_or_none(reference_narrow_search, *args, max_states=max_states)
+            assert (tree is None) == (reference is None), (format_context(delta), str(term), max_states)
+            counts["cases"] += 1
+            counts["capped"] += max_states != DEFAULT_MAX_STATES
+            if tree is None:
+                counts["exceeded"] += 1
+                return
+            assert _edge_records(tree) == _edge_records(reference), (format_context(delta), str(term), max_states)
+            counts["walks"] += len(walks)
+            counts["at_the_bound"] += any(bound == max_states for *_, bound in walks)
+            counts["edges"] += len(tree.edges)
+            ground = [e for e in tree.edges if not e.parent.context and rewriting._ground_size(e.parent.term)]
+            fixpoint_children = {id(e.child) for e in tree.edges if e.used_fixpoint_enumeration}
+            counts["ground_parent_edges"] += len(ground)
+            counts["below_fixpoint"] += sum(id(e.parent) in fixpoint_children for e in ground)
+            counts["truncated"] += tree.truncation.nodes_truncated
+
+        check()
+        # some caps fire, some walks run at exactly U, some nodes are cut off
+        assert all(counts[k] for k in ("exceeded", "at_the_bound", "truncated", "below_fixpoint")), counts
+        assert counts["capped"] >= 50 and counts["walks"] >= 250 and counts["ground_parent_edges"] >= 200, counts
+
+    def test_solver_runs_only_where_the_cap_could_fire(self, prenex_system, monkeypatch):
+        sig = prenex_system.signature
+        term = parse_term("and(b, forall([a]c))", sig)
+        first, per_node = prenex_system._walk_costs["and_forall"]
+        assert (first, per_node) == (2 * (5 + 1), 2 * (1 + 1))
+        bound = first + per_node * 5  # U for a five-node term
+        calls = collections.Counter()
+        solve_for = unify.solve
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve_for(*args, **kwargs)
+
+        monkeypatch.setattr(narrowing, "solve", counting_solve)
+        monkeypatch.setattr(unify, "solve", counting_solve)  # as `match` calls it
+        results = {}
+        for max_states in (bound, bound - 1):
+            calls.clear()
+            tree = narrow_search(frozenset(), term, prenex_system, 1, 0, 10, max_states=max_states)
+            results[max_states] = [str(e.child.term) for e in tree.edges], calls["solve"]
+            reference = reference_narrow_search(frozenset(), term, prenex_system, 1, 0, 10, max_states=max_states)
+            assert _edge_records(tree) == _edge_records(reference)
+        assert results == {bound: (["forall([a]and(b, c))"], 0), bound - 1: (["forall([a]and(b, c))"], 1)}

@@ -63,7 +63,7 @@ from nomc import (
 )
 import nomc
 from nomc import rewriting
-from nomc.alpha import EMPTY_CONTEXT, alpha_key
+from nomc.alpha import EMPTY_CONTEXT, alpha_key, satisfies_with
 from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
@@ -317,6 +317,27 @@ class TestGroundMatchWalk:
             reject()
         size = sum(1 for _ in subterms_with_positions(sub))
         nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG, max_states=_walk_bound(rule, size))
+
+    def test_every_walk_answer_instantiates_to_the_subject(self):
+        # `_verified_matchers` keeps a walk answer on the rule's freshness
+        # context alone: the =ac half of `premises_hold` holds by construction.
+        counts = collections.Counter()
+
+        @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rule, sub = _walk_draw(random.Random(seed))
+            linear, _, c, _, _ = _walk_shape(rule)
+            if not (linear and c <= 1):
+                reject()
+            for theta in rewriting._ground_matchers(rule.lhs, sub, WALK_SIG):
+                instance = apply_subst(theta, rule.lhs)
+                assert derive_alpha_c(EMPTY_CONTEXT, sub, instance, WALK_SIG), (str(rule), str(sub), str(theta))
+                counts["answers"] += 1
+                counts["fails_context"] += not satisfies_with(rule.context, theta, EMPTY_CONTEXT)
+
+        check()
+        assert counts["answers"] >= 100 and counts["fails_context"], counts
 
     def test_the_walk_is_taken_up_to_the_bound_and_no_further(self):
         # One commutative node, one binder, one constraint; the redex sits
