@@ -225,6 +225,29 @@ def alpha_key(term: Term, sig: Signature = _NO_COMMUTATIVITY, binders: tuple[Ato
     return (term.sym, *args)
 
 
+def freshness_nf(atom: Atom, term: Term) -> FreshnessContext | Sentinel:
+    """Reduce atom # term to primitive constraints, without recursion.
+
+    Returns INCONSISTENT when it reduces to atom # atom.
+    """
+    found: list[FreshnessConstraint] = []
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        kind = type(sub)
+        if kind is App:
+            stack.extend(sub.args)
+        elif kind is Atom:
+            if sub is atom:
+                return INCONSISTENT
+        elif kind is Abstraction:
+            if sub.atom is not atom:
+                stack.append(sub.body)
+        else:
+            found.append(FreshnessConstraint(sub.perm.inverse().act(atom), sub.var))
+    return frozenset(found) if found else EMPTY_CONTEXT
+
+
 def freshness_context_nf(
     ctx: FreshnessContext, theta: Substitution
 ) -> FreshnessContext | Sentinel:
@@ -232,20 +255,12 @@ def freshness_context_nf(
 
     Returns INCONSISTENT when some constraint reduces to a#a.
     """
-    work: list[tuple[Atom, Term]] = [(c.atom, theta.get(c.var)) for c in ctx]
     out: set[FreshnessConstraint] = set()
-    while work:
-        atom, term = work.pop()
-        if isinstance(term, Atom):
-            if term == atom:
-                return INCONSISTENT
-        elif isinstance(term, Suspension):
-            out.add(FreshnessConstraint(term.perm.inverse().act(atom), term.var))
-        elif isinstance(term, Abstraction):
-            if term.atom != atom:
-                work.append((atom, term.body))
-        else:
-            work.extend((atom, arg) for arg in term.args)
+    for c in ctx:
+        reduced = freshness_nf(c.atom, theta.get(c.var))
+        if reduced is INCONSISTENT:
+            return INCONSISTENT
+        out |= reduced
     return frozenset(out)
 
 

@@ -34,6 +34,7 @@ from .narrowing import (
     lifting_backward_construct,
     lifting_forward_check,
     narrow_search,
+    TruncationRecord,
     NotFound,
 )
 from .parsing import (
@@ -180,7 +181,8 @@ def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
         if not children:
             break
         if not 0 <= index < len(children):
-            raise UserError(f"path index {index} out of range at level {level}")
+            cut = f"; {_cut_note(tree.truncation)}" if tree.truncation.nodes_truncated else ""
+            raise UserError(f"path index {index} out of range at level {level}{cut}")
         derivation.append(children[index])
         node = children[index].child
     return derivation
@@ -242,11 +244,14 @@ def _cmd_coherence(args, system, sig, ctx) -> Report:
     )
 
 
+def _cut_note(truncation: TruncationRecord) -> str:
+    return f"--max-unifiers {truncation.max_unifiers} cut off steps at {truncation.nodes_truncated} node(s)"
+
+
 def _narrow_listing(tree: NarrowingTree, depth: int) -> str:
     lines = [f"{len(tree.edges)} narrowing step(s) to depth {depth}"]
     if tree.truncation.nodes_truncated:
-        cut = tree.truncation
-        lines.append(f"--max-unifiers {cut.max_unifiers} cut off steps at {cut.nodes_truncated} node(s)")
+        lines.append(_cut_note(tree.truncation))
     for edge in tree.edges:
         flag = " [fixpoint]" if edge.used_fixpoint_enumeration else ""
         lines.append(f"  {edge.rule} @ {edge.position} with {edge.step_subst}{flag}")

@@ -28,11 +28,12 @@ fixed-point options, keyed by (permutation, variable), for all its nodes:
 the options depend on nothing else that varies within a search, and the
 table is dropped when the search returns. A child's accumulated
 substitution is composed from its parent's when it is first read, and then
-kept (`NarrowingNode`); nothing in the search itself reads it. At a ground
-node under the empty context a step can bind only the rule's variables, so
-unifying is matching: there a rule that allows it is matched by the ground
-walk of `nomc.rewriting`, with the same answers in the same order, wherever
-the solver could not have hit `max_states` (`_expand_node`).
+kept (`NarrowingNode`); nothing in the search itself reads it. At a node
+whose term is linear, under any context, each equation the solver would
+meet pairs one position of a rule with one of the subterm, so a rule that
+allows it is unified by the linear walk of `nomc.rewriting` instead, with
+the same answers in the same order, wherever the solver could not have hit
+`max_states` (`_expand_node`, `_walked_solutions`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .alpha import (
-    EMPTY_CONTEXT,
     EqualityGoal,
     FreshnessContext,
     INCONSISTENT,
@@ -56,8 +56,9 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
-    _ground_size,
-    _verified_matchers,
+    _linear_size,
+    _linear_walk,
+    _walk_states,
     primary_rewrite_steps,
     redexes,
     renamed_rule,
@@ -75,6 +76,7 @@ from .terms import (
     Term,
     Var,
     apply_subst,
+    is_ground,
     permute_term,
     replace_at,
     subterm_at,
@@ -246,6 +248,30 @@ def _child(
     return NarrowingNode(context, rewritten, _Pending(node, theta), node.depth + 1)
 
 
+def _walked_solutions(
+    delta: FreshnessContext, sub: Term, rule: RewriteRule, sig: Signature
+) -> tuple[CSolution, ...]:
+    """What `solve(delta, sub, rule.context, rule.lhs)` gives for a subject
+    of a linear term and a rule with a `_walk_cost`, renamed apart from
+    it, found by `_linear_walk` instead.
+
+    Each equation the solver meets pairs one position of the rule with one
+    of the subject, so its final substitution is the union of the walk's
+    bindings, and its context is the normal form under that substitution
+    of every freshness requirement: the rule's context, delta and the
+    constraints the walk's abstractions left, whatever order they fired
+    in. A branch whose requirements reduce to a # a fails in both. No
+    answer has a residual, as no equation has a variable on both sides."""
+    solutions: list[CSolution] = []
+    for theta, fresh in _linear_walk(rule.lhs, sub, sig):
+        context = freshness_context_nf(rule.context.union(delta, fresh), theta)
+        if context is not INCONSISTENT:
+            solution = CSolution(context, theta)
+            if solution not in solutions:
+                solutions.append(solution)
+    return tuple(solutions)
+
+
 def _expand_node(
     node: NarrowingNode,
     system: RewriteSystem,
@@ -259,29 +285,28 @@ def _expand_node(
     Each rule is renamed apart, with names drawn from `names`, at each site
     where `redexes` tries it; residuals are closed from the search's `table`.
 
-    At a ground node under the empty context, solving a rule's left-hand
-    side against a subterm is the call `match` makes, as no subject variable
-    is left to protect. There a rule with a `_walk_cost` is matched by
-    `_verified_matchers`, with U for a subject of at most the term's size,
-    counted when first needed; each answer has an empty context and no
-    residual. Every other attempt runs the solver."""
+    At a node whose term is linear, under any context, a rule with a
+    `_walk_cost` is unified with a subterm by `_walked_solutions`, with the
+    solver's answers in its order, wherever the bound U for the whole term
+    (`_walk_states`, counted when first needed) is at most `max_states`, so
+    the solver could not have raised. Every other attempt runs the solver."""
     sig = system.signature
     steps: list[NarrowingStep] = []
-    costs = {} if node.context else system._walk_costs
-    size = None  # the term's `_ground_size`, counted when a walk is first gated
+    costs = system._walk_costs
+    shape = None  # the term's `_linear_size` and `_walk_states` context size, when a walk is first gated
 
     def prepare(rule: RewriteRule) -> RewriteRule:
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
-        nonlocal size
+        nonlocal shape
         cost = costs.get(rule.name)
-        if cost is not None and size is None:
-            size = _ground_size(node.term)
-        if cost is None or not size:
-            return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
-        thetas = _verified_matchers(EMPTY_CONTEXT, sub, rule, sig, max_states, cost[0] + cost[1] * size)
-        return tuple(CSolution(EMPTY_CONTEXT, theta) for theta in thetas)
+        if cost is not None:
+            if shape is None:
+                shape = _linear_size(node.term), None if is_ground(node.term) else len(node.context)
+            if shape[0] and _walk_states(cost, *shape) <= max_states:
+                return _walked_solutions(node.context, sub, rule, sig)
+        return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth, table):

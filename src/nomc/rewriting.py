@@ -19,11 +19,12 @@ from .alpha import (
     EMPTY_CONTEXT,
     FreshnessConstraint,
     FreshnessContext,
+    INCONSISTENT,
     alpha_key,
     derive_alpha,
     derive_alpha_c,
-    derive_freshness,
     format_context,
+    freshness_nf,
     satisfies_with,
 )
 from .terms import (
@@ -105,8 +106,8 @@ class RewriteSystem:
     - the skeleton tables the fit masks are read from, and `_lhs`, the redex
       scan's only rule index (`_number_skeletons`);
     - `_walk_costs` (rule name -> `_walk_cost`), read-only: the rules whose
-      matches against a ground subject `_ground_matchers` may find, with
-      the terms of their bound on the solver's states;
+      unifiers with a linear subject `_linear_walk` may find, with the
+      terms of their bound on the solver's states;
     - `_fresh_rules` (rule name -> the rule renamed apart from no variable,
       `P` to `P0`), read-only: the copies `_candidate_steps` uses when there
       is no variable to avoid, as for every source the class oracle scans;
@@ -515,32 +516,64 @@ def premises_hold(
     )
 
 
-def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int] | None:
-    """`(2^c (n + 1), 2^c (a + f))` for a rule whose left-hand side is linear
-    and has at most one commutative node under `sig`, None for any other:
-    n counts the left-hand side's nodes, c its commutative applications, a
-    its abstractions, and f the constraints of the rule's context.
+def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int, int, int] | None:
+    """`(2^c (n + 1), 2^c (a + f), 2^c a n, 2^c n)` for a rule whose
+    left-hand side is linear and has at most one commutative node under
+    `sig`, None for any other: n counts the left-hand side's nodes, c its
+    commutative applications, a its abstractions, and f the constraints of
+    the rule's context. `_walk_states` reads U off it.
 
-    U = 2^c (n + (a + f) |T| + 1) bounds the states `match` visits on a
-    ground subject of at most |T| nodes under the empty context. On a
-    branch, each left-hand-side node is decomposed or instantiated at most
-    once, as it is linear; each freshness goal, from an abstraction with
-    another binder or a settled constraint a#X, costs at most one step per
-    node of a subterm of the subject; one state ends the branch; and the
-    branches split only at commutative nodes."""
+    U = 2^c (n + 1 + (a + f) |T|) bounds the states `solve(delta, s, nabla,
+    lhs)` visits for a subject s of a linear term T of |T| nodes, whose
+    variables the rule's do not share; when T holds a variable, add
+    2^c (a + d) n, where d = |delta|. Every goal pairs a term of the rule's
+    side with one of the subject's, and neither side repeats a variable,
+    so a binding rewrites no other goal. On one branch:
+
+    - each left-hand-side node heads at most one equality goal, which one
+      step decomposes, drops or instantiates: at most n steps;
+    - a freshness goal costs one step per node of its term. An abstraction
+      with another binder raises a # t for a subterm t of the subject, and
+      binding a rule variable to a subterm t of the subject re-raises each
+      rule constraint on it: at most (a + f) |T| steps. Every decomposition
+      outranks every instantiation, so t holds no binding yet; in the
+      second case the variables of t face nothing else and stay unbound;
+    - a constraint on a subject variable X, from delta or left by such an
+      abstraction's goal (at most one per abstraction, as X occurs once), is
+      re-raised when X is bound to pi^-1 r for the rule subterm r facing it.
+      Distinct variables face disjoint subterms, so these cost at most
+      (a + d) n steps, and none when T is ground. What they leave
+      constrains variables of r, which face nothing else and stay unbound;
+    - one more state ends the branch.
+
+    Branches split only at commutative nodes, so there are at most 2^c
+    (the solver's agenda splits in an order a walk cannot follow with two).
+    """
     nodes = [sub for _, sub in subterms_with_positions(rule.lhs)]
     variables = [sub.var for sub in nodes if type(sub) is Suspension]
     commutative = sum(type(sub) is App and sig.is_commutative(sub.sym) for sub in nodes)
     if commutative > 1 or len(set(variables)) < len(variables):
         return None
+    branches, n = 2**commutative, len(nodes)
     abstractions = sum(type(sub) is Abstraction for sub in nodes)
-    return 2**commutative * (len(nodes) + 1), 2**commutative * (abstractions + len(rule.context))
+    return branches * (n + 1), branches * (abstractions + len(rule.context)), branches * abstractions * n, branches * n
 
 
-def _ground_size(term: Term) -> int:
-    """The number of nodes in a ground term, counted without recursion; 0
-    for a term that holds a variable."""
+def _walk_states(cost: tuple[int, int, int, int], size: int, context_size: int | None = None) -> int:
+    """The bound U of a `_walk_cost` for a linear term of `size` nodes:
+    `context_size` is None for a ground term and the size of the context
+    the term is unified under for any other."""
+    fixed, per_node, raised, per_constraint = cost
+    states = fixed + per_node * size
+    return states if context_size is None else states + raised + per_constraint * context_size
+
+
+def _linear_size(term: Term) -> int:
+    """The number of nodes in a term in which no variable occurs twice,
+    counted without recursion; 0 for any other term. A ground term is
+    linear."""
     count = 0
+    seen: set[Var] = set()
     stack = [term]
     while stack:
         sub = stack.pop()
@@ -551,56 +584,68 @@ def _ground_size(term: Term) -> int:
         elif kind is Abstraction:
             stack.append(sub.body)
         elif kind is Suspension:
-            return 0
+            if sub.var in seen:
+                return 0
+            seen.add(sub.var)
     return count
 
 
-def _ground_matchers(lhs: Term, subject: Term, sig: Signature) -> list[Substitution]:
-    """The substitutions `match` gives for a linear left-hand side with at
-    most one commutative node against a ground subject under the empty
-    context, in its order, and any the rule's freshness context rules out:
-    the walk leaves that context to its caller. Each answer theta has
-    theta(lhs) =ac subject by construction.
+def _linear_walk(lhs: Term, subject: Term, sig: Signature) -> list[tuple[Substitution, FreshnessContext]]:
+    """One walk over a linear left-hand side with at most one commutative
+    node against a linear subject whose variables it does not share: for
+    each branch that does not fail, its substitution theta and the
+    primitive constraints its abstractions left, in the order in which the
+    solver finds its leaves, each pair once. The rule's context and the
+    subject's are left to the caller.
 
-    One walk over the left-hand side: a suspension pi.X binds X to pi^-1
-    applied to its subterm, an atom must be the same atom, an abstraction
-    with another binder b needs a # body and goes on with (a b) applied to
-    the body, and an application needs the same symbol and arity. At the
-    commutative node the straight pairing is followed first and the crossed
-    one waits, as the solver's split does. With two commutative nodes the
-    solver's agenda would order the answers differently.
+    A suspension pi.X of the left-hand side binds X to pi^-1 applied to its
+    subterm; otherwise a subject suspension pi.X binds X to pi^-1 applied
+    to the rule's subterm, as the solver binds the rule's side first. An
+    atom must be the same atom, and an application needs the same symbol
+    and arity. An abstraction with another binder reduces a # body to
+    primitive constraints, failing the branch on a # a, and goes on with
+    the body swapped. At the commutative node the straight pairing is
+    followed first and the crossed one waits, as the solver's split does.
+    Each theta has theta(lhs) =ac theta(subject) by construction, under the
+    normal form of those constraints under theta; on a ground subject it
+    binds only the rule's variables and leaves no constraint.
     """
-    found: list[Substitution] = []
-    branches = [([(lhs, subject)], {})]
+    found: list[tuple[Substitution, FreshnessContext]] = []
+    branches = [([(lhs, subject)], {}, EMPTY_CONTEXT)]
     while branches:
-        pairs, binding = branches.pop()
+        pairs, binding, fresh = branches.pop()
         while pairs:
             pattern, sub = pairs.pop()
             kind = type(pattern)
             if kind is Suspension:
                 binding[pattern.var] = permute_term(pattern.perm.inverse(), sub)
             elif kind is not type(sub):
-                break
+                if type(sub) is not Suspension:
+                    break
+                binding[sub.var] = permute_term(sub.perm.inverse(), pattern)
             elif kind is App:
                 if pattern.sym != sub.sym or len(pattern.args) != len(sub.args):
                     break
                 if sig.is_commutative(pattern.sym):
                     (p0, p1), (s0, s1) = pattern.args, sub.args
-                    branches.append((pairs + [(p0, s1), (p1, s0)], dict(binding)))
+                    branches.append((pairs + [(p0, s1), (p1, s0)], dict(binding), fresh))
                 pairs.extend(zip(pattern.args, sub.args))
             elif kind is Abstraction:
                 if pattern.atom is sub.atom:
                     pairs.append((pattern.body, sub.body))
-                elif derive_freshness(EMPTY_CONTEXT, pattern.atom, sub.body):
-                    pairs.append((pattern.body, permute_term(Permutation(((pattern.atom, sub.atom),)), sub.body)))
-                else:
+                    continue
+                reduced = freshness_nf(pattern.atom, sub.body)
+                if reduced is INCONSISTENT:
                     break
+                if reduced:
+                    fresh = fresh | reduced
+                pairs.append((pattern.body, permute_term(Permutation(((pattern.atom, sub.atom),)), sub.body)))
             elif pattern is not sub:
                 break
         else:
-            theta = Substitution(binding)
-            if theta not in found:
-                found.append(theta)
+            answer = (Substitution(binding), fresh)
+            if answer not in found:
+                found.append(answer)
     return found
 
 
@@ -618,7 +663,7 @@ def _verified_matchers(
     `walk_states` is given only for a ground subject under the empty context
     and a rule with a `_walk_cost`: it is that cost's bound U on the states
     `match` would visit. When U <= max_states the cap cannot fire, and
-    `_ground_matchers` gives the same answers in the same order without the
+    `_linear_walk` gives the same answers in the same order without the
     solver; otherwise `match` runs, and raises where it always has.
 
     A walk answer is kept when it satisfies the rule's freshness context,
@@ -627,8 +672,8 @@ def _verified_matchers(
     A `match` answer is kept when `premises_hold`.
     """
     if walk_states is not None and walk_states <= max_states:
-        thetas = _ground_matchers(rule.lhs, sub, sig)
-        return [theta for theta in thetas if satisfies_with(rule.context, theta, delta)]
+        # a ground subject leaves no constraint, so no theta comes twice
+        return [theta for theta, _ in _linear_walk(rule.lhs, sub, sig) if satisfies_with(rule.context, theta, delta)]
     solutions = match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)
     return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
 
@@ -741,8 +786,8 @@ def _candidate_steps(
         if cost is None:
             return _verified_matchers(delta, sub, rule, sig, max_states)
         if not size:
-            size = _ground_size(term)
-        return _verified_matchers(delta, sub, rule, sig, max_states, cost[0] + cost[1] * size)
+            size = _linear_size(term)
+        return _verified_matchers(delta, sub, rule, sig, max_states, _walk_states(cost, size))
 
     for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:

@@ -555,8 +555,8 @@ def reference_expanded_solutions(solutions, sig, fixpoint_depth, table=None):
 # A narrowing search once composed each child's accumulated substitution as
 # it built the child, enumerated a residual's fixed-point options afresh in
 # every `_expanded_solutions` call, and ran the solver on every attempt,
-# ground nodes included. This stays here as the reference for the search's
-# shared table, the composition on first read and the ground match walk
+# linear nodes included. This stays here as the reference for the search's
+# shared table, the composition on first read and the linear walk
 # (`nomc.narrowing.narrow_search`).
 
 

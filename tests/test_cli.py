@@ -148,6 +148,16 @@ class TestNarrowAndLift:
         code, out = run(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["result"]["truncation"]["nodes_truncated"] == 3
 
+    def test_path_error_names_a_truncation(self, capsys):
+        # The root has four steps; --max-unifiers 1 keeps one, so index 1 is
+        # missing because of the cut, and the error says so.
+        argv = ["lift-forward", "h(fC([b][a]X, X))", "--system", "ex22", "--rho", "X -> a"]
+        code, out = run(capsys, *argv, "--max-unifiers", "1", "--path", "1")
+        assert code == 1
+        assert out.strip() == "error: path index 1 out of range at level 0; --max-unifiers 1 cut off steps at 2 node(s)"
+        code, out = run(capsys, *argv, "--path", "4")
+        assert code == 1 and out.strip() == "error: path index 4 out of range at level 0"
+
     def test_lift_forward_ok(self, capsys):
         code, out = run(
             capsys,

@@ -867,9 +867,9 @@ class TestNameSupply:
 
         monkeypatch.setattr(narrowing, "renamed_rule", counting("renamed", narrowing.renamed_rule))
         monkeypatch.setattr(rewriting, "permute_rule", counting("shifted", rewriting.permute_rule))
-        # an attempt runs the solver, or the ground match walk at a ground node
+        # an attempt runs the solver, or the linear walk at a linear node
         monkeypatch.setattr(narrowing, "solve", counting("solved", narrowing.solve))
-        monkeypatch.setattr(narrowing, "_verified_matchers", counting("walked", narrowing._verified_matchers))
+        monkeypatch.setattr(narrowing, "_walked_solutions", counting("walked", narrowing._walked_solutions))
         monkeypatch.setattr(NameSupply, "draw", counting("drawn", NameSupply.draw))
         # and(a, forall([a]X)) needs and_forall's atom a shifted off; in all
         # three, some rule is filed under a head its skeleton does not fit
@@ -1170,9 +1170,10 @@ class TestSearchPaysForWhatItReturns:
 
 
 #
-# At a ground node under the empty context, narrowing matches a rule with a
-# walk cost by the ground match walk wherever the state cap cannot fire.
-# `reference_narrow_search` in conftest runs the solver on every attempt.
+# At a node whose term is linear, under any context, narrowing unifies a
+# rule with a walk cost by the linear walk wherever the state cap cannot
+# fire. `reference_narrow_search` in conftest runs the solver on every
+# attempt.
 
 
 def _generated_rule(rng, name, sig):
@@ -1205,36 +1206,111 @@ def _generated_rule(rng, name, sig):
     return RewriteRule(name, context, lhs, rhs)
 
 
-def _ground_narrowing_case(rng, prenex_system, ex22_system):
-    """(system, term, fixpoint_depth, max_unifiers): prenex formulas and
-    patterns, or ex22 with up to two generated rules added, on fixed-point
-    terms whose children are ground, random terms and ground terms."""
-    if rng.random() < 0.3:
-        term = random_prenex_formula(rng, 3) if rng.random() < 0.7 else random_prenex_pattern(rng, 3)
+def _linear_term(rng, sig, depth, next_var):
+    """A random term over sig in which no variable occurs twice: each
+    suspension has a fresh variable from `next_var()` and a random
+    permutation."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Suspension(random_permutation(rng), next_var())
+        return rng.choice(ATOMS)
+    kind = rng.choice(("abs",) + sig.symbols)
+    if kind == "abs":
+        return Abstraction(rng.choice(ATOMS), _linear_term(rng, sig, depth - 1, next_var))
+    return App(kind, tuple(_linear_term(rng, sig, depth - 1, next_var) for _ in range(sig.arity(kind))))
+
+
+def _variable_supply(base):
+    counter = itertools.count()
+    return lambda: Var(f"{base}{next(counter)}")
+
+
+def _linear_subject(rng, lhs, sig):
+    """A linear term shaped like `lhs` at most places: a node may be cut to
+    a fresh suspension, a rule suspension grows into a random linear term,
+    atoms and binders may change (so rule atoms can clash with it), and
+    commutative arguments may swap."""
+    next_var = _variable_supply("V")
+
+    def build(t):
+        if rng.random() < 0.15:
+            return Suspension(random_permutation(rng), next_var())
+        if isinstance(t, Suspension):
+            return _linear_term(rng, sig, 2, next_var)
+        if isinstance(t, Atom):
+            return rng.choice(ATOMS) if rng.random() < 0.3 else t
+        if isinstance(t, Abstraction):
+            return Abstraction(rng.choice(ATOMS) if rng.random() < 0.4 else t.atom, build(t.body))
+        args = [build(arg) for arg in t.args]
+        if sig.is_commutative(t.sym) and rng.random() < 0.5:
+            args.reverse()
+        return App(t.sym, tuple(args))
+
+    return build(lhs)
+
+
+def _expected_walk(lhs, rule_constraints, sig, term, context_size):
+    """U for a left-hand side with `rule_constraints` constraints at a node
+    with `term` under a context of `context_size` constraints, counted
+    here and not by the library; None where the walk may not run: the
+    term or the left-hand side is not linear, or the left-hand side has two
+    commutative nodes. U = 2^c (n + 1 + (a + f) |T|), plus 2^c (a + d) n
+    when the term holds a variable."""
+    lhs_nodes = [sub for _, sub in subterms_with_positions(lhs)]
+    rule_vars = [sub.var for sub in lhs_nodes if isinstance(sub, Suspension)]
+    term_nodes = [sub for _, sub in subterms_with_positions(term)]
+    term_vars_seen = [sub.var for sub in term_nodes if isinstance(sub, Suspension)]
+    c = sum(isinstance(sub, App) and sig.is_commutative(sub.sym) for sub in lhs_nodes)
+    if c > 1 or len(set(rule_vars)) < len(rule_vars) or len(set(term_vars_seen)) < len(term_vars_seen):
+        return None
+    n, a = len(lhs_nodes), sum(isinstance(sub, Abstraction) for sub in lhs_nodes)
+    bound = 2**c * (n + 1 + (a + rule_constraints) * len(term_nodes))
+    if term_vars_seen:
+        bound += 2**c * (a + context_size) * n
+    return bound
+
+
+def _linear_narrowing_case(rng, prenex_system, ex22_system):
+    """(system, term, fixpoint_depth, max_unifiers): prenex formulas,
+    patterns and linear terms, or ex22 with up to two generated rules
+    added, on fixed-point terms (not linear), random terms, linear terms
+    with permuted suspensions and ground terms."""
+    if rng.random() < 0.35:
+        roll = rng.random()
+        if roll < 0.35:
+            term = random_prenex_pattern(rng, 3)
+        elif roll < 0.8:
+            term = _linear_term(rng, prenex_system.signature, 3, _variable_supply("V"))
+        else:
+            term = random_prenex_formula(rng, 3)
         return prenex_system, term, 0, rng.randint(3, 40)
     sig = ex22_system.signature
     rules = ex22_system.rules + tuple(_generated_rule(rng, f"g{i}", sig) for i in range(rng.randint(0, 2)))
     system = RewriteSystem(rules, sig)
     roll = rng.random()
-    if roll < 0.5:
+    if roll < 0.25:
         term = rng.choice(list(_fixpoint_terms(sig)))
-    elif roll < 0.7:
+    elif roll < 0.4:
         term = random_term(rng, sig, 3)
+    elif roll < 0.85:
+        term = _linear_term(rng, sig, 3, _variable_supply("V"))
     else:
         term = random_ground_term(rng, sig, 3)
     return system, term, rng.choice((1, 2)), rng.randint(3, 60)
 
 
 def _walk_bounds(tree, system):
-    """U for each rule with a walk cost at each expanded ground node under
-    the empty context of a tree."""
+    """U for each rule with a walk cost at each expanded linear node of a
+    tree."""
     deepest = max((e.child.depth for e in tree.edges), default=0)
     bounds = set()
     for node in tree.nodes():
-        size = rewriting._ground_size(node.term)
-        if node.context or not size or node.depth == deepest:
+        if node.depth == deepest:
             continue
-        bounds.update(first + per_node * size for first, per_node in system._walk_costs.values())
+        for rule in system.rules:
+            bound = _expected_walk(rule.lhs, len(rule.context), system.signature, node.term, len(node.context))
+            if bound is not None:
+                bounds.add(bound)
     return sorted(bounds)
 
 
@@ -1245,59 +1321,133 @@ def _search_or_none(search, *args, **kwargs):
         return None
 
 
-class TestGroundNodeWalk:
+def _linear_unification_draw(rng, sig):
+    """(rule, subject, delta): a generated linear rule, a linear subject
+    mostly shaped like its left-hand side, and a random context on the
+    subject's variables."""
+    rule = _generated_rule(rng, "g", sig)
+    sub = _linear_subject(rng, rule.lhs, sig) if rng.random() < 0.85 else _linear_term(rng, sig, 3, _variable_supply("V"))
+    variables = tuple(sorted(term_vars(sub), key=lambda v: v.name)) or VARS
+    return rule, sub, random_context(rng, variables=variables, size=3)
+
+
+class TestLinearNodeWalk:
     def test_same_trees_and_exceptions_as_the_solver(self, prenex_system, ex22_system, monkeypatch):
         counts = collections.Counter()
-        walks = []  # the arguments of each walked attempt, U last
+        expanding, walked, solved = [], [], []  # the node being expanded; U of each walked and solved attempt
+        expand, walk, solve_for = narrowing._expand_node, narrowing._walked_solutions, narrowing.solve
 
-        def recording_walk(*args):
-            walks.append(args)
-            return rewriting._verified_matchers(*args)
+        def recording_expand(node, system, *rest):
+            expanding[:] = [node, system.signature]
+            return expand(node, system, *rest)
 
-        monkeypatch.setattr(narrowing, "_verified_matchers", recording_walk)
+        def recording_walk(delta, sub, rule, sig):
+            node, _ = expanding
+            walked.append((_expected_walk(rule.lhs, len(rule.context), sig, node.term, len(delta)), node))
+            return walk(delta, sub, rule, sig)
+
+        def recording_solve(delta, sub, nabla, lhs, **kwargs):
+            node, sig = expanding
+            solved.append(_expected_walk(lhs, len(nabla), sig, node.term, len(delta)))
+            return solve_for(delta, sub, nabla, lhs, **kwargs)
+
+        monkeypatch.setattr(narrowing, "_expand_node", recording_expand)
+        monkeypatch.setattr(narrowing, "_walked_solutions", recording_walk)
+        monkeypatch.setattr(narrowing, "solve", recording_solve)
 
         @settings(max_examples=400, derandomize=True, deadline=None, database=None)
         @given(st.integers(0, 2**32 - 1))
         def check(seed):
             rng = random.Random(seed)
-            system, term, fixpoint_depth, max_unifiers = _ground_narrowing_case(rng, prenex_system, ex22_system)
-            # a root context makes even a ground root a node the walk must skip
-            delta = random_context(rng) if rng.random() < 0.2 else frozenset()
+            system, term, fixpoint_depth, max_unifiers = _linear_narrowing_case(rng, prenex_system, ex22_system)
+            if rng.random() < 0.3:
+                variables = tuple(sorted(term_vars(term), key=lambda v: v.name)) or VARS
+                delta = random_context(rng, variables=variables)
+            else:
+                delta = frozenset()
             args = (delta, term, system, 2, fixpoint_depth, max_unifiers)
             bounds = _walk_bounds(narrow_search(*args), system)
             max_states = DEFAULT_MAX_STATES
             if bounds and rng.random() < 0.8:
                 max_states = max(1, rng.choice(bounds) + rng.choice((-1, 0, 1)))
-            walks.clear()
+            walked.clear()
+            solved.clear()
             tree = _search_or_none(narrow_search, *args, max_states=max_states)
             reference = _search_or_none(reference_narrow_search, *args, max_states=max_states)
-            assert (tree is None) == (reference is None), (format_context(delta), str(term), max_states)
+            where = (format_context(delta), str(term), max_states)
+            assert (tree is None) == (reference is None), where
+            # the walk runs exactly where the solver could not have raised
+            assert all(bound is not None and bound <= max_states for bound, _ in walked), where
+            assert all(bound is None or bound > max_states for bound in solved), where
             counts["cases"] += 1
             counts["capped"] += max_states != DEFAULT_MAX_STATES
+            counts["walks"] += len(walked)
+            counts["open_walks"] += sum(bool(term_vars(node.term)) for _, node in walked)
+            counts["context_walks"] += sum(bool(node.context) for _, node in walked)
+            counts["at_the_bound"] += any(bound == max_states for bound, _ in walked)
+            counts["solved_at_the_bound"] += max_states + 1 in solved
             if tree is None:
                 counts["exceeded"] += 1
                 return
-            assert _edge_records(tree) == _edge_records(reference), (format_context(delta), str(term), max_states)
-            counts["walks"] += len(walks)
-            counts["at_the_bound"] += any(bound == max_states for *_, bound in walks)
+            assert _edge_records(tree) == _edge_records(reference), where
             counts["edges"] += len(tree.edges)
-            ground = [e for e in tree.edges if not e.parent.context and rewriting._ground_size(e.parent.term)]
-            fixpoint_children = {id(e.child) for e in tree.edges if e.used_fixpoint_enumeration}
-            counts["ground_parent_edges"] += len(ground)
-            counts["below_fixpoint"] += sum(id(e.parent) in fixpoint_children for e in ground)
+            counts["open_edges"] += sum(bool(e.step_subst.domain & term_vars(e.parent.term)) for e in tree.edges)
             counts["truncated"] += tree.truncation.nodes_truncated
 
         check()
-        # some caps fire, some walks run at exactly U, some nodes are cut off
-        assert all(counts[k] for k in ("exceeded", "at_the_bound", "truncated", "below_fixpoint")), counts
-        assert counts["capped"] >= 50 and counts["walks"] >= 250 and counts["ground_parent_edges"] >= 200, counts
+        # some caps fire, some walks run at exactly U and some solver calls
+        # one above it, some nodes are cut off, and walks bind subject
+        # variables under contexts
+        assert all(
+            counts[k] for k in ("exceeded", "at_the_bound", "solved_at_the_bound", "truncated", "context_walks")
+        ), counts
+        assert counts["capped"] >= 50 and counts["walks"] >= 500 and counts["open_walks"] >= 200, counts
+        assert counts["open_edges"] >= 200, counts
+
+    def test_walk_answers_are_the_solvers(self, ex22_system):
+        counts = collections.Counter()
+        sig = ex22_system.signature
+
+        @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rule, sub, delta = _linear_unification_draw(random.Random(seed), sig)
+            got = narrowing._walked_solutions(delta, sub, rule, sig)
+            assert got == solve(delta, sub, rule.context, rule.lhs, sig=sig), (str(rule), str(sub), format_context(delta))
+            problem = UnificationState(rule.context | delta, IDENTITY_SUBST, (EqualityGoal(rule.lhs, sub),))
+            for solution in got:
+                assert check_solution((solution.context, solution.subst), problem, sig)
+            counts["answers"] += bool(got)
+            counts["several"] += len(got) > 1
+            counts["binds_subject"] += any(sol.subst.domain & term_vars(sub) for sol in got)
+            counts["context"] += any(sol.context for sol in got)
+
+        check()
+        assert counts["answers"] >= 100 and all(counts[k] for k in ("several", "binds_subject", "context")), counts
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_the_solver_stays_within_the_bound(self, ex22_system, seed):
+        sig = ex22_system.signature
+        rule, sub, delta = _linear_unification_draw(random.Random(seed), sig)
+        bound = _expected_walk(rule.lhs, len(rule.context), sig, sub, len(delta))
+        assert bound == rewriting._walk_states(
+            RewriteSystem((rule,), sig)._walk_costs["g"],
+            rewriting._linear_size(sub),
+            None if not term_vars(sub) else len(delta),
+        )
+        solve(delta, sub, rule.context, rule.lhs, sig=sig, max_states=bound)
 
     def test_solver_runs_only_where_the_cap_could_fire(self, prenex_system, monkeypatch):
         sig = prenex_system.signature
-        term = parse_term("and(b, forall([a]c))", sig)
-        first, per_node = prenex_system._walk_costs["and_forall"]
-        assert (first, per_node) == (2 * (5 + 1), 2 * (1 + 1))
-        bound = first + per_node * 5  # U for a five-node term
+        assert prenex_system._walk_costs["and_forall"] == (2 * (5 + 1), 2 * (1 + 1), 2 * 1 * 5, 2 * 5)
+        assert prenex_system._walk_costs["not_forall"] == (4 + 1, 1, 1 * 4, 4)
+        cases = {
+            # ground: U = 12 + 4 * 5
+            ("and(b, forall([a]c))", ""): (12 + 4 * 5, ["forall([a]and(b, c))"]),
+            # a variable under one constraint: U = 5 + 1 * 4 + 4 + 4 * 1
+            ("not(forall([a]X))", "b#X"): (5 + 4 + 4 + 4, ["exists([a]not(X))"]),
+        }
         calls = collections.Counter()
         solve_for = unify.solve
 
@@ -1306,12 +1456,13 @@ class TestGroundNodeWalk:
             return solve_for(*args, **kwargs)
 
         monkeypatch.setattr(narrowing, "solve", counting_solve)
-        monkeypatch.setattr(unify, "solve", counting_solve)  # as `match` calls it
         results = {}
-        for max_states in (bound, bound - 1):
-            calls.clear()
-            tree = narrow_search(frozenset(), term, prenex_system, 1, 0, 10, max_states=max_states)
-            results[max_states] = [str(e.child.term) for e in tree.edges], calls["solve"]
-            reference = reference_narrow_search(frozenset(), term, prenex_system, 1, 0, 10, max_states=max_states)
-            assert _edge_records(tree) == _edge_records(reference)
-        assert results == {bound: (["forall([a]and(b, c))"], 0), bound - 1: (["forall([a]and(b, c))"], 1)}
+        for (text, context), (bound, children) in cases.items():
+            term, delta = parse_term(text, sig), parse_context(context, sig)
+            for max_states in (bound, bound - 1):
+                calls.clear()
+                tree = narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
+                results[text, max_states] = [str(e.child.term) for e in tree.edges], calls["solve"]
+                reference = reference_narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
+                assert _edge_records(tree) == _edge_records(reference)
+            assert results[text, bound] == (children, 0) and results[text, bound - 1] == (children, 1), results

@@ -330,7 +330,8 @@ class TestGroundMatchWalk:
             linear, _, c, _, _ = _walk_shape(rule)
             if not (linear and c <= 1):
                 reject()
-            for theta in rewriting._ground_matchers(rule.lhs, sub, WALK_SIG):
+            for theta, fresh in rewriting._linear_walk(rule.lhs, sub, WALK_SIG):
+                assert not fresh  # a ground subject leaves no constraint
                 instance = apply_subst(theta, rule.lhs)
                 assert derive_alpha_c(EMPTY_CONTEXT, sub, instance, WALK_SIG), (str(rule), str(sub), str(theta))
                 counts["answers"] += 1
