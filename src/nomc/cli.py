@@ -268,13 +268,22 @@ def _cmd_lift_forward(args, system, sig, ctx) -> Report:
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
-    derivation = _select_path(_narrow(args, system, ctx, term), args.path)
+    tree = _narrow(args, system, ctx, term)
+    derivation = _select_path(tree, args.path)
     outcome = lifting_forward_check(derivation, rho, target, sig)
     if outcome is PRECONDITION_FAIL:
         status = "precondition_fail"
     else:
         status = "ok" if outcome else "failed"
-    return lambda: {"status": status, "derivation": _derivation_payload(derivation)}, lambda: status
+    return (
+        lambda: {
+            "status": status,
+            "derivation": _derivation_payload(derivation),
+            # The record of the tree the path follows, as `narrow` reports it.
+            "truncation": dataclasses.asdict(tree.truncation),
+        },
+        lambda: status,
+    )
 
 
 def _cmd_lift_backward(args, system, sig, ctx) -> Report:

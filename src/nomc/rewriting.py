@@ -931,6 +931,18 @@ def _ground_oracle_sources(
     `_class_steps` calls it only for a class with a fitting site
     (`_class_fits`), so the cap bounds only the classes that need a scan.
 
+    The term itself is the first member, and it is yielded before any other
+    is built: a reader that stops at the term's own step never starts the
+    rearrangements. This changes neither the sources, nor their order, nor
+    where the cap fires. The first item of `_commutative_variants(term)` is
+    `term`, and the first item of `_alpha_variants(member, atoms)` is
+    `member`, by induction on the term: an abstraction's first variant keeps
+    its binder and its body's first variant, and `_product`'s first
+    combination takes each part's first item. So the generators' first item
+    is the term, already in `seen`; it is skipped without being counted, and
+    every later member comes in the order it came before. With
+    `max_sources == 0` the cap fires before the term is yielded, as it did.
+
     Other names are not needed. A binder named by an atom that no rule
     mentions cannot give a step that the names the pool keeps do not give
     too, up to =ac: rules act equivariantly under permutations that fix
@@ -944,20 +956,25 @@ def _ground_oracle_sources(
     one fresh atom, which gives those results, and to the term's own atoms,
     which keep them in the order the full pool found them.
     """
+    def exceeded(scanned: int) -> SearchSpaceExceeded:
+        return SearchSpaceExceeded(f"class oracle exceeded max_sources={max_sources}: scanned {scanned} sources")
+
+    if max_sources == 0:
+        raise exceeded(0)
+    seen: set[Term] = {term}
+    yield term
     pool = system.atoms()
     if system._unnamed_binders:
         pool = pool | term_atoms(term)
         pool = pool | {fresh_atom(pool)}
     atoms = sorted(pool, key=lambda a: a.name)
-    seen: set[Term] = set()
     for member in _commutative_variants(term, system.signature):
         for variant in _alpha_variants(member, atoms):
-            if variant not in seen:
-                if len(seen) == max_sources:
-                    raise SearchSpaceExceeded(
-                        f"class oracle exceeded max_sources={max_sources}: scanned {len(seen)} sources"
-                    )
-                seen.add(variant)
+            scanned = len(seen)
+            seen.add(variant)  # one hash of the variant, not a probe and an add
+            if len(seen) > scanned:
+                if scanned == max_sources:
+                    raise exceeded(scanned)
                 yield variant
 
 
@@ -979,8 +996,9 @@ def _class_steps(
     """Plain matching steps from each member of the ground term's
     commutative-and-alpha class in turn, generated lazily, each paired with
     the member it rewrites; its position refers to that member, not to `term`.
-    A class with no fitting site (`_class_fits`) has none, and no member is
-    generated."""
+    The term is the first member, so its own steps come first, and no other
+    member is built unless the reader asks past them. A class with no
+    fitting site (`_class_fits`) has none, and no member is generated."""
     if not _class_fits(term, system):
         return
     plain = system.without_commutativity()

@@ -37,6 +37,7 @@ from nomc import (
     difference_set,
     enumerate_fixpoint_solutions,
     freshness_context_nf,
+    fresh_atom,
     permute_term,
     simplify_step,
     solve,
@@ -443,6 +444,28 @@ def reference_redexes(context, term, system, prepare, attempt, unify):
             answers = attempt(sub, shifted)
             if answers:
                 yield pos, shifted, answers
+
+
+def reference_oracle_sources(term, system, max_sources=rewriting.DEFAULT_MAX_SOURCES):
+    """`nomc.rewriting._ground_oracle_sources` as it was when the term itself
+    came out of the commutative and alpha generators like every other
+    member: both are started before the first source, and every variant is
+    looked up in `seen` before it is added."""
+    pool = system.atoms()
+    if system._unnamed_binders:
+        pool = pool | term_atoms(term)
+        pool = pool | {fresh_atom(pool)}
+    atoms = sorted(pool, key=lambda a: a.name)
+    seen = set()
+    for member in rewriting._commutative_variants(term, system.signature):
+        for variant in rewriting._alpha_variants(member, atoms):
+            if variant not in seen:
+                if len(seen) == max_sources:
+                    raise SearchSpaceExceeded(
+                        f"class oracle exceeded max_sources={max_sources}: scanned {len(seen)} sources"
+                    )
+                seen.add(variant)
+                yield variant
 
 
 # -- the solver's search, the old way ----------------------------------------------

@@ -158,6 +158,19 @@ class TestNarrowAndLift:
         code, out = run(capsys, *argv, "--path", "4")
         assert code == 1 and out.strip() == "error: path index 4 out of range at level 0"
 
+    def test_lift_forward_report_names_a_truncation(self, capsys):
+        # The path the cut kept still succeeds; the report carries the
+        # followed tree's record in its result and at the top level.
+        argv = ["lift-forward", "h(fC([b][a]X, X))", "--system", "ex22", "--rho", "X -> a", "--max-unifiers", "1"]
+        code, out = run(capsys, *argv, "--path", "0", "--json")
+        report = json.loads(out)
+        record = {"depth": 2, "fixpoint_depth": 1, "max_unifiers": 1, "nodes_truncated": 2}
+        assert code == 0 and report["result"]["status"] == "ok"
+        assert report["result"]["truncation"] == report["truncation"] == record
+        # An error report has no tree to name.
+        code, out = run(capsys, *argv, "--path", "1", "--json")
+        assert code == 1 and json.loads(out)["truncation"] is None
+
     def test_lift_forward_ok(self, capsys):
         code, out = run(
             capsys,

@@ -82,6 +82,7 @@ from conftest import (
     random_prenex_pattern,
     random_term,
     reference_dedup_steps,
+    reference_oracle_sources,
     reference_redexes,
     reference_skeleton_fits,
     rename_rule_with_map,
@@ -1377,6 +1378,107 @@ class TestClassOracle:
         assert prenex_system.without_commutativity() is plain
         assert plain.rules == prenex_system.rules
         assert plain.signature == prenex_system.signature.without_commutativity()
+
+
+def _outcome(check):
+    """What `check()` returns, or the bound it hit with what that reports."""
+    try:
+        return check()
+    except SearchSpaceExceeded as exc:
+        return "exceeded", str(exc)
+    except StepLimitExceeded as exc:
+        return "limit", exc.term, exc.trace, exc.sources
+
+
+def _listed_sources(sources, term, system, max_sources):
+    """Every source `sources` yields up to its cap, and the cap's message."""
+    listed = []
+    try:
+        listed.extend(sources(term, system, max_sources))
+    except SearchSpaceExceeded as exc:
+        return listed, str(exc)
+    return listed, None
+
+
+def _oracle_outcomes(term, system, max_sources):
+    """The one-step oracle's results and the normal-form verdict, or the
+    bound each hit."""
+    return (
+        _outcome(lambda: r_over_e_one_step(term, system, max_sources=max_sources)),
+        _outcome(lambda: normal_form_equal_check(EMPTY_CONTEXT, term, system, 6, max_sources=max_sources)),
+    )
+
+
+def _reference_oracle_outcomes(term, system, max_sources):
+    with mock.patch.object(rewriting, "_ground_oracle_sources", reference_oracle_sources):
+        return _oracle_outcomes(term, system, max_sources)
+
+
+def _cap_values(term, system):
+    """0, 1, one below the class's size and its size."""
+    size = len(list(reference_oracle_sources(term, system)))
+    return sorted({0, 1, size - 1, size})
+
+
+class TestClassOracleTermFirst:
+    """The class oracle yields the term before it builds any other member
+    of its class; the sources, their order and the cap are the reference's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(("prenex", "ex22", "lambda", "lambda+rules", "intro", "capture", "non-closed")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_sources_answers_and_bounds_as_the_reference(self, name, seed):
+        system = POOL_SYSTEMS[name]
+        term = _pool_subject(random.Random(seed), name)
+        for cap in (7, 2_000):
+            listed, exceeded = _listed_sources(reference_oracle_sources, term, system, cap)
+            assert _listed_sources(rewriting._ground_oracle_sources, term, system, cap) == (listed, exceeded), str(term)
+        if exceeded is None and len(listed) < 200:
+            for cap in _cap_values(term, system):
+                expected = _reference_oracle_outcomes(term, system, cap)
+                assert _oracle_outcomes(term, system, cap) == expected, (str(term), cap)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("prenex", "or(not(forall([a]b)), and(c, exists([b]a)))"),
+            ("prenex", "and(forall([a]b), c)"),
+            ("prenex", "or(a, or(b, or(c, forall([a]not(a)))))"),
+            ("intro", "lam([a]g(b))"),
+            ("capture", "lam([a]lam([b]g(f(a, b))))"),
+        ],
+    )
+    def test_the_cap_fires_at_the_same_values(self, name, text):
+        system = POOL_SYSTEMS[name]
+        term = parse_term(text, system.signature)
+        size = len(list(reference_oracle_sources(term, system)))
+        assert size >= 2
+        for cap in (0, 1, size - 1):
+            with pytest.raises(SearchSpaceExceeded, match=rf"max_sources={cap}: scanned {cap} sources$"):
+                r_over_e_one_step(term, system, max_sources=cap)
+        assert r_over_e_one_step(term, system, max_sources=size) == r_over_e_one_step(term, system)
+        for cap in _cap_values(term, system):
+            assert _oracle_outcomes(term, system, cap) == _reference_oracle_outcomes(term, system, cap), cap
+
+    def test_a_term_with_its_own_step_builds_no_other_member(self, prenex_system, monkeypatch):
+        own = parse_term("or(not(forall([a]b)), and(c, exists([b]a)))", prenex_system.signature)
+        other = parse_term("and(forall([a]b), c)", prenex_system.signature)
+        plain = prenex_system.without_commutativity()
+        assert primary_rewrite_steps(EMPTY_CONTEXT, own, plain) and not primary_rewrite_steps(EMPTY_CONTEXT, other, plain)
+        expected = next(rewriting._class_steps(own, prenex_system, DEFAULT_MAX_STATES))
+        assert expected[0] is own
+
+        def refuse(*args):
+            raise AssertionError("a second class member was built")
+
+        monkeypatch.setattr(rewriting, "_commutative_variants", refuse)
+        monkeypatch.setattr(rewriting, "_alpha_variants", refuse)
+        assert next(rewriting._class_steps(own, prenex_system, DEFAULT_MAX_STATES)) == expected
+        # Only `and(c, forall([a]b))`, the rearrangement, has a step.
+        with pytest.raises(AssertionError, match="a second class member was built"):
+            next(rewriting._class_steps(other, prenex_system, DEFAULT_MAX_STATES))
 
 
 def _unfiltered_class_steps(term, system):
