@@ -52,7 +52,7 @@ from .rewriting import (
     normalize,
     one_step_rewrites,
 )
-from .terms import Signature, Suspension, apply_subst, term_vars
+from .terms import Printer, Signature, Suspension, apply_subst, term_vars
 from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
 
 _BUNDLED = ("prenex.nrs", "ex22.nrs", "lambda.nrs")
@@ -63,7 +63,9 @@ class UserError(Exception):
 
 
 # A command's answer, unrendered: one callable builds its JSON payload, the
-# other its plain-text report. A request calls only the one it prints.
+# other its plain-text report. A request calls only the one it prints. A
+# renderer prints its terms and substitutions through one `Printer` that it
+# makes and drops, so a subterm the report shares is written at most twice.
 Report = tuple[Callable[[], dict], Callable[[], str]]
 
 
@@ -96,29 +98,30 @@ def _listing(heading: str, items) -> str:
     return "\n".join([f"{len(items)} {heading}"] + [f"  {item}" for item in items])
 
 
-def _steps_payload(steps: tuple[RewriteStep, ...]) -> list[dict]:
+def _steps_payload(steps: tuple[RewriteStep, ...], printer: Printer) -> list[dict]:
     return [
         {
             "rule": s.rule,
             "position": str(s.position),
-            "subst": str(s.subst),
-            "result": str(s.result),
+            "subst": printer.subst(s.subst),
+            "result": printer.term(s.result),
         }
         for s in steps
     ]
 
 
-def _derivation_payload(steps: list[NarrowingStep]) -> list[dict]:
-    return [{"rule": s.rule, "position": str(s.position), "subst": str(s.step_subst)} for s in steps]
+def _derivation_payload(steps: list[NarrowingStep], printer: Printer) -> list[dict]:
+    return [{"rule": s.rule, "position": str(s.position), "subst": printer.subst(s.step_subst)} for s in steps]
 
 
 def _solutions_payload(solutions: tuple[CSolution, ...]) -> list[dict]:
+    printer = Printer()
     out = []
     for sol in solutions:
         out.append(
             {
                 "context": format_context(sol.context),
-                "subst": str(sol.subst),
+                "subst": printer.subst(sol.subst),
                 "residual": [
                     f"{Suspension(p, v)} =ac {v}" for p, v in sol.residual_fixpoints
                 ],
@@ -131,14 +134,15 @@ def _solutions_payload(solutions: tuple[CSolution, ...]) -> list[dict]:
 def _tree_payload(tree: NarrowingTree) -> dict:
     nodes = list(tree.nodes())
     index = {id(n): i for i, n in enumerate(nodes)}
+    printer = Printer()
     return {
         "nodes": [
             {
                 "id": i,
                 "depth": n.depth,
                 "context": format_context(n.context),
-                "term": str(n.term),
-                "accumulated": str(n.accumulated),
+                "term": printer.term(n.term),
+                "accumulated": printer.subst(n.accumulated),
             }
             for i, n in enumerate(nodes)
         ],
@@ -148,7 +152,7 @@ def _tree_payload(tree: NarrowingTree) -> dict:
                 "to": index[id(e.child)],
                 "rule": e.rule,
                 "position": str(e.position),
-                "subst": str(e.step_subst),
+                "subst": printer.subst(e.step_subst),
                 "fixpoint": e.used_fixpoint_enumeration,
             }
             for e in tree.edges
@@ -222,16 +226,23 @@ def _cmd_match(args, system, sig, ctx) -> Report:
 def _cmd_rewrite(args, system, sig, ctx) -> Report:
     term = parse_term(args.term, sig)
     steps = one_step_rewrites(ctx, term, system, max_states=args.max_states)
-    return lambda: {"steps": _steps_payload(steps)}, lambda: _listing("step(s)", steps)
+    return lambda: {"steps": _steps_payload(steps, Printer())}, lambda: _rewrite_listing(steps)
+
+
+def _rewrite_listing(steps: tuple[RewriteStep, ...]) -> str:
+    printer = Printer()
+    return _listing("step(s)", [s.show(printer) for s in steps])
 
 
 def _cmd_normalize(args, system, sig, ctx) -> Report:
     term = parse_term(args.term, sig)
     nf, trace = normalize(ctx, term, system, args.max_steps, max_states=args.max_states)
-    return (
-        lambda: {"normal_form": str(nf), "steps": _steps_payload(trace), "count": len(trace)},
-        lambda: f"{nf}\n{len(trace)} step(s)",
-    )
+
+    def payload() -> dict:
+        printer = Printer()
+        return {"normal_form": printer.term(nf), "steps": _steps_payload(trace, printer), "count": len(trace)}
+
+    return payload, lambda: f"{nf}\n{len(trace)} step(s)"
 
 
 def _cmd_coherence(args, system, sig, ctx) -> Report:
@@ -249,13 +260,14 @@ def _cut_note(truncation: TruncationRecord) -> str:
 
 
 def _narrow_listing(tree: NarrowingTree, depth: int) -> str:
+    printer = Printer()
     lines = [f"{len(tree.edges)} narrowing step(s) to depth {depth}"]
     if tree.truncation.nodes_truncated:
         lines.append(_cut_note(tree.truncation))
     for edge in tree.edges:
         flag = " [fixpoint]" if edge.used_fixpoint_enumeration else ""
-        lines.append(f"  {edge.rule} @ {edge.position} with {edge.step_subst}{flag}")
-        lines.append(f"    ~> {edge.child}")
+        lines.append(f"  {edge.rule} @ {edge.position} with {printer.subst(edge.step_subst)}{flag}")
+        lines.append(f"    ~> {edge.child.show(printer)}")
     return "\n".join(lines)
 
 
@@ -278,7 +290,7 @@ def _cmd_lift_forward(args, system, sig, ctx) -> Report:
     return (
         lambda: {
             "status": status,
-            "derivation": _derivation_payload(derivation),
+            "derivation": _derivation_payload(derivation, Printer()),
             # The record of the tree the path follows, as `narrow` reports it.
             "truncation": dataclasses.asdict(tree.truncation),
         },
@@ -298,8 +310,13 @@ def _cmd_lift_backward(args, system, sig, ctx) -> Report:
             lambda: f"not found at step {outcome.step_index}",
         )
     steps, rho_n = outcome
+
+    def payload() -> dict:
+        printer = Printer()
+        return {"status": "ok", "steps": _derivation_payload(steps, printer), "rho_n": printer.subst(rho_n)}
+
     return (
-        lambda: {"status": "ok", "steps": _derivation_payload(steps), "rho_n": str(rho_n)},
+        payload,
         lambda: f"ok: {len(steps)} narrowing step(s), residue {rho_n}",
     )
 

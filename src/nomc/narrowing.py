@@ -70,6 +70,7 @@ from .terms import (
     NameSupply,
     Permutation,
     Position,
+    Printer,
     Signature,
     Substitution,
     Suspension,
@@ -144,7 +145,11 @@ class NarrowingNode:
     depth: int
 
     def __str__(self) -> str:
-        return f"{format_context(self.context)} |- {self.term}"
+        return self.show(Printer())
+
+    def show(self, printer: Printer) -> str:
+        """The node as a `narrow` listing names it, printed by `printer`."""
+        return f"{format_context(self.context)} |- {printer.term(self.term)}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,6 +35,7 @@ from .terms import (
     NameSupply,
     Permutation,
     Position,
+    Printer,
     Signature,
     Substitution,
     Suspension,
@@ -169,7 +170,11 @@ class RewriteStep:
     rule_instance: RewriteRule
 
     def __str__(self) -> str:
-        return f"{self.rule} @ {self.position}: {self.result}"
+        return self.show(Printer())
+
+    def show(self, printer: Printer) -> str:
+        """The step's line of a `rewrite` listing, printed by `printer`."""
+        return f"{self.rule} @ {self.position}: {printer.term(self.result)}"
 
 
 class StepLimitExceeded(Exception):
@@ -978,6 +983,12 @@ def _ground_oracle_sources(
                 yield variant
 
 
+def _check_max_sources(max_sources: int) -> None:
+    # The cap fires when the count reaches it, so a negative one would never.
+    if max_sources < 0:
+        raise ValueError(f"max_sources must be 0 or more, got {max_sources}")
+
+
 def _class_fits(term: Term, system: RewriteSystem) -> bool:
     """Does some rule's skeleton fit some subterm of the ground term modulo
     commutativity: does its root have SITE (`_fit_masks`)? Only then can a
@@ -1023,9 +1034,11 @@ def r_over_e_one_step(
     A class with no fitting site (`_class_fits`) is answered, with (),
     without a scan. Otherwise at most `max_sources` class members (default
     10,000) are scanned; past that, SearchSpaceExceeded names the bound.
+    A negative `max_sources` is a ValueError.
     """
     if not is_ground(term):
         raise ValueError("the class-rewriting oracle is only defined on ground terms")
+    _check_max_sources(max_sources)
     results: dict[object, Term] = {}
     for _, step in _class_steps(term, system, max_states, max_sources):
         results.setdefault(alpha_key(step.result, system.signature), step.result)
@@ -1049,6 +1062,7 @@ def normal_form_equal_check(
     """
     if not is_ground(term):
         raise ValueError("normal form comparison is only defined on ground terms")
+    _check_max_sources(max_sources)
     nf_matching, _ = normalize(delta, term, system, max_steps, max_states=max_states)
     nf_class, _ = _normal_form(lambda t: _class_steps(t, system, max_states, max_sources), term, max_steps)
     return derive_alpha_c(delta, nf_matching, nf_class, system.signature)

@@ -185,16 +185,30 @@ _set_sym, _set_args = App.sym.__set__, App.args.__set__
 Term = Union[Atom, Suspension, Abstraction, App]
 
 
-def _show(term: Term) -> str:
+def _show(term: Term, memo: dict | None = None) -> str:
     """The concrete syntax of a term, which `parse_term` reads back."""
     out: list[str] = []
-    _write(term, out)
+    _write(term, out, memo)
     return "".join(out)
 
 
-def _write(term: Term, out: list[str]) -> None:
-    """Append the pieces of `term`'s text to `out`. The stack grows by one
-    frame per nested application; a chain of binders is walked in a loop."""
+# One report prints many terms that share subterm objects: a narrowing
+# child's term, its accumulated substitution and its edge's substitution are
+# built from the same nodes. A report's `Printer` keeps a memo keyed by
+# `id(node)` for the applications with arguments it has printed. The first
+# print of a node records the node and writes its pieces as usual; the
+# second, which shows the node is shared, writes it again and records
+# `(node, text)`; every later print reuses that text. So each distinct node
+# is written at most twice, only a node the report prints twice has its
+# text kept, and every text is the one `str` gives. The memo holds the node
+# itself: a node it names cannot be collected while the report is built, so
+# its id cannot pass to a new node.
+
+
+def _write(term: Term, out: list[str], memo: dict | None = None) -> None:
+    """Append the pieces of `term`'s text to `out`, through `memo` if one is
+    given. The stack grows by one frame per nested application; a chain of
+    binders is walked in a loop."""
     kind = type(term)
     while kind is Abstraction:
         out.append(f"[{term.atom.name}]")
@@ -204,11 +218,25 @@ def _write(term: Term, out: list[str]) -> None:
         if not term.args:
             out.append(term.sym)
             return
+        start = -1
+        if memo is not None:
+            seen = memo.get(id(term))
+            if seen is None:
+                memo[id(term)] = term
+            elif seen is term:
+                start = len(out)
+            else:
+                out.append(seen[1])
+                return
         out.append(f"{term.sym}(")
         for arg in term.args:
-            _write(arg, out)
+            _write(arg, out, memo)
             out.append(", ")
         out[-1] = ")"
+        if start >= 0:
+            text = "".join(out[start:])
+            out[start:] = (text,)
+            memo[id(term)] = (term, text)
     elif kind is Atom:
         out.append(term.name)
     elif term.perm.swappings:
@@ -301,21 +329,43 @@ class Substitution:
         return hash(frozenset(self._map.items()))
 
     def __str__(self) -> str:
-        if not self._map:
-            return "Id"
-        out = ["["]
-        for var, image in self.items():
-            out.append(f"{var.name} -> ")
-            _write(image, out)
-            out.append(", ")
-        out[-1] = "]"
-        return "".join(out)
+        return _show_subst(self)
 
     def __repr__(self) -> str:
         return f"Substitution({dict(self.items())!r})"
 
 
 IDENTITY_SUBST = Substitution()
+
+
+def _show_subst(theta: Substitution, memo: dict | None = None) -> str:
+    """The concrete syntax of a substitution, its images printed by `_write`."""
+    if not theta._map:
+        return "Id"
+    out = ["["]
+    for var, image in theta.items():
+        out.append(f"{var.name} -> ")
+        _write(image, out, memo)
+        out.append(", ")
+    out[-1] = "]"
+    return "".join(out)
+
+
+class Printer:
+    """The printer of one report: `term` and `subst` give the text `str`
+    gives, writing each node the report shares at most twice (see
+    `_write`). Make one per report and drop it with the report."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self) -> None:
+        self._memo: dict[int, App | tuple[App, str]] = {}
+
+    def term(self, term: Term) -> str:
+        return _show(term, self._memo)
+
+    def subst(self, theta: Substitution) -> str:
+        return _show_subst(theta, self._memo)
 
 
 def apply_subst(theta: Substitution, term: Term) -> Term:

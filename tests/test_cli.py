@@ -15,6 +15,7 @@ import nomc
 from nomc import cli, parsing
 from nomc.cli import build_parser, run_command
 from nomc.narrowing import NarrowingNode
+from nomc.terms import Printer
 
 
 def run(capsys, *argv):
@@ -391,26 +392,43 @@ class TestErrorsAndJson:
         assert code == 1
         assert json.loads(out)["result"] == {"error": "term is nested too deeply"}
 
-    @pytest.mark.parametrize("command, steps_line", [("normalize", -1), ("rewrite", 0)])
-    def test_deep_normal_form_is_answered_up_to_the_limit(self, command, steps_line):
+    @pytest.mark.parametrize(
+        "command, steps_line, as_json",
+        [
+            pytest.param("normalize", -1, False, id="normalize--1"),
+            pytest.param("rewrite", 0, False, id="rewrite-0"),
+            pytest.param("normalize", -1, True, id="normalize--1-json"),
+            pytest.param("rewrite", 0, True, id="rewrite-0-json"),
+        ],
+    )
+    def test_deep_normal_form_is_answered_up_to_the_limit(self, command, steps_line, as_json):
         # Run as the installed `nomc` script runs it, `main` under a module,
         # so the stack below the command is the script's: 990 levels of
         # not(...) are answered, 3,000 are too deep. Every pass over the term
-        # that rewriting adds must be iterative to keep the first.
+        # that rewriting adds must be iterative to keep the first, and so
+        # must the report printer, plain or --json.
         env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
         script = "import sys\nfrom nomc.cli import main\nsys.exit(main())\n"
 
         def deep(levels):
             term = "not(" * levels + "a" + ")" * levels
-            argv = [sys.executable, "-c", script, command, term, "--system", "prenex"]
+            argv = [sys.executable, "-c", script, command, term, "--system", "prenex"] + ["--json"] * as_json
             done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
             return done.returncode, done.stdout.strip(), term, done.stderr
 
         code, out, term, err = deep(990)
         assert (code, err) == (0, "")
-        assert out.splitlines()[steps_line] == "0 step(s)" and (command == "rewrite" or out.splitlines()[0] == term)
+        if as_json:
+            result = json.loads(out)["result"]
+            assert result["steps"] == [] and (command == "rewrite" or result["normal_form"] == term)
+        else:
+            assert out.splitlines()[steps_line] == "0 step(s)" and (command == "rewrite" or out.splitlines()[0] == term)
         code, out, _, err = deep(3000)
-        assert (code, out, err) == (1, "error: term is nested too deeply", "")
+        assert (code, err) == (1, "")
+        if as_json:
+            assert json.loads(out)["result"] == {"error": "term is nested too deeply"}
+        else:
+            assert out == "error: term is nested too deeply"
 
     def test_deep_judgement_is_answered(self, capsys):
         # The judgement and the one-frame printer take 400 levels; the
@@ -421,6 +439,27 @@ class TestErrorsAndJson:
         code, out = run(capsys, "check", "--system", "ex22", "--json", f"{deep} =ac {deep}")
         assert code == 0
         assert json.loads(out)["result"] == {"judgement": f"{deep} =ac {deep}", "derivable": True}
+
+    def test_deep_normalize_report_keeps_only_shared_text(self, capsys, monkeypatch):
+        # The quantifier climbs one level a step, and each step's result is a
+        # new spine over the last one's body: the report prints 300 terms of
+        # about 300 levels. The printer keeps a node's text only once the
+        # report has printed it twice, so it keeps less than the report
+        # prints; keeping every node's text would keep about 4n^3/3 bytes.
+        printers = []
+
+        class Recording(Printer):
+            def __init__(self):
+                super().__init__()
+                printers.append(self)
+
+        monkeypatch.setattr(cli, "Printer", Recording)
+        levels = 300
+        term = "not(" * levels + "exists([a]b)" + ")" * levels
+        code, out = run(capsys, "normalize", term, "--system", "prenex", "--json")
+        assert code == 0 and json.loads(out)["result"]["count"] == levels
+        kept = sum(len(seen[1]) for seen in printers[0]._memo.values() if type(seen) is tuple)
+        assert len(printers) == 1 and 0 < kept < len(out)
 
     def test_json_report_shape(self, capsys):
         code, out = run(capsys, "check", "--json", "a # b")

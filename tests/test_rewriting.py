@@ -1462,6 +1462,25 @@ class TestClassOracleTermFirst:
         for cap in _cap_values(term, system):
             assert _oracle_outcomes(term, system, cap) == _reference_oracle_outcomes(term, system, cap), cap
 
+    @pytest.mark.parametrize(
+        "text",
+        ["or(a, or(b, or(c, forall([a]not(a)))))", "and(a, b)"],
+    )
+    def test_a_negative_cap_is_rejected(self, prenex_system, text):
+        # The second term's class has no fitting site, so it needs no scan;
+        # the cap is rejected all the same, as a negative max_steps is.
+        term = parse_term(text, prenex_system.signature)
+        for cap in (-1, -10_000):
+            with pytest.raises(ValueError, match=rf"^max_sources must be 0 or more, got {cap}$"):
+                r_over_e_one_step(term, prenex_system, max_sources=cap)
+            with pytest.raises(ValueError, match=rf"^max_sources must be 0 or more, got {cap}$"):
+                normal_form_equal_check(EMPTY_CONTEXT, term, prenex_system, 10, max_sources=cap)
+        if text.startswith("or"):
+            with pytest.raises(SearchSpaceExceeded, match=r"max_sources=0: scanned 0 sources$"):
+                r_over_e_one_step(term, prenex_system, max_sources=0)
+            with pytest.raises(SearchSpaceExceeded, match=r"max_sources=0: scanned 0 sources$"):
+                normal_form_equal_check(EMPTY_CONTEXT, term, prenex_system, 10, max_sources=0)
+
     def test_a_term_with_its_own_step_builds_no_other_member(self, prenex_system, monkeypatch):
         own = parse_term("or(not(forall([a]b)), and(c, exists([b]a)))", prenex_system.signature)
         other = parse_term("and(forall([a]b), c)", prenex_system.signature)

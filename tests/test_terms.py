@@ -34,7 +34,7 @@ from nomc import (
     term_vars,
 )
 from nomc.rewriting import clash_permutation
-from nomc.terms import NameSupply
+from nomc.terms import NameSupply, Printer
 from conftest import (
     random_term,
     reference_fresh_name,
@@ -210,6 +210,65 @@ class TestPrinter:
                 term, text = Abstraction(Atom("b"), term), f"[b]{text}"
         assert str(term) == text
         assert str(parse_term(text, PRINT_SIG)) == text
+
+
+@st.composite
+def shared_report(draw):
+    """What one report prints: terms that reuse subterm objects under
+    different binders, as both arguments of a commutative symbol and beside
+    suspensions with swappings and chains of binders, and substitutions whose
+    images are those terms, in a drawn order."""
+    pool = draw(st.lists(PRINT_TERMS, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 6))):
+        shared = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(("binders", "commutative", "beside")))
+        if kind == "binders":
+            node = App("fC", (Abstraction(a, shared), Abstraction(b, shared)))
+        elif kind == "commutative":
+            node = App("fC", (shared, shared))
+        else:
+            perm = Permutation(((a, b), (b, Atom("k"))))
+            chain = Abstraction(a, Abstraction(b, Abstraction(a, shared)))
+            node = App("t", (Suspension(perm, X), chain, shared))
+        pool.append(draw(st.sampled_from((node, Abstraction(Atom("n0"), node)))))
+    variables = st.sampled_from([Var(n) for n in ("X", "Y1", "Z0")])
+    images = st.sampled_from(pool)
+    substs = draw(st.lists(st.dictionaries(variables, images, max_size=3).map(Substitution), max_size=3))
+    return draw(st.permutations(pool + substs))
+
+
+class TestReportPrinter:
+    """One printer serves a whole report: every text is the one `str` gives,
+    whatever the report printed before and whatever was freed since."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(shared_report())
+    def test_prints_as_str_within_one_printer(self, items):
+        printer = Printer()
+        for index, item in enumerate(items):
+            show = printer.subst if isinstance(item, Substitution) else printer.term
+            assert show(item) == str(item)
+            # A node printed twice has its text kept; dropped, it frees its
+            # memory, and the next node built is likely to take it: a memo
+            # keyed by id alone would print this temporary's text for the
+            # next one.
+            temporary = App("g", (App("fC", (Atom(f"n{index}"), a)),))
+            assert printer.term(temporary) == printer.term(temporary) == str(temporary)
+            del temporary
+
+    def test_keeps_the_text_of_shared_nodes_only(self):
+        shared = App("t", (a, Suspension(Permutation(((a, b),)), X), App("g", (b,))))
+        term = App("fC", (Abstraction(a, shared), App("fC", (shared, shared))))
+        printer = Printer()
+        assert printer.term(term) == str(term)
+        # Every application with arguments is held; only the two printed
+        # more than once keep their text.
+        assert printer._memo == {
+            id(term): term,
+            id(term.args[1]): term.args[1],
+            id(shared): (shared, "t(a, (a b).X, g(b))"),
+            id(shared.args[2]): (shared.args[2], "g(b)"),
+        }
 
 
 class TestPermutations:
