@@ -28,12 +28,10 @@ fixed-point options, keyed by (permutation, variable), for all its nodes:
 the options depend on nothing else that varies within a search, and the
 table is dropped when the search returns. A child's accumulated
 substitution is composed from its parent's when it is first read, and then
-kept (`NarrowingNode`); nothing in the search itself reads it. At a node
-whose term is linear, under any context, each equation the solver would
-meet pairs one position of a rule with one of the subterm, so a rule that
-allows it is unified by the linear walk of `nomc.rewriting` instead, with
-the same answers in the same order, wherever the solver could not have hit
-`max_states` (`_expand_node`, `_walked_solutions`).
+kept (`NarrowingNode`); nothing in the search itself reads it. Where
+`nomc.rewriting._walk_gate` allows it, a rule is unified by the linear walk
+instead of the solver, with the same answers in the same order
+(`_walked_solutions`).
 """
 
 from __future__ import annotations
@@ -56,9 +54,8 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
-    _linear_size,
     _linear_walk,
-    _walk_states,
+    _walk_gate,
     primary_rewrite_steps,
     redexes,
     renamed_rule,
@@ -77,7 +74,6 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    is_ground,
     permute_term,
     replace_at,
     subterm_at,
@@ -289,28 +285,18 @@ def _expand_node(
     """Narrowing steps from a node, and whether max_unifiers cut them off.
     Each rule is renamed apart, with names drawn from `names`, at each site
     where `redexes` tries it; residuals are closed from the search's `table`.
-
-    At a node whose term is linear, under any context, a rule with a
-    `_walk_cost` is unified with a subterm by `_walked_solutions`, with the
-    solver's answers in its order, wherever the bound U for the whole term
-    (`_walk_states`, counted when first needed) is at most `max_states`, so
-    the solver could not have raised. Every other attempt runs the solver."""
+    A rule is unified by `_walked_solutions` where `_walk_gate` allows it,
+    and by the solver elsewhere."""
     sig = system.signature
     steps: list[NarrowingStep] = []
-    costs = system._walk_costs
-    shape = None  # the term's `_linear_size` and `_walk_states` context size, when a walk is first gated
+    walks = _walk_gate(system, node.term, node.context, max_states, unify=True)
 
     def prepare(rule: RewriteRule) -> RewriteRule:
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
-        nonlocal shape
-        cost = costs.get(rule.name)
-        if cost is not None:
-            if shape is None:
-                shape = _linear_size(node.term), None if is_ground(node.term) else len(node.context)
-            if shape[0] and _walk_states(cost, *shape) <= max_states:
-                return _walked_solutions(node.context, sub, rule, sig)
+        if walks(rule):
+            return _walked_solutions(node.context, sub, rule, sig)
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):

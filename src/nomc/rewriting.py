@@ -526,7 +526,7 @@ def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int, int, int] |
     left-hand side is linear and has at most one commutative node under
     `sig`, None for any other: n counts the left-hand side's nodes, c its
     commutative applications, a its abstractions, and f the constraints of
-    the rule's context. `_walk_states` reads U off it.
+    the rule's context. `_walk_gate` reads U off it.
 
     U = 2^c (n + 1 + (a + f) |T|) bounds the states `solve(delta, s, nabla,
     lhs)` visits for a subject s of a linear term T of |T| nodes, whose
@@ -564,19 +564,51 @@ def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int, int, int] |
     return branches * (n + 1), branches * (abstractions + len(rule.context)), branches * abstractions * n, branches * n
 
 
-def _walk_states(cost: tuple[int, int, int, int], size: int, context_size: int | None = None) -> int:
-    """The bound U of a `_walk_cost` for a linear term of `size` nodes:
-    `context_size` is None for a ground term and the size of the context
-    the term is unified under for any other."""
-    fixed, per_node, raised, per_constraint = cost
-    states = fixed + per_node * size
-    return states if context_size is None else states + raised + per_constraint * context_size
+def _walk_gate(
+    system: RewriteSystem, term: Term, context: FreshnessContext, max_states: int, unify: bool
+) -> Callable[[RewriteRule], bool]:
+    """The predicate on rules of a redex scan of `term` under `context`:
+    whether it finds a rule's answers by `_linear_walk` instead of the
+    solver (`match`, or `solve` when `unify`). It holds when the rule has a
+    `_walk_cost`, the term is ground when matching and linear when
+    unifying, and the cost's bound U for the whole term is at most
+    `max_states`, so the solver could not have raised. The term is measured
+    once, in one pass, when first needed.
+
+    For a term of |T| nodes and a cost (c0, c1, c2, c3), U = c0 + c1 |T|,
+    plus c2 + c3 |context| when a variable occurs. U bounds every attempt
+    of the scan: a subterm has at most |T| nodes, and a renamed or
+    clash-shifted copy of the rule has the rule's shape. On a ground term
+    the context adds nothing, as its constraints are on variables absent
+    from the term and from every rule copy, which is renamed apart from
+    them: the solver never re-raises one.
+    """
+    costs = system._walk_costs
+    shape = None  # `_linear_shape(term)`, measured when first needed
+
+    def walks(rule: RewriteRule) -> bool:
+        nonlocal shape
+        cost = costs.get(rule.name)
+        if cost is None:
+            return False
+        if shape is None:
+            shape = _linear_shape(term)
+        size, open_term = shape
+        if not size or open_term and not unify:
+            return False
+        fixed, per_node, raised, per_constraint = cost
+        states = fixed + per_node * size
+        if open_term:
+            states += raised + per_constraint * len(context)
+        return states <= max_states
+
+    return walks
 
 
-def _linear_size(term: Term) -> int:
-    """The number of nodes in a term in which no variable occurs twice,
-    counted without recursion; 0 for any other term. A ground term is
-    linear."""
+def _linear_shape(term: Term) -> tuple[int, bool]:
+    """The number of nodes in a term in which no variable occurs twice (0
+    for any other term), and whether a variable occurs, counted without
+    recursion."""
     count = 0
     seen: set[Var] = set()
     stack = [term]
@@ -590,9 +622,9 @@ def _linear_size(term: Term) -> int:
             stack.append(sub.body)
         elif kind is Suspension:
             if sub.var in seen:
-                return 0
+                return 0, True
             seen.add(sub.var)
-    return count
+    return count, bool(seen)
 
 
 def _linear_walk(lhs: Term, subject: Term, sig: Signature) -> list[tuple[Substitution, FreshnessContext]]:
@@ -655,30 +687,10 @@ def _linear_walk(lhs: Term, subject: Term, sig: Signature) -> list[tuple[Substit
 
 
 def _verified_matchers(
-    delta: FreshnessContext,
-    sub: Term,
-    rule: RewriteRule,
-    sig: Signature,
-    max_states: int,
-    walk_states: int | None = None,
+    delta: FreshnessContext, sub: Term, rule: RewriteRule, sig: Signature, max_states: int
 ) -> list[Substitution]:
-    """Match substitutions whose instantiated premises hold under delta, in
-    the order `match` gives them.
-
-    `walk_states` is given only for a ground subject under the empty context
-    and a rule with a `_walk_cost`: it is that cost's bound U on the states
-    `match` would visit. When U <= max_states the cap cannot fire, and
-    `_linear_walk` gives the same answers in the same order without the
-    solver; otherwise `match` runs, and raises where it always has.
-
-    A walk answer is kept when it satisfies the rule's freshness context,
-    the only premise it can miss: theta(lhs) =ac sub holds by construction,
-    as it does for the solver's answers, which narrowing never re-checks.
-    A `match` answer is kept when `premises_hold`.
-    """
-    if walk_states is not None and walk_states <= max_states:
-        # a ground subject leaves no constraint, so no theta comes twice
-        return [theta for theta, _ in _linear_walk(rule.lhs, sub, sig) if satisfies_with(rule.context, theta, delta)]
+    """Match substitutions whose instantiated premises hold under delta
+    (`premises_hold`), in the order `match` gives them."""
     solutions = match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)
     return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
 
@@ -766,12 +778,8 @@ def _candidate_steps(
     built at each site where the rule's skeleton fits, with the names a
     `NameSupply` seeded with `avoid` draws, which are those of
     `_fresh_rules` when nothing is avoided. Each step records the copy
-    `redexes` applied, clash shift included.
-
-    With nothing to avoid, the term is ground and delta empty, so a rule
-    with a `_walk_cost` is matched with U for a subject of at most the
-    term's size (`_verified_matchers`); a clash-shifted copy has the rule's
-    shape and so its cost."""
+    `redexes` applied, clash shift included. A rule is matched by the
+    linear walk where `_walk_gate` allows it, and by `match` elsewhere."""
     sig = system.signature
 
     def prepare(rule: RewriteRule) -> RewriteRule:
@@ -782,17 +790,15 @@ def _candidate_steps(
             return system._fresh_rules[rule.name]
         return renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
 
-    costs = system._walk_costs
-    size = 0  # the term's node count, counted when a walk is first gated
+    walks = _walk_gate(system, term, delta, max_states, unify=False)
 
     def attempt(sub: Term, rule: RewriteRule) -> list[Substitution]:
-        nonlocal size
-        cost = None if avoid else costs.get(rule.name)
-        if cost is None:
-            return _verified_matchers(delta, sub, rule, sig, max_states)
-        if not size:
-            size = _linear_size(term)
-        return _verified_matchers(delta, sub, rule, sig, max_states, _walk_states(cost, size))
+        if walks(rule):
+            # theta(lhs) =ac sub holds by construction, so only the rule's
+            # context is checked; a ground subject leaves no constraint, so
+            # no theta comes twice
+            return [theta for theta, _ in _linear_walk(rule.lhs, sub, sig) if satisfies_with(rule.context, theta, delta)]
+        return _verified_matchers(delta, sub, rule, sig, max_states)
 
     for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
         for theta in thetas:
@@ -1055,7 +1061,10 @@ def normal_form_equal_check(
     max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> bool:
     """Compare the matching-based normal form with a class-rewriting normal
-    form of a ground term; they agree modulo =ac exactly on coherent systems.
+    form of a ground term. They agree modulo =ac where the term has a unique
+    normal form, which coherence does not give: prenex is not confluent, and
+    the two strategies pull the quantifiers of `and(forall([a]a),
+    exists([a]a))` out in different orders, so the answer there is False.
 
     Each class scan is bounded by `max_sources` as in `r_over_e_one_step`;
     a class with no fitting site, such as that of a normal form, needs none.

@@ -1431,11 +1431,10 @@ class TestLinearNodeWalk:
         sig = ex22_system.signature
         rule, sub, delta = _linear_unification_draw(random.Random(seed), sig)
         bound = _expected_walk(rule.lhs, len(rule.context), sig, sub, len(delta))
-        assert bound == rewriting._walk_states(
-            RewriteSystem((rule,), sig)._walk_costs["g"],
-            rewriting._linear_size(sub),
-            None if not term_vars(sub) else len(delta),
-        )
+        system = RewriteSystem((rule,), sig)
+        # the library's gate reads the same U off the rule's cost
+        walks = [rewriting._walk_gate(system, sub, delta, cap, unify=True)(rule) for cap in (bound - 1, bound)]
+        assert walks == [False, True]
         solve(delta, sub, rule.context, rule.lhs, sig=sig, max_states=bound)
 
     def test_solver_runs_only_where_the_cap_could_fire(self, prenex_system, monkeypatch):

@@ -63,7 +63,7 @@ from nomc import (
 )
 import nomc
 from nomc import rewriting
-from nomc.alpha import EMPTY_CONTEXT, alpha_key, satisfies_with
+from nomc.alpha import EMPTY_CONTEXT, alpha_key, format_context, satisfies_with
 from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
@@ -73,6 +73,7 @@ from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
+    VARS,
     equivalent_variant,
     lhs_fits,
     random_context,
@@ -268,7 +269,7 @@ def _solver_answers(rule, sub, max_states):
 
 
 class TestGroundMatchWalk:
-    """On a ground subject under the empty context, a linear left-hand side
+    """On a ground subject under any context, a linear left-hand side
     with at most one commutative node is matched by one walk over it,
     wherever the solver's states are bounded by the state cap; the answers
     are the solver's, in its order."""
@@ -284,7 +285,8 @@ class TestGroundMatchWalk:
             linear, _, c, _, _ = _walk_shape(rule)
             eligible = linear and c <= 1
             size = sum(1 for _ in subterms_with_positions(sub))
-            cost = RewriteSystem((rule,), WALK_SIG)._walk_costs.get(rule.name)
+            system = RewriteSystem((rule,), WALK_SIG)
+            cost = system._walk_costs.get(rule.name)
             assert (cost is not None) == eligible
             bound = cost and cost[0] + cost[1] * size
             if eligible:
@@ -292,18 +294,18 @@ class TestGroundMatchWalk:
             max_states = DEFAULT_MAX_STATES
             if rng.random() < 0.25:
                 max_states = rng.randint(1, 2 * (bound or 40))
-            with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
-                try:
-                    got = rewriting._verified_matchers(EMPTY_CONTEXT, sub, rule, WALK_SIG, max_states, bound)
-                except SearchSpaceExceeded:
-                    got = "exceeded"
-            walked = not spy.called
+            walked = rewriting._walk_gate(system, sub, EMPTY_CONTEXT, max_states, unify=False)(rule)
             assert walked == (eligible and bound <= max_states)
-            assert got == _solver_answers(rule, sub, max_states), (str(rule), str(sub))
             counts["eligible"] += eligible
-            counts["walked"] += walked
-            counts["several"] += walked and len(got) > 1
-            counts["none"] += walked and not got
+            if walked:
+                # the walk's answers as `_candidate_steps` keeps them: those
+                # that satisfy the rule's freshness context
+                answers = rewriting._linear_walk(rule.lhs, sub, WALK_SIG)
+                got = [theta for theta, _ in answers if satisfies_with(rule.context, theta, EMPTY_CONTEXT)]
+                assert got == _solver_answers(rule, sub, max_states), (str(rule), str(sub))
+                counts["walked"] += 1
+                counts["several"] += len(got) > 1
+                counts["none"] += not got
 
         check()
         assert counts["walked"] > counts["eligible"] / 2, counts
@@ -320,7 +322,7 @@ class TestGroundMatchWalk:
         nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG, max_states=_walk_bound(rule, size))
 
     def test_every_walk_answer_instantiates_to_the_subject(self):
-        # `_verified_matchers` keeps a walk answer on the rule's freshness
+        # `_candidate_steps` keeps a walk answer on the rule's freshness
         # context alone: the =ac half of `premises_hold` holds by construction.
         counts = collections.Counter()
 
@@ -343,18 +345,21 @@ class TestGroundMatchWalk:
 
     def test_the_walk_is_taken_up_to_the_bound_and_no_further(self):
         # One commutative node, one binder, one constraint; the redex sits
-        # below the root, so the bound counts the whole term's nodes.
+        # below the root, so the bound counts the whole term's nodes. A
+        # context constrains variables the ground term lacks, so it leaves
+        # the bound as it is.
         rule = RewriteRule("r", parse_context("b#X"), parse_term("k([a]X, f(Y, e))", WALK_SIG), parse_term("g(Y)", WALK_SIG))
         system = RewriteSystem((rule,), WALK_SIG)
         term = parse_term("g(k([b]g(c), f(e, c)))", WALK_SIG)
         bound = 2 * (6 + (1 + 1) * 8 + 1)
         assert _walk_bound(rule, 8) == bound
-        results = {}
-        for max_states in (bound, bound - 1):
-            with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
-                steps = primary_rewrite_steps(EMPTY_CONTEXT, term, system, max_states=max_states)
-            results[max_states] = [str(step.result) for step in steps], spy.call_count
-        assert results == {bound: (["g(g(c))"], 0), bound - 1: (["g(g(c))"], 1)}
+        for delta in (EMPTY_CONTEXT, parse_context("a#P, b#Q")):
+            results = {}
+            for max_states in (bound, bound - 1):
+                with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
+                    steps = primary_rewrite_steps(delta, term, system, max_states=max_states)
+                results[max_states] = [str(step.result) for step in steps], spy.call_count
+            assert results == {bound: (["g(g(c))"], 0), bound - 1: (["g(g(c))"], 1)}, format_context(delta)
 
     def test_two_commutative_nodes_keep_the_solver(self):
         # The walk's order would differ here: the solver splits at o, then f.
@@ -502,6 +507,57 @@ class TestNormalFormAgreement:
         for _ in range(30):
             term = random_prenex_formula(rng, 4)
             assert normal_form_equal_check(frozenset(), term, prenex_system, 10)
+
+    def test_strategies_may_part_on_a_coherent_term(self, prenex_system):
+        # prenex is not confluent: the two quantifiers can be pulled out in
+        # either order, and the two strategies pull them differently, though
+        # the coherence probe closes the term's diagram.
+        term = parse_term("and(forall([a]a), exists([a]a))", prenex_system.signature)
+        nf, _ = normalize(frozenset(), term, prenex_system, 10)
+        assert str(nf) == "forall([a]exists([n0]and(a, n0)))"
+        assert not normal_form_equal_check(frozenset(), term, prenex_system, 10)
+        (verdict,) = coherence_check(prenex_system, [(frozenset(), term, term)], 3)
+        assert verdict.status == WITNESSED
+
+
+def _small_prenex_terms(size):
+    """Every ground prenex term of `size` nodes over the atoms a and b, with
+    binders only as quantifier bodies."""
+    if size == 1:
+        return [a, b]
+    terms = [App("not", (t,)) for t in _small_prenex_terms(size - 1)]
+    if size >= 3:
+        bodies = _small_prenex_terms(size - 2)
+        terms += [App(q, (Abstraction(x, t),)) for q in ("forall", "exists") for x in (a, b) for t in bodies]
+    for left_size in range(1, size - 1):
+        rights = _small_prenex_terms(size - 1 - left_size)
+        terms += [App(op, (l, r)) for l in _small_prenex_terms(left_size) for r in rights for op in ("and", "or")]
+    return terms
+
+
+class TestSmallPrenexTerms:
+    """Every ground prenex term up to seven nodes: the properties of the
+    two strategies that hold whatever the order of their steps."""
+
+    def test_strategy_independent_properties(self, prenex_system):
+        counts = {}
+        parted = collections.Counter()
+        for size in range(1, 8):
+            terms = _small_prenex_terms(size)
+            counts[size] = len(terms)
+            for term in terms:
+                # irreducible by matching exactly when irreducible in the class
+                plain = primary_rewrite_steps(frozenset(), term, prenex_system)
+                assert bool(plain) == bool(r_over_e_one_step(term, prenex_system)), str(term)
+                # a matching normal form has no class step either
+                nf, _ = normalize(frozenset(), term, prenex_system, 20)
+                assert next(rewriting._class_steps(nf, prenex_system, DEFAULT_MAX_STATES), None) is None, str(term)
+                if not normal_form_equal_check(frozenset(), term, prenex_system, 20):
+                    parted[size] += 1
+        assert counts == {1: 2, 2: 2, 3: 18, 4: 42, 5: 266, 6: 914, 7: 5090}
+        # prenex is not confluent: the strategies part on two quantifiers
+        # under one connective, first at seven nodes
+        assert parted == {7: 32}
 
 
 class TestCoherence:
@@ -739,6 +795,32 @@ class TestSameStepsAsEagerRenaming:
             seen["shifted"] += any(step.rule_instance.atoms() != unshifted[step.rule].atoms() for step in primary)
             seen["context"] += bool(delta) and bool(primary)
         assert all(seen[k] >= 3 for k in ("prenex", "ex22", "shifted", "context")), seen
+
+    def test_ground_steps_under_a_context(self):
+        # A ground term is matched by the walk under any context; the eager
+        # reference runs the solver on every attempt.
+        rng = random.Random(23)
+        seen = collections.Counter()
+        with mock.patch.object(rewriting, "_linear_walk", wraps=rewriting._linear_walk) as walk:
+            for index in range(300):
+                name = ("prenex", "ex22")[index % 2]
+                system = SYSTEMS[name]
+                if name == "prenex" and rng.random() < 0.5:
+                    term = random_prenex_formula(rng, 4)
+                else:
+                    term = random_ground_term(rng, system.signature, 3)
+                delta = random_context(rng, size=3) | {nomc.FreshnessConstraint(rng.choice(ATOMS), rng.choice(VARS))}
+                primary = primary_rewrite_steps(delta, term, system)
+                new = (
+                    _step_fields(primary),
+                    _step_fields(one_step_rewrites(delta, term, system)),
+                    _normalize_outcome(delta, term, system),
+                )
+                assert new == _eager_outcomes(delta, term, system), (name, format_context(delta), str(term))
+                seen[name] += bool(primary)
+                unshifted = system._fresh_rules
+                seen["shifted"] += any(step.rule_instance.atoms() != unshifted[step.rule].atoms() for step in primary)
+        assert all(seen[k] >= 3 for k in ("prenex", "ex22", "shifted")) and walk.call_count >= 300, (seen, walk.call_count)
 
 
 PAIRING = {"prenex": "or", "ex22": "fC", "lambda+rules": "plus"}  # a commutative symbol of each
