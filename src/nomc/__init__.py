@@ -85,7 +85,6 @@ from .terms import (
     permute_term,
     replace_at,
     subterm_at,
-    subterms_with_positions,
     term_atoms,
     term_vars,
 )

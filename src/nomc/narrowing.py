@@ -29,9 +29,9 @@ the options depend on nothing else that varies within a search, and the
 table is dropped when the search returns. A child's accumulated
 substitution is composed from its parent's when it is first read, and then
 kept (`NarrowingNode`); nothing in the search itself reads it. Where
-`nomc.rewriting._walk_gate` allows it, a rule is unified by the linear walk
-instead of the solver, with the same answers in the same order
-(`_walked_solutions`).
+`nomc.rewriting._walk_gate` allows it, a rule is unified by
+`nomc.rewriting._linear_walk` instead of the solver, with the same answers
+in the same order.
 """
 
 from __future__ import annotations
@@ -249,30 +249,6 @@ def _child(
     return NarrowingNode(context, rewritten, _Pending(node, theta), node.depth + 1)
 
 
-def _walked_solutions(
-    delta: FreshnessContext, sub: Term, rule: RewriteRule, sig: Signature
-) -> tuple[CSolution, ...]:
-    """What `solve(delta, sub, rule.context, rule.lhs)` gives for a subject
-    of a linear term and a rule with a `_walk_cost`, renamed apart from
-    it, found by `_linear_walk` instead.
-
-    Each equation the solver meets pairs one position of the rule with one
-    of the subject, so its final substitution is the union of the walk's
-    bindings, and its context is the normal form under that substitution
-    of every freshness requirement: the rule's context, delta and the
-    constraints the walk's abstractions left, whatever order they fired
-    in. A branch whose requirements reduce to a # a fails in both. No
-    answer has a residual, as no equation has a variable on both sides."""
-    solutions: list[CSolution] = []
-    for theta, fresh in _linear_walk(rule.lhs, sub, sig):
-        context = freshness_context_nf(rule.context.union(delta, fresh), theta)
-        if context is not INCONSISTENT:
-            solution = CSolution(context, theta)
-            if solution not in solutions:
-                solutions.append(solution)
-    return tuple(solutions)
-
-
 def _expand_node(
     node: NarrowingNode,
     system: RewriteSystem,
@@ -285,8 +261,8 @@ def _expand_node(
     """Narrowing steps from a node, and whether max_unifiers cut them off.
     Each rule is renamed apart, with names drawn from `names`, at each site
     where `redexes` tries it; residuals are closed from the search's `table`.
-    A rule is unified by `_walked_solutions` where `_walk_gate` allows it,
-    and by the solver elsewhere."""
+    A rule is unified by `_linear_walk` where `_walk_gate` allows it, and
+    by the solver elsewhere."""
     sig = system.signature
     steps: list[NarrowingStep] = []
     walks = _walk_gate(system, node.term, node.context, max_states, unify=True)
@@ -296,7 +272,7 @@ def _expand_node(
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
         if walks(rule):
-            return _walked_solutions(node.context, sub, rule, sig)
+            return _linear_walk(node.context, sub, rule, sig)
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):

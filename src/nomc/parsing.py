@@ -176,12 +176,10 @@ class _Parser:
             name = tok.value
             if tokens[self.pos].kind == "LPAREN":
                 self.pos += 1
-                args: list[Term] = []
-                if tokens[self.pos].kind != "RPAREN":
+                args = [self.term()]
+                while tokens[self.pos].kind == "COMMA":
+                    self.pos += 1
                     args.append(self.term())
-                    while tokens[self.pos].kind == "COMMA":
-                        self.pos += 1
-                        args.append(self.term())
                 self.expect("RPAREN")
                 if self.sig is not None and self.sig.declares(name):
                     expected = self.sig.arity(name)

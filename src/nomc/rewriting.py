@@ -24,6 +24,7 @@ from .alpha import (
     derive_alpha,
     derive_alpha_c,
     format_context,
+    freshness_context_nf,
     freshness_nf,
     satisfies_with,
 )
@@ -52,7 +53,7 @@ from .terms import (
     term_atoms,
     term_vars,
 )
-from .unify import DEFAULT_MAX_STATES, SearchSpaceExceeded, match
+from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match
 
 
 @dataclass(frozen=True)
@@ -627,13 +628,13 @@ def _linear_shape(term: Term) -> tuple[int, bool]:
     return count, bool(seen)
 
 
-def _linear_walk(lhs: Term, subject: Term, sig: Signature) -> list[tuple[Substitution, FreshnessContext]]:
-    """One walk over a linear left-hand side with at most one commutative
-    node against a linear subject whose variables it does not share: for
-    each branch that does not fail, its substitution theta and the
-    primitive constraints its abstractions left, in the order in which the
-    solver finds its leaves, each pair once. The rule's context and the
-    subject's are left to the caller.
+def _linear_walk(
+    delta: FreshnessContext, subject: Term, rule: RewriteRule, sig: Signature
+) -> tuple[CSolution, ...]:
+    """What `solve(delta, subject, rule.context, rule.lhs)` gives, found by
+    one walk over a rule's linear left-hand side with at most one
+    commutative node against a linear subject whose variables the rule,
+    renamed apart, does not share. `_walk_gate` says where it runs.
 
     A suspension pi.X of the left-hand side binds X to pi^-1 applied to its
     subterm; otherwise a subject suspension pi.X binds X to pi^-1 applied
@@ -643,12 +644,24 @@ def _linear_walk(lhs: Term, subject: Term, sig: Signature) -> list[tuple[Substit
     primitive constraints, failing the branch on a # a, and goes on with
     the body swapped. At the commutative node the straight pairing is
     followed first and the crossed one waits, as the solver's split does.
-    Each theta has theta(lhs) =ac theta(subject) by construction, under the
-    normal form of those constraints under theta; on a ground subject it
-    binds only the rule's variables and leaves no constraint.
+
+    Each equation the solver meets pairs one position of the rule with one
+    of the subject, so a branch's final substitution theta is the union of
+    the walk's bindings, and its context is the normal form under theta of
+    every freshness requirement: the rule's context, delta and the
+    constraints the walk's abstractions left, whatever order they fired
+    in. A branch whose requirements reduce to a # a fails in both. No
+    answer has a residual, as no equation has a variable on both sides.
+    The answers come in the order in which the solver finds its leaves,
+    each once.
+
+    On a ground subject each answer's context is delta itself, so matching
+    needs only theta: theta binds the rule's variables to ground terms, the
+    rule's constraints and the abstractions' reduce to nothing or to a # a,
+    and delta's are on variables that every rule copy is renamed apart from.
     """
-    found: list[tuple[Substitution, FreshnessContext]] = []
-    branches = [([(lhs, subject)], {}, EMPTY_CONTEXT)]
+    found: list[CSolution] = []
+    branches = [([(rule.lhs, subject)], {}, EMPTY_CONTEXT)]
     while branches:
         pairs, binding, fresh = branches.pop()
         while pairs:
@@ -680,10 +693,13 @@ def _linear_walk(lhs: Term, subject: Term, sig: Signature) -> list[tuple[Substit
             elif pattern is not sub:
                 break
         else:
-            answer = (Substitution(binding), fresh)
-            if answer not in found:
-                found.append(answer)
-    return found
+            theta = Substitution(binding)
+            context = freshness_context_nf(rule.context.union(delta, fresh), theta)
+            if context is not INCONSISTENT:
+                answer = CSolution(context, theta)
+                if answer not in found:
+                    found.append(answer)
+    return tuple(found)
 
 
 def _verified_matchers(
@@ -794,10 +810,7 @@ def _candidate_steps(
 
     def attempt(sub: Term, rule: RewriteRule) -> list[Substitution]:
         if walks(rule):
-            # theta(lhs) =ac sub holds by construction, so only the rule's
-            # context is checked; a ground subject leaves no constraint, so
-            # no theta comes twice
-            return [theta for theta, _ in _linear_walk(rule.lhs, sub, sig) if satisfies_with(rule.context, theta, delta)]
+            return [solution.subst for solution in _linear_walk(delta, sub, rule, sig)]
         return _verified_matchers(delta, sub, rule, sig, max_states)
 
     for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):

@@ -48,13 +48,12 @@ from nomc import (
     primary_rewrite_steps,
     replace_at,
     subterm_at,
-    subterms_with_positions,
     term_vars,
     verify_rewrite_step,
 )
 from nomc import rewriting
 from nomc.cli import build_parser, load_system_file
-from nomc.terms import IDENTITY
+from nomc.terms import IDENTITY, subterms_with_positions
 from conftest import (
     random_context,
     random_ground_term,

@@ -382,6 +382,11 @@ class TestErrorsAndJson:
         code, out = run(capsys, "lift-forward", "not(X)", "--system", "prenex", "--rho", "X -> a, X -> b")
         assert code == 1 and out.strip() == "error: 1:9: variable X is bound twice"
 
+    def test_empty_argument_list_exit_one(self, capsys):
+        # `f()` has no printed form of its own: `f` reads back as an atom
+        code, out = run(capsys, "check", "f() =ac f", "--json")
+        assert code == 1 and json.loads(out)["result"] == {"error": "1:3: expected a term, found )"}
+
     def test_arity_error_exit_one(self, capsys):
         code, out = run(capsys, "normalize", "forall(a, b)", "--system", "prenex")
         assert code == 1 and "forall" in out

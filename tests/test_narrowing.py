@@ -48,7 +48,6 @@ from nomc import (
     primary_rewrite_steps,
     solve,
     subterm_at,
-    subterms_with_positions,
     term_vars,
     TruncationRecord,
     verify_rewrite_step,
@@ -56,7 +55,7 @@ from nomc import (
 from nomc import narrowing, rewriting, unify
 from nomc.alpha import satisfies_with
 from nomc.rewriting import redexes
-from nomc.terms import NameSupply
+from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
@@ -869,7 +868,7 @@ class TestNameSupply:
         monkeypatch.setattr(rewriting, "permute_rule", counting("shifted", rewriting.permute_rule))
         # an attempt runs the solver, or the linear walk at a linear node
         monkeypatch.setattr(narrowing, "solve", counting("solved", narrowing.solve))
-        monkeypatch.setattr(narrowing, "_walked_solutions", counting("walked", narrowing._walked_solutions))
+        monkeypatch.setattr(narrowing, "_linear_walk", counting("walked", narrowing._linear_walk))
         monkeypatch.setattr(NameSupply, "draw", counting("drawn", NameSupply.draw))
         # and(a, forall([a]X)) needs and_forall's atom a shifted off; in all
         # three, some rule is filed under a head its skeleton does not fit
@@ -1335,7 +1334,7 @@ class TestLinearNodeWalk:
     def test_same_trees_and_exceptions_as_the_solver(self, prenex_system, ex22_system, monkeypatch):
         counts = collections.Counter()
         expanding, walked, solved = [], [], []  # the node being expanded; U of each walked and solved attempt
-        expand, walk, solve_for = narrowing._expand_node, narrowing._walked_solutions, narrowing.solve
+        expand, walk, solve_for = narrowing._expand_node, narrowing._linear_walk, narrowing.solve
 
         def recording_expand(node, system, *rest):
             expanding[:] = [node, system.signature]
@@ -1352,7 +1351,7 @@ class TestLinearNodeWalk:
             return solve_for(delta, sub, nabla, lhs, **kwargs)
 
         monkeypatch.setattr(narrowing, "_expand_node", recording_expand)
-        monkeypatch.setattr(narrowing, "_walked_solutions", recording_walk)
+        monkeypatch.setattr(narrowing, "_linear_walk", recording_walk)
         monkeypatch.setattr(narrowing, "solve", recording_solve)
 
         @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -1411,8 +1410,9 @@ class TestLinearNodeWalk:
         @settings(max_examples=600, derandomize=True, deadline=None, database=None)
         @given(st.integers(0, 2**32 - 1))
         def check(seed):
-            rule, sub, delta = _linear_unification_draw(random.Random(seed), sig)
-            got = narrowing._walked_solutions(delta, sub, rule, sig)
+            rng = random.Random(seed)
+            rule, sub, delta = _linear_unification_draw(rng, sig)
+            got = rewriting._linear_walk(delta, sub, rule, sig)
             assert got == solve(delta, sub, rule.context, rule.lhs, sig=sig), (str(rule), str(sub), format_context(delta))
             problem = UnificationState(rule.context | delta, IDENTITY_SUBST, (EqualityGoal(rule.lhs, sub),))
             for solution in got:
@@ -1421,9 +1421,20 @@ class TestLinearNodeWalk:
             counts["several"] += len(got) > 1
             counts["binds_subject"] += any(sol.subst.domain & term_vars(sub) for sol in got)
             counts["context"] += any(sol.context for sol in got)
+            # a ground instance of the subject under a non-empty context on
+            # variables the rule lacks: every answer keeps that context as it is
+            grounding = {v: random_ground_term(rng, sig, 2) for v in sorted(term_vars(sub), key=lambda v: v.name)}
+            ground = apply_subst(Substitution(grounding), sub)
+            ground_delta = random_context(rng, size=3) | {FreshnessConstraint(rng.choice(ATOMS), rng.choice(VARS))}
+            where = (str(rule), str(ground), format_context(ground_delta))
+            ground_got = rewriting._linear_walk(ground_delta, ground, rule, sig)
+            assert ground_got == solve(ground_delta, ground, rule.context, rule.lhs, sig=sig), where
+            assert all(sol.context == ground_delta for sol in ground_got), where
+            counts["ground_answers"] += bool(ground_got)
 
         check()
         assert counts["answers"] >= 100 and all(counts[k] for k in ("several", "binds_subject", "context")), counts
+        assert counts["ground_answers"] >= 100, counts
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(st.integers(0, 2**32 - 1))

@@ -93,6 +93,21 @@ class TestTerms:
             theta = Substitution({v: random_term(rng, SIG, 2) for v in VARS if rng.random() < 0.6})
             assert parse_substitution(str(theta), SIG) == theta
 
+    @pytest.mark.parametrize("sig", [None, SIG], ids=["unsigned", "signed"])
+    def test_every_parsed_text_prints_to_a_text_that_parses_back(self, sig):
+        # an application has at least one argument, so `f()`, which would
+        # print as the atom `f`, does not parse
+        @settings(max_examples=2_000, derandomize=True, deadline=None, database=None)
+        @given(st.text(alphabet="abfXY()[].,# ", max_size=12))
+        def check(text):
+            try:
+                term = parse_term(text, sig)
+            except ParseError:
+                return
+            assert parse_term(str(term), sig) == term, text
+
+        check()
+
     @given(st.text(alphabet="abXY()[].,# ", max_size=12))
     def test_never_crashes_unexpectedly(self, text):
         try:

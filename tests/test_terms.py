@@ -30,11 +30,10 @@ from nomc import (
     permute_term,
     replace_at,
     subterm_at,
-    subterms_with_positions,
     term_vars,
 )
 from nomc.rewriting import clash_permutation
-from nomc.terms import NameSupply, Printer
+from nomc.terms import NameSupply, Printer, subterms_with_positions
 from conftest import (
     random_term,
     reference_fresh_name,

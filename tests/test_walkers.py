@@ -24,11 +24,11 @@ from nomc import (
     derive_freshness,
     permute_term,
     subterm_at,
-    subterms_with_positions,
     term_atoms,
     term_vars,
 )
 from nomc.rewriting import RewriteRule, RewriteSystem
+from nomc.terms import subterms_with_positions
 from conftest import (
     ATOMS,
     VARS,
