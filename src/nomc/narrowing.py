@@ -28,10 +28,9 @@ fixed-point options, keyed by (permutation, variable), for all its nodes:
 the options depend on nothing else that varies within a search, and the
 table is dropped when the search returns. A child's accumulated
 substitution is composed from its parent's when it is first read, and then
-kept (`NarrowingNode`); nothing in the search itself reads it. Where
-`nomc.rewriting._walk_gate` allows it, a rule is unified by
-`nomc.rewriting._linear_walk` instead of the solver, with the same answers
-in the same order.
+kept (`NarrowingNode`); nothing in the search itself reads it. The scan,
+`nomc.rewriting.redexes`, decides where a rule is unified by the linear
+walk instead of the solver, with the same answers in the same order.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from .rewriting import (
     RewriteRule,
     RewriteStep,
     RewriteSystem,
-    _linear_walk,
-    _walk_gate,
     primary_rewrite_steps,
     redexes,
     renamed_rule,
@@ -85,7 +82,6 @@ from .unify import (
     UnificationState,
     check_solution,
     enumerate_fixpoint_solutions,
-    solve,
 )
 
 
@@ -260,23 +256,15 @@ def _expand_node(
 ) -> tuple[list[NarrowingStep], bool]:
     """Narrowing steps from a node, and whether max_unifiers cut them off.
     Each rule is renamed apart, with names drawn from `names`, at each site
-    where `redexes` tries it; residuals are closed from the search's `table`.
-    A rule is unified by `_linear_walk` where `_walk_gate` allows it, and
-    by the solver elsewhere."""
-    sig = system.signature
+    where `redexes` unifies it, by the linear walk or the solver; residuals
+    are closed from the search's `table`."""
     steps: list[NarrowingStep] = []
-    walks = _walk_gate(system, node.term, node.context, max_states, unify=True)
 
     def prepare(rule: RewriteRule) -> RewriteRule:
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
-    def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
-        if walks(rule):
-            return _linear_walk(node.context, sub, rule, sig)
-        return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
-
-    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
-        for context, theta, flagged in _expanded_solutions(solutions, sig, fixpoint_depth, table):
+    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, max_states, unify=True):
+        for context, theta, flagged in _expanded_solutions(solutions, system.signature, fixpoint_depth, table):
             if len(steps) >= max_unifiers:
                 return steps, True
             child = _child(node, pos, rule, context, theta)

@@ -192,7 +192,11 @@ class _Parser:
                 raise ArityError(name, self.sig.arity(name), 0, tok.line, tok.col)
             if name[0].isupper():
                 return Suspension(IDENTITY, Var(name))
-            return Atom(name)
+            if name[0].islower():
+                return Atom(name)
+            raise ParseError(
+                f"expected an atom (lowercase) or a variable (uppercase), found {name}", tok.line, tok.col
+            )
         raise self.fail(f"expected a term, found {tok.value or 'end of input'}")
 
     def permutation(self) -> Permutation:

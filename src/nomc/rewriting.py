@@ -53,7 +53,7 @@ from .terms import (
     term_atoms,
     term_vars,
 )
-from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match
+from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
 
 
 @dataclass(frozen=True)
@@ -566,15 +566,17 @@ def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int, int, int] |
 
 
 def _walk_gate(
-    system: RewriteSystem, term: Term, context: FreshnessContext, max_states: int, unify: bool
+    system: RewriteSystem, nodes: Sequence[Term], context: FreshnessContext, max_states: int, unify: bool
 ) -> Callable[[RewriteRule], bool]:
-    """The predicate on rules of a redex scan of `term` under `context`:
+    """The predicate on rules of a redex scan of a term under `context`:
     whether it finds a rule's answers by `_linear_walk` instead of the
-    solver (`match`, or `solve` when `unify`). It holds when the rule has a
-    `_walk_cost`, the term is ground when matching and linear when
-    unifying, and the cost's bound U for the whole term is at most
-    `max_states`, so the solver could not have raised. The term is measured
-    once, in one pass, when first needed.
+    solver (`match`, or `solve` when `unify`). `nodes` are the term's
+    subterms, as the fit-mask pass lists them (`_fit_masks`). It holds when
+    the rule has a `_walk_cost`, the term is ground when matching and
+    linear when unifying, and the cost's bound U for the whole term is at
+    most `max_states`, so the solver could not have raised. Whether a
+    variable occurs, and whether one occurs twice, is read off `nodes` once,
+    when first needed.
 
     For a term of |T| nodes and a cost (c0, c1, c2, c3), U = c0 + c1 |T|,
     plus c2 + c3 |context| when a variable occurs. U bounds every attempt
@@ -585,7 +587,7 @@ def _walk_gate(
     them: the solver never re-raises one.
     """
     costs = system._walk_costs
-    shape = None  # `_linear_shape(term)`, measured when first needed
+    shape = None  # (|T|, or 0 when a variable occurs twice; whether one occurs)
 
     def walks(rule: RewriteRule) -> bool:
         nonlocal shape
@@ -593,7 +595,8 @@ def _walk_gate(
         if cost is None:
             return False
         if shape is None:
-            shape = _linear_shape(term)
+            variables = [sub.var for sub in nodes if type(sub) is Suspension]
+            shape = (len(nodes) if len(set(variables)) == len(variables) else 0), bool(variables)
         size, open_term = shape
         if not size or open_term and not unify:
             return False
@@ -606,35 +609,13 @@ def _walk_gate(
     return walks
 
 
-def _linear_shape(term: Term) -> tuple[int, bool]:
-    """The number of nodes in a term in which no variable occurs twice (0
-    for any other term), and whether a variable occurs, counted without
-    recursion."""
-    count = 0
-    seen: set[Var] = set()
-    stack = [term]
-    while stack:
-        sub = stack.pop()
-        count += 1
-        kind = type(sub)
-        if kind is App:
-            stack.extend(sub.args)
-        elif kind is Abstraction:
-            stack.append(sub.body)
-        elif kind is Suspension:
-            if sub.var in seen:
-                return 0, True
-            seen.add(sub.var)
-    return count, bool(seen)
-
-
 def _linear_walk(
     delta: FreshnessContext, subject: Term, rule: RewriteRule, sig: Signature
 ) -> tuple[CSolution, ...]:
     """What `solve(delta, subject, rule.context, rule.lhs)` gives, found by
     one walk over a rule's linear left-hand side with at most one
     commutative node against a linear subject whose variables the rule,
-    renamed apart, does not share. `_walk_gate` says where it runs.
+    renamed apart, does not share. `_walk_gate` says where `redexes` runs it.
 
     A suspension pi.X of the left-hand side binds X to pi^-1 applied to its
     subterm; otherwise a subject suspension pi.X binds X to pi^-1 applied
@@ -704,24 +685,23 @@ def _linear_walk(
 
 def _verified_matchers(
     delta: FreshnessContext, sub: Term, rule: RewriteRule, sig: Signature, max_states: int
-) -> list[Substitution]:
-    """Match substitutions whose instantiated premises hold under delta
+) -> tuple[CSolution, ...]:
+    """Match answers whose instantiated premises hold under delta
     (`premises_hold`), in the order `match` gives them."""
     solutions = match(rule.context, rule.lhs, delta, sub, sig=sig, max_states=max_states)
-    return [sol.subst for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig)]
+    return tuple(sol for sol in solutions if premises_hold(delta, sub, rule, sol.subst, sig))
 
 
 def _fitting_sites(
-    term: Term, system: RewriteSystem, unify: bool
+    nodes: list[Term], firsts: list[int], masks: list[int], system: RewriteSystem
 ) -> Iterator[tuple[tuple[int, ...], Term, RewriteRule]]:
     """Lazily, `(path, subterm, rule)` for each rule whose left-hand side's
-    skeleton fits a subterm (`_fit_masks`, with subject variables as
-    wildcards if `unify`). Subterms come leftmost-outermost, and a
-    subterm's rules in declaration order: each rule of `_lhs` whose bit its
-    mask holds. A skeleton's bit is set only under its own head, so no rule
-    index by head is needed. The walk does not start when the root has no
-    SITE, and skips every subtree without one."""
-    nodes, firsts, masks = _fit_masks(term, system, unify)
+    skeleton fits a subterm, read off the fit-mask pass over the term
+    (`_fit_masks`). Subterms come leftmost-outermost, and a subterm's rules
+    in declaration order: each rule of `_lhs` whose bit its mask holds. A
+    skeleton's bit is set only under its own head, so no rule index by head
+    is needed. The walk does not start when the root has no SITE, and skips
+    every subtree without one."""
     if not masks[0] & SITE:
         return
     lhs = system._lhs
@@ -749,21 +729,35 @@ def redexes(
     term: Term,
     system: RewriteSystem,
     prepare: Callable[[RewriteRule], RewriteRule],
-    attempt: Callable[[Term, RewriteRule], Sequence],
+    max_states: int,
     unify: bool,
-) -> Iterator[tuple[Position, RewriteRule, Sequence]]:
-    """Lazily solve or match each rule at each site where it fits
+) -> Iterator[tuple[Position, RewriteRule, tuple[CSolution, ...]]]:
+    """Lazily solve (`unify`) or match each rule at each site where it fits
     (`_fitting_sites`, in its order).
 
-    `prepare(rule)` gives the rule renamed apart, and is called only there;
-    `attempt(subterm, rule)` gives the answers, empty on failure. When the
-    prepared rule fails and its atoms clash with the subterm's, it is
-    retried once with the clashing atoms moved to fresh ones. Each success
-    yields `(position, rule, answers)`, where `rule` is the copy that gave
-    the answers; a Position is built only for a site that yields.
+    `prepare(rule)` gives the rule renamed apart, and is called only there.
+    A prepared rule's answers come from `_linear_walk` where `_walk_gate`
+    allows it, and elsewhere from `solve` when unifying and from
+    `_verified_matchers` when matching; the two give the same answers in
+    the same order. When the prepared rule fails and its atoms clash with
+    the subterm's, it is retried once with the clashing atoms moved to
+    fresh ones. Each success yields `(position, rule, answers)`, where
+    `rule` is the copy that gave the answers; a Position is built only for
+    a site that yields.
     """
+    sig = system.signature
+    nodes, firsts, masks = _fit_masks(term, system, unify)
+    walks = _walk_gate(system, nodes, context, max_states, unify)
+
+    def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
+        if walks(rule):
+            return _linear_walk(context, sub, rule, sig)
+        if unify:
+            return solve(context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
+        return _verified_matchers(context, sub, rule, sig, max_states)
+
     ambient_atoms = None  # the shift's avoid set, built when a shift is first due
-    for path, sub, rule in _fitting_sites(term, system, unify):
+    for path, sub, rule in _fitting_sites(nodes, firsts, masks, system):
         prepared = prepare(rule)
         answers = attempt(sub, prepared)
         if answers:
@@ -794,9 +788,7 @@ def _candidate_steps(
     built at each site where the rule's skeleton fits, with the names a
     `NameSupply` seeded with `avoid` draws, which are those of
     `_fresh_rules` when nothing is avoided. Each step records the copy
-    `redexes` applied, clash shift included. A rule is matched by the
-    linear walk where `_walk_gate` allows it, and by `match` elsewhere."""
-    sig = system.signature
+    `redexes` applied, clash shift included."""
 
     def prepare(rule: RewriteRule) -> RewriteRule:
         nonlocal avoid
@@ -806,15 +798,9 @@ def _candidate_steps(
             return system._fresh_rules[rule.name]
         return renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
 
-    walks = _walk_gate(system, term, delta, max_states, unify=False)
-
-    def attempt(sub: Term, rule: RewriteRule) -> list[Substitution]:
-        if walks(rule):
-            return [solution.subst for solution in _linear_walk(delta, sub, rule, sig)]
-        return _verified_matchers(delta, sub, rule, sig, max_states)
-
-    for pos, rule, thetas in redexes(delta, term, system, prepare, attempt, unify=False):
-        for theta in thetas:
+    for pos, rule, answers in redexes(delta, term, system, prepare, max_states, unify=False):
+        for answer in answers:
+            theta = answer.subst
             result = replace_at(term, pos.path, apply_subst(theta, rule.rhs))
             yield RewriteStep(rule.name, pos, theta, result, rule)
 

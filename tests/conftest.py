@@ -44,7 +44,7 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.cli import load_system_file
-from nomc.rewriting import clash_permutation, permute_rule, redexes, renamed_rule
+from nomc.rewriting import clash_permutation, permute_rule, renamed_rule
 from nomc.terms import NameSupply, replace_at, subterms_with_positions, term_atoms
 from nomc.unify import DEFAULT_MAX_STATES
 
@@ -593,7 +593,7 @@ def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names
     def attempt(sub, rule):
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+    for pos, rule, solutions in reference_redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth, {}):
             if len(steps) >= max_unifiers:
                 return steps, True

@@ -387,6 +387,12 @@ class TestErrorsAndJson:
         code, out = run(capsys, "check", "f() =ac f", "--json")
         assert code == 1 and json.loads(out)["result"] == {"error": "1:3: expected a term, found )"}
 
+    def test_identifier_neither_case_exit_one(self, capsys):
+        # `中` is a letter but not lowercase, so no position reads it as an atom
+        code, out = run(capsys, "check", "中 # a")
+        assert code == 1
+        assert out.strip() == "error: 1:1: expected an atom (lowercase) or a variable (uppercase), found 中"
+
     def test_arity_error_exit_one(self, capsys):
         code, out = run(capsys, "normalize", "forall(a, b)", "--system", "prenex")
         assert code == 1 and "forall" in out

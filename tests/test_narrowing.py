@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import random
 import sys
@@ -54,7 +55,6 @@ from nomc import (
 )
 from nomc import narrowing, rewriting, unify
 from nomc.alpha import satisfies_with
-from nomc.rewriting import redexes
 from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
@@ -68,6 +68,7 @@ from conftest import (
     random_term,
     reference_expanded_solutions,
     reference_narrow_search,
+    reference_redexes,
     reference_skeleton_fits,
     rename_rule_with_map,
 )
@@ -703,7 +704,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
     def attempt(sub, rule):
         return solve(node.context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
 
-    for pos, rule, solutions in redexes(node.context, node.term, system, prepare, attempt, unify=True):
+    for pos, rule, solutions in reference_redexes(node.context, node.term, system, prepare, attempt, unify=True):
         for context, theta, flagged in narrowing._expanded_solutions(solutions, sig, fixpoint_depth, {}):
             if len(steps) >= max_unifiers:
                 return steps, True, avoid
@@ -867,8 +868,8 @@ class TestNameSupply:
         monkeypatch.setattr(narrowing, "renamed_rule", counting("renamed", narrowing.renamed_rule))
         monkeypatch.setattr(rewriting, "permute_rule", counting("shifted", rewriting.permute_rule))
         # an attempt runs the solver, or the linear walk at a linear node
-        monkeypatch.setattr(narrowing, "solve", counting("solved", narrowing.solve))
-        monkeypatch.setattr(narrowing, "_linear_walk", counting("walked", narrowing._linear_walk))
+        monkeypatch.setattr(rewriting, "solve", counting("solved", rewriting.solve))
+        monkeypatch.setattr(rewriting, "_linear_walk", counting("walked", rewriting._linear_walk))
         monkeypatch.setattr(NameSupply, "draw", counting("drawn", NameSupply.draw))
         # and(a, forall([a]X)) needs and_forall's atom a shifted off; in all
         # three, some rule is filed under a head its skeleton does not fit
@@ -1096,7 +1097,7 @@ class TestSearchPaysForWhatItReturns:
 
     def test_each_residual_enumerated_once_per_search(self, prenex_system, ex22_system, monkeypatch):
         calls, residuals = collections.Counter(), set()
-        enumerate_options, solve_for = narrowing.enumerate_fixpoint_solutions, narrowing.solve
+        enumerate_options, solve_for = narrowing.enumerate_fixpoint_solutions, rewriting.solve
 
         def counting_enumerate(perm, var, sig, depth):
             calls[perm, var] += 1
@@ -1108,7 +1109,7 @@ class TestSearchPaysForWhatItReturns:
             return answers
 
         monkeypatch.setattr(narrowing, "enumerate_fixpoint_solutions", counting_enumerate)
-        monkeypatch.setattr(narrowing, "solve", recording_solve)
+        monkeypatch.setattr(rewriting, "solve", recording_solve)
         totals = collections.Counter()
         for delta, term, system, depth, fixpoint_depth, max_unifiers in _read_once_cases(
             random.Random(32), prenex_system, ex22_system
@@ -1334,7 +1335,7 @@ class TestLinearNodeWalk:
     def test_same_trees_and_exceptions_as_the_solver(self, prenex_system, ex22_system, monkeypatch):
         counts = collections.Counter()
         expanding, walked, solved = [], [], []  # the node being expanded; U of each walked and solved attempt
-        expand, walk, solve_for = narrowing._expand_node, narrowing._linear_walk, narrowing.solve
+        expand, walk, solve_for = narrowing._expand_node, rewriting._linear_walk, rewriting.solve
 
         def recording_expand(node, system, *rest):
             expanding[:] = [node, system.signature]
@@ -1351,8 +1352,8 @@ class TestLinearNodeWalk:
             return solve_for(delta, sub, nabla, lhs, **kwargs)
 
         monkeypatch.setattr(narrowing, "_expand_node", recording_expand)
-        monkeypatch.setattr(narrowing, "_linear_walk", recording_walk)
-        monkeypatch.setattr(narrowing, "solve", recording_solve)
+        monkeypatch.setattr(rewriting, "_linear_walk", recording_walk)
+        monkeypatch.setattr(rewriting, "solve", recording_solve)
 
         @settings(max_examples=400, derandomize=True, deadline=None, database=None)
         @given(st.integers(0, 2**32 - 1))
@@ -1444,7 +1445,8 @@ class TestLinearNodeWalk:
         bound = _expected_walk(rule.lhs, len(rule.context), sig, sub, len(delta))
         system = RewriteSystem((rule,), sig)
         # the library's gate reads the same U off the rule's cost
-        walks = [rewriting._walk_gate(system, sub, delta, cap, unify=True)(rule) for cap in (bound - 1, bound)]
+        nodes = rewriting._fit_masks(sub, system, True)[0]
+        walks = [rewriting._walk_gate(system, nodes, delta, cap, unify=True)(rule) for cap in (bound - 1, bound)]
         assert walks == [False, True]
         solve(delta, sub, rule.context, rule.lhs, sig=sig, max_states=bound)
 
@@ -1465,7 +1467,7 @@ class TestLinearNodeWalk:
             calls["solve"] += 1
             return solve_for(*args, **kwargs)
 
-        monkeypatch.setattr(narrowing, "solve", counting_solve)
+        monkeypatch.setattr(rewriting, "solve", counting_solve)
         results = {}
         for (text, context), (bound, children) in cases.items():
             term, delta = parse_term(text, sig), parse_context(context, sig)
@@ -1476,3 +1478,43 @@ class TestLinearNodeWalk:
                 reference = reference_narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
                 assert _edge_records(tree) == _edge_records(reference)
             assert results[text, bound] == (children, 0) and results[text, bound - 1] == (children, 1), results
+
+
+@functools.cache
+def _small_prenex_patterns(size, used=0):
+    """(pattern, variables used) for every linear prenex pattern of `size`
+    nodes, a quantifier and its binder counting as one, whose variables
+    follow the first `used`: each leaf is a, b or the next fresh variable,
+    each binder a or b."""
+    if size == 1:
+        return ((a, used), (b, used), (Suspension(IDENTITY, Var(f"X{used + 1}")), used + 1))
+    out = []
+    for body, n in _small_prenex_patterns(size - 1, used):
+        out.append((App("not", (body,)), n))
+        out += [(App(q, (Abstraction(x, body),)), n) for q in ("forall", "exists") for x in (a, b)]
+    for left_size in range(1, size - 1):
+        for left, k in _small_prenex_patterns(left_size, used):
+            for right, n in _small_prenex_patterns(size - 1 - left_size, k):
+                out += [(App(op, (left, right)), n) for op in ("and", "or")]
+    return tuple(out)
+
+
+class TestSmallPrenexPatterns:
+    """Every non-ground linear prenex pattern up to five nodes, narrowed one
+    step: the edges the solver gives at every attempt, each of them sound."""
+
+    def test_same_edges_as_the_solver_and_each_sound(self, prenex_system):
+        sig = prenex_system.signature
+        patterns, edges = {}, {}
+        for size in range(1, 6):
+            terms = [term for term, used in _small_prenex_patterns(size) if used]
+            patterns[size], edges[size] = len(terms), 0
+            for term in terms:
+                tree = narrow_search(frozenset(), term, prenex_system, 1, 0, 50)
+                reference = reference_narrow_search(frozenset(), term, prenex_system, 1, 0, 50)
+                assert _edge_records(tree) == _edge_records(reference), str(term)
+                for edge in tree.edges:
+                    assert narrowing_to_rewriting(edge, tree.root, sig=sig), (str(term), str(edge))
+                edges[size] += len(tree.edges)
+        assert patterns == {1: 1, 2: 5, 3: 35, 4: 275, 5: 2277}
+        assert edges == {1: 0, 2: 2, 3: 38, 4: 434, 5: 4462}

@@ -108,6 +108,25 @@ class TestTerms:
 
         check()
 
+    def test_every_atom_parses_as_a_binder(self):
+        # an identifier is an atom only when it starts lowercase: `中` and
+        # the titlecase `ǅ` are letters, but neither case
+        counts = {"atoms": 0, "rejected": 0}
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(st.text(alphabet="a中ǅ", min_size=1, max_size=4))
+        def check(word):
+            try:
+                atom = parse_term(word)
+            except ParseError:
+                counts["rejected"] += 1
+                return
+            assert parse_term(f"[{word}]{word}") == Abstraction(atom, atom), word
+            counts["atoms"] += 1
+
+        check()
+        assert counts["atoms"] and counts["rejected"], counts
+
     @given(st.text(alphabet="abXY()[].,# ", max_size=12))
     def test_never_crashes_unexpectedly(self, text):
         try:
@@ -248,6 +267,8 @@ class TestContextsAndJudgements:
         "parse, text, message",
         [
             (parse_term, "(a b).x", "1:7: expected a variable (uppercase), found x"),
+            (parse_term, "f(a, 中)", "1:6: expected an atom (lowercase) or a variable (uppercase), found 中"),
+            (parse_judgement, "ǅ # a", "1:1: expected an atom (lowercase) or a variable (uppercase), found ǅ"),
             (parse_judgement, "f(a) # b", "1:6: freshness judgement needs an atom on the left"),
             (parse_judgement, "a b", "1:3: expected '#' or '=ac', found b"),
             (parse_judgement, "a", "1:2: expected '#' or '=ac', found end of input"),
