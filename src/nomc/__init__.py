@@ -80,7 +80,6 @@ from .terms import (
     apply_subst,
     difference_set,
     fresh_atom,
-    free_atoms,
     is_ground,
     permute_term,
     replace_at,

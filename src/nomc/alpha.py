@@ -1,9 +1,12 @@
 """Freshness and alpha-equivalence judgements, modulo commutative symbols.
 
-Both judgements are decided by a single syntax-directed pass. Equality of
-commutative applications tries the aligned and the crossed argument pairing
-and succeeds if either closes. Contexts are finite sets of primitive
-constraints a#X used as hypotheses.
+Freshness a#t is decided by its normal form (`freshness_nf`, one loop over
+an explicit stack): it holds under a context exactly when the normal form
+is consistent and contained in the context. Alpha-equivalence is decided
+by a single syntax-directed pass. Equality of commutative applications
+tries the aligned and the crossed argument pairing and succeeds if either
+closes. Contexts are finite sets of primitive constraints a#X used as
+hypotheses.
 """
 
 from __future__ import annotations
@@ -116,19 +119,9 @@ INCONSISTENT = Sentinel("INCONSISTENT")
 
 
 def derive_freshness(ctx: FreshnessContext, atom: Atom, term: Term) -> bool:
-    """Decide ctx |- atom # term."""
-    kind = type(term)
-    if kind is App:
-        for arg in term.args:
-            if not derive_freshness(ctx, atom, arg):
-                return False
-        return True
-    if kind is Atom:
-        return atom is not term
-    if kind is Suspension:
-        wanted = term.perm.inverse().act(atom)
-        return FreshnessConstraint(wanted, term.var) in ctx
-    return term.atom is atom or derive_freshness(ctx, atom, term.body)
+    """Decide ctx |- atom # term: its normal form is consistent and in ctx."""
+    reduced = freshness_nf(atom, term)
+    return reduced is not INCONSISTENT and reduced <= ctx
 
 
 def derive_alpha_c(ctx: FreshnessContext, s: Term, t: Term, sig: Signature) -> bool:

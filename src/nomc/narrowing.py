@@ -453,9 +453,11 @@ def _lift_one(
     """The narrowing step above `recorded` whose unifier is rho_cur composed
     with the recorded matcher, or None. The recorded rule instance is
     renamed apart with names drawn from `names`. The unifier must solve the
-    step's unification problem (`check_solution`), the child must be =ac to
-    the recorded result under delta, and the unifier must agree with rho_cur
-    on the node's variables, so the residue is the identity."""
+    step's unification problem (`check_solution`), and the child must be
+    =ac to the recorded result under delta. The unifier agrees with rho_cur
+    on the node's variables, so the residue is the identity: the renamed
+    matcher binds only names `names` just drew, and `names` never repeats
+    one and holds every variable of s0, rho0 and both contexts."""
     pos = recorded.position
     try:
         sub = subterm_at(node.term, pos.path)
@@ -470,15 +472,12 @@ def _lift_one(
         {var_map[v]: image for v, image in recorded.subst.items() if v in var_map}
     )
     theta = rho_cur.compose(sigma)
-    variables = term_vars(node.term) | {c.var for c in node.context}
     problem = UnificationState(
         node.context | renamed.context, IDENTITY_SUBST, (EqualityGoal(renamed.lhs, sub),)
     )
     if not check_solution((delta, theta), problem, sig):
         return None
     child = _child(node, pos, renamed, delta, theta)
-    if derive_alpha_c(delta, child.term, recorded.result, sig) and all(
-        derive_alpha_c(delta, rho_cur.get(v), theta.get(v), sig) for v in variables
-    ):
+    if derive_alpha_c(delta, child.term, recorded.result, sig):
         return NarrowingStep(recorded.rule, pos, theta, False, child, node, renamed)
     return None

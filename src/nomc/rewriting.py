@@ -44,7 +44,6 @@ from .terms import (
     Var,
     apply_subst,
     fresh_atom,
-    free_atoms,
     is_ground,
     permute_term,
     replace_at,
@@ -372,11 +371,10 @@ def _alpha_variants(term: Term, atoms: Sequence[Atom]) -> Iterator[Term]:
     elif isinstance(term, Abstraction):
         seen: set[Term] = set()
         for body in _alpha_variants(term.body, atoms):
-            free = free_atoms(body)
             variants = (Abstraction(term.atom, body),) + tuple(
                 Abstraction(atom, permute_term(Permutation(((term.atom, atom),)), body))
                 for atom in atoms
-                if atom != term.atom and atom not in free
+                if atom != term.atom and freshness_nf(atom, body) is not INCONSISTENT
             )
             for variant in variants:
                 if variant not in seen:

@@ -532,20 +532,6 @@ def term_atoms(term: Term) -> frozenset[Atom]:
     return frozenset(out)
 
 
-def free_atoms(term: Term) -> frozenset[Atom]:
-    """Atoms occurring unabstracted; defined for ground terms only."""
-    if isinstance(term, Atom):
-        return frozenset({term})
-    if isinstance(term, Suspension):
-        raise ValueError("free_atoms is only defined on ground terms")
-    if isinstance(term, Abstraction):
-        return free_atoms(term.body) - {term.atom}
-    out: frozenset[Atom] = frozenset()
-    for arg in term.args:
-        out |= free_atoms(arg)
-    return out
-
-
 def is_ground(term: Term) -> bool:
     return not term_vars(term)
 

@@ -1,5 +1,6 @@
 """The names code outside the library reaches it by: every function the
-benchmark tracer wraps, and the README's library example."""
+benchmark tracer wraps, the README's library example, and the non-answers
+README "Library" documents."""
 
 import importlib.util
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import nomc
 import nomc.cli
+from nomc import FAIL, INCONSISTENT, PRECONDITION_FAIL, STUCK, UNKNOWN, NotFound, Sentinel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +41,9 @@ def test_readme_library_example_runs(tmp_path):
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_non_answers_are_falsy():
+    for sentinel in (FAIL, STUCK, UNKNOWN, INCONSISTENT, PRECONDITION_FAIL):
+        assert isinstance(sentinel, Sentinel) and not sentinel
+    assert not NotFound(0)

@@ -24,9 +24,11 @@ from nomc import (
     App,
     Atom,
     EqualityGoal,
+    FreshnessGoal,
     IDENTITY_SUBST,
     PRECONDITION_FAIL,
     Position,
+    Signature,
     StepLimitExceeded,
     Substitution,
     Suspension,
@@ -430,6 +432,13 @@ class TestCheckSolution:
             for var in bound:
                 wrong = Substitution({**dict(edge.step_subst.items()), var: FRESH})
                 assert not check_solution((edge.child.context, wrong), problem, sig)
+
+    def test_freshness_goal(self):
+        # A freshness goal is instantiated by the candidate, then judged.
+        a, b, X = Atom("a"), Atom("b"), Var("X")
+        problem = UnificationState(EMPTY_CONTEXT, IDENTITY_SUBST, (FreshnessGoal(a, Suspension(IDENTITY, X)),))
+        assert check_solution((EMPTY_CONTEXT, Substitution({X: b})), problem, Signature())
+        assert not check_solution((EMPTY_CONTEXT, Substitution({X: a})), problem, Signature())
 
     def test_hypothesis_not_derivable(self):
         # and_exists needs a#P: the goal still holds without the context,

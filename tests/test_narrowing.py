@@ -25,8 +25,10 @@ from nomc import (
     NotFound,
     PRECONDITION_FAIL,
     RewriteRule,
+    RewriteStep,
     RewriteSystem,
     SearchSpaceExceeded,
+    Signature,
     Substitution,
     Suspension,
     UnificationState,
@@ -40,6 +42,7 @@ from nomc import (
     narrow_search,
     narrowing_to_rewriting,
     normalize,
+    one_step_rewrites,
     parse_context,
     parse_substitution,
     parse_system,
@@ -47,6 +50,8 @@ from nomc import (
     apply_subst,
     commutative_variants,
     primary_rewrite_steps,
+    r_over_e_one_step,
+    replace_at,
     solve,
     subterm_at,
     term_vars,
@@ -113,6 +118,11 @@ class TestOneStepNarrowing:
         assert not first.rule_instance.variables() & second.rule_instance.variables()
         assert narrowing_to_rewriting(first, tree.root, sig=sig)
         assert narrowing_to_rewriting(second, tree.root, sig=sig)
+
+    def test_step_prints_rule_position_substitution_and_child(self, prenex_system):
+        term = parse_term("not(exists([a]P))", prenex_system.signature)
+        (edge,) = narrow_search(frozenset(), term, prenex_system, 1, 0, 10).edges
+        assert str(edge) == "not_exists @ root with [Q0 -> P] ~> {} |- forall([a]not(P))"
 
     def test_no_rule_applies(self, ex22_system):
         assert narrow_search(frozenset(), a, ex22_system, 1, 1, 10).edges == ()
@@ -370,6 +380,30 @@ class TestLiftingBackward:
             lifting_backward_construct(
                 frozenset(), s0, rho0, frozenset(), (), 0, prenex_system
             )
+
+    def test_child_not_ac_to_the_recorded_result(self, ex22_system, monkeypatch):
+        # Step 0 records a rearranged result, but the narrowing child is the
+        # plain one, fC(fC(h(a), b), fC(h(a), c)). Collapsing its h(a) at 0.0
+        # gives fC(fC(a, b), fC(h(a), c)), not =ac to the recorded
+        # fC(fC(a, c), fC(h(a), b)): the constructed unifier solves step 1's
+        # problem, and only the =ac comparison refuses the child.
+        sig = ex22_system.signature
+        s0 = parse_term("fC(fC(h(h(a)), b), fC(h(a), c))", sig)
+        trace = []
+        for result in ("fC(fC(h(a), c), fC(h(a), b))", "fC(fC(a, c), fC(h(a), b))"):
+            source = trace[-1].result if trace else s0
+            (step,) = [
+                step
+                for step in one_step_rewrites(frozenset(), source, ex22_system)
+                if step.rule == "collapse" and str(step.position) == "0.0" and step.result == parse_term(result, sig)
+            ]
+            trace.append(step)
+        checked = []
+        check = narrowing.check_solution
+        monkeypatch.setattr(narrowing, "check_solution", lambda *args: checked.append(check(*args)) or checked[-1])
+        out = lifting_backward_construct(frozenset(), s0, IDENTITY_SUBST, frozenset(), trace, 0, ex22_system)
+        assert out == NotFound(step_index=1)
+        assert checked == [True, True]
 
     def test_round_trip_on_random_instances(self, prenex_system):
         rng = random.Random(32)
@@ -1518,3 +1552,97 @@ class TestSmallPrenexPatterns:
                 edges[size] += len(tree.edges)
         assert patterns == {1: 1, 2: 5, 3: 35, 4: 275, 5: 2277}
         assert edges == {1: 0, 2: 2, 3: 38, 4: 434, 5: 4462}
+
+
+# A signature with constants, which no bundled system declares, over
+# generated rules.
+CONSTANT_SIG = Signature({"zero": (0, False), "one": (0, False), "g": (1, False), "f": (2, True)})
+
+
+def _constant_rule(rng, name):
+    """A rule over CONSTANT_SIG: a random left-hand side other than a bare
+    variable, a right-hand side over its variables and a random context on
+    them."""
+    lhs = random_term(rng, CONSTANT_SIG, rng.randint(1, 3))
+    while isinstance(lhs, Suspension):
+        lhs = random_term(rng, CONSTANT_SIG, rng.randint(1, 3))
+    variables = tuple(sorted(term_vars(lhs), key=lambda v: v.name))
+    if variables:
+        rhs = random_term(rng, CONSTANT_SIG, 2, variables=variables)
+    else:
+        rhs = random_ground_term(rng, CONSTANT_SIG, 2)
+    size = rng.randint(0, 2) if variables else 0
+    context = frozenset(FreshnessConstraint(rng.choice(ATOMS), rng.choice(variables)) for _ in range(size))
+    return RewriteRule(name, context, lhs, rhs)
+
+
+def _reference_candidate_steps(delta, term, system, max_states):
+    """`rewriting._candidate_steps` over `reference_redexes`, with the
+    matcher filter at every site and rules renamed as that scan renames
+    them."""
+    avoid = term_vars(term) | {c.var for c in delta}
+
+    def prepare(rule):
+        if not avoid:
+            return system._fresh_rules[rule.name]
+        return rewriting.renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
+
+    attempt = functools.partial(rewriting._verified_matchers, delta, sig=system.signature, max_states=max_states)
+    for pos, rule, answers in reference_redexes(delta, term, system, prepare, attempt, unify=False):
+        for answer in answers:
+            result = replace_at(term, pos.path, apply_subst(answer.subst, rule.rhs))
+            yield RewriteStep(rule.name, pos, answer.subst, result, rule)
+
+
+def _steps_or_none(steps):
+    try:
+        return [(s.rule, s.position, s.subst, s.result, s.rule_instance) for s in steps]
+    except SearchSpaceExceeded:
+        return None
+
+
+class TestConstants:
+    """Generated systems over a signature with constants: the redex scan and
+    narrowing answer as their references do, and the class oracle raises
+    nothing but its bound."""
+
+    def test_same_steps_and_trees_as_the_references(self):
+        counts = collections.Counter()
+        max_states = 2_000
+
+        @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            rules = tuple(_constant_rule(rng, f"r{i}") for i in range(rng.randint(1, 3)))
+            system = RewriteSystem(rules, CONSTANT_SIG)
+            grounding = Substitution({v: random_ground_term(rng, CONSTANT_SIG, 2) for v in VARS})
+            lhs = rng.choice(rules).lhs
+            if rng.random() < 0.5:
+                term = apply_subst(grounding, lhs) if rng.random() < 0.5 else lhs
+            else:
+                term = random_term(rng, CONSTANT_SIG, 3)
+            delta = random_context(rng, size=2) if rng.random() < 0.3 else frozenset()
+            where = ([str(rule) for rule in rules], str(term), format_context(delta))
+            steps = _steps_or_none(rewriting._candidate_steps(delta, term, system, max_states))
+            assert steps == _steps_or_none(_reference_candidate_steps(delta, term, system, max_states)), where
+            args = (delta, term, system, 2, 1, 20)
+            tree = _search_or_none(narrow_search, *args, max_states=max_states)
+            reference = _search_or_none(reference_narrow_search, *args, max_states=max_states)
+            assert (tree is None) == (reference is None), where
+            if tree is not None:
+                assert _edge_records(tree) == _edge_records(reference), where
+            ground = apply_subst(grounding, term)
+            try:
+                results = r_over_e_one_step(ground, system, max_states=max_states)
+            except SearchSpaceExceeded:
+                counts["oracle_exceeded"] += 1
+            else:
+                counts["oracle_results"] += bool(results)
+            counts["steps"] += bool(steps)
+            counts["edges"] += bool(tree and tree.edges)
+            lhs_nodes = [sub for rule in rules for _, sub in subterms_with_positions(rule.lhs)]
+            counts["constant_lhs"] += any(isinstance(sub, App) and not sub.args for sub in lhs_nodes)
+
+        check()
+        assert all(counts[k] >= 100 for k in ("steps", "edges", "oracle_results", "constant_lhs")), counts

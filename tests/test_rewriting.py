@@ -39,7 +39,6 @@ from nomc import (
     commutative_variants,
     derive_alpha,
     derive_alpha_c,
-    free_atoms,
     fresh_atom,
     is_ground,
     lifting_backward_construct,
@@ -83,6 +82,7 @@ from conftest import (
     random_prenex_pattern,
     random_term,
     reference_dedup_steps,
+    reference_derive_freshness,
     reference_oracle_sources,
     reference_redexes,
     reference_skeleton_fits,
@@ -92,6 +92,8 @@ from conftest import (
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X = Var("X")
 CSIG = Signature({"oplus": (2, True), "g": (1, False)})
+# Two constants, a unary symbol and a commutative binary one.
+CONSTANT_SIG = Signature({"zero": (0, False), "one": (0, False), "g": (1, False), "f": (2, True)})
 
 
 class TestRuleValidation:
@@ -157,6 +159,11 @@ class TestOneStep:
         for first in or_exists:
             for second in or_exists:
                 assert derive_alpha_c(ctx, first.result, second.result, sig)
+
+    def test_step_prints_rule_position_and_result(self, prenex_system):
+        term = parse_term("not(exists([a]P))", prenex_system.signature)
+        step = one_step_rewrites(frozenset(), term, prenex_system)[0]
+        assert str(step) == "not_exists @ root: forall([a]not(P))"
 
     def test_normal_form_has_no_steps(self, prenex_system):
         assert one_step_rewrites(frozenset(), a, prenex_system) == ()
@@ -1152,9 +1159,8 @@ def _reference_alpha_variants(term, pool):
     if isinstance(term, Abstraction):
         for body in _reference_alpha_variants(term.body, pool):
             out[Abstraction(term.atom, body)] = None
-            free = free_atoms(body)
             for atom in sorted(pool, key=lambda a: a.name):
-                if atom != term.atom and atom not in free:
+                if atom != term.atom and reference_derive_freshness(frozenset(), atom, body):
                     swapped = permute_term(Permutation(((term.atom, atom),)), body)
                     out[Abstraction(atom, swapped)] = None
         return tuple(out)
@@ -1178,6 +1184,32 @@ class TestLazyVariants:
         ground = random_ground_term(rng, sig, 4)
         pool = set(rng.sample(ATOMS + (Atom("n0"),), rng.randint(0, 5)))
         assert alpha_variants(ground, pool) == _reference_alpha_variants(ground, pool)
+
+    def test_constants_over_the_eager_enumeration(self):
+        # No bundled system declares a constant; here one sits under binders
+        # and commutative nodes, where it is its own only variant.
+        counts = collections.Counter()
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            term = random_term(rng, CONSTANT_SIG, 4)
+            assert commutative_variants(term, CONSTANT_SIG) == _reference_commutative_variants(term, CONSTANT_SIG)
+            ground = random_ground_term(rng, CONSTANT_SIG, 4)
+            pool = set(rng.sample(ATOMS + (Atom("n0"),), rng.randint(0, 5)))
+            assert alpha_variants(ground, pool) == _reference_alpha_variants(ground, pool)
+            for t in (term, ground):
+                constants = [sub for _, sub in subterms_with_positions(t) if isinstance(sub, App) and not sub.args]
+                counts["constants"] += bool(constants)
+            counts["renamed"] += len(alpha_variants(ground, pool)) > 1
+            counts["rearranged"] += len(commutative_variants(term, CONSTANT_SIG)) > 1
+
+        check()
+        assert counts["constants"] >= 200 and counts["renamed"] >= 30 and counts["rearranged"] >= 30, counts
+        constant = App("zero", ())
+        assert commutative_variants(constant, CONSTANT_SIG) == (constant,)
+        assert alpha_variants(constant, set(ATOMS)) == (constant,)
 
 
 class _ReferenceTooCostly(Exception):

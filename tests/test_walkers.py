@@ -6,6 +6,7 @@ its reference in `conftest.py` does; terms are compared field by field with
 `reference_same_term`, since `==` and identity are what changed.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from nomc import (
     IDENTITY,
     Abstraction,
     App,
+    FreshnessConstraint,
     Permutation,
     Signature,
     Substitution,
@@ -27,6 +29,7 @@ from nomc import (
     term_atoms,
     term_vars,
 )
+from nomc.alpha import satisfies_with
 from nomc.rewriting import RewriteRule, RewriteSystem
 from nomc.terms import subterms_with_positions
 from conftest import (
@@ -61,6 +64,23 @@ def _subst(rng):
     return Substitution({v: _term(rng) for v in VARS if rng.random() < 0.6})
 
 
+def _small_terms(sizes):
+    """Every term of each size up to `sizes`, counted in nodes, as a list per
+    size. Leaves are a, b, X and (a b).X; g, [a] and [b] are unary, and fC
+    binary (commutative, which freshness does not read)."""
+    a, b = ATOMS[:2]
+    X = Var("X")
+    by_size = [[], [a, b, Suspension(IDENTITY, X), Suspension(Permutation(((a, b),)), X)]]
+    for size in range(2, sizes + 1):
+        terms = []
+        for body in by_size[size - 1]:
+            terms += [App("g", (body,)), Abstraction(a, body), Abstraction(b, body)]
+        for left_size in range(1, size - 1):
+            terms += [App("fC", pair) for pair in itertools.product(by_size[left_size], by_size[size - 1 - left_size])]
+        by_size.append(terms)
+    return by_size
+
+
 def _shares_untouched(term, result, untouched):
     """Every subterm of `term` that `untouched` accepts sits, as the same
     object, at its position in `result`."""
@@ -92,6 +112,37 @@ class TestAgainstReference:
                 assert derive_alpha_c(ctx, s, t, SIG) == reference_derive_alpha_c(ctx, s, t, SIG)
             for atom in ATOMS:
                 assert derive_freshness(ctx, atom, s) == reference_derive_freshness(ctx, atom, s)
+
+    def test_freshness_on_every_small_term(self):
+        # Every term up to six nodes, under every context on X over a and b,
+        # for both atoms.
+        a, b = ATOMS[:2]
+        X = Var("X")
+        by_size = _small_terms(6)
+        assert [len(terms) for terms in by_size[1:]] == [4, 12, 52, 252, 1316, 7212]
+        contexts = [frozenset(), frozenset({FreshnessConstraint(a, X)}), frozenset({FreshnessConstraint(b, X)})]
+        contexts.append(contexts[1] | contexts[2])
+        judged = 0
+        for terms in by_size:
+            for term in terms:
+                for ctx in contexts:
+                    for atom in (a, b):
+                        assert derive_freshness(ctx, atom, term) == reference_derive_freshness(ctx, atom, term), (
+                            str(term), str(atom), sorted(map(str, ctx)))
+                        judged += 1
+        assert judged == 70_784
+
+    def test_freshness_of_a_deep_term(self):
+        # 100,000 nested applications: the judgement loops, so no recursion
+        # limit applies.
+        a, b = ATOMS[:2]
+        X = Var("X")
+        term = b
+        for _ in range(100_000):
+            term = App("g", (term,))
+        assert derive_freshness(frozenset(), a, term)
+        assert not derive_freshness(frozenset(), b, term)
+        assert satisfies_with(frozenset({FreshnessConstraint(a, X)}), Substitution({X: term}), frozenset())
 
     @settings(max_examples=200, deadline=None)
     @given(SEEDS)
