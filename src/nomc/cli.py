@@ -132,8 +132,8 @@ def _solutions_payload(solutions: tuple[CSolution, ...]) -> list[dict]:
 
 
 def _tree_payload(tree: NarrowingTree) -> dict:
-    nodes = list(tree.nodes())
-    index = {id(n): i for i, n in enumerate(nodes)}
+    accumulated = tree.accumulated()
+    index = {id(n): i for i, n in enumerate(accumulated)}
     printer = Printer()
     return {
         "nodes": [
@@ -142,9 +142,9 @@ def _tree_payload(tree: NarrowingTree) -> dict:
                 "depth": n.depth,
                 "context": format_context(n.context),
                 "term": printer.term(n.term),
-                "accumulated": printer.subst(n.accumulated),
+                "accumulated": printer.subst(theta),
             }
-            for i, n in enumerate(nodes)
+            for i, (n, theta) in enumerate(accumulated.items())
         ],
         "edges": [
             {

@@ -17,8 +17,8 @@ Backward lifting draws the same way, from one supply per derivation, once
 per lifted step.
 
 Children are built straight from solver, walk and fixed-point answers,
-with no re-check, and no node constrains a variable its accumulated
-substitution binds (see `_expanded_solutions`). Backward lifting constructs its
+with no re-check, and no node constrains a variable its substitution from
+the root binds (see `_expanded_solutions`). Backward lifting constructs its
 unifier rather than solving for it, so `_lift_one` checks that one with
 `check_solution`. `narrowing_to_rewriting` is the soundness oracle for the
 steps this module builds.
@@ -26,11 +26,12 @@ steps this module builds.
 A search pays only for what it returns. It keeps one table of enumerated
 fixed-point options, keyed by (permutation, variable), for all its nodes:
 the options depend on nothing else that varies within a search, and the
-table is dropped when the search returns. A child's accumulated
-substitution is composed from its parent's when it is first read, and then
-kept (`NarrowingNode`); nothing in the search itself reads it. The scan,
-`nomc.rewriting.redexes`, decides where a rule is unified by the linear
-walk instead of the solver, with the same answers in the same order.
+table is dropped when the search returns. A node is a term in context;
+the substitution accumulated from the root belongs to its path, and
+nothing in the search reads it: `NarrowingTree.accumulated` composes every
+node's on request. The scan, `nomc.rewriting.redexes`, decides where a
+rule is unified by the linear walk instead of the solver, with the same
+answers in the same order.
 """
 
 from __future__ import annotations
@@ -85,55 +86,14 @@ from .unify import (
 )
 
 
-class _Pending:
-    """A child's accumulated substitution before it is first read: its
-    parent's, then the step's."""
-
-    __slots__ = ("parent", "theta")
-
-    def __init__(self, parent: NarrowingNode, theta: Substitution):
-        self.parent = parent
-        self.theta = theta
-
-
-class _ComposedOnRead:
-    """The data descriptor behind `NarrowingNode.accumulated`. A substitution
-    given to the constructor is kept as is; a `_Pending` one is composed on
-    the first read. That read walks up, in a loop, to the nearest node whose
-    substitution is composed, then composes back down and keeps each result,
-    so no later read composes again."""
-
-    def __get__(self, node: NarrowingNode | None, owner: type | None = None) -> Substitution:
-        if node is None:
-            raise AttributeError("accumulated")  # no class-level default: the field stays required
-        chain: list[tuple[NarrowingNode, Substitution]] = []
-        held = vars(node)["_accumulated"]
-        while isinstance(held, _Pending):
-            chain.append((node, held.theta))
-            node = held.parent
-            held = vars(node)["_accumulated"]
-        for below, theta in reversed(chain):
-            held = held.compose(theta)
-            vars(below)["_accumulated"] = held
-        return held
-
-    def __set__(self, node: NarrowingNode, value: Substitution | _Pending) -> None:
-        vars(node)["_accumulated"] = value
-
-
 @dataclass(frozen=True, eq=False)
 class NarrowingNode:
-    """A term in context reached by narrowing, with the accumulated
-    substitution from the root.
-
-    `NarrowingNode(context, term, accumulated, depth)` keeps the substitution
-    it is given. A child built by a narrowing step (`_child`) holds its parent
-    and the step's substitution instead, and composes them when `accumulated`
-    is first read."""
+    """A term in context reached by narrowing, at its depth below the root.
+    The substitution accumulated on the way belongs to the path, not the
+    node: `NarrowingTree.accumulated` composes it."""
 
     context: FreshnessContext
     term: Term
-    accumulated: Substitution = _ComposedOnRead()
     depth: int
 
     def __str__(self) -> str:
@@ -183,13 +143,19 @@ class NarrowingTree:
     def children(self, node: NarrowingNode) -> tuple[NarrowingStep, ...]:
         return tuple(e for e in self.edges if e.parent is node)
 
+    def accumulated(self) -> dict[NarrowingNode, Substitution]:
+        """Each node's substitution from the root, the composition of the
+        step substitutions on its path, in `nodes()` order. Edges are stored
+        breadth first, so a parent's substitution is composed before its
+        children's: one loop, one `compose` per edge."""
+        composed = {self.root: IDENTITY_SUBST}
+        for e in self.edges:
+            composed[e.child] = composed[e.parent].compose(e.step_subst)
+        return composed
+
 
 def _gather_vars(node: NarrowingNode) -> frozenset[Var]:
-    out = term_vars(node.term) | frozenset(c.var for c in node.context)
-    out |= node.accumulated.domain
-    for _, image in node.accumulated.items():
-        out |= term_vars(image)
-    return out
+    return term_vars(node.term) | frozenset(c.var for c in node.context)
 
 
 _FixpointTable = dict[tuple[Permutation, Var], tuple[tuple[FreshnessContext, Substitution], ...]]
@@ -242,7 +208,7 @@ def _child(
 ) -> NarrowingNode:
     """The child of a node for `rule` at `pos` under the answer (context, theta)."""
     rewritten = apply_subst(theta, replace_at(node.term, pos.path, rule.rhs))
-    return NarrowingNode(context, rewritten, _Pending(node, theta), node.depth + 1)
+    return NarrowingNode(context, rewritten, node.depth + 1)
 
 
 def _expand_node(
@@ -289,7 +255,7 @@ def narrow_search(
     truncation record. Each residual (permutation, variable) is enumerated
     once per search, into a table the search drops when it returns.
     """
-    root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
+    root = NarrowingNode(delta, term, 0)
     edges: list[NarrowingStep] = []
     frontier = [root]
     names = NameSupply(_gather_vars(root))
@@ -428,10 +394,11 @@ def lifting_backward_construct(
         source = recorded.result
     if not trace:
         return (), rho0
-    node = NarrowingNode(delta0, s0, IDENTITY_SUBST, 0)
+    node = NarrowingNode(delta0, s0, 0)
     rho_cur = rho0
     steps: list[NarrowingStep] = []
-    names = NameSupply(_gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta})
+    seeds = _gather_vars(node) | rho0.domain | {c.var for c in delta}
+    names = NameSupply(seeds.union(*(term_vars(image) for _, image in rho0.items())))
     for index, recorded in enumerate(trace):
         step = _lift_one(node, rho_cur, recorded, delta, sig, names)
         if step is None:

@@ -51,6 +51,15 @@ from nomc.unify import DEFAULT_MAX_STATES
 ATOMS = tuple(Atom(n) for n in "abcd")
 VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
 
+# A system where [a]f(a) and [b]f(b) close their coherence diagram only two
+# steps after their one-step reducts: [a]g(a) reaches [a]m(a) through k,
+# [b]h(b) reaches [b]m(b) at once.
+REACH_PAST_FIRST_LEVEL = (
+    "sig:\n  f: 1\n  g: 1\n  h: 1\n  k: 1\n  m: 1\n\nrules:\n"
+    "  ra: |- f(a) -> g(a)\n  rb: |- f(b) -> h(b)\n  rg: |- g(X) -> k(X)\n"
+    "  rk: |- k(X) -> m(X)\n  rh: |- h(X) -> m(X)\n"
+)
+
 
 @pytest.fixture(scope="session")
 def prenex_system():
@@ -579,11 +588,12 @@ def reference_expanded_solutions(solutions, sig, fixpoint_depth, table=None):
 # it built the child, enumerated a residual's fixed-point options afresh in
 # every `_expanded_solutions` call, and ran the solver on every attempt,
 # linear nodes included. This stays here as the reference for the search's
-# shared table, the composition on first read and the linear walk
-# (`nomc.narrowing.narrow_search`).
+# shared table, `NarrowingTree.accumulated` and the linear walk
+# (`nomc.narrowing.narrow_search`). It keeps each node's substitution in a
+# map of its own, which it returns beside the tree.
 
 
-def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names, max_states):
+def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names, max_states, accumulated):
     sig = system.signature
     steps = []
 
@@ -598,19 +608,23 @@ def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names
             if len(steps) >= max_unifiers:
                 return steps, True
             term = apply_subst(theta, replace_at(node.term, pos.path, rule.rhs))
-            child = NarrowingNode(context, term, node.accumulated.compose(theta), node.depth + 1)
+            child = NarrowingNode(context, term, node.depth + 1)
+            accumulated[child] = accumulated[node].compose(theta)
             steps.append(NarrowingStep(rule.name, pos, theta, flagged, child, node, rule))
     return steps, False
 
 
 def reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers, max_states=DEFAULT_MAX_STATES):
-    root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
+    root = NarrowingNode(delta, term, 0)
     names = NameSupply(narrowing._gather_vars(root))
+    accumulated = {root: IDENTITY_SUBST}
     edges, frontier, nodes_truncated = [], [root], 0
     for _ in range(depth):
         next_frontier = []
         for node in frontier:
-            steps, truncated = _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names, max_states)
+            steps, truncated = _reference_narrowing_steps(
+                node, system, fixpoint_depth, max_unifiers, names, max_states, accumulated
+            )
             nodes_truncated += truncated
             edges.extend(steps)
             next_frontier.extend(s.child for s in steps)
@@ -618,4 +632,4 @@ def reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unif
         if not frontier:
             break
     record = TruncationRecord(depth, max_unifiers, fixpoint_depth, nodes_truncated)
-    return NarrowingTree(root, tuple(edges), record)
+    return NarrowingTree(root, tuple(edges), record), accumulated

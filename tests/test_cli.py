@@ -16,6 +16,7 @@ from nomc import cli, parsing
 from nomc.cli import build_parser, run_command
 from nomc.narrowing import NarrowingNode
 from nomc.terms import Printer
+from conftest import REACH_PAST_FIRST_LEVEL
 
 
 def run(capsys, *argv):
@@ -111,6 +112,13 @@ class TestRewriteAndNormalize:
             "prenex",
         )
         assert code == 0 and out.strip() == "WITNESSED"
+
+    def test_coherence_verdict_turns_with_the_step_bound(self, capsys, tmp_path):
+        system = tmp_path / "reach.nrs"
+        system.write_text(REACH_PAST_FIRST_LEVEL)
+        argv = ("coherence", "[a]f(a)", "[b]f(b)", "--system", str(system), "--max-steps")
+        assert run(capsys, *argv, "1") == (0, "NOT-WITNESSED-WITHIN-BOUND\n")
+        assert run(capsys, *argv, "2") == (0, "WITNESSED\n")
 
 
 class TestNarrowAndLift:

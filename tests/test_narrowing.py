@@ -24,6 +24,7 @@ from nomc import (
     NarrowingTree,
     NotFound,
     PRECONDITION_FAIL,
+    Position,
     RewriteRule,
     RewriteStep,
     RewriteSystem,
@@ -350,6 +351,21 @@ class TestLiftingBackward:
         )
         assert lifting_forward_check(steps, residue, frozenset(), sig) is True
 
+    def test_fresh_names_avoid_the_variables_of_rho0(self, prenex_system):
+        # not_forall's Q is renamed to Q0 unless Q0 is taken. Here only
+        # rho0's image holds Q0, and a rule variable of that name would
+        # capture it: the unifier would no longer solve the step.
+        sig = prenex_system.signature
+        s0 = parse_term("not(forall([a]P))", sig)
+        rho0 = parse_substitution("P -> not(Q0)", sig)
+        _, trace = normalize(frozenset(), apply_subst(rho0, s0), prenex_system, 10)
+        out = lifting_backward_construct(frozenset(), s0, rho0, frozenset(), trace, 0, prenex_system)
+        assert not isinstance(out, NotFound)
+        (step,), residue = out
+        assert str(step.rule_instance) == "|- not(forall([a]Q1)) -> exists([a]not(Q1))"
+        assert str(step.child.term) == "exists([a]not(not(Q0)))"
+        assert lifting_forward_check((step,), residue, frozenset(), sig) is True
+
     def test_empty_trace(self, prenex_system):
         sig = prenex_system.signature
         s0 = parse_term("not(forall([a]Q))", sig)
@@ -482,10 +498,11 @@ def _reference_lifting_backward_construct(
         source = recorded.result
     if not trace:
         return (), rho0
-    node = NarrowingNode(delta0, s0, IDENTITY_SUBST, 0)
+    node = NarrowingNode(delta0, s0, 0)
     rho_cur = rho0
     steps = []
-    avoid = narrowing._gather_vars(NarrowingNode(delta0, s0, rho0, 0)) | {c.var for c in delta}
+    avoid = narrowing._gather_vars(node) | rho0.domain | {c.var for c in delta}
+    avoid = avoid.union(*(term_vars(image) for _, image in rho0.items()))
     for index, recorded in enumerate(trace):
         built = _reference_lift_one(
             node, rho_cur, recorded, delta, system, fixpoint_depth, avoid, max_states, fallback
@@ -751,7 +768,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
 
 
 def _reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers):
-    root = NarrowingNode(delta, term, IDENTITY_SUBST, 0)
+    root = NarrowingNode(delta, term, 0)
     edges, frontier = [], [root]
     avoid = narrowing._gather_vars(root)
     nodes_truncated = 0
@@ -789,6 +806,7 @@ def _tree_outline(tree):
     rule-instance variables are named by their first occurrence in its
     left-hand side, and that renaming holds below the edge too."""
     index = {id(node): i for i, node in enumerate(tree.nodes())}
+    accumulated = tree.accumulated()
     renamings = {id(tree.root): {}}
     edges = []
     for e in tree.edges:  # breadth first: a parent comes before its children
@@ -811,7 +829,7 @@ def _tree_outline(tree):
                 rewriting.renamed_rule(e.rule_instance, renaming),
                 context,
                 apply_subst(images, e.child.term),
-                subst(e.child.accumulated),
+                subst(accumulated[e.child]),
                 e.child.depth,
                 e.used_fixpoint_enumeration,
             )
@@ -1040,17 +1058,19 @@ class TestNoConstraintOnBoundVariable:
         nodes = 0
         for delta, term, system, depth, fixpoint_depth, max_unifiers in cases:
             tree = narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
+            accumulated = tree.accumulated()
             for edge in tree.edges:  # accumulated binds every variable step_subst binds
-                assert not _constrains_bound(edge.child.context, edge.child.accumulated), (str(term), str(edge))
+                assert not _constrains_bound(edge.child.context, accumulated[edge.child]), (str(term), str(edge))
                 nodes += 1
         assert nodes >= 500, nodes
 
 
 #
-# A search keeps one table of fixed-point options for all its nodes, and a
-# child's accumulated substitution is composed when it is first read. The
-# eager build, which composed every child's substitution and enumerated
-# afresh at every site, stays in conftest as the reference.
+# A search keeps one table of fixed-point options for all its nodes, and
+# composes no node's accumulated substitution: `NarrowingTree.accumulated`
+# does, on request. The eager build, which composed every child's
+# substitution and enumerated afresh at every site, stays in conftest as the
+# reference.
 
 FIXPOINT_PAIRS = ("ba", "ac", "cb", "bc", "ca")
 FIXPOINT_WRAPPERS = ("{}", "oplus({}, a)", "h({})", "fC(b, {})")
@@ -1082,9 +1102,9 @@ def _read_once_cases(rng, prenex_system, ex22_system):
     yield from _seeded_narrowing_cases(rng, prenex_system, ex22_system, 60)
 
 
-def _edge_records(tree):
-    """Each edge of a tree with its parent's index among the nodes, and the
-    truncation record."""
+def _edge_records(tree, accumulated):
+    """Each edge of a tree with its parent's index among the nodes and its
+    child's substitution in `accumulated`, and the truncation record."""
     index = {id(node): i for i, node in enumerate(tree.nodes())}
     edges = [
         (
@@ -1095,17 +1115,13 @@ def _edge_records(tree):
             e.rule_instance,
             e.child.term,
             e.child.context,
-            str(e.child.accumulated),
+            str(accumulated[e.child]),
             e.child.depth,
             e.used_fixpoint_enumeration,
         )
         for e in tree.edges
     ]
     return edges, tree.truncation
-
-
-def _pending(node):
-    return isinstance(vars(node)["_accumulated"], narrowing._Pending)
 
 
 class TestSearchPaysForWhatItReturns:
@@ -1115,16 +1131,15 @@ class TestSearchPaysForWhatItReturns:
             random.Random(31), prenex_system, ex22_system
         ):
             tree = narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
-            # the search itself reads no child's accumulated substitution
-            assert all(_pending(e.child) for e in tree.edges), str(term)
+            accumulated = tree.accumulated()
             reference = reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unifiers)
-            assert _edge_records(tree) == _edge_records(reference), (format_context(delta), str(term))
+            assert _edge_records(tree, accumulated) == _edge_records(*reference), (format_context(delta), str(term))
             kinds["edges"] += len(tree.edges)
             kinds["fixpoint"] += sum(e.used_fixpoint_enumeration for e in tree.edges)
             kinds["truncated"] += tree.truncation.nodes_truncated
             # a depth-2 child whose accumulated substitution binds more than its step's
             kinds["deep"] += sum(
-                e.child.depth == 2 and not e.child.accumulated.domain <= e.step_subst.domain for e in tree.edges
+                e.child.depth == 2 and not accumulated[e.child].domain <= e.step_subst.domain for e in tree.edges
             )
         assert all(kinds[k] for k in ("fixpoint", "truncated", "deep")), kinds
         assert kinds["edges"] >= 1500, kinds
@@ -1161,32 +1176,15 @@ class TestSearchPaysForWhatItReturns:
         assert totals["no_residual"] and totals["searches"], totals
         assert totals["reference_calls"] > totals["calls"] > 0, totals
 
-    def test_replace_keeps_the_accumulated_substitution(self, ex22_system):
-        sig = ex22_system.signature
-        for term in _fixpoint_terms(sig):
-            tree = narrow_search(frozenset(), term, ex22_system, 2, 2, 40)
-            reference = reference_narrow_search(frozenset(), term, ex22_system, 2, 2, 40)
-            deep = [(e.child, r.child) for e, r in zip(tree.edges, reference.edges) if e.child.depth == 2]
-            assert deep, str(term)
-            for child, want in deep:
-                assert _pending(child)
-                replaced = dataclasses.replace(child, term=want.term)
-                assert not _pending(replaced) and replaced.term is want.term
-                assert str(replaced.accumulated) == str(child.accumulated) == str(want.accumulated)
-
-    def test_a_node_built_with_a_substitution_keeps_it(self, prenex_system):
-        sig = prenex_system.signature
-        s0 = parse_term("and(P, not(forall([a]Q)))", sig)
-        rho0 = parse_substitution("P -> b, Q -> R", sig)
-        root = NarrowingNode(parse_context("a#R"), s0, rho0, 0)
-        assert root.accumulated is rho0
-        assert narrowing._gather_vars(root) == {Var("P"), Var("Q"), Var("R")}
-
     def test_a_deep_read_composes_in_a_loop(self, monkeypatch):
         theta = Substitution({X: a})
-        nodes = [NarrowingNode(frozenset(), a, IDENTITY_SUBST, 0)]
+        root = NarrowingNode(frozenset(), a, 0)
+        edges, parent = [], root
         for depth in range(1, 3 * sys.getrecursionlimit()):
-            nodes.append(NarrowingNode(frozenset(), a, narrowing._Pending(nodes[-1], theta), depth))
+            child = NarrowingNode(frozenset(), a, depth)
+            edges.append(NarrowingStep("r", Position(()), theta, False, child, parent, None))
+            parent = child
+        tree = NarrowingTree(root, tuple(edges), TruncationRecord(len(edges), 1, 0))
         composed = collections.Counter()
         compose = Substitution.compose
 
@@ -1195,12 +1193,10 @@ class TestSearchPaysForWhatItReturns:
             return compose(self, other)
 
         monkeypatch.setattr(Substitution, "compose", counting)
-        assert nodes[-1].accumulated == theta
-        assert composed["calls"] == len(nodes) - 1
-        # every node on the way keeps its result
-        assert not any(_pending(node) for node in nodes)
-        assert nodes[len(nodes) // 2].accumulated == theta and composed["calls"] == len(nodes) - 1
-
+        accumulated = tree.accumulated()
+        assert composed["calls"] == len(edges)
+        assert list(accumulated) == list(tree.nodes())
+        assert accumulated[root] == IDENTITY_SUBST and accumulated[parent] == theta
 
 
 #
@@ -1423,7 +1419,7 @@ class TestLinearNodeWalk:
             if tree is None:
                 counts["exceeded"] += 1
                 return
-            assert _edge_records(tree) == _edge_records(reference), where
+            assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference), where
             counts["edges"] += len(tree.edges)
             counts["open_edges"] += sum(bool(e.step_subst.domain & term_vars(e.parent.term)) for e in tree.edges)
             counts["truncated"] += tree.truncation.nodes_truncated
@@ -1510,7 +1506,7 @@ class TestLinearNodeWalk:
                 tree = narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
                 results[text, max_states] = [str(e.child.term) for e in tree.edges], calls["solve"]
                 reference = reference_narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
-                assert _edge_records(tree) == _edge_records(reference)
+                assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference)
             assert results[text, bound] == (children, 0) and results[text, bound - 1] == (children, 1), results
 
 
@@ -1546,7 +1542,7 @@ class TestSmallPrenexPatterns:
             for term in terms:
                 tree = narrow_search(frozenset(), term, prenex_system, 1, 0, 50)
                 reference = reference_narrow_search(frozenset(), term, prenex_system, 1, 0, 50)
-                assert _edge_records(tree) == _edge_records(reference), str(term)
+                assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference), str(term)
                 for edge in tree.edges:
                     assert narrowing_to_rewriting(edge, tree.root, sig=sig), (str(term), str(edge))
                 edges[size] += len(tree.edges)
@@ -1631,7 +1627,7 @@ class TestConstants:
             reference = _search_or_none(reference_narrow_search, *args, max_states=max_states)
             assert (tree is None) == (reference is None), where
             if tree is not None:
-                assert _edge_records(tree) == _edge_records(reference), where
+                assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference), where
             ground = apply_subst(grounding, term)
             try:
                 results = r_over_e_one_step(ground, system, max_states=max_states)

@@ -72,6 +72,7 @@ from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
 from conftest import (
     ATOMS,
+    REACH_PAST_FIRST_LEVEL,
     VARS,
     equivalent_variant,
     lhs_fits,
@@ -137,8 +138,12 @@ class TestRuleValidation:
             lambda s: normal_form_equal_check(EMPTY_CONTEXT, parse_term("not(X)", s.signature), s, 10),
             "normal form comparison is only defined on ground terms",
         ),
+        (
+            lambda s: alpha_variants(App("g", (Suspension(IDENTITY, Var("X")),)), {Atom("a")}),
+            "alpha variants are only defined on ground terms",
+        ),
     ],
-    ids=["duplicate_rule_name", "class_oracle_non_ground", "normal_form_check_non_ground"],
+    ids=["duplicate_rule_name", "class_oracle_non_ground", "normal_form_check_non_ground", "alpha_variants_non_ground"],
 )
 def test_input_checks_name_the_fault(prenex_system, call, message):
     with pytest.raises(ValueError) as err:
@@ -2050,6 +2055,15 @@ class TestCoherenceReach:
             (verdict,) = coherence_check(system, [sample], max_steps)
             assert verdict.status == status
             assert (verdict,) == _pairwise_coherence_check(system, [sample], max_steps)
+
+    def test_closing_reads_past_the_first_level(self):
+        # The verdict turns at max_steps 2, in either sample order.
+        system = parse_system(REACH_PAST_FIRST_LEVEL).system
+        t1, t2 = parse_term("[a]f(a)", system.signature), parse_term("[b]f(b)", system.signature)
+        for sample in ((frozenset(), t1, t2), (frozenset(), t2, t1)):
+            verdicts = [coherence_check(system, [sample], max_steps)[0] for max_steps in range(4)]
+            assert [v.status for v in verdicts] == [rewriting.NOT_WITNESSED] * 2 + [WITNESSED] * 2, str(sample[1])
+            assert verdicts == [_pairwise_coherence_check(system, [sample], n)[0] for n in range(4)]
 
     def test_the_walk_reads_reach_sets_only_as_far_as_it_closes(self):
         # t1's reduct L = lam([a]f(f(e, e), f(e, e))) meets t2's reduct d at

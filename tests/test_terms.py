@@ -65,6 +65,12 @@ NODES = (
 )
 
 
+def test_signature_refuses_a_negative_arity():
+    with pytest.raises(ValueError) as err:
+        Signature({"f": (-1, False)})
+    assert str(err.value) == "negative arity for symbol f"
+
+
 class TestPrimitives:
     """Atoms and variables are interned; nodes are slotted frozen dataclasses."""
 
