@@ -698,10 +698,8 @@ def _fitting_sites(
     (`_fit_masks`). Subterms come leftmost-outermost, and a subterm's rules
     in declaration order: each rule of `_lhs` whose bit its mask holds. A
     skeleton's bit is set only under its own head, so no rule index by head
-    is needed. The walk does not start when the root has no SITE, and skips
-    every subtree without one."""
-    if not masks[0] & SITE:
-        return
+    is needed. The walk skips every subtree without SITE, so a root without
+    it yields nothing; `redexes` checks the root and does not call it then."""
     lhs = system._lhs
     # (path, index) pairs, the next one on top.
     stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
@@ -741,10 +739,13 @@ def redexes(
     the subterm's, it is retried once with the clashing atoms moved to
     fresh ones. Each success yields `(position, rule, answers)`, where
     `rule` is the copy that gave the answers; a Position is built only for
-    a site that yields.
+    a site that yields. A term whose root has no SITE has no site, so the
+    scan ends after the fit-mask pass, before the walk gate is set up.
     """
     sig = system.signature
     nodes, firsts, masks = _fit_masks(term, system, unify)
+    if not masks[0] & SITE:
+        return
     walks = _walk_gate(system, nodes, context, max_states, unify)
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
@@ -1063,12 +1064,22 @@ def normal_form_equal_check(
     the two strategies pull the quantifiers of `and(forall([a]a),
     exists([a]a))` out in different orders, so the answer there is False.
 
-    Each class scan is bounded by `max_sources` as in `r_over_e_one_step`;
-    a class with no fitting site, such as that of a normal form, needs none.
+    Each class scan is bounded by `max_sources` as in `r_over_e_one_step`.
+
+    A term with no fitting site (`_class_fits`), such as a normal form, is
+    answered True after one fit-mask pass, and no bound can fire. The answer
+    is exact: both strategies begin with that same pass over the term, and
+    a root without SITE gives `normalize` no redex and `_class_steps` no
+    member, so both normal forms are the term itself, and `derive_alpha_c`
+    holds of an object and itself.
     """
     if not is_ground(term):
         raise ValueError("normal form comparison is only defined on ground terms")
     _check_max_sources(max_sources)
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
+    if not _class_fits(term, system):
+        return True
     nf_matching, _ = normalize(delta, term, system, max_steps, max_states=max_states)
     nf_class, _ = _normal_form(lambda t: _class_steps(t, system, max_states, max_sources), term, max_steps)
     return derive_alpha_c(delta, nf_matching, nf_class, system.signature)

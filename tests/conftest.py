@@ -38,6 +38,8 @@ from nomc import (
     enumerate_fixpoint_solutions,
     freshness_context_nf,
     fresh_atom,
+    is_ground,
+    normalize,
     permute_term,
     simplify_step,
     solve,
@@ -475,6 +477,29 @@ def reference_oracle_sources(term, system, max_sources=rewriting.DEFAULT_MAX_SOU
                     )
                 seen.add(variant)
                 yield variant
+
+
+def reference_normal_form_equal_check(
+    delta,
+    term,
+    system,
+    max_steps,
+    *,
+    max_states=DEFAULT_MAX_STATES,
+    max_sources=rewriting.DEFAULT_MAX_SOURCES,
+):
+    """`nomc.rewriting.normal_form_equal_check` as it was when it ran both
+    strategies in full on every term, one with no fitting site included:
+    the matching normal form, then the class normal form, compared by
+    `derive_alpha_c`."""
+    if not is_ground(term):
+        raise ValueError("normal form comparison is only defined on ground terms")
+    rewriting._check_max_sources(max_sources)
+    nf_matching = normalize(delta, term, system, max_steps, max_states=max_states)[0]
+    nf_class = rewriting._normal_form(
+        lambda t: rewriting._class_steps(t, system, max_states, max_sources), term, max_steps
+    )[0]
+    return derive_alpha_c(delta, nf_matching, nf_class, system.signature)
 
 
 # -- the solver's search, the old way ----------------------------------------------

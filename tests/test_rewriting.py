@@ -84,6 +84,7 @@ from conftest import (
     random_term,
     reference_dedup_steps,
     reference_derive_freshness,
+    reference_normal_form_equal_check,
     reference_oracle_sources,
     reference_redexes,
     reference_skeleton_fits,
@@ -1617,9 +1618,12 @@ class TestClassOracle:
 
 
 def _outcome(check):
-    """What `check()` returns, or the bound it hit with what that reports."""
+    """What `check()` returns, or the bound it hit or the input it refused
+    with what that reports."""
     try:
         return check()
+    except ValueError as exc:
+        return "invalid", str(exc)
     except SearchSpaceExceeded as exc:
         return "exceeded", str(exc)
     except StepLimitExceeded as exc:
@@ -1908,6 +1912,61 @@ class TestRedexScan:
         monkeypatch.setattr(rewriting, "match", counting)
         assert not rewriting._class_fits(term, prenex_system)
         assert calls == []
+
+
+# Ground systems for the no-site answer: the bundled three, and one whose
+# only rule fits every atom leaf, so that every term over it has a site.
+NO_SITE_SYSTEMS = {
+    "prenex": SYSTEMS["prenex"],
+    "ex22": SYSTEMS["ex22"],
+    "lambda": POOL_SYSTEMS["lambda"],
+    "spin": parse_system("sig:\n  lam: 1\n\nrules:\n  spin: |- a -> a\n").system,
+}
+
+
+class TestNoSiteAnswer:
+    """`normal_form_equal_check` answers a term with no fitting site after
+    one fit-mask pass, and `redexes` stops there: the same answers, errors
+    and bounds as both strategies run in full."""
+
+    def test_same_outcome_as_both_strategies_in_full(self):
+        shortcut = collections.Counter()
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(st.sampled_from(sorted(NO_SITE_SYSTEMS)), st.integers(0, 2**32 - 1))
+        def check(name, seed):
+            rng = random.Random(seed)
+            system = NO_SITE_SYSTEMS[name]
+            if name != "prenex":
+                term = random_ground_term(rng, system.signature, 4)
+            elif rng.random() < 0.5:
+                term = random_prenex_formula(rng, 4)
+            else:  # often two quantifiers under one connective, where the strategies can part
+                term = _pool_subject(rng, name)
+            delta = random_context(rng) if rng.random() < 0.5 else EMPTY_CONTEXT
+            shortcut[not rewriting._class_fits(term, system)] += 1
+            for max_steps, max_sources in itertools.product((0, 1, 10), (-1, 0, 1, rewriting.DEFAULT_MAX_SOURCES)):
+                args = (delta, term, system, max_steps)
+                expected = _outcome(lambda: reference_normal_form_equal_check(*args, max_sources=max_sources))
+                got = _outcome(lambda: normal_form_equal_check(*args, max_sources=max_sources))
+                assert got == expected, (name, str(term), max_steps, max_sources)
+
+        check()
+        assert shortcut[True] * 3 >= sum(shortcut.values()), shortcut
+
+    def test_one_mask_pass_and_no_walk_gate(self, monkeypatch, prenex_system):
+        term = parse_term("forall([a]exists([b]and(a, or(not(b), c))))", prenex_system.signature)
+        passes, normalized, gates = [], [], []
+        fit_masks, norm, gate = rewriting._fit_masks, rewriting.normalize, rewriting._walk_gate
+        monkeypatch.setattr(rewriting, "_fit_masks", lambda *args: passes.append(args[0]) or fit_masks(*args))
+        monkeypatch.setattr(rewriting, "normalize", lambda *args, **kwargs: normalized.append(args) or norm(*args, **kwargs))
+        monkeypatch.setattr(rewriting, "_walk_gate", lambda *args: gates.append(args) or gate(*args))
+        assert normal_form_equal_check(EMPTY_CONTEXT, term, prenex_system, 10)
+        assert passes == [term] and normalized == []
+        passes.clear()
+        scan = rewriting.redexes(EMPTY_CONTEXT, term, prenex_system, lambda rule: rule, DEFAULT_MAX_STATES, False)
+        assert list(scan) == []
+        assert passes == [term] and gates == []
 
 
 # Every system of the scan and skeleton properties, with and without

@@ -277,48 +277,104 @@ class TestMatch:
         assert all(not s.residual_fixpoints for s in sols)
 
 
+def _residual_problem(rng, sig):
+    """A problem of one of two shapes that leave fixed-point residuals,
+    `fC([a][b]S, S) =? fC([b][a]T, T)` and `(a b).X =? X`, both sides under
+    one random context whose commutative arguments may differ and mention Y."""
+    if rng.random() < 0.5:
+        s, t = parse_term("fC([a][b]S, S)", sig), parse_term("fC([b][a]T, T)", sig)
+    else:
+        s, t = Suspension(Permutation(((a, b),)), X), Suspension(IDENTITY, X)
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(("g", "fC", "abs"))
+        if kind == "g":
+            s, t = App("g", (s,)), App("g", (t,))
+        elif kind == "abs":
+            binder = rng.choice((a, b))
+            s, t = Abstraction(binder, s), Abstraction(binder, t)
+        else:
+            s = App("fC", (s, random_term(rng, sig, 1, atoms=(a, b), variables=(Y,))))
+            t = App("fC", (random_term(rng, sig, 1, atoms=(a, b), variables=(Y,)), t))
+    return s, t
+
+
 class TestCompletenessOracle:
     def test_ground_solutions_are_instances_of_answers(self):
         # brute-force oracle: every ground substitution solving the problem
-        # must be an instance of some returned solution
-        import itertools
+        # must be an instance of some returned solution; where the answers
+        # carry residual fixed-point equations, an instance by a ground
+        # substitution from the universe that satisfies the answer's context
+        # and residuals
+        from nomc import derive_freshness, term_vars
+        from nomc.alpha import format_context
 
         sig = Signature({"fC": (2, True), "g": (1, False)})
         rng = random.Random(99)
         universe = [a, b]
         universe += [App("g", (t,)) for t in list(universe)]
         universe += [App("fC", (l, r)) for l in (a, b) for r in (a, b)]
-        from nomc import Abstraction, apply_subst, term_vars
-        from conftest import random_term
-
         universe += [Abstraction(a, t) for t in (a, b)]
+        # fC(a, b), above, and g(fC(a, b)) are fixed points of (a b)
+        universe += [App("g", (App("fC", (a, b)),))]
 
-        def brute_solutions(s, t, variables):
-            for images in itertools.product(universe, repeat=len(variables)):
-                theta = Substitution(dict(zip(variables, images)))
-                if derive_alpha_c(
-                    frozenset(), apply_subst(theta, s), apply_subst(theta, t), sig
-                ):
-                    yield theta
+        def satisfies(delta, ctx, residuals):
+            return all(derive_freshness(EMPTY_CONTEXT, c.atom, delta.get(c.var)) for c in ctx) and all(
+                derive_alpha_c(EMPTY_CONTEXT, permute_term(perm, delta.get(v)), delta.get(v), sig)
+                for perm, v in residuals
+            )
 
+        def ground_instances(sol, variables):
+            """The images of `variables` under sol.subst followed by each
+            ground delta over the universe that satisfies sol's context and
+            its residuals."""
+            images = [sol.subst.get(v) for v in variables]
+            free = set().union(*map(term_vars, images), {c.var for c in sol.context})
+            free = sorted(free | {v for _, v in sol.residual_fixpoints}, key=lambda v: v.name)
+            for choice in itertools.product(universe, repeat=len(free)):
+                delta = Substitution(dict(zip(free, choice)))
+                if satisfies(delta, sol.context, sol.residual_fixpoints):
+                    yield [apply_subst(delta, image) for image in images]
+
+        problems = []
         for _ in range(150):
             s = random_term(rng, sig, 2, atoms=(a, b), variables=(X,))
             t = random_term(rng, sig, 2, atoms=(a, b), variables=(Y,))
-            sols = solve(frozenset(), t, frozenset(), s, sig=sig)
-            if any(sol.residual_fixpoints for sol in sols):
-                continue
+            problems.append((EMPTY_CONTEXT, s, t))
+        for _ in range(40):
+            s, t = _residual_problem(rng, sig)
             variables = sorted(term_vars(s) | term_vars(t), key=lambda v: v.name)
-            for theta in brute_solutions(s, t, variables):
+            ctx = frozenset(FreshnessConstraint(atom, v) for atom in (a, b) for v in variables if rng.random() < 0.2)
+            problems.append((ctx, s, t))
+        with_residuals = 0
+        for ctx, s, t in problems:
+            sols = solve(ctx, t, frozenset(), s, sig=sig)
+            variables = sorted(term_vars(s) | term_vars(t), key=lambda v: v.name)
+            residual = any(sol.residual_fixpoints for sol in sols)
+            with_residuals += residual
+            instances = [found for sol in sols for found in ground_instances(sol, variables)] if residual else None
+            for images in itertools.product(universe, repeat=len(variables)):
+                theta = Substitution(dict(zip(variables, images)))
+                if not satisfies(theta, ctx, ()) or not derive_alpha_c(
+                    EMPTY_CONTEXT, apply_subst(theta, s), apply_subst(theta, t), sig
+                ):
+                    continue
+                if residual:
+                    assert any(
+                        all(derive_alpha_c(EMPTY_CONTEXT, u, v, sig) for u, v in zip(images, instance))
+                        for instance in instances
+                    ), (format_context(ctx), str(s), str(t), str(theta))
+                    continue
                 assert any(
                     instance_of(
                         (sol.context, sol.subst),
-                        (frozenset(), theta),
+                        (EMPTY_CONTEXT, theta),
                         set(variables),
                         sig=sig,
                     )
                     is True
                     for sol in sols
                 ), (str(s), str(t), str(theta))
+        assert with_residuals >= 20
 
 
 class TestCheckSolution:
