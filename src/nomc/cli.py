@@ -59,7 +59,9 @@ _BUNDLED = ("prenex.nrs", "ex22.nrs", "lambda.nrs")
 
 
 class UserError(Exception):
-    pass
+    def __init__(self, message: str, truncation: dict | None = None):
+        super().__init__(message)
+        self.truncation = truncation  # the record of a cut that caused the error
 
 
 # A command's answer, unrendered: one callable builds its JSON payload, the
@@ -185,8 +187,10 @@ def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
         if not children:
             break
         if not 0 <= index < len(children):
-            cut = f"; {_cut_note(tree.truncation)}" if tree.truncation.nodes_truncated else ""
-            raise UserError(f"path index {index} out of range at level {level}{cut}")
+            message = f"path index {index} out of range at level {level}"
+            if tree.truncation.nodes_truncated:
+                raise UserError(f"{message}; {_cut_note(tree.truncation)}", dataclasses.asdict(tree.truncation))
+            raise UserError(message)
         derivation.append(children[index])
         node = children[index].child
     return derivation
@@ -448,6 +452,7 @@ def run_command(argv: list[str]) -> int:
         # usage message already on stderr; here 2 means a bound was hit.
         return 0 if exc.code == 0 else 1
     started = time.perf_counter()
+    truncation = None  # an error's own record; a result may carry one
     try:
         system = None
         if args.system:
@@ -461,6 +466,7 @@ def run_command(argv: list[str]) -> int:
         code = 0
     except (UserError, ValueError) as exc:  # ParseError is a ValueError
         result = {"error": str(exc)} if args.json else f"error: {exc}"
+        truncation = getattr(exc, "truncation", None)
         code = 1
     except (StepLimitExceeded, SearchSpaceExceeded) as exc:
         result = {"error": str(exc), "bound_exhausted": True} if args.json else f"bound exhausted: {exc}"
@@ -476,7 +482,7 @@ def run_command(argv: list[str]) -> int:
         report = {
             "command": args.command,
             "result": result,
-            "truncation": result.get("truncation"),
+            "truncation": result.get("truncation", truncation),
             "timing_ms": elapsed_ms,
         }
         result = json.dumps(report, sort_keys=True)

@@ -14,11 +14,12 @@ sections; a line whose first non-blank character is `#` is a comment.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .alpha import (
     EqualityGoal,
@@ -58,151 +59,156 @@ class ArityError(ParseError):
         self.sym = sym
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
 _LEXEMES = {"|-": "TURNSTILE", "->": "ARROW", "=ac": "EQAC",
             "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
             ",": "COMMA", ".": "DOT", "#": "HASH", ":": "COLON"}
-# One pass over the text: a blank run, a fixed lexeme, a word run, or any
-# other character. `\s` is exactly `str.isspace` and `\w` exactly
-# `str.isalnum() or "_"` on every code point (tests/test_parsing.py checks).
-_SCAN = re.compile(r"(\s+)|(=ac|\|-|->|[()\[\],.#:])|(\w+)|(.)", re.DOTALL)
+# Exactly the `str.isdigit` characters: `\d` is `str.isdecimal`, and the
+# literal ranges are the 128 other digits, such as `²`.
+_DIGIT = (
+    r"[\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a]"
+)
+# A token is a fixed lexeme, a digit run, a word run, or any other
+# non-blank character; `findall` skips the blanks between tokens. `\s` is
+# exactly `str.isspace`, `\w` exactly `str.isalnum() or "_"`, and `_DIGIT`
+# exactly `str.isdigit` on every code point (tests/test_parsing.py checks).
+_SCAN = re.compile(rf"=ac|\|-|->|[()\[\],.#:]|{_DIGIT}+|\w+|\S")
 # An identifier, such as a rule or problem name: a word run that starts with
 # an `isalpha()` character, as `_tokenize` reads one.
 _WORD = re.compile(r"\w+")
 
 
-def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
-    """Tokens with their line and column. A column counts characters from
-    the start of its line, from 1; only `\\n` starts a new line.
+def _tokenize(text: str, line_offset: int = 1) -> tuple[list[str], list[str]]:
+    """The kinds and the values of the tokens of `text`, with EOF last.
 
     A word run is an identifier when it starts with an `isalpha()`
-    character. One that starts with an `isdigit()` character gives an
-    integer of its `isdigit()` prefix and then an identifier of the rest,
-    which must start with a letter. Runs are classified by these `str`
-    methods and never by `\\d`, which differs from `isdigit` on 128 code
-    points (`²` is a digit to `isdigit` but not to `\\d`)."""
-    tokens: list[_Token] = []
-    line, start, i = line_offset, 0, 0  # start: offset of the line's first character
-    for blank, lexeme, word, other in _SCAN.findall(text):
-        if blank:
-            if "\n" in blank:
-                line, start = line + blank.count("\n"), i + blank.rindex("\n") + 1
-            i += len(blank)
-        elif lexeme:
-            tokens.append(_Token(_LEXEMES[lexeme], lexeme, line, i - start + 1))
-            i += len(lexeme)
-        elif word:
-            if word[0].isdigit():
-                j = 1
-                while j < len(word) and word[j].isdigit():
-                    j += 1
-                tokens.append(_Token("INT", word[:j], line, i - start + 1))
-                i, word = i + j, word[j:]
-            if word:
-                if not word[0].isalpha():
-                    raise ParseError(f"unexpected character {word[0]!r}", line, i - start + 1)
-                tokens.append(_Token("IDENT", word, line, i - start + 1))
-                i += len(word)
-        else:
-            raise ParseError(f"unexpected character {other!r}", line, i - start + 1)
-    tokens.append(_Token("EOF", "", line, i - start + 1))
-    return tokens
+    character. A run of `isdigit()` characters is an integer, and the rest
+    of its word run follows as a token of its own, which must start with a
+    letter. Runs are classified by these `str` methods and never by `\\d`
+    alone, which differs from `isdigit` on 128 code points (`²` is a digit
+    to `isdigit` but not to `\\d`). Tokens carry no position: `_position`
+    finds one when an error is reported."""
+    values = _SCAN.findall(text)
+    kinds = [
+        _LEXEMES.get(v) or ("IDENT" if v[0].isalpha() else "INT" if v[0].isdigit() else "")
+        for v in values
+    ]
+    if "" in kinds:
+        i = kinds.index("")
+        raise ParseError(f"unexpected character {values[i][0]!r}", *_position(text, i, line_offset))
+    kinds.append("EOF")
+    values.append("")
+    return kinds, values
+
+
+def _position(text: str, index: int, line_offset: int) -> tuple[int, int]:
+    """The line and column of token `index` of `text`, found by scanning the
+    text again as far as that token; EOF sits at the end of the text. A
+    column counts characters from the start of its line, from 1, and only
+    `\\n` starts a new line."""
+    match = next(itertools.islice(_SCAN.finditer(text), index, None), None)
+    at = len(text) if match is None else match.start()
+    return line_offset + text.count("\n", 0, at), at - text.rfind("\n", 0, at)
 
 
 class _Parser:
+    """A recursive-descent parser over the tokens of one text. A token is
+    its index into the parallel `kinds` and `values` lists."""
+
     def __init__(self, text: str, sig: Signature | None, line_offset: int = 1):
-        self.tokens = _tokenize(text, line_offset)
+        self.text = text
+        self.line_offset = line_offset
+        self.kinds, self.values = _tokenize(text, line_offset)
         self.pos = 0
         self.sig = sig
 
-    def peek(self, ahead: int = 0) -> _Token:
+    def at(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`, for an error message."""
+        return _position(self.text, i, self.line_offset)
+
+    def peek(self, ahead: int = 0) -> str:
         # `next` never passes EOF, the last token; only look-ahead can.
         if ahead:
-            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
+            return self.kinds[min(self.pos + ahead, len(self.kinds) - 1)]
+        return self.kinds[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+    def next(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "EOF":
             self.pos += 1
-        return tok
+        return i
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.value or 'end of input'}", tok.line, tok.col)
-        return tok
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def expect(self, kind: str) -> int:
+        i = self.next()
+        if self.kinds[i] != kind:
+            raise ParseError(f"expected {kind}, found {self.values[i] or 'end of input'}", *self.at(i))
+        return i
 
     def atom(self) -> Atom:
-        tok = self.expect("IDENT")
-        if not tok.value[0].islower():
-            raise ParseError(f"expected an atom (lowercase), found {tok.value}", tok.line, tok.col)
-        if self.sig is not None and self.sig.declares(tok.value):
-            raise ParseError(f"{tok.value} is a declared symbol, not an atom", tok.line, tok.col)
-        return Atom(tok.value)
+        i = self.expect("IDENT")
+        name = self.values[i]
+        if not name[0].islower():
+            raise ParseError(f"expected an atom (lowercase), found {name}", *self.at(i))
+        if self.sig is not None and self.sig.declares(name):
+            raise ParseError(f"{name} is a declared symbol, not an atom", *self.at(i))
+        return Atom(name)
 
     def variable(self) -> Var:
-        tok = self.expect("IDENT")
-        if not tok.value[0].isupper():
-            raise ParseError(f"expected a variable (uppercase), found {tok.value}", tok.line, tok.col)
-        return Var(tok.value)
+        i = self.expect("IDENT")
+        name = self.values[i]
+        if not name[0].isupper():
+            raise ParseError(f"expected a variable (uppercase), found {name}", *self.at(i))
+        return Var(name)
 
     def term(self) -> Term:
-        # Reads `tokens[self.pos]` directly, and steps past a token only
+        # Reads `kinds[self.pos]` directly, and steps past a token only
         # after seeing that it is not EOF. One frame per nesting level.
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok.kind == "LPAREN":
+        kinds = self.kinds
+        i = self.pos
+        kind = kinds[i]
+        if kind == "LPAREN":
             perm = self.permutation()
             self.expect("DOT")
             return Suspension(perm, self.variable())
-        if tok.kind == "LBRACK":
+        if kind == "LBRACK":
             self.pos += 1
             bound = self.atom()
             self.expect("RBRACK")
             return Abstraction(bound, self.term())
-        if tok.kind == "IDENT":
+        name = self.values[i]
+        if kind == "IDENT":
             self.pos += 1
-            name = tok.value
-            if tokens[self.pos].kind == "LPAREN":
+            if kinds[self.pos] == "LPAREN":
                 self.pos += 1
                 args = [self.term()]
-                while tokens[self.pos].kind == "COMMA":
+                while kinds[self.pos] == "COMMA":
                     self.pos += 1
                     args.append(self.term())
                 self.expect("RPAREN")
                 if self.sig is not None and self.sig.declares(name):
                     expected = self.sig.arity(name)
                     if expected != len(args):
-                        raise ArityError(name, expected, len(args), tok.line, tok.col)
+                        raise ArityError(name, expected, len(args), *self.at(i))
                 return App(name, tuple(args))
             if self.sig is not None and self.sig.declares(name):
                 if self.sig.arity(name) == 0:
                     return App(name, ())
-                raise ArityError(name, self.sig.arity(name), 0, tok.line, tok.col)
+                raise ArityError(name, self.sig.arity(name), 0, *self.at(i))
             if name[0].isupper():
                 return Suspension(IDENTITY, Var(name))
             if name[0].islower():
                 return Atom(name)
             raise ParseError(
-                f"expected an atom (lowercase) or a variable (uppercase), found {name}", tok.line, tok.col
+                f"expected an atom (lowercase) or a variable (uppercase), found {name}", *self.at(i)
             )
-        raise self.fail(f"expected a term, found {tok.value or 'end of input'}")
+        raise ParseError(f"expected a term, found {name or 'end of input'}", *self.at(i))
 
     def permutation(self) -> Permutation:
         """One or more swappings; `term` calls it only at a `(`."""
         swappings: list[tuple[Atom, Atom]] = []
-        while self.peek().kind == "LPAREN":
+        while self.peek() == "LPAREN":
             self.next()
             left = self.atom()
             right = self.atom()
@@ -212,7 +218,7 @@ class _Parser:
 
     def freshness_group(self) -> list[FreshnessConstraint]:
         atoms = [self.atom()]
-        while self.peek().kind == "COMMA" and self._comma_continues_atoms():
+        while self.peek() == "COMMA" and self._comma_continues_atoms():
             self.next()
             atoms.append(self.atom())
         self.expect("HASH")
@@ -222,33 +228,30 @@ class _Parser:
     def _comma_continues_atoms(self) -> bool:
         # inside an atom group `a,b#X` the identifier after the comma is
         # followed by another comma or by `#`; a new group looks like `b#Y`.
-        return (
-            self.peek(1).kind == "IDENT"
-            and self.peek(2).kind in ("COMMA", "HASH")
-        )
+        return self.peek(1) == "IDENT" and self.peek(2) in ("COMMA", "HASH")
 
     def context(self) -> FreshnessContext:
         constraints: list[FreshnessConstraint] = []
         constraints.extend(self.freshness_group())
-        while self.peek().kind == "COMMA":
+        while self.peek() == "COMMA":
             self.next()
             constraints.extend(self.freshness_group())
         return frozenset(constraints)
 
     def substitution(self) -> Substitution:
-        bracketed = self.peek().kind == "LBRACK"
+        bracketed = self.peek() == "LBRACK"
         if bracketed:
             self.next()
         mapping: dict[Var, Term] = {}
-        if not (bracketed and self.peek().kind == "RBRACK"):
+        if not (bracketed and self.peek() == "RBRACK"):
             while True:
-                tok = self.peek()
+                i = self.pos
                 var = self.variable()
                 if var in mapping:
-                    raise ParseError(f"variable {var} is bound twice", tok.line, tok.col)
+                    raise ParseError(f"variable {var} is bound twice", *self.at(i))
                 self.expect("ARROW")
                 mapping[var] = self.term()
-                if self.peek().kind != "COMMA":
+                if self.peek() != "COMMA":
                     break
                 self.next()
         if bracketed:
@@ -257,36 +260,38 @@ class _Parser:
 
     def judgement(self) -> Goal:
         first = self.term()
-        tok = self.next()
-        if tok.kind == "HASH":
+        i = self.next()
+        kind = self.kinds[i]
+        if kind == "HASH":
             if not isinstance(first, Atom):
-                raise ParseError("freshness judgement needs an atom on the left", tok.line, tok.col)
+                raise ParseError("freshness judgement needs an atom on the left", *self.at(i))
             return FreshnessGoal(first, self.term())
-        if tok.kind == "EQAC":
+        if kind == "EQAC":
             return EqualityGoal(first, self.term())
-        raise ParseError(f"expected '#' or '=ac', found {tok.value or 'end of input'}", tok.line, tok.col)
+        raise ParseError(f"expected '#' or '=ac', found {self.values[i] or 'end of input'}", *self.at(i))
 
     def sig_entry(self) -> tuple[str, int, bool]:
-        name = self.expect("IDENT")
+        name = self.values[self.expect("IDENT")]
         self.expect("COLON")
-        arity = self.expect("INT")
-        if not arity.value.isdecimal():  # a digit such as `²` that int() rejects
-            raise ParseError(f"arity {arity.value} is not a decimal number", arity.line, arity.col)
-        commutative = self.peek().kind == "IDENT"
+        i = self.expect("INT")
+        arity = self.values[i]
+        if not arity.isdecimal():  # a digit such as `²` that int() rejects
+            raise ParseError(f"arity {arity} is not a decimal number", *self.at(i))
+        commutative = self.peek() == "IDENT"
         if commutative:
-            flag = self.next()
-            if flag.value != "commutative":
-                raise ParseError(f"unknown signature flag {flag.value}", flag.line, flag.col)
-        return name.value, int(arity.value), commutative
+            i = self.next()
+            if self.values[i] != "commutative":
+                raise ParseError(f"unknown signature flag {self.values[i]}", *self.at(i))
+        return name, int(arity), commutative
 
     def rule(self) -> tuple[str | None, FreshnessContext, Term, Term]:
         """`[name:] [context] |- lhs -> rhs`; the name is None when omitted."""
         name = None
-        if self.peek().kind == "IDENT" and self.peek(1).kind == "COLON":
-            name = self.next().value
+        if self.peek() == "IDENT" and self.peek(1) == "COLON":
+            name = self.values[self.next()]
             self.next()
         context: FreshnessContext = frozenset()
-        if self.peek().kind == "TURNSTILE":
+        if self.peek() == "TURNSTILE":
             self.next()
         else:
             context = self.context()
@@ -303,8 +308,8 @@ def _parse_whole(
     a "trailing input {trailing}" error."""
     parser = _Parser(text, sig, line_offset)
     result = rule(parser)
-    if parser.peek().kind != "EOF":
-        raise parser.fail(f"trailing input {trailing}")
+    if parser.peek() != "EOF":
+        raise ParseError(f"trailing input {trailing}", *parser.at(parser.pos))
     return result
 
 

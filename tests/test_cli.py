@@ -161,11 +161,19 @@ class TestNarrowAndLift:
         # The root has four steps; --max-unifiers 1 keeps one, so index 1 is
         # missing because of the cut, and the error says so.
         argv = ["lift-forward", "h(fC([b][a]X, X))", "--system", "ex22", "--rho", "X -> a"]
+        message = "path index 1 out of range at level 0; --max-unifiers 1 cut off steps at 2 node(s)"
         code, out = run(capsys, *argv, "--max-unifiers", "1", "--path", "1")
-        assert code == 1
-        assert out.strip() == "error: path index 1 out of range at level 0; --max-unifiers 1 cut off steps at 2 node(s)"
+        assert code == 1 and out.strip() == f"error: {message}"
+        # The --json report carries the record of the cut that caused it.
+        code, out = run(capsys, *argv, "--max-unifiers", "1", "--path", "1", "--json")
+        report = json.loads(out)
+        record = {"depth": 2, "fixpoint_depth": 1, "max_unifiers": 1, "nodes_truncated": 2}
+        assert code == 1 and report["result"] == {"error": message} and report["truncation"] == record
+        # Without a cut the index is simply out of range, with no record.
         code, out = run(capsys, *argv, "--path", "4")
         assert code == 1 and out.strip() == "error: path index 4 out of range at level 0"
+        code, out = run(capsys, *argv, "--path", "4", "--json")
+        assert code == 1 and json.loads(out)["truncation"] is None
 
     def test_lift_forward_report_names_a_truncation(self, capsys):
         # The path the cut kept still succeeds; the report carries the
@@ -176,9 +184,6 @@ class TestNarrowAndLift:
         record = {"depth": 2, "fixpoint_depth": 1, "max_unifiers": 1, "nodes_truncated": 2}
         assert code == 0 and report["result"]["status"] == "ok"
         assert report["result"]["truncation"] == report["truncation"] == record
-        # An error report has no tree to name.
-        code, out = run(capsys, *argv, "--path", "1", "--json")
-        assert code == 1 and json.loads(out)["truncation"] is None
 
     def test_lift_forward_ok(self, capsys):
         code, out = run(

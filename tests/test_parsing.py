@@ -4,6 +4,7 @@ import dataclasses
 import random
 import re
 import sys
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ from nomc import (
     parse_term,
 )
 from nomc.cli import load_system_file
-from nomc.parsing import _Token, _tokenize
+from nomc.parsing import _DIGIT, _position, _tokenize
 from conftest import VARS, random_context, random_term
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -135,6 +136,19 @@ class TestTerms:
             pass
 
 
+class _Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+def _positioned(text: str, line_offset: int = 1) -> list[_Token]:
+    """`_tokenize`'s tokens, each at the line and column `_position` finds."""
+    kinds, values = _tokenize(text, line_offset)
+    return [_Token(k, v, *_position(text, i, line_offset)) for i, (k, v) in enumerate(zip(kinds, values))]
+
+
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
           ",": "COMMA", ".": "DOT", "#": "HASH", ":": "COLON"}
 
@@ -217,20 +231,21 @@ class TestTokenizer:
     @settings(max_examples=2000, deadline=None)
     @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join), st.integers(1, 5))
     def test_same_tokens_as_the_reference(self, text, line_offset):
-        assert _tokens_or_error(_tokenize, text, line_offset) == _tokens_or_error(
+        assert _tokens_or_error(_positioned, text, line_offset) == _tokens_or_error(
             _reference_tokenize, text, line_offset
         )
 
     def test_scan_classes_are_the_str_methods(self):
-        # `_tokenize` scans blanks with `\s` and word runs with `\w`, and
-        # classifies characters with str methods; the two must agree on
-        # every code point.
+        # `_tokenize` skips blanks by `\s`, scans word runs with `\w` and
+        # digit runs with `_DIGIT`, and classifies characters with str
+        # methods; the two must agree on every code point.
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
         assert re.findall(r"\w", every) == [ch for ch in every if ch.isalnum() or ch == "_"]
+        assert re.findall(_DIGIT, every) == [ch for ch in every if ch.isdigit()]
 
     def test_columns_count_from_the_line_start(self):
-        tokens = _tokenize("f(a)\n\t [b]X =ac é²", 3)
+        tokens = _positioned("f(a)\n\t [b]X =ac é²", 3)
         assert [(t.value, t.line, t.col) for t in tokens][4:] == [
             ("[", 4, 3), ("b", 4, 4), ("]", 4, 5), ("X", 4, 6), ("=ac", 4, 8), ("é²", 4, 12), ("", 4, 14),
         ]
