@@ -29,10 +29,6 @@ from .terms import (
 )
 
 
-# Slotted frozen dataclasses with their own __init__, like the term nodes
-# (see terms.py).
-
-
 @frozen_node
 class FreshnessConstraint:
     """Primitive constraint a#X: atom a cannot occur free in instances of X."""
@@ -40,15 +36,9 @@ class FreshnessConstraint:
     atom: Atom
     var: Var
 
-    def __init__(self, atom: Atom, var: Var) -> None:
-        _set_constraint_atom(self, atom)
-        _set_constraint_var(self, var)
-
     def __str__(self) -> str:
         return f"{self.atom}#{self.var}"
 
-
-_set_constraint_atom, _set_constraint_var = FreshnessConstraint.atom.__set__, FreshnessConstraint.var.__set__
 
 FreshnessContext = frozenset[FreshnessConstraint]
 
@@ -68,15 +58,8 @@ class FreshnessGoal:
     atom: Atom
     term: Term
 
-    def __init__(self, atom: Atom, term: Term) -> None:
-        _set_goal_atom(self, atom)
-        _set_goal_term(self, term)
-
     def __str__(self) -> str:
         return f"{self.atom}#{self.term}"
-
-
-_set_goal_atom, _set_goal_term = FreshnessGoal.atom.__set__, FreshnessGoal.term.__set__
 
 
 @frozen_node
@@ -86,15 +69,9 @@ class EqualityGoal:
     lhs: Term
     rhs: Term
 
-    def __init__(self, lhs: Term, rhs: Term) -> None:
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-
     def __str__(self) -> str:
         return f"{self.lhs} =ac {self.rhs}"
 
-
-_set_lhs, _set_rhs = EqualityGoal.lhs.__set__, EqualityGoal.rhs.__set__
 
 Goal = Union[FreshnessGoal, EqualityGoal]
 

@@ -9,7 +9,7 @@ rename the binder.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import ClassVar, Iterable, Iterator, Mapping, Union
 
 
@@ -72,19 +72,28 @@ class Var(_Name):
 Swapping = tuple[Atom, Atom]
 
 
-# Permutation, the term nodes and Position are slotted frozen dataclasses
-# with their own __init__: each field is stored through its slot's
-# descriptor, which costs less than the generated __init__'s
-# object.__setattr__. Equality, hash and repr are the generated ones.
-
-
 def frozen_node(cls):
-    """`dataclass(frozen=True, slots=True)`, with the `__setattr__` and
-    `__delattr__` of `_Name`: every attribute, field or not, raises
-    FrozenInstanceError. The pair the dataclass generates calls `super()`
-    with the class that `slots=True` replaced, so it raises TypeError for a
-    name that is not a field."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    """`dataclass(frozen=True, slots=True)` with its own `__init__` and the
+    `__setattr__` and `__delattr__` of `_Name`.
+
+    The `__init__` takes the fields in order, with their defaults, and
+    stores each value through its slot's descriptor, which costs less than
+    the dataclass `__init__`'s `object.__setattr__`. It is built from
+    source, as `dataclasses` builds its own. The dataclass's pair calls
+    `super()` with the class that `slots=True` replaced, so it raises
+    TypeError for a name that is not a field; `_Name`'s pair makes every
+    attribute, field or not, raise FrozenInstanceError."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    namespace, params, body = {}, [], ""
+    for field in fields(cls):
+        name = field.name
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        namespace[f"_default_{name}"] = field.default
+        params.append(name if field.default is MISSING else f"{name}=_default_{name}")
+        body += f"\n    _set_{name}(self, {name})"
+    exec(f"def __init__(self, {', '.join(params)}):{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__setattr__ = _Name.__setattr__
     cls.__delattr__ = _Name.__delattr__
     return cls
@@ -98,9 +107,6 @@ class Permutation:
     """
 
     swappings: tuple[Swapping, ...] = ()
-
-    def __init__(self, swappings: tuple[Swapping, ...] = ()) -> None:
-        _set_swappings(self, swappings)
 
     def act(self, atom: Atom) -> Atom:
         for left, right in reversed(self.swappings):
@@ -125,7 +131,6 @@ class Permutation:
         return "".join(f"({l} {r})" for l, r in self.swappings) or "id"
 
 
-_set_swappings = Permutation.swappings.__set__
 IDENTITY = Permutation()
 
 
@@ -136,15 +141,8 @@ class Suspension:
     perm: Permutation
     var: Var
 
-    def __init__(self, perm: Permutation, var: Var) -> None:
-        _set_perm(self, perm)
-        _set_var(self, var)
-
     def __str__(self) -> str:
         return _show(self)
-
-
-_set_perm, _set_var = Suspension.perm.__set__, Suspension.var.__set__
 
 
 @frozen_node
@@ -154,15 +152,8 @@ class Abstraction:
     atom: Atom
     body: "Term"
 
-    def __init__(self, atom: Atom, body: "Term") -> None:
-        _set_atom(self, atom)
-        _set_body(self, body)
-
     def __str__(self) -> str:
         return _show(self)
-
-
-_set_atom, _set_body = Abstraction.atom.__set__, Abstraction.body.__set__
 
 
 @frozen_node
@@ -172,15 +163,9 @@ class App:
     sym: str
     args: tuple["Term", ...] = ()
 
-    def __init__(self, sym: str, args: tuple["Term", ...] = ()) -> None:
-        _set_sym(self, sym)
-        _set_args(self, args)
-
     def __str__(self) -> str:
         return _show(self)
 
-
-_set_sym, _set_args = App.sym.__set__, App.args.__set__
 
 Term = Union[Atom, Suspension, Abstraction, App]
 
@@ -448,14 +433,8 @@ class Position:
 
     path: tuple[int, ...] = ()
 
-    def __init__(self, path: tuple[int, ...] = ()) -> None:
-        _set_path(self, path)
-
     def __str__(self) -> str:
         return ".".join(str(i) for i in self.path) or "root"
-
-
-_set_path = Position.path.__set__
 
 
 def subterms_with_positions(term: Term) -> Iterator[tuple[Position, Term]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 
@@ -39,6 +40,7 @@ from nomc import (
     freshness_context_nf,
     fresh_atom,
     is_ground,
+    narrow_search,
     normalize,
     permute_term,
     simplify_step,
@@ -46,8 +48,8 @@ from nomc import (
 )
 from nomc import narrowing, rewriting
 from nomc.cli import load_system_file
-from nomc.rewriting import clash_permutation, permute_rule, renamed_rule
-from nomc.terms import NameSupply, replace_at, subterms_with_positions, term_atoms
+from nomc.rewriting import RewriteRule, clash_permutation, permute_rule, renamed_rule
+from nomc.terms import NameSupply, Term, replace_at, subterms_with_positions, term_atoms
 from nomc.unify import DEFAULT_MAX_STATES
 
 ATOMS = tuple(Atom(n) for n in "abcd")
@@ -658,3 +660,42 @@ def reference_narrow_search(delta, term, system, depth, fixpoint_depth, max_unif
             break
     record = TruncationRecord(depth, max_unifiers, fixpoint_depth, nodes_truncated)
     return NarrowingTree(root, tuple(edges), record), accumulated
+
+
+# -- critical pairs -----------------------------------------------------------------
+#
+# Narrowing a rule's left-hand side l one step, under the rule's own context,
+# unifies it with every rule at every non-variable position. Each edge is an
+# overlap: its substitution theta makes theta(l) a peak that rewrites to
+# theta(r) by the rule itself at the root and to the edge's child by the
+# edge's rule.
+
+
+class Overlap(NamedTuple):
+    outer: RewriteRule
+    edge: NarrowingStep
+    peak: Term
+    left: Term
+    right: Term
+    trivial: bool
+
+
+def overlaps(system):
+    """Every overlap of `system`'s rules, left-hand side by left-hand side.
+    One is trivial when it is a rule against itself at the root with
+    =ac-equal sides; the others are the critical pairs."""
+    sig = system.signature
+    found = []
+    for rule in system.rules:
+        tree = narrow_search(rule.context, rule.lhs, system, 1, 1, 50)
+        assert tree.truncation.nodes_truncated == 0, rule.name
+        for edge in tree.edges:
+            theta = edge.step_subst
+            left, right = apply_subst(theta, rule.rhs), edge.child.term
+            trivial = (
+                edge.rule == rule.name
+                and not edge.position.path
+                and derive_alpha_c(edge.child.context, left, right, sig)
+            )
+            found.append(Overlap(rule, edge, apply_subst(theta, rule.lhs), left, right, trivial))
+    return found

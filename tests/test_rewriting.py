@@ -43,6 +43,7 @@ from nomc import (
     is_ground,
     lifting_backward_construct,
     narrow_search,
+    narrowing_to_rewriting,
     normal_form_equal_check,
     normalize,
     one_step_rewrites,
@@ -67,6 +68,7 @@ from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
     permute_rule,
+    rewrite_at,
 )
 from nomc.terms import NameSupply, subterms_with_positions
 from nomc.unify import DEFAULT_MAX_STATES
@@ -76,6 +78,7 @@ from conftest import (
     VARS,
     equivalent_variant,
     lhs_fits,
+    overlaps,
     random_context,
     random_ground_term,
     random_permutation,
@@ -687,6 +690,49 @@ class TestSmallEx22Terms:
         # each exception is its own matching normal form, has a class step,
         # and so parts the strategies
         assert broken == dict.fromkeys(UNCLOSED_EX22_TERMS, (False, True, True, False))
+
+
+# prenex's critical pairs: (outer rule, inner rule, position, the outer
+# rule's side, the inner rule's side). Each puts two quantifiers under one
+# connective, the shape of every term in PARTED_PRENEX_TERMS.
+PRENEX_CRITICAL_PAIRS = (
+    ("and_forall", "and_forall", "root", "forall([a]and(forall([a]Q0), Q))", "forall([a]and(forall([a]Q), Q0))"),
+    ("and_forall", "and_exists", "root", "forall([a]and(exists([a]Q1), Q))", "exists([a]and(forall([a]Q), Q1))"),
+    ("or_forall", "or_forall", "root", "forall([a]or(forall([a]Q0), Q))", "forall([a]or(forall([a]Q), Q0))"),
+    ("or_forall", "or_exists", "root", "forall([a]or(exists([a]Q1), Q))", "exists([a]or(forall([a]Q), Q1))"),
+    ("and_exists", "and_forall", "root", "exists([a]and(forall([a]Q0), Q))", "forall([a]and(exists([a]Q), Q0))"),
+    ("and_exists", "and_exists", "root", "exists([a]and(exists([a]Q1), Q))", "exists([a]and(exists([a]Q), Q1))"),
+    ("or_exists", "or_forall", "root", "exists([a]or(forall([a]Q0), Q))", "forall([a]or(exists([a]Q), Q0))"),
+    ("or_exists", "or_exists", "root", "exists([a]or(exists([a]Q1), Q))", "exists([a]or(exists([a]Q), Q1))"),
+)
+
+
+class TestCriticalPairs:
+    """Each bundled system's overlaps, from narrowing every left-hand side
+    one step (`overlaps` in conftest)."""
+
+    @pytest.mark.parametrize(
+        "name, total, trivial, critical",
+        [("prenex", 14, 6, PRENEX_CRITICAL_PAIRS), ("ex22", 2, 2, ()), ("lambda", 0, 0, ())],
+    )
+    def test_overlaps(self, name, total, trivial, critical):
+        system = load_system_file(name).system
+        sig = system.signature
+        found = overlaps(system)
+        pairs = [o for o in found if not o.trivial]
+        assert (len(found), len(found) - len(pairs)) == (total, trivial)
+        shown = [(o.outer.name, o.edge.rule, str(o.edge.position), str(o.left), str(o.right)) for o in pairs]
+        assert shown == list(critical)
+        for o in found:
+            ctx = o.edge.child.context
+            # a real peak: it rewrites to both sides
+            assert narrowing_to_rewriting(o.edge, o.edge.parent, sig=sig)
+            by_outer = rewrite_at(ctx, o.peak, (), o.outer, o.edge.step_subst, sig)
+            assert by_outer is not None and derive_alpha_c(ctx, by_outer, o.left, sig)
+            # and neither side of a critical pair rewrites, so none is joinable
+            if not o.trivial:
+                assert primary_rewrite_steps(ctx, o.left, system) == ()
+                assert primary_rewrite_steps(ctx, o.right, system) == ()
 
 
 class TestCoherence:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 
@@ -33,7 +34,7 @@ from nomc import (
     term_vars,
 )
 from nomc.rewriting import clash_permutation
-from nomc.terms import NameSupply, Printer, subterms_with_positions
+from nomc.terms import NameSupply, Printer, frozen_node, subterms_with_positions
 from conftest import (
     random_term,
     reference_fresh_name,
@@ -163,6 +164,67 @@ class TestPrimitives:
         assert (s != t) != reference_same_term(s, t)
         if s == t:
             assert hash(s) == hash(t)
+
+
+def _parameters(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def _field_parameters(cls):
+    """The parameters a constructor taking `cls`'s fields in order, with
+    their defaults, has."""
+    return [
+        (
+            f.name,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+        )
+        for f in dataclasses.fields(cls)
+    ]
+
+
+class TestFrozenNodeConstructor:
+    """`frozen_node` generates each node class's `__init__` from its fields."""
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda o: type(o).__name__)
+    def test_signature_is_the_fields(self, node):
+        cls = type(node)
+        assert _parameters(cls) == _field_parameters(cls)
+        values = [getattr(node, f.name) for f in dataclasses.fields(cls)]
+        assert cls(*values) == node
+        first = dataclasses.fields(cls)[0].name
+        calls = (
+            lambda: cls(*values, a),  # one argument too many
+            lambda: cls(*values, extra=a),  # an unknown keyword
+            lambda: cls(*values, **{first: values[0]}),  # a repeated one
+        )
+        for call in calls:
+            with pytest.raises(TypeError) as err:
+                call()
+            assert str(err.value).startswith(f"{cls.__name__}.__init__() ")
+
+    def test_arity_error_reads_as_before(self):
+        with pytest.raises(TypeError) as err:
+            App("f", (), 1)
+        assert str(err.value) == "App.__init__() takes from 2 to 3 positional arguments but 4 were given"
+
+    def test_any_class_gets_a_slotted_frozen_constructor(self):
+        @frozen_node
+        class Pair:
+            left: int
+            right: tuple = ()
+
+        assert _parameters(Pair) == [
+            ("left", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("right", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
+        ]
+        assert Pair.__init__.__qualname__ == f"{Pair.__qualname__}.__init__"
+        pair = Pair(1)
+        assert pair == Pair(left=1, right=())
+        assert Pair.__slots__ == ("left", "right") and not hasattr(pair, "__dict__")
+        for field in ("left", "right", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pair, field, 2)
 
 
 # Atoms named like the nullary symbols print as they do; multi-swap

@@ -314,8 +314,9 @@ class TestCompletenessOracle:
         universe += [App("g", (t,)) for t in list(universe)]
         universe += [App("fC", (l, r)) for l in (a, b) for r in (a, b)]
         universe += [Abstraction(a, t) for t in (a, b)]
-        # fC(a, b), above, and g(fC(a, b)) are fixed points of (a b)
-        universe += [App("g", (App("fC", (a, b)),))]
+        # fC(a, b), above, g(fC(a, b)) and [a][b]c are fixed points of (a b),
+        # the last one under binders
+        universe += [App("g", (App("fC", (a, b)),)), Abstraction(a, Abstraction(b, Atom("c")))]
 
         def satisfies(delta, ctx, residuals):
             return all(derive_freshness(EMPTY_CONTEXT, c.atom, delta.get(c.var)) for c in ctx) and all(
