@@ -72,6 +72,7 @@ from .terms import (
     Term,
     Var,
     apply_subst,
+    frozen_node,
     permute_term,
     replace_at,
     subterm_at,
@@ -86,7 +87,7 @@ from .unify import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_node(eq=False)
 class NarrowingNode:
     """A term in context reached by narrowing, at its depth below the root.
     The substitution accumulated on the way belongs to the path, not the
@@ -104,7 +105,7 @@ class NarrowingNode:
         return f"{format_context(self.context)} |- {printer.term(self.term)}"
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_node(eq=False)
 class NarrowingStep:
     """One narrowing edge; `used_fixpoint_enumeration` marks children built
     by expanding a residual fixed-point equation."""

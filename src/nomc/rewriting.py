@@ -42,8 +42,10 @@ from .terms import (
     Suspension,
     Term,
     Var,
+    _apply,
     apply_subst,
     fresh_atom,
+    frozen_node,
     is_ground,
     permute_term,
     replace_at,
@@ -153,7 +155,7 @@ class RewriteSystem:
         return f"RewriteSystem({len(self.rules)} rules, sig={self.signature!r})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class RewriteStep:
     """One rewrite: rule applied at a position with a matching substitution.
 
@@ -238,9 +240,9 @@ def _tells_unnamed_binders_apart(rule: RewriteRule) -> bool:
 def renamed_rule(rule: RewriteRule, renaming: dict[Var, Var]) -> RewriteRule:
     """Copy of the rule with each variable replaced by its image under
     `renaming`, which must map every one of them."""
-    subst = Substitution({v: Suspension(IDENTITY, w) for v, w in renaming.items()})
-    context = frozenset(FreshnessConstraint(c.atom, renaming[c.var]) for c in rule.context)
-    return _rule_copy(rule, context, apply_subst(subst, rule.lhs), apply_subst(subst, rule.rhs), rule.atoms())
+    mapping = {v: Suspension(IDENTITY, w) for v, w in renaming.items()}
+    context = frozenset([FreshnessConstraint(c.atom, renaming[c.var]) for c in rule.context])
+    return _rule_copy(rule, context, _apply(mapping, rule.lhs), _apply(mapping, rule.rhs), rule.atoms())
 
 
 def _rule_copy(
@@ -250,8 +252,7 @@ def _rule_copy(
     without `RewriteRule.__post_init__`: renaming a valid rule's variables
     or atoms apart keeps it valid, so its checks need not run again."""
     copy = object.__new__(RewriteRule)
-    for attr, value in (("name", rule.name), ("context", context), ("lhs", lhs), ("rhs", rhs), ("_atoms", atoms)):
-        object.__setattr__(copy, attr, value)
+    copy.__dict__.update(name=rule.name, context=context, lhs=lhs, rhs=rhs, _atoms=atoms)
     return copy
 
 
@@ -260,22 +261,27 @@ def rename_atoms(term: Term, perm: Permutation) -> Term:
 
     Unlike the permutation action, variables stay bare: the permutation is
     applied inside suspension prefixes but never composed onto them. This is
-    the right notion for renaming a rule's atoms.
+    the right notion for renaming a rule's atoms. A suspension with the
+    identity permutation comes back as the same object.
     """
-    if isinstance(term, Atom):
+    kind = type(term)
+    if kind is Atom:
         return perm.act(term)
-    if isinstance(term, Suspension):
-        renamed = Permutation(tuple((perm.act(l), perm.act(r)) for l, r in term.perm.swappings))
-        return Suspension(renamed, term.var)
-    if isinstance(term, Abstraction):
+    if kind is Suspension:
+        if not term.perm.swappings:
+            return term
+        act = perm.act
+        return Suspension(Permutation(tuple([(act(l), act(r)) for l, r in term.perm.swappings])), term.var)
+    if kind is Abstraction:
         return Abstraction(perm.act(term.atom), rename_atoms(term.body, perm))
-    return App(term.sym, tuple(rename_atoms(a, perm) for a in term.args))
+    return App(term.sym, tuple([rename_atoms(a, perm) for a in term.args]))
 
 
 def permute_rule(rule: RewriteRule, perm: Permutation) -> RewriteRule:
     """Rename a rule's atoms; its schematic variables are untouched."""
-    context = frozenset(FreshnessConstraint(perm.act(c.atom), c.var) for c in rule.context)
-    atoms = frozenset(perm.act(a) for a in rule.atoms())
+    act = perm.act
+    context = frozenset([FreshnessConstraint(act(c.atom), c.var) for c in rule.context])
+    atoms = frozenset([act(a) for a in rule.atoms()])
     return _rule_copy(rule, context, rename_atoms(rule.lhs, perm), rename_atoms(rule.rhs, perm), atoms)
 
 

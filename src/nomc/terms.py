@@ -72,9 +72,10 @@ class Var(_Name):
 Swapping = tuple[Atom, Atom]
 
 
-def frozen_node(cls):
-    """`dataclass(frozen=True, slots=True)` with its own `__init__` and the
-    `__setattr__` and `__delattr__` of `_Name`.
+def frozen_node(cls=None, *, eq: bool = True):
+    """`dataclass(frozen=True, slots=True, eq=eq)` with its own `__init__`
+    and the `__setattr__` and `__delattr__` of `_Name`. With `eq=False`
+    instances compare and hash by identity, as narrowing nodes and edges do.
 
     The `__init__` takes the fields in order, with their defaults, and
     stores each value through its slot's descriptor, which costs less than
@@ -83,7 +84,9 @@ def frozen_node(cls):
     `super()` with the class that `slots=True` replaced, so it raises
     TypeError for a name that is not a field; `_Name`'s pair makes every
     attribute, field or not, raise FrozenInstanceError."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    if cls is None:
+        return lambda cls: frozen_node(cls, eq=eq)
+    cls = dataclass(frozen=True, slots=True, init=False, eq=eq)(cls)
     namespace, params, body = {}, [], ""
     for field in fields(cls):
         name = field.name
@@ -362,11 +365,27 @@ def apply_subst(theta: Substitution, term: Term) -> Term:
 
 
 def _apply(mapping: dict[Var, Term], term: Term) -> Term:
+    """`apply_subst` on a bare map, which may bind a variable to itself.
+    Applications of one and two arguments, the only ones the bundled
+    signatures declare, are walked without building a list."""
     kind = type(term)
     if kind is App:
+        args = term.args
+        count = len(args)
+        if count == 2:
+            left, right = args
+            new_left = _apply(mapping, left)
+            new_right = _apply(mapping, right)
+            if new_left is left and new_right is right:
+                return term
+            return App(term.sym, (new_left, new_right))
+        if count == 1:
+            arg = args[0]
+            image = _apply(mapping, arg)
+            return term if image is arg else App(term.sym, (image,))
         images = []
         same = True
-        for arg in term.args:
+        for arg in args:
             image = _apply(mapping, arg)
             images.append(image)
             if image is not arg:

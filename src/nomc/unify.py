@@ -48,6 +48,7 @@ from .terms import (
     Var,
     apply_subst,
     difference_set,
+    frozen_node,
     permute_term,
     term_vars,
 )
@@ -68,7 +69,7 @@ STUCK = Sentinel("STUCK")
 UNKNOWN = Sentinel("UNKNOWN")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class UnificationState:
     """A solver triple: hypotheses, accumulated substitution, open goals."""
 
@@ -81,7 +82,7 @@ class UnificationState:
         return f"<{sorted(str(c) for c in self.context)}, {self.subst}, {{{goals}}}>"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class CSolution:
     """A solution: context, substitution, and residual fixed-point equations.
 

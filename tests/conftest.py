@@ -49,7 +49,7 @@ from nomc import (
 from nomc import narrowing, rewriting
 from nomc.cli import load_system_file
 from nomc.rewriting import RewriteRule, clash_permutation, permute_rule, renamed_rule
-from nomc.terms import NameSupply, Term, replace_at, subterms_with_positions, term_atoms
+from nomc.terms import NameSupply, Term, replace_at, subterms_with_positions, term_atoms, term_vars
 from nomc.unify import DEFAULT_MAX_STATES
 
 ATOMS = tuple(Atom(n) for n in "abcd")
@@ -233,6 +233,59 @@ def rename_rule_with_map(rule, avoid):
         renaming[var] = Var(reference_fresh_name(taken, var.name, "X"))
         taken.add(renaming[var].name)
     return renamed_rule(rule, renaming), renaming
+
+
+# -- rule copies, the old way -----------------------------------------------------
+#
+# A rule was once renamed apart through a `Substitution` and `apply_subst`,
+# and its atoms were renamed by a walk on isinstance that rebuilt every
+# node; each copy's fields were set one `object.__setattr__` at a time.
+# These copies stay here as the references for `renamed_rule` and
+# `permute_rule`.
+
+
+def _reference_rule_copy(rule, context, lhs, rhs, atoms):
+    copy = object.__new__(RewriteRule)
+    for attr, value in (("name", rule.name), ("context", context), ("lhs", lhs), ("rhs", rhs), ("_atoms", atoms)):
+        object.__setattr__(copy, attr, value)
+    return copy
+
+
+def reference_renamed_rule(rule, renaming):
+    subst = Substitution({v: Suspension(IDENTITY, w) for v, w in renaming.items()})
+    context = frozenset(FreshnessConstraint(c.atom, renaming[c.var]) for c in rule.context)
+    lhs, rhs = apply_subst(subst, rule.lhs), apply_subst(subst, rule.rhs)
+    return _reference_rule_copy(rule, context, lhs, rhs, rule.atoms())
+
+
+def _reference_rename_atoms(term, perm):
+    if isinstance(term, Atom):
+        return perm.act(term)
+    if isinstance(term, Suspension):
+        renamed = Permutation(tuple((perm.act(l), perm.act(r)) for l, r in term.perm.swappings))
+        return Suspension(renamed, term.var)
+    if isinstance(term, Abstraction):
+        return Abstraction(perm.act(term.atom), _reference_rename_atoms(term.body, perm))
+    return App(term.sym, tuple(_reference_rename_atoms(a, perm) for a in term.args))
+
+
+def reference_permute_rule(rule, perm):
+    context = frozenset(FreshnessConstraint(perm.act(c.atom), c.var) for c in rule.context)
+    atoms = frozenset(perm.act(a) for a in rule.atoms())
+    lhs, rhs = _reference_rename_atoms(rule.lhs, perm), _reference_rename_atoms(rule.rhs, perm)
+    return _reference_rule_copy(rule, context, lhs, rhs, atoms)
+
+
+def random_rule(rng: random.Random, sig: Signature, name: str = "r"):
+    """A rule over `sig` whose sides hold suspensions with any permutation,
+    free atoms and binders, with a context on its variables."""
+    lhs = random_term(rng, sig, 3)
+    while isinstance(lhs, Suspension):
+        lhs = random_term(rng, sig, 3)
+    variables = sorted(term_vars(lhs), key=lambda v: v.name)
+    rhs = random_term(rng, sig, 3, variables=variables) if variables else random_ground_term(rng, sig, 3)
+    context = random_context(rng, variables=variables) if variables else frozenset()
+    return RewriteRule(name, context, lhs, rhs)
 
 
 # -- step dedup, the old way ------------------------------------------------------

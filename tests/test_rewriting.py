@@ -68,6 +68,7 @@ from nomc.cli import load_system_file
 from nomc.rewriting import (
     clash_permutation,
     permute_rule,
+    renamed_rule,
     rewrite_at,
 )
 from nomc.terms import NameSupply, subterms_with_positions
@@ -89,7 +90,11 @@ from conftest import (
     reference_derive_freshness,
     reference_normal_form_equal_check,
     reference_oracle_sources,
+    random_rule,
+    reference_permute_rule,
     reference_redexes,
+    reference_renamed_rule,
+    reference_same_term,
     reference_skeleton_fits,
     rename_rule_with_map,
 )
@@ -97,6 +102,8 @@ from conftest import (
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X = Var("X")
 CSIG = Signature({"oplus": (2, True), "g": (1, False)})
+# Drawn rules: a ternary symbol beside unary, binary and commutative ones.
+RULE_SIG = Signature({"g": (1, False), "f": (2, False), "fC": (2, True), "t": (3, False), "e": (0, False)})
 # Two constants, a unary symbol and a commutative binary one.
 CONSTANT_SIG = Signature({"zero": (0, False), "one": (0, False), "g": (1, False), "f": (2, True)})
 
@@ -116,18 +123,40 @@ class TestRuleValidation:
 
     def test_renamed_and_shifted_copies_equal_checked_rules(self):
         # The copies skip the constructor's checks; each must be the rule
-        # that RewriteRule(...) builds from the same parts.
+        # that RewriteRule(...) builds from the same parts, and the copy the
+        # reference builds, field by field. Besides the bundled rules, drawn
+        # ones carry what none of them has: suspensions with non-identity
+        # permutations, free atoms, contexts and a ternary symbol.
         rng = random.Random(14)
         rules = [rule for name in ("prenex", "ex22", "lambda") for rule in load_system_file(name).system.rules]
+        drawn = [random_rule(rng, RULE_SIG) for _ in range(60)]
+        subs = [sub for rule in drawn for side in (rule.lhs, rule.rhs) for _, sub in subterms_with_positions(side)]
+        assert any(rule.context for rule in drawn)
+        assert any(type(sub) is Suspension and sub.perm.swappings for sub in subs)
+        assert any(type(sub) is App and sub.sym == "t" for sub in subs)
+        assert any(type(sub) is Atom for sub in subs)
+        rules += drawn
         for rule, _ in itertools.product(rules, range(5)):
             avoid = frozenset(rng.sample([Var(n) for n in ("X", "X0", "Y", "Z1", "P1", "Q")], rng.randint(0, 4)))
-            renamed, _ = rename_rule_with_map(rule, avoid)
+            renamed, renaming = rename_rule_with_map(rule, avoid)
             subject_atoms = frozenset(rng.sample([Atom(n) for n in ("a", "b", "c", "n0")], rng.randint(1, 3)))
             shift = clash_permutation(renamed, subject_atoms, subject_atoms) or random_permutation(rng)
-            for copy in (renamed, permute_rule(renamed, shift)):
+            copies = (
+                (renamed, reference_renamed_rule(rule, renaming)),
+                (permute_rule(rule, shift), reference_permute_rule(rule, shift)),
+                (permute_rule(renamed, shift), reference_permute_rule(reference_renamed_rule(rule, renaming), shift)),
+                (
+                    renamed_rule(permute_rule(rule, shift), renaming),
+                    reference_renamed_rule(reference_permute_rule(rule, shift), renaming),
+                ),
+            )
+            for copy, reference in copies:
                 checked = RewriteRule(copy.name, copy.context, copy.lhs, copy.rhs)
                 assert copy == checked and hash(copy) == hash(checked)
                 assert copy.atoms() == checked.atoms()
+                assert (copy.name, copy.context) == (reference.name, reference.context)
+                assert reference_same_term(copy.lhs, reference.lhs) and reference_same_term(copy.rhs, reference.rhs)
+                assert copy.atoms() == reference.atoms()
 
 
 @pytest.mark.parametrize(

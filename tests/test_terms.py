@@ -33,8 +33,10 @@ from nomc import (
     subterm_at,
     term_vars,
 )
-from nomc.rewriting import clash_permutation
+from nomc.narrowing import NarrowingNode, NarrowingStep
+from nomc.rewriting import RewriteStep, clash_permutation
 from nomc.terms import NameSupply, Printer, frozen_node, subterms_with_positions
+from nomc.unify import CSolution, UnificationState
 from conftest import (
     random_term,
     reference_fresh_name,
@@ -65,6 +67,20 @@ NODES = (
     EqualityGoal(a, Abstraction(b, b)),
 )
 
+# The records a narrowing edge builds. Nodes and edges compare by identity;
+# the other three by value, as the frozen dataclasses they were.
+_RULE = RewriteRule(
+    "r", frozenset({FreshnessConstraint(a, X)}), App("g", (Suspension(IDENTITY, X),)), Suspension(IDENTITY, X)
+)
+_PARENT = NarrowingNode(frozenset(), App("g", (Suspension(IDENTITY, Y),)), 0)
+_CHILD = NarrowingNode(frozenset({FreshnessConstraint(a, Y)}), Suspension(IDENTITY, Y), 1)
+VALUE_RECORDS = (
+    CSolution(frozenset({FreshnessConstraint(a, X)}), Substitution({X: b}), ((Permutation(((a, b),)), Y),), True),
+    UnificationState(frozenset(), Substitution({X: b}), (EqualityGoal(a, Suspension(IDENTITY, X)),)),
+    RewriteStep("r", Position((0,)), Substitution({X: a}), a, _RULE),
+)
+IDENTITY_RECORDS = (_CHILD, NarrowingStep("r", Position(), Substitution({X: Y}), False, _CHILD, _PARENT, _RULE))
+
 
 def test_signature_refuses_a_negative_arity():
     with pytest.raises(ValueError) as err:
@@ -88,7 +104,7 @@ class TestPrimitives:
         assert Atom("a") != "a"
         assert Var("X") != Suspension(IDENTITY, Var("X"))
 
-    @pytest.mark.parametrize("obj", (a, X) + NODES, ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize("obj", (a, X) + NODES + VALUE_RECORDS + IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
     def test_no_field_can_be_assigned(self, obj):
         fields = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else ["name"]
         # Names that are not fields are refused the same way.
@@ -166,6 +182,10 @@ class TestPrimitives:
             assert hash(s) == hash(t)
 
 
+def _values(node):
+    return [getattr(node, f.name) for f in dataclasses.fields(node)]
+
+
 def _parameters(cls):
     return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
 
@@ -186,12 +206,13 @@ def _field_parameters(cls):
 class TestFrozenNodeConstructor:
     """`frozen_node` generates each node class's `__init__` from its fields."""
 
-    @pytest.mark.parametrize("node", NODES, ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize("node", NODES + VALUE_RECORDS + IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
     def test_signature_is_the_fields(self, node):
         cls = type(node)
         assert _parameters(cls) == _field_parameters(cls)
-        values = [getattr(node, f.name) for f in dataclasses.fields(cls)]
-        assert cls(*values) == node
+        values = _values(node)
+        assert _values(cls(*values)) == values
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
         first = dataclasses.fields(cls)[0].name
         calls = (
             lambda: cls(*values, a),  # one argument too many
@@ -202,6 +223,34 @@ class TestFrozenNodeConstructor:
             with pytest.raises(TypeError) as err:
                 call()
             assert str(err.value).startswith(f"{cls.__name__}.__init__() ")
+
+    @pytest.mark.parametrize("record", IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
+    def test_nodes_and_edges_compare_by_identity(self, record):
+        cls = type(record)
+        twin = cls(*_values(record))
+        assert record == record and record != twin and not record != record
+        assert hash(record) == object.__hash__(record) and hash(twin) == object.__hash__(twin)
+        assert len({record, twin}) == 2
+        replaced = dataclasses.replace(record)
+        assert replaced is not record and replaced != record
+
+    @pytest.mark.parametrize("record", VALUE_RECORDS, ids=lambda o: type(o).__name__)
+    def test_other_records_compare_as_frozen_dataclasses(self, record):
+        # The same fields on a plain frozen dataclass of the same name.
+        cls = type(record)
+        plain = dataclasses.make_dataclass(
+            cls.__name__,
+            [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
+            frozen=True,
+        )
+        changed = {CSolution: {"residual_fixpoints": ()}, UnificationState: {"goals": ()}, RewriteStep: {"result": b}}
+        equal, unequal = cls(*_values(record)), dataclasses.replace(record, **changed[cls])
+        assert equal == record and not equal != record and hash(equal) == hash(record)
+        assert unequal != record and not unequal == record
+        for twin in (equal, unequal):
+            reference = plain(*_values(twin))
+            assert (twin == record) == (reference == plain(*_values(record)))
+            assert hash(twin) == hash(reference) and repr(twin) == repr(reference)
 
     def test_arity_error_reads_as_before(self):
         with pytest.raises(TypeError) as err:

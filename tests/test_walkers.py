@@ -51,7 +51,9 @@ from conftest import (
     reference_term_vars,
 )
 
-SIG = Signature({"f": (2, False), "fC": (2, True), "g": (1, False), "k": (0, False)})
+# Every arity from 0 to 3: the walkers unroll one and two arguments, and the
+# ternary `t`, which no bundled signature has, keeps their general loop run.
+SIG = Signature({"f": (2, False), "fC": (2, True), "g": (1, False), "k": (0, False), "t": (3, False)})
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -194,6 +196,18 @@ class TestSharing:
         kept = App("g", (Abstraction(a, b),))
         instance = apply_subst(Substitution({X: c}), App("f", (Suspension(IDENTITY, X), kept)))
         assert instance.args[0] is c and instance.args[1] is kept
+        # Each argument of an application of every arity is rebuilt alone.
+        for sym in ("k", "g", "f", "t"):
+            arity = SIG.arity(sym)
+            leaf = App(sym, (kept,) * arity)
+            assert apply_subst(Substitution({X: c}), leaf) is leaf
+            for hole in range(arity):
+                args = [kept] * arity
+                args[hole] = App("g", (Suspension(IDENTITY, X),))
+                instance = apply_subst(Substitution({X: c}), App(sym, tuple(args)))
+                args[hole] = App("g", (c,))
+                assert reference_same_term(instance, App(sym, tuple(args)))
+                assert all(instance.args[i] is kept for i in range(arity) if i != hole)
         swap = Permutation(((c, d),))
         moved = permute_term(swap, App("f", (c, kept)))
         assert moved.args[0] is d and moved.args[1] is kept
