@@ -227,7 +227,7 @@ def _expand_node(
     are closed from the search's `table`."""
     steps: list[NarrowingStep] = []
 
-    def prepare(rule: RewriteRule) -> RewriteRule:
+    def prepare(rule: RewriteRule, _: frozenset[Var]) -> RewriteRule:
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, max_states, unify=True):

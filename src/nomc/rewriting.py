@@ -570,17 +570,21 @@ def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int, int, int] |
 
 
 def _walk_gate(
-    system: RewriteSystem, nodes: Sequence[Term], context: FreshnessContext, max_states: int, unify: bool
-) -> Callable[[RewriteRule], bool]:
-    """The predicate on rules of a redex scan of a term under `context`:
-    whether it finds a rule's answers by `_linear_walk` instead of the
-    solver (`match`, or `solve` when `unify`). `nodes` are the term's
-    subterms, as the fit-mask pass lists them (`_fit_masks`). It holds when
-    the rule has a `_walk_cost`, the term is ground when matching and
-    linear when unifying, and the cost's bound U for the whole term is at
-    most `max_states`, so the solver could not have raised. Whether a
-    variable occurs, and whether one occurs twice, is read off `nodes` once,
-    when first needed.
+    cost: tuple[int, int, int, int] | None,
+    size: int,
+    open_term: bool,
+    context: FreshnessContext,
+    max_states: int,
+    unify: bool,
+) -> bool:
+    """Whether a redex scan of a term under `context` finds a rule's answers
+    by `_linear_walk` instead of the solver (`match`, or `solve` when
+    `unify`). `cost` is the rule's `_walk_cost`, None when it has none;
+    `size` is the term's node count, or 0 when a variable occurs in it
+    twice; `open_term` says whether a variable occurs. It holds when the
+    rule has a cost, the term is ground when matching and linear when
+    unifying, and the cost's bound U for the whole term is at most
+    `max_states`, so the solver could not have raised.
 
     For a term of |T| nodes and a cost (c0, c1, c2, c3), U = c0 + c1 |T|,
     plus c2 + c3 |context| when a variable occurs. U bounds every attempt
@@ -590,27 +594,13 @@ def _walk_gate(
     from the term and from every rule copy, which is renamed apart from
     them: the solver never re-raises one.
     """
-    costs = system._walk_costs
-    shape = None  # (|T|, or 0 when a variable occurs twice; whether one occurs)
-
-    def walks(rule: RewriteRule) -> bool:
-        nonlocal shape
-        cost = costs.get(rule.name)
-        if cost is None:
-            return False
-        if shape is None:
-            variables = [sub.var for sub in nodes if type(sub) is Suspension]
-            shape = (len(nodes) if len(set(variables)) == len(variables) else 0), bool(variables)
-        size, open_term = shape
-        if not size or open_term and not unify:
-            return False
-        fixed, per_node, raised, per_constraint = cost
-        states = fixed + per_node * size
-        if open_term:
-            states += raised + per_constraint * len(context)
-        return states <= max_states
-
-    return walks
+    if cost is None or not size or open_term and not unify:
+        return False
+    fixed, per_node, raised, per_constraint = cost
+    states = fixed + per_node * size
+    if open_term:
+        states += raised + per_constraint * len(context)
+    return states <= max_states
 
 
 def _linear_walk(
@@ -730,14 +720,15 @@ def redexes(
     context: FreshnessContext,
     term: Term,
     system: RewriteSystem,
-    prepare: Callable[[RewriteRule], RewriteRule],
+    prepare: Callable[[RewriteRule, frozenset[Var]], RewriteRule],
     max_states: int,
     unify: bool,
 ) -> Iterator[tuple[Position, RewriteRule, tuple[CSolution, ...]]]:
     """Lazily solve (`unify`) or match each rule at each site where it fits
     (`_fitting_sites`, in its order).
 
-    `prepare(rule)` gives the rule renamed apart, and is called only there.
+    `prepare(rule, variables)` gives the rule renamed apart, and is called
+    only there; `variables` are the term's, read off the fit-mask pass.
     A prepared rule's answers come from `_linear_walk` where `_walk_gate`
     allows it, and elsewhere from `solve` when unifying and from
     `_verified_matchers` when matching; the two give the same answers in
@@ -746,16 +737,21 @@ def redexes(
     fresh ones. Each success yields `(position, rule, answers)`, where
     `rule` is the copy that gave the answers; a Position is built only for
     a site that yields. A term whose root has no SITE has no site, so the
-    scan ends after the fit-mask pass, before the walk gate is set up.
+    scan ends after the fit-mask pass, before its variables are read.
     """
     sig = system.signature
     nodes, firsts, masks = _fit_masks(term, system, unify)
     if not masks[0] & SITE:
         return
-    walks = _walk_gate(system, nodes, context, max_states, unify)
+    occurrences = [sub.var for sub in nodes if type(sub) is Suspension]
+    variables = frozenset(occurrences)
+    # the walk gate's shape of the term: its size, 0 when a variable repeats
+    size = len(nodes) if len(variables) == len(occurrences) else 0
+    open_term = bool(occurrences)
+    costs = system._walk_costs
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
-        if walks(rule):
+        if _walk_gate(costs.get(rule.name), size, open_term, context, max_states, unify):
             return _linear_walk(context, sub, rule, sig)
         if unify:
             return solve(context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)
@@ -763,7 +759,7 @@ def redexes(
 
     ambient_atoms = None  # the shift's avoid set, built when a shift is first due
     for path, sub, rule in _fitting_sites(nodes, firsts, masks, system):
-        prepared = prepare(rule)
+        prepared = prepare(rule, variables)
         answers = attempt(sub, prepared)
         if answers:
             yield Position(path), prepared, answers
@@ -780,25 +776,18 @@ def redexes(
 
 
 def _candidate_steps(
-    delta: FreshnessContext,
-    term: Term,
-    system: RewriteSystem,
-    max_states: int,
-    avoid: frozenset[Var] | None = None,
+    delta: FreshnessContext, term: Term, system: RewriteSystem, max_states: int
 ) -> Iterator[RewriteStep]:
     """Matching steps in redex order with premises verified; each rule is
-    renamed apart from `avoid` (by default the term's and the context's
-    variables, gathered when a rule is first prepared). With nothing to
-    avoid, the copy comes from the system's `_fresh_rules`; otherwise it is
-    built at each site where the rule's skeleton fits, with the names a
-    `NameSupply` seeded with `avoid` draws, which are those of
-    `_fresh_rules` when nothing is avoided. Each step records the copy
-    `redexes` applied, clash shift included."""
+    renamed apart from the term's variables, as `redexes` reads them, and
+    the context's. With none to avoid, the copy comes from the system's
+    `_fresh_rules`, whose names a `NameSupply` seeded with nothing draws;
+    otherwise it is built at each site where the rule's skeleton fits, with
+    the names a `NameSupply` seeded with those variables draws. Each step
+    records the copy `redexes` applied, clash shift included."""
 
-    def prepare(rule: RewriteRule) -> RewriteRule:
-        nonlocal avoid
-        if avoid is None:
-            avoid = term_vars(term) | {c.var for c in delta}
+    def prepare(rule: RewriteRule, variables: frozenset[Var]) -> RewriteRule:
+        avoid = variables | {c.var for c in delta}
         if not avoid:
             return system._fresh_rules[rule.name]
         return renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))
@@ -1024,8 +1013,7 @@ def _class_steps(
         return
     plain = system.without_commutativity()
     for source in _ground_oracle_sources(term, system, max_sources):
-        # A ground source under the empty context has no variables to avoid.
-        for step in _candidate_steps(EMPTY_CONTEXT, source, plain, max_states, frozenset()):
+        for step in _candidate_steps(EMPTY_CONTEXT, source, plain, max_states):
             yield source, step
 
 

@@ -482,12 +482,23 @@ def lhs_fits(system, rule, sub, unify):
     return bool(rewriting._fit_masks(sub, system, unify)[2][0] & bit)
 
 
+def walk_gate_shape(term):
+    """A term's shape as `rewriting.redexes` hands it to `_walk_gate`: its
+    node count, or 0 when a variable occurs in it twice, and whether a
+    variable occurs."""
+    subterms = [sub for _, sub in subterms_with_positions(term)]
+    occurrences = [sub.var for sub in subterms if isinstance(sub, Suspension)]
+    return (len(subterms) if len(set(occurrences)) == len(occurrences) else 0), bool(occurrences)
+
+
 def reference_redexes(context, term, system, prepare, attempt, unify):
     """`nomc.rewriting.redexes` as it was when it built a Position for every
     subterm through `subterms_with_positions` and tried each rule where
     `reference_skeleton_fits` accepts it, in declaration order: a
-    specification that leans on no rule index."""
+    specification that leans on no rule index. `prepare` gets the term's
+    variables as `term_vars` gives them."""
     sig = system.signature
+    variables = term_vars(term)
     ambient_atoms = None
     for pos, sub in subterms_with_positions(term):
         if isinstance(sub, Suspension):
@@ -495,7 +506,7 @@ def reference_redexes(context, term, system, prepare, attempt, unify):
         for rule in system.rules:
             if not reference_skeleton_fits(rule.lhs, sub, sig, unify):
                 continue
-            prepared = prepare(rule)
+            prepared = prepare(rule, variables)
             answers = attempt(sub, prepared)
             if answers:
                 yield pos, prepared, answers
@@ -677,7 +688,7 @@ def _reference_narrowing_steps(node, system, fixpoint_depth, max_unifiers, names
     sig = system.signature
     steps = []
 
-    def prepare(rule):
+    def prepare(rule, _):
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     def attempt(sub, rule):

@@ -1,25 +1,22 @@
-"""Golden outputs: CLI reports, narrowing edges and normalisation exit codes.
+"""Golden narrowing edges, and the commands `tests/test_cli_golden.py` pins.
 
-`tests/data/golden.json` pins answers that refactors of the redex
-enumeration must not change: every bundled `problems:` line and README
-command run through `run_command --json` (minus `timing_ms`), narrowing
-edges with the renamed rule instances they used, and `normalize` exit codes
-under small `--max-states` caps. Regenerate only when an answer is meant to
-change:
+`tests/data/golden.json` pins narrowing edges with the renamed rule
+instances they used, which refactors of the redex enumeration must not
+change. The command lists below (every bundled `problems:` line, the
+README commands, and `normalize` under small `--max-states` caps) are run
+and pinned by `tests/test_cli_golden.py`. Regenerate only when an answer is
+meant to change:
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden.json
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import shlex
 from pathlib import Path
 
 from nomc import narrow_search, parse_context, parse_term
-from nomc.cli import load_system_file, run_command
+from nomc.cli import load_system_file
 
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
 
@@ -64,25 +61,6 @@ NORMALIZE_TERMS = (
 MAX_STATES = range(1, 30)
 
 
-def _run(argv: list[str]) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run_command(argv)
-    report = json.loads(out.getvalue())
-    del report["timing_ms"]
-    return {"argv": argv, "exit": code, "report": report}
-
-
-def collect_commands() -> list[dict]:
-    out = []
-    for name in BUNDLED:
-        for line in load_system_file(name).problems.values():
-            argv = shlex.split(line)
-            out.append(_run(argv[:1] + ["--system", name] + argv[1:] + ["--json"]))
-    out.extend(_run(argv + ["--json"]) for argv in README_COMMANDS)
-    return out
-
-
 def collect_narrowing() -> list[dict]:
     out = []
     for name, context, text, depth, fixpoint_depth, max_unifiers in NARROW_CASES:
@@ -100,23 +78,8 @@ def collect_narrowing() -> list[dict]:
     return out
 
 
-def collect_normalize_exit_codes() -> list[dict]:
-    out = []
-    for text in NORMALIZE_TERMS:
-        codes = []
-        for cap in MAX_STATES:
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(run_command(["normalize", text, "--system", "prenex", "--max-states", str(cap)]))
-        out.append({"term": text, "exit_codes": codes})
-    return out
-
-
 def collect() -> dict:
-    return {
-        "commands": collect_commands(),
-        "narrowing": collect_narrowing(),
-        "normalize_exit_codes": collect_normalize_exit_codes(),
-    }
+    return {"narrowing": collect_narrowing()}
 
 
 def _golden(section: str):
@@ -127,16 +90,8 @@ def _plain(value):
     return json.loads(json.dumps(value))
 
 
-def test_commands_match_golden():
-    assert _plain(collect_commands()) == _golden("commands")
-
-
 def test_narrowing_edges_match_golden():
     assert _plain(collect_narrowing()) == _golden("narrowing")
-
-
-def test_normalize_exit_codes_match_golden():
-    assert collect_normalize_exit_codes() == _golden("normalize_exit_codes")
 
 
 if __name__ == "__main__":

@@ -77,6 +77,7 @@ from conftest import (
     reference_redexes,
     reference_skeleton_fits,
     rename_rule_with_map,
+    walk_gate_shape,
 )
 
 a, b = Atom("a"), Atom("b")
@@ -745,7 +746,7 @@ def _reference_expand_node(node, system, fixpoint_depth, max_unifiers, avoid, ma
         avoid = avoid | renamed.variables()
         return renamed
 
-    def prepare(rule):
+    def prepare(rule, _):
         for passed, fits in sites:
             renamed = rename(passed)
             if fits:
@@ -1475,8 +1476,8 @@ class TestLinearNodeWalk:
         bound = _expected_walk(rule.lhs, len(rule.context), sig, sub, len(delta))
         system = RewriteSystem((rule,), sig)
         # the library's gate reads the same U off the rule's cost
-        nodes = rewriting._fit_masks(sub, system, True)[0]
-        walks = [rewriting._walk_gate(system, nodes, delta, cap, unify=True)(rule) for cap in (bound - 1, bound)]
+        cost, shape = system._walk_costs.get(rule.name), walk_gate_shape(sub)
+        walks = [rewriting._walk_gate(cost, *shape, delta, cap, unify=True) for cap in (bound - 1, bound)]
         assert walks == [False, True]
         solve(delta, sub, rule.context, rule.lhs, sig=sig, max_states=bound)
 
@@ -1578,7 +1579,7 @@ def _reference_candidate_steps(delta, term, system, max_states):
     them."""
     avoid = term_vars(term) | {c.var for c in delta}
 
-    def prepare(rule):
+    def prepare(rule, _):
         if not avoid:
             return system._fresh_rules[rule.name]
         return rewriting.renamed_rule(rule, NameSupply(avoid).draw(rule.renaming_bases))

@@ -97,6 +97,7 @@ from conftest import (
     reference_same_term,
     reference_skeleton_fits,
     rename_rule_with_map,
+    walk_gate_shape,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -339,8 +340,7 @@ class TestGroundMatchWalk:
             max_states = DEFAULT_MAX_STATES
             if rng.random() < 0.25:
                 max_states = rng.randint(1, 2 * (bound or 40))
-            nodes = rewriting._fit_masks(sub, system, False)[0]
-            walked = rewriting._walk_gate(system, nodes, EMPTY_CONTEXT, max_states, unify=False)(rule)
+            walked = rewriting._walk_gate(cost, *walk_gate_shape(sub), EMPTY_CONTEXT, max_states, unify=False)
             assert walked == (eligible and bound <= max_states)
             counts["eligible"] += eligible
             if walked:
@@ -662,6 +662,22 @@ class TestSmallPrenexTerms:
         assert parted == {7: 32}
         assert tuple(triples) == PARTED_PRENEX_TERMS
 
+    def test_every_parted_term_holds_a_critical_peak(self, prenex_system):
+        # The cause of the parting: each term fits one of prenex's critical
+        # peaks, taken as a rule `peak -> peak`, and neither normal form does.
+        sig = prenex_system.signature
+        peaks = tuple(
+            RewriteRule(f"{o.outer.name}/{o.edge.rule}", frozenset(), o.peak, o.peak)
+            for o in overlaps(prenex_system)
+            if not o.trivial
+        )
+        assert len(peaks) == 8
+        system = RewriteSystem(peaks, sig)
+        for triple in PARTED_PRENEX_TERMS:
+            term, nf, class_nf = (parse_term(text, sig) for text in triple)
+            assert rewriting._class_fits(term, system), triple
+            assert not rewriting._class_fits(nf, system) and not rewriting._class_fits(class_nf, system), triple
+
 
 def _small_ex22_terms(size):
     """Every ground ex22 term of `size` nodes over the atoms a and b, with
@@ -719,6 +735,14 @@ class TestSmallEx22Terms:
         # each exception is its own matching normal form, has a class step,
         # and so parts the strategies
         assert broken == dict.fromkeys(UNCLOSED_EX22_TERMS, (False, True, True, False))
+
+    def test_every_exception_holds_the_unclosed_rule(self, ex22_system):
+        # The cause: each exception fits swap_abs, which is named here by
+        # hand, as nothing judges a rule closed yet.
+        (swap_abs,) = [rule for rule in ex22_system.rules if rule.name == "swap_abs"]
+        system = RewriteSystem((swap_abs,), ex22_system.signature)
+        for text in UNCLOSED_EX22_TERMS:
+            assert rewriting._class_fits(parse_term(text, system.signature), system), text
 
 
 # prenex's critical pairs: (outer rule, inner rule, position, the outer
@@ -848,6 +872,27 @@ class TestPreparedRules:
             direct = clash_permutation(fresh, term_atoms(sub), term_atoms(term))
             assert direct is not None and step.rule_instance == permute_rule(fresh, direct)
 
+    def test_a_term_with_the_fresh_copy_names_is_renamed_apart(self, prenex_system):
+        # `P0` and `Q0` name the variables of and_forall's `_fresh_rules`
+        # copy, so the scan renames the rule apart from the term's own.
+        sig = prenex_system.signature
+        delta = parse_context("a#P0")
+        term = parse_term("and(forall([a]Q0), P0)", sig)
+        _, trace = normalize(delta, term, prenex_system, 10)
+        instance = "a#P1 |- and(P1, forall([a]Q1)) -> forall([a]and(P1, Q1))"
+        for steps in (primary_rewrite_steps(delta, term, prenex_system), one_step_rewrites(delta, term, prenex_system)):
+            assert steps and trace
+            for step in steps + trace[:1]:
+                assert (step.rule, str(step.rule_instance), str(step.subst)) == (
+                    "and_forall",
+                    instance,
+                    "[P1 -> P0, Q1 -> Q0]",
+                ), str(step)
+                assert verify_rewrite_step(delta, term, step, sig), str(step)
+        ground = parse_term("and(forall([a]c), b)", sig)
+        (step,) = primary_rewrite_steps(EMPTY_CONTEXT, ground, prenex_system)
+        assert step.rule_instance is prenex_system._fresh_rules["and_forall"]
+
     @staticmethod
     def _count_copies(monkeypatch):
         built = []
@@ -952,7 +997,7 @@ def _eager_candidate_steps(delta, term, system, max_states=DEFAULT_MAX_STATES):
     avoid = term_vars(term) | {c.var for c in delta}
     renamed = {rule.name: rename_rule_with_map(rule, avoid)[0] for rule in system.rules}
     attempt = functools.partial(rewriting._verified_matchers, delta, sig=system.signature, max_states=max_states)
-    prepare = lambda rule: renamed[rule.name]
+    prepare = lambda rule, _: renamed[rule.name]
     for pos, rule, answers in reference_redexes(delta, term, system, prepare, attempt, unify=False):
         for answer in answers:
             result = replace_at(term, pos.path, apply_subst(answer.subst, rule.rhs))
@@ -1820,7 +1865,7 @@ def _unfiltered_class_steps(term, system):
     site: every source is scanned."""
     plain = system.without_commutativity()
     for source in rewriting._ground_oracle_sources(term, system):
-        for step in rewriting._candidate_steps(EMPTY_CONTEXT, source, plain, DEFAULT_MAX_STATES, frozenset()):
+        for step in rewriting._candidate_steps(EMPTY_CONTEXT, source, plain, DEFAULT_MAX_STATES):
             yield source, step
 
 
@@ -1902,8 +1947,8 @@ class TestClassFilter:
 
 
 def _scan_record(reference, ctx, term, system, unify):
-    """Every item a redex scan yields and every `prepare(rule)` call it
-    makes, in order: `rewriting.redexes`, or with `reference`,
+    """Every item a redex scan yields and every `prepare(rule, variables)`
+    call it makes, in order: `rewriting.redexes`, or with `reference`,
     `reference_redexes` with the solver's attempt at every site. Rules are
     renamed as narrowing renames them, with names drawn at every call, so a
     changed call order shows in the names."""
@@ -1911,8 +1956,8 @@ def _scan_record(reference, ctx, term, system, unify):
     names = NameSupply(term_vars(term) | {c.var for c in ctx})
     calls = []
 
-    def prepare(rule):
-        calls.append(rule.name)
+    def prepare(rule, variables):
+        calls.append((rule.name, variables))
         return rewriting.renamed_rule(rule, names.draw(rule.renaming_bases))
 
     if unify:
@@ -2031,17 +2076,20 @@ class TestNoSiteAnswer:
 
     def test_one_mask_pass_and_no_walk_gate(self, monkeypatch, prenex_system):
         term = parse_term("forall([a]exists([b]and(a, or(not(b), c))))", prenex_system.signature)
-        passes, normalized, gates = [], [], []
+        passes, normalized, gates, site_walks = [], [], [], []
         fit_masks, norm, gate = rewriting._fit_masks, rewriting.normalize, rewriting._walk_gate
+        sites = rewriting._fitting_sites
         monkeypatch.setattr(rewriting, "_fit_masks", lambda *args: passes.append(args[0]) or fit_masks(*args))
         monkeypatch.setattr(rewriting, "normalize", lambda *args, **kwargs: normalized.append(args) or norm(*args, **kwargs))
         monkeypatch.setattr(rewriting, "_walk_gate", lambda *args: gates.append(args) or gate(*args))
+        monkeypatch.setattr(rewriting, "_fitting_sites", lambda *args: site_walks.append(args) or sites(*args))
         assert normal_form_equal_check(EMPTY_CONTEXT, term, prenex_system, 10)
         assert passes == [term] and normalized == []
         passes.clear()
-        scan = rewriting.redexes(EMPTY_CONTEXT, term, prenex_system, lambda rule: rule, DEFAULT_MAX_STATES, False)
+        scan = rewriting.redexes(EMPTY_CONTEXT, term, prenex_system, lambda rule, _: rule, DEFAULT_MAX_STATES, False)
         assert list(scan) == []
-        assert passes == [term] and gates == []
+        # the scan stops at the root: no site walk, so no gate
+        assert passes == [term] and gates == [] and site_walks == []
 
 
 # Every system of the scan and skeleton properties, with and without

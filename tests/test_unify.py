@@ -600,6 +600,34 @@ def _filtering_enumerator(
     return tuple(out)
 
 
+def _brute_force_fixed_classes(perm: Permutation, sig: Signature, depth: int) -> list[Term]:
+    """Every term built from `perm`'s moved atoms and `sig`'s commutative
+    symbols up to height `depth` that `perm` fixes modulo C, one per
+    commutative class (grouped by `alpha_key`) as its least member by `str`,
+    ordered by height and then by `str`."""
+    levels = [sorted(perm.moved_atoms(), key=str)]
+    for _ in range(depth):
+        below = [t for level in levels for t in level]
+        top = set(levels[-1])
+        levels.append(
+            [
+                App(sym, (l, r))
+                for sym in sig.commutative_symbols
+                for l in below
+                for r in below
+                if l in top or r in top
+            ]
+        )
+    classes: dict[object, tuple[int, Term]] = {}
+    for height, level in enumerate(levels):
+        for t in level:
+            if derive_alpha_c(EMPTY_CONTEXT, permute_term(perm, t), t, sig):
+                key = alpha_key(t, sig)
+                if key not in classes or str(t) < str(classes[key][1]):
+                    classes[key] = (height, t)
+    return [t for _, t in sorted(classes.values(), key=lambda entry: (entry[0], str(entry[1])))]
+
+
 # Atom and symbol names that are prefixes of one another, so a least member
 # by str cannot be read off a shorter name alone. Three swappings give
 # 3-cycles, 4-cycles and products of two swappings, whose squares still move
@@ -663,3 +691,14 @@ class TestFixpointClasses:
             terms = [s.get(X) for _, s in sols[1:]]
             assert len({alpha_key(t, sig) for t in terms}) == len(terms)
             assert all(derive_alpha_c(EMPTY_CONTEXT, permute_term(perm, t), t, sig) for t in terms)
+
+    @pytest.mark.parametrize(
+        "swappings, depth, count", [("ab", 2, 12), ("ab cd", 2, 40), ("ab bc", 2, 0), ("ab cd", 1, 4)]
+    )
+    def test_exactly_the_brute_force_classes_over_ex22(self, ex22_system, swappings, depth, count):
+        # Depth 3 takes seconds, so CI's count step (219, 2,205 and 1) covers it.
+        sig = ex22_system.signature
+        perm = Permutation(tuple((Atom(x), Atom(y)) for x, y in swappings.split()))
+        expected = _brute_force_fixed_classes(perm, sig, depth)
+        assert len(expected) == count
+        assert [s.get(X) for _, s in enumerate_fixpoint_solutions(perm, X, sig, depth)[1:]] == expected
