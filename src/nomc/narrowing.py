@@ -36,7 +36,6 @@ answers in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .alpha import (
@@ -122,7 +121,7 @@ class NarrowingStep:
         return f"{self.rule} @ {self.position} with {self.step_subst} ~> {self.child}"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TruncationRecord:
     """The bounds a tree was built under, plus how often they actually bit."""
 
@@ -132,8 +131,11 @@ class TruncationRecord:
     nodes_truncated: int = 0
 
 
-@dataclass(frozen=True)
+@frozen_node
 class NarrowingTree:
+    """The edges `narrow_search` built below `root`, breadth first, and the
+    bounds it built them under."""
+
     root: NarrowingNode
     edges: tuple[NarrowingStep, ...]
     truncation: TruncationRecord
@@ -348,7 +350,7 @@ def lifting_forward_check(
     return True
 
 
-@dataclass(frozen=True)
+@frozen_node
 class NotFound:
     """Backward lifting found no narrowing step above trace step step_index."""
 

@@ -1084,8 +1084,11 @@ NOT_WITNESSED = "NOT-WITNESSED-WITHIN-BOUND"
 REJECTED = "REJECTED"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class CoherenceVerdict:
+    """What `coherence_check` found for the sample pair at `index`: its
+    `status` (WITNESSED, NOT_WITNESSED or REJECTED) and why."""
+
     index: int
     status: str
     detail: str = ""

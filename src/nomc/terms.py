@@ -72,33 +72,70 @@ class Var(_Name):
 Swapping = tuple[Atom, Atom]
 
 
-def frozen_node(cls=None, *, eq: bool = True):
-    """`dataclass(frozen=True, slots=True, eq=eq)` with its own `__init__`
-    and the `__setattr__` and `__delattr__` of `_Name`. With `eq=False`
-    instances compare and hash by identity, as narrowing nodes and edges do.
+def _getstate(self) -> list:
+    return [getattr(self, field.name) for field in fields(self)]
 
-    The `__init__` takes the fields in order, with their defaults, and
-    stores each value through its slot's descriptor, which costs less than
-    the dataclass `__init__`'s `object.__setattr__`. It is built from
-    source, as `dataclasses` builds its own. The dataclass's pair calls
-    `super()` with the class that `slots=True` replaced, so it raises
-    TypeError for a name that is not a field; `_Name`'s pair makes every
-    attribute, field or not, raise FrozenInstanceError."""
+
+def _setstate(self, state: list) -> None:
+    for field, value in zip(fields(self), state):
+        object.__setattr__(self, field.name, value)
+
+
+def frozen_node(cls=None, *, eq: bool = True):
+    """A slotted record that behaves as `dataclass(frozen=True, slots=True,
+    eq=eq)`. With `eq=False` instances compare and hash by identity, as
+    narrowing nodes and edges do.
+
+    `dataclass(slots=True)` only registers the fields and builds the
+    slotted class; it generates no method. `__init__`, `__repr__` and, with
+    `eq`, `__eq__` and `__hash__` are built from one source string in one
+    `exec`, where `dataclasses` would compile each method on its own. Their
+    bodies are the ones Python 3.11's `dataclasses` writes, less the
+    recursion guard on `__repr__`: a record cannot contain itself. The
+    `__init__` takes the fields in order, with their defaults, and stores
+    each value through its slot's descriptor, which costs less than
+    `object.__setattr__`. `_Name`'s `__setattr__` and `__delattr__` make
+    every attribute, field or not, raise FrozenInstanceError, so `copy` and
+    `pickle` restore the fields through `_getstate` and `_setstate`.
+
+    The class needs a docstring: for a class without one, `dataclass`
+    builds it from `inspect.signature`, which costs about 2 ms."""
     if cls is None:
         return lambda cls: frozen_node(cls, eq=eq)
-    cls = dataclass(frozen=True, slots=True, init=False, eq=eq)(cls)
-    namespace, params, body = {}, [], ""
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    namespace, params, body, names = {}, [], "", []
     for field in fields(cls):
         name = field.name
+        names.append(name)
         namespace[f"_set_{name}"] = getattr(cls, name).__set__
         namespace[f"_default_{name}"] = field.default
         params.append(name if field.default is MISSING else f"{name}=_default_{name}")
         body += f"\n    _set_{name}(self, {name})"
-    exec(f"def __init__(self, {', '.join(params)}):{body}", namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    source = (
+        f"def __init__(self, {', '.join(params)}):{body}\n"
+        "def __repr__(self):\n"
+        f"    return self.__class__.__qualname__ + f\"({shown})\"\n"
+    )
+    if eq:
+        own, other = ("".join(f"{side}.{name}," for name in names) for side in ("self", "other"))
+        source += (
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({own})==({other})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({own}))\n"
+        )
+    exec(source, namespace)
+    for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if method in namespace:
+            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, namespace[method])
     cls.__setattr__ = _Name.__setattr__
     cls.__delattr__ = _Name.__delattr__
+    cls.__getstate__ = _getstate
+    cls.__setstate__ = _setstate
     return cls
 
 

@@ -20,7 +20,6 @@ built every successor state would.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .alpha import (
     EMPTY_CONTEXT,
@@ -147,15 +146,17 @@ def _rule_for(goal: Goal, protected: ProtectedVars, sig: Signature) -> int:
     return _NO_RULE  # distinct atoms: failure waits until nothing else reduces
 
 
-@dataclass(slots=True)
 class _Branch:
     """One branch of the search, advanced in place by `_step`: hypotheses,
     accumulated substitution, open goals, and each goal's `_rule_for` rank."""
 
-    context: FreshnessContext
-    subst: Substitution
-    goals: list[Goal]
-    ranks: list[int]
+    __slots__ = ("context", "subst", "goals", "ranks")
+
+    def __init__(self, context: FreshnessContext, subst: Substitution, goals: list[Goal], ranks: list[int]) -> None:
+        self.context = context
+        self.subst = subst
+        self.goals = goals
+        self.ranks = ranks
 
     def state(self) -> UnificationState:
         return UnificationState(self.context, self.subst, tuple(self.goals))

@@ -3,12 +3,17 @@
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nomc
 from nomc import (
     Abstraction,
     App,
@@ -33,8 +38,8 @@ from nomc import (
     subterm_at,
     term_vars,
 )
-from nomc.narrowing import NarrowingNode, NarrowingStep
-from nomc.rewriting import RewriteStep, clash_permutation
+from nomc.narrowing import NarrowingNode, NarrowingStep, NarrowingTree, NotFound, TruncationRecord
+from nomc.rewriting import REJECTED, WITNESSED, CoherenceVerdict, RewriteStep, clash_permutation
 from nomc.terms import NameSupply, Printer, frozen_node, subterms_with_positions
 from nomc.unify import CSolution, UnificationState
 from conftest import (
@@ -67,19 +72,43 @@ NODES = (
     EqualityGoal(a, Abstraction(b, b)),
 )
 
-# The records a narrowing edge builds. Nodes and edges compare by identity;
-# the other three by value, as the frozen dataclasses they were.
+# The records the solver, rewriting and narrowing build. Narrowing nodes and
+# edges compare by identity; the others by value, as the frozen dataclasses
+# they were.
 _RULE = RewriteRule(
     "r", frozenset({FreshnessConstraint(a, X)}), App("g", (Suspension(IDENTITY, X),)), Suspension(IDENTITY, X)
 )
 _PARENT = NarrowingNode(frozenset(), App("g", (Suspension(IDENTITY, Y),)), 0)
 _CHILD = NarrowingNode(frozenset({FreshnessConstraint(a, Y)}), Suspension(IDENTITY, Y), 1)
+_EDGE = NarrowingStep("r", Position(), Substitution({X: Y}), False, _CHILD, _PARENT, _RULE)
 VALUE_RECORDS = (
     CSolution(frozenset({FreshnessConstraint(a, X)}), Substitution({X: b}), ((Permutation(((a, b),)), Y),), True),
     UnificationState(frozenset(), Substitution({X: b}), (EqualityGoal(a, Suspension(IDENTITY, X)),)),
     RewriteStep("r", Position((0,)), Substitution({X: a}), a, _RULE),
+    TruncationRecord(2, 50, 3, 1),
+    NarrowingTree(_PARENT, (_EDGE,), TruncationRecord(1, 50, 0)),
+    NotFound(1),
+    CoherenceVerdict(0, REJECTED, "sample terms are not =ac-related"),
 )
-IDENTITY_RECORDS = (_CHILD, NarrowingStep("r", Position(), Substitution({X: Y}), False, _CHILD, _PARENT, _RULE))
+IDENTITY_RECORDS = (_CHILD, _EDGE)
+# A value per record class that makes a record unequal to the one above.
+CHANGED = {
+    Permutation: {"swappings": ()},
+    Suspension: {"var": Y},
+    Abstraction: {"body": c},
+    App: {"sym": "g"},
+    Position: {"path": ()},
+    FreshnessConstraint: {"var": Y},
+    FreshnessGoal: {"atom": b},
+    EqualityGoal: {"lhs": b},
+    CSolution: {"residual_fixpoints": ()},
+    UnificationState: {"goals": ()},
+    RewriteStep: {"result": b},
+    TruncationRecord: {"nodes_truncated": 0},
+    NarrowingTree: {"edges": ()},
+    NotFound: {"step_index": 2},
+    CoherenceVerdict: {"status": WITNESSED},
+}
 
 
 def test_signature_refuses_a_negative_arity():
@@ -234,23 +263,55 @@ class TestFrozenNodeConstructor:
         replaced = dataclasses.replace(record)
         assert replaced is not record and replaced != record
 
-    @pytest.mark.parametrize("record", VALUE_RECORDS, ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize("record", NODES + VALUE_RECORDS, ids=lambda o: type(o).__name__)
     def test_other_records_compare_as_frozen_dataclasses(self, record):
-        # The same fields on a plain frozen dataclass of the same name.
+        # The same fields on a plain frozen dataclass of the same name: equal
+        # hashes keep the iteration order of every set of records.
         cls = type(record)
         plain = dataclasses.make_dataclass(
             cls.__name__,
             [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
             frozen=True,
         )
-        changed = {CSolution: {"residual_fixpoints": ()}, UnificationState: {"goals": ()}, RewriteStep: {"result": b}}
-        equal, unequal = cls(*_values(record)), dataclasses.replace(record, **changed[cls])
+        equal, unequal = cls(*_values(record)), dataclasses.replace(record, **CHANGED[cls])
         assert equal == record and not equal != record and hash(equal) == hash(record)
         assert unequal != record and not unequal == record
         for twin in (equal, unequal):
             reference = plain(*_values(twin))
             assert (twin == record) == (reference == plain(*_values(record)))
             assert hash(twin) == hash(reference) and repr(twin) == repr(reference)
+
+    @pytest.mark.parametrize("record", VALUE_RECORDS + IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
+    def test_copies_have_the_same_fields(self, record):
+        # A deep copy of a narrowing node is another node, so records that
+        # hold one are compared by their fields' text.
+        assert _values(copy.copy(record)) == _values(record)
+        for duplicate in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(duplicate) is type(record) and repr(duplicate) == repr(record)
+            if not isinstance(record, (NarrowingNode, NarrowingStep, NarrowingTree)):
+                assert duplicate == record and hash(duplicate) == hash(record)
+
+    def test_truncation_record_reads_as_a_dict(self):
+        # The CLI prints a tree's bounds with `dataclasses.asdict`.
+        record = dataclasses.asdict(TruncationRecord(2, 50, 3))
+        assert list(record.items()) == [("depth", 2), ("max_unifiers", 50), ("fixpoint_depth", 3), ("nodes_truncated", 0)]
+
+    def test_import_builds_no_signature(self):
+        # `dataclass` builds a missing docstring with `inspect.signature`,
+        # about 2 ms a class at import; every record has a docstring.
+        code = """if True:
+            import inspect
+            calls = []
+            signature = inspect.signature
+            inspect.signature = lambda obj, *args, **kwargs: calls.append(obj) or signature(obj, *args, **kwargs)
+            import nomc, nomc.cli
+            for name in ("prenex", "ex22", "lambda"):
+                nomc.cli.load_system_file(name)
+            print(calls)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     def test_arity_error_reads_as_before(self):
         with pytest.raises(TypeError) as err:
