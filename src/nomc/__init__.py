@@ -68,6 +68,7 @@ from .terms import (
     Abstraction,
     App,
     Atom,
+    FrozenInstanceError,
     IDENTITY,
     IDENTITY_SUBST,
     Permutation,

@@ -14,7 +14,6 @@ prints.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -22,7 +21,6 @@ import os
 import sys
 import time
 from collections.abc import Mapping
-from importlib import resources
 from pathlib import Path
 from typing import Callable
 
@@ -73,7 +71,7 @@ Report = tuple[Callable[[], dict], Callable[[], str]]
 
 @functools.cache
 def _bundled(name: str) -> SystemFile:
-    return parse_system(resources.files("nomc.systems").joinpath(name).read_text(encoding="utf-8"))
+    return parse_system((Path(__file__).parent / "systems" / name).read_text(encoding="utf-8"))
 
 
 def load_system_file(spec: str) -> SystemFile:
@@ -133,6 +131,11 @@ def _solutions_payload(solutions: tuple[CSolution, ...]) -> list[dict]:
     return out
 
 
+def _truncation_payload(truncation: TruncationRecord) -> dict:
+    """The record's fields by name, in order."""
+    return {name: getattr(truncation, name) for name in truncation.__slots__}
+
+
 def _tree_payload(tree: NarrowingTree) -> dict:
     accumulated = tree.accumulated()
     index = {id(n): i for i, n in enumerate(accumulated)}
@@ -159,7 +162,7 @@ def _tree_payload(tree: NarrowingTree) -> dict:
             }
             for e in tree.edges
         ],
-        "truncation": dataclasses.asdict(tree.truncation),
+        "truncation": _truncation_payload(tree.truncation),
     }
 
 
@@ -189,7 +192,7 @@ def _select_path(tree: NarrowingTree, spec: str) -> list[NarrowingStep]:
         if not 0 <= index < len(children):
             message = f"path index {index} out of range at level {level}"
             if tree.truncation.nodes_truncated:
-                raise UserError(f"{message}; {_cut_note(tree.truncation)}", dataclasses.asdict(tree.truncation))
+                raise UserError(f"{message}; {_cut_note(tree.truncation)}", _truncation_payload(tree.truncation))
             raise UserError(message)
         derivation.append(children[index])
         node = children[index].child
@@ -296,7 +299,7 @@ def _cmd_lift_forward(args, system, sig, ctx) -> Report:
             "status": status,
             "derivation": _derivation_payload(derivation, Printer()),
             # The record of the tree the path follows, as `narrow` reports it.
-            "truncation": dataclasses.asdict(tree.truncation),
+            "truncation": _truncation_payload(tree.truncation),
         },
         lambda: status,
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, TypeVar
 
@@ -40,6 +39,7 @@ from .terms import (
     Suspension,
     Term,
     Var,
+    _Name,
 )
 
 
@@ -335,16 +335,29 @@ def parse_judgement(text: str, sig: Signature | None = None) -> Goal:
     return _parse_whole(text, sig, _Parser.judgement, "after judgement")
 
 
-@dataclass(frozen=True)
 class SystemFile:
     """A parsed system file: the rewrite system plus named problem lines.
-    Read-only, so one loaded file can be shared by every caller."""
+    Read-only, so one loaded file can be shared by every caller; `problems`
+    is a read-only copy of the mapping given. Files compare and print as a
+    frozen dataclass with these two fields would."""
 
     system: RewriteSystem
-    problems: Mapping[str, str] = field(default_factory=dict)
+    problems: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", MappingProxyType(dict(self.problems)))
+    __match_args__ = ("system", "problems")
+    __setattr__ = _Name.__setattr__
+    __delattr__ = _Name.__delattr__
+
+    def __init__(self, system: RewriteSystem, problems: Mapping[str, str] = MappingProxyType({})) -> None:
+        self.__dict__.update(system=system, problems=MappingProxyType(dict(problems)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.system, self.problems) == (other.system, other.problems)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(system={self.system!r}, problems={self.problems!r})"
 
 
 def parse_system(text: str) -> SystemFile:

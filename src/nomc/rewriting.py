@@ -11,7 +11,6 @@ strategy only ever follows the first (plain) result.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -42,6 +41,7 @@ from .terms import (
     Suspension,
     Term,
     Var,
+    _Name,
     _apply,
     apply_subst,
     fresh_atom,
@@ -57,26 +57,45 @@ from .terms import (
 from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    """A rule `context |- lhs -> rhs` over the ambient signature."""
+    """A rule `context |- lhs -> rhs` over the ambient signature.
+
+    Read-only. The four fields compare, hash and print as a frozen
+    dataclass's would. The instance's `__dict__` also holds `_atoms` and,
+    once computed, `renaming_bases`, which are not fields."""
 
     name: str
     context: FreshnessContext
     lhs: Term
     rhs: Term
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Suspension):
-            raise ValueError(f"rule {self.name}: left-hand side is a bare variable")
-        lhs_vars = term_vars(self.lhs)
-        loose = (term_vars(self.rhs) | {c.var for c in self.context}) - lhs_vars
+    __match_args__ = ("name", "context", "lhs", "rhs")
+    __setattr__ = _Name.__setattr__
+    __delattr__ = _Name.__delattr__
+
+    def __init__(self, name: str, context: FreshnessContext, lhs: Term, rhs: Term) -> None:
+        if isinstance(lhs, Suspension):
+            raise ValueError(f"rule {name}: left-hand side is a bare variable")
+        loose = (term_vars(rhs) | {c.var for c in context}) - term_vars(lhs)
         if loose:
             names = ", ".join(sorted(v.name for v in loose))
-            raise ValueError(f"rule {self.name}: variables not bound by the left-hand side: {names}")
-        # Not a field: equality and hashing stay on the four fields above.
-        atoms = term_atoms(self.lhs) | term_atoms(self.rhs) | frozenset(c.atom for c in self.context)
-        object.__setattr__(self, "_atoms", atoms)
+            raise ValueError(f"rule {name}: variables not bound by the left-hand side: {names}")
+        atoms = term_atoms(lhs) | term_atoms(rhs) | frozenset(c.atom for c in context)
+        self.__dict__.update(name=name, context=context, lhs=lhs, rhs=rhs, _atoms=atoms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.context, self.lhs, self.rhs) == (other.name, other.context, other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.context, self.lhs, self.rhs))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(name={self.name!r}, context={self.context!r}, "
+            f"lhs={self.lhs!r}, rhs={self.rhs!r})"
+        )
 
     def variables(self) -> frozenset[Var]:
         """The rule's variables: those of its left-hand side, which bind the rest."""
@@ -85,7 +104,7 @@ class RewriteRule:
     @functools.cached_property
     def renaming_bases(self) -> tuple[Var, ...]:
         """The rule's variables in the order fresh names are picked for them,
-        by name; computed on first use. Not a field, like `_atoms`."""
+        by name; computed on first use."""
         return tuple(sorted(self.variables(), key=lambda v: v.name))
 
     def atoms(self) -> frozenset[Atom]:
@@ -96,14 +115,14 @@ class RewriteRule:
         return f"{prefix}{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True, eq=False)
 class RewriteSystem:
     """A sequence of rules plus the signature declaring commutative symbols.
 
     Read-only, so one system can be shared by every caller: everything is
-    built in the constructor and attributes cannot be reassigned. The one
-    thing that grows is the fit masks' transition memo, bounded by the
-    rules; an entry depends on nothing else.
+    built in the constructor and attributes cannot be reassigned. Systems
+    compare and hash by identity. The one thing that grows is the fit
+    masks' transition memo, bounded by the rules; an entry depends on
+    nothing else.
 
     The constructor also builds, once:
     - the skeleton tables the fit masks are read from, and `_lhs`, the redex
@@ -123,7 +142,13 @@ class RewriteSystem:
     rules: tuple[RewriteRule, ...]
     signature: Signature
 
-    def __post_init__(self) -> None:
+    __match_args__ = ("rules", "signature")
+    __setattr__ = _Name.__setattr__
+    __delattr__ = _Name.__delattr__
+
+    def __init__(self, rules: Iterable[RewriteRule], signature: Signature) -> None:
+        object.__setattr__(self, "rules", tuple(rules))
+        object.__setattr__(self, "signature", signature)
         atoms: frozenset[Atom] = frozenset()
         seen: set[str] = set()
         for rule in self.rules:
@@ -131,7 +156,6 @@ class RewriteSystem:
                 raise ValueError(f"duplicate rule name {rule.name}")
             seen.add(rule.name)
             atoms |= rule.atoms()
-        object.__setattr__(self, "rules", tuple(self.rules))
         _number_skeletons(self)
         costs = {rule.name: cost for rule in self.rules if (cost := _walk_cost(rule, self.signature))}
         object.__setattr__(self, "_walk_costs", MappingProxyType(costs))
@@ -249,7 +273,7 @@ def _rule_copy(
     rule: RewriteRule, context: FreshnessContext, lhs: Term, rhs: Term, atoms: frozenset[Atom]
 ) -> RewriteRule:
     """A copy of `rule` under its name with the given parts and atoms, built
-    without `RewriteRule.__post_init__`: renaming a valid rule's variables
+    without `RewriteRule.__init__`: renaming a valid rule's variables
     or atoms apart keeps it valid, so its checks need not run again."""
     copy = object.__new__(RewriteRule)
     copy.__dict__.update(name=rule.name, context=context, lhs=lhs, rhs=rhs, _atoms=atoms)

@@ -9,8 +9,11 @@ rename the binder.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import ClassVar, Iterable, Iterator, Mapping, Union
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a record or name."""
 
 
 class _Name:
@@ -73,12 +76,15 @@ Swapping = tuple[Atom, Atom]
 
 
 def _getstate(self) -> list:
-    return [getattr(self, field.name) for field in fields(self)]
+    return [getattr(self, name) for name in self.__slots__]
 
 
 def _setstate(self, state: list) -> None:
-    for field, value in zip(fields(self), state):
-        object.__setattr__(self, field.name, value)
+    for name, value in zip(self.__slots__, state):
+        object.__setattr__(self, name, value)
+
+
+_MISSING = object()
 
 
 def frozen_node(cls=None, *, eq: bool = True):
@@ -86,34 +92,43 @@ def frozen_node(cls=None, *, eq: bool = True):
     eq=eq)`. With `eq=False` instances compare and hash by identity, as
     narrowing nodes and edges do.
 
-    `dataclass(slots=True)` only registers the fields and builds the
-    slotted class; it generates no method. `__init__`, `__repr__` and, with
-    `eq`, `__eq__` and `__hash__` are built from one source string in one
-    `exec`, where `dataclasses` would compile each method on its own. Their
-    bodies are the ones Python 3.11's `dataclasses` writes, less the
-    recursion guard on `__repr__`: a record cannot contain itself. The
-    `__init__` takes the fields in order, with their defaults, and stores
-    each value through its slot's descriptor, which costs less than
-    `object.__setattr__`. `_Name`'s `__setattr__` and `__delattr__` make
-    every attribute, field or not, raise FrozenInstanceError, so `copy` and
-    `pickle` restore the fields through `_getstate` and `_setstate`.
-
-    The class needs a docstring: for a class without one, `dataclass`
-    builds it from `inspect.signature`, which costs about 2 ms."""
+    The fields are the class's own annotations, in order, with the class
+    body's values as their defaults. The record is a new class built with
+    `type` from the body, with `__slots__` and `__match_args__` set to the
+    fields. `__init__`, `__repr__` and, with `eq`, `__eq__` and `__hash__`
+    are built from one source string in one `exec`. Their bodies are the
+    ones Python 3.11's `dataclasses` writes, less the recursion guard on
+    `__repr__`: a record cannot contain itself. The `__init__` takes the
+    fields in order, with their defaults, and stores each value through its
+    slot's descriptor, which costs less than `object.__setattr__`. `_Name`'s
+    `__setattr__` and `__delattr__` make every attribute, field or not,
+    raise FrozenInstanceError, so `copy` and `pickle` restore the fields
+    through `_getstate` and `_setstate`."""
     if cls is None:
         return lambda cls: frozen_node(cls, eq=eq)
-    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
-    namespace, params, body, names = {}, [], "", []
-    for field in fields(cls):
-        name = field.name
-        names.append(name)
+    names = tuple(cls.__annotations__)
+    body = dict(cls.__dict__)
+    defaults = {name: body.pop(name, _MISSING) for name in names}
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body["__slots__"] = body["__match_args__"] = names
+    body.update(
+        __qualname__=cls.__qualname__,
+        __setattr__=_Name.__setattr__,
+        __delattr__=_Name.__delattr__,
+        __getstate__=_getstate,
+        __setstate__=_setstate,
+    )
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    namespace, params, init = {}, [], ""
+    for name in names:
         namespace[f"_set_{name}"] = getattr(cls, name).__set__
-        namespace[f"_default_{name}"] = field.default
-        params.append(name if field.default is MISSING else f"{name}=_default_{name}")
-        body += f"\n    _set_{name}(self, {name})"
+        namespace[f"_default_{name}"] = defaults[name]
+        params.append(name if defaults[name] is _MISSING else f"{name}=_default_{name}")
+        init += f"\n    _set_{name}(self, {name})"
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
     source = (
-        f"def __init__(self, {', '.join(params)}):{body}\n"
+        f"def __init__(self, {', '.join(params)}):{init}\n"
         "def __repr__(self):\n"
         f"    return self.__class__.__qualname__ + f\"({shown})\"\n"
     )
@@ -132,10 +147,6 @@ def frozen_node(cls=None, *, eq: bool = True):
         if method in namespace:
             namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
             setattr(cls, method, namespace[method])
-    cls.__setattr__ = _Name.__setattr__
-    cls.__delattr__ = _Name.__delattr__
-    cls.__getstate__ = _getstate
-    cls.__setstate__ = _setstate
     return cls
 
 

@@ -52,6 +52,13 @@ from nomc.rewriting import RewriteRule, clash_permutation, permute_rule, renamed
 from nomc.terms import NameSupply, Term, replace_at, subterms_with_positions, term_atoms, term_vars
 from nomc.unify import DEFAULT_MAX_STATES
 
+def replace(record, **changes):
+    """A record of the same class with some fields changed, built through
+    the constructor as `dataclasses.replace` builds one. Every nomc record
+    lists its fields in `__match_args__`."""
+    return type(record)(**{name: getattr(record, name) for name in record.__match_args__} | changes)
+
+
 ATOMS = tuple(Atom(n) for n in "abcd")
 VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
 
@@ -306,7 +313,7 @@ def reference_dedup_steps(delta, steps):
 # -- term equality, the slow way ------------------------------------------------
 #
 # Atoms and variables are interned and compared by identity, and nodes are
-# slotted dataclasses. This walk compares by type and field instead, with
+# slotted records. This walk compares by type and field instead, with
 # names as strings, and stays here as the reference for `==`.
 
 

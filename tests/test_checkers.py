@@ -12,7 +12,6 @@ records, as it is, clash-shifted steps included.
 """
 
 import collections
-import dataclasses
 import itertools
 import random
 import shlex
@@ -62,6 +61,7 @@ from conftest import (
     random_prenex_formula,
     random_prenex_pattern,
     random_term,
+    replace,
 )
 
 FRESH = Atom("zz")
@@ -129,10 +129,10 @@ def _other_rules(system, instance):
         if rule.name == instance.name:
             continue
         context = frozenset(
-            dataclasses.replace(c, var=apply_subst(renaming, Suspension(IDENTITY, c.var)).var)
+            replace(c, var=apply_subst(renaming, Suspension(IDENTITY, c.var)).var)
             for c in rule.context
         )
-        yield dataclasses.replace(
+        yield replace(
             rule, context=context, lhs=apply_subst(renaming, rule.lhs), rhs=apply_subst(renaming, rule.rhs)
         )
 
@@ -190,26 +190,26 @@ class TestVerifyRewriteStep:
             path = step.position.path
             tampered = [Position(path + (9,))] + _other_positions(delta, source, path, sig)
             for pos in tampered:
-                assert not verify_rewrite_step(delta, source, dataclasses.replace(step, position=pos), sig)
+                assert not verify_rewrite_step(delta, source, replace(step, position=pos), sig)
 
     def test_identity_substitution(self):
         for system, delta, source, step in REWRITE_CASES:
             assert term_vars(step.rule_instance.lhs)
             assert not (term_vars(step.rule_instance.lhs) & term_vars(source))
-            tampered = dataclasses.replace(step, subst=IDENTITY_SUBST)
+            tampered = replace(step, subst=IDENTITY_SUBST)
             assert not verify_rewrite_step(delta, source, tampered, system.signature)
 
     def test_result_is_the_source(self):
         for system, delta, source, step in REWRITE_CASES:
             sig = system.signature
             assert not derive_alpha_c(delta, source, step.result, sig)
-            tampered = dataclasses.replace(step, result=source)
+            tampered = replace(step, result=source)
             assert not verify_rewrite_step(delta, source, tampered, sig)
 
     def test_another_rule(self):
         for system, delta, source, step in REWRITE_CASES:
             for other in _other_rules(system, step.rule_instance):
-                tampered = dataclasses.replace(step, rule_instance=other)
+                tampered = replace(step, rule_instance=other)
                 assert not verify_rewrite_step(delta, source, tampered, system.signature)
 
     def test_source_redex_replaced(self):
@@ -238,13 +238,13 @@ class TestVerifyRewriteStep:
             if swapped is None:
                 continue
             commuted += 1
-            tampered = dataclasses.replace(step, result=swapped)
+            tampered = replace(step, result=swapped)
             assert verify_rewrite_step(delta, source, tampered, system.signature)
         assert commuted
 
 
 def _with_child_term(edge, term):
-    return dataclasses.replace(edge, child=dataclasses.replace(edge.child, term=term))
+    return replace(edge, child=replace(edge.child, term=term))
 
 
 class TestNarrowingToRewriting:
@@ -258,7 +258,7 @@ class TestNarrowingToRewriting:
                 if _exists(edge.parent.term, pos.path)
             ]
             for pos in tampered:
-                assert not narrowing_to_rewriting(dataclasses.replace(edge, position=pos), edge.parent, sig=sig)
+                assert not narrowing_to_rewriting(replace(edge, position=pos), edge.parent, sig=sig)
 
     def test_position_only_in_the_instance(self):
         # The position must exist in the parent term itself, not only in its
@@ -269,7 +269,7 @@ class TestNarrowingToRewriting:
             for pos, _ in subterms_with_positions(instance):
                 if not _exists(edge.parent.term, pos.path):
                     hits += 1
-                    tampered = dataclasses.replace(edge, position=pos)
+                    tampered = replace(edge, position=pos)
                     assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
         assert hits
 
@@ -282,8 +282,8 @@ class TestNarrowingToRewriting:
         (edge,) = [e for e in tree.edges if e.rule == "not_forall"]
         assert str(edge.rule_instance) == "|- not(forall([a]Q1)) -> exists([a]not(Q1))"
         theta = parse_substitution("X -> and(c, not(forall([a]b))), Q1 -> b", sig)
-        child = dataclasses.replace(edge.child, term=parse_term("not(and(c, exists([a]not(b))))", sig))
-        tampered = dataclasses.replace(edge, position=Position((0, 1)), step_subst=theta, child=child)
+        child = replace(edge.child, term=parse_term("not(and(c, exists([a]not(b))))", sig))
+        tampered = replace(edge, position=Position((0, 1)), step_subst=theta, child=child)
         instance = apply_subst(theta, edge.parent.term)
         assert rewriting.rewrite_at(EMPTY_CONTEXT, instance, (0, 1), edge.rule_instance, theta, sig) == child.term
         assert not narrowing_to_rewriting(tampered, edge.parent, sig=sig)
@@ -291,7 +291,7 @@ class TestNarrowingToRewriting:
     def test_identity_substitution(self):
         for system, edge in NARROWING_EDGES:
             assert term_vars(edge.rule_instance.lhs)
-            tampered = dataclasses.replace(edge, step_subst=IDENTITY_SUBST)
+            tampered = replace(edge, step_subst=IDENTITY_SUBST)
             assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
 
     def test_child_is_the_instantiated_parent(self):
@@ -304,14 +304,14 @@ class TestNarrowingToRewriting:
     def test_another_rule(self):
         for system, edge in NARROWING_EDGES:
             for other in _other_rules(system, edge.rule_instance):
-                tampered = dataclasses.replace(edge, rule_instance=other)
+                tampered = replace(edge, rule_instance=other)
                 assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
 
     def test_parent_redex_replaced(self):
         for system, edge in NARROWING_EDGES:
             path = edge.position.path
             for new in _replacements(subterm_at(edge.parent.term, path)):
-                parent = dataclasses.replace(edge.parent, term=replace_at(edge.parent.term, path, new))
+                parent = replace(edge.parent, term=replace_at(edge.parent.term, path, new))
                 assert not narrowing_to_rewriting(edge, parent, sig=system.signature)
 
     def test_freshness_hypothesis_dropped(self):
@@ -322,7 +322,7 @@ class TestNarrowingToRewriting:
             if not any(isinstance(edge.step_subst.get(c.var), Suspension) for c in edge.rule_instance.context):
                 continue
             dropped += 1
-            tampered = dataclasses.replace(edge, child=dataclasses.replace(edge.child, context=EMPTY_CONTEXT))
+            tampered = replace(edge, child=replace(edge.child, context=EMPTY_CONTEXT))
             assert not narrowing_to_rewriting(tampered, edge.parent, sig=system.signature)
         assert dropped
 
@@ -391,8 +391,8 @@ class TestLiftingForward:
     def test_tampered_step(self, derivation, prenex_system, index):
         sig = prenex_system.signature
         step = derivation[index]
-        tampers = [dataclasses.replace(step, position=Position(step.position.path + (9,)))]
-        tampers += [dataclasses.replace(step, rule_instance=o) for o in _other_rules(prenex_system, step.rule_instance)]
+        tampers = [replace(step, position=Position(step.position.path + (9,)))]
+        tampers += [replace(step, rule_instance=o) for o in _other_rules(prenex_system, step.rule_instance)]
         for tampered in tampers:
             changed = list(derivation)
             changed[index] = tampered
@@ -407,8 +407,8 @@ class TestLiftingForward:
         assert str(edge.step_subst) == "[X -> exists([a]Q0)]"
         rho = Substitution({v: Atom("c") for v in term_vars(edge.child.term)})
         assert lifting_forward_check([edge], rho, EMPTY_CONTEXT, sig) is True
-        parent = dataclasses.replace(edge.parent, context=edge.parent.context | parse_context("c#X"))
-        tampered = dataclasses.replace(edge, parent=parent)
+        parent = replace(edge.parent, context=edge.parent.context | parse_context("c#X"))
+        tampered = replace(edge, parent=parent)
         assert lifting_forward_check([tampered], rho, EMPTY_CONTEXT, sig) is False
 
 

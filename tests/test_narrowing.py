@@ -1,7 +1,6 @@
 """Narrowing trees, their bounds, and the lifting correspondence."""
 
 import collections
-import dataclasses
 import functools
 import itertools
 import random
@@ -77,6 +76,7 @@ from conftest import (
     reference_redexes,
     reference_skeleton_fits,
     rename_rule_with_map,
+    replace,
     walk_gate_shape,
 )
 
@@ -638,7 +638,7 @@ def _rearranged_trace(rng, delta, start, system, length):
             break
         step = rng.choice(steps)
         if rng.random() < 0.5:
-            step = dataclasses.replace(step, result=rng.choice(commutative_variants(step.result, sig)))
+            step = replace(step, result=rng.choice(commutative_variants(step.result, sig)))
         trace.append(step)
         term = step.result
     return tuple(trace)
@@ -684,7 +684,7 @@ class TestLiftingBackwardReference:
         term, rho, swapped = self.SWAPPED
         s0, rho0 = parse_term(term, sig), parse_substitution(rho, sig)
         first = primary_rewrite_steps(frozenset(), apply_subst(rho0, s0), system)[0]
-        first = dataclasses.replace(first, result=parse_term(swapped, sig))
+        first = replace(first, result=parse_term(swapped, sig))
         second = next(s for s in primary_rewrite_steps(frozenset(), first.result, system) if s.position.path == (0,))
         return frozenset(), s0, rho0, frozenset(), (first, second), 1, system
 

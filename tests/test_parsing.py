@@ -1,6 +1,5 @@
 """Concrete syntax: terms, contexts, judgements, and system files."""
 
-import dataclasses
 import random
 import re
 import sys
@@ -16,6 +15,7 @@ from nomc import (
     EqualityGoal,
     FreshnessConstraint,
     FreshnessGoal,
+    FrozenInstanceError,
     IDENTITY,
     ParseError,
     Permutation,
@@ -317,7 +317,7 @@ class TestSystemFiles:
         problems = dict(loaded.problems)
         with pytest.raises(TypeError):
             loaded.problems["extra"] = "check a # b"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             loaded.system = parse_system("sig:\n  f: 1\n\nrules:\n").system
         again = load_system_file("prenex.nrs")
         assert again is loaded and dict(again.problems) == problems

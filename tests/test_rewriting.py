@@ -1,7 +1,6 @@
 """Rewriting steps, normalisation, the ground class oracle, and coherence."""
 
 import collections
-import dataclasses
 import functools
 import itertools
 import os
@@ -85,18 +84,19 @@ from conftest import (
     random_permutation,
     random_prenex_formula,
     random_prenex_pattern,
+    random_rule,
     random_term,
     reference_dedup_steps,
     reference_derive_freshness,
     reference_normal_form_equal_check,
     reference_oracle_sources,
-    random_rule,
     reference_permute_rule,
     reference_redexes,
     reference_renamed_rule,
     reference_same_term,
     reference_skeleton_fits,
     rename_rule_with_map,
+    replace,
     walk_gate_shape,
 )
 
@@ -1009,7 +1009,7 @@ def _eager_outcomes(delta, term, system):
     the eager renaming."""
     primary = reference_dedup_steps(delta, _eager_candidate_steps(delta, term, system))
     expanded = [
-        dataclasses.replace(step, result=variant)
+        replace(step, result=variant)
         for step in _eager_candidate_steps(delta, term, system)
         for variant in commutative_variants(step.result, system.signature)
     ]
@@ -1093,7 +1093,7 @@ class TestBucketedDedup:
                 term = App(PAIRING[name], (term, equivalent_variant(rng, delta, term, sig)))
             candidates = list(rewriting._candidate_steps(delta, term, system, DEFAULT_MAX_STATES))
             expanded = [
-                dataclasses.replace(step, result=variant)
+                replace(step, result=variant)
                 for step in candidates
                 for variant in commutative_variants(step.result, sig)
             ]

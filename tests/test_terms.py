@@ -21,15 +21,18 @@ from nomc import (
     EqualityGoal,
     FreshnessConstraint,
     FreshnessGoal,
+    FrozenInstanceError,
     IDENTITY,
     Permutation,
     Position,
+    RewriteRule,
+    RewriteSystem,
     Signature,
     Substitution,
     Suspension,
+    SystemFile,
     Var,
     apply_subst,
-    RewriteRule,
     difference_set,
     fresh_atom,
     parse_term,
@@ -39,7 +42,16 @@ from nomc import (
     term_vars,
 )
 from nomc.narrowing import NarrowingNode, NarrowingStep, NarrowingTree, NotFound, TruncationRecord
-from nomc.rewriting import REJECTED, WITNESSED, CoherenceVerdict, RewriteStep, clash_permutation
+from nomc.cli import _truncation_payload, load_system_file
+from nomc.rewriting import (
+    REJECTED,
+    WITNESSED,
+    CoherenceVerdict,
+    RewriteStep,
+    clash_permutation,
+    permute_rule,
+    renamed_rule,
+)
 from nomc.terms import NameSupply, Printer, frozen_node, subterms_with_positions
 from nomc.unify import CSolution, UnificationState
 from conftest import (
@@ -48,6 +60,7 @@ from conftest import (
     reference_same_term,
     reference_str,
     reference_subst_str,
+    replace,
 )
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
@@ -91,6 +104,15 @@ VALUE_RECORDS = (
     CoherenceVerdict(0, REJECTED, "sample terms are not =ac-related"),
 )
 IDENTITY_RECORDS = (_CHILD, _EDGE)
+# The fields with a default, per record class.
+DEFAULTS = {
+    Permutation: {"swappings": ()},
+    App: {"args": ()},
+    Position: {"path": ()},
+    CSolution: {"residual_fixpoints": (), "protected_fixpoint_discharged": False},
+    TruncationRecord: {"nodes_truncated": 0},
+    CoherenceVerdict: {"detail": ""},
+}
 # A value per record class that makes a record unequal to the one above.
 CHANGED = {
     Permutation: {"swappings": ()},
@@ -118,7 +140,7 @@ def test_signature_refuses_a_negative_arity():
 
 
 class TestPrimitives:
-    """Atoms and variables are interned; nodes are slotted frozen dataclasses."""
+    """Atoms and variables are interned; nodes are slotted frozen records."""
 
     @given(st.text(max_size=4))
     def test_one_instance_per_name(self, name):
@@ -135,13 +157,16 @@ class TestPrimitives:
 
     @pytest.mark.parametrize("obj", (a, X) + NODES + VALUE_RECORDS + IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
     def test_no_field_can_be_assigned(self, obj):
-        fields = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else ["name"]
+        assert issubclass(FrozenInstanceError, AttributeError)
+        fields = list(getattr(obj, "__match_args__", ("name",)))
         # Names that are not fields are refused the same way.
         for field in fields + ["extra"]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenInstanceError) as err:
                 setattr(obj, field, a)
-            with pytest.raises(AttributeError):
+            assert str(err.value) == f"cannot assign to field {field!r}"
+            with pytest.raises(FrozenInstanceError) as err:
                 delattr(obj, field)
+            assert str(err.value) == f"cannot delete field {field!r}"
 
     @pytest.mark.parametrize("obj", (a, X) + NODES, ids=lambda o: type(o).__name__)
     def test_copies_are_equal_and_share_the_names(self, obj):
@@ -186,10 +211,10 @@ class TestPrimitives:
         assert FreshnessGoal(term=b, atom=a) == FreshnessGoal(a, b)
         assert EqualityGoal(rhs=b, lhs=a) == EqualityGoal(a, b)
         for node in NODES:
-            assert dataclasses.replace(node) == node
-        assert dataclasses.replace(FreshnessConstraint(a, X), var=Y) == FreshnessConstraint(a, Y)
-        assert dataclasses.replace(App("f", (a,)), sym="g") == App("g", (a,))
-        assert dataclasses.replace(Abstraction(a, b), body=c) == Abstraction(a, c)
+            assert replace(node) == node
+        assert replace(FreshnessConstraint(a, X), var=Y) == FreshnessConstraint(a, Y)
+        assert replace(App("f", (a,)), sym="g") == App("g", (a,))
+        assert replace(Abstraction(a, b), body=c) == Abstraction(a, c)
 
     @settings(max_examples=300)
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -212,7 +237,7 @@ class TestPrimitives:
 
 
 def _values(node):
-    return [getattr(node, f.name) for f in dataclasses.fields(node)]
+    return [getattr(node, name) for name in node.__slots__]
 
 
 def _parameters(cls):
@@ -222,13 +247,10 @@ def _parameters(cls):
 def _field_parameters(cls):
     """The parameters a constructor taking `cls`'s fields in order, with
     their defaults, has."""
+    defaults = DEFAULTS.get(cls, {})
     return [
-        (
-            f.name,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
-        )
-        for f in dataclasses.fields(cls)
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, defaults.get(name, inspect.Parameter.empty))
+        for name in cls.__slots__
     ]
 
 
@@ -241,8 +263,8 @@ class TestFrozenNodeConstructor:
         assert _parameters(cls) == _field_parameters(cls)
         values = _values(node)
         assert _values(cls(*values)) == values
-        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
-        first = dataclasses.fields(cls)[0].name
+        assert cls.__slots__ == cls.__match_args__ == tuple(cls.__annotations__)
+        first = cls.__slots__[0]
         calls = (
             lambda: cls(*values, a),  # one argument too many
             lambda: cls(*values, extra=a),  # an unknown keyword
@@ -260,7 +282,7 @@ class TestFrozenNodeConstructor:
         assert record == record and record != twin and not record != record
         assert hash(record) == object.__hash__(record) and hash(twin) == object.__hash__(twin)
         assert len({record, twin}) == 2
-        replaced = dataclasses.replace(record)
+        replaced = replace(record)
         assert replaced is not record and replaced != record
 
     @pytest.mark.parametrize("record", NODES + VALUE_RECORDS, ids=lambda o: type(o).__name__)
@@ -268,12 +290,8 @@ class TestFrozenNodeConstructor:
         # The same fields on a plain frozen dataclass of the same name: equal
         # hashes keep the iteration order of every set of records.
         cls = type(record)
-        plain = dataclasses.make_dataclass(
-            cls.__name__,
-            [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
-            frozen=True,
-        )
-        equal, unequal = cls(*_values(record)), dataclasses.replace(record, **CHANGED[cls])
+        plain = dataclasses.make_dataclass(cls.__name__, cls.__annotations__.items(), frozen=True)
+        equal, unequal = cls(*_values(record)), replace(record, **CHANGED[cls])
         assert equal == record and not equal != record and hash(equal) == hash(record)
         assert unequal != record and not unequal == record
         for twin in (equal, unequal):
@@ -292,22 +310,23 @@ class TestFrozenNodeConstructor:
                 assert duplicate == record and hash(duplicate) == hash(record)
 
     def test_truncation_record_reads_as_a_dict(self):
-        # The CLI prints a tree's bounds with `dataclasses.asdict`.
-        record = dataclasses.asdict(TruncationRecord(2, 50, 3))
+        # The CLI prints a tree's bounds as a JSON object in field order.
+        record = _truncation_payload(TruncationRecord(2, 50, 3))
         assert list(record.items()) == [("depth", 2), ("max_unifiers", 50), ("fixpoint_depth", 3), ("nodes_truncated", 0)]
 
-    def test_import_builds_no_signature(self):
-        # `dataclass` builds a missing docstring with `inspect.signature`,
-        # about 2 ms a class at import; every record has a docstring.
+    def test_import_loads_no_dataclasses(self):
+        # `dataclasses` imports `inspect`, which brings `ast`, `dis` and
+        # `tokenize`; from Python 3.12 on, `importlib.resources` imports
+        # `inspect` too. Importing nomc and loading the bundled systems needs
+        # none of them.
         code = """if True:
-            import inspect
-            calls = []
-            signature = inspect.signature
-            inspect.signature = lambda obj, *args, **kwargs: calls.append(obj) or signature(obj, *args, **kwargs)
+            import sys
+            before = set(sys.modules)
             import nomc, nomc.cli
             for name in ("prenex", "ex22", "lambda"):
                 nomc.cli.load_system_file(name)
-            print(calls)
+            heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"}
+            print(sorted(heavy & (set(sys.modules) - before)))
         """
         env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
@@ -331,10 +350,97 @@ class TestFrozenNodeConstructor:
         assert Pair.__init__.__qualname__ == f"{Pair.__qualname__}.__init__"
         pair = Pair(1)
         assert pair == Pair(left=1, right=())
-        assert Pair.__slots__ == ("left", "right") and not hasattr(pair, "__dict__")
+        assert Pair.__slots__ == Pair.__match_args__ == ("left", "right") and not hasattr(pair, "__dict__")
         for field in ("left", "right", "extra"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenInstanceError):
                 setattr(pair, field, 2)
+        match pair:
+            case Pair(left, right):
+                assert (left, right) == (1, ())
+
+
+def _assert_frozen(obj, names):
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, a)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+
+
+class TestPlainRecords:
+    """`RewriteRule`, `RewriteSystem` and `SystemFile` are plain read-only
+    classes with a `__dict__`. Rules and system files compare, hash and
+    print as the frozen dataclasses they were; systems compare by identity."""
+
+    RULE_FIELDS = (("name", str), ("context", frozenset), ("lhs", object), ("rhs", object))
+
+    def test_rules_compare_as_frozen_dataclasses(self):
+        plain = dataclasses.make_dataclass("RewriteRule", self.RULE_FIELDS, frozen=True)
+        equal = RewriteRule(_RULE.name, _RULE.context, _RULE.lhs, _RULE.rhs)
+        assert equal is not _RULE and equal == _RULE and not equal != _RULE and hash(equal) == hash(_RULE)
+        unequal = (replace(_RULE, name="s"), replace(_RULE, context=frozenset()), replace(_RULE, rhs=App("g", (a,))))
+        for rule in (equal,) + unequal:
+            reference = plain(rule.name, rule.context, rule.lhs, rule.rhs)
+            assert (rule == _RULE) == (reference == plain(_RULE.name, _RULE.context, _RULE.lhs, _RULE.rhs))
+            assert hash(rule) == hash(reference) and repr(rule) == repr(reference)
+        assert _RULE != plain(_RULE.name, _RULE.context, _RULE.lhs, _RULE.rhs)
+        assert RewriteRule(name="r", context=_RULE.context, rhs=_RULE.rhs, lhs=_RULE.lhs) == _RULE
+        match _RULE:
+            case RewriteRule(name, context, lhs, rhs):
+                assert (name, context, lhs, rhs) == ("r", _RULE.context, _RULE.lhs, _RULE.rhs)
+
+    def test_rules_check_their_variables(self):
+        with pytest.raises(ValueError, match="rule r: left-hand side is a bare variable"):
+            RewriteRule("r", frozenset(), Suspension(IDENTITY, X), a)
+        with pytest.raises(ValueError, match="rule r: variables not bound by the left-hand side: X, Y"):
+            RewriteRule("r", frozenset({FreshnessConstraint(a, Y)}), App("g", (a,)), Suspension(IDENTITY, X))
+
+    def test_copies_built_without_the_constructor_work(self):
+        # `renamed_rule` and `permute_rule` fill a new rule's `__dict__`
+        # directly; the cached `renaming_bases` lands there too.
+        renamed = renamed_rule(_RULE, {X: Y})
+        y = Suspension(IDENTITY, Y)
+        assert renamed == RewriteRule("r", frozenset({FreshnessConstraint(a, Y)}), App("g", (y,)), y)
+        assert renamed.renaming_bases == (Y,) and "renaming_bases" in vars(renamed)
+        assert renamed.atoms() == _RULE.atoms() == frozenset({a})
+        permuted = permute_rule(_RULE, Permutation(((a, b),)))
+        assert permuted.atoms() == frozenset({b}) and permuted.renaming_bases == (X,)
+        assert permuted.context == frozenset({FreshnessConstraint(b, X)})
+        for rule in (_RULE, renamed, permuted):
+            _assert_frozen(rule, ("name", "context", "lhs", "rhs", "_atoms", "renaming_bases", "extra"))
+
+    def test_rule_copies_are_equal(self):
+        _RULE.renaming_bases  # cached in the instance's `__dict__`, which copies carry
+        for duplicate in (copy.copy(_RULE), copy.deepcopy(_RULE), pickle.loads(pickle.dumps(_RULE))):
+            assert type(duplicate) is RewriteRule and duplicate is not _RULE
+            assert duplicate == _RULE and hash(duplicate) == hash(_RULE) and repr(duplicate) == repr(_RULE)
+            assert duplicate.atoms() == _RULE.atoms() and duplicate.renaming_bases == (X,)
+            _assert_frozen(duplicate, ("name", "lhs", "extra"))
+
+    def test_systems_compare_by_identity(self):
+        system = RewriteSystem((_RULE,), SIG)
+        again = RewriteSystem(rules=[_RULE], signature=SIG)
+        assert system == system and system != again and again.rules == system.rules == (_RULE,)
+        assert hash(system) == object.__hash__(system)
+        assert repr(system) == f"RewriteSystem(1 rules, sig={SIG!r})"
+        _assert_frozen(system, ("rules", "signature", "_atoms", "extra"))
+        with pytest.raises(ValueError, match="duplicate rule name r"):
+            RewriteSystem((_RULE, _RULE), SIG)
+
+    def test_system_files_compare_and_print_as_frozen_dataclasses(self):
+        plain = dataclasses.make_dataclass("SystemFile", (("system", object), ("problems", object)), frozen=True)
+        loaded = load_system_file("ex22")
+        problems = {"p": "check a # b"}
+        built = SystemFile(loaded.system, problems)
+        assert built == SystemFile(loaded.system, dict(problems)) and not built != SystemFile(loaded.system, problems)
+        assert built != SystemFile(loaded.system) and built != SystemFile(RewriteSystem((), SIG), problems)
+        assert SystemFile(loaded.system).problems == {} and built != plain(loaded.system, built.problems)
+        for file in (loaded, built):
+            assert repr(file) == repr(plain(file.system, file.problems))
+            assert repr(file).startswith("SystemFile(system=RewriteSystem(") and "problems=mappingproxy({" in repr(file)
+            _assert_frozen(file, ("system", "problems", "extra"))
+        with pytest.raises(TypeError):
+            hash(built)
 
 
 # Atoms named like the nullary symbols print as they do; multi-swap
