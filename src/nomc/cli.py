@@ -358,7 +358,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", help="system file path or bundled name")
     sub.add_argument("--context", default="", help='freshness context, e.g. "a#X, b#Y"')
     sub.add_argument("--json", action="store_true", help="machine-readable report")
-    sub.add_argument("--max-states", type=_bound, default=DEFAULT_MAX_STATES, help="unification state cap")
+    sub.add_argument("--max-states", type=_bound, default=DEFAULT_MAX_STATES, help="solver state cap")
 
 
 def _add_narrowing(sub: argparse.ArgumentParser) -> None:

@@ -127,9 +127,8 @@ class RewriteSystem:
     The constructor also builds, once:
     - the skeleton tables the fit masks are read from, and `_lhs`, the redex
       scan's only rule index (`_number_skeletons`);
-    - `_walk_costs` (rule name -> `_walk_cost`), read-only: the rules whose
-      unifiers with a linear subject `_linear_walk` may find, with the
-      terms of their bound on the solver's states;
+    - `_walkable`, the names of the rules whose answers on a ground or
+      linear subject `_linear_walk` may find (the predicate `_walkable`);
     - `_fresh_rules` (rule name -> the rule renamed apart from no variable,
       `P` to `P0`), read-only: the copies `_candidate_steps` uses when there
       is no variable to avoid, as for every source the class oracle scans;
@@ -157,8 +156,8 @@ class RewriteSystem:
             seen.add(rule.name)
             atoms |= rule.atoms()
         _number_skeletons(self)
-        costs = {rule.name: cost for rule in self.rules if (cost := _walk_cost(rule, self.signature))}
-        object.__setattr__(self, "_walk_costs", MappingProxyType(costs))
+        walkable = frozenset(rule.name for rule in self.rules if _walkable(rule, self.signature))
+        object.__setattr__(self, "_walkable", walkable)
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
         fresh = {rule.name: renamed_rule(rule, NameSupply(()).draw(rule.renaming_bases)) for rule in self.rules}
@@ -550,81 +549,13 @@ def premises_hold(
     )
 
 
-def _walk_cost(rule: RewriteRule, sig: Signature) -> tuple[int, int, int, int] | None:
-    """`(2^c (n + 1), 2^c (a + f), 2^c a n, 2^c n)` for a rule whose
-    left-hand side is linear and has at most one commutative node under
-    `sig`, None for any other: n counts the left-hand side's nodes, c its
-    commutative applications, a its abstractions, and f the constraints of
-    the rule's context. `_walk_gate` reads U off it.
-
-    U = 2^c (n + 1 + (a + f) |T|) bounds the states `solve(delta, s, nabla,
-    lhs)` visits for a subject s of a linear term T of |T| nodes, whose
-    variables the rule's do not share; when T holds a variable, add
-    2^c (a + d) n, where d = |delta|. Every goal pairs a term of the rule's
-    side with one of the subject's, and neither side repeats a variable,
-    so a binding rewrites no other goal. On one branch:
-
-    - each left-hand-side node heads at most one equality goal, which one
-      step decomposes, drops or instantiates: at most n steps;
-    - a freshness goal costs one step per node of its term. An abstraction
-      with another binder raises a # t for a subterm t of the subject, and
-      binding a rule variable to a subterm t of the subject re-raises each
-      rule constraint on it: at most (a + f) |T| steps. Every decomposition
-      outranks every instantiation, so t holds no binding yet; in the
-      second case the variables of t face nothing else and stay unbound;
-    - a constraint on a subject variable X, from delta or left by such an
-      abstraction's goal (at most one per abstraction, as X occurs once), is
-      re-raised when X is bound to pi^-1 r for the rule subterm r facing it.
-      Distinct variables face disjoint subterms, so these cost at most
-      (a + d) n steps, and none when T is ground. What they leave
-      constrains variables of r, which face nothing else and stay unbound;
-    - one more state ends the branch.
-
-    Branches split only at commutative nodes, so there are at most 2^c
-    (the solver's agenda splits in an order a walk cannot follow with two).
-    """
+def _walkable(rule: RewriteRule, sig: Signature) -> bool:
+    """Whether `_linear_walk` may find a rule's answers: its left-hand side
+    is linear and has at most one commutative node under `sig`."""
     nodes = [sub for _, sub in subterms_with_positions(rule.lhs)]
     variables = [sub.var for sub in nodes if type(sub) is Suspension]
     commutative = sum(type(sub) is App and sig.is_commutative(sub.sym) for sub in nodes)
-    if commutative > 1 or len(set(variables)) < len(variables):
-        return None
-    branches, n = 2**commutative, len(nodes)
-    abstractions = sum(type(sub) is Abstraction for sub in nodes)
-    return branches * (n + 1), branches * (abstractions + len(rule.context)), branches * abstractions * n, branches * n
-
-
-def _walk_gate(
-    cost: tuple[int, int, int, int] | None,
-    size: int,
-    open_term: bool,
-    context: FreshnessContext,
-    max_states: int,
-    unify: bool,
-) -> bool:
-    """Whether a redex scan of a term under `context` finds a rule's answers
-    by `_linear_walk` instead of the solver (`match`, or `solve` when
-    `unify`). `cost` is the rule's `_walk_cost`, None when it has none;
-    `size` is the term's node count, or 0 when a variable occurs in it
-    twice; `open_term` says whether a variable occurs. It holds when the
-    rule has a cost, the term is ground when matching and linear when
-    unifying, and the cost's bound U for the whole term is at most
-    `max_states`, so the solver could not have raised.
-
-    For a term of |T| nodes and a cost (c0, c1, c2, c3), U = c0 + c1 |T|,
-    plus c2 + c3 |context| when a variable occurs. U bounds every attempt
-    of the scan: a subterm has at most |T| nodes, and a renamed or
-    clash-shifted copy of the rule has the rule's shape. On a ground term
-    the context adds nothing, as its constraints are on variables absent
-    from the term and from every rule copy, which is renamed apart from
-    them: the solver never re-raises one.
-    """
-    if cost is None or not size or open_term and not unify:
-        return False
-    fixed, per_node, raised, per_constraint = cost
-    states = fixed + per_node * size
-    if open_term:
-        states += raised + per_constraint * len(context)
-    return states <= max_states
+    return commutative <= 1 and len(set(variables)) == len(variables)
 
 
 def _linear_walk(
@@ -633,7 +564,8 @@ def _linear_walk(
     """What `solve(delta, subject, rule.context, rule.lhs)` gives, found by
     one walk over a rule's linear left-hand side with at most one
     commutative node against a linear subject whose variables the rule,
-    renamed apart, does not share. `_walk_gate` says where `redexes` runs it.
+    renamed apart, does not share. It takes no solver state, so
+    `max_states` does not bound it.
 
     A suspension pi.X of the left-hand side binds X to pi^-1 applied to its
     subterm; otherwise a subject suspension pi.X binds X to pi^-1 applied
@@ -753,15 +685,17 @@ def redexes(
 
     `prepare(rule, variables)` gives the rule renamed apart, and is called
     only there; `variables` are the term's, read off the fit-mask pass.
-    A prepared rule's answers come from `_linear_walk` where `_walk_gate`
-    allows it, and elsewhere from `solve` when unifying and from
-    `_verified_matchers` when matching; the two give the same answers in
-    the same order. When the prepared rule fails and its atoms clash with
-    the subterm's, it is retried once with the clashing atoms moved to
-    fresh ones. Each success yields `(position, rule, answers)`, where
-    `rule` is the copy that gave the answers; a Position is built only for
-    a site that yields. A term whose root has no SITE has no site, so the
-    scan ends after the fit-mask pass, before its variables are read.
+    A prepared rule's answers come from `_linear_walk` where the rule is
+    walkable and the term is ground, or linear when unifying. Elsewhere
+    they come from `solve` when unifying and from `_verified_matchers`
+    when matching, and only there can `max_states` be hit. The two give
+    the same answers in the same order. When the prepared rule fails and
+    its atoms clash with the subterm's, it is retried once with the
+    clashing atoms moved to fresh ones. Each success yields `(position,
+    rule, answers)`, where `rule` is the copy that gave the answers; a
+    Position is built only for a site that yields. A term whose root has
+    no SITE has no site, so the scan ends after the fit-mask pass, before
+    its variables are read.
     """
     sig = system.signature
     nodes, firsts, masks = _fit_masks(term, system, unify)
@@ -769,13 +703,11 @@ def redexes(
         return
     occurrences = [sub.var for sub in nodes if type(sub) is Suspension]
     variables = frozenset(occurrences)
-    # the walk gate's shape of the term: its size, 0 when a variable repeats
-    size = len(nodes) if len(variables) == len(occurrences) else 0
-    open_term = bool(occurrences)
-    costs = system._walk_costs
+    walk_term = not occurrences or unify and len(variables) == len(occurrences)
+    walkable = system._walkable
 
     def attempt(sub: Term, rule: RewriteRule) -> tuple[CSolution, ...]:
-        if _walk_gate(costs.get(rule.name), size, open_term, context, max_states, unify):
+        if walk_term and rule.name in walkable:
             return _linear_walk(context, sub, rule, sig)
         if unify:
             return solve(context, sub, rule.context, rule.lhs, sig=sig, max_states=max_states)

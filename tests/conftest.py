@@ -489,15 +489,6 @@ def lhs_fits(system, rule, sub, unify):
     return bool(rewriting._fit_masks(sub, system, unify)[2][0] & bit)
 
 
-def walk_gate_shape(term):
-    """A term's shape as `rewriting.redexes` hands it to `_walk_gate`: its
-    node count, or 0 when a variable occurs in it twice, and whether a
-    variable occurs."""
-    subterms = [sub for _, sub in subterms_with_positions(term)]
-    occurrences = [sub.var for sub in subterms if isinstance(sub, Suspension)]
-    return (len(subterms) if len(set(occurrences)) == len(occurrences) else 0), bool(occurrences)
-
-
 def reference_redexes(context, term, system, prepare, attempt, unify):
     """`nomc.rewriting.redexes` as it was when it built a Position for every
     subterm through `subterms_with_positions` and tried each rule where

@@ -363,7 +363,7 @@ class TestErrorsAndJson:
 
     def test_shared_system_cannot_be_changed(self, capsys):
         system = cli.load_system_file("prenex").system
-        for attr in ("rules", "_lhs", "_walk_costs", "signature", "_fresh_rules", "_plain"):
+        for attr in ("rules", "_lhs", "_walkable", "signature", "_fresh_rules", "_plain"):
             with pytest.raises(nomc.FrozenInstanceError):
                 setattr(system, attr, None)
         code, out = run(capsys, "normalize", "not(exists([a]b))", "--system", "prenex")

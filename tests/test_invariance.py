@@ -12,6 +12,13 @@ So a solution of s =? t also solves π·s =? π·t, and `solve` and `match`
 give the image problem the same answers in the same order: the same
 contexts, each binding =ac and each residual permutation the same
 bijection. The exceptions are pinned by count and cause below.
+
+Rewriting with closed rules is equivariant too: π·nf(t) =ac nf(π·t), and
+the steps from π·t are the images of the steps from t. Each bundled system
+is checked with π fixing its rules' atoms, and prenex, whose rules are all
+closed, with any π. ex22's `swap_abs` is not closed, so an atom-moving π
+can make it fire on one side only; those draws are pinned by count and
+cause below.
 """
 
 import random
@@ -29,7 +36,9 @@ from nomc import (
     difference_set,
     instance_of,
     match,
+    normalize,
     permute_term,
+    primary_rewrite_steps,
     solve,
     term_atoms,
     term_vars,
@@ -40,7 +49,9 @@ from conftest import (
     VARS,
     equivalent_variant,
     random_context,
+    random_ground_term,
     random_permutation,
+    random_prenex_formula,
     random_prenex_pattern,
     random_term,
 )
@@ -206,3 +217,63 @@ def test_solver_is_equivariant(solver, monkeypatch):
     monkeypatch.setattr(Permutation, "__hash__", lambda perm: hash(_bijection(perm)))
     for delta, s, t, pi, *_ in exceptions:
         assert _same_answers(run(delta, s, t, IDENTITY), run(delta, s, t, pi))
+
+
+REWRITE_DRAWS = 1500
+SYSTEMS = {name: load_system_file(name).system for name in ("prenex", "ex22", "lambda")}
+# (system, π): π fixes the rules' atoms, is any permutation (prenex, whose
+# rules are closed), or moves a rule atom.
+REWRITE_CASES = {
+    "prenex": ("prenex", "any"),
+    "ex22": ("ex22", "fixing"),
+    "lambda": ("lambda", "fixing"),
+    "ex22 moving": ("ex22", "moving"),
+}
+# The draws whose normal forms or steps part, per case: on one side of each,
+# `swap_abs`, whose `b` is both bound and free in `fC([a][b]Z, Z)`, fires,
+# and on the other it does not (ROADMAP item 16).
+UNCLOSED_FIRINGS = {"prenex": 0, "ex22": 0, "lambda": 0, "ex22 moving": 1}
+
+
+def _rewrites(system, term):
+    """A ground term's normal form, its trace's rules, and its steps."""
+    nf, trace = normalize(frozenset(), term, system, 100)
+    return nf, [step.rule for step in trace], primary_rewrite_steps(frozenset(), term, system)
+
+
+def _same_rewrites(sig, pi, rewrites, image):
+    """π·nf =ac the image's normal form, and each step's image is the
+    image's step: the same rule and position, and π·result =ac its result."""
+    (nf, _, steps), (image_nf, _, image_steps) = rewrites, image
+    return (
+        derive_alpha_c(frozenset(), permute_term(pi, nf), image_nf, sig)
+        and [(s.rule, s.position) for s in steps] == [(s.rule, s.position) for s in image_steps]
+        and all(derive_alpha_c(frozenset(), permute_term(pi, s.result), t.result, sig) for s, t in zip(steps, image_steps))
+    )
+
+
+@pytest.mark.parametrize("case", REWRITE_CASES)
+def test_rewriting_is_equivariant(case):
+    name, kind = REWRITE_CASES[case]
+    system = SYSTEMS[name]
+    sig, rule_atoms = system.signature, system.atoms()
+    atoms = tuple(a for a in PI_ATOMS if a not in rule_atoms) if kind == "fixing" else PI_ATOMS
+    rng = random.Random(24)
+    rewrote, moved, exceptions = 0, 0, []
+    for i in range(REWRITE_DRAWS):
+        # half of prenex's terms are formulas, which rewrite more often
+        term = random_prenex_formula(rng, 4) if name == "prenex" and i % 2 else random_ground_term(rng, sig, 4)
+        pi = random_permutation(rng, atoms, max_swaps=3)
+        while kind == "moving" and not _moves(pi, rule_atoms):
+            pi = random_permutation(rng, atoms, max_swaps=3)
+        rewrites, image = _rewrites(system, term), _rewrites(system, permute_term(pi, term))
+        if not _same_rewrites(sig, pi, rewrites, image):
+            exceptions.append((term, pi, rewrites, image))
+        rewrote += bool(rewrites[1])
+        moved += _moves(pi, term_atoms(term) | rule_atoms)
+    assert len(exceptions) == UNCLOSED_FIRINGS[case]
+    for term, pi, (_, fired, steps), (_, image_fired, image_steps) in exceptions:
+        rules, image_rules = fired + [s.rule for s in steps], image_fired + [s.rule for s in image_steps]
+        assert _moves(pi, rule_atoms) and ("swap_abs" in rules) != ("swap_abs" in image_rules), (str(term), str(pi))
+    assert moved > REWRITE_DRAWS // 3, moved
+    assert rewrote > REWRITE_DRAWS // 6 or not system.rules, rewrote

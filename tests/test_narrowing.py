@@ -77,7 +77,6 @@ from conftest import (
     reference_skeleton_fits,
     rename_rule_with_map,
     replace,
-    walk_gate_shape,
 )
 
 a, b = Atom("a"), Atom("b")
@@ -1280,25 +1279,16 @@ def _linear_subject(rng, lhs, sig):
     return build(lhs)
 
 
-def _expected_walk(lhs, rule_constraints, sig, term, context_size):
-    """U for a left-hand side with `rule_constraints` constraints at a node
-    with `term` under a context of `context_size` constraints, counted
-    here and not by the library; None where the walk may not run: the
-    term or the left-hand side is not linear, or the left-hand side has two
-    commutative nodes. U = 2^c (n + 1 + (a + f) |T|), plus 2^c (a + d) n
-    when the term holds a variable."""
+def _walks(lhs, sig, term):
+    """Whether a narrowing node with `term` unifies a rule with left-hand
+    side `lhs` by the linear walk, decided here and not by the library:
+    neither the term nor the left-hand side repeats a variable, and the
+    left-hand side has at most one commutative node."""
     lhs_nodes = [sub for _, sub in subterms_with_positions(lhs)]
     rule_vars = [sub.var for sub in lhs_nodes if isinstance(sub, Suspension)]
-    term_nodes = [sub for _, sub in subterms_with_positions(term)]
-    term_vars_seen = [sub.var for sub in term_nodes if isinstance(sub, Suspension)]
+    term_vars_seen = [sub.var for _, sub in subterms_with_positions(term) if isinstance(sub, Suspension)]
     c = sum(isinstance(sub, App) and sig.is_commutative(sub.sym) for sub in lhs_nodes)
-    if c > 1 or len(set(rule_vars)) < len(rule_vars) or len(set(term_vars_seen)) < len(term_vars_seen):
-        return None
-    n, a = len(lhs_nodes), sum(isinstance(sub, Abstraction) for sub in lhs_nodes)
-    bound = 2**c * (n + 1 + (a + rule_constraints) * len(term_nodes))
-    if term_vars_seen:
-        bound += 2**c * (a + context_size) * n
-    return bound
+    return c <= 1 and len(set(rule_vars)) == len(rule_vars) and len(set(term_vars_seen)) == len(term_vars_seen)
 
 
 def _linear_narrowing_case(rng, prenex_system, ex22_system):
@@ -1330,21 +1320,6 @@ def _linear_narrowing_case(rng, prenex_system, ex22_system):
     return system, term, rng.choice((1, 2)), rng.randint(3, 60)
 
 
-def _walk_bounds(tree, system):
-    """U for each rule with a walk cost at each expanded linear node of a
-    tree."""
-    deepest = max((e.child.depth for e in tree.edges), default=0)
-    bounds = set()
-    for node in tree.nodes():
-        if node.depth == deepest:
-            continue
-        for rule in system.rules:
-            bound = _expected_walk(rule.lhs, len(rule.context), system.signature, node.term, len(node.context))
-            if bound is not None:
-                bounds.add(bound)
-    return sorted(bounds)
-
-
 def _search_or_none(search, *args, **kwargs):
     try:
         return search(*args, **kwargs)
@@ -1365,7 +1340,7 @@ def _linear_unification_draw(rng, sig):
 class TestLinearNodeWalk:
     def test_same_trees_and_exceptions_as_the_solver(self, prenex_system, ex22_system, monkeypatch):
         counts = collections.Counter()
-        expanding, walked, solved = [], [], []  # the node being expanded; U of each walked and solved attempt
+        expanding, walked, solved = [], [], []  # the node being expanded; each walked and solved attempt
         expand, walk, solve_for = narrowing._expand_node, rewriting._linear_walk, rewriting.solve
 
         def recording_expand(node, system, *rest):
@@ -1374,12 +1349,12 @@ class TestLinearNodeWalk:
 
         def recording_walk(delta, sub, rule, sig):
             node, _ = expanding
-            walked.append((_expected_walk(rule.lhs, len(rule.context), sig, node.term, len(delta)), node))
+            walked.append((_walks(rule.lhs, sig, node.term), node))
             return walk(delta, sub, rule, sig)
 
         def recording_solve(delta, sub, nabla, lhs, **kwargs):
             node, sig = expanding
-            solved.append(_expected_walk(lhs, len(nabla), sig, node.term, len(delta)))
+            solved.append(_walks(lhs, sig, node.term))
             return solve_for(delta, sub, nabla, lhs, **kwargs)
 
         monkeypatch.setattr(narrowing, "_expand_node", recording_expand)
@@ -1397,41 +1372,41 @@ class TestLinearNodeWalk:
             else:
                 delta = frozenset()
             args = (delta, term, system, 2, fixpoint_depth, max_unifiers)
-            bounds = _walk_bounds(narrow_search(*args), system)
             max_states = DEFAULT_MAX_STATES
-            if bounds and rng.random() < 0.8:
-                max_states = max(1, rng.choice(bounds) + rng.choice((-1, 0, 1)))
+            if rng.random() < 0.8:
+                max_states = rng.choice((0, 1, rng.randint(2, 60)))
             walked.clear()
             solved.clear()
             tree = _search_or_none(narrow_search, *args, max_states=max_states)
             reference = _search_or_none(reference_narrow_search, *args, max_states=max_states)
             where = (format_context(delta), str(term), max_states)
-            assert (tree is None) == (reference is None), where
-            # the walk runs exactly where the solver could not have raised
-            assert all(bound is not None and bound <= max_states for bound, _ in walked), where
-            assert all(bound is None or bound > max_states for bound in solved), where
+            # the walk runs wherever it can, and the solver only elsewhere
+            assert all(walks for walks, _ in walked), where
+            assert not any(solved), where
             counts["cases"] += 1
             counts["capped"] += max_states != DEFAULT_MAX_STATES
             counts["walks"] += len(walked)
             counts["open_walks"] += sum(bool(term_vars(node.term)) for _, node in walked)
             counts["context_walks"] += sum(bool(node.context) for _, node in walked)
-            counts["at_the_bound"] += any(bound == max_states for bound, _ in walked)
-            counts["solved_at_the_bound"] += max_states + 1 in solved
-            if tree is None:
-                counts["exceeded"] += 1
-                return
+            if reference is None:
+                # the solver-only reference hit the cap: the scan hits it
+                # too, or it walked past every attempt the cap cut short
+                counts["exceeded"] += tree is None
+                if tree is None:
+                    return
+                reference = reference_narrow_search(*args)
+                counts["walked_past_the_cap"] += 1
+            assert tree is not None, where
             assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference), where
             counts["edges"] += len(tree.edges)
             counts["open_edges"] += sum(bool(e.step_subst.domain & term_vars(e.parent.term)) for e in tree.edges)
             counts["truncated"] += tree.truncation.nodes_truncated
 
         check()
-        # some caps fire, some walks run at exactly U and some solver calls
-        # one above it, some nodes are cut off, and walks bind subject
-        # variables under contexts
-        assert all(
-            counts[k] for k in ("exceeded", "at_the_bound", "solved_at_the_bound", "truncated", "context_walks")
-        ), counts
+        # some caps fire, some searches walk past a cap the reference hits,
+        # some nodes are cut off, and walks bind subject variables under
+        # contexts
+        assert all(counts[k] for k in ("exceeded", "walked_past_the_cap", "truncated", "context_walks")), counts
         assert counts["capped"] >= 50 and counts["walks"] >= 500 and counts["open_walks"] >= 200, counts
         assert counts["open_edges"] >= 200, counts
 
@@ -1468,28 +1443,22 @@ class TestLinearNodeWalk:
         assert counts["answers"] >= 100 and all(counts[k] for k in ("several", "binds_subject", "context")), counts
         assert counts["ground_answers"] >= 100, counts
 
-    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_the_solver_stays_within_the_bound(self, ex22_system, seed):
-        sig = ex22_system.signature
-        rule, sub, delta = _linear_unification_draw(random.Random(seed), sig)
-        bound = _expected_walk(rule.lhs, len(rule.context), sig, sub, len(delta))
-        system = RewriteSystem((rule,), sig)
-        # the library's gate reads the same U off the rule's cost
-        cost, shape = system._walk_costs.get(rule.name), walk_gate_shape(sub)
-        walks = [rewriting._walk_gate(cost, *shape, delta, cap, unify=True) for cap in (bound - 1, bound)]
-        assert walks == [False, True]
-        solve(delta, sub, rule.context, rule.lhs, sig=sig, max_states=bound)
-
     def test_solver_runs_only_where_the_cap_could_fire(self, prenex_system, monkeypatch):
+        # The cap counts the solver's states, and the solver runs only where
+        # no walk can: here, where a variable occurs twice.
         sig = prenex_system.signature
-        assert prenex_system._walk_costs["and_forall"] == (2 * (5 + 1), 2 * (1 + 1), 2 * 1 * 5, 2 * 5)
-        assert prenex_system._walk_costs["not_forall"] == (4 + 1, 1, 1 * 4, 4)
+        assert {"and_forall", "not_forall"} <= prenex_system._walkable
         cases = {
-            # ground: U = 12 + 4 * 5
-            ("and(b, forall([a]c))", ""): (12 + 4 * 5, ["forall([a]and(b, c))"]),
-            # a variable under one constraint: U = 5 + 1 * 4 + 4 + 4 * 1
-            ("not(forall([a]X))", "b#X"): (5 + 4 + 4 + 4, ["exists([a]not(X))"]),
+            ("and(b, forall([a]c))", ""): (["forall([a]and(b, c))"], 0),
+            ("not(forall([a]X))", "b#X"): (["exists([a]not(X))"], 0),
+            ("and(X, forall([a]X))", ""): (
+                [
+                    "forall([a]and(X, X))",
+                    "forall([a]and(forall([a]forall([a]Q0)), Q0))",
+                    "exists([a]and(forall([a]exists([a]Q1)), Q1))",
+                ],
+                2,
+            ),
         }
         calls = collections.Counter()
         solve_for = unify.solve
@@ -1499,16 +1468,19 @@ class TestLinearNodeWalk:
             return solve_for(*args, **kwargs)
 
         monkeypatch.setattr(rewriting, "solve", counting_solve)
-        results = {}
-        for (text, context), (bound, children) in cases.items():
+        for (text, context), (children, solver_calls) in cases.items():
             term, delta = parse_term(text, sig), parse_context(context, sig)
-            for max_states in (bound, bound - 1):
-                calls.clear()
-                tree = narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
-                results[text, max_states] = [str(e.child.term) for e in tree.edges], calls["solve"]
-                reference = reference_narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
-                assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference)
-            assert results[text, bound] == (children, 0) and results[text, bound - 1] == (children, 1), results
+            # a cap of 0 lets no solver call through, so only a search that
+            # walks everywhere gets by it
+            max_states = DEFAULT_MAX_STATES if solver_calls else 0
+            calls.clear()
+            tree = narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=max_states)
+            assert ([str(e.child.term) for e in tree.edges], calls["solve"]) == (children, solver_calls), text
+            reference = reference_narrow_search(delta, term, prenex_system, 1, 0, 10)
+            assert _edge_records(tree, tree.accumulated()) == _edge_records(*reference), text
+            if solver_calls:
+                with pytest.raises(SearchSpaceExceeded):
+                    narrow_search(delta, term, prenex_system, 1, 0, 10, max_states=0)
 
 
 @functools.cache
@@ -1549,6 +1521,46 @@ class TestSmallPrenexPatterns:
                 edges[size] += len(tree.edges)
         assert patterns == {1: 1, 2: 5, 3: 35, 4: 275, 5: 2277}
         assert edges == {1: 0, 2: 2, 3: 38, 4: 434, 5: 4462}
+
+
+class TestStateCap:
+    """`max_states` caps the solver's states, and the linear walk takes
+    none: a scan that walks at every attempt gives at a cap of 0 what it
+    gives at the default cap, and a rule the walk cannot take still raises
+    there."""
+
+    def test_walk_only_scans_give_the_default_cap_answer_at_cap_zero(self, prenex_system):
+        sig = prenex_system.signature
+        rng = random.Random(53)
+        rewrote = 0
+        for _ in range(150):
+            formula = random_prenex_formula(rng, 4)
+            nf, trace = normalize(frozenset(), formula, prenex_system, 50, max_states=0)
+            assert (nf, trace) == normalize(frozenset(), formula, prenex_system, 50), str(formula)
+            rewrote += bool(trace)
+        edges = 0
+        for size in range(1, 5):
+            for term, _ in _small_prenex_patterns(size):
+                tree = narrow_search(frozenset(), term, prenex_system, 2, 0, 50, max_states=0)
+                reference = narrow_search(frozenset(), term, prenex_system, 2, 0, 50)
+                records = _edge_records(tree, tree.accumulated())
+                assert records == _edge_records(reference, reference.accumulated()), str(term)
+                edges += len(tree.edges)
+        assert rewrote >= 50 and edges >= 500, (rewrote, edges)
+        # two commutative nodes: the solver runs, and the cap stops it
+        pair_sig = Signature({"k": (2, False), "f": (2, True), "o": (2, True), "e": (0, False)})
+        rule = RewriteRule("r", frozenset(), parse_term("k(o(X0, X1), f(X2, X3))", pair_sig), parse_term("e", pair_sig))
+        system = RewriteSystem((rule,), pair_sig)
+        assert system._walkable == frozenset()
+        for text in ("k(o(a, b), f(c, d))", "k(o(Y0, b), f(c, Y1))"):
+            term = parse_term(text, pair_sig)
+            assert narrow_search(frozenset(), term, system, 1, 0, 10).edges
+            with pytest.raises(SearchSpaceExceeded):
+                narrow_search(frozenset(), term, system, 1, 0, 10, max_states=0)
+        ground = parse_term("k(o(a, b), f(c, d))", pair_sig)
+        assert normalize(frozenset(), ground, system, 10)[1]
+        with pytest.raises(SearchSpaceExceeded):
+            normalize(frozenset(), ground, system, 10, max_states=0)
 
 
 # A signature with constants, which no bundled system declares, over

@@ -97,7 +97,6 @@ from conftest import (
     reference_skeleton_fits,
     rename_rule_with_map,
     replace,
-    walk_gate_shape,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -259,21 +258,14 @@ def _random_pattern(rng, depth, next_var):
     return App(sym, tuple(_random_pattern(rng, depth - 1, next_var) for _ in range(WALK_SIG.arity(sym))))
 
 
-def _walk_shape(rule):
-    """(linear, n, c, a, f) of a rule, counted here and not by the library:
-    whether no variable occurs twice in its left-hand side, that side's
-    nodes, commutative nodes and abstractions, and its context's size."""
+def _walkable_here(rule):
+    """Whether no variable occurs twice in a rule's left-hand side and at
+    most one of its nodes is commutative, counted here and not by the
+    library."""
     nodes = [sub for _, sub in subterms_with_positions(rule.lhs)]
     names = [sub.var.name for sub in nodes if isinstance(sub, Suspension)]
     commutative = sum(isinstance(sub, App) and WALK_SIG.is_commutative(sub.sym) for sub in nodes)
-    abstractions = sum(isinstance(sub, Abstraction) for sub in nodes)
-    return len(set(names)) == len(names), len(nodes), commutative, abstractions, len(rule.context)
-
-
-def _walk_bound(rule, size):
-    """U = 2^c (n + (a + f) |T| + 1) for a subject of `size` nodes."""
-    _, n, c, a, f = _walk_shape(rule)
-    return 2**c * (n + (a + f) * size + 1)
+    return len(set(names)) == len(names) and commutative <= 1
 
 
 def _walk_draw(rng):
@@ -305,20 +297,16 @@ def _walk_draw(rng):
     return rule, sub
 
 
-def _solver_answers(rule, sub, max_states):
-    """`match` followed by `premises_hold`, or "exceeded"."""
-    try:
-        solutions = nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG, max_states=max_states)
-    except SearchSpaceExceeded:
-        return "exceeded"
+def _solver_answers(rule, sub):
+    """`match` followed by `premises_hold`."""
+    solutions = nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG)
     return [sol.subst for sol in solutions if rewriting.premises_hold(EMPTY_CONTEXT, sub, rule, sol.subst, WALK_SIG)]
 
 
 class TestGroundMatchWalk:
     """On a ground subject under any context, a linear left-hand side
     with at most one commutative node is matched by one walk over it,
-    wherever the solver's states are bounded by the state cap; the answers
-    are the solver's, in its order."""
+    whatever the state cap; the answers are the solver's, in its order."""
 
     def test_same_answers_in_the_same_order_as_the_solver(self):
         counts = collections.Counter()
@@ -328,45 +316,30 @@ class TestGroundMatchWalk:
         def check(seed):
             rng = random.Random(seed)
             rule, sub = _walk_draw(rng)
-            linear, _, c, _, _ = _walk_shape(rule)
-            eligible = linear and c <= 1
-            size = sum(1 for _ in subterms_with_positions(sub))
+            eligible = _walkable_here(rule)
             system = RewriteSystem((rule,), WALK_SIG)
-            cost = system._walk_costs.get(rule.name)
-            assert (cost is not None) == eligible
-            bound = cost and cost[0] + cost[1] * size
-            if eligible:
-                assert bound == _walk_bound(rule, size)
-            max_states = DEFAULT_MAX_STATES
-            if rng.random() < 0.25:
-                max_states = rng.randint(1, 2 * (bound or 40))
-            walked = rewriting._walk_gate(cost, *walk_gate_shape(sub), EMPTY_CONTEXT, max_states, unify=False)
-            assert walked == (eligible and bound <= max_states)
+            assert (rule.name in system._walkable) == eligible
             counts["eligible"] += eligible
-            if walked:
-                # the walk's answers as `_candidate_steps` keeps them: their
-                # substitutions, as each context is the empty delta
-                answers = rewriting._linear_walk(EMPTY_CONTEXT, sub, rule, WALK_SIG)
-                assert all(sol.context == EMPTY_CONTEXT for sol in answers), (str(rule), str(sub))
-                got = [sol.subst for sol in answers]
-                assert got == _solver_answers(rule, sub, max_states), (str(rule), str(sub))
-                counts["walked"] += 1
-                counts["several"] += len(got) > 1
-                counts["none"] += not got
+            if not eligible:
+                return
+            # the walk's answers as `_candidate_steps` keeps them: their
+            # substitutions, as each context is the empty delta
+            answers = rewriting._linear_walk(EMPTY_CONTEXT, sub, rule, WALK_SIG)
+            assert all(sol.context == EMPTY_CONTEXT for sol in answers), (str(rule), str(sub))
+            got = [sol.subst for sol in answers]
+            assert got == _solver_answers(rule, sub), (str(rule), str(sub))
+            counts["several"] += len(got) > 1
+            counts["none"] += not got
+            # the scan takes the walk at any cap, so no cap changes its steps
+            max_states = rng.randint(0, 40)
+            with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
+                capped = primary_rewrite_steps(EMPTY_CONTEXT, sub, system, max_states=max_states)
+            assert spy.call_count == 0, (str(rule), str(sub))
+            assert capped == primary_rewrite_steps(EMPTY_CONTEXT, sub, system), (str(rule), str(sub), max_states)
 
         check()
-        assert counts["walked"] > counts["eligible"] / 2, counts
+        assert counts["eligible"] >= 150, counts
         assert counts["several"] and counts["none"], counts
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_the_solver_stays_within_the_bound(self, seed):
-        rule, sub = _walk_draw(random.Random(seed))
-        linear, _, c, _, _ = _walk_shape(rule)
-        if not (linear and c <= 1):
-            reject()
-        size = sum(1 for _ in subterms_with_positions(sub))
-        nomc.match(rule.context, rule.lhs, EMPTY_CONTEXT, sub, sig=WALK_SIG, max_states=_walk_bound(rule, size))
 
     def test_every_walk_answer_instantiates_to_the_subject(self):
         # `_candidate_steps` keeps each walk answer's substitution without
@@ -378,8 +351,7 @@ class TestGroundMatchWalk:
         @given(st.integers(0, 2**32 - 1))
         def check(seed):
             rule, sub = _walk_draw(random.Random(seed))
-            linear, _, c, _, _ = _walk_shape(rule)
-            if not (linear and c <= 1):
+            if not _walkable_here(rule):
                 reject()
             bare = RewriteRule(rule.name, EMPTY_CONTEXT, rule.lhs, rule.rhs)
             thetas = []
@@ -398,29 +370,11 @@ class TestGroundMatchWalk:
         check()
         assert counts["answers"] >= 100 and counts["fails_context"], counts
 
-    def test_the_walk_is_taken_up_to_the_bound_and_no_further(self):
-        # One commutative node, one binder, one constraint; the redex sits
-        # below the root, so the bound counts the whole term's nodes. A
-        # context constrains variables the ground term lacks, so it leaves
-        # the bound as it is.
-        rule = RewriteRule("r", parse_context("b#X"), parse_term("k([a]X, f(Y, e))", WALK_SIG), parse_term("g(Y)", WALK_SIG))
-        system = RewriteSystem((rule,), WALK_SIG)
-        term = parse_term("g(k([b]g(c), f(e, c)))", WALK_SIG)
-        bound = 2 * (6 + (1 + 1) * 8 + 1)
-        assert _walk_bound(rule, 8) == bound
-        for delta in (EMPTY_CONTEXT, parse_context("a#P, b#Q")):
-            results = {}
-            for max_states in (bound, bound - 1):
-                with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
-                    steps = primary_rewrite_steps(delta, term, system, max_states=max_states)
-                results[max_states] = [str(step.result) for step in steps], spy.call_count
-            assert results == {bound: (["g(g(c))"], 0), bound - 1: (["g(g(c))"], 1)}, format_context(delta)
-
     def test_two_commutative_nodes_keep_the_solver(self):
         # The walk's order would differ here: the solver splits at o, then f.
         rule = RewriteRule("r", frozenset(), parse_term("k(o(X0, X1), f(X2, X3))", WALK_SIG), parse_term("e", WALK_SIG))
         system = RewriteSystem((rule,), WALK_SIG)
-        assert "r" not in system._walk_costs
+        assert "r" not in system._walkable
         term = parse_term("k(o(a, b), f(c, d))", WALK_SIG)
         with mock.patch.object(rewriting, "match", wraps=rewriting.match) as spy:
             assert len(primary_rewrite_steps(EMPTY_CONTEXT, term, system)) == 1
@@ -2074,22 +2028,40 @@ class TestNoSiteAnswer:
         check()
         assert shortcut[True] * 3 >= sum(shortcut.values()), shortcut
 
-    def test_one_mask_pass_and_no_walk_gate(self, monkeypatch, prenex_system):
+    def test_one_mask_pass_and_no_walkable_lookup(self, monkeypatch, prenex_system):
         term = parse_term("forall([a]exists([b]and(a, or(not(b), c))))", prenex_system.signature)
-        passes, normalized, gates, site_walks = [], [], [], []
-        fit_masks, norm, gate = rewriting._fit_masks, rewriting.normalize, rewriting._walk_gate
+        passes, normalized, site_walks = [], [], []
+        fit_masks, norm = rewriting._fit_masks, rewriting.normalize
         sites = rewriting._fitting_sites
         monkeypatch.setattr(rewriting, "_fit_masks", lambda *args: passes.append(args[0]) or fit_masks(*args))
         monkeypatch.setattr(rewriting, "normalize", lambda *args, **kwargs: normalized.append(args) or norm(*args, **kwargs))
-        monkeypatch.setattr(rewriting, "_walk_gate", lambda *args: gates.append(args) or gate(*args))
         monkeypatch.setattr(rewriting, "_fitting_sites", lambda *args: site_walks.append(args) or sites(*args))
-        assert normal_form_equal_check(EMPTY_CONTEXT, term, prenex_system, 10)
+        system = RewriteSystem(prenex_system.rules, prenex_system.signature)
+        # every rule is walkable; the copy records each rule the scan asks about
+        walkable = _RecordingSet(system._walkable)
+        assert walkable == {rule.name for rule in system.rules}
+        object.__setattr__(system, "_walkable", walkable)
+        assert normal_form_equal_check(EMPTY_CONTEXT, term, system, 10)
         assert passes == [term] and normalized == []
         passes.clear()
-        scan = rewriting.redexes(EMPTY_CONTEXT, term, prenex_system, lambda rule, _: rule, DEFAULT_MAX_STATES, False)
+        scan = rewriting.redexes(EMPTY_CONTEXT, term, system, lambda rule, _: rule, DEFAULT_MAX_STATES, False)
         assert list(scan) == []
-        # the scan stops at the root: no site walk, so no gate
-        assert passes == [term] and gates == [] and site_walks == []
+        # the scan stops at the root: no site walk, so no rule is asked about
+        assert passes == [term] and walkable.asked == [] and site_walks == []
+        redex = parse_term("not(forall([a]b))", system.signature)
+        assert list(rewriting.redexes(EMPTY_CONTEXT, redex, system, lambda rule, _: rule, 0, False))
+        assert walkable.asked == ["not_forall"]
+
+
+class _RecordingSet(frozenset):
+    """A frozenset that records each element a membership test asks about."""
+
+    def __init__(self, _):
+        self.asked = []
+
+    def __contains__(self, item):
+        self.asked.append(item)
+        return super().__contains__(item)
 
 
 # Every system of the scan and skeleton properties, with and without
