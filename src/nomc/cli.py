@@ -133,7 +133,7 @@ def _solutions_payload(solutions: tuple[CSolution, ...]) -> list[dict]:
 
 def _truncation_payload(truncation: TruncationRecord) -> dict:
     """The record's fields by name, in order."""
-    return {name: getattr(truncation, name) for name in truncation.__slots__}
+    return {name: getattr(truncation, name) for name in truncation.__match_args__}
 
 
 def _tree_payload(tree: NarrowingTree) -> dict:

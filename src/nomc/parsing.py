@@ -39,7 +39,7 @@ from .terms import (
     Suspension,
     Term,
     Var,
-    _Name,
+    frozen_methods,
 )
 
 
@@ -335,29 +335,19 @@ def parse_judgement(text: str, sig: Signature | None = None) -> Goal:
     return _parse_whole(text, sig, _Parser.judgement, "after judgement")
 
 
+@frozen_methods
 class SystemFile:
     """A parsed system file: the rewrite system plus named problem lines.
     Read-only, so one loaded file can be shared by every caller; `problems`
-    is a read-only copy of the mapping given. Files compare and print as a
-    frozen dataclass with these two fields would."""
+    is a read-only copy of the mapping given. Files compare, hash and print
+    as a frozen dataclass with these two fields would (`frozen_methods`),
+    so hashing one raises the dataclass's TypeError at `problems`."""
 
     system: RewriteSystem
     problems: Mapping[str, str]
 
-    __match_args__ = ("system", "problems")
-    __setattr__ = _Name.__setattr__
-    __delattr__ = _Name.__delattr__
-
     def __init__(self, system: RewriteSystem, problems: Mapping[str, str] = MappingProxyType({})) -> None:
         self.__dict__.update(system=system, problems=MappingProxyType(dict(problems)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.system, self.problems) == (other.system, other.problems)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(system={self.system!r}, problems={self.problems!r})"
 
 
 def parse_system(text: str) -> SystemFile:

@@ -45,6 +45,7 @@ from .terms import (
     _apply,
     apply_subst,
     fresh_atom,
+    frozen_methods,
     frozen_node,
     is_ground,
     permute_term,
@@ -57,21 +58,18 @@ from .terms import (
 from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
 
 
+@frozen_methods
 class RewriteRule:
     """A rule `context |- lhs -> rhs` over the ambient signature.
 
     Read-only. The four fields compare, hash and print as a frozen
-    dataclass's would. The instance's `__dict__` also holds `_atoms` and,
-    once computed, `renaming_bases`, which are not fields."""
+    dataclass's would (`frozen_methods`). The instance's `__dict__` holds
+    them, `_atoms` and, once computed, `renaming_bases`."""
 
     name: str
     context: FreshnessContext
     lhs: Term
     rhs: Term
-
-    __match_args__ = ("name", "context", "lhs", "rhs")
-    __setattr__ = _Name.__setattr__
-    __delattr__ = _Name.__delattr__
 
     def __init__(self, name: str, context: FreshnessContext, lhs: Term, rhs: Term) -> None:
         if isinstance(lhs, Suspension):
@@ -82,20 +80,6 @@ class RewriteRule:
             raise ValueError(f"rule {name}: variables not bound by the left-hand side: {names}")
         atoms = term_atoms(lhs) | term_atoms(rhs) | frozenset(c.atom for c in context)
         self.__dict__.update(name=name, context=context, lhs=lhs, rhs=rhs, _atoms=atoms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.context, self.lhs, self.rhs) == (other.name, other.context, other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.context, self.lhs, self.rhs))
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(name={self.name!r}, context={self.context!r}, "
-            f"lhs={self.lhs!r}, rhs={self.rhs!r})"
-        )
 
     def variables(self) -> frozenset[Var]:
         """The rule's variables: those of its left-hand side, which bind the rest."""
@@ -146,8 +130,7 @@ class RewriteSystem:
     __delattr__ = _Name.__delattr__
 
     def __init__(self, rules: Iterable[RewriteRule], signature: Signature) -> None:
-        object.__setattr__(self, "rules", tuple(rules))
-        object.__setattr__(self, "signature", signature)
+        self.__dict__.update(rules=tuple(rules), signature=signature)
         atoms: frozenset[Atom] = frozenset()
         seen: set[str] = set()
         for rule in self.rules:
@@ -156,16 +139,14 @@ class RewriteSystem:
             seen.add(rule.name)
             atoms |= rule.atoms()
         _number_skeletons(self)
-        walkable = frozenset(rule.name for rule in self.rules if _walkable(rule, self.signature))
-        object.__setattr__(self, "_walkable", walkable)
-        object.__setattr__(self, "_atoms", atoms)
-        object.__setattr__(self, "_unnamed_binders", any(map(_tells_unnamed_binders_apart, self.rules)))
         fresh = {rule.name: renamed_rule(rule, NameSupply(()).draw(rule.renaming_bases)) for rule in self.rules}
-        object.__setattr__(self, "_fresh_rules", MappingProxyType(fresh))
-        plain = self
-        if self.signature.commutative_symbols:
-            plain = RewriteSystem(self.rules, self.signature.without_commutativity())
-        object.__setattr__(self, "_plain", plain)
+        self.__dict__.update(
+            _walkable=frozenset(rule.name for rule in self.rules if _walkable(rule, signature)),
+            _atoms=atoms,
+            _unnamed_binders=any(map(_tells_unnamed_binders_apart, self.rules)),
+            _fresh_rules=MappingProxyType(fresh),
+            _plain=RewriteSystem(self.rules, signature.without_commutativity()) if signature.commutative_symbols else self,
+        )
 
     def atoms(self) -> frozenset[Atom]:
         return self._atoms
@@ -459,15 +440,14 @@ def _number_skeletons(system: RewriteSystem) -> None:
             bits[id(sub)] = skeletons.setdefault(key, 4 << len(skeletons))
         lhs.append((bits[id(rule.lhs)], rule))
     # Bits are distinct powers of two, so a sum of distinct ones is their union.
-    for attr, value in (
-        ("_skeletons", MappingProxyType(skeletons)),
-        ("_transitions", MappingProxyType({head: {} for head, _ in skeletons if head is not Atom})),
-        ("_variable_mask", sum(skeletons.values(), ANY)),
-        ("_lhs_bits", sum({bit for bit, _ in lhs})),
-        ("_lhs", tuple(lhs)),
-    ):
-        object.__setattr__(system, attr, value)
-    object.__setattr__(system, "_atom_mask", _transition(system, Atom, ()))
+    system.__dict__.update(
+        _skeletons=MappingProxyType(skeletons),
+        _transitions=MappingProxyType({head: {} for head, _ in skeletons if head is not Atom}),
+        _variable_mask=sum(skeletons.values(), ANY),
+        _lhs_bits=sum({bit for bit, _ in lhs}),
+        _lhs=tuple(lhs),
+    )
+    system.__dict__["_atom_mask"] = _transition(system, Atom, ())
 
 
 def _transition(system: RewriteSystem, head: object, kids: Sequence[int]) -> int:

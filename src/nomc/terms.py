@@ -87,51 +87,22 @@ def _setstate(self, state: list) -> None:
 _MISSING = object()
 
 
-def frozen_node(cls=None, *, eq: bool = True):
-    """A slotted record that behaves as `dataclass(frozen=True, slots=True,
-    eq=eq)`. With `eq=False` instances compare and hash by identity, as
-    narrowing nodes and edges do.
+def frozen_methods(cls, eq: bool = True, source: str = "", namespace: dict | None = None):
+    """Give `cls` the methods of `dataclass(frozen=True, eq=eq)` whose
+    fields are the class's own annotations, in order. With `eq=False`
+    instances compare and hash by identity.
 
-    The fields are the class's own annotations, in order, with the class
-    body's values as their defaults. The record is a new class built with
-    `type` from the body, with `__slots__` and `__match_args__` set to the
-    fields. `__init__`, `__repr__` and, with `eq`, `__eq__` and `__hash__`
-    are built from one source string in one `exec`. Their bodies are the
-    ones Python 3.11's `dataclasses` writes, less the recursion guard on
-    `__repr__`: a record cannot contain itself. The `__init__` takes the
-    fields in order, with their defaults, and stores each value through its
-    slot's descriptor, which costs less than `object.__setattr__`. `_Name`'s
-    `__setattr__` and `__delattr__` make every attribute, field or not,
-    raise FrozenInstanceError, so `copy` and `pickle` restore the fields
-    through `_getstate` and `_setstate`."""
-    if cls is None:
-        return lambda cls: frozen_node(cls, eq=eq)
-    names = tuple(cls.__annotations__)
-    body = dict(cls.__dict__)
-    defaults = {name: body.pop(name, _MISSING) for name in names}
-    body.pop("__dict__", None)
-    body.pop("__weakref__", None)
-    body["__slots__"] = body["__match_args__"] = names
-    body.update(
-        __qualname__=cls.__qualname__,
-        __setattr__=_Name.__setattr__,
-        __delattr__=_Name.__delattr__,
-        __getstate__=_getstate,
-        __setstate__=_setstate,
-    )
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
-    namespace, params, init = {}, [], ""
-    for name in names:
-        namespace[f"_set_{name}"] = getattr(cls, name).__set__
-        namespace[f"_default_{name}"] = defaults[name]
-        params.append(name if defaults[name] is _MISSING else f"{name}=_default_{name}")
-        init += f"\n    _set_{name}(self, {name})"
+    `__match_args__` is set to the fields, and `_Name`'s `__setattr__` and
+    `__delattr__` make every attribute, field or not, raise
+    FrozenInstanceError. `__repr__` and, with `eq`, `__eq__` and `__hash__`
+    are compiled in one `exec`, after `source` and in `namespace`:
+    `frozen_node` passes its `__init__` there, and any other class keeps
+    its own. Their bodies are the ones Python 3.11's `dataclasses` writes,
+    less the recursion guard on `__repr__`: a record cannot contain itself."""
+    names = cls.__match_args__ = tuple(cls.__annotations__)
+    cls.__setattr__, cls.__delattr__ = _Name.__setattr__, _Name.__delattr__
     shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    source = (
-        f"def __init__(self, {', '.join(params)}):{init}\n"
-        "def __repr__(self):\n"
-        f"    return self.__class__.__qualname__ + f\"({shown})\"\n"
-    )
+    source += f"def __repr__(self):\n    return self.__class__.__qualname__ + f\"({shown})\"\n"
     if eq:
         own, other = ("".join(f"{side}.{name}," for name in names) for side in ("self", "other"))
         source += (
@@ -142,12 +113,44 @@ def frozen_node(cls=None, *, eq: bool = True):
             "def __hash__(self):\n"
             f"    return hash(({own}))\n"
         )
+    namespace = {} if namespace is None else namespace
     exec(source, namespace)
     for method in ("__init__", "__repr__", "__eq__", "__hash__"):
         if method in namespace:
             namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
             setattr(cls, method, namespace[method])
     return cls
+
+
+def frozen_node(cls=None, *, eq: bool = True):
+    """A slotted record that behaves as `dataclass(frozen=True, slots=True,
+    eq=eq)`: `frozen_methods` with a generated `__init__`. With `eq=False`
+    instances compare and hash by identity, as narrowing nodes and edges do.
+
+    The fields are the class's own annotations, in order, with the class
+    body's values as their defaults. The record is a new class built with
+    `type` from the body, with `__slots__` set to the fields. Its
+    `__init__` takes the fields in order, with their defaults, and stores
+    each value through its slot's descriptor, which costs less than
+    `object.__setattr__`; it is compiled in `frozen_methods`'s one `exec`.
+    The frozen setters refuse the slots too, so `copy` and `pickle` restore
+    the fields through `_getstate` and `_setstate`."""
+    if cls is None:
+        return lambda cls: frozen_node(cls, eq=eq)
+    names = tuple(cls.__annotations__)
+    body = dict(cls.__dict__)
+    defaults = {name: body.pop(name, _MISSING) for name in names}
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body.update(__slots__=names, __qualname__=cls.__qualname__, __getstate__=_getstate, __setstate__=_setstate)
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    namespace, params, init = {}, [], ""
+    for name in names:
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        namespace[f"_default_{name}"] = defaults[name]
+        params.append(name if defaults[name] is _MISSING else f"{name}=_default_{name}")
+        init += f"\n    _set_{name}(self, {name})"
+    return frozen_methods(cls, eq, f"def __init__(self, {', '.join(params)}):{init}\n", namespace)
 
 
 @frozen_node
@@ -192,9 +195,6 @@ class Suspension:
     perm: Permutation
     var: Var
 
-    def __str__(self) -> str:
-        return _show(self)
-
 
 @frozen_node
 class Abstraction:
@@ -203,9 +203,6 @@ class Abstraction:
     atom: Atom
     body: "Term"
 
-    def __str__(self) -> str:
-        return _show(self)
-
 
 @frozen_node
 class App:
@@ -213,9 +210,6 @@ class App:
 
     sym: str
     args: tuple["Term", ...] = ()
-
-    def __str__(self) -> str:
-        return _show(self)
 
 
 Term = Union[Atom, Suspension, Abstraction, App]
@@ -226,6 +220,9 @@ def _show(term: Term, memo: dict | None = None) -> str:
     out: list[str] = []
     _write(term, out, memo)
     return "".join(out)
+
+
+Suspension.__str__ = Abstraction.__str__ = App.__str__ = _show
 
 
 # One report prints many terms that share subterm objects: a narrowing

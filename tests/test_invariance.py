@@ -18,7 +18,9 @@ the steps from π·t are the images of the steps from t. Each bundled system
 is checked with π fixing its rules' atoms, and prenex, whose rules are all
 closed, with any π. ex22's `swap_abs` is not closed, so an atom-moving π
 can make it fire on one side only; those draws are pinned by count and
-cause below.
+cause below. So is the ground class oracle: the class rewrites of π·t are
+the images of those of t, in order, and the normal-form comparison gives
+π·t the answer it gives t, on prenex and ex22 with both kinds of π.
 """
 
 import random
@@ -36,13 +38,17 @@ from nomc import (
     difference_set,
     instance_of,
     match,
+    normal_form_equal_check,
     normalize,
+    parse_term,
     permute_term,
     primary_rewrite_steps,
+    r_over_e_one_step,
     solve,
     term_atoms,
     term_vars,
 )
+from nomc.alpha import alpha_key
 from nomc.cli import load_system_file
 from conftest import (
     ATOMS,
@@ -235,6 +241,17 @@ REWRITE_CASES = {
 UNCLOSED_FIRINGS = {"prenex": 0, "ex22": 0, "lambda": 0, "ex22 moving": 1}
 
 
+def _pi_atoms(kind, rule_atoms):
+    """The atoms π swaps: all but the rules' atoms when it must fix them."""
+    return tuple(a for a in PI_ATOMS if a not in rule_atoms) if kind == "fixing" else PI_ATOMS
+
+
+def _ground_draw(rng, name, sig, i):
+    """A ground term of depth 4; half of prenex's are formulas, which
+    rewrite more often."""
+    return random_prenex_formula(rng, 4) if name == "prenex" and i % 2 else random_ground_term(rng, sig, 4)
+
+
 def _rewrites(system, term):
     """A ground term's normal form, its trace's rules, and its steps."""
     nf, trace = normalize(frozenset(), term, system, 100)
@@ -257,12 +274,11 @@ def test_rewriting_is_equivariant(case):
     name, kind = REWRITE_CASES[case]
     system = SYSTEMS[name]
     sig, rule_atoms = system.signature, system.atoms()
-    atoms = tuple(a for a in PI_ATOMS if a not in rule_atoms) if kind == "fixing" else PI_ATOMS
+    atoms = _pi_atoms(kind, rule_atoms)
     rng = random.Random(24)
     rewrote, moved, exceptions = 0, 0, []
     for i in range(REWRITE_DRAWS):
-        # half of prenex's terms are formulas, which rewrite more often
-        term = random_prenex_formula(rng, 4) if name == "prenex" and i % 2 else random_ground_term(rng, sig, 4)
+        term = _ground_draw(rng, name, sig, i)
         pi = random_permutation(rng, atoms, max_swaps=3)
         while kind == "moving" and not _moves(pi, rule_atoms):
             pi = random_permutation(rng, atoms, max_swaps=3)
@@ -277,3 +293,47 @@ def test_rewriting_is_equivariant(case):
         assert _moves(pi, rule_atoms) and ("swap_abs" in rules) != ("swap_abs" in image_rules), (str(term), str(pi))
     assert moved > REWRITE_DRAWS // 3, moved
     assert rewrote > REWRITE_DRAWS // 6 or not system.rules, rewrote
+
+
+# (system, π, draws) for the class oracle, which scans whole classes, so
+# ex22 gets fewer draws. lambda has no rules. No draw is an exception.
+CLASS_CASES = {
+    "prenex": ("prenex", "fixing", 400),
+    "prenex any": ("prenex", "any", 400),
+    "ex22": ("ex22", "fixing", 150),
+    "ex22 any": ("ex22", "any", 150),
+}
+
+
+@pytest.mark.parametrize("case", CLASS_CASES)
+def test_class_oracle_is_equivariant(case):
+    """`r_over_e_one_step(π·t)` lists the images of `r_over_e_one_step(t)`,
+    in order, up to `alpha_key`, and `normal_form_equal_check` answers π·t
+    as it answers t. Every random draw answers True there, so prenex's
+    pair whose normal forms part is checked under π too."""
+    name, kind, draws = CLASS_CASES[case]
+    system = SYSTEMS[name]
+    sig, rule_atoms = system.signature, system.atoms()
+    atoms = _pi_atoms(kind, rule_atoms)
+    rng = random.Random(24)
+    stepped, moved, exceptions = 0, 0, []
+    for i in range(draws):
+        term = _ground_draw(rng, name, sig, i)
+        pi = random_permutation(rng, atoms, max_swaps=3)
+        image = permute_term(pi, term)
+        results, image_results = r_over_e_one_step(term, system), r_over_e_one_step(image, system)
+        agree = normal_form_equal_check(frozenset(), term, system, 100)
+        if [alpha_key(permute_term(pi, r), sig) for r in results] != [alpha_key(r, sig) for r in image_results] or (
+            normal_form_equal_check(frozenset(), image, system, 100) != agree
+        ):
+            exceptions.append((str(term), str(pi)))
+        stepped += bool(results)
+        moved += _moves(pi, term_atoms(term) | rule_atoms)
+    assert exceptions == []
+    assert stepped > draws // 6, stepped
+    assert moved > draws // 3, moved
+    if name == "prenex":
+        parted = parse_term("and(forall([a]a), exists([a]a))", sig)
+        for _ in range(20):
+            pi = random_permutation(rng, atoms, max_swaps=3)
+            assert not normal_form_equal_check(frozenset(), permute_term(pi, parted), system, 100), str(pi)

@@ -52,7 +52,7 @@ from nomc.rewriting import (
     permute_rule,
     renamed_rule,
 )
-from nomc.terms import NameSupply, Printer, frozen_node, subterms_with_positions
+from nomc.terms import NameSupply, Printer, frozen_methods, frozen_node, subterms_with_positions
 from nomc.unify import CSolution, UnificationState
 from conftest import (
     random_term,
@@ -104,6 +104,10 @@ VALUE_RECORDS = (
     CoherenceVerdict(0, REJECTED, "sample terms are not =ac-related"),
 )
 IDENTITY_RECORDS = (_CHILD, _EDGE)
+# Plain classes with a `__dict__` that take their methods from
+# `frozen_methods`; a system file's `problems` is a `mappingproxy`, so it
+# does not hash.
+PLAIN_RECORDS = (_RULE, load_system_file("ex22"))
 # The fields with a default, per record class.
 DEFAULTS = {
     Permutation: {"swappings": ()},
@@ -113,7 +117,8 @@ DEFAULTS = {
     TruncationRecord: {"nodes_truncated": 0},
     CoherenceVerdict: {"detail": ""},
 }
-# A value per record class that makes a record unequal to the one above.
+# Values per record class, each of which makes a record unequal to the one
+# above.
 CHANGED = {
     Permutation: {"swappings": ()},
     Suspension: {"var": Y},
@@ -130,6 +135,8 @@ CHANGED = {
     NarrowingTree: {"edges": ()},
     NotFound: {"step_index": 2},
     CoherenceVerdict: {"status": WITNESSED},
+    RewriteRule: {"name": "s", "context": frozenset(), "rhs": App("g", (a,))},
+    SystemFile: {"system": RewriteSystem((), SIG), "problems": {}},
 }
 
 
@@ -155,7 +162,9 @@ class TestPrimitives:
         assert Atom("a") != "a"
         assert Var("X") != Suspension(IDENTITY, Var("X"))
 
-    @pytest.mark.parametrize("obj", (a, X) + NODES + VALUE_RECORDS + IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize(
+        "obj", (a, X) + NODES + VALUE_RECORDS + IDENTITY_RECORDS + PLAIN_RECORDS, ids=lambda o: type(o).__name__
+    )
     def test_no_field_can_be_assigned(self, obj):
         assert issubclass(FrozenInstanceError, AttributeError)
         fields = list(getattr(obj, "__match_args__", ("name",)))
@@ -237,7 +246,7 @@ class TestPrimitives:
 
 
 def _values(node):
-    return [getattr(node, name) for name in node.__slots__]
+    return [getattr(node, name) for name in node.__match_args__]
 
 
 def _parameters(cls):
@@ -250,7 +259,7 @@ def _field_parameters(cls):
     defaults = DEFAULTS.get(cls, {})
     return [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, defaults.get(name, inspect.Parameter.empty))
-        for name in cls.__slots__
+        for name in cls.__match_args__
     ]
 
 
@@ -285,19 +294,30 @@ class TestFrozenNodeConstructor:
         replaced = replace(record)
         assert replaced is not record and replaced != record
 
-    @pytest.mark.parametrize("record", NODES + VALUE_RECORDS, ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize("record", NODES + VALUE_RECORDS + PLAIN_RECORDS, ids=lambda o: type(o).__name__)
     def test_other_records_compare_as_frozen_dataclasses(self, record):
         # The same fields on a plain frozen dataclass of the same name: equal
-        # hashes keep the iteration order of every set of records.
+        # hashes keep the iteration order of every set of records, and a
+        # record that does not hash raises the dataclass's TypeError.
         cls = type(record)
+        names, values = cls.__match_args__, _values(record)
+        assert names == tuple(cls.__annotations__)
         plain = dataclasses.make_dataclass(cls.__name__, cls.__annotations__.items(), frozen=True)
-        equal, unequal = cls(*_values(record)), replace(record, **CHANGED[cls])
-        assert equal == record and not equal != record and hash(equal) == hash(record)
-        assert unequal != record and not unequal == record
-        for twin in (equal, unequal):
+        equal = cls(*values)
+        assert equal is not record and equal == record and not equal != record and _hash(equal) == _hash(record)
+        assert cls(**dict(zip(names[::-1], values[::-1]))) == record
+        assert record != plain(*values)
+        match record:
+            case cls(first) if first is values[0]:
+                pass
+            case _:
+                pytest.fail("match does not read the first field positionally")
+        unequal = [replace(record, **{name: value}) for name, value in CHANGED[cls].items()]
+        assert all(twin != record and not twin == record for twin in unequal)
+        for twin in [equal] + unequal:
             reference = plain(*_values(twin))
-            assert (twin == record) == (reference == plain(*_values(record)))
-            assert hash(twin) == hash(reference) and repr(twin) == repr(reference)
+            assert (twin == record) == (reference == plain(*values))
+            assert _hash(twin) == _hash(reference) and repr(twin) == repr(reference)
 
     @pytest.mark.parametrize("record", VALUE_RECORDS + IDENTITY_RECORDS, ids=lambda o: type(o).__name__)
     def test_copies_have_the_same_fields(self, record):
@@ -359,6 +379,14 @@ class TestFrozenNodeConstructor:
                 assert (left, right) == (1, ())
 
 
+def _hash(obj):
+    """The hash of `obj`, or the message of the TypeError hashing it raises."""
+    try:
+        return hash(obj)
+    except TypeError as err:
+        return str(err)
+
+
 def _assert_frozen(obj, names):
     for name in names:
         with pytest.raises(FrozenInstanceError):
@@ -369,13 +397,28 @@ def _assert_frozen(obj, names):
 
 class TestPlainRecords:
     """`RewriteRule`, `RewriteSystem` and `SystemFile` are plain read-only
-    classes with a `__dict__`. Rules and system files compare, hash and
-    print as the frozen dataclasses they were; systems compare by identity."""
+    classes with a `__dict__`. Rules and system files take their equality,
+    hash, repr and `__match_args__` from `frozen_methods` and are checked
+    with the other records above; systems compare by identity."""
 
-    RULE_FIELDS = (("name", str), ("context", frozenset), ("lhs", object), ("rhs", object))
+    def test_frozen_methods_keep_the_constructor_and_the_dict(self):
+        @frozen_methods
+        class Pair:
+            left: int
+            right: tuple
+
+            def __init__(self, left, right=()):
+                self.__dict__.update(left=left, right=right, note="kept")
+
+        pair = Pair(1)
+        assert pair == Pair(1, ()) != Pair(2) and hash(pair) == hash((1, ()))
+        assert repr(pair) == f"{Pair.__qualname__}(left=1, right=())"
+        assert vars(pair) == {"left": 1, "right": (), "note": "kept"} and Pair.__match_args__ == ("left", "right")
+        assert Pair.__repr__.__qualname__ == f"{Pair.__qualname__}.__repr__"
+        _assert_frozen(pair, ("left", "note", "extra"))
 
     def test_rules_compare_as_frozen_dataclasses(self):
-        plain = dataclasses.make_dataclass("RewriteRule", self.RULE_FIELDS, frozen=True)
+        plain = dataclasses.make_dataclass("RewriteRule", RewriteRule.__annotations__.items(), frozen=True)
         equal = RewriteRule(_RULE.name, _RULE.context, _RULE.lhs, _RULE.rhs)
         assert equal is not _RULE and equal == _RULE and not equal != _RULE and hash(equal) == hash(_RULE)
         unequal = (replace(_RULE, name="s"), replace(_RULE, context=frozenset()), replace(_RULE, rhs=App("g", (a,))))
@@ -427,20 +470,22 @@ class TestPlainRecords:
         with pytest.raises(ValueError, match="duplicate rule name r"):
             RewriteSystem((_RULE, _RULE), SIG)
 
-    def test_system_files_compare_and_print_as_frozen_dataclasses(self):
-        plain = dataclasses.make_dataclass("SystemFile", (("system", object), ("problems", object)), frozen=True)
+    def test_system_files_keep_a_read_only_copy_and_do_not_hash(self):
         loaded = load_system_file("ex22")
         problems = {"p": "check a # b"}
         built = SystemFile(loaded.system, problems)
+        plain = dataclasses.make_dataclass("SystemFile", SystemFile.__annotations__.items(), frozen=True)
         assert built == SystemFile(loaded.system, dict(problems)) and not built != SystemFile(loaded.system, problems)
-        assert built != SystemFile(loaded.system) and built != SystemFile(RewriteSystem((), SIG), problems)
-        assert SystemFile(loaded.system).problems == {} and built != plain(loaded.system, built.problems)
+        problems["q"] = "check a # c"
+        assert built.problems == {"p": "check a # b"} and SystemFile(loaded.system).problems == {}
         for file in (loaded, built):
-            assert repr(file) == repr(plain(file.system, file.problems))
             assert repr(file).startswith("SystemFile(system=RewriteSystem(") and "problems=mappingproxy({" in repr(file)
-            _assert_frozen(file, ("system", "problems", "extra"))
-        with pytest.raises(TypeError):
-            hash(built)
+            # The frozen dataclass's message names the type that does not
+            # hash: `mappingproxy` up to Python 3.11, the `dict` it wraps
+            # from 3.12 on.
+            with pytest.raises(TypeError, match="^unhashable type: ") as err:
+                hash(file)
+            assert str(err.value) == _hash(plain(file.system, file.problems)) and "SystemFile" not in str(err.value)
 
 
 # Atoms named like the nullary symbols print as they do; multi-swap
