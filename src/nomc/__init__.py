@@ -5,7 +5,13 @@ extended with commutativity of designated binary symbols. On top of that the
 package provides freshness/equality judgements, rule-based unification and
 matching, rewriting with normalisation and coherence probes, and bounded
 narrowing with lifting checkers relating the two.
+
+`nomc.narrowing` is imported on first use of one of its names here (PEP
+562), so a process that never narrows does not load it.
 """
+
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .alpha import (
     EMPTY_CONTEXT,
@@ -21,18 +27,6 @@ from .alpha import (
     derive_freshness,
     format_context,
     freshness_context_nf,
-)
-from .narrowing import (
-    NarrowingNode,
-    NarrowingStep,
-    NarrowingTree,
-    NotFound,
-    PRECONDITION_FAIL,
-    TruncationRecord,
-    lifting_backward_construct,
-    lifting_forward_check,
-    narrow_search,
-    narrowing_to_rewriting,
 )
 from .parsing import (
     ParseError,
@@ -104,3 +98,33 @@ from .unify import (
 )
 
 __version__ = "0.1.0"
+
+_NARROWING = (
+    "NarrowingNode",
+    "NarrowingStep",
+    "NarrowingTree",
+    "NotFound",
+    "PRECONDITION_FAIL",
+    "TruncationRecord",
+    "lifting_backward_construct",
+    "lifting_forward_check",
+    "narrow_search",
+    "narrowing_to_rewriting",
+)
+
+__all__ = [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]
+__all__ += _NARROWING
+
+
+def __getattr__(name: str):
+    # Each name is bound here once resolved, so later reads do not come back.
+    if name != "narrowing" and name not in _NARROWING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not `from . import narrowing`: its fromlist check would call back here.
+    narrowing = _import_module(".narrowing", __name__)
+    globals().update((n, getattr(narrowing, n)) for n in _NARROWING)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NARROWING, "narrowing"})

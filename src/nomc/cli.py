@@ -9,32 +9,25 @@ input nested too deeply for the recursive parser, judgements and printer),
 A command computes its answer and hands back two renderers, one for the
 `--json` payload and one for the plain text; a request runs only the one it
 prints.
+
+Imports wait for their first caller: `argparse` loads when a request is
+parsed, `json` when a `--json` report is printed, and `nomc.narrowing`
+when `narrow`, `lift-forward` or `lift-backward` runs. So a library process
+that only loads system files pays for none of them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 import time
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .alpha import check_problem, format_context
-from .narrowing import (
-    NarrowingStep,
-    NarrowingTree,
-    PRECONDITION_FAIL,
-    lifting_backward_construct,
-    lifting_forward_check,
-    narrow_search,
-    TruncationRecord,
-    NotFound,
-)
 from .parsing import (
     SystemFile,
     parse_context,
@@ -52,6 +45,11 @@ from .rewriting import (
 )
 from .terms import Printer, Signature, Suspension, apply_subst, term_vars
 from .unify import DEFAULT_MAX_STATES, CSolution, SearchSpaceExceeded, match, solve
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .narrowing import NarrowingStep, NarrowingTree, TruncationRecord
 
 _BUNDLED = ("prenex.nrs", "ex22.nrs", "lambda.nrs")
 
@@ -167,6 +165,8 @@ def _tree_payload(tree: NarrowingTree) -> dict:
 
 
 def _narrow(args, system, ctx, term) -> NarrowingTree:
+    from .narrowing import narrow_search
+
     return narrow_search(
         ctx, term, system, args.depth, args.fixpoint_depth, args.max_unifiers,
         max_states=args.max_states,
@@ -284,6 +284,8 @@ def _cmd_narrow(args, system, sig, ctx) -> Report:
 
 
 def _cmd_lift_forward(args, system, sig, ctx) -> Report:
+    from .narrowing import PRECONDITION_FAIL, lifting_forward_check
+
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
@@ -306,6 +308,8 @@ def _cmd_lift_forward(args, system, sig, ctx) -> Report:
 
 
 def _cmd_lift_backward(args, system, sig, ctx) -> Report:
+    from .narrowing import NotFound, lifting_backward_construct
+
     target = parse_context(args.target_context, sig)
     term = parse_term(args.term, sig)
     rho = parse_substitution(args.rho, sig)
@@ -348,9 +352,13 @@ def _bound(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+        value = None
+    if value is None or value < 0:
+        import argparse  # loaded already: only argparse calls this
+
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}" if value is None else f"must be 0 or more, got {value}"
+        )
     return value
 
 
@@ -371,6 +379,8 @@ def _add_narrowing(sub: argparse.ArgumentParser) -> None:
 def _parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
     """The `nomc` parser and its command parsers by name, built on first use
     and then shared: `parse_args` keeps no state between calls."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nomc",
         description="Nominal rewriting and narrowing modulo commutativity.",
@@ -439,6 +449,8 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     command handed straight to that command's parser, which is what the full
     parser would delegate to. Anything the command's parser leaves over goes
     back to the full parser, which reports it as before."""
+    import argparse
+
     parser, commands = _parsers()
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
@@ -482,6 +494,8 @@ def run_command(argv: list[str]) -> int:
         code = 1
     elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     if args.json:
+        import json
+
         report = {
             "command": args.command,
             "result": result,

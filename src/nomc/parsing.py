@@ -341,13 +341,17 @@ class SystemFile:
     Read-only, so one loaded file can be shared by every caller; `problems`
     is a read-only copy of the mapping given. Files compare, hash and print
     as a frozen dataclass with these two fields would (`frozen_methods`),
-    so hashing one raises the dataclass's TypeError at `problems`."""
+    so hashing one raises the dataclass's TypeError at `problems`. A copy
+    or pickle is rebuilt through the constructor."""
 
     system: RewriteSystem
     problems: Mapping[str, str]
 
     def __init__(self, system: RewriteSystem, problems: Mapping[str, str] = MappingProxyType({})) -> None:
         self.__dict__.update(system=system, problems=MappingProxyType(dict(problems)))
+
+    def __reduce__(self):
+        return type(self), (self.system, dict(self.problems))
 
 
 def parse_system(text: str) -> SystemFile:

@@ -104,9 +104,10 @@ class RewriteSystem:
 
     Read-only, so one system can be shared by every caller: everything is
     built in the constructor and attributes cannot be reassigned. Systems
-    compare and hash by identity. The one thing that grows is the fit
-    masks' transition memo, bounded by the rules; an entry depends on
-    nothing else.
+    compare and hash by identity; a copy or pickle is another system, built
+    afresh from the rules and the signature. The one thing that grows is
+    the fit masks' transition memo, bounded by the rules; an entry depends
+    on nothing else.
 
     The constructor also builds, once:
     - the skeleton tables the fit masks are read from, and `_lhs`, the redex
@@ -157,6 +158,10 @@ class RewriteSystem:
 
     def __repr__(self) -> str:
         return f"RewriteSystem({len(self.rules)} rules, sig={self.signature!r})"
+
+    def __reduce__(self):
+        # The tables are read-only mappings, which neither copy nor pickle.
+        return type(self), (self.rules, self.signature)
 
 
 @frozen_node

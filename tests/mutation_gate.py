@@ -105,6 +105,30 @@ MUTANTS = (
         "composed[e.child] = e.step_subst.compose(composed[e.parent])",
         ("tests/test_narrowing.py::TestSearchPaysForWhatItReturns::test_same_trees_as_the_eager_build",),
     ),
+    Mutant(
+        "the package does not keep the narrowing names it resolves",
+        "src/nomc/__init__.py",
+        "    globals().update((n, getattr(narrowing, n)) for n in _NARROWING)\n    return globals()[name]\n",
+        "    return getattr(narrowing, name, narrowing)\n",
+        ("tests/test_api.py::test_narrowing_names_resolve_to_the_module_and_stay_bound",),
+    ),
+    Mutant(
+        "nomc.cli imports narrowing with the module",
+        "src/nomc/cli.py",
+        "from .alpha import check_problem, format_context\n",
+        "from .alpha import check_problem, format_context\nfrom .narrowing import narrow_search\n",
+        (
+            "tests/test_terms.py::TestFrozenNodeConstructor::test_import_loads_only_what_it_uses",
+            "tests/test_api.py::test_only_narrowing_commands_load_narrowing[check]",
+        ),
+    ),
+    Mutant(
+        "a copied system loses its commutative symbols",
+        "src/nomc/rewriting.py",
+        "return type(self), (self.rules, self.signature)",
+        "return type(self), (self.rules, self.signature.without_commutativity())",
+        ("tests/test_terms.py::TestPlainRecords::test_loaded_files_copy_and_pickle",),
+    ),
 )
 
 

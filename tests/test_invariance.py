@@ -29,6 +29,8 @@ import pytest
 
 from nomc import (
     IDENTITY,
+    Abstraction,
+    App,
     Atom,
     Permutation,
     Substitution,
@@ -295,30 +297,49 @@ def test_rewriting_is_equivariant(case):
     assert rewrote > REWRITE_DRAWS // 6 or not system.rules, rewrote
 
 
+def _split_quantifiers(rng):
+    """`and` or `or` of two quantified prenex formulas: quantifiers on both
+    sides of one connective, so which is pulled out first can decide the
+    normal form, and the oracle can answer False."""
+
+    def quantified():
+        x = rng.choice(ATOMS[:3])
+        return App(rng.choice(("forall", "exists")), (Abstraction(x, random_prenex_formula(rng, 2, (x,))),))
+
+    return App(rng.choice(("and", "or")), (quantified(), quantified()))
+
+
 # (system, π, draws) for the class oracle, which scans whole classes, so
-# ex22 gets fewer draws. lambda has no rules. No draw is an exception.
+# ex22 gets fewer draws. lambda has no rules. No draw is an exception. The
+# "split" cases draw `_split_quantifiers`, the others `_ground_draw`.
 CLASS_CASES = {
     "prenex": ("prenex", "fixing", 400),
     "prenex any": ("prenex", "any", 400),
     "ex22": ("ex22", "fixing", 150),
     "ex22 any": ("ex22", "any", 150),
+    "prenex split": ("prenex", "fixing", 200),
+    "prenex split any": ("prenex", "any", 200),
 }
+# The fewest draws whose two normal forms part, so that the oracle answers
+# False (70 and 72 of 200 at seed 24). Every other case answers True on
+# every draw.
+FALSE_FLOOR = {"prenex split": 60, "prenex split any": 60}
 
 
 @pytest.mark.parametrize("case", CLASS_CASES)
 def test_class_oracle_is_equivariant(case):
     """`r_over_e_one_step(π·t)` lists the images of `r_over_e_one_step(t)`,
     in order, up to `alpha_key`, and `normal_form_equal_check` answers π·t
-    as it answers t. Every random draw answers True there, so prenex's
+    as it answers t. Only the split draws reach False answers, so prenex's
     pair whose normal forms part is checked under π too."""
     name, kind, draws = CLASS_CASES[case]
     system = SYSTEMS[name]
     sig, rule_atoms = system.signature, system.atoms()
     atoms = _pi_atoms(kind, rule_atoms)
     rng = random.Random(24)
-    stepped, moved, exceptions = 0, 0, []
+    stepped, moved, false_answers, exceptions = 0, 0, 0, []
     for i in range(draws):
-        term = _ground_draw(rng, name, sig, i)
+        term = _split_quantifiers(rng) if "split" in case else _ground_draw(rng, name, sig, i)
         pi = random_permutation(rng, atoms, max_swaps=3)
         image = permute_term(pi, term)
         results, image_results = r_over_e_one_step(term, system), r_over_e_one_step(image, system)
@@ -329,9 +350,12 @@ def test_class_oracle_is_equivariant(case):
             exceptions.append((str(term), str(pi)))
         stepped += bool(results)
         moved += _moves(pi, term_atoms(term) | rule_atoms)
+        false_answers += not agree
     assert exceptions == []
     assert stepped > draws // 6, stepped
     assert moved > draws // 3, moved
+    assert false_answers >= FALSE_FLOOR.get(case, 0), false_answers
+    assert (false_answers > 0) == (case in FALSE_FLOOR), false_answers
     if name == "prenex":
         parted = parse_term("and(forall([a]a), exists([a]a))", sig)
         for _ in range(20):

@@ -49,12 +49,14 @@ from nomc.rewriting import (
     CoherenceVerdict,
     RewriteStep,
     clash_permutation,
+    normalize,
     permute_rule,
     renamed_rule,
 )
 from nomc.terms import NameSupply, Printer, frozen_methods, frozen_node, subterms_with_positions
 from nomc.unify import CSolution, UnificationState
 from conftest import (
+    random_prenex_formula,
     random_term,
     reference_fresh_name,
     reference_same_term,
@@ -334,11 +336,13 @@ class TestFrozenNodeConstructor:
         record = _truncation_payload(TruncationRecord(2, 50, 3))
         assert list(record.items()) == [("depth", 2), ("max_unifiers", 50), ("fixpoint_depth", 3), ("nodes_truncated", 0)]
 
-    def test_import_loads_no_dataclasses(self):
+    def test_import_loads_only_what_it_uses(self):
         # `dataclasses` imports `inspect`, which brings `ast`, `dis` and
         # `tokenize`; from Python 3.12 on, `importlib.resources` imports
-        # `inspect` too. Importing nomc and loading the bundled systems needs
-        # none of them.
+        # `inspect` too. Narrowing loads on first use of one of its names,
+        # argparse when the CLI parses a request and json when it prints
+        # `--json`. Importing nomc and loading the bundled systems needs none
+        # of them.
         code = """if True:
             import sys
             before = set(sys.modules)
@@ -346,6 +350,7 @@ class TestFrozenNodeConstructor:
             for name in ("prenex", "ex22", "lambda"):
                 nomc.cli.load_system_file(name)
             heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources"}
+            heavy |= {"nomc.narrowing", "argparse", "json"}
             print(sorted(heavy & (set(sys.modules) - before)))
         """
         env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
@@ -486,6 +491,33 @@ class TestPlainRecords:
             with pytest.raises(TypeError, match="^unhashable type: ") as err:
                 hash(file)
             assert str(err.value) == _hash(plain(file.system, file.problems)) and "SystemFile" not in str(err.value)
+
+    @pytest.mark.parametrize("name", ["prenex", "ex22", "lambda"])
+    def test_loaded_files_copy_and_pickle(self, name):
+        # A system's tables are read-only mappings, which neither copy nor
+        # pickle: a copy is rebuilt from the rules and the signature, and a
+        # file's from its system and a plain copy of its problems.
+        loaded = load_system_file(name)
+        system = loaded.system
+        rng = random.Random(f"copy {name}")
+        terms = [
+            random_prenex_formula(rng, 3) if name == "prenex" else random_term(rng, system.signature, 3)
+            for _ in range(20)
+        ]
+        for duplicate in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+            assert type(duplicate) is SystemFile and type(duplicate.system) is RewriteSystem
+            assert duplicate.problems == loaded.problems and type(duplicate.problems) is type(loaded.problems)
+            with pytest.raises(TypeError):
+                duplicate.problems["extra"] = "check a # b"
+            _assert_frozen(duplicate, ("system", "problems", "extra"))
+            # Like any two systems, the copy's compares unequal to the original.
+            copied = duplicate.system
+            assert copied != system and duplicate != loaded
+            assert copied.rules == system.rules and copied.signature == system.signature
+            assert repr(copied) == repr(system) and copied.atoms() == system.atoms()
+            for term in terms:
+                assert normalize(frozenset(), term, copied, 100) == normalize(frozenset(), term, system, 100)
+        assert copy.copy(loaded) == loaded and copy.copy(loaded).system is system
 
 
 # Atoms named like the nullary symbols print as they do; multi-swap
