@@ -105,8 +105,11 @@ def derive_alpha_c(ctx: FreshnessContext, s: Term, t: Term, sig: Signature) -> b
     """Decide ctx |- s =ac t over the given signature.
 
     One object is equal to itself under any context (reflexivity), so
-    `s is t` answers at once; shared subterms cost nothing. Suspensions of
-    the same variable compare via the difference set of their permutations;
+    `s is t` answers at once; shared subterms cost nothing. Applications
+    of one and two arguments are compared without a loop, and the crossed
+    pairing is tried only for a commutative symbol whose aligned pairing
+    failed. Suspensions of the same variable compare via the difference set
+    of their permutations, which is empty when their swap lists are equal;
     abstractions with distinct binders compare after swapping, under a
     freshness side condition on the right body.
     """
@@ -116,21 +119,31 @@ def derive_alpha_c(ctx: FreshnessContext, s: Term, t: Term, sig: Signature) -> b
     if kind is not type(t):
         return False
     if kind is App:
-        if s.sym != t.sym or len(s.args) != len(t.args):
+        args, others = s.args, t.args
+        count = len(args)
+        if s.sym != t.sym or count != len(others):
             return False
-        if sig.is_commutative(s.sym):
-            s0, s1 = s.args
-            t0, t1 = t.args
+        if count == 2:
+            s0, s1 = args
+            t0, t1 = others
             if derive_alpha_c(ctx, s0, t0, sig) and derive_alpha_c(ctx, s1, t1, sig):
                 return True
-            return derive_alpha_c(ctx, s0, t1, sig) and derive_alpha_c(ctx, s1, t0, sig)
-        for sa, ta in zip(s.args, t.args):
+            return (
+                s.sym in sig._commutative
+                and derive_alpha_c(ctx, s0, t1, sig)
+                and derive_alpha_c(ctx, s1, t0, sig)
+            )
+        if count == 1:
+            return derive_alpha_c(ctx, args[0], others[0], sig)
+        for sa, ta in zip(args, others):
             if not derive_alpha_c(ctx, sa, ta, sig):
                 return False
         return True
     if kind is Suspension:
         if s.var is not t.var:
             return False
+        if s.perm.swappings == t.perm.swappings:
+            return True
         for a in difference_set(s.perm, t.perm):
             if FreshnessConstraint(a, s.var) not in ctx:
                 return False

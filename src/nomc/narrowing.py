@@ -226,17 +226,19 @@ def _expand_node(
     """Narrowing steps from a node, and whether max_unifiers cut them off.
     Each rule is renamed apart, with names drawn from `names`, at each site
     where `redexes` unifies it, by the linear walk or the solver; residuals
-    are closed from the search's `table`."""
+    are closed from the search's `table`. A site's rewritten term is built
+    once and instantiated by each of its answers, as `_child` would."""
     steps: list[NarrowingStep] = []
 
     def prepare(rule: RewriteRule, _: frozenset[Var]) -> RewriteRule:
         return renamed_rule(rule, names.draw(rule.renaming_bases))
 
     for pos, rule, solutions in redexes(node.context, node.term, system, prepare, max_states, unify=True):
+        replaced = replace_at(node.term, pos.path, rule.rhs)
         for context, theta, flagged in _expanded_solutions(solutions, system.signature, fixpoint_depth, table):
             if len(steps) >= max_unifiers:
                 return steps, True
-            child = _child(node, pos, rule, context, theta)
+            child = NarrowingNode(context, apply_subst(theta, replaced), node.depth + 1)
             steps.append(NarrowingStep(rule.name, pos, theta, flagged, child, node, rule))
     return steps, False
 

@@ -294,8 +294,23 @@ def permute_term(perm: Permutation, term: Term) -> Term:
 
 
 def _permute(perm: Permutation, term: Term) -> Term:
+    """`permute_term` without its identity test. Applications of one and two
+    arguments are walked without building a list, as in `_apply`."""
     kind = type(term)
     if kind is App:
+        args = term.args
+        count = len(args)
+        if count == 2:
+            left, right = args
+            new_left = _permute(perm, left)
+            new_right = _permute(perm, right)
+            if new_left is left and new_right is right:
+                return term
+            return App(term.sym, (new_left, new_right))
+        if count == 1:
+            arg = args[0]
+            image = _permute(perm, arg)
+            return term if image is arg else App(term.sym, (image,))
         images = []
         same = True
         for arg in term.args:
@@ -342,11 +357,27 @@ class Substitution:
         return self._map.get(var, Suspension(IDENTITY, var))
 
     def compose(self, other: "Substitution") -> "Substitution":
-        """Substitution acting as self first, then other."""
-        mapping = {v: apply_subst(other, t) for v, t in self._map.items()}
-        for v, t in other._map.items():
-            mapping.setdefault(v, t)
-        return Substitution(mapping)
+        """Substitution acting as self first, then other. A composition
+        with the identity is the other operand itself.
+
+        Both maps are clean, so only an image of self that `other` turns
+        into its own variable, X -> X, is dropped."""
+        mine, theirs = self._map, other._map
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        mapping: dict[Var, Term] = {}
+        for var, term in mine.items():
+            image = _apply(theirs, term)
+            if not (type(image) is Suspension and image.var is var and not image.perm.swappings):
+                mapping[var] = image
+        for var, term in theirs.items():
+            if var not in mine:
+                mapping[var] = term
+        composed = Substitution.__new__(Substitution)
+        composed._map = mapping
+        return composed
 
     @property
     def domain(self) -> frozenset[Var]:
@@ -458,14 +489,14 @@ class Signature:
             if arity < 0:
                 raise ValueError(f"negative arity for symbol {sym}")
             self._entries[sym] = (arity, commutative)
+        self._commutative = frozenset(sym for sym, (_, commutative) in self._entries.items() if commutative)
 
     def arity(self, sym: str) -> int | None:
         entry = self._entries.get(sym)
         return entry[0] if entry else None
 
     def is_commutative(self, sym: str) -> bool:
-        entry = self._entries.get(sym)
-        return bool(entry and entry[1])
+        return sym in self._commutative
 
     def declares(self, sym: str) -> bool:
         return sym in self._entries
@@ -476,7 +507,7 @@ class Signature:
 
     @property
     def commutative_symbols(self) -> tuple[str, ...]:
-        return tuple(s for s in self.symbols if self.is_commutative(s))
+        return tuple(sorted(self._commutative))
 
     def without_commutativity(self) -> "Signature":
         return Signature({s: (a, False) for s, (a, _) in self._entries.items()})
@@ -517,10 +548,11 @@ def subterm_at(term: Term, path: tuple[int, ...]) -> Term:
     """The subterm at a child-index path; ValueError if there is none."""
     sub = term
     for i in path:
-        if isinstance(sub, Abstraction) and i == 0:
-            sub = sub.body
-        elif isinstance(sub, App) and 0 <= i < len(sub.args):
+        kind = type(sub)
+        if kind is App and 0 <= i < len(sub.args):
             sub = sub.args[i]
+        elif kind is Abstraction and i == 0:
+            sub = sub.body
         else:
             raise ValueError(f"no position at path {path} in {term}")
     return sub
@@ -532,11 +564,13 @@ def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
     if not path:
         return new
     head, rest = path[0], path[1:]
-    if isinstance(term, Abstraction) and head == 0:
+    kind = type(term)
+    if kind is App:
+        args = term.args
+        if 0 <= head < len(args):
+            return App(term.sym, args[:head] + (replace_at(args[head], rest, new),) + args[head + 1 :])
+    elif kind is Abstraction and head == 0:
         return Abstraction(term.atom, replace_at(term.body, rest, new))
-    if isinstance(term, App) and 0 <= head < len(term.args):
-        args = term.args[:head] + (replace_at(term.args[head], rest, new),) + term.args[head + 1 :]
-        return App(term.sym, args)
     raise ValueError(f"no position at path {path} in {term}")
 
 

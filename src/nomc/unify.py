@@ -485,14 +485,20 @@ def enumerate_fixpoint_solutions(
     image = {a: perm.act(a) for a in sorted(moved, key=lambda a: a.name)}
     levels = _fixed_classes(image, sig.commutative_symbols, depth)
     return ((freshness, IDENTITY_SUBST),) + tuple(
-        (EMPTY_CONTEXT, Substitution({var: t})) for level in levels[1:] for t in level
+        (EMPTY_CONTEXT, Substitution({var: t})) for level in levels[1:] for _, t in level
     )
 
 
-def _fixed_classes(image: dict[Atom, Atom], syms: tuple[str, ...], depth: int) -> list[list[Term]]:
+# A class is handled as (text, least member): the text is `str` of the
+# member, built once from its children's texts, so classes are ordered and
+# told apart without printing a term.
+_Class = tuple[str, Term]
+
+
+def _fixed_classes(image: dict[Atom, Atom], syms: tuple[str, ...], depth: int) -> list[list[_Class]]:
     """The commutative classes over `image`'s atoms, built from them and
     `syms`, that the permutation `image` fixes: one list per height up to
-    `depth`, each sorted by `str`. A class is given as its least member by
+    `depth`, each sorted by text. A class is given as its least member by
     `str`, whose children are their own classes' least members in `str`
     order, since ", " and ")" sort below atom names' characters.
 
@@ -503,24 +509,37 @@ def _fixed_classes(image: dict[Atom, Atom], syms: tuple[str, ...], depth: int) -
     Nantes-Sobrinho, "Fixed-point constraints for nominal equational
     unification", FSCD 2018, read these solutions off the cycles of pi).
     """
-    levels: list[list[Term]] = [[a for a, b in image.items() if a == b]]
+    levels: list[list[_Class]] = [[(a.name, a) for a, b in image.items() if a == b]]
     squared = None
     if depth > 0 and len(levels[0]) < len(image):
         squared = _fixed_classes({a: image[b] for a, b in image.items()}, syms, depth - 1)
-    below: list[Term] = []
+    below: list[_Class] = []
     for height in range(depth):
         top = levels[-1]
         pairs = list(itertools.product(below, top)) + list(itertools.combinations_with_replacement(top, 2))
         if squared is not None:
-            pairs += [(l, _permuted_least(image, l)) for l in squared[height]]
+            pairs += [(fixed, _permuted_least(image, fixed[1])) for fixed in squared[height]]
         below += top
-        grown = {App(sym, tuple(sorted(pair, key=str))) for sym in syms for pair in pairs}
-        levels.append(sorted(grown, key=str))
+        pairs = [_ordered(l, r) for l, r in pairs]
+        grown: dict[str, Term] = {}
+        for sym in syms:
+            for (ltext, l), (rtext, r) in pairs:
+                text = f"{sym}({ltext}, {rtext})"
+                if text not in grown:
+                    grown[text] = App(sym, (l, r))
+        levels.append(sorted(grown.items()))
     return levels
 
 
-def _permuted_least(image: dict[Atom, Atom], term: Term) -> Term:
-    """The least member by `str` of the class of image.term (see `_fixed_classes`)."""
-    if isinstance(term, Atom):
-        return image[term]
-    return App(term.sym, tuple(sorted((_permuted_least(image, a) for a in term.args), key=str)))
+def _ordered(left: _Class, right: _Class) -> tuple[_Class, _Class]:
+    """The two classes in text order, as a least member's children are."""
+    return (right, left) if right[0] < left[0] else (left, right)
+
+
+def _permuted_least(image: dict[Atom, Atom], term: Term) -> _Class:
+    """The class of image.term, with its least member (see `_fixed_classes`)."""
+    if type(term) is Atom:
+        atom = image[term]
+        return atom.name, atom
+    (ltext, l), (rtext, r) = _ordered(*(_permuted_least(image, a) for a in term.args))
+    return f"{term.sym}({ltext}, {rtext})", App(term.sym, (l, r))

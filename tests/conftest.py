@@ -459,6 +459,46 @@ def reference_derive_alpha_c(ctx, s, t, sig):
     return False
 
 
+def reference_subterm_at(term, path):
+    """The subterm at `path`, or the ValueError `subterm_at` raises, which
+    names the whole path and term."""
+
+    def walk(sub, rest):
+        if not rest:
+            return sub
+        head = rest[0]
+        if isinstance(sub, Abstraction) and head == 0:
+            return walk(sub.body, rest[1:])
+        if isinstance(sub, App) and 0 <= head < len(sub.args):
+            return walk(sub.args[head], rest[1:])
+        return None
+
+    found = walk(term, path)
+    if found is None:
+        raise ValueError(f"no position at path {path} in {term}")
+    return found
+
+
+def reference_replace_at(term, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(term, Abstraction) and head == 0:
+        return Abstraction(term.atom, reference_replace_at(term.body, rest, new))
+    if isinstance(term, App) and 0 <= head < len(term.args):
+        args = term.args[:head] + (reference_replace_at(term.args[head], rest, new),) + term.args[head + 1 :]
+        return App(term.sym, args)
+    raise ValueError(f"no position at path {path} in {term}")
+
+
+def reference_compose(theta, other):
+    """theta then other, rebuilt through `Substitution`, which drops X -> X."""
+    mapping = {v: reference_apply_subst(other, t) for v, t in theta.items()}
+    for v, t in other.items():
+        mapping.setdefault(v, t)
+    return Substitution(mapping)
+
+
 def reference_skeleton_fits(lhs, sub, sig, unify):
     """Can `sub` be an instance of `lhs` as far as symbols, binders and atoms
     go? The lhs's suspensions are wildcards; the subject's fit everything
@@ -632,6 +672,47 @@ def reference_leaf_solution(state, protected):
         else:
             kept.append((perm, var))
     return CSolution(reference_prune_context(context, state.subst), state.subst, tuple(kept), discharged)
+
+
+# -- fixed-point classes, the printing way ------------------------------------------
+#
+# The fixed-point enumerator once ordered each candidate pair, and each level
+# of classes, by printing every term with `str`. These copies stay here as the
+# reference for the classes ordered by a text built once from their children's
+# (`nomc.unify._fixed_classes`).
+
+
+def reference_fixed_classes(image, syms, depth):
+    levels = [[a for a, b in image.items() if a == b]]
+    squared = None
+    if depth > 0 and len(levels[0]) < len(image):
+        squared = reference_fixed_classes({a: image[b] for a, b in image.items()}, syms, depth - 1)
+    below = []
+    for height in range(depth):
+        top = levels[-1]
+        pairs = list(itertools.product(below, top)) + list(itertools.combinations_with_replacement(top, 2))
+        if squared is not None:
+            pairs += [(l, reference_permuted_least(image, l)) for l in squared[height]]
+        below += top
+        grown = {App(sym, tuple(sorted(pair, key=str))) for sym in syms for pair in pairs}
+        levels.append(sorted(grown, key=str))
+    return levels
+
+
+def reference_permuted_least(image, term):
+    if isinstance(term, Atom):
+        return image[term]
+    return App(term.sym, tuple(sorted((reference_permuted_least(image, a) for a in term.args), key=str)))
+
+
+def reference_enumerate_fixpoint_solutions(perm, var, sig, depth):
+    moved = perm.moved_atoms()
+    freshness = frozenset(FreshnessConstraint(a, var) for a in moved)
+    image = {a: perm.act(a) for a in sorted(moved, key=lambda a: a.name)}
+    levels = reference_fixed_classes(image, sig.commutative_symbols, depth)
+    return ((freshness, IDENTITY_SUBST),) + tuple(
+        (frozenset(), Substitution({var: t})) for level in levels[1:] for t in level
+    )
 
 
 # -- residual fixed-point equations, the old way ------------------------------------

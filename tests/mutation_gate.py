@@ -129,6 +129,31 @@ MUTANTS = (
         "return type(self), (self.rules, self.signature.without_commutativity())",
         ("tests/test_terms.py::TestPlainRecords::test_loaded_files_copy_and_pickle",),
     ),
+    Mutant(
+        "alpha-equivalence crosses the arguments of a non-commutative symbol",
+        "src/nomc/alpha.py",
+        "                s.sym in sig._commutative\n                and derive_alpha_c(ctx, s0, t1, sig)\n",
+        "                derive_alpha_c(ctx, s0, t1, sig)\n",
+        (
+            "tests/test_alpha.py::TestAlphaC::test_commutative_crossed_pairing",
+            "tests/test_walkers.py::TestAgainstReference::test_judgements",
+        ),
+    ),
+    Mutant(
+        "compose keeps an image that became its own variable",
+        "src/nomc/terms.py",
+        "            if not (type(image) is Suspension and image.var is var and not image.perm.swappings):\n"
+        "                mapping[var] = image\n",
+        "            mapping[var] = image\n",
+        ("tests/test_walkers.py::TestAgainstReference::test_compose_drops_an_image_that_becomes_its_variable",),
+    ),
+    Mutant(
+        "a fixed-point pair is ordered by descending text",
+        "src/nomc/unify.py",
+        "return (right, left) if right[0] < left[0] else (left, right)",
+        "return (right, left) if right[0] > left[0] else (left, right)",
+        ("tests/test_unify.py::TestFixpointClasses::test_equals_the_str_sorted_construction",),
+    ),
 )
 
 

@@ -342,7 +342,8 @@ class TestFrozenNodeConstructor:
         # `inspect` too. Narrowing loads on first use of one of its names,
         # argparse when the CLI parses a request and json when it prints
         # `--json`. Importing nomc and loading the bundled systems needs none
-        # of them.
+        # of them. The child runs without `site` (-S), which may import
+        # `importlib.resources` itself and so hide an import of it by nomc.
         code = """if True:
             import sys
             before = set(sys.modules)
@@ -354,7 +355,7 @@ class TestFrozenNodeConstructor:
             print(sorted(heavy & (set(sys.modules) - before)))
         """
         env = dict(os.environ, PYTHONPATH=str(Path(nomc.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     def test_arity_error_reads_as_before(self):

@@ -43,7 +43,15 @@ from nomc import (
 )
 from nomc import unify
 from nomc.alpha import alpha_key
-from conftest import ATOMS, VARS, equivalent_variant, random_context, random_ground_term, random_term
+from conftest import (
+    ATOMS,
+    VARS,
+    equivalent_variant,
+    random_context,
+    random_ground_term,
+    random_term,
+    reference_enumerate_fixpoint_solutions,
+)
 
 a, b, e = Atom("a"), Atom("b"), Atom("e")
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -691,6 +699,21 @@ class TestFixpointClasses:
             terms = [s.get(X) for _, s in sols[1:]]
             assert len({alpha_key(t, sig) for t in terms}) == len(terms)
             assert all(derive_alpha_c(EMPTY_CONTEXT, permute_term(perm, t), t, sig) for t in terms)
+
+    @pytest.mark.parametrize("commutative", ["ex22", "one symbol"])
+    def test_equals_the_str_sorted_construction(self, ex22_system, commutative):
+        # Every permutation of one to three swappings over a-d, at depths 0
+        # to 3, against the construction that orders classes by printing
+        # them: the same solutions in the same order.
+        sig = ex22_system.signature if commutative == "ex22" else Signature({"f": (2, True), "g": (1, False)})
+        swaps = list(itertools.combinations(ATOMS, 2))
+        perms = [Permutation(s) for count in (1, 2, 3) for s in itertools.product(swaps, repeat=count)]
+        perms = [perm for perm in perms if perm.moved_atoms()]
+        assert len(perms) == 252
+        for perm in perms:
+            for depth in range(4):
+                got = enumerate_fixpoint_solutions(perm, X, sig, depth)
+                assert got == reference_enumerate_fixpoint_solutions(perm, X, sig, depth), (str(perm), depth)
 
     @pytest.mark.parametrize(
         "swappings, depth, count", [("ab", 2, 12), ("ab cd", 2, 40), ("ab bc", 2, 0), ("ab cd", 1, 4)]

@@ -9,10 +9,12 @@ its reference in `conftest.py` does; terms are compared field by field with
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nomc import (
     IDENTITY,
+    IDENTITY_SUBST,
     Abstraction,
     App,
     FreshnessConstraint,
@@ -31,7 +33,7 @@ from nomc import (
 )
 from nomc.alpha import satisfies_with
 from nomc.rewriting import RewriteRule, RewriteSystem
-from nomc.terms import subterms_with_positions
+from nomc.terms import replace_at, subterms_with_positions
 from conftest import (
     ATOMS,
     VARS,
@@ -42,11 +44,14 @@ from conftest import (
     random_permutation,
     random_term,
     reference_apply_subst,
+    reference_compose,
     reference_derive_alpha_c,
     reference_derive_freshness,
     reference_permute_term,
+    reference_replace_at,
     reference_same_term,
     reference_skeleton_fits,
+    reference_subterm_at,
     reference_term_atoms,
     reference_term_vars,
 )
@@ -83,6 +88,28 @@ def _small_terms(sizes):
     return by_size
 
 
+def _same_outcome(walker, reference, *args):
+    """Whether `walker` gives the term `reference` gives, or raises the same
+    ValueError."""
+    try:
+        expected = reference(*args)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            walker(*args)
+        return str(got.value) == str(err)
+    return reference_same_term(walker(*args), expected)
+
+
+def _same_substitution(theta, other):
+    """Equal substitutions whose images are the same field by field."""
+    pairs, others = theta.items(), other.items()
+    return (
+        theta == other
+        and len(pairs) == len(others)
+        and all(v is w and reference_same_term(s, t) for (v, s), (w, t) in zip(pairs, others))
+    )
+
+
 def _shares_untouched(term, result, untouched):
     """Every subterm of `term` that `untouched` accepts sits, as the same
     object, at its position in `result`."""
@@ -114,6 +141,46 @@ class TestAgainstReference:
                 assert derive_alpha_c(ctx, s, t, SIG) == reference_derive_alpha_c(ctx, s, t, SIG)
             for atom in ATOMS:
                 assert derive_freshness(ctx, atom, s) == reference_derive_freshness(ctx, atom, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS)
+    def test_positions(self, seed):
+        # Every position of the term, and paths it does not have: an index
+        # past the arity or below 0, a non-zero index under a binder, any
+        # index under an atom or a suspension, each also with a step after.
+        rng = random.Random(seed)
+        for _ in range(10):
+            term, new = _term(rng), _term(rng)
+            for pos, sub in subterms_with_positions(term):
+                if isinstance(sub, App):
+                    wrong = [len(sub.args), -1]
+                elif isinstance(sub, Abstraction):
+                    wrong = [1]
+                else:
+                    wrong = [0]
+                paths = [pos.path] + [pos.path + (i,) for i in wrong] + [pos.path + (i, 0) for i in wrong]
+                for path in paths:
+                    assert _same_outcome(subterm_at, reference_subterm_at, term, path)
+                    assert _same_outcome(replace_at, reference_replace_at, term, path, new)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS)
+    def test_compose(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            theta, other = _subst(rng), _subst(rng)
+            for left, right in ((theta, other), (other, theta), (theta, IDENTITY_SUBST), (IDENTITY_SUBST, other)):
+                assert _same_substitution(left.compose(right), reference_compose(left, right))
+
+    def test_compose_drops_an_image_that_becomes_its_variable(self):
+        X, Y = VARS[:2]
+        first = Substitution({X: Suspension(IDENTITY, Y)})
+        second = Substitution({Y: Suspension(IDENTITY, X)})
+        composed = first.compose(second)
+        assert _same_substitution(composed, reference_compose(first, second))
+        assert composed.domain == {Y} and str(composed) == "[Y -> X]"
+        # A composition with the identity is the other operand itself.
+        assert first.compose(IDENTITY_SUBST) is first and IDENTITY_SUBST.compose(second) is second
 
     def test_freshness_on_every_small_term(self):
         # Every term up to six nodes, under every context on X over a and b,
